@@ -20,7 +20,7 @@ def stratified_batch(groups: dict, per_group: int, rng) -> list:
         rng = substream(int(rng), "stratified")
     batch: list = []
     any_nonempty = False
-    for key in sorted(groups, key=_key_order):
+    for key in sorted(groups, key=key_order):
         members = sorted(groups[key])
         if not members:
             continue
@@ -33,6 +33,7 @@ def stratified_batch(groups: dict, per_group: int, rng) -> list:
     return batch
 
 
-def _key_order(key):
+def key_order(key):
+    """Sort key for group keys and for any other sortable key."""
     sk = getattr(key, "sort_key", None)
     return sk() if callable(sk) else key

@@ -18,11 +18,6 @@ from .engine import (
     TrainedBundle,
     adapted_params,
     evaluate_adapted,
-    run_centralized,
-    run_fedirt,
-    run_local,
-    run_scenario1,
-    run_scenario2,
     train_strategy,
 )
 from .irt import irt_confidence, irt_interpolate, mean_predictive_likelihood, rasch_fit
@@ -52,11 +47,6 @@ __all__ = [
     "meta_update",
     "parse_strategy",
     "rasch_fit",
-    "run_centralized",
-    "run_fedirt",
-    "run_local",
-    "run_scenario1",
-    "run_scenario2",
     "save_checkpoint",
     "train_strategy",
 ]

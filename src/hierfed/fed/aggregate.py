@@ -19,15 +19,22 @@ def _ordered(clients) -> list:
     return sorted(clients, key=lambda c: c.key.sort_key())
 
 
-def aggregate_average(clients) -> ParamSet:
-    """Size-weighted mean of client parameters."""
+def aggregate_average(clients, weights: dict | None = None) -> ParamSet:
+    """Weighted sum of client parameters.
+
+    weights maps each client key to its weight and is used as given; by
+    default every client weighs its share of the total size, which makes
+    the sum a size-weighted mean.
+    """
     clients = _ordered(clients)
-    total = float(sum(c.size for c in clients))
-    first = clients[0].params
-    acc = {name: np.zeros_like(arr) for name, arr in first}
-    for c in clients:
-        check_congruent(first, c.params)
-        w = c.size / total
+    if weights is None:
+        total = float(sum(c.size for c in clients))
+        weights = {c.key: c.size / total for c in clients}
+    head, *rest = clients
+    acc = {name: weights[head.key] * arr for name, arr in head.params}
+    for c in rest:
+        check_congruent(head.params, c.params)
+        w = weights[c.key]
         for name, arr in c.params:
             acc[name] = acc[name] + w * arr
     return ParamSet(acc)

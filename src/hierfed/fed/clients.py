@@ -8,7 +8,6 @@ adapted parameters evaluated on a second batch).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,8 +18,6 @@ from ..models.encoding import encode_kt_student, encode_op_student, pad_batch
 from ..models.kt import kt_loss_grad, kt_predict
 from ..models.op import op_loss_grad, op_predict
 from ..nn.params import GradSet, ParamSet, axpy_params, clip_grad_norm
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -147,19 +144,11 @@ def local_sgd_steps(client: ClientState, eta: float, batch_size: int, rng,
     return params
 
 
-_warned_small = set()
-
-
 def meta_batches(client: ClientState, batch_size: int, rng):
     """Two disjoint minibatches (D, D'); falls back to the whole client
     twice when there are fewer than two batches' worth of students."""
     ids = client.data.ids
     if len(ids) < 2 * batch_size:
-        if client.key not in _warned_small:
-            _warned_small.add(client.key)
-            logger.warning("client %s has %d students (< 2 batches of %d); "
-                           "meta-update reuses one batch", client.key,
-                           len(ids), batch_size)
         # keep the stream aligned with the two-batch path
         rng.permutation(len(ids))
         return list(ids), list(ids)

@@ -1,6 +1,19 @@
 """Training orchestration for every strategy, plus evaluation-time adaptation.
 
-All engines are pure functions of (context, master seed): every random draw
+One round engine, `train_strategy`, trains every strategy over the
+course -> client tree. Clients are the leaves: courses in scenario I,
+demographic subgroups in scenario II, and one pooled client for centralized
+runs. Strategies differ in three rules, all read from the StrategyConfig:
+
+- where a client starts: its own previous model (local and centralized
+  runs), the IRT blend of its own previous model and its course (FedIRT),
+  or its course's start model (all others);
+- how it updates: one epoch (non-federated), E SGD steps (G and FedIRT), or
+  E meta-updates (P);
+- how a course aggregates its clients: AV/AT, IRT confidences, or not at
+  all when the run is not federated.
+
+The engine is a pure function of (context, master seed): every random draw
 comes from a named substream keyed by repetition, fold, the client's data
 fingerprint, and the round index. Keying client streams by data fingerprint
 (not group identity) makes a degenerate two-level hierarchy reproduce the
@@ -11,8 +24,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from ..data.sampling import stratified_batch
 from ..errors import NumericsError
@@ -36,18 +47,21 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class TrainedBundle:
-    """Models produced by one training run, per hierarchy level."""
+    """Models produced by one training run.
+
+    models maps each trained client and each course aggregate to its
+    parameters; key.is_course_level tells the two levels apart. The global
+    model, for strategies that have one, is kept apart.
+    """
     strategy: str
     global_params: ParamSet | None = None
-    course_params: dict = field(default_factory=dict)    # course key -> params
-    subgroup_params: dict = field(default_factory=dict)  # subgroup key -> params
+    models: dict = field(default_factory=dict)   # GroupKey -> params
     history: list = field(default_factory=list)
 
 
 @dataclass
 class EngineContext:
-    """Everything a training engine needs for one (fold, repetition) run."""
-    task: str
+    """Everything train_strategy needs for one (fold, repetition) run."""
     strategy: StrategyConfig
     master_seed: int
     rep: int
@@ -67,118 +81,45 @@ def _client_rng(ctx: EngineContext, fingerprint: str, round_idx: int):
 def _check_finite(params: ParamSet, where: str):
     bad = params.first_nonfinite_layer()
     if bad is not None:
-        raise NumericsError(f"non-finite parameters in layer {bad!r} {where}")
+        raise NumericsError(f"{where}: non-finite parameters in layer {bad!r}")
+
+
+def _meta_updates(s: StrategyConfig) -> bool:
+    """P clients meta-update; FedIRT clients take plain SGD steps."""
+    return s.architecture == "P" and s.aggregation != "IRT"
 
 
 def _update_client(ctx: EngineContext, key: GroupKey, start: ParamSet,
                    round_idx: int, stats: dict) -> ParamSet:
+    s = ctx.strategy
     data = ctx.clients[key]
     rng = _client_rng(ctx, data.fingerprint, round_idx)
-    s = ctx.strategy
+    where = f"{'round' if s.is_federated else 'epoch'} {round_idx}, client {key}"
     try:
-        if s.architecture == "P":
+        if not s.is_federated:
+            params = local_sgd_epoch(ClientState(key, start, data), s.eta,
+                                     s.batch_size, rng, s.clip, stats=stats)
+        elif _meta_updates(s):
             params = start
             for _ in range(s.local_iters):
                 client = ClientState(key, params, data)
                 params = meta_update(client, s.eta, s.inner_step, rng,
                                      s.batch_size, s.clip, stats=stats)
         else:
-            client = ClientState(key, start, data)
-            params = local_sgd_steps(client, s.eta, s.batch_size, rng,
-                                     s.local_iters, s.clip, stats=stats)
+            params = local_sgd_steps(ClientState(key, start, data), s.eta,
+                                     s.batch_size, rng, s.local_iters, s.clip,
+                                     stats=stats)
     except NumericsError as exc:
-        raise NumericsError(f"round {round_idx}, client {key}: {exc}") from None
-    _check_finite(params, f"after round {round_idx} on client {key}")
+        raise NumericsError(f"{where}: {exc}") from None
+    _check_finite(params, where)
     return params
 
 
-def _aggregate(server: ParamSet, states, s: StrategyConfig) -> ParamSet:
-    if s.aggregation == "AV":
-        return aggregate_average(states)
-    return aggregate_attention(server, states, s.eps, s.attention_mode)
-
-
-def run_scenario1(ctx: EngineContext, callback=None) -> TrainedBundle:
-    """One-level federation over courses (Algorithm for scenario I)."""
-    s = ctx.strategy
-    theta_g = ctx.init_params
-    keys = sorted(ctx.clients, key=lambda k: k.sort_key())
-    history: list = []
-    bundle = TrainedBundle(strategy=s.name)
-    for k in range(s.rounds):
-        stats: dict = {}
-        updated = {}
-        for key in keys:
-            updated[key] = _update_client(ctx, key, theta_g, k, stats)
-        states = [ClientState(key, updated[key], ctx.clients[key])
-                  for key in keys]
-        theta_g = _aggregate(theta_g, states, s)
-        _check_finite(theta_g, f"after aggregation in round {k}")
-        history.append({"round": k, "loss": stats.get("loss", 0.0),
-                        "steps": stats.get("steps", 0)})
-        bundle = TrainedBundle(strategy=s.name, global_params=theta_g,
-                               course_params=dict(updated),
-                               history=list(history))
-        if callback is not None:
-            callback(k, bundle)
-    return bundle
-
-
-def run_scenario2(ctx: EngineContext, callback=None) -> TrainedBundle:
-    """Two-level federation: subgroups -> courses -> global (Algorithm for
-    scenario II), with the course-adaptation step for personalized runs.
-
-    Levels with a single member collapse by construction: one course means
-    the global is the course aggregate (no second server pull), and a
-    course with one subgroup skips the stratified adaptation step.
-    """
-    s = ctx.strategy
-    keys = sorted(ctx.clients, key=lambda k: k.sort_key())
-    courses = sorted({key.course for key in keys})
-    subs_by_course = {c: [key for key in keys if key.course == c]
-                      for c in courses}
-    theta_g = ctx.init_params
-    course_model = {c: ctx.init_params for c in courses}
-    history: list = []
-    bundle = TrainedBundle(strategy=s.name)
-
-    for k in range(s.rounds):
-        stats: dict = {}
-        updated = {}
-        course_agg = {}
-        for c in courses:
-            for key in subs_by_course[c]:
-                updated[key] = _update_client(ctx, key, course_model[c], k, stats)
-            states = [ClientState(key, updated[key], ctx.clients[key])
-                      for key in subs_by_course[c]]
-            course_agg[c] = _aggregate(course_model[c], states, s)
-            _check_finite(course_agg[c], f"after course {c} aggregation, round {k}")
-
-        if len(courses) == 1:
-            theta_g = course_agg[courses[0]]
-        else:
-            course_states = [ClientState(GroupKey(c), course_agg[c],
-                                         ctx.course_pools[c])
-                             for c in courses]
-            theta_g = _aggregate(theta_g, course_states, s)
-        _check_finite(theta_g, f"after global aggregation in round {k}")
-
-        for c in courses:
-            subs = subs_by_course[c]
-            if s.architecture == "P" and len(subs) >= 2:
-                course_model[c] = _course_adapt(ctx, c, subs, theta_g, k, stats)
-            else:
-                course_model[c] = theta_g
-
-        history.append({"round": k, "loss": stats.get("loss", 0.0),
-                        "steps": stats.get("steps", 0)})
-        bundle = TrainedBundle(
-            strategy=s.name, global_params=theta_g,
-            course_params={GroupKey(c): course_agg[c] for c in courses},
-            subgroup_params=dict(updated), history=list(history))
-        if callback is not None:
-            callback(k, bundle)
-    return bundle
+def _aggregate(server: ParamSet, states, s: StrategyConfig,
+               weights: dict | None = None) -> ParamSet:
+    if s.aggregation == "AT":
+        return aggregate_attention(server, states, s.eps, s.attention_mode)
+    return aggregate_average(states, weights)
 
 
 def _course_adapt(ctx: EngineContext, course: str, subs, theta_g: ParamSet,
@@ -189,158 +130,113 @@ def _course_adapt(ctx: EngineContext, course: str, subs, theta_g: ParamSet,
                     str(ctx.fold), course, str(round_idx))
     groups = {key: ctx.subgroup_ids[key] for key in subs}
     batch = stratified_batch(groups, s.per_group, rng)
+    where = f"round {round_idx}, course adaptation {course}"
     try:
         loss, grads = ctx.course_pools[course].loss_grad(batch, theta_g)
     except NumericsError as exc:
-        raise NumericsError(
-            f"round {round_idx}, course adaptation {course}: {exc}") from None
+        raise NumericsError(f"{where}: {exc}") from None
     stats["loss"] = stats.get("loss", 0.0) + loss
     adapted = axpy_params(-s.eta, clip_grad_norm(grads, s.clip), theta_g)
-    _check_finite(adapted, f"after course adaptation of {course}, round {round_idx}")
+    _check_finite(adapted, where)
     return adapted
 
 
-def run_fedirt(ctx: EngineContext, callback=None) -> TrainedBundle:
-    """Interpolated local training with IRT-confidence aggregation.
-
-    Subgroup confidences are fit once per course from training quiz
-    responses; each round every subgroup restarts from a cosine blend of
-    its previous local model and the course global, trains E plain SGD
-    iterations, and the course global becomes the confidence-weighted sum.
-    Course globals are size-averaged into a reporting global.
-    """
+def _warn_small_meta_clients(ctx: EngineContext, leaves):
     s = ctx.strategy
-    keys = sorted(ctx.clients, key=lambda k: k.sort_key())
-    courses = sorted({key.course for key in keys})
-    subs_by_course = {c: [key for key in keys if key.course == c]
-                      for c in courses}
-    confidence = {}
-    for c in courses:
-        confidence.update(irt_confidence(
-            {key: ctx.irt_responses.get(key, []) for key in subs_by_course[c]}))
-
-    course_model = {c: ctx.init_params for c in courses}
-    local_prev = {key: ctx.init_params for key in keys}
-    history: list = []
-    bundle = TrainedBundle(strategy=s.name)
-    for k in range(s.rounds):
-        stats: dict = {}
-        for c in courses:
-            for key in subs_by_course[c]:
-                start = irt_interpolate(local_prev[key], course_model[c])
-                data = ctx.clients[key]
-                rng = _client_rng(ctx, data.fingerprint, k)
-                try:
-                    local_prev[key] = local_sgd_steps(
-                        ClientState(key, start, data), s.eta, s.batch_size,
-                        rng, s.local_iters, s.clip, stats=stats)
-                except NumericsError as exc:
-                    raise NumericsError(
-                        f"round {k}, client {key}: {exc}") from None
-                _check_finite(local_prev[key], f"after round {k} on client {key}")
-            course_model[c] = _weighted_sum(
-                [(confidence[key], local_prev[key])
-                 for key in subs_by_course[c]])
-            _check_finite(course_model[c], f"after course {c} blend, round {k}")
-
-        sizes = [(ctx.course_pools[c].size, course_model[c]) for c in courses]
-        total = float(sum(n for n, _ in sizes))
-        theta_g = _weighted_sum([(n / total, p) for n, p in sizes])
-        history.append({"round": k, "loss": stats.get("loss", 0.0),
-                        "steps": stats.get("steps", 0)})
-        bundle = TrainedBundle(
-            strategy=s.name, global_params=theta_g,
-            course_params={GroupKey(c): course_model[c] for c in courses},
-            subgroup_params=dict(local_prev), history=list(history))
-        if callback is not None:
-            callback(k, bundle)
-    bundle.history[-1] = dict(bundle.history[-1], confidence={
-        key.label(): confidence[key] for key in keys})
-    return bundle
-
-
-def _weighted_sum(weighted) -> ParamSet:
-    acc = None
-    for w, params in weighted:
-        if acc is None:
-            acc = {name: w * arr for name, arr in params}
-        else:
-            for name, arr in params:
-                acc[name] = acc[name] + w * arr
-    out = ParamSet.__new__(ParamSet)
-    out.layers = acc
-    return out
-
-
-def run_centralized(ctx: EngineContext, callback=None) -> TrainedBundle:
-    """Plain epochs of SGD over the pooled training data."""
-    s = ctx.strategy
-    (key, data), = ctx.clients.items()
-    params = ctx.init_params
-    history: list = []
-    bundle = TrainedBundle(strategy=s.name)
-    for e in range(s.epochs):
-        stats: dict = {}
-        rng = _client_rng(ctx, data.fingerprint, e)
-        try:
-            params = local_sgd_epoch(ClientState(key, params, data), s.eta,
-                                     s.batch_size, rng, s.clip, stats=stats)
-        except NumericsError as exc:
-            raise NumericsError(f"epoch {e}: {exc}") from None
-        _check_finite(params, f"after epoch {e}")
-        history.append({"round": e, "loss": stats.get("loss", 0.0),
-                        "steps": stats.get("steps", 0)})
-        bundle = TrainedBundle(strategy=s.name, global_params=params,
-                               history=list(history))
-        if callback is not None:
-            callback(e, bundle)
-    return bundle
-
-
-def run_local(ctx: EngineContext, callback=None) -> TrainedBundle:
-    """Independent per-group models, no aggregation at all."""
-    s = ctx.strategy
-    keys = sorted(ctx.clients, key=lambda k: k.sort_key())
-    models = {key: ctx.init_params for key in keys}
-    history: list = []
-    bundle = TrainedBundle(strategy=s.name)
-    for e in range(s.epochs):
-        stats: dict = {}
-        for key in keys:
-            data = ctx.clients[key]
-            rng = _client_rng(ctx, data.fingerprint, e)
-            try:
-                models[key] = local_sgd_epoch(
-                    ClientState(key, models[key], data), s.eta, s.batch_size,
-                    rng, s.clip, stats=stats)
-            except NumericsError as exc:
-                raise NumericsError(f"epoch {e}, client {key}: {exc}") from None
-            _check_finite(models[key], f"after epoch {e} on client {key}")
-        history.append({"round": e, "loss": stats.get("loss", 0.0),
-                        "steps": stats.get("steps", 0)})
-        if ctx.strategy.scenario == "sc1":
-            bundle = TrainedBundle(strategy=s.name, course_params=dict(models),
-                                   history=list(history))
-        else:
-            bundle = TrainedBundle(strategy=s.name, subgroup_params=dict(models),
-                                   history=list(history))
-        if callback is not None:
-            callback(e, bundle)
-    return bundle
+    for key in leaves:
+        n = ctx.clients[key].size
+        if n < 2 * s.batch_size:
+            logger.warning("fold %d, rep %d: client %s has %d students "
+                           "(< 2 batches of %d); meta-update reuses one batch",
+                           ctx.fold, ctx.rep, key, n, s.batch_size)
 
 
 def train_strategy(ctx: EngineContext, callback=None) -> TrainedBundle:
-    """Dispatch to the engine matching the parsed strategy."""
+    """Train the context's strategy, calling callback(round, bundle) after
+    every round (epoch, for non-federated strategies).
+
+    Hierarchy rules: a course aggregates its subgroup clients even when it
+    has only one, while scenario I clients are the courses themselves and
+    skip that level. The global aggregates the courses, except that a
+    single scenario II course aggregate passes through. P courses restart
+    from a course adaptation of the global only when they have two or more
+    subgroups. FedIRT courses restart from their own confidence blend, so
+    its global is only reported.
+    """
     s = ctx.strategy
-    if s.architecture == "L":
-        return run_local(ctx, callback)
-    if s.aggregation == "none":
-        return run_centralized(ctx, callback)
+    leaves = sorted(ctx.clients, key=GroupKey.sort_key)
+    courses: dict = {}
+    for key in leaves:
+        courses.setdefault(key.course, []).append(key)
+    course_aggregates = s.is_federated and not leaves[0].is_course_level
+    confidence = None
     if s.aggregation == "IRT":
-        return run_fedirt(ctx, callback)
-    if s.scenario == "sc1":
-        return run_scenario1(ctx, callback)
-    return run_scenario2(ctx, callback)
+        confidence = {}
+        for keys in courses.values():
+            confidence.update(irt_confidence(
+                {key: ctx.irt_responses.get(key, []) for key in keys}))
+    if _meta_updates(s):
+        _warn_small_meta_clients(ctx, leaves)
+
+    theta_g = ctx.init_params
+    start = {c: ctx.init_params for c in courses}
+    models = {key: ctx.init_params for key in leaves}
+    history: list = []
+    bundle = TrainedBundle(strategy=s.name)
+    for k in range(s.rounds if s.is_federated else s.epochs):
+        stats: dict = {}
+        previous, models = models, {}
+        for c, keys in courses.items():
+            for key in keys:
+                if not s.is_federated:
+                    begin = previous[key]
+                elif s.aggregation == "IRT":
+                    begin = irt_interpolate(previous[key], start[c])
+                else:
+                    begin = start[c]
+                models[key] = _update_client(ctx, key, begin, k, stats)
+            if course_aggregates:
+                states = [ClientState(key, models[key], ctx.clients[key])
+                          for key in keys]
+                models[GroupKey(c)] = _aggregate(start[c], states, s, confidence)
+                _check_finite(models[GroupKey(c)],
+                              f"round {k}, course {c} aggregation")
+
+        if s.is_federated:
+            if course_aggregates and len(courses) == 1:
+                (only,) = courses
+                theta_g = models[GroupKey(only)]
+            else:
+                theta_g = _aggregate(theta_g, [
+                    ClientState(GroupKey(c), models[GroupKey(c)],
+                                ctx.course_pools[c] if course_aggregates
+                                else ctx.clients[GroupKey(c)])
+                    for c in courses], s)
+            _check_finite(theta_g, f"round {k}, global aggregation")
+            for c, keys in courses.items():
+                if _meta_updates(s) and len(keys) >= 2:
+                    start[c] = _course_adapt(ctx, c, keys, theta_g, k, stats)
+                elif s.aggregation == "IRT":
+                    start[c] = models[GroupKey(c)]
+                else:
+                    start[c] = theta_g
+
+        history.append({"round": k, "loss": stats.get("loss", 0.0),
+                        "steps": stats.get("steps", 0)})
+        if s.is_centralized:
+            bundle = TrainedBundle(strategy=s.name,
+                                   global_params=models[leaves[0]],
+                                   history=list(history))
+        else:
+            bundle = TrainedBundle(
+                strategy=s.name, models=models, history=list(history),
+                global_params=theta_g if s.is_federated else None)
+        if callback is not None:
+            callback(k, bundle)
+    if confidence is not None:
+        bundle.history[-1] = dict(bundle.history[-1], confidence={
+            key.label(): confidence[key] for key in leaves})
+    return bundle
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +246,6 @@ def train_strategy(ctx: EngineContext, callback=None) -> TrainedBundle:
 @dataclass
 class EvalContext:
     """Evaluation data at the run's granularity (courses or subgroups)."""
-    task: str
     strategy: StrategyConfig
     master_seed: int
     rep: int
@@ -375,7 +270,7 @@ def _score(data: ClientData | None, params: ParamSet, key: GroupKey):
     return auc(scores, labels)
 
 
-def _adapt_courses_sc2(bundle: TrainedBundle, ectx: EvalContext, tag) -> dict:
+def _adapt_courses(bundle: TrainedBundle, ectx: EvalContext, tag) -> dict:
     """One stratified meta-update from the global to each course model."""
     s = ectx.strategy
     out = {}
@@ -401,55 +296,31 @@ def adapted_params(bundle: TrainedBundle, ectx: EvalContext,
                    tag=("test",)) -> dict:
     """The parameters each evaluation group would be scored with.
 
-    sc1 personalized: one local epoch from the global per course. sc2
-    personalized: one stratified meta-update forms course models; bottom
-    level adds one local epoch per subgroup. Non-personalized strategies
-    return their stored models. Groups with no usable model map to None.
+    Local and FedIRT runs score each group with its own stored model; G
+    runs with the global, or under M with the group's course model. P runs
+    form course models with one stratified meta-update from the global
+    (scenario II only) and, except under M, add one local epoch per group.
+    Groups with no usable model map to None.
     """
     s = ectx.strategy
-    tag = tuple(str(t) for t in tag)
-    out: dict[GroupKey, ParamSet | None] = {}
-
-    if s.aggregation == "IRT":
-        for key in ectx.groups:
-            out[key] = bundle.subgroup_params.get(key)
-        return out
-
-    if s.architecture == "L":
-        stored = bundle.course_params if s.scenario == "sc1" else bundle.subgroup_params
-        for key in ectx.groups:
-            out[key] = stored.get(key)
-        return out
-
+    if s.architecture == "L" or s.aggregation == "IRT":
+        return {key: bundle.models.get(key) for key in ectx.groups}
     if s.architecture == "G":
-        for key in ectx.groups:
-            if s.hierarchy == "M":
-                out[key] = bundle.course_params.get(key.course_key(),
-                                                    bundle.global_params)
-            else:
-                out[key] = bundle.global_params
-        return out
+        if s.hierarchy == "M":
+            return {key: bundle.models.get(key.course_key(), bundle.global_params)
+                    for key in ectx.groups}
+        return {key: bundle.global_params for key in ectx.groups}
 
-    if s.scenario == "sc1":
-        for key in ectx.groups:
-            data = ectx.adapt.get(key)
-            params = bundle.global_params
-            if data is not None and data.size > 0:
-                rng = _eval_rng(ectx, tag, "adapt", data.fingerprint)
-                params = local_sgd_epoch(ClientState(key, params, data),
-                                         s.eta, s.batch_size, rng, s.clip)
-            out[key] = params
-        return out
-
-    course_models = _adapt_courses_sc2(bundle, ectx, tag)
+    tag = tuple(str(t) for t in tag)
+    course_models = _adapt_courses(bundle, ectx, tag)
+    out: dict[GroupKey, ParamSet] = {}
     for key in ectx.groups:
         params = course_models.get(key.course, bundle.global_params)
-        if s.hierarchy == "B":
-            data = ectx.adapt.get(key)
-            if data is not None and data.size > 0:
-                rng = _eval_rng(ectx, tag, "adapt", data.fingerprint)
-                params = local_sgd_epoch(ClientState(key, params, data),
-                                         s.eta, s.batch_size, rng, s.clip)
+        data = ectx.adapt.get(key)
+        if s.hierarchy != "M" and data is not None and data.size > 0:
+            rng = _eval_rng(ectx, tag, "adapt", data.fingerprint)
+            params = local_sgd_epoch(ClientState(key, params, data),
+                                     s.eta, s.batch_size, rng, s.clip)
         out[key] = params
     return out
 

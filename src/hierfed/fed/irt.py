@@ -6,6 +6,7 @@ import logging
 
 import numpy as np
 
+from ..data.sampling import key_order
 from ..nn.params import ParamSet
 
 logger = logging.getLogger(__name__)
@@ -92,7 +93,7 @@ def irt_confidence(subgroup_responses: dict) -> dict:
     else:
         abilities, difficulties = {}, {}
     raw = {}
-    for key in sorted(subgroup_responses, key=_key_order):
+    for key in sorted(subgroup_responses, key=key_order):
         ts = subgroup_responses[key]
         if not ts:
             logger.info("subgroup %s has no quiz responses; using uniform "
@@ -127,8 +128,3 @@ def irt_interpolate(local_prev: ParamSet, global_params: ParamSet) -> ParamSet:
         l_arr = local_prev[name]
         out[name] = g_arr + lam * (l_arr - g_arr)
     return ParamSet(out)
-
-
-def _key_order(key):
-    sk = getattr(key, "sort_key", None)
-    return sk() if callable(sk) else key

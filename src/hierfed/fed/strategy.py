@@ -64,6 +64,10 @@ class StrategyConfig:
             raise ConfigError("beta must be nonnegative")
         if self.rounds < 1 or self.local_iters < 1 or self.epochs < 1:
             raise ConfigError("rounds, local_iters, and epochs must be >= 1")
+        if self.batch_size < 1 or self.per_group < 1:
+            raise ConfigError("batch_size and per_group must be >= 1")
+        if self.clip <= 0:
+            raise ConfigError("clip must be positive")
         if self.attention_mode not in ("layerwise", "scalar"):
             raise ConfigError(f"unknown attention mode {self.attention_mode!r}")
 
@@ -74,6 +78,11 @@ class StrategyConfig:
     @property
     def is_federated(self) -> bool:
         return self.aggregation != "none"
+
+    @property
+    def is_centralized(self) -> bool:
+        """G without aggregation trains one pooled client."""
+        return self.architecture == "G" and not self.is_federated
 
     def with_overrides(self, **kwargs) -> "StrategyConfig":
         kwargs = {k: v for k, v in kwargs.items() if v is not None}

@@ -150,21 +150,6 @@ def lstm_backward(dh_seq, cache, params: ParamSet):
     return grads, dh, dc
 
 
-def lstm_cell(x, h_prev, c_prev, params: ParamSet, prefix: str = "lstm"):
-    """Single LSTM step on one input vector. Returns (h, c, cache)."""
-    x = np.asarray(x, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    c_prev = np.asarray(c_prev, dtype=np.float64)
-    _, _, d, k = _lstm_dims(params, prefix)
-    if x.shape != (d,):
-        raise ShapeError(f"{prefix}.W expects input dim {d}, got {x.shape}")
-    if h_prev.shape != (k,) or c_prev.shape != (k,):
-        raise ShapeError(f"{prefix} state must have dim {k}, got h {h_prev.shape}, c {c_prev.shape}")
-    h_seq, cache = lstm_forward(x[None, None, :], np.array([1]), params, prefix,
-                                h0=h_prev[None, :], c0=c_prev[None, :])
-    return h_seq[0, 0], cache["c"][0, 0], cache
-
-
 # ---------------------------------------------------------------------------
 # GRU
 # ---------------------------------------------------------------------------
@@ -272,20 +257,6 @@ def gru_backward(dh_seq, cache, params: ParamSet):
         f"{prefix}.Wn": dWn, f"{prefix}.bn": dbn,
     })
     return grads, dh
-
-
-def gru_cell(a, h_prev, params: ParamSet, prefix: str = "gru"):
-    """Single GRU step on one input vector. Returns (h, cache)."""
-    a = np.asarray(a, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    _, _, _, bn, d, k = _gru_dims(params, prefix)
-    if a.shape != (d,):
-        raise ShapeError(f"{prefix}.Wn expects input dim {d}, got {a.shape}")
-    if h_prev.shape != (k,):
-        raise ShapeError(f"{prefix} state must have dim {k}, got {h_prev.shape}")
-    h_seq, cache = gru_forward(a[None, None, :], np.array([1]), params, prefix,
-                               h0=h_prev[None, :])
-    return h_seq[0, 0], cache
 
 
 # ---------------------------------------------------------------------------

@@ -285,8 +285,7 @@ def _prepare(config: ExperimentConfig, ds, parts, fold: int, rep: int) -> _RunSe
         spec = ModelSpec.op(vocab, config.hidden_dim)
         init = op_init(spec, substream(config.seed, "init", "op", str(rep), str(fold)))
 
-    centralized = strategy.architecture == "G" and strategy.aggregation == "none"
-    if centralized:
+    if strategy.is_centralized:
         clients = {GroupKey("__pool__"):
                    build_client_data(config.task, vocab, seqs, part.train_ids())}
     else:
@@ -309,20 +308,19 @@ def _prepare(config: ExperimentConfig, ds, parts, fold: int, rep: int) -> _RunSe
             irt_responses = {key: _quiz_triplets(ds, train_groups[key])
                              for key in clients}
 
-    ctx = EngineContext(task=config.task, strategy=strategy,
-                        master_seed=config.seed, rep=rep, fold=fold,
-                        init_params=init, clients=clients,
+    ctx = EngineContext(strategy=strategy, master_seed=config.seed, rep=rep,
+                        fold=fold, init_params=init, clients=clients,
                         course_pools=course_pools, subgroup_ids=subgroup_ids,
                         irt_responses=irt_responses)
 
-    eval_adapt = {} if centralized else clients
+    eval_adapt = {} if strategy.is_centralized else clients
 
     def eval_ctx(by_course):
         groups = _group_split(config, strategy, ds, by_course)
         test = _client_map(config.task, vocab, seqs, groups,
                            require_nonempty=False)
-        return EvalContext(task=config.task, strategy=strategy,
-                           master_seed=config.seed, rep=rep, fold=fold,
+        return EvalContext(strategy=strategy, master_seed=config.seed,
+                           rep=rep, fold=fold,
                            groups=sorted(groups, key=lambda k: k.sort_key()),
                            test=test, adapt=eval_adapt,
                            course_pools=course_pools,
@@ -350,9 +348,7 @@ class _Selection:
     def observe(self, round_idx: int, bundle: TrainedBundle):
         res = evaluate_adapted(bundle, self.ectx, tag=("val", round_idx))
         if self.per_model:
-            stored = (bundle.course_params if self.strategy.scenario == "sc1"
-                      else bundle.subgroup_params)
-            for key, params in stored.items():
+            for key, params in bundle.models.items():
                 value = res.get(key)
                 score = -1.0 if value is None else value
                 cur = self.best_groups.get(key)
@@ -370,12 +366,7 @@ class _Selection:
         """(best bundle, selected round per model, mean validation AUC)."""
         if self.per_model:
             models = {key: entry[2] for key, entry in self.best_groups.items()}
-            if self.strategy.scenario == "sc1":
-                bundle = TrainedBundle(strategy=self.strategy.name,
-                                       course_params=models)
-            else:
-                bundle = TrainedBundle(strategy=self.strategy.name,
-                                       subgroup_params=models)
+            bundle = TrainedBundle(strategy=self.strategy.name, models=models)
             selected = {key.label(): entry[1]
                         for key, entry in sorted(self.best_groups.items(),
                                                  key=lambda kv: kv[0].sort_key())}
@@ -409,22 +400,20 @@ def _models_payload(bundle: TrainedBundle) -> dict:
     out = {}
     if bundle.global_params is not None:
         out["global"] = bundle.global_params
-    for key, ps in bundle.course_params.items():
-        out[f"course:{key.label()}"] = ps
-    for key, ps in bundle.subgroup_params.items():
-        out[f"subgroup:{key.label()}"] = ps
+    for key, ps in bundle.models.items():
+        kind = "course" if key.is_course_level else "subgroup"
+        out[f"{kind}:{key.label()}"] = ps
     return out
 
 
 def _bundle_from_models(models: dict, strategy_name: str) -> TrainedBundle:
     bundle = TrainedBundle(strategy=strategy_name)
     for name, ps in models.items():
+        kind, _, label = name.partition(":")
         if name == "global":
             bundle.global_params = ps
-        elif name.startswith("course:"):
-            bundle.course_params[GroupKey.from_label(name[len("course:"):])] = ps
-        elif name.startswith("subgroup:"):
-            bundle.subgroup_params[GroupKey.from_label(name[len("subgroup:"):])] = ps
+        elif kind in ("course", "subgroup"):
+            bundle.models[GroupKey.from_label(label)] = ps
         else:
             raise ConfigError(f"unknown model entry {name!r} in checkpoint")
     return bundle

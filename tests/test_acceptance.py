@@ -27,7 +27,7 @@ from hierfed.fed.aggregate import (
 )
 from hierfed.fed.checkpoint import load_checkpoint, save_checkpoint
 from hierfed.fed.clients import ClientState, build_client_data, meta_step, meta_update
-from hierfed.fed.engine import EngineContext, run_scenario1, run_scenario2
+from hierfed.fed.engine import EngineContext, train_strategy
 from hierfed.fed.irt import irt_confidence, irt_interpolate
 from hierfed.fed.strategy import parse_strategy
 from hierfed.keys import GroupKey
@@ -212,20 +212,20 @@ def test_degenerate_hierarchy_collapses_to_one_level():
         rounds.append(bundle.global_params)
 
     one = parse_strategy("sc1-P-AT").with_overrides(rounds=10, batch_size=4)
-    run_scenario1(EngineContext(task="KT", strategy=one, master_seed=7, rep=0,
-                                fold=0, init_params=init,
-                                clients={GroupKey("c0"): data}),
-                  callback=keep)
+    train_strategy(EngineContext(strategy=one, master_seed=7, rep=0, fold=0,
+                                 init_params=init,
+                                 clients={GroupKey("c0"): data}),
+                   callback=keep)
     flat = list(rounds)
     rounds.clear()
 
     key = GroupKey("c0", "gender", "F")
     two = parse_strategy("sc2-P-AT-B").with_overrides(rounds=10, batch_size=4)
-    run_scenario2(EngineContext(task="KT", strategy=two, master_seed=7, rep=0,
-                                fold=0, init_params=init, clients={key: data},
-                                course_pools={"c0": data},
-                                subgroup_ids={key: list(data.ids)}),
-                  callback=keep)
+    train_strategy(EngineContext(strategy=two, master_seed=7, rep=0, fold=0,
+                                 init_params=init, clients={key: data},
+                                 course_pools={"c0": data},
+                                 subgroup_ids={key: list(data.ids)}),
+                   callback=keep)
 
     assert len(flat) == len(rounds) == 10
     for k, (p1, p2) in enumerate(zip(flat, rounds)):

@@ -10,18 +10,13 @@ import numpy as np
 import pytest
 
 from hierfed.errors import NumericsError
-from hierfed.fed.clients import build_client_data
+from hierfed.fed.clients import ClientState, build_client_data, meta_batches
 from hierfed.fed.engine import (
     EngineContext,
     EvalContext,
     TrainedBundle,
     adapted_params,
     evaluate_adapted,
-    run_centralized,
-    run_fedirt,
-    run_local,
-    run_scenario1,
-    run_scenario2,
     train_strategy,
 )
 from hierfed.fed.strategy import parse_strategy
@@ -102,16 +97,16 @@ def test_single_cell_hierarchy_collapses_to_one_level(one_level, two_level):
         rounds=K, batch_size=4, local_iters=2)
 
     seen1, seen2 = [], []
-    ctx1 = EngineContext(task="KT", strategy=s1, master_seed=7, rep=0, fold=0,
+    ctx1 = EngineContext(strategy=s1, master_seed=7, rep=0, fold=0,
                          init_params=init, clients={GroupKey("c0"): data})
-    b1 = run_scenario1(ctx1, callback=capture_bundles(seen1))
+    b1 = train_strategy(ctx1, callback=capture_bundles(seen1))
 
     key = GroupKey("c0", "gender", "F")
-    ctx2 = EngineContext(task="KT", strategy=s2, master_seed=7, rep=0, fold=0,
+    ctx2 = EngineContext(strategy=s2, master_seed=7, rep=0, fold=0,
                          init_params=init, clients={key: data},
                          course_pools={"c0": data},
                          subgroup_ids={key: list(data.ids)})
-    b2 = run_scenario2(ctx2, callback=capture_bundles(seen2))
+    b2 = train_strategy(ctx2, callback=capture_bundles(seen2))
 
     assert len(seen1) == len(seen2) == K
     for r1, r2 in zip(seen1, seen2):
@@ -129,11 +124,11 @@ def test_one_level_engine_populates_course_models(name):
     clients = {GroupKey("c0"): make_client(rng, prefix="a", course=0),
                GroupKey("c1"): make_client(rng, prefix="b", course=1)}
     s = parse_strategy(name).with_overrides(rounds=2, batch_size=4, local_iters=2)
-    ctx = EngineContext(task="KT", strategy=s, master_seed=11, rep=0, fold=0,
+    ctx = EngineContext(strategy=s, master_seed=11, rep=0, fold=0,
                         init_params=init_params(rng), clients=clients)
     seen = []
     bundle = train_strategy(ctx, callback=capture_bundles(seen))
-    assert set(bundle.course_params) == set(clients)
+    assert set(bundle.models) == set(clients)
     assert bundle.global_params.is_finite()
     assert [h["round"] for h in bundle.history] == [0, 1]
     assert all(h["steps"] > 0 for h in bundle.history)
@@ -145,12 +140,11 @@ def test_two_level_engine_populates_every_level():
     clients, pools, sub_ids = two_level_world(rng)
     s = parse_strategy("sc2-P-AT-B").with_overrides(
         rounds=2, batch_size=4, local_iters=1, per_group=2)
-    ctx = EngineContext(task="KT", strategy=s, master_seed=5, rep=0, fold=0,
+    ctx = EngineContext(strategy=s, master_seed=5, rep=0, fold=0,
                         init_params=init_params(rng), clients=clients,
                         course_pools=pools, subgroup_ids=sub_ids)
     bundle = train_strategy(ctx)
-    assert set(bundle.subgroup_params) == set(clients)
-    assert set(bundle.course_params) == {GroupKey("c0"), GroupKey("c1")}
+    assert set(bundle.models) == set(clients) | {GroupKey("c0"), GroupKey("c1")}
     assert bundle.global_params.is_finite()
     assert len(bundle.history) == 2
 
@@ -163,7 +157,7 @@ def test_rerunning_an_engine_is_bitwise_identical():
         clients, pools, sub_ids = two_level_world(rng)
         s = parse_strategy("sc2-P-AT-B").with_overrides(
             rounds=3, batch_size=4, local_iters=2, per_group=2)
-        return EngineContext(task="KT", strategy=s, master_seed=21, rep=1,
+        return EngineContext(strategy=s, master_seed=21, rep=1,
                              fold=2, init_params=init_params(rng),
                              clients=clients, course_pools=pools,
                              subgroup_ids=sub_ids)
@@ -171,8 +165,8 @@ def test_rerunning_an_engine_is_bitwise_identical():
     b1 = train_strategy(build(rng_a))
     b2 = train_strategy(build(rng_b))
     assert params_equal(b1.global_params, b2.global_params)
-    for key in b1.subgroup_params:
-        assert params_equal(b1.subgroup_params[key], b2.subgroup_params[key])
+    for key in b1.models:
+        assert params_equal(b1.models[key], b2.models[key])
     assert b1.history == b2.history
 
 
@@ -180,12 +174,12 @@ def test_centralized_training_uses_one_pooled_client():
     rng = np.random.default_rng(6)
     data = make_client(rng, n=10)
     s = parse_strategy("sc1-G").with_overrides(epochs=3, batch_size=4)
-    ctx = EngineContext(task="KT", strategy=s, master_seed=2, rep=0, fold=0,
+    ctx = EngineContext(strategy=s, master_seed=2, rep=0, fold=0,
                         init_params=init_params(rng),
                         clients={GroupKey("c0"): data})
     bundle = train_strategy(ctx)
     assert bundle.global_params.is_finite()
-    assert bundle.course_params == {} and bundle.subgroup_params == {}
+    assert bundle.models == {}
     assert [h["round"] for h in bundle.history] == [0, 1, 2]
 
 
@@ -194,12 +188,12 @@ def test_local_training_keeps_models_separate():
     clients = {GroupKey("c0"): make_client(rng, prefix="a", course=0, bias=0.2),
                GroupKey("c1"): make_client(rng, prefix="b", course=1, bias=0.8)}
     s = parse_strategy("sc1-L").with_overrides(epochs=2, batch_size=4)
-    ctx = EngineContext(task="KT", strategy=s, master_seed=2, rep=0, fold=0,
+    ctx = EngineContext(strategy=s, master_seed=2, rep=0, fold=0,
                         init_params=init_params(rng), clients=clients)
     bundle = train_strategy(ctx)
     assert bundle.global_params is None
-    assert set(bundle.course_params) == set(clients)
-    a, b = (bundle.course_params[k] for k in sorted(clients, key=GroupKey.sort_key))
+    assert set(bundle.models) == set(clients)
+    a, b = (bundle.models[k] for k in sorted(clients, key=GroupKey.sort_key))
     assert not params_equal(a, b)
 
 
@@ -207,11 +201,38 @@ def test_local_training_stores_subgroup_models_in_scenario_two():
     rng = np.random.default_rng(8)
     clients, _, _ = two_level_world(rng, per_sub=4)
     s = parse_strategy("sc2-L").with_overrides(epochs=2, batch_size=4)
-    ctx = EngineContext(task="KT", strategy=s, master_seed=2, rep=0, fold=0,
+    ctx = EngineContext(strategy=s, master_seed=2, rep=0, fold=0,
                         init_params=init_params(rng), clients=clients)
     bundle = train_strategy(ctx)
-    assert bundle.course_params == {}
-    assert set(bundle.subgroup_params) == set(clients)
+    assert bundle.global_params is None
+    assert set(bundle.models) == set(clients)
+
+
+def test_small_meta_client_falls_back_and_warns_once_per_call(caplog):
+    # a meta-updating client with fewer than two batches of students uses
+    # the whole client as both batches; every training call warns once per
+    # such client, whatever ran earlier in the process
+    rng = np.random.default_rng(4)
+    small, large = GroupKey("c0"), GroupKey("c1")
+    clients = {small: make_client(rng, n=5, prefix="a", course=0),
+               large: make_client(rng, n=16, prefix="b", course=1)}
+    init = init_params(rng)
+    d, d_prime = meta_batches(ClientState(small, init, clients[small]), 8,
+                              np.random.default_rng(0))
+    assert d == d_prime == clients[small].ids
+
+    s = parse_strategy("sc1-P-AT").with_overrides(
+        rounds=2, batch_size=8, local_iters=2)
+    ctx = EngineContext(strategy=s, master_seed=1, rep=3, fold=2,
+                        init_params=init, clients=clients)
+    for _ in range(2):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="hierfed.fed.engine"):
+            train_strategy(ctx)
+        warned = [r.getMessage() for r in caplog.records
+                  if "meta-update reuses one batch" in r.getMessage()]
+        assert len(warned) == 1
+        assert "fold 2, rep 3: client GroupKey(c0|none|all)" in warned[0]
 
 
 def make_triplets(rng, sids, n_items=6, per_student=5):
@@ -229,13 +250,12 @@ def test_fedirt_reports_confidences_that_sum_to_one():
     responses = {key: make_triplets(rng, ids) for key, ids in sub_ids.items()}
     s = parse_strategy("sc2-FedIRT").with_overrides(
         rounds=2, batch_size=4, local_iters=2)
-    ctx = EngineContext(task="KT", strategy=s, master_seed=13, rep=0, fold=0,
+    ctx = EngineContext(strategy=s, master_seed=13, rep=0, fold=0,
                         init_params=init_params(rng), clients=clients,
                         course_pools=pools, subgroup_ids=sub_ids,
                         irt_responses=responses)
     bundle = train_strategy(ctx)
-    assert set(bundle.subgroup_params) == set(clients)
-    assert set(bundle.course_params) == {GroupKey("c0"), GroupKey("c1")}
+    assert set(bundle.models) == set(clients) | {GroupKey("c0"), GroupKey("c1")}
     assert "confidence" not in bundle.history[0]
     conf = bundle.history[-1]["confidence"]
     assert sorted(conf) == sorted(k.label() for k in clients)
@@ -258,24 +278,24 @@ def test_federated_divergence_names_the_round_and_client():
     rng = np.random.default_rng(12)
     data = make_client(rng)
     s = parse_strategy("sc1-G-AT").with_overrides(rounds=2, batch_size=4)
-    ctx = EngineContext(task="KT", strategy=s, master_seed=1, rep=0, fold=0,
+    ctx = EngineContext(strategy=s, master_seed=1, rep=0, fold=0,
                         init_params=poisoned_init(rng),
                         clients={GroupKey("c0"): data})
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericsError, match=r"round 0, client .*c0"):
-            run_scenario1(ctx)
+            train_strategy(ctx)
 
 
 def test_centralized_divergence_names_the_epoch():
     rng = np.random.default_rng(13)
     data = make_client(rng)
     s = parse_strategy("sc1-G").with_overrides(epochs=2, batch_size=4)
-    ctx = EngineContext(task="KT", strategy=s, master_seed=1, rep=0, fold=0,
+    ctx = EngineContext(strategy=s, master_seed=1, rep=0, fold=0,
                         init_params=poisoned_init(rng),
                         clients={GroupKey("c0"): data})
     with np.errstate(invalid="ignore"):
-        with pytest.raises(NumericsError, match=r"epoch 0:"):
-            run_centralized(ctx)
+        with pytest.raises(NumericsError, match=r"epoch 0, client"):
+            train_strategy(ctx)
 
 
 def test_local_divergence_names_the_epoch_and_client():
@@ -283,11 +303,11 @@ def test_local_divergence_names_the_epoch_and_client():
     data = make_client(rng)
     s = parse_strategy("sc2-L").with_overrides(epochs=2, batch_size=4)
     key = GroupKey("c0", "gender", "F")
-    ctx = EngineContext(task="KT", strategy=s, master_seed=1, rep=0, fold=0,
+    ctx = EngineContext(strategy=s, master_seed=1, rep=0, fold=0,
                         init_params=poisoned_init(rng), clients={key: data})
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericsError, match=r"epoch 0, client .*c0"):
-            run_local(ctx)
+            train_strategy(ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -312,17 +332,17 @@ def test_global_strategies_reuse_the_stored_models_verbatim():
     clients, pools, sub_ids, gp, course_models, _ = eval_world(rng)
     keys = sorted(clients, key=GroupKey.sort_key)
     bundle = TrainedBundle(strategy="x", global_params=gp,
-                           course_params=course_models)
+                           models=course_models)
 
     top = parse_strategy("sc2-G-AT-T")
-    ectx = EvalContext(task="KT", strategy=top, master_seed=1, rep=0, fold=0,
+    ectx = EvalContext(strategy=top, master_seed=1, rep=0, fold=0,
                        groups=keys, test=clients, adapt=clients,
                        course_pools=pools, subgroup_ids=sub_ids)
     out = adapted_params(bundle, ectx)
     assert all(out[key] is gp for key in keys)
 
     mid = parse_strategy("sc2-G-AT-M")
-    ectx = EvalContext(task="KT", strategy=mid, master_seed=1, rep=0, fold=0,
+    ectx = EvalContext(strategy=mid, master_seed=1, rep=0, fold=0,
                        groups=keys, test=clients, adapt=clients,
                        course_pools=pools, subgroup_ids=sub_ids)
     out = adapted_params(bundle, ectx)
@@ -335,9 +355,9 @@ def test_local_strategies_look_up_stored_models_or_none(caplog):
     keys = sorted(clients, key=GroupKey.sort_key)
     missing = keys[-1]
     stored = {k: v for k, v in sub_models.items() if k != missing}
-    bundle = TrainedBundle(strategy="x", subgroup_params=stored)
+    bundle = TrainedBundle(strategy="x", models=stored)
     s = parse_strategy("sc2-L")
-    ectx = EvalContext(task="KT", strategy=s, master_seed=1, rep=0, fold=0,
+    ectx = EvalContext(strategy=s, master_seed=1, rep=0, fold=0,
                        groups=keys, test=clients)
     out = adapted_params(bundle, ectx)
     assert all(out[key] is stored[key] for key in keys[:-1])
@@ -357,7 +377,7 @@ def test_course_personalization_adapts_only_where_data_exists():
     bundle = TrainedBundle(strategy="x", global_params=gp)
     s = parse_strategy("sc1-P-AT").with_overrides(batch_size=4)
     groups = [GroupKey("c0"), GroupKey("c1")]
-    ectx = EvalContext(task="KT", strategy=s, master_seed=3, rep=0, fold=0,
+    ectx = EvalContext(strategy=s, master_seed=3, rep=0, fold=0,
                        groups=groups, test={}, adapt={GroupKey("c0"): data})
     out = adapted_params(bundle, ectx)
     assert out[GroupKey("c1")] is gp
@@ -375,7 +395,7 @@ def test_two_level_personalization_shares_course_models_and_b_refines():
 
     def eval_ctx(name):
         s = parse_strategy(name).with_overrides(batch_size=4, per_group=2)
-        return EvalContext(task="KT", strategy=s, master_seed=3, rep=0, fold=0,
+        return EvalContext(strategy=s, master_seed=3, rep=0, fold=0,
                            groups=keys, test=clients, adapt=clients,
                            course_pools=pools, subgroup_ids=sub_ids)
 
@@ -401,7 +421,7 @@ def test_evaluation_skips_groups_without_usable_auc(caplog):
                                GroupKey("c1", "gender", "F"))
     bundle = TrainedBundle(strategy="x", global_params=gp)
     s = parse_strategy("sc2-G-AT-T")
-    ectx = EvalContext(task="KT", strategy=s, master_seed=1, rep=0, fold=0,
+    ectx = EvalContext(strategy=s, master_seed=1, rep=0, fold=0,
                        groups=[k_good, k_flat, k_empty],
                        test={k_good: good, k_flat: single_class})
     with caplog.at_level(logging.WARNING, logger="hierfed.fed.engine"):
@@ -417,9 +437,9 @@ def test_fedirt_evaluation_uses_the_local_models():
     clients, _, _, gp, _, sub_models = eval_world(rng)
     keys = sorted(clients, key=GroupKey.sort_key)
     bundle = TrainedBundle(strategy="x", global_params=gp,
-                           subgroup_params=sub_models)
+                           models=sub_models)
     s = parse_strategy("sc2-FedIRT")
-    ectx = EvalContext(task="KT", strategy=s, master_seed=1, rep=0, fold=0,
+    ectx = EvalContext(strategy=s, master_seed=1, rep=0, fold=0,
                        groups=keys, test=clients)
     out = adapted_params(bundle, ectx)
     assert all(out[key] is sub_models[key] for key in keys)

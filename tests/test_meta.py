@@ -1,7 +1,5 @@
 """Local update rules: SGD epochs and the first-order meta step."""
 
-import logging
-
 import numpy as np
 import pytest
 
@@ -112,22 +110,6 @@ def test_meta_batches_are_disjoint_same_size_draws():
     assert len(d) == len(d_prime) == 4
     assert not set(d) & set(d_prime)
     assert set(d) | set(d_prime) <= set(client.data.ids)
-
-
-def test_meta_batches_small_client_falls_back_and_warns_once(caplog):
-    rng = np.random.default_rng(4)
-    client = kt_client(rng, n_students=5, course="tiny-course")
-    with caplog.at_level(logging.WARNING, logger="hierfed.fed.clients"):
-        d, d_prime = meta_batches(client, 8, np.random.default_rng(0))
-        assert d == client.data.ids
-        assert d_prime == client.data.ids
-        first = sum("meta-update reuses one batch" in r.message
-                    for r in caplog.records)
-        meta_batches(client, 8, np.random.default_rng(0))
-        second = sum("meta-update reuses one batch" in r.message
-                     for r in caplog.records)
-    assert first == 1
-    assert second == 1  # only warned on the first encounter
 
 
 def test_meta_batches_small_client_keeps_the_stream_aligned():

@@ -9,6 +9,7 @@ import pytest
 from hierfed.cli import _experiment_config, build_parser, main
 from hierfed.errors import ConfigError, NumericsError
 from hierfed.fed.checkpoint import load_checkpoint, save_checkpoint
+from hierfed.fed.strategy import SC1_FORMS, SC2_FORMS
 from hierfed.data.partition import make_folds
 from hierfed.metrics import ACTIVITY_TYPES
 from hierfed.nn.params import ParamSet
@@ -111,6 +112,10 @@ def test_config_hash_tracks_content(data_dir):
     ({"hidden_dim": 0}, "hidden_dim must be"),
     ({"seed": -1}, "seed must be nonnegative"),
     ({"strategy": "sc9-G"}, "token 1"),
+    ({"batch_size": 0}, "batch_size and per_group must be"),
+    ({"per_group": 0}, "batch_size and per_group must be"),
+    ({"clip": -1.0}, "clip must be positive"),
+    ({"clip": 0.0}, "clip must be positive"),
 ])
 def test_validation_rejects_bad_experiments(data_dir, kw, msg):
     with pytest.raises(ConfigError, match=msg):
@@ -197,6 +202,40 @@ def test_evaluate_refuses_mismatched_inputs(tmp_path, data_dir, trained_dir):
         cmd_evaluate(trained_dir, config=small_config(data_dir, seed=99))
     with pytest.raises(ConfigError, match="run train first"):
         cmd_evaluate(tmp_path / "empty")
+
+
+@pytest.fixture(scope="module")
+def two_course_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("ds2")
+    cfg = GenConfig(name="tiny2", courses=("c0", "c1"), students_per_course=20,
+                    videos_per_course=6, shared_videos=2,
+                    demographic="gender", subgroup_labels=("F", "M"),
+                    subgroup_shares=(0.5, 0.5), tau=0.6,
+                    undisclosed_fraction=0.0, label_noise=0.02, seed=322)
+    generate(cfg, out_dir=out)
+    return out
+
+
+def _entry_kinds(name: str) -> set:
+    scenario, form = name.split("-", 1)
+    if form == "L":
+        return {"course"} if scenario == "sc1" else {"subgroup"}
+    if form == "G":
+        return {"global"}
+    if scenario == "sc1":
+        return {"global", "course"}
+    return {"global", "course", "subgroup"}
+
+
+@pytest.mark.parametrize("name", ["sc1-" + "-".join(f) for f in SC1_FORMS]
+                         + ["sc2-" + "-".join(f) for f in SC2_FORMS])
+def test_every_strategy_trains_and_rescores(tmp_path, two_course_dir, name):
+    cfg = small_config(two_course_dir, strategy=name, demographic="gender",
+                       hidden_dim=4, rounds=1, epochs=1, local_iters=1)
+    cmd_train(cfg, out=tmp_path)
+    assert cmd_evaluate(tmp_path)["all_match"] is True
+    models, _, _ = load_checkpoint(tmp_path / "checkpoint_f0_r0.json")
+    assert {entry.split(":")[0] for entry in models} == _entry_kinds(name)
 
 
 def test_grid_search_ranks_cells_by_validation_auc(tmp_path, data_dir):
@@ -298,6 +337,19 @@ def test_cli_maps_config_errors_to_exit_two(capsys):
     rc = main(["train", "--strategy", "bogus"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_rejects_bad_hyperparameters_with_exit_two(tmp_path, data_dir,
+                                                       capsys):
+    for field, value in [("batch_size", 0), ("per_group", 0), ("clip", -1.0)]:
+        doc = config_snapshot(small_config(data_dir, **{field: value}))
+        cfg_path = tmp_path / f"{field}.json"
+        cfg_path.write_text(json.dumps(doc))
+        rc = main(["train", "--config", str(cfg_path),
+                   "--out", str(tmp_path / field)])
+        assert rc == 2, field
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / field).exists()
 
 
 def test_cli_maps_numeric_failures_to_exit_three(monkeypatch, capsys):
