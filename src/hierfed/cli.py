@@ -14,6 +14,7 @@ import os
 import sys
 
 from .errors import ConfigError, NumericsError
+from .models import TASKS
 from .runner import (
     ExperimentConfig,
     cmd_evaluate,
@@ -31,7 +32,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", metavar="PATH", help="JSON config file")
     p.add_argument("--strategy", metavar="NAME",
                    help="strategy name, e.g. sc2-P-AT-B")
-    p.add_argument("--task", choices=["kt", "op"])
+    p.add_argument("--task", type=str.upper, choices=TASKS)
     p.add_argument("--demographic", choices=["gender", "continent", "age"])
     p.add_argument("--include-unspecified", action="store_true", default=None,
                    help="keep students with the variable missing as their own "
@@ -81,7 +82,7 @@ def _experiment_config(args) -> ExperimentConfig:
     if args.strategy:
         overrides["strategy"] = args.strategy
     if args.task:
-        overrides["task"] = args.task.upper()
+        overrides["task"] = args.task
     if args.demographic:
         overrides["demographic"] = args.demographic
     if args.include_unspecified is not None:

@@ -4,14 +4,8 @@ from __future__ import annotations
 
 import logging
 
-from ..models.encoding import (
-    FORUM_ACTIONS,
-    ActivitySeq,
-    ForumStep,
-    InteractionSeq,
-    VideoStep,
-    Vocab,
-)
+from ..models.encoding import Vocab
+from ..models.task import Task
 from .records import Dataset
 
 logger = logging.getLogger(__name__)
@@ -29,49 +23,21 @@ def build_vocab(dataset: Dataset, train_ids) -> Vocab:
     return Vocab(dataset.course_ids, videos)
 
 
-def build_sequences(dataset: Dataset, task: str, vocab: Vocab,
-                    student_ids=None, max_len: int = MAX_SEQ_LEN) -> dict:
+def build_sequences(dataset: Dataset, task: Task, vocab: Vocab,
+                    max_len: int = MAX_SEQ_LEN) -> dict:
     """Build {student_id: sequence} for one task.
 
-    KT keeps quiz-response events only; OP keeps every event as one step in
-    chronological order. Students with no usable steps for the task are
-    skipped (count logged). Sequences longer than max_len keep their first
-    max_len steps.
+    The task's sequence rule turns a student's events into one sequence;
+    students with no usable steps for the task are skipped (count logged).
+    Sequences longer than max_len keep their first max_len steps.
     """
-    if task not in ("KT", "OP"):
-        raise ValueError(f"task must be KT or OP, got {task!r}")
-    pool = dataset.students.keys() if student_ids is None else student_ids
     out: dict[str, object] = {}
-    skipped = 0
-    for sid in sorted(pool):
-        events = dataset.events_by_student.get(sid, [])
-        if task == "KT":
-            items, responses = [], []
-            for ev in events:
-                if ev.kind != "quiz_response":
-                    continue
-                items.append((vocab.course_index(ev.course_id),
-                              vocab.video_index(ev.video_id)))
-                responses.append(int(ev.response))
-            if not items:
-                skipped += 1
-                continue
-            out[sid] = InteractionSeq(sid, items[:max_len], responses[:max_len])
-        else:
-            steps = []
-            for ev in events:
-                c = vocab.course_index(ev.course_id)
-                if ev.kind == "forum":
-                    steps.append(ForumStep(c, FORUM_ACTIONS.index(ev.forum_action)))
-                else:
-                    steps.append(VideoStep(c, vocab.video_index(ev.video_id),
-                                           ev.response))
-            if not steps:
-                skipped += 1
-                continue
-            out[sid] = ActivitySeq(sid, steps[:max_len],
-                                   dataset.students[sid].outcome)
+    for sid in sorted(dataset.students):
+        seq = task.sequence(dataset, sid, vocab, max_len)
+        if seq is not None:
+            out[sid] = seq
+    skipped = len(dataset.students) - len(out)
     if skipped:
         logger.info("build_sequences(%s): skipped %d students with no usable steps",
-                    task, skipped)
+                    task.name, skipped)
     return out

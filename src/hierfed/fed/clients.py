@@ -14,16 +14,20 @@ import numpy as np
 
 from ..errors import NumericsError
 from ..keys import GroupKey
-from ..models.encoding import encode_kt_student, encode_op_student, pad_batch
-from ..models.kt import kt_loss_grad, kt_predict
-from ..models.op import op_loss_grad, op_predict
+from ..models.encoding import pad_batch
+from ..models.task import Task
 from ..nn.params import GradSet, ParamSet, axpy_params, clip_grad_norm
 
 
 @dataclass
 class ClientData:
-    """Encoded per-student arrays for one group and task."""
-    task: str
+    """Encoded per-student arrays for one group under one task.
+
+    Students are encoded once, on construction by build_client_data; the
+    task decides how their targets stack into a batch and which model
+    scores it.
+    """
+    task: Task
     ids: list = field(default_factory=list)     # sorted student ids
     arrays: dict = field(default_factory=dict)  # sid -> (x, target)
 
@@ -40,21 +44,12 @@ class ClientData:
         """Padded arrays (x, lengths, targets) for a list of student ids."""
         entries = [self.arrays[sid] for sid in ids]
         x, lengths = pad_batch([e[0] for e in entries])
-        if self.task == "KT":
-            T = x.shape[1]
-            targets = np.zeros((len(entries), T), dtype=np.int64)
-            for i, e in enumerate(entries):
-                targets[i, :e[1].size] = e[1]
-        else:
-            targets = np.array([e[1] for e in entries], dtype=np.int64)
-        return x, lengths, targets
+        return x, lengths, self.task.stack_targets([e[1] for e in entries],
+                                                   x.shape[1])
 
     def loss_grad(self, ids, params: ParamSet):
         x, lengths, targets = self.batch(ids)
-        if self.task == "KT":
-            loss, grads, _ = kt_loss_grad(x, lengths, targets, params)
-        else:
-            loss, grads, _ = op_loss_grad(x, lengths, targets, params)
+        loss, grads, _ = self.task.loss_grad(x, lengths, targets, params)
         if not np.isfinite(loss):
             raise NumericsError(f"non-finite loss on batch of {len(ids)} students")
         return loss, grads
@@ -63,22 +58,17 @@ class ClientData:
         """(scores, labels) over the given students (default: all)."""
         ids = self.ids if ids is None else ids
         x, lengths, targets = self.batch(ids)
-        if self.task == "KT":
-            return kt_predict(x, lengths, targets, params)
-        return op_predict(x, lengths, targets, params)
+        return self.task.predict(x, lengths, targets, params)
 
 
-def build_client_data(task: str, vocab, sequences: dict, ids) -> ClientData:
+def build_client_data(task: Task, vocab, sequences: dict, ids) -> ClientData:
     """Encode the subset of students that have a sequence for this task."""
     data = ClientData(task=task)
     for sid in sorted(ids):
         seq = sequences.get(sid)
         if seq is None:
             continue
-        if task == "KT":
-            data.arrays[sid] = encode_kt_student(seq, vocab)
-        else:
-            data.arrays[sid] = encode_op_student(seq, vocab)
+        data.arrays[sid] = task.encode(seq, vocab)
         data.ids.append(sid)
     return data
 

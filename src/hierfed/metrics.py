@@ -7,22 +7,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .keys import GroupKey
-
 logger = logging.getLogger(__name__)
 
 ACTIVITY_TYPES = ("video", "quiz_response", "forum_post", "forum_reply", "forum_view")
-
-
-@dataclass
-class ScoredSet:
-    """Scores and binary labels for one evaluation group."""
-    scores: list
-    labels: list
-    group: GroupKey | None = None
-
-    def auc(self):
-        return auc(self.scores, self.labels)
 
 
 def auc(scores, labels):

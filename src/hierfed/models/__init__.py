@@ -14,22 +14,20 @@ from .encoding import (
     encode_op_student,
     pad_batch,
 )
-from .kt import kt_forward, kt_init, kt_loss, kt_loss_grad, kt_predict
-from .op import (
-    extract_embedding,
-    op_forward,
-    op_init,
-    op_loss,
-    op_loss_grad,
-    op_predict,
-)
+from .kt import kt_init, kt_loss_grad, kt_predict
+from .op import extract_embedding, op_forward, op_init, op_loss_grad, op_predict
+from .task import KT, OP, TASKS, Task
 
 __all__ = [
     "FORUM_ACTIONS",
+    "KT",
+    "OP",
+    "TASKS",
     "ActivitySeq",
     "ForumStep",
     "InteractionSeq",
     "ModelSpec",
+    "Task",
     "VideoStep",
     "Vocab",
     "encode_activity",
@@ -37,14 +35,11 @@ __all__ = [
     "encode_kt_student",
     "encode_op_student",
     "extract_embedding",
-    "kt_forward",
     "kt_init",
-    "kt_loss",
     "kt_loss_grad",
     "kt_predict",
     "op_forward",
     "op_init",
-    "op_loss",
     "op_loss_grad",
     "op_predict",
     "pad_batch",

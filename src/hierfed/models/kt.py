@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn.layers import PROB_CLAMP, lstm_forward, lstm_backward, softmax_probs
-from ..nn.params import ParamSet, ShapeError, as_grads
-from .encoding import InteractionSeq, ModelSpec, Vocab, encode_kt_student, pad_batch
+from ..nn.layers import (PROB_CLAMP, head_params, lstm_backward, lstm_forward,
+                         softmax_probs)
+from ..nn.params import ParamSet, as_grads
+from .encoding import ModelSpec
 
 
 def kt_init(model: ModelSpec, rng: np.random.Generator) -> ParamSet:
@@ -30,16 +31,6 @@ def kt_init(model: ModelSpec, rng: np.random.Generator) -> ParamSet:
     })
 
 
-def _head(params: ParamSet, k: int):
-    W = params["out.W"]
-    b = params["out.b"]
-    if W.shape != (k, 2):
-        raise ShapeError(f"out.W must be ({k}, 2), got {W.shape}")
-    if b.shape != (2,):
-        raise ShapeError(f"out.b must be (2,), got {b.shape}")
-    return W, b
-
-
 def kt_loss_grad(x, lengths, targets, params: ParamSet):
     """Loss, gradient, and per-step probabilities on an encoded padded batch.
 
@@ -53,7 +44,7 @@ def kt_loss_grad(x, lengths, targets, params: ParamSet):
     targets = np.asarray(targets, dtype=np.int64)
     B, T, _ = x.shape
     k = params["lstm.b"].size // 4
-    W, b = _head(params, k)
+    W, b = head_params(params, k)
 
     h_seq, cache = lstm_forward(x, lengths, params)
     logits = h_seq @ W + b
@@ -81,35 +72,6 @@ def kt_loss_grad(x, lengths, targets, params: ParamSet):
     return loss, grads, probs
 
 
-def kt_forward(seq: InteractionSeq, params: ParamSet, vocab: Vocab):
-    """Single-student forward pass.
-
-    Returns (probs (L-1, 2), h_seq (L-1, k), cache); probs[t] is the
-    distribution over the response at step t+1.
-    """
-    x, _ = encode_kt_student(seq, vocab)
-    k = params["lstm.b"].size // 4
-    W, b = _head(params, k)
-    h_seq, cache = lstm_forward(x[None, :, :], np.array([x.shape[0]]), params)
-    probs = softmax_probs(h_seq @ W + b)
-    return probs[0], h_seq[0], cache
-
-
-def kt_loss(seqs, params: ParamSet, vocab: Vocab):
-    """Loss and gradient over a batch of InteractionSeq (encodes on the fly)."""
-    if not seqs:
-        raise ValueError("kt_loss: empty batch")
-    encoded = [encode_kt_student(s, vocab)[0] for s in seqs]
-    targets = [encode_kt_student(s, vocab)[1] for s in seqs]
-    x, lengths = pad_batch(encoded)
-    T = x.shape[1]
-    tpad = np.zeros((len(seqs), T), dtype=np.int64)
-    for i, t in enumerate(targets):
-        tpad[i, :t.size] = t
-    loss, grads, _ = kt_loss_grad(x, lengths, tpad, params)
-    return loss, grads
-
-
 def kt_predict(x, lengths, targets, params: ParamSet):
     """Scores and labels for AUC: P(correct) per valid step, flattened.
 
@@ -119,7 +81,7 @@ def kt_predict(x, lengths, targets, params: ParamSet):
     lengths = np.asarray(lengths, dtype=np.int64)
     targets = np.asarray(targets, dtype=np.int64)
     k = params["lstm.b"].size // 4
-    W, b = _head(params, k)
+    W, b = head_params(params, k)
     h_seq, _ = lstm_forward(x, lengths, params)
     probs = softmax_probs(h_seq @ W + b)
     T = x.shape[1]

@@ -11,9 +11,10 @@ from ..nn.layers import (
     attention_pool_backward,
     gru_forward,
     gru_backward,
+    head_params,
     softmax_probs,
 )
-from ..nn.params import ParamSet, ShapeError, as_grads
+from ..nn.params import ParamSet, as_grads
 from .encoding import ActivitySeq, ModelSpec, Vocab, encode_op_student
 
 
@@ -36,16 +37,6 @@ def op_init(model: ModelSpec, rng: np.random.Generator) -> ParamSet:
     })
 
 
-def _head(params: ParamSet, k: int):
-    W = params["out.W"]
-    b = params["out.b"]
-    if W.shape != (k, 2):
-        raise ShapeError(f"out.W must be ({k}, 2), got {W.shape}")
-    if b.shape != (2,):
-        raise ShapeError(f"out.b must be (2,), got {b.shape}")
-    return W, b
-
-
 def op_loss_grad(x, lengths, labels, params: ParamSet):
     """Loss, gradient, and P(pass) per student on an encoded padded batch."""
     x = np.asarray(x, dtype=np.float64)
@@ -53,7 +44,7 @@ def op_loss_grad(x, lengths, labels, params: ParamSet):
     labels = np.asarray(labels, dtype=np.int64)
     B = x.shape[0]
     k = params["gru.bn"].size
-    W, b = _head(params, k)
+    W, b = head_params(params, k)
 
     h_seq, cache_g = gru_forward(x, lengths, params)
     h_tilde, _, cache_a = attention_pool(h_seq, lengths, params)
@@ -84,7 +75,7 @@ def op_forward(seq: ActivitySeq, params: ParamSet, vocab: Vocab):
     """Single-student forward: (class probs (2,), h_tilde (k,), alphas, cache)."""
     x, _ = encode_op_student(seq, vocab)
     k = params["gru.bn"].size
-    W, b = _head(params, k)
+    W, b = head_params(params, k)
     lengths = np.array([x.shape[0]])
     h_seq, cache_g = gru_forward(x[None, :, :], lengths, params)
     h_tilde, alphas, cache_a = attention_pool(h_seq, lengths, params)
@@ -92,24 +83,12 @@ def op_forward(seq: ActivitySeq, params: ParamSet, vocab: Vocab):
     return probs[0], h_tilde[0], alphas[0], {"gru": cache_g, "att": cache_a}
 
 
-def op_loss(seqs, params: ParamSet, vocab: Vocab):
-    """Loss and gradient over a batch of ActivitySeq, summation in given order."""
-    if not seqs:
-        raise ValueError("op_loss: empty batch")
-    from .encoding import pad_batch
-    encoded = [encode_op_student(s, vocab) for s in seqs]
-    x, lengths = pad_batch([e[0] for e in encoded])
-    labels = np.array([e[1] for e in encoded], dtype=np.int64)
-    loss, grads, _ = op_loss_grad(x, lengths, labels, params)
-    return loss, grads
-
-
 def op_predict(x, lengths, labels, params: ParamSet):
     """Scores and labels for AUC: P(pass) per student."""
     x = np.asarray(x, dtype=np.float64)
     lengths = np.asarray(lengths, dtype=np.int64)
     k = params["gru.bn"].size
-    W, b = _head(params, k)
+    W, b = head_params(params, k)
     h_seq, _ = gru_forward(x, lengths, params)
     h_tilde, _, _ = attention_pool(h_seq, lengths, params)
     probs = softmax_probs(h_tilde @ W + b)

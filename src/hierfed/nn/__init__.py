@@ -7,19 +7,14 @@ from .params import (
     clip_grad_norm,
     param_norm,
     param_scale,
-    param_sub,
 )
 from .layers import (
     attention_pool,
     attention_pool_backward,
-    bce_loss,
-    bce_loss_grad,
     gru_forward,
     gru_backward,
-    linear_softmax,
     lstm_forward,
     lstm_backward,
-    self_attention_pool,
 )
 from .gradcheck import OracleError, finite_diff_grad
 
@@ -32,17 +27,12 @@ __all__ = [
     "clip_grad_norm",
     "param_norm",
     "param_scale",
-    "param_sub",
     "attention_pool",
     "attention_pool_backward",
-    "bce_loss",
-    "bce_loss_grad",
     "gru_forward",
     "gru_backward",
-    "linear_softmax",
     "lstm_forward",
     "lstm_backward",
-    "self_attention_pool",
     "OracleError",
     "finite_diff_grad",
 ]

@@ -1,7 +1,7 @@
 """Dense forward/backward kernels for the two student models.
 
 Everything here is hand-written numpy: LSTM and GRU recurrences, a
-tanh-score attention pooler, a 2-way softmax head, and binary cross entropy.
+tanh-score attention pooler, and a 2-way softmax head.
 The batched sequence drivers operate on padded (B, T, D) inputs with
 per-sequence lengths; steps past a sequence's length are computed but carry
 zero adjoint, so they never influence gradients. Backward passes return
@@ -24,15 +24,6 @@ PROB_CLAMP = 1e-7
 def sigmoid(x: np.ndarray) -> np.ndarray:
     # evaluated via tanh to stay stable for large |x|
     return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
-def _as_2d(x: np.ndarray, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return x[None, :]
-    if x.ndim == 2:
-        return x
-    raise ShapeError(f"{name} must be 1-D or 2-D, got shape {x.shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -323,59 +314,22 @@ def attention_pool_backward(dh_tilde, cache, params: ParamSet):
     return grads, dh_seq
 
 
-def self_attention_pool(h_list, params: ParamSet, prefix: str = "att"):
-    """Attention pooling of a single sequence given as a list of vectors.
-
-    Returns (h_tilde (k,), alphas list, cache).
-    """
-    if len(h_list) == 0:
-        raise ValueError("self_attention_pool: empty sequence")
-    h_seq = np.stack([np.asarray(h, dtype=np.float64) for h in h_list])[None, :, :]
-    h_tilde, alphas, cache = attention_pool(h_seq, np.array([len(h_list)]), params, prefix)
-    return h_tilde[0], list(alphas[0]), cache
-
-
 # ---------------------------------------------------------------------------
-# Softmax head and binary cross entropy
+# Softmax head
 # ---------------------------------------------------------------------------
 
-def linear_softmax(h, W, b) -> np.ndarray:
-    """softmax(h @ W + b) with a 2-way output; stable and normalized."""
-    h2 = _as_2d(h, "h")
-    W = np.asarray(W, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if W.ndim != 2 or W.shape[0] != h2.shape[1]:
-        raise ShapeError(f"out.W must be ({h2.shape[1]}, 2), got {W.shape}")
-    if b.shape != (W.shape[1],):
-        raise ShapeError(f"out.b must have length {W.shape[1]}, got {b.shape}")
-    logits = h2 @ W + b
-    logits = logits - logits.max(axis=1, keepdims=True)
-    ex = np.exp(logits)
-    out = ex / ex.sum(axis=1, keepdims=True)
-    return out[0] if np.asarray(h).ndim == 1 else out
+def head_params(params: ParamSet, k: int):
+    """The 2-way output layer (out.W (k, 2), out.b (2,)), shape-checked."""
+    W = params["out.W"]
+    b = params["out.b"]
+    if W.shape != (k, 2):
+        raise ShapeError(f"out.W must be ({k}, 2), got {W.shape}")
+    if b.shape != (2,):
+        raise ShapeError(f"out.b must be (2,), got {b.shape}")
+    return W, b
 
 
 def softmax_probs(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     ex = np.exp(shifted)
     return ex / ex.sum(axis=-1, keepdims=True)
-
-
-def bce_loss(p, r_onehot) -> float:
-    """-sum(r * log p) with p clamped away from {0, 1}."""
-    p = np.asarray(p, dtype=np.float64)
-    r = np.asarray(r_onehot, dtype=np.float64)
-    if p.shape != r.shape:
-        raise ShapeError(f"probability/target shape mismatch: {p.shape} vs {r.shape}")
-    pc = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return float(-(r * np.log(pc)).sum())
-
-
-def bce_loss_grad(p, r_onehot) -> np.ndarray:
-    """d(bce_loss)/dp; zero where the clamp is active."""
-    p = np.asarray(p, dtype=np.float64)
-    r = np.asarray(r_onehot, dtype=np.float64)
-    pc = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    g = -r / pc
-    g[(p < PROB_CLAMP) | (p > 1.0 - PROB_CLAMP)] = 0.0
-    return g

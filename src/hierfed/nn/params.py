@@ -122,24 +122,9 @@ def axpy_params(a: float, x: ParamSet, y: ParamSet) -> ParamSet:
     return out
 
 
-def param_sub(p: ParamSet, q: ParamSet) -> ParamSet:
-    """p - q, layer by layer."""
-    check_congruent(p, q)
-    out = ParamSet.__new__(ParamSet)
-    out.layers = {k: p.layers[k] - q.layers[k] for k in p.layers}
-    return out
-
-
 def param_scale(a: float, p: ParamSet) -> ParamSet:
     out = ParamSet.__new__(ParamSet)
     out.layers = {k: a * v for k, v in p.layers.items()}
-    return out
-
-
-def param_add(p: ParamSet, q: ParamSet) -> ParamSet:
-    check_congruent(p, q)
-    out = ParamSet.__new__(ParamSet)
-    out.layers = {k: p.layers[k] + q.layers[k] for k in p.layers}
     return out
 
 
@@ -149,11 +134,6 @@ def param_norm(p: ParamSet) -> float:
     for a in p.layers.values():
         total += float(np.dot(a.ravel(), a.ravel()))
     return math.sqrt(total)
-
-
-def layer_norms(p: ParamSet) -> dict[str, float]:
-    """Per-layer L2 norms (the distance unit for attention aggregation)."""
-    return {k: float(np.linalg.norm(a.ravel())) for k, a in p.layers.items()}
 
 
 def clip_grad_norm(g: GradSet, max_norm: float) -> GradSet:

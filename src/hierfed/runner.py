@@ -12,6 +12,7 @@ import hashlib
 import itertools
 import json
 import logging
+import math
 import multiprocessing as mp
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -38,7 +39,7 @@ from .fed.engine import (
 from .fed.strategy import StrategyConfig, parse_strategy
 from .keys import DEMOGRAPHIC_VARIABLES, GroupKey
 from .metrics import ACTIVITY_TYPES, activity_heatmap, summarize
-from .models import ModelSpec, extract_embedding, kt_init, op_init
+from .models import TASKS, extract_embedding
 from .seeding import substream
 from .synth.archetypes import GenConfig
 from .synth.generate import PRESETS, generate, preset
@@ -46,7 +47,6 @@ from .synth.generate import PRESETS, generate, preset
 logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
-TASKS = ("KT", "OP")
 HEATMAP_BINS = 50
 
 # hyperparameters forwarded from the config onto the parsed strategy
@@ -85,6 +85,21 @@ class ExperimentConfig:
 _CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# field annotation -> (accepts a value, what the value must be)
+_FIELD_TYPES = {
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: (_is_int(v) or isinstance(v, float)) and math.isfinite(v),
+              "a finite number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "dict": (lambda v: isinstance(v, dict), "a mapping"),
+}
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -98,10 +113,10 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if "task" in doc and isinstance(doc["task"], str):
         doc["task"] = doc["task"].upper()
     if "folds" in doc:
-        try:
-            doc["folds"] = tuple(sorted({int(f) for f in doc["folds"]}))
-        except (TypeError, ValueError):
-            raise ConfigError(f"folds must be a list of integers, got {doc['folds']!r}") from None
+        folds = doc["folds"]
+        if not isinstance(folds, (list, tuple)) or not all(map(_is_int, folds)):
+            raise ConfigError(f"folds must be a list of integers, got {folds!r}")
+        doc["folds"] = tuple(sorted(set(folds)))
     try:
         return ExperimentConfig(**doc)
     except TypeError as exc:
@@ -145,15 +160,21 @@ def build_strategy(config: ExperimentConfig) -> StrategyConfig:
 
 
 def validate_config(config: ExperimentConfig) -> StrategyConfig:
+    for f in dataclasses.fields(config):
+        kind, _, optional = f.type.partition(" | ")
+        accepts, what = _FIELD_TYPES.get(kind, (lambda v: True, ""))
+        value = getattr(config, f.name)
+        if not (accepts(value) or (optional and value is None)):
+            raise ConfigError(f"{f.name} must be {what}, got {value!r}")
     strategy = build_strategy(config)
     if config.task not in TASKS:
-        raise ConfigError(f"task must be one of {TASKS}, got {config.task!r}")
+        raise ConfigError(f"task must be one of {tuple(TASKS)}, got {config.task!r}")
     if config.demographic is not None and config.demographic not in DEMOGRAPHIC_VARIABLES:
         raise ConfigError(f"demographic must be one of {DEMOGRAPHIC_VARIABLES}, "
                           f"got {config.demographic!r}")
     if strategy.scenario == "sc2" and config.demographic is None:
         raise ConfigError(f"strategy {config.strategy!r} needs --demographic")
-    if not config.folds or any(f < 0 or f > 4 for f in config.folds):
+    if not config.folds or not all(_is_int(f) and 0 <= f <= 4 for f in config.folds):
         raise ConfigError(f"folds must be within 0..4, got {list(config.folds)}")
     if config.repetitions < 1:
         raise ConfigError("repetitions must be >= 1")
@@ -277,20 +298,18 @@ def _prepare(config: ExperimentConfig, ds, parts, fold: int, rep: int) -> _RunSe
     strategy = validate_config(config)
     part = parts[fold]
     vocab = build_vocab(ds, part.train_ids())
-    seqs = build_sequences(ds, config.task, vocab)
-    if config.task == "KT":
-        spec = ModelSpec.kt(vocab, config.hidden_dim)
-        init = kt_init(spec, substream(config.seed, "init", "kt", str(rep), str(fold)))
-    else:
-        spec = ModelSpec.op(vocab, config.hidden_dim)
-        init = op_init(spec, substream(config.seed, "init", "op", str(rep), str(fold)))
+    task = TASKS[config.task]
+    seqs = build_sequences(ds, task, vocab)
+    init = task.init(task.spec(vocab, config.hidden_dim),
+                     substream(config.seed, "init", task.name.lower(),
+                               str(rep), str(fold)))
 
     if strategy.is_centralized:
         clients = {GroupKey("__pool__"):
-                   build_client_data(config.task, vocab, seqs, part.train_ids())}
+                   build_client_data(task, vocab, seqs, part.train_ids())}
     else:
         train_groups = _group_split(config, strategy, ds, part.train)
-        clients = _client_map(config.task, vocab, seqs, train_groups,
+        clients = _client_map(task, vocab, seqs, train_groups,
                               require_nonempty=True)
     if not clients or all(c.size == 0 for c in clients.values()):
         raise ConfigError(f"fold {fold}: no usable training data for task {config.task}")
@@ -300,7 +319,7 @@ def _prepare(config: ExperimentConfig, ds, parts, fold: int, rep: int) -> _RunSe
     irt_responses: dict = {}
     if strategy.scenario == "sc2" and strategy.is_federated:
         for c, ids in sorted(part.train.items()):
-            pool = build_client_data(config.task, vocab, seqs, ids)
+            pool = build_client_data(task, vocab, seqs, ids)
             if pool.size:
                 course_pools[c] = pool
         subgroup_ids = {key: list(data.ids) for key, data in clients.items()}
@@ -317,7 +336,7 @@ def _prepare(config: ExperimentConfig, ds, parts, fold: int, rep: int) -> _RunSe
 
     def eval_ctx(by_course):
         groups = _group_split(config, strategy, ds, by_course)
-        test = _client_map(config.task, vocab, seqs, groups,
+        test = _client_map(task, vocab, seqs, groups,
                            require_nonempty=False)
         return EvalContext(strategy=strategy, master_seed=config.seed,
                            rep=rep, fold=fold,
@@ -591,7 +610,7 @@ def cmd_evaluate(out, config: ExperimentConfig | None = None) -> dict:
 
 
 def cmd_grid(config: ExperimentConfig, out=None, workers: int = 1) -> dict:
-    if not config.grid:
+    if not isinstance(config.grid, dict) or not config.grid:
         raise ConfigError("grid search needs a non-empty 'grid' mapping")
     names = sorted(config.grid)
     allowed = set(_STRATEGY_FIELDS) | {"hidden_dim"}
@@ -602,15 +621,19 @@ def cmd_grid(config: ExperimentConfig, out=None, workers: int = 1) -> dict:
         if not isinstance(config.grid[name], (list, tuple)) or not config.grid[name]:
             raise ConfigError(f"grid values for {name!r} must be a non-empty list")
 
+    subs = [replace(config, grid={}, **dict(zip(names, values)))
+            for values in itertools.product(*(config.grid[name] for name in names))]
+    for sub in subs:
+        validate_config(sub)
+
     cells = []
     best_idx, best_score = None, None
-    for values in itertools.product(*(config.grid[name] for name in names)):
-        sub = replace(config, grid={}, **dict(zip(names, values)))
+    for sub in subs:
         report = cmd_train(sub, out=None, workers=workers)
         defined = [r["val_auc"] for r in report["runs"] if r["val_auc"] is not None]
         mean_val = float(np.mean(defined)) if defined else None
         cells.append({
-            "params": dict(zip(names, values)),
+            "params": {name: getattr(sub, name) for name in names},
             "mean_val_auc": mean_val,
             "test_overall_mean": report["summary"]["overall_mean"],
             "config_hash": report["config_hash"],

@@ -159,7 +159,7 @@ def course_video_ids(config: GenConfig, course: str) -> tuple:
 
 def _difficulty_pattern(base: np.ndarray, pattern: int) -> np.ndarray:
     """Transform a difficulty vector: identity, reflection, or rank rotation."""
-    if pattern % 3 == 0:
+    if pattern % 3 == 0 or base.size == 0:
         return base.copy()
     if pattern % 3 == 1:
         return (base.max() + base.min()) - base
@@ -280,8 +280,3 @@ def build_archetypes(config: GenConfig) -> dict:
             spec.validate()
             out[(course, label)] = spec
     return out
-
-
-def _arch_seed(config: GenConfig, course: str) -> int:
-    from ..seeding import stream_seed
-    return stream_seed(config.seed, "archetype", course)

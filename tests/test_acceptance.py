@@ -40,9 +40,10 @@ from hierfed.models.encoding import (
     VideoStep,
     Vocab,
 )
-from hierfed.models.kt import kt_init, kt_loss_grad
-from hierfed.models.op import op_init, op_loss_grad
+from hierfed.models.kt import kt_init
+from hierfed.models.task import KT, OP
 from hierfed.nn.gradcheck import finite_diff_grad, grad_rel_error
+from hierfed.nn.layers import PROB_CLAMP
 from hierfed.nn.params import GradSet, ParamSet, axpy_params, clip_grad_norm
 from hierfed.runner import ExperimentConfig, cmd_train
 from hierfed.synth.archetypes import ENGAGEMENT_CAP, GenConfig, build_archetypes
@@ -59,7 +60,7 @@ def kt_client_data(rng, n_students, prefix="s"):
         sid = f"{prefix}{i:02d}"
         seqs[sid] = InteractionSeq(sid, items,
                                    [int(rng.integers(2)) for _ in range(L)])
-    return build_client_data("KT", VOCAB, seqs, sorted(seqs))
+    return build_client_data(KT, VOCAB, seqs, sorted(seqs))
 
 
 def op_client_data(rng, n_students, prefix="s"):
@@ -77,30 +78,34 @@ def op_client_data(rng, n_students, prefix="s"):
                                        int(rng.integers(3))))
         sid = f"{prefix}{i:02d}"
         seqs[sid] = ActivitySeq(sid, steps, int(rng.integers(2)))
-    return build_client_data("OP", VOCAB, seqs, sorted(seqs))
+    return build_client_data(OP, VOCAB, seqs, sorted(seqs))
+
+
+def forward_loss(task, x, lengths, targets):
+    """The training loss rebuilt from forward-only scores: the clamped
+    negative log-probability of each observed label, summed."""
+    def loss(params):
+        scores, labels = task.predict(x, lengths, targets, params)
+        picked = np.where(labels == 1, scores, 1.0 - scores)
+        return float(-np.log(np.clip(picked, PROB_CLAMP, 1.0 - PROB_CLAMP)).sum())
+    return loss
 
 
 def test_analytic_gradients_match_finite_differences():
     started = time.monotonic()
     worst = {"KT": 0.0, "OP": 0.0}
     for seed in range(20):
-        rng = np.random.default_rng(seed)
-        data = kt_client_data(rng, 2)
-        params = kt_init(ModelSpec.kt(VOCAB, hidden_dim=8), rng)
-        x, lengths, targets = data.batch(data.ids)
-        _, analytic, _ = kt_loss_grad(x, lengths, targets, params)
-        numeric = finite_diff_grad(
-            lambda p: kt_loss_grad(x, lengths, targets, p)[0], params)
-        worst["KT"] = max(worst["KT"], grad_rel_error(analytic, numeric))
-
-        rng = np.random.default_rng(1000 + seed)
-        data = op_client_data(rng, 2)
-        params = op_init(ModelSpec.op(VOCAB, hidden_dim=8), rng)
-        x, lengths, labels = data.batch(data.ids)
-        _, analytic, _ = op_loss_grad(x, lengths, labels, params)
-        numeric = finite_diff_grad(
-            lambda p: op_loss_grad(x, lengths, labels, p)[0], params)
-        worst["OP"] = max(worst["OP"], grad_rel_error(analytic, numeric))
+        for task, client_data, data_seed in ((KT, kt_client_data, seed),
+                                             (OP, op_client_data, 1000 + seed)):
+            rng = np.random.default_rng(data_seed)
+            data = client_data(rng, 2)
+            params = task.init(task.spec(VOCAB, hidden_dim=8), rng)
+            x, lengths, targets = data.batch(data.ids)
+            _, analytic, _ = task.loss_grad(x, lengths, targets, params)
+            numeric = finite_diff_grad(forward_loss(task, x, lengths, targets),
+                                       params)
+            worst[task.name] = max(worst[task.name],
+                                   grad_rel_error(analytic, numeric))
     elapsed = time.monotonic() - started
     assert worst["KT"] <= 1e-4, f"interaction model gradients off: {worst['KT']:.3e}"
     assert worst["OP"] <= 1e-4, f"outcome model gradients off: {worst['OP']:.3e}"

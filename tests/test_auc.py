@@ -7,7 +7,6 @@ from hierfed.data.records import Dataset, EventRecord, StudentRecord
 from hierfed.keys import GroupKey
 from hierfed.metrics import (
     ACTIVITY_TYPES,
-    ScoredSet,
     activity_heatmap,
     auc,
     summarize,
@@ -74,7 +73,7 @@ def test_auc_extremes_and_ties():
 def test_auc_single_class_is_undefined():
     assert auc([0.1, 0.9], [1, 1]) is None
     assert auc([0.1, 0.9], [0, 0]) is None
-    assert ScoredSet([0.2], [1]).auc() is None
+    assert auc([0.2], [1]) is None
 
 
 def test_auc_rejects_malformed_input():

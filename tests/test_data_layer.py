@@ -13,6 +13,7 @@ from hierfed.data.sampling import stratified_batch
 from hierfed.data.sequences import build_sequences, build_vocab
 from hierfed.errors import ConfigError, DataError
 from hierfed.keys import GroupKey
+from hierfed.models.task import KT, OP
 
 STUDENTS_CSV = """\
 student_id,course_id,gender,continent,birth_year,outcome
@@ -253,7 +254,7 @@ def test_vocab_comes_from_the_training_split_only():
 def test_kt_sequences_keep_quiz_responses_only():
     ds = sequence_dataset()
     vocab = build_vocab(ds, ["s1", "s2"])
-    seqs = build_sequences(ds, "KT", vocab)
+    seqs = build_sequences(ds, KT, vocab)
     assert set(seqs) == {"s1"}  # s2 never answered a quiz
     seq = seqs["s1"]
     assert seq.responses == [1, 0]
@@ -264,13 +265,11 @@ def test_kt_sequences_keep_quiz_responses_only():
 def test_op_sequences_keep_every_event_and_the_outcome():
     ds = sequence_dataset()
     vocab = build_vocab(ds, ["s1", "s2"])
-    seqs = build_sequences(ds, "OP", vocab)
+    seqs = build_sequences(ds, OP, vocab)
     assert set(seqs) == {"s1", "s2"}
     assert len(seqs["s1"]) == 4
     assert seqs["s1"].outcome == 1
     assert seqs["s2"].outcome == 0
-    with pytest.raises(ValueError):
-        build_sequences(ds, "XX", vocab)
 
 
 def test_sequences_truncate_to_the_step_budget():
@@ -280,7 +279,7 @@ def test_sequences_truncate_to_the_step_budget():
                      for t in range(30)]}
     ds = Dataset(students, events)
     vocab = build_vocab(ds, ["s1"])
-    seqs = build_sequences(ds, "KT", vocab, max_len=8)
+    seqs = build_sequences(ds, KT, vocab, max_len=8)
     assert len(seqs["s1"]) == 8
     assert seqs["s1"].responses == [t % 2 for t in range(8)]
 

@@ -23,6 +23,7 @@ from hierfed.fed.strategy import parse_strategy
 from hierfed.keys import GroupKey
 from hierfed.models.encoding import InteractionSeq, ModelSpec, Vocab
 from hierfed.models.kt import kt_init
+from hierfed.models.task import KT
 from hierfed.nn.params import axpy_params
 
 VOCAB = Vocab(("c0", "c1"), ("v0", "v1", "v2", "v3"))
@@ -41,7 +42,7 @@ def make_sequences(rng, sids, course=0, bias=0.5):
 def make_client(rng, n=8, prefix="s", course=0, bias=0.5):
     sids = [f"{prefix}{i:02d}" for i in range(n)]
     seqs = make_sequences(rng, sids, course=course, bias=bias)
-    return build_client_data("KT", VOCAB, seqs, sids)
+    return build_client_data(KT, VOCAB, seqs, sids)
 
 
 def init_params(rng, hidden=4):
@@ -58,9 +59,9 @@ def two_level_world(rng, per_sub=5):
             seqs = make_sequences(rng, sids, course=ci, bias=0.3 + 0.4 * ci)
             pooled.update(seqs)
             key = GroupKey(c, "gender", g)
-            clients[key] = build_client_data("KT", VOCAB, seqs, sids)
+            clients[key] = build_client_data(KT, VOCAB, seqs, sids)
             subgroup_ids[key] = list(clients[key].ids)
-        course_pools[c] = build_client_data("KT", VOCAB, pooled, sorted(pooled))
+        course_pools[c] = build_client_data(KT, VOCAB, pooled, sorted(pooled))
     return clients, course_pools, subgroup_ids
 
 
@@ -416,7 +417,7 @@ def test_evaluation_skips_groups_without_usable_auc(caplog):
     sids = ["p00", "p01"]
     all_correct = {sid: InteractionSeq(sid, [(0, 1), (0, 2), (0, 3)], [1, 1, 1])
                    for sid in sids}
-    single_class = build_client_data("KT", VOCAB, all_correct, sids)
+    single_class = build_client_data(KT, VOCAB, all_correct, sids)
     k_good, k_flat, k_empty = (GroupKey("c0"), GroupKey("c1"),
                                GroupKey("c1", "gender", "F"))
     bundle = TrainedBundle(strategy="x", global_params=gp)

@@ -3,21 +3,22 @@
 import numpy as np
 import pytest
 
+from hierfed.fed.clients import build_client_data
+from hierfed.models.encoding import ActivitySeq, InteractionSeq, VideoStep, Vocab
+from hierfed.models.task import KT, OP
 from hierfed.nn.gradcheck import OracleError, finite_diff_grad, grad_rel_error
 from hierfed.nn.layers import (
+    PROB_CLAMP,
     attention_param_shapes,
     attention_pool,
     attention_pool_backward,
-    bce_loss,
-    bce_loss_grad,
     gru_backward,
     gru_forward,
     gru_param_shapes,
-    linear_softmax,
     lstm_backward,
     lstm_forward,
     lstm_param_shapes,
-    self_attention_pool,
+    softmax_probs,
 )
 from hierfed.nn.params import GradSet, ParamSet
 
@@ -154,42 +155,35 @@ def test_identical_steps_pool_to_common_hidden_state():
     k = 5
     params = make_params(rng, attention_param_shapes(k))
     h = rng.normal(size=k)
-    h_tilde, alphas, _ = self_attention_pool([h, h, h, h], params)
-    assert np.allclose(h_tilde, h, atol=1e-12)
-    assert np.allclose(alphas, 0.25, atol=1e-12)
-
-
-def test_bce_gradient_matches_finite_differences():
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        p = rng.uniform(0.05, 0.95, size=2)
-        p = p / p.sum()
-        r = np.array([1.0, 0.0]) if rng.random() < 0.5 else np.array([0.0, 1.0])
-        g = bce_loss_grad(p, r)
-        step = 1e-7
-        for j in range(2):
-            pp, pm = p.copy(), p.copy()
-            pp[j] += step
-            pm[j] -= step
-            fd = (bce_loss(pp, r) - bce_loss(pm, r)) / (2 * step)
-            assert g[j] == pytest.approx(fd, rel=1e-5)
+    h_tilde, alphas, _ = attention_pool(np.tile(h, (1, 4, 1)), np.array([4]), params)
+    assert np.allclose(h_tilde[0], h, atol=1e-12)
+    assert np.allclose(alphas[0], 0.25, atol=1e-12)
 
 
 def test_bce_clamp_keeps_loss_finite():
-    assert np.isfinite(bce_loss(np.array([0.0, 1.0]), np.array([1.0, 0.0])))
-    g = bce_loss_grad(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
-    assert np.all(g == 0.0)
+    # saturated heads predict the wrong label with probability ~1; the
+    # clamp caps each term at -log(PROB_CLAMP) instead of returning inf
+    vocab = Vocab(("c0",), ("v0",))
+    rng = np.random.default_rng(10)
+    for task, seq in (
+            (KT, InteractionSeq("s", [(0, 0)] * 3, [1, 1, 1])),
+            (OP, ActivitySeq("s", [VideoStep(0, 0, 1)], 1))):
+        params = task.init(task.spec(vocab, 3), rng)
+        params.layers["out.b"] = np.array([1e4, -1e4])
+        data = build_client_data(task, vocab, {"s": seq}, ["s"])
+        loss, grads = data.loss_grad(["s"], params)
+        n_terms = len(data.predict(params)[0])
+        assert loss == pytest.approx(-n_terms * np.log(PROB_CLAMP))
+        assert all(np.all(np.isfinite(g)) for _, g in grads)
 
 
-def test_linear_softmax_rows_normalized():
+def test_softmax_probs_rows_normalized():
     rng = np.random.default_rng(11)
-    h = rng.normal(size=(4, 3))
-    W = rng.normal(size=(3, 2))
-    b = rng.normal(size=2)
-    out = linear_softmax(h, W, b)
+    logits = rng.normal(size=(4, 2))
+    out = softmax_probs(logits)
     assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
     # extreme logits stay finite
-    big = linear_softmax(1e4 * h, W, b)
+    big = softmax_probs(1e4 * logits)
     assert np.all(np.isfinite(big))
 
 

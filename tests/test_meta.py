@@ -16,6 +16,7 @@ from hierfed.fed.clients import (
 from hierfed.keys import GroupKey
 from hierfed.models.encoding import InteractionSeq, ModelSpec, Vocab
 from hierfed.models.kt import kt_init
+from hierfed.models.task import KT
 from hierfed.nn.params import GradSet, ParamSet, axpy_params
 
 VOCAB = Vocab(("c0", "c1"), ("v0", "v1", "v2", "v3"))
@@ -29,7 +30,7 @@ def kt_client(rng, n_students=12, course="c0"):
         responses = [int(rng.integers(2)) for _ in range(L)]
         sid = f"s{i:02d}"
         seqs[sid] = InteractionSeq(sid, items, responses)
-    data = build_client_data("KT", VOCAB, seqs, list(seqs))
+    data = build_client_data(KT, VOCAB, seqs, list(seqs))
     params = kt_init(ModelSpec.kt(VOCAB, hidden_dim=5), rng)
     return ClientState(GroupKey(course), params, data)
 
@@ -146,7 +147,7 @@ def test_local_updates_reject_empty_clients():
     rng = np.random.default_rng(8)
     client = kt_client(rng)
     empty = ClientState(client.key, client.params,
-                        build_client_data("KT", VOCAB, {}, []))
+                        build_client_data(KT, VOCAB, {}, []))
     with pytest.raises(ValueError):
         local_sgd_epoch(empty, 0.1, 4, np.random.default_rng(0))
     with pytest.raises(ValueError):

@@ -11,15 +11,10 @@ from hierfed.models.encoding import (
     VideoStep,
     Vocab,
 )
-from hierfed.models.kt import kt_forward, kt_init, kt_loss, kt_loss_grad, kt_predict
-from hierfed.models.op import (
-    extract_embedding,
-    op_forward,
-    op_init,
-    op_loss,
-    op_loss_grad,
-    op_predict,
-)
+from hierfed.fed.clients import build_client_data
+from hierfed.models.kt import kt_init, kt_loss_grad, kt_predict
+from hierfed.models.op import extract_embedding, op_forward, op_init, op_predict
+from hierfed.models.task import KT, OP
 from hierfed.nn.gradcheck import finite_diff_grad, grad_rel_error
 from hierfed.nn.params import ParamSet
 
@@ -58,6 +53,13 @@ def zero_params(params):
     return ParamSet({name: np.zeros_like(arr) for name, arr in params})
 
 
+def client_data(task, seqs, vocab):
+    """Encoded client over the given sequences, ids in the given order."""
+    data = build_client_data(task, vocab, {s.student_id: s for s in seqs},
+                             [s.student_id for s in seqs])
+    return data, [s.student_id for s in seqs]
+
+
 def test_kt_init_layout():
     vocab = small_vocab()
     spec = ModelSpec.kt(vocab, hidden_dim=6)
@@ -91,13 +93,15 @@ def test_kt_zero_params_predicts_even_odds():
     rng = np.random.default_rng(7)
     seqs = [random_interaction(rng, f"s{i}") for i in range(5)]
     params = zero_params(kt_init(ModelSpec.kt(vocab, 4), rng))
+    data, ids = client_data(KT, seqs, vocab)
 
-    loss, _ = kt_loss(seqs, params, vocab)
+    loss, _ = data.loss_grad(ids, params)
     n_steps = sum(len(s) - 1 for s in seqs)
     assert np.isclose(loss, n_steps * np.log(2.0), rtol=1e-12)
 
-    probs, _, _ = kt_forward(seqs[0], params, vocab)
-    assert np.all(probs == 0.5)
+    scores, _ = data.predict(params, ids[:1])
+    assert scores.size == len(seqs[0]) - 1
+    assert np.all(scores == 0.5)
 
 
 def test_op_zero_params_predicts_even_odds():
@@ -105,8 +109,9 @@ def test_op_zero_params_predicts_even_odds():
     rng = np.random.default_rng(8)
     seqs = [random_activity(rng, f"s{i}") for i in range(5)]
     params = zero_params(op_init(ModelSpec.op(vocab, 4), rng))
+    data, ids = client_data(OP, seqs, vocab)
 
-    loss, _ = op_loss(seqs, params, vocab)
+    loss, _ = data.loss_grad(ids, params)
     assert np.isclose(loss, len(seqs) * np.log(2.0), rtol=1e-12)
 
     probs, h_tilde, _, _ = op_forward(seqs[0], params, vocab)
@@ -122,8 +127,9 @@ def test_kt_single_interaction_contributes_nothing():
     seqs = [random_interaction(rng, f"s{i}") for i in range(3)]
     stub = InteractionSeq("stub", [(0, 1)], [1])
 
-    base, gbase = kt_loss(seqs, params, vocab)
-    with_stub, gstub = kt_loss(seqs + [stub], params, vocab)
+    data, ids = client_data(KT, seqs + [stub], vocab)
+    base, gbase = data.loss_grad(ids[:-1], params)
+    with_stub, gstub = data.loss_grad(ids, params)
     assert with_stub == base
     for name, g in gbase:
         assert np.array_equal(g, gstub[name])
@@ -137,17 +143,13 @@ def test_duplicating_a_batch_doubles_the_loss():
     iseqs = [random_interaction(rng, f"s{i}") for i in range(4)]
     aseqs = [random_activity(rng, f"s{i}") for i in range(4)]
 
-    l1, g1 = kt_loss(iseqs, kt_params, vocab)
-    l2, g2 = kt_loss(iseqs + iseqs, kt_params, vocab)
-    assert np.isclose(l2, 2.0 * l1, rtol=1e-12)
-    for name, g in g1:
-        assert np.allclose(g2[name], 2.0 * g, rtol=1e-10, atol=1e-12)
-
-    l1, g1 = op_loss(aseqs, op_params, vocab)
-    l2, g2 = op_loss(aseqs + aseqs, op_params, vocab)
-    assert np.isclose(l2, 2.0 * l1, rtol=1e-12)
-    for name, g in g1:
-        assert np.allclose(g2[name], 2.0 * g, rtol=1e-10, atol=1e-12)
+    for task, seqs, params in ((KT, iseqs, kt_params), (OP, aseqs, op_params)):
+        data, ids = client_data(task, seqs, vocab)
+        l1, g1 = data.loss_grad(ids, params)
+        l2, g2 = data.loss_grad(ids + ids, params)
+        assert np.isclose(l2, 2.0 * l1, rtol=1e-12)
+        for name, g in g1:
+            assert np.allclose(g2[name], 2.0 * g, rtol=1e-10, atol=1e-12)
 
 
 def test_batch_loss_matches_per_student_sum():
@@ -159,13 +161,12 @@ def test_batch_loss_matches_per_student_sum():
         iseqs = [random_interaction(rng, f"s{i}") for i in range(5)]
         aseqs = [random_activity(rng, f"s{i}") for i in range(5)]
 
-        batch, _ = kt_loss(iseqs, kt_params, vocab)
-        solo = sum(kt_loss([s], kt_params, vocab)[0] for s in iseqs)
-        assert np.isclose(batch, solo, rtol=1e-12)
-
-        batch, _ = op_loss(aseqs, op_params, vocab)
-        solo = sum(op_loss([s], op_params, vocab)[0] for s in aseqs)
-        assert np.isclose(batch, solo, rtol=1e-12)
+        for task, seqs, params in ((KT, iseqs, kt_params),
+                                   (OP, aseqs, op_params)):
+            data, ids = client_data(task, seqs, vocab)
+            batch, _ = data.loss_grad(ids, params)
+            solo = sum(data.loss_grad([sid], params)[0] for sid in ids)
+            assert np.isclose(batch, solo, rtol=1e-12)
 
 
 def test_batch_order_does_not_change_the_loss():
@@ -173,8 +174,9 @@ def test_batch_order_does_not_change_the_loss():
     rng = np.random.default_rng(29)
     params = kt_init(ModelSpec.kt(vocab, 5), rng)
     seqs = [random_interaction(rng, f"s{i}") for i in range(6)]
-    fwd, _ = kt_loss(seqs, params, vocab)
-    rev, _ = kt_loss(seqs[::-1], params, vocab)
+    data, ids = client_data(KT, seqs, vocab)
+    fwd, _ = data.loss_grad(ids, params)
+    rev, _ = data.loss_grad(ids[::-1], params)
     assert np.isclose(fwd, rev, rtol=1e-12)
 
 
@@ -223,20 +225,21 @@ def test_padding_garbage_is_ignored():
         assert np.array_equal(g, grads2[name])
 
 
-def test_kt_forward_matches_batched_probabilities():
+def test_kt_single_student_loss_matches_its_predictions():
     vocab = small_vocab()
     rng = np.random.default_rng(23)
     params = kt_init(ModelSpec.kt(vocab, 5), rng)
     seq = random_interaction(rng, "s0", min_len=4, max_len=4)
+    data, ids = client_data(KT, [seq], vocab)
 
-    probs, h_seq, _ = kt_forward(seq, params, vocab)
-    assert probs.shape == (3, 2)
-    assert h_seq.shape == (3, 5)
-    assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+    scores, labels = data.predict(params)
+    assert scores.shape == (3,)
+    assert np.array_equal(labels, seq.responses[1:])
+    assert np.all((scores > 0.0) & (scores < 1.0))
 
-    loss_b, _ = kt_loss([seq], params, vocab)
-    picked = probs[np.arange(3), np.array(seq.responses[1:])]
-    assert np.isclose(loss_b, -np.log(picked).sum(), rtol=1e-12)
+    loss, _ = data.loss_grad(ids, params)
+    picked = np.where(labels == 1, scores, 1.0 - scores)
+    assert np.isclose(loss, -np.log(picked).sum(), rtol=1e-12)
 
 
 def test_kt_predict_flattens_valid_steps_only():
@@ -309,10 +312,12 @@ def test_empty_batches_are_rejected():
     rng = np.random.default_rng(53)
     kt_params = kt_init(ModelSpec.kt(vocab, 4), rng)
     op_params = op_init(ModelSpec.op(vocab, 4), rng)
-    with pytest.raises(ValueError):
-        kt_loss([], kt_params, vocab)
-    with pytest.raises(ValueError):
-        op_loss([], op_params, vocab)
+    for task, seqs, params in (
+            (KT, [random_interaction(rng, "s0")], kt_params),
+            (OP, [random_activity(rng, "s0")], op_params)):
+        data, _ = client_data(task, seqs, vocab)
+        with pytest.raises(ValueError):
+            data.loss_grad([], params)
 
 
 def test_kt_gradients_match_finite_differences():
@@ -322,8 +327,9 @@ def test_kt_gradients_match_finite_differences():
         params = kt_init(ModelSpec.kt(vocab, 4), rng)
         seqs = [random_interaction(rng, f"s{i}", min_len=2, max_len=5)
                 for i in range(3)]
-        _, grads = kt_loss(seqs, params, vocab)
-        fd = finite_diff_grad(lambda p: kt_loss(seqs, p, vocab)[0], params)
+        data, ids = client_data(KT, seqs, vocab)
+        _, grads = data.loss_grad(ids, params)
+        fd = finite_diff_grad(lambda p: data.loss_grad(ids, p)[0], params)
         assert grad_rel_error(grads, fd) < TOL
 
 
@@ -334,6 +340,7 @@ def test_op_gradients_match_finite_differences():
         params = op_init(ModelSpec.op(vocab, 4), rng)
         seqs = [random_activity(rng, f"s{i}", min_len=1, max_len=5)
                 for i in range(3)]
-        _, grads = op_loss(seqs, params, vocab)
-        fd = finite_diff_grad(lambda p: op_loss(seqs, p, vocab)[0], params)
+        data, ids = client_data(OP, seqs, vocab)
+        _, grads = data.loss_grad(ids, params)
+        fd = finite_diff_grad(lambda p: data.loss_grad(ids, p)[0], params)
         assert grad_rel_error(grads, fd) < TOL

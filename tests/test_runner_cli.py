@@ -83,8 +83,9 @@ def test_task_is_upcased_and_folds_normalized():
     cfg = config_from_dict({"task": "kt", "folds": [3, 1, 1]})
     assert cfg.task == "KT"
     assert cfg.folds == (1, 3)
-    with pytest.raises(ConfigError, match="folds must be a list of integers"):
-        config_from_dict({"folds": "abc"})
+    for folds in ("abc", [0.5], [1.0], ["1"], [True]):
+        with pytest.raises(ConfigError, match="folds must be a list of integers"):
+            config_from_dict({"folds": folds})
 
 
 def test_load_config_reports_missing_or_broken_files(tmp_path):
@@ -116,6 +117,20 @@ def test_config_hash_tracks_content(data_dir):
     ({"per_group": 0}, "batch_size and per_group must be"),
     ({"clip": -1.0}, "clip must be positive"),
     ({"clip": 0.0}, "clip must be positive"),
+    ({"eta": "0.1"}, "eta must be a finite number"),
+    ({"eta": float("nan")}, "eta must be a finite number"),
+    ({"eta": float("inf")}, "eta must be a finite number"),
+    ({"clip": float("nan")}, "clip must be a finite number"),
+    ({"rounds": 1.5}, "rounds must be an integer"),
+    ({"hidden_dim": 2.5}, "hidden_dim must be an integer"),
+    ({"repetitions": "2"}, "repetitions must be an integer"),
+    ({"seed": 1.5}, "seed must be an integer"),
+    ({"seed": True}, "seed must be an integer"),
+    ({"strategy": 5}, "strategy must be a string"),
+    ({"dataset": 5}, "dataset must be a string"),
+    ({"task": ["KT"]}, "task must be a string"),
+    ({"include_unspecified": "no"}, "include_unspecified must be true or false"),
+    ({"folds": (0.5,)}, "folds must be within"),
 ])
 def test_validation_rejects_bad_experiments(data_dir, kw, msg):
     with pytest.raises(ConfigError, match=msg):
@@ -257,6 +272,7 @@ def test_grid_search_ranks_cells_by_validation_auc(tmp_path, data_dir):
     ({"dataset": ["a"]}, "unknown hyperparameters"),
     ({"eta": 0.1}, "must be a non-empty list"),
     ({"eta": []}, "must be a non-empty list"),
+    ({"rounds": [2, 1.5]}, "rounds must be an integer"),
 ])
 def test_grid_rejects_bad_grids(tmp_path, data_dir, grid, msg):
     with pytest.raises(ConfigError, match=msg):
@@ -341,15 +357,24 @@ def test_cli_maps_config_errors_to_exit_two(capsys):
 
 def test_cli_rejects_bad_hyperparameters_with_exit_two(tmp_path, data_dir,
                                                        capsys):
-    for field, value in [("batch_size", 0), ("per_group", 0), ("clip", -1.0)]:
+    cases = [("train", "batch_size", 0), ("train", "per_group", 0),
+             ("train", "clip", -1.0), ("train", "eta", "0.1"),
+             ("train", "rounds", 1.5), ("train", "hidden_dim", 2.5),
+             ("train", "repetitions", "2"), ("train", "strategy", 5),
+             ("train", "dataset", 5), ("train", "task", ["KT"]),
+             ("train", "eta", float("nan")), ("train", "eta", float("inf")),
+             ("train", "clip", float("nan")), ("train", "seed", 1.5),
+             ("train", "folds", [0.5]), ("train", "include_unspecified", "no"),
+             ("grid", "grid", {"rounds": [1.5]})]
+    for i, (command, field, value) in enumerate(cases):
         doc = config_snapshot(small_config(data_dir, **{field: value}))
-        cfg_path = tmp_path / f"{field}.json"
+        cfg_path = tmp_path / f"{i}.json"
         cfg_path.write_text(json.dumps(doc))
-        rc = main(["train", "--config", str(cfg_path),
-                   "--out", str(tmp_path / field)])
-        assert rc == 2, field
+        rc = main([command, "--config", str(cfg_path),
+                   "--out", str(tmp_path / str(i))])
+        assert rc == 2, (field, value)
         assert capsys.readouterr().err.startswith("error:")
-        assert not (tmp_path / field).exists()
+        assert not (tmp_path / str(i)).exists()
 
 
 def test_cli_maps_numeric_failures_to_exit_three(monkeypatch, capsys):

@@ -2,6 +2,7 @@
 
 import json
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -109,6 +110,17 @@ def test_study_orders_and_difficulty_patterns_are_permutations():
         out = _difficulty_pattern(base, pattern)
         assert not np.array_equal(out, base)
         assert np.allclose(np.sort(out), np.sort(base))
+
+
+@pytest.mark.parametrize("courses,shared", [
+    (("c0", "c1"), 0),   # the second course reflects an empty shared ramp
+    (("c0",), 10),       # the second subgroup reflects an empty local ramp
+])
+def test_empty_difficulty_ramps_still_generate(courses, shared):
+    cfg = replace(two_group_config(0.5, n=20), courses=courses,
+                  shared_videos=shared)
+    assert len(build_archetypes(cfg)) == 2 * len(courses)
+    assert len(generate(cfg).students) == 20 * len(courses)
 
 
 def test_archetype_validation_rejects_broken_chains():
