@@ -6,7 +6,6 @@ from .clients import (
     ClientData,
     ClientState,
     build_client_data,
-    local_sgd_epoch,
     local_sgd_steps,
     meta_batches,
     meta_step,
@@ -39,7 +38,6 @@ __all__ = [
     "irt_confidence",
     "irt_interpolate",
     "load_checkpoint",
-    "local_sgd_epoch",
     "local_sgd_steps",
     "mean_predictive_likelihood",
     "meta_batches",

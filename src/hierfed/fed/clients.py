@@ -99,25 +99,14 @@ def _minibatches(ids, batch_size: int, rng) -> list:
             for i in range(0, len(shuffled), batch_size)]
 
 
-def local_sgd_epoch(client: ClientState, eta: float, batch_size: int, rng,
-                    clip: float | None = None, stats: dict | None = None) -> ParamSet:
-    """One shuffled pass of minibatch SGD over the client's students."""
-    if client.size == 0:
-        raise ValueError(f"client {client.key} has no students")
-    params = client.params
-    for batch in _minibatches(client.data.ids, batch_size, rng):
-        loss, grads = client.data.loss_grad(batch, params)
-        params = _apply_grad(params, grads, eta, clip)
-        if stats is not None:
-            stats["loss"] = stats.get("loss", 0.0) + loss
-            stats["steps"] = stats.get("steps", 0) + 1
-    return params
-
-
 def local_sgd_steps(client: ClientState, eta: float, batch_size: int, rng,
                     n_steps: int, clip: float | None = None,
                     stats: dict | None = None) -> ParamSet:
-    """Exactly n_steps minibatch SGD steps, reshuffling as data runs out."""
+    """Exactly n_steps minibatch SGD steps, reshuffling as data runs out.
+
+    n_steps = ceil(size / batch_size) is one shuffled pass over the client's
+    students.
+    """
     if client.size == 0:
         raise ValueError(f"client {client.key} has no students")
     params = client.params

@@ -35,7 +35,6 @@ from .aggregate import aggregate_attention, aggregate_average
 from .clients import (
     ClientData,
     ClientState,
-    local_sgd_epoch,
     local_sgd_steps,
     meta_update,
 )
@@ -89,6 +88,11 @@ def _meta_updates(s: StrategyConfig) -> bool:
     return s.architecture == "P" and s.aggregation != "IRT"
 
 
+def _epoch_steps(data: ClientData, s: StrategyConfig) -> int:
+    """SGD steps in one shuffled pass over the client's students."""
+    return -(-data.size // s.batch_size)
+
+
 def _update_client(ctx: EngineContext, key: GroupKey, start: ParamSet,
                    round_idx: int, stats: dict) -> ParamSet:
     s = ctx.strategy
@@ -96,18 +100,16 @@ def _update_client(ctx: EngineContext, key: GroupKey, start: ParamSet,
     rng = _client_rng(ctx, data.fingerprint, round_idx)
     where = f"{'round' if s.is_federated else 'epoch'} {round_idx}, client {key}"
     try:
-        if not s.is_federated:
-            params = local_sgd_epoch(ClientState(key, start, data), s.eta,
-                                     s.batch_size, rng, s.clip, stats=stats)
-        elif _meta_updates(s):
+        if _meta_updates(s):
             params = start
             for _ in range(s.local_iters):
                 client = ClientState(key, params, data)
                 params = meta_update(client, s.eta, s.inner_step, rng,
                                      s.batch_size, s.clip, stats=stats)
         else:
+            n_steps = s.local_iters if s.is_federated else _epoch_steps(data, s)
             params = local_sgd_steps(ClientState(key, start, data), s.eta,
-                                     s.batch_size, rng, s.local_iters, s.clip,
+                                     s.batch_size, rng, n_steps, s.clip,
                                      stats=stats)
     except NumericsError as exc:
         raise NumericsError(f"{where}: {exc}") from None
@@ -319,8 +321,9 @@ def adapted_params(bundle: TrainedBundle, ectx: EvalContext,
         data = ectx.adapt.get(key)
         if s.hierarchy != "M" and data is not None and data.size > 0:
             rng = _eval_rng(ectx, tag, "adapt", data.fingerprint)
-            params = local_sgd_epoch(ClientState(key, params, data),
-                                     s.eta, s.batch_size, rng, s.clip)
+            params = local_sgd_steps(ClientState(key, params, data), s.eta,
+                                     s.batch_size, rng, _epoch_steps(data, s),
+                                     s.clip)
         out[key] = params
     return out
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn.layers import (PROB_CLAMP, head_params, lstm_backward, lstm_forward,
-                         softmax_probs)
+from ..nn.layers import (PROB_CLAMP, head_params, head_probs, lstm_backward,
+                         lstm_forward)
 from ..nn.params import ParamSet, as_grads
 from .encoding import ModelSpec
 
@@ -47,8 +47,7 @@ def kt_loss_grad(x, lengths, targets, params: ParamSet):
     W, b = head_params(params, k)
 
     h_seq, cache = lstm_forward(x, lengths, params)
-    logits = h_seq @ W + b
-    probs = softmax_probs(logits)
+    probs = head_probs(h_seq, W, b)
     valid = np.arange(T)[None, :] < lengths[:, None]
 
     safe_t = np.where(valid, targets, 0)
@@ -83,7 +82,7 @@ def kt_predict(x, lengths, targets, params: ParamSet):
     k = params["lstm.b"].size // 4
     W, b = head_params(params, k)
     h_seq, _ = lstm_forward(x, lengths, params)
-    probs = softmax_probs(h_seq @ W + b)
+    probs = head_probs(h_seq, W, b)
     T = x.shape[1]
     valid = np.arange(T)[None, :] < lengths[:, None]
     return probs[:, :, 1][valid], targets[valid]

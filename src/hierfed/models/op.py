@@ -12,7 +12,7 @@ from ..nn.layers import (
     gru_forward,
     gru_backward,
     head_params,
-    softmax_probs,
+    head_probs,
 )
 from ..nn.params import ParamSet, as_grads
 from .encoding import ActivitySeq, ModelSpec, Vocab, encode_op_student
@@ -48,7 +48,7 @@ def op_loss_grad(x, lengths, labels, params: ParamSet):
 
     h_seq, cache_g = gru_forward(x, lengths, params)
     h_tilde, _, cache_a = attention_pool(h_seq, lengths, params)
-    probs = softmax_probs(h_tilde @ W + b)
+    probs = head_probs(h_tilde, W, b)
 
     picked = np.clip(probs[np.arange(B), labels], PROB_CLAMP, 1.0 - PROB_CLAMP)
     loss = float(-np.log(picked).sum())
@@ -79,7 +79,7 @@ def op_forward(seq: ActivitySeq, params: ParamSet, vocab: Vocab):
     lengths = np.array([x.shape[0]])
     h_seq, cache_g = gru_forward(x[None, :, :], lengths, params)
     h_tilde, alphas, cache_a = attention_pool(h_seq, lengths, params)
-    probs = softmax_probs(h_tilde @ W + b)
+    probs = head_probs(h_tilde, W, b)
     return probs[0], h_tilde[0], alphas[0], {"gru": cache_g, "att": cache_a}
 
 
@@ -91,7 +91,7 @@ def op_predict(x, lengths, labels, params: ParamSet):
     W, b = head_params(params, k)
     h_seq, _ = gru_forward(x, lengths, params)
     h_tilde, _, _ = attention_pool(h_seq, lengths, params)
-    probs = softmax_probs(h_tilde @ W + b)
+    probs = head_probs(h_tilde, W, b)
     return probs[:, 1], np.asarray(labels, dtype=np.int64)
 
 

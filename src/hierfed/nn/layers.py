@@ -2,10 +2,18 @@
 
 Everything here is hand-written numpy: LSTM and GRU recurrences, a
 tanh-score attention pooler, and a 2-way softmax head.
-The batched sequence drivers operate on padded (B, T, D) inputs with
-per-sequence lengths; steps past a sequence's length are computed but carry
-zero adjoint, so they never influence gradients. Backward passes return
-parameter gradients accumulated over the whole batch.
+
+The recurrences take padded (B, T, D) inputs with per-sequence lengths but
+compute only valid steps, packed as in cuDNN and PyTorch's packed
+sequences: the batch is ordered by length (descending, stable), and step t
+runs on the leading rows whose sequences are still running. Valid (step,
+row) pairs are stored time-major as rows of one packed matrix, so the input
+projection of every step is one GEMM before the time loop and the weight
+gradients are GEMMs after backprop through time (Appleyard, Kocisky &
+Blunsom 2016, arXiv:1604.01946). The returned h_seq is in the caller's row
+order and zero past each sequence's length; adjoints at those positions are
+ignored. Backward passes return parameter gradients accumulated over the
+whole batch.
 
 Gate conventions are the standard ones: LSTM input/forget/output gates are
 sigmoids and the candidate is tanh; the GRU update gate z mixes as
@@ -21,21 +29,88 @@ from .params import ParamSet, ShapeError, as_grads
 PROB_CLAMP = 1e-7
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    # evaluated via tanh to stay stable for large |x|
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+def _sigmoid_from_tanh_(t: np.ndarray) -> np.ndarray:
+    """(1 + t) / 2 in place: sigmoid(2a) from t = tanh(a), stable for any a.
+
+    Kernels halve the weights and biases of their sigmoid gates (exact in
+    floating point), so one tanh over all gate pre-activations serves both
+    the tanh and the sigmoid gates.
+    """
+    t += 1.0
+    t *= 0.5
+    return t
+
+
+# ---------------------------------------------------------------------------
+# Packed sequences
+# ---------------------------------------------------------------------------
+
+class _Packing:
+    """Valid (step, row) pairs of a padded batch, in packed time-major order.
+
+    Sequences are ordered by length, descending (stable). Step t occupies
+    packed rows start:end of spans[t], one per sequence still running, in
+    that order; the same sequences' rows at step t - 1 begin at prev
+    (-1 at step 0, whose previous state is zero).
+    """
+
+    def __init__(self, lengths, B: int, T: int):
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if lengths.shape != (B,) or np.any(lengths < 0) or np.any(lengths > T):
+            raise ShapeError(f"lengths must be {B} step counts within 0..{T}, "
+                             f"got {lengths!r}")
+        order = np.argsort(-lengths, kind="stable")
+        steps = int(lengths.max()) if B else 0
+        active = (lengths[None, :] > np.arange(steps)[:, None]).sum(axis=1)
+        offsets = np.concatenate([[0], np.cumsum(active)])
+        step_of = np.repeat(np.arange(steps), active)
+        rank = np.arange(offsets[-1]) - offsets[step_of]
+        self.B, self.T, self.n = B, T, int(offsets[-1])
+        self.order = order
+        self.rows = order[rank]          # batch row of each packed row
+        self.cols = step_of              # time step of each packed row
+        self.spans = [(int(offsets[t]), int(offsets[t + 1]),
+                       int(offsets[t - 1]) if t else -1) for t in range(steps)]
+        # packed row of each step-(t >= 1) row's previous state
+        self.first = int(active[0]) if steps else 0
+        self.prev_rows = (np.arange(self.first, self.n)
+                          - np.repeat(active[:-1], active[1:]))
+
+    def gather(self, seq: np.ndarray) -> np.ndarray:
+        """(B, T, D) -> (n, D) packed rows."""
+        return seq[self.rows, self.cols]
+
+    def scatter(self, packed: np.ndarray) -> np.ndarray:
+        """(n, D) packed rows -> (B, T, D), zero past each length."""
+        out = np.zeros((self.B, self.T, packed.shape[1]))
+        out[self.rows, self.cols] = packed
+        return out
+
+    def previous(self, packed: np.ndarray) -> np.ndarray:
+        """Each packed row's state one step earlier; zeros at step 0."""
+        out = np.zeros_like(packed)
+        out[self.first:] = packed[self.prev_rows]
+        return out
+
+    def unsort(self, state: np.ndarray) -> np.ndarray:
+        """Per-sequence state in length order -> the caller's row order."""
+        out = np.empty_like(state)
+        out[self.order] = state
+        return out
+
+
+def _check_input(x, d: int, prefix: str, kind: str):
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 3:
+        raise ShapeError(f"{kind} input must be (B, T, D), got {x.shape}")
+    if x.shape[2] != d:
+        raise ShapeError(f"{prefix} weights expect input dim {d}, got {x.shape[2]}")
+    return x
 
 
 # ---------------------------------------------------------------------------
 # LSTM
 # ---------------------------------------------------------------------------
-
-def lstm_param_shapes(input_dim: int, hidden_dim: int, prefix: str = "lstm"):
-    return {
-        f"{prefix}.W": (input_dim + hidden_dim, 4 * hidden_dim),
-        f"{prefix}.b": (4 * hidden_dim,),
-    }
-
 
 def _lstm_dims(params: ParamSet, prefix: str):
     W = params[f"{prefix}.W"]
@@ -51,108 +126,96 @@ def _lstm_dims(params: ParamSet, prefix: str):
     return W, b, d, k
 
 
-def lstm_forward(x, lengths, params: ParamSet, prefix: str = "lstm",
-                 h0: np.ndarray | None = None, c0: np.ndarray | None = None):
-    """Run the LSTM over a padded batch.
+def lstm_forward(x, lengths, params: ParamSet, prefix: str = "lstm"):
+    """Run the LSTM over the valid steps of a padded batch from zero state.
 
     x: (B, T, D); lengths: (B,) valid step counts. Returns (h_seq, cache)
-    where h_seq is (B, T, k). Initial state defaults to zeros.
+    where h_seq is (B, T, k), zero past each length.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ShapeError(f"lstm input must be (B, T, D), got {x.shape}")
     W, b, d, k = _lstm_dims(params, prefix)
-    B, T, D = x.shape
-    if D != d:
-        raise ShapeError(f"{prefix}.W expects input dim {d}, got {D}")
+    x = _check_input(x, d, prefix, "lstm")
+    B, T, _ = x.shape
+    pk = _Packing(lengths, B, T)
+    xs = pk.gather(x)
+    # gates i, f, g, o; the sigmoid gates' columns are halved
+    scale = np.full(4 * k, 0.5)
+    scale[2 * k:3 * k] = 1.0
+    Ws = W * scale
+    U = Ws[d:]
 
-    h = np.zeros((B, k)) if h0 is None else np.asarray(h0, dtype=np.float64).copy()
-    c = np.zeros((B, k)) if c0 is None else np.asarray(c0, dtype=np.float64).copy()
-
-    zcat = np.empty((T, B, d + k))
-    gi = np.empty((T, B, k))
-    gf = np.empty((T, B, k))
-    gg = np.empty((T, B, k))
-    go = np.empty((T, B, k))
-    cs = np.empty((T, B, k))
-    tc = np.empty((T, B, k))
-    c_prev = np.empty((T, B, k))
-    h_seq = np.empty((B, T, k))
-
-    for t in range(T):
-        zc = np.concatenate([x[:, t, :], h], axis=1)
-        acts = zc @ W + b
-        i = sigmoid(acts[:, :k])
-        f = sigmoid(acts[:, k:2 * k])
-        g = np.tanh(acts[:, 2 * k:3 * k])
-        o = sigmoid(acts[:, 3 * k:])
-        c_prev[t] = c
-        c = f * c + i * g
-        t_c = np.tanh(c)
-        h = o * t_c
-        zcat[t], gi[t], gf[t], gg[t], go[t] = zc, i, f, g, o
-        cs[t], tc[t] = c, t_c
-        h_seq[:, t, :] = h
+    acts = xs @ Ws[:d]       # input projection of every step, hoisted
+    acts += b * scale
+    cs = np.empty((pk.n, k))
+    tc = np.empty((pk.n, k))
+    hs = np.empty((pk.n, k))
+    zero = np.zeros((B, k))
+    rec = np.empty((B, 4 * k))
+    tmp = np.empty((B, k))
+    for start, end, prev in pk.spans:
+        m = end - start
+        hp, cp = ((hs[prev:prev + m], cs[prev:prev + m]) if prev >= 0
+                  else (zero[:m], zero[:m]))
+        a = acts[start:end]
+        a += np.matmul(hp, U, out=rec[:m])
+        np.tanh(a, out=a)
+        _sigmoid_from_tanh_(a[:, :2 * k])
+        _sigmoid_from_tanh_(a[:, 3 * k:])
+        c = cs[start:end]
+        np.multiply(a[:, k:2 * k], cp, out=c)
+        c += np.multiply(a[:, :k], a[:, 2 * k:3 * k], out=tmp[:m])
+        np.tanh(c, out=tc[start:end])
+        np.multiply(a[:, 3 * k:], tc[start:end], out=hs[start:end])
 
     cache = {
-        "prefix": prefix, "d": d, "k": k, "T": T, "B": B,
-        "zcat": zcat, "i": gi, "f": gf, "g": gg, "o": go,
-        "c": cs, "tanh_c": tc, "c_prev": c_prev,
+        "prefix": prefix, "d": d, "k": k, "T": T, "B": B, "packing": pk,
+        "x": xs, "acts": acts, "c": cs, "tanh_c": tc, "h": hs,
     }
-    return h_seq, cache
+    return pk.scatter(hs), cache
 
 
 def lstm_backward(dh_seq, cache, params: ParamSet):
     """Backprop through time for lstm_forward.
 
     dh_seq: (B, T, k) adjoints of each hidden state from the loss heads;
-    entries past a sequence's length must be zero. Returns (grads, dh0, dc0).
+    entries past a sequence's length are ignored. Returns (grads, dh0, dc0).
     """
-    prefix, d, k, T, B = (cache[n] for n in ("prefix", "d", "k", "T", "B"))
-    W = params[f"{prefix}.W"]
-    dW = np.zeros_like(W)
-    db = np.zeros(4 * k)
+    prefix, d, k, B = (cache[n] for n in ("prefix", "d", "k", "B"))
+    pk = cache["packing"]
+    acts, tc = cache["acts"], cache["tanh_c"]
+    U_T = params[f"{prefix}.W"][d:].T
+    i, f, g, o = (acts[:, j * k:(j + 1) * k] for j in range(4))
+    # d gate / d pre-activation: s(1 - s) for the sigmoids, 1 - g^2 for g
+    dact = acts * (1.0 - acts)
+    np.subtract(1.0, g * g, out=dact[:, 2 * k:3 * k])
+    # the adjoints of i, f, g are dc times these; that of o is dh times tanh(c)
+    coef = np.stack([g, pk.previous(cache["c"]), i, tc], axis=1)
+    dc_dh = o * (1.0 - tc * tc)
+    dhs = pk.gather(np.asarray(dh_seq, dtype=np.float64))
+    da = np.empty((pk.n, 4 * k))
+    da4 = da.reshape(pk.n, 4, k)
     dh = np.zeros((B, k))
     dc = np.zeros((B, k))
+    tmp = np.empty((B, k))
 
-    for t in range(T - 1, -1, -1):
-        dh = dh + dh_seq[:, t, :]
-        i, f, g, o = cache["i"][t], cache["f"][t], cache["g"][t], cache["o"][t]
-        t_c = cache["tanh_c"][t]
-        do = dh * t_c
-        dc = dc + dh * o * (1.0 - t_c * t_c)
-        df = dc * cache["c_prev"][t]
-        di = dc * g
-        dg = dc * i
-        da = np.concatenate([
-            di * i * (1.0 - i),
-            df * f * (1.0 - f),
-            dg * (1.0 - g * g),
-            do * o * (1.0 - o),
-        ], axis=1)
-        zc = cache["zcat"][t]
-        dW += zc.T @ da
-        db += da.sum(axis=0)
-        dzc = da @ W.T
-        dh = dzc[:, d:]
-        dc = dc * f
+    for start, end, _ in reversed(pk.spans):
+        m = end - start
+        dh_m, dc_m = dh[:m], dc[:m]
+        dh_m += dhs[start:end]
+        dc_m += np.multiply(dh_m, dc_dh[start:end], out=tmp[:m])
+        np.multiply(dc_m[:, None, :], coef[start:end, :3], out=da4[start:end, :3])
+        np.multiply(dh_m, coef[start:end, 3], out=da4[start:end, 3])
+        da[start:end] *= dact[start:end]
+        np.matmul(da[start:end], U_T, out=dh_m)
+        dc_m *= f[start:end]
 
-    grads = as_grads({f"{prefix}.W": dW, f"{prefix}.b": db})
-    return grads, dh, dc
+    dW = np.concatenate([cache["x"].T @ da, pk.previous(cache["h"]).T @ da])
+    grads = as_grads({f"{prefix}.W": dW, f"{prefix}.b": da.sum(axis=0)})
+    return grads, pk.unsort(dh), pk.unsort(dc)
 
 
 # ---------------------------------------------------------------------------
 # GRU
 # ---------------------------------------------------------------------------
-
-def gru_param_shapes(input_dim: int, hidden_dim: int, prefix: str = "gru"):
-    return {
-        f"{prefix}.Wzr": (input_dim + hidden_dim, 2 * hidden_dim),
-        f"{prefix}.bzr": (2 * hidden_dim,),
-        f"{prefix}.Wn": (input_dim + hidden_dim, hidden_dim),
-        f"{prefix}.bn": (hidden_dim,),
-    }
-
 
 def _gru_dims(params: ParamSet, prefix: str):
     Wzr = params[f"{prefix}.Wzr"]
@@ -170,96 +233,99 @@ def _gru_dims(params: ParamSet, prefix: str):
     return Wzr, bzr, Wn, bn, d, k
 
 
-def gru_forward(x, lengths, params: ParamSet, prefix: str = "gru",
-                h0: np.ndarray | None = None):
-    """Run the GRU over a padded batch. Returns (h_seq, cache)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ShapeError(f"gru input must be (B, T, D), got {x.shape}")
+def gru_forward(x, lengths, params: ParamSet, prefix: str = "gru"):
+    """Run the GRU over the valid steps of a padded batch from zero state.
+
+    Returns (h_seq, cache); h_seq is (B, T, k), zero past each length.
+    """
     Wzr, bzr, Wn, bn, d, k = _gru_dims(params, prefix)
-    B, T, D = x.shape
-    if D != d:
-        raise ShapeError(f"{prefix}.Wn expects input dim {d}, got {D}")
+    x = _check_input(x, d, prefix, "gru")
+    B, T, _ = x.shape
+    pk = _Packing(lengths, B, T)
+    xs = pk.gather(x)
+    Uzr, Un = 0.5 * Wzr[d:], Wn[d:]   # z and r are sigmoids: halved
 
-    h = np.zeros((B, k)) if h0 is None else np.asarray(h0, dtype=np.float64).copy()
-
-    zcat = np.empty((T, B, d + k))
-    ncat = np.empty((T, B, d + k))
-    gz = np.empty((T, B, k))
-    gr = np.empty((T, B, k))
-    gn = np.empty((T, B, k))
-    h_prev = np.empty((T, B, k))
-    h_seq = np.empty((B, T, k))
-
-    for t in range(T):
-        zc = np.concatenate([x[:, t, :], h], axis=1)
-        a_zr = zc @ Wzr + bzr
-        z = sigmoid(a_zr[:, :k])
-        r = sigmoid(a_zr[:, k:])
-        nc = np.concatenate([x[:, t, :], r * h], axis=1)
-        n = np.tanh(nc @ Wn + bn)
-        h_prev[t] = h
-        h = (1.0 - z) * h + z * n
-        zcat[t], ncat[t], gz[t], gr[t], gn[t] = zc, nc, z, r, n
-        h_seq[:, t, :] = h
+    # input projections of every step, hoisted
+    zr = xs @ (0.5 * Wzr[:d])
+    zr += 0.5 * bzr
+    n = xs @ Wn[:d]
+    n += bn
+    rh = np.empty((pk.n, k))
+    hs = np.empty((pk.n, k))
+    zero = np.zeros((B, k))
+    rec = np.empty((B, 2 * k))
+    rec_n = np.empty((B, k))
+    for start, end, prev in pk.spans:
+        m = end - start
+        hp = hs[prev:prev + m] if prev >= 0 else zero[:m]
+        a_zr, a_n, h = zr[start:end], n[start:end], hs[start:end]
+        a_zr += np.matmul(hp, Uzr, out=rec[:m])
+        _sigmoid_from_tanh_(np.tanh(a_zr, out=a_zr))
+        np.multiply(a_zr[:, k:], hp, out=rh[start:end])
+        a_n += np.matmul(rh[start:end], Un, out=rec_n[:m])
+        np.tanh(a_n, out=a_n)
+        # h = (1 - z) * hp + z * n, as hp + z * (n - hp)
+        np.subtract(a_n, hp, out=h)
+        h *= a_zr[:, :k]
+        h += hp
 
     cache = {
-        "prefix": prefix, "d": d, "k": k, "T": T, "B": B,
-        "zcat": zcat, "ncat": ncat, "z": gz, "r": gr, "n": gn, "h_prev": h_prev,
+        "prefix": prefix, "d": d, "k": k, "T": T, "B": B, "packing": pk,
+        "x": xs, "zr": zr, "n": n, "rh": rh, "h": hs,
     }
-    return h_seq, cache
+    return pk.scatter(hs), cache
 
 
 def gru_backward(dh_seq, cache, params: ParamSet):
     """Backprop through time for gru_forward. Returns (grads, dh0)."""
-    prefix, d, k, T, B = (cache[n] for n in ("prefix", "d", "k", "T", "B"))
-    Wzr = params[f"{prefix}.Wzr"]
-    Wn = params[f"{prefix}.Wn"]
-    dWzr = np.zeros_like(Wzr)
-    dbzr = np.zeros(2 * k)
-    dWn = np.zeros_like(Wn)
-    dbn = np.zeros(k)
+    prefix, d, k, B = (cache[n] for n in ("prefix", "d", "k", "B"))
+    pk = cache["packing"]
+    zr, n = cache["zr"], cache["n"]
+    Uzr_T = params[f"{prefix}.Wzr"][d:].T
+    Un_T = params[f"{prefix}.Wn"][d:].T
+    hp = pk.previous(cache["h"])
+    z, r = zr[:, :k], zr[:, k:]
+    dzr = zr * (1.0 - zr)
+    dtanh = 1.0 - n * n
+    n_hp = n - hp
+    one_z = 1.0 - z
+    dhs = pk.gather(np.asarray(dh_seq, dtype=np.float64))
+    da_zr = np.empty((pk.n, 2 * k))
+    da_n = np.empty((pk.n, k))
     dh = np.zeros((B, k))
+    drh = np.empty((B, k))
+    tmp = np.empty((B, k))
 
-    for t in range(T - 1, -1, -1):
-        dh = dh + dh_seq[:, t, :]
-        z, r, n = cache["z"][t], cache["r"][t], cache["n"][t]
-        hp = cache["h_prev"][t]
-        dz = dh * (n - hp)
-        dn = dh * z
-        dhp = dh * (1.0 - z)
-        da_n = dn * (1.0 - n * n)
-        nc = cache["ncat"][t]
-        dWn += nc.T @ da_n
-        dbn += da_n.sum(axis=0)
-        dnc = da_n @ Wn.T
-        drh = dnc[:, d:]
-        dr = drh * hp
-        dhp = dhp + drh * r
-        da_zr = np.concatenate([dz * z * (1.0 - z), dr * r * (1.0 - r)], axis=1)
-        zc = cache["zcat"][t]
-        dWzr += zc.T @ da_zr
-        dbzr += da_zr.sum(axis=0)
-        dzc = da_zr @ Wzr.T
-        dh = dhp + dzc[:, d:]
+    for start, end, _ in reversed(pk.spans):
+        m = end - start
+        dh_m, drh_m = dh[:m], drh[:m]
+        dh_m += dhs[start:end]
+        dazr, dan = da_zr[start:end], da_n[start:end]
+        np.multiply(dh_m, n_hp[start:end], out=dazr[:, :k])
+        np.multiply(dh_m, z[start:end], out=dan)
+        dan *= dtanh[start:end]
+        np.matmul(dan, Un_T, out=drh_m)
+        np.multiply(drh_m, hp[start:end], out=dazr[:, k:])
+        dazr *= dzr[start:end]
+        # adjoint of the previous state: (1 - z) dh + r drh + U_zr dazr
+        drh_m *= r[start:end]
+        drh_m += np.multiply(dh_m, one_z[start:end], out=tmp[:m])
+        np.matmul(dazr, Uzr_T, out=dh_m)
+        dh_m += drh_m
 
+    xs = cache["x"]
+    dWzr = np.concatenate([xs.T @ da_zr, hp.T @ da_zr])
+    dWn = np.concatenate([xs.T @ da_n, cache["rh"].T @ da_n])
     grads = as_grads({
-        f"{prefix}.Wzr": dWzr, f"{prefix}.bzr": dbzr,
-        f"{prefix}.Wn": dWn, f"{prefix}.bn": dbn,
+        f"{prefix}.Wzr": dWzr, f"{prefix}.bzr": da_zr.sum(axis=0),
+        f"{prefix}.Wn": dWn, f"{prefix}.bn": da_n.sum(axis=0),
     })
-    return grads, dh
+    return grads, pk.unsort(dh)
 
 
 # ---------------------------------------------------------------------------
 # Attention pooling
 # ---------------------------------------------------------------------------
-
-def attention_param_shapes(hidden_dim: int, prefix: str = "att"):
-    return {
-        f"{prefix}.W": (hidden_dim, hidden_dim),
-        f"{prefix}.p": (hidden_dim,),
-    }
-
 
 def attention_pool(h_seq, lengths, params: ParamSet, prefix: str = "att"):
     """Pool hidden states with tanh-score attention.
@@ -300,16 +366,17 @@ def attention_pool_backward(dh_tilde, cache, params: ParamSet):
     p = params[f"{prefix}.p"]
     u, alphas, h_seq = cache["u"], cache["alphas"], cache["h_seq"]
 
-    dalpha = np.einsum("bk,btk->bt", dh_tilde, h_seq)
+    B, T, k = h_seq.shape
+    dalpha = (h_seq @ dh_tilde[:, :, None])[:, :, 0]
     dh_seq = alphas[:, :, None] * dh_tilde[:, None, :]
     # softmax jacobian, rowwise; padded steps have alpha 0 so they drop out
     inner = (alphas * dalpha).sum(axis=1, keepdims=True)
     de = alphas * (dalpha - inner)
     du = de[:, :, None] * p[None, None, :]
-    dp = np.einsum("bt,btk->k", de, u)
-    dpre = du * (1.0 - u * u)
-    dW = np.einsum("btd,btk->dk", h_seq, dpre)
-    dh_seq = dh_seq + dpre @ W.T
+    dp = u.reshape(B * T, k).T @ de.reshape(B * T)
+    dpre = (du * (1.0 - u * u)).reshape(B * T, k)
+    dW = h_seq.reshape(B * T, k).T @ dpre
+    dh_seq += (dpre @ W.T).reshape(B, T, k)
     grads = as_grads({f"{prefix}.W": dW, f"{prefix}.p": dp})
     return grads, dh_seq
 
@@ -327,6 +394,17 @@ def head_params(params: ParamSet, k: int):
     if b.shape != (2,):
         raise ShapeError(f"out.b must be (2,), got {b.shape}")
     return W, b
+
+
+def head_probs(h: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Class probabilities of the 2-way head for each row of h (..., k).
+
+    The logits are not one BLAS product: BLAS computes the last M % 4 rows
+    of an (M, k) @ (k, 2) product by another path, so two students with
+    identical inputs scored differently by their row in the batch, and
+    their AUC tie broke. einsum sums every row the same way.
+    """
+    return softmax_probs(np.einsum("...k,kj->...j", h, W) + b)
 
 
 def softmax_probs(logits: np.ndarray) -> np.ndarray:

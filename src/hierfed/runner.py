@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .data.grouping import group_by_demographic
 from .data.ingest import ingest
 from .data.partition import make_folds
@@ -100,6 +101,28 @@ _FIELD_TYPES = {
 }
 
 
+def _check_fields(cls, values: dict):
+    """Reject the first value that does not match its field's annotation.
+
+    Annotations are read as text: "float | None" also takes None, and
+    "tuple[str, ...]" takes a list of values that each match "str".
+    """
+    for f in dataclasses.fields(cls):
+        if f.name not in values:
+            continue
+        value = values[f.name]
+        kind, _, optional = f.type.partition(" | ")
+        if kind.startswith("tuple["):
+            accepts_item, what = _FIELD_TYPES[kind[len("tuple["):].split(",")[0]]
+            accepts = (lambda v: isinstance(v, (list, tuple))
+                       and all(map(accepts_item, v)))
+            what = f"a list, each item {what}"
+        else:
+            accepts, what = _FIELD_TYPES.get(kind, (lambda v: True, ""))
+        if not (accepts(value) or (optional and value is None)):
+            raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -160,12 +183,7 @@ def build_strategy(config: ExperimentConfig) -> StrategyConfig:
 
 
 def validate_config(config: ExperimentConfig) -> StrategyConfig:
-    for f in dataclasses.fields(config):
-        kind, _, optional = f.type.partition(" | ")
-        accepts, what = _FIELD_TYPES.get(kind, (lambda v: True, ""))
-        value = getattr(config, f.name)
-        if not (accepts(value) or (optional and value is None)):
-            raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+    _check_fields(ExperimentConfig, vars(config))
     strategy = build_strategy(config)
     if config.task not in TASKS:
         raise ConfigError(f"task must be one of {tuple(TASKS)}, got {config.task!r}")
@@ -228,14 +246,18 @@ def load_gen_config(doc: dict, seed: int | None = None) -> GenConfig:
         unknown = sorted(set(doc) - {"preset", "seed"})
         if unknown:
             raise ConfigError(f"unknown preset config fields: {', '.join(unknown)}")
+        if not isinstance(doc["preset"], str):
+            raise ConfigError(f"preset must be a string, got {doc['preset']!r}")
+        _check_fields(GenConfig, doc)
         cfg = preset(doc["preset"])
         if "seed" in doc:
-            cfg = replace(cfg, seed=int(doc["seed"]))
+            cfg = replace(cfg, seed=doc["seed"])
     else:
         fields = {f.name for f in dataclasses.fields(GenConfig)}
         unknown = sorted(set(doc) - fields)
         if unknown:
             raise ConfigError(f"unknown generation config fields: {', '.join(unknown)}")
+        _check_fields(GenConfig, doc)
         doc = dict(doc)
         for name in ("courses", "subgroup_labels", "subgroup_shares"):
             if name in doc:
@@ -522,6 +544,7 @@ def cmd_generate(gen_config: GenConfig, out) -> dict:
     return doc
 
 
+@one_blas_thread()
 def cmd_train(config: ExperimentConfig, out=None, workers: int = 1) -> dict:
     validate_config(config)
     ds = resolve_dataset(config.dataset)
@@ -564,6 +587,7 @@ def cmd_train(config: ExperimentConfig, out=None, workers: int = 1) -> dict:
     return report
 
 
+@one_blas_thread()
 def cmd_evaluate(out, config: ExperimentConfig | None = None) -> dict:
     """Re-score saved checkpoints on the test folds and compare to the report."""
     out_dir = Path(out)
@@ -609,6 +633,7 @@ def cmd_evaluate(out, config: ExperimentConfig | None = None) -> dict:
     return doc
 
 
+@one_blas_thread()
 def cmd_grid(config: ExperimentConfig, out=None, workers: int = 1) -> dict:
     if not isinstance(config.grid, dict) or not config.grid:
         raise ConfigError("grid search needs a non-empty 'grid' mapping")
@@ -662,6 +687,7 @@ def cmd_grid(config: ExperimentConfig, out=None, workers: int = 1) -> dict:
     return doc
 
 
+@one_blas_thread()
 def cmd_export_embeddings(config: ExperimentConfig, out, workers: int = 1) -> dict:
     """Write one activity-embedding row per test student (outcome task only)."""
     if config.task != "OP":

@@ -65,13 +65,13 @@ class GenConfig:
     demographic field.
     """
     name: str
-    courses: tuple
+    courses: tuple[str, ...]
     students_per_course: int
     videos_per_course: int
     shared_videos: int
     demographic: str
-    subgroup_labels: tuple
-    subgroup_shares: tuple
+    subgroup_labels: tuple[str, ...]
+    subgroup_shares: tuple[float, ...]
     tau: float
     undisclosed_fraction: float
     label_noise: float

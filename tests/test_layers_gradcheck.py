@@ -9,15 +9,12 @@ from hierfed.models.task import KT, OP
 from hierfed.nn.gradcheck import OracleError, finite_diff_grad, grad_rel_error
 from hierfed.nn.layers import (
     PROB_CLAMP,
-    attention_param_shapes,
     attention_pool,
     attention_pool_backward,
     gru_backward,
     gru_forward,
-    gru_param_shapes,
     lstm_backward,
     lstm_forward,
-    lstm_param_shapes,
     softmax_probs,
 )
 from hierfed.nn.params import GradSet, ParamSet
@@ -27,6 +24,19 @@ TOL = 1e-6
 
 def make_params(rng, shapes):
     return ParamSet({k: 0.4 * rng.normal(size=s) for k, s in shapes.items()})
+
+
+def lstm_shapes(D, k):
+    return {"lstm.W": (D + k, 4 * k), "lstm.b": (4 * k,)}
+
+
+def gru_shapes(D, k):
+    return {"gru.Wzr": (D + k, 2 * k), "gru.bzr": (2 * k,),
+            "gru.Wn": (D + k, k), "gru.bn": (k,)}
+
+
+def attention_shapes(k):
+    return {"att.W": (k, k), "att.p": (k,)}
 
 
 def batch_inputs(rng, B, T, D):
@@ -50,7 +60,7 @@ def test_lstm_gradients_match_finite_differences():
     for seed in range(8):
         rng = np.random.default_rng(seed)
         D, k, B, T = 3, 4, 2, 5
-        params = make_params(rng, lstm_param_shapes(D, k))
+        params = make_params(rng, lstm_shapes(D, k))
         x, lengths = batch_inputs(rng, B, T, D)
         weight = rng.normal(size=k)
 
@@ -72,7 +82,7 @@ def test_gru_gradients_match_finite_differences():
     for seed in range(8):
         rng = np.random.default_rng(100 + seed)
         D, k, B, T = 3, 4, 2, 5
-        params = make_params(rng, gru_param_shapes(D, k))
+        params = make_params(rng, gru_shapes(D, k))
         x, lengths = batch_inputs(rng, B, T, D)
         weight = rng.normal(size=k)
 
@@ -94,7 +104,7 @@ def test_attention_gradients_match_finite_differences():
     for seed in range(8):
         rng = np.random.default_rng(200 + seed)
         k, B, T = 4, 3, 5
-        params = make_params(rng, attention_param_shapes(k))
+        params = make_params(rng, attention_shapes(k))
         h_seq = rng.normal(size=(B, T, k))
         lengths = rng.integers(1, T + 1, size=B)
         weight = rng.normal(size=k)
@@ -111,11 +121,83 @@ def test_attention_gradients_match_finite_differences():
         assert grad_rel_error(grads, fd) < TOL
 
 
+# Batched kernels against per-student runs. Lengths are unsorted and tied,
+# and the LSTM batch has a length-0 row: a KT student with one response
+# encodes to no steps.
+KERNELS = {
+    "lstm": ([3, 5, 0, 5, 2, 4], lstm_shapes),
+    "gru": ([3, 5, 1, 5, 2, 4], gru_shapes),
+    "attention": ([3, 5, 1, 5, 2, 4], lambda D, k: attention_shapes(k)),
+}
+EQUIV_TOL = 1e-12
+
+
+def run_kernel(kind, x, lengths, params, weight):
+    """Per-row outputs on valid steps and the gradients of a masked readout.
+
+    Recurrences read out sum_t w . h_t over valid steps; attention reads out
+    w . h_tilde, and its rows also carry the alphas and the input adjoint.
+    """
+    B = x.shape[0]
+    valid = np.arange(x.shape[1])[None, :] < lengths[:, None]
+    if kind == "attention":
+        h_tilde, alphas, cache = attention_pool(x, lengths, params)
+        grads, dx = attention_pool_backward(np.tile(weight, (B, 1)), cache,
+                                            params)
+        rows = [np.concatenate([h_tilde[b], alphas[b, :L], dx[b, :L].ravel()])
+                for b, L in enumerate(lengths)]
+        return rows, grads
+    forward, backward = ((lstm_forward, lstm_backward) if kind == "lstm"
+                         else (gru_forward, gru_backward))
+    h_seq, cache = forward(x, lengths, params)
+    grads = backward(valid[:, :, None] * weight, cache, params)[0]
+    assert np.all(h_seq[~valid] == 0.0)
+    return [h_seq[b, :L] for b, L in enumerate(lengths)], grads
+
+
+def kernel_batch(kind, seed):
+    lengths, shapes = KERNELS[kind]
+    lengths = np.array(lengths)
+    rng = np.random.default_rng(seed)
+    D, k, T = 3, 4, int(lengths.max())
+    x = rng.normal(size=(len(lengths), T, k if kind == "attention" else D))
+    for b, L in enumerate(lengths):
+        x[b, L:, :] = 0.0
+    return x, lengths, make_params(rng, shapes(D, k)), rng.normal(size=k)
+
+
+@pytest.mark.parametrize("kind", sorted(KERNELS))
+def test_batched_kernels_match_per_student_runs(kind):
+    x, lengths, params, weight = kernel_batch(kind, 300)
+    rows, grads = run_kernel(kind, x, lengths, params, weight)
+    total = None
+    for b, L in enumerate(lengths):
+        (row,), g = run_kernel(kind, x[b:b + 1, :L], lengths[b:b + 1],
+                               params, weight)
+        np.testing.assert_allclose(rows[b], row, rtol=0, atol=EQUIV_TOL)
+        total = g if total is None else GradSet(
+            {name: total[name] + arr for name, arr in g})
+    for name, arr in grads:
+        np.testing.assert_allclose(arr, total[name], rtol=0, atol=EQUIV_TOL)
+
+
+@pytest.mark.parametrize("kind", sorted(KERNELS))
+def test_permuting_batch_rows_permutes_outputs_and_keeps_gradients(kind):
+    x, lengths, params, weight = kernel_batch(kind, 301)
+    rows, grads = run_kernel(kind, x, lengths, params, weight)
+    perm = np.array([3, 0, 5, 1, 4, 2])   # tied row 3 now comes before row 1
+    rows_p, grads_p = run_kernel(kind, x[perm], lengths[perm], params, weight)
+    for i, b in enumerate(perm):
+        np.testing.assert_allclose(rows_p[i], rows[b], rtol=0, atol=EQUIV_TOL)
+    for name, arr in grads:
+        np.testing.assert_allclose(grads_p[name], arr, rtol=0, atol=EQUIV_TOL)
+
+
 def test_attention_backward_input_adjoint():
     # check dh_seq by differencing the inputs instead of the parameters
     rng = np.random.default_rng(77)
     k, B, T = 3, 2, 4
-    params = make_params(rng, attention_param_shapes(k))
+    params = make_params(rng, attention_shapes(k))
     h_seq = rng.normal(size=(B, T, k))
     lengths = np.array([T, T - 1])
     weight = rng.normal(size=k)
@@ -140,7 +222,7 @@ def test_attention_backward_input_adjoint():
 def test_attention_weights_sum_to_one_and_ignore_padding():
     rng = np.random.default_rng(5)
     k, B, T = 4, 3, 6
-    params = make_params(rng, attention_param_shapes(k))
+    params = make_params(rng, attention_shapes(k))
     h_seq = rng.normal(size=(B, T, k))
     lengths = np.array([6, 3, 1])
     _, alphas, _ = attention_pool(h_seq, lengths, params)
@@ -153,7 +235,7 @@ def test_attention_weights_sum_to_one_and_ignore_padding():
 def test_identical_steps_pool_to_common_hidden_state():
     rng = np.random.default_rng(6)
     k = 5
-    params = make_params(rng, attention_param_shapes(k))
+    params = make_params(rng, attention_shapes(k))
     h = rng.normal(size=k)
     h_tilde, alphas, _ = attention_pool(np.tile(h, (1, 4, 1)), np.array([4]), params)
     assert np.allclose(h_tilde[0], h, atol=1e-12)

@@ -7,7 +7,6 @@ from hierfed.errors import NumericsError
 from hierfed.fed.clients import (
     ClientState,
     build_client_data,
-    local_sgd_epoch,
     local_sgd_steps,
     meta_batches,
     meta_step,
@@ -123,13 +122,22 @@ def test_meta_batches_small_client_keeps_the_stream_aligned():
     assert r1.random() == r2.random()
 
 
-def test_local_sgd_epoch_visits_every_batch():
+def test_one_epoch_of_steps_visits_every_student():
+    # ceil(10 / 4) = 3 steps take one shuffled pass: 4 + 4 + 2 students
     rng = np.random.default_rng(6)
     client = kt_client(rng, n_students=10)
-    stats = {}
-    out = local_sgd_epoch(client, eta=0.1, batch_size=4,
-                          rng=np.random.default_rng(1), stats=stats)
-    assert stats["steps"] == 3  # 4 + 4 + 2 students
+    seen = []
+    loss_grad = client.data.loss_grad
+
+    def recording(ids, params):
+        seen.append(list(ids))
+        return loss_grad(ids, params)
+
+    client.data.loss_grad = recording
+    out = local_sgd_steps(client, eta=0.1, batch_size=4,
+                          rng=np.random.default_rng(1), n_steps=3)
+    assert [len(b) for b in seen] == [4, 4, 2]
+    assert sorted(sid for b in seen for sid in b) == client.data.ids
     assert any(not np.array_equal(arr, client.params[name])
                for name, arr in out)
 
@@ -149,7 +157,7 @@ def test_local_updates_reject_empty_clients():
     empty = ClientState(client.key, client.params,
                         build_client_data(KT, VOCAB, {}, []))
     with pytest.raises(ValueError):
-        local_sgd_epoch(empty, 0.1, 4, np.random.default_rng(0))
+        local_sgd_steps(empty, 0.1, 4, np.random.default_rng(0), n_steps=1)
     with pytest.raises(ValueError):
         meta_update(empty, 0.1, 0.05, rng=np.random.default_rng(0))
 
@@ -158,8 +166,8 @@ def test_gradient_clipping_bounds_the_step_size():
     rng = np.random.default_rng(9)
     client = kt_client(rng, n_students=4)
     clip, eta = 0.01, 0.5
-    out = local_sgd_epoch(client, eta=eta, batch_size=8,
-                          rng=np.random.default_rng(1), clip=clip)
+    out = local_sgd_steps(client, eta=eta, batch_size=8,
+                          rng=np.random.default_rng(1), n_steps=1, clip=clip)
     delta = np.concatenate([(arr - client.params[name]).ravel()
                             for name, arr in out])
     assert np.linalg.norm(delta) <= eta * clip + 1e-12

@@ -1,5 +1,7 @@
 """Model-level behavior: losses, predictions, masking, and gradients."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,24 @@ def test_batch_order_does_not_change_the_loss():
     fwd, _ = data.loss_grad(ids, params)
     rev, _ = data.loss_grad(ids[::-1], params)
     assert np.isclose(fwd, rev, rtol=1e-12)
+
+
+@pytest.mark.parametrize("task, make", [(KT, random_interaction),
+                                        (OP, random_activity)])
+def test_identical_students_score_identically_at_any_batch_row(task, make):
+    # the last 31 % 4 rows of a BLAS (31, k) @ (k, 2) product take another
+    # path; identical students must still score alike, or their AUC tie breaks
+    vocab = small_vocab()
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        params = task.init(task.spec(vocab, 16), rng)
+        seqs = [make(rng, f"s{i:02d}") for i in range(31)]
+        seqs[30] = replace(seqs[0], student_id="s30")
+        data, ids = client_data(task, seqs, vocab)
+        x, lengths, targets = data.batch(ids)
+        scores = (kt_loss_grad(x, lengths, targets, params)[2][:, :, 1]
+                  if task is KT else op_predict(x, lengths, targets, params)[0])
+        assert np.array_equal(scores[0], scores[30])
 
 
 def test_kt_predictions_are_causal():

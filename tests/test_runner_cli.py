@@ -6,6 +6,8 @@ import shutil
 import numpy as np
 import pytest
 
+import hierfed.runner as runner
+from hierfed.blas import _openblas_threads
 from hierfed.cli import _experiment_config, build_parser, main
 from hierfed.errors import ConfigError, NumericsError
 from hierfed.fed.checkpoint import load_checkpoint, save_checkpoint
@@ -29,7 +31,7 @@ from hierfed.runner import (
     validate_config,
 )
 from hierfed.synth.archetypes import GenConfig
-from hierfed.synth.generate import generate
+from hierfed.synth.generate import config_to_dict, generate, preset
 
 
 @pytest.fixture(scope="module")
@@ -192,6 +194,25 @@ def test_worker_count_does_not_change_results(data_dir):
     serial = cmd_train(cfg, workers=1)
     parallel = cmd_train(cfg, workers=2)
     assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)
+
+
+def test_training_computes_on_one_blas_thread(data_dir, monkeypatch):
+    threads = _openblas_threads()
+    if threads is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    get_threads = threads[0]
+    seen = []
+    run_one = runner.run_one
+
+    def recording(*args):
+        seen.append(get_threads())
+        return run_one(*args)
+
+    monkeypatch.setattr(runner, "run_one", recording)
+    before = get_threads()
+    cmd_train(small_config(data_dir))
+    assert seen == [1]
+    assert get_threads() == before
 
 
 def test_evaluate_confirms_saved_checkpoints(tmp_path, trained_dir):
@@ -406,6 +427,27 @@ def test_cli_generate_writes_dataset_files(tmp_path, capsys):
     assert doc["students"] == 60
     for name in ("students.csv", "events.csv", "manifest.json"):
         assert (out / name).is_file()
+
+
+@pytest.mark.parametrize("field, doc", [
+    ("students_per_course", {"students_per_course": 20.5}),  # exit 1 before
+    ("tau", {"tau": "0.5"}),               # exit 2 with numpy's '<=' TypeError text
+    ("courses", {"courses": "c0"}),        # was split into ("c", "0")
+    ("subgroup_shares", {"subgroup_shares": ["0.5", "0.5"]}),
+    ("seed", {"preset": "balanced-small", "seed": 1.5}),      # was truncated
+    ("preset", {"preset": ["balanced-small"]}),               # exit 1 before
+])
+def test_cli_generate_rejects_mistyped_fields_with_exit_two(tmp_path, capsys,
+                                                           field, doc):
+    if "preset" not in doc:
+        doc = {**config_to_dict(preset("balanced-small")), **doc}
+    cfg_path = tmp_path / "gen.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "data"
+    rc = main(["generate", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {field} must be ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
