@@ -1,4 +1,4 @@
-"""Per-student model sequences built from the event log."""
+"""Per-student model inputs encoded from the event log."""
 
 from __future__ import annotations
 
@@ -25,17 +25,19 @@ def build_vocab(dataset: Dataset, train_ids) -> Vocab:
 
 def build_sequences(dataset: Dataset, task: Task, vocab: Vocab,
                     max_len: int = MAX_SEQ_LEN) -> dict:
-    """Build {student_id: sequence} for one task.
+    """Encode every student once for one task: {student_id: (x, target)}.
 
-    The task's sequence rule turns a student's events into one sequence;
-    students with no usable steps for the task are skipped (count logged).
-    Sequences longer than max_len keep their first max_len steps.
+    The task's encode rule turns a student's events straight into dense
+    arrays; students with no usable steps for the task are skipped (count
+    logged). Sequences longer than max_len keep their first max_len steps.
+    Every client of a fold selects its students from this one mapping, so
+    a student's arrays are shared, not copied, across clients.
     """
-    out: dict[str, object] = {}
+    out: dict[str, tuple] = {}
     for sid in sorted(dataset.students):
-        seq = task.sequence(dataset, sid, vocab, max_len)
-        if seq is not None:
-            out[sid] = seq
+        entry = task.encode(dataset, sid, vocab, max_len)
+        if entry is not None:
+            out[sid] = entry
     skipped = len(dataset.students) - len(out)
     if skipped:
         logger.info("build_sequences(%s): skipped %d students with no usable steps",

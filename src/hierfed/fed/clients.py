@@ -1,9 +1,9 @@
 """Client-side state and local update rules.
 
 A client is one training group (course or demographic subgroup). Its data
-is pre-encoded once per fold; updates are plain minibatch SGD or a
-first-order meta step (adapt on one batch, step on the gradient of the
-adapted parameters evaluated on a second batch).
+is selected from the fold's shared encoding; updates are plain minibatch
+SGD or a first-order meta step (adapt on one batch, step on the gradient
+of the adapted parameters evaluated on a second batch).
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from ..nn.params import GradSet, ParamSet, axpy_params, clip_grad_norm
 class ClientData:
     """Encoded per-student arrays for one group under one task.
 
-    Students are encoded once, on construction by build_client_data; the
-    task decides how their targets stack into a batch and which model
-    scores it.
+    Students are encoded once per fold, by build_sequences, and
+    build_client_data selects them by id; the task decides how their
+    targets stack into a batch and which model scores it.
     """
     task: Task
     ids: list = field(default_factory=list)     # sorted student ids
@@ -61,15 +61,18 @@ class ClientData:
         return self.task.predict(x, lengths, targets, params)
 
 
-def build_client_data(task: Task, vocab, sequences: dict, ids) -> ClientData:
-    """Encode the subset of students that have a sequence for this task."""
+def build_client_data(task: Task, encoded: dict, ids) -> ClientData:
+    """The students of ids that have an encoding for this task.
+
+    encoded is a fold's build_sequences mapping; the client holds the same
+    (x, target) objects, so clients over overlapping students share them.
+    """
     data = ClientData(task=task)
     for sid in sorted(ids):
-        seq = sequences.get(sid)
-        if seq is None:
-            continue
-        data.arrays[sid] = task.encode(seq, vocab)
-        data.ids.append(sid)
+        entry = encoded.get(sid)
+        if entry is not None:
+            data.arrays[sid] = entry
+            data.ids.append(sid)
     return data
 
 

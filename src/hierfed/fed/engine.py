@@ -83,6 +83,17 @@ def _check_finite(params: ParamSet, where: str):
         raise NumericsError(f"{where}: non-finite parameters in layer {bad!r}")
 
 
+def _located(where: str, update) -> ParamSet:
+    """update(), with a numerical failure inside it or a non-finite result
+    reported at where."""
+    try:
+        params = update()
+    except NumericsError as exc:
+        raise NumericsError(f"{where}: {exc}") from None
+    _check_finite(params, where)
+    return params
+
+
 def _meta_updates(s: StrategyConfig) -> bool:
     """P clients meta-update; FedIRT clients take plain SGD steps."""
     return s.architecture == "P" and s.aggregation != "IRT"
@@ -99,22 +110,20 @@ def _update_client(ctx: EngineContext, key: GroupKey, start: ParamSet,
     data = ctx.clients[key]
     rng = _client_rng(ctx, data.fingerprint, round_idx)
     where = f"{'round' if s.is_federated else 'epoch'} {round_idx}, client {key}"
-    try:
+
+    def update():
         if _meta_updates(s):
             params = start
             for _ in range(s.local_iters):
                 client = ClientState(key, params, data)
                 params = meta_update(client, s.eta, s.inner_step, rng,
                                      s.batch_size, s.clip, stats=stats)
-        else:
-            n_steps = s.local_iters if s.is_federated else _epoch_steps(data, s)
-            params = local_sgd_steps(ClientState(key, start, data), s.eta,
-                                     s.batch_size, rng, n_steps, s.clip,
-                                     stats=stats)
-    except NumericsError as exc:
-        raise NumericsError(f"{where}: {exc}") from None
-    _check_finite(params, where)
-    return params
+            return params
+        n_steps = s.local_iters if s.is_federated else _epoch_steps(data, s)
+        return local_sgd_steps(ClientState(key, start, data), s.eta,
+                               s.batch_size, rng, n_steps, s.clip, stats=stats)
+
+    return _located(where, update)
 
 
 def _aggregate(server: ParamSet, states, s: StrategyConfig,
@@ -132,15 +141,13 @@ def _course_adapt(ctx: EngineContext, course: str, subs, theta_g: ParamSet,
                     str(ctx.fold), course, str(round_idx))
     groups = {key: ctx.subgroup_ids[key] for key in subs}
     batch = stratified_batch(groups, s.per_group, rng)
-    where = f"round {round_idx}, course adaptation {course}"
-    try:
+
+    def update():
         loss, grads = ctx.course_pools[course].loss_grad(batch, theta_g)
-    except NumericsError as exc:
-        raise NumericsError(f"{where}: {exc}") from None
-    stats["loss"] = stats.get("loss", 0.0) + loss
-    adapted = axpy_params(-s.eta, clip_grad_norm(grads, s.clip), theta_g)
-    _check_finite(adapted, where)
-    return adapted
+        stats["loss"] = stats.get("loss", 0.0) + loss
+        return axpy_params(-s.eta, clip_grad_norm(grads, s.clip), theta_g)
+
+    return _located(f"round {round_idx}, course adaptation {course}", update)
 
 
 def _warn_small_meta_clients(ctx: EngineContext, leaves):
@@ -264,6 +271,10 @@ def _eval_rng(ectx: EvalContext, tag, *parts):
                      str(ectx.fold), *parts)
 
 
+def _eval_where(ectx: EvalContext, tag, what: str) -> str:
+    return f"fold {ectx.fold}, rep {ectx.rep}, {' '.join(tag)} {what}"
+
+
 def _score(data: ClientData | None, params: ParamSet, key: GroupKey):
     if data is None or data.size == 0:
         logger.warning("no test students for %s; skipped", key)
@@ -288,9 +299,11 @@ def _adapt_courses(bundle: TrainedBundle, ectx: EvalContext, tag) -> dict:
         d = stratified_batch(groups, s.per_group, rng)
         d_prime = stratified_batch(groups, s.per_group, rng)
         client = ClientState(GroupKey(course), bundle.global_params, pool)
-        out[course] = meta_update(client, s.eta, s.inner_step,
-                                  batch_size=s.batch_size, clip=s.clip,
-                                  batches=(d, d_prime))
+        out[course] = _located(
+            _eval_where(ectx, tag, f"course adaptation, client {client.key}"),
+            lambda: meta_update(client, s.eta, s.inner_step,
+                                batch_size=s.batch_size, clip=s.clip,
+                                batches=(d, d_prime)))
     return out
 
 
@@ -321,9 +334,11 @@ def adapted_params(bundle: TrainedBundle, ectx: EvalContext,
         data = ectx.adapt.get(key)
         if s.hierarchy != "M" and data is not None and data.size > 0:
             rng = _eval_rng(ectx, tag, "adapt", data.fingerprint)
-            params = local_sgd_steps(ClientState(key, params, data), s.eta,
-                                     s.batch_size, rng, _epoch_steps(data, s),
-                                     s.clip)
+            client = ClientState(key, params, data)
+            params = _located(
+                _eval_where(ectx, tag, f"adaptation, client {key}"),
+                lambda: local_sgd_steps(client, s.eta, s.batch_size, rng,
+                                        _epoch_steps(data, s), s.clip))
         out[key] = params
     return out
 

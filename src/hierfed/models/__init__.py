@@ -1,19 +1,6 @@
 """Student models: knowledge tracing (LSTM) and outcome prediction (GRU)."""
 
-from .encoding import (
-    FORUM_ACTIONS,
-    ActivitySeq,
-    ForumStep,
-    InteractionSeq,
-    ModelSpec,
-    VideoStep,
-    Vocab,
-    encode_activity,
-    encode_interaction,
-    encode_kt_student,
-    encode_op_student,
-    pad_batch,
-)
+from .encoding import FORUM_ACTIONS, ModelSpec, Vocab, pad_batch
 from .kt import kt_init, kt_loss_grad, kt_predict
 from .op import extract_embedding, op_forward, op_init, op_loss_grad, op_predict
 from .task import KT, OP, TASKS, Task
@@ -23,17 +10,9 @@ __all__ = [
     "KT",
     "OP",
     "TASKS",
-    "ActivitySeq",
-    "ForumStep",
-    "InteractionSeq",
     "ModelSpec",
     "Task",
-    "VideoStep",
     "Vocab",
-    "encode_activity",
-    "encode_interaction",
-    "encode_kt_student",
-    "encode_op_student",
     "extract_embedding",
     "kt_init",
     "kt_loss_grad",

@@ -1,10 +1,14 @@
-"""Sequence types, vocabulary, and one-hot encodings for the two tasks.
+"""Vocabulary and one-hot encodings for the two tasks.
 
 Knowledge tracing consumes (course, video) item one-hots; the response is the
 prediction target, not an input. Outcome prediction consumes a wider step
 encoding: course + video + response + forum-action blocks, where a step is
 either a video interaction (forum block zero) or a forum action (video and
 response blocks zero).
+
+A student's events are encoded straight into a dense (steps, width) array:
+the one-hot column of every block a step sets is computed first, and the
+rows are then filled by one fancy-index assignment.
 """
 
 from __future__ import annotations
@@ -17,57 +21,6 @@ FORUM_ACTIONS = ("forum_post", "forum_reply", "forum_view")
 
 N_RESPONSE_SLOTS = 2
 N_FORUM_SLOTS = len(FORUM_ACTIONS)
-
-
-@dataclass(frozen=True)
-class VideoStep:
-    """A video interaction: watched video v in course c, optional quiz response."""
-    course: int
-    video: int
-    response: int | None = None
-
-
-@dataclass(frozen=True)
-class ForumStep:
-    """A forum action in course c; action indexes FORUM_ACTIONS."""
-    course: int
-    action: int
-
-
-@dataclass
-class InteractionSeq:
-    """Chronological quiz interactions of one student for knowledge tracing."""
-    student_id: str
-    items: list  # list of (course index, video index)
-    responses: list  # list of 0/1, same length as items
-
-    def __post_init__(self):
-        if len(self.items) != len(self.responses):
-            raise ValueError(
-                f"student {self.student_id}: {len(self.items)} items vs "
-                f"{len(self.responses)} responses")
-        if len(self.items) < 1:
-            raise ValueError(f"student {self.student_id}: empty interaction sequence")
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-
-@dataclass
-class ActivitySeq:
-    """Chronological mixed video/forum steps plus the pass/fail label."""
-    student_id: str
-    steps: list  # VideoStep | ForumStep
-    outcome: int
-
-    def __post_init__(self):
-        if len(self.steps) < 1:
-            raise ValueError(f"student {self.student_id}: empty activity sequence")
-        if self.outcome not in (0, 1):
-            raise ValueError(f"student {self.student_id}: outcome must be 0/1")
-
-    def __len__(self) -> int:
-        return len(self.steps)
 
 
 class Vocab:
@@ -155,70 +108,50 @@ class ModelSpec:
         return ModelSpec("OP", hidden_dim, vocab.op_input_dim)
 
 
-def _check_range(j: int, n: int, what: str):
-    if not 0 <= j < n:
-        raise ValueError(f"{what} index {j} out of range [0, {n})")
+def encode_kt(quiz, vocab: Vocab):
+    """Knowledge-tracing arrays of one student's quiz-response events.
 
-
-def encode_interaction(c: int, v: int, vocab: Vocab) -> np.ndarray:
-    """Item one-hot: course block then video block; exactly two ones."""
-    _check_range(c, vocab.n_courses, "course")
-    _check_range(v, vocab.n_video_slots, "video")
-    out = np.zeros(vocab.kt_input_dim)
-    out[c] = 1.0
-    out[vocab.n_courses + v] = 1.0
-    return out
-
-
-def encode_activity(step, vocab: Vocab) -> np.ndarray:
-    """Activity one-hot: course + video + response + forum blocks.
-
-    Video steps zero the forum block; forum steps zero the video and
-    response blocks. A video step without a recorded response leaves the
-    response block zero as well.
-    """
-    if not isinstance(step, (VideoStep, ForumStep)):
-        raise TypeError(f"unsupported step type {type(step).__name__}")
-    out = np.zeros(vocab.op_input_dim)
-    _check_range(step.course, vocab.n_courses, "course")
-    out[step.course] = 1.0
-    base = vocab.n_courses
-    if isinstance(step, VideoStep):
-        _check_range(step.video, vocab.n_video_slots, "video")
-        out[base + step.video] = 1.0
-        if step.response is not None:
-            _check_range(step.response, N_RESPONSE_SLOTS, "response")
-            out[base + vocab.n_video_slots + step.response] = 1.0
-    else:
-        _check_range(step.action, N_FORUM_SLOTS, "forum action")
-        out[base + vocab.n_video_slots + N_RESPONSE_SLOTS + step.action] = 1.0
-    return out
-
-
-def encode_kt_student(seq: InteractionSeq, vocab: Vocab):
-    """Dense per-student arrays for knowledge tracing.
-
-    Returns (x, targets): x is (L-1, D) item encodings for steps 1..L-1 and
+    Returns (x, targets): x is (L-1, D) item one-hots of steps 1..L-1 and
     targets is (L-1,) responses at steps 2..L, since the prediction made
-    after consuming item t scores the response to item t+1. A length-1
-    sequence yields zero rows.
+    after consuming item t scores the response to item t+1. A single
+    response yields zero rows.
     """
-    L = len(seq)
-    x = np.zeros((max(L - 1, 0), vocab.kt_input_dim))
-    targets = np.zeros(max(L - 1, 0), dtype=np.int64)
-    for t in range(L - 1):
-        c, v = seq.items[t]
-        x[t] = encode_interaction(c, v, vocab)
-        targets[t] = seq.responses[t + 1]
-    return x, targets
+    items = quiz[:-1]
+    video = vocab.n_courses
+    cols = [col for ev in items
+            for col in (vocab.course_index(ev.course_id),
+                        video + vocab.video_index(ev.video_id))]
+    x = np.zeros((len(items), vocab.kt_input_dim))
+    x[np.repeat(np.arange(len(items)), 2), cols] = 1.0
+    return x, np.array([ev.response for ev in quiz[1:]], dtype=np.int64)
 
 
-def encode_op_student(seq: ActivitySeq, vocab: Vocab):
-    """Dense per-student arrays for outcome prediction: ((T, D) x, label)."""
-    x = np.zeros((len(seq), vocab.op_input_dim))
-    for t, step in enumerate(seq.steps):
-        x[t] = encode_activity(step, vocab)
-    return x, int(seq.outcome)
+def encode_op(events, outcome: int, vocab: Vocab):
+    """Outcome-prediction arrays of one student's events: ((T, D) x, label).
+
+    Forum steps leave the video and response blocks zero; video steps leave
+    the forum block zero, and the response block too when the event has no
+    quiz response.
+    """
+    video = vocab.n_courses
+    response = vocab.kt_input_dim
+    forum = response + N_RESPONSE_SLOTS
+    rows, cols = [], []
+    for t, ev in enumerate(events):
+        rows.append(t)
+        cols.append(vocab.course_index(ev.course_id))
+        if ev.kind == "forum":
+            rows.append(t)
+            cols.append(forum + FORUM_ACTIONS.index(ev.forum_action))
+            continue
+        rows.append(t)
+        cols.append(video + vocab.video_index(ev.video_id))
+        if ev.response is not None:
+            rows.append(t)
+            cols.append(response + ev.response)
+    x = np.zeros((len(events), vocab.op_input_dim))
+    x[rows, cols] = 1.0
+    return x, int(outcome)
 
 
 def pad_batch(arrays):

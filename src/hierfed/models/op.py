@@ -15,7 +15,7 @@ from ..nn.layers import (
     head_probs,
 )
 from ..nn.params import ParamSet, as_grads
-from .encoding import ActivitySeq, ModelSpec, Vocab, encode_op_student
+from .encoding import ModelSpec
 
 
 def op_init(model: ModelSpec, rng: np.random.Generator) -> ParamSet:
@@ -71,9 +71,9 @@ def op_loss_grad(x, lengths, labels, params: ParamSet):
     return loss, grads, probs[:, 1]
 
 
-def op_forward(seq: ActivitySeq, params: ParamSet, vocab: Vocab):
-    """Single-student forward: (class probs (2,), h_tilde (k,), alphas, cache)."""
-    x, _ = encode_op_student(seq, vocab)
+def op_forward(x, params: ParamSet):
+    """Single-student forward on its encoded (T, D) steps:
+    (class probs (2,), h_tilde (k,), alphas, cache)."""
     k = params["gru.bn"].size
     W, b = head_params(params, k)
     lengths = np.array([x.shape[0]])
@@ -95,7 +95,7 @@ def op_predict(x, lengths, labels, params: ParamSet):
     return probs[:, 1], np.asarray(labels, dtype=np.int64)
 
 
-def extract_embedding(seq: ActivitySeq, params: ParamSet, vocab: Vocab) -> np.ndarray:
+def extract_embedding(x, params: ParamSet) -> np.ndarray:
     """Pooled hidden state h_tilde for export; identical to op_forward's."""
-    _, h_tilde, _, _ = op_forward(seq, params, vocab)
+    _, h_tilde, _, _ = op_forward(x, params)
     return h_tilde

@@ -1,10 +1,10 @@
 """The two prediction tasks behind one interface.
 
 Knowledge tracing and outcome prediction are two case studies of one
-federated method. They differ only in how a student's events become a
-sequence, how that sequence is encoded, how per-student targets stack into
-a batch, and which model scores the batch; a Task holds exactly those rules,
-so no layer above this module needs to know which task it is running.
+federated method. They differ only in how a student's events are encoded,
+how per-student targets stack into a batch, and which model scores the
+batch; a Task holds exactly those rules, so no layer above this module
+needs to know which task it is running.
 """
 
 from __future__ import annotations
@@ -14,16 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .encoding import (
-    FORUM_ACTIONS,
-    ActivitySeq,
-    ForumStep,
-    InteractionSeq,
-    ModelSpec,
-    VideoStep,
-    encode_kt_student,
-    encode_op_student,
-)
+from .encoding import ModelSpec, encode_kt, encode_op
 from .kt import kt_init, kt_loss_grad, kt_predict
 from .op import op_init, op_loss_grad, op_predict
 
@@ -32,13 +23,12 @@ from .op import op_init, op_loss_grad, op_predict
 class Task:
     """What differs between the tasks; see KT and OP for the two instances.
 
-    sequence(dataset, sid, vocab, max_len) -> sequence or None when the
-    student has no usable steps; encode(seq, vocab) -> (x, target);
-    stack_targets(targets, T) -> batch target array; spec(vocab, hidden_dim)
-    -> ModelSpec; init, loss_grad and predict are the model's entry points.
+    encode(dataset, sid, vocab, max_len) -> (x, target), or None when the
+    student has no usable steps; stack_targets(targets, T) -> batch target
+    array; spec(vocab, hidden_dim) -> ModelSpec; init, loss_grad and
+    predict are the model's entry points.
     """
     name: str
-    sequence: Callable
     encode: Callable
     stack_targets: Callable
     spec: Callable
@@ -47,29 +37,19 @@ class Task:
     predict: Callable
 
 
-def _kt_sequence(dataset, sid, vocab, max_len):
+def _kt_encode(dataset, sid, vocab, max_len):
     """Quiz responses only, in chronological order."""
     quiz = [ev for ev in dataset.events_by_student.get(sid, [])
             if ev.kind == "quiz_response"][:max_len]
-    if not quiz:
-        return None
-    return InteractionSeq(sid, [(vocab.course_index(ev.course_id),
-                                 vocab.video_index(ev.video_id)) for ev in quiz],
-                          [int(ev.response) for ev in quiz])
+    return encode_kt(quiz, vocab) if quiz else None
 
 
-def _op_sequence(dataset, sid, vocab, max_len):
+def _op_encode(dataset, sid, vocab, max_len):
     """Every event as one step, labelled with the student's outcome."""
-    steps = []
-    for ev in dataset.events_by_student.get(sid, [])[:max_len]:
-        c = vocab.course_index(ev.course_id)
-        if ev.kind == "forum":
-            steps.append(ForumStep(c, FORUM_ACTIONS.index(ev.forum_action)))
-        else:
-            steps.append(VideoStep(c, vocab.video_index(ev.video_id), ev.response))
-    if not steps:
+    events = dataset.events_by_student.get(sid, [])[:max_len]
+    if not events:
         return None
-    return ActivitySeq(sid, steps, dataset.students[sid].outcome)
+    return encode_op(events, dataset.students[sid].outcome, vocab)
 
 
 def _pad_targets(targets, T):
@@ -85,8 +65,8 @@ def _label_vector(targets, T):
     return np.array(targets, dtype=np.int64)
 
 
-KT = Task("KT", _kt_sequence, encode_kt_student, _pad_targets, ModelSpec.kt,
+KT = Task("KT", _kt_encode, _pad_targets, ModelSpec.kt,
           kt_init, kt_loss_grad, kt_predict)
-OP = Task("OP", _op_sequence, encode_op_student, _label_vector, ModelSpec.op,
+OP = Task("OP", _op_encode, _label_vector, ModelSpec.op,
           op_init, op_loss_grad, op_predict)
 TASKS = {"KT": KT, "OP": OP}

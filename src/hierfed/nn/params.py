@@ -37,10 +37,6 @@ class ParamSet:
                 raise ValueError(f"layer {name!r} contains non-finite values")
             self.layers[name] = a
 
-    @property
-    def total_len(self) -> int:
-        return sum(a.size for a in self.layers.values())
-
     def names(self) -> list[str]:
         return list(self.layers.keys())
 
@@ -61,19 +57,11 @@ class ParamSet:
         out.layers = {k: v.copy() for k, v in self.layers.items()}
         return out
 
-    def zeros_like(self) -> "ParamSet":
-        out = ParamSet.__new__(ParamSet)
-        out.layers = {k: np.zeros_like(v) for k, v in self.layers.items()}
-        return out
-
     def flat(self) -> np.ndarray:
         """Concatenation of all layers in order, row-major."""
         if not self.layers:
             return np.zeros(0)
         return np.concatenate([a.ravel() for a in self.layers.values()])
-
-    def is_finite(self) -> bool:
-        return all(np.all(np.isfinite(a)) for a in self.layers.values())
 
     def first_nonfinite_layer(self) -> str | None:
         for name, a in self.layers.items():

@@ -278,8 +278,6 @@ def load_gen_config(doc: dict, seed: int | None = None) -> GenConfig:
 @dataclass
 class _RunSetup:
     strategy: StrategyConfig
-    vocab: object
-    seqs: dict
     ctx: EngineContext
     val_ectx: EvalContext
     test_ectx: EvalContext
@@ -296,10 +294,10 @@ def _group_split(config, strategy, ds, by_course: dict) -> dict:
                                 config.include_unspecified, student_ids=ids)
 
 
-def _client_map(task, vocab, seqs, groups, require_nonempty: bool):
+def _client_map(task, encoded, groups, require_nonempty: bool):
     out = {}
     for key in sorted(groups, key=lambda k: k.sort_key()):
-        data = build_client_data(task, vocab, seqs, groups[key])
+        data = build_client_data(task, encoded, groups[key])
         if data.size == 0 and require_nonempty:
             logger.warning("group %s has no usable training students; excluded", key)
             continue
@@ -321,17 +319,17 @@ def _prepare(config: ExperimentConfig, ds, parts, fold: int, rep: int) -> _RunSe
     part = parts[fold]
     vocab = build_vocab(ds, part.train_ids())
     task = TASKS[config.task]
-    seqs = build_sequences(ds, task, vocab)
+    encoded = build_sequences(ds, task, vocab)
     init = task.init(task.spec(vocab, config.hidden_dim),
                      substream(config.seed, "init", task.name.lower(),
                                str(rep), str(fold)))
 
     if strategy.is_centralized:
         clients = {GroupKey("__pool__"):
-                   build_client_data(task, vocab, seqs, part.train_ids())}
+                   build_client_data(task, encoded, part.train_ids())}
     else:
         train_groups = _group_split(config, strategy, ds, part.train)
-        clients = _client_map(task, vocab, seqs, train_groups,
+        clients = _client_map(task, encoded, train_groups,
                               require_nonempty=True)
     if not clients or all(c.size == 0 for c in clients.values()):
         raise ConfigError(f"fold {fold}: no usable training data for task {config.task}")
@@ -341,7 +339,7 @@ def _prepare(config: ExperimentConfig, ds, parts, fold: int, rep: int) -> _RunSe
     irt_responses: dict = {}
     if strategy.scenario == "sc2" and strategy.is_federated:
         for c, ids in sorted(part.train.items()):
-            pool = build_client_data(task, vocab, seqs, ids)
+            pool = build_client_data(task, encoded, ids)
             if pool.size:
                 course_pools[c] = pool
         subgroup_ids = {key: list(data.ids) for key, data in clients.items()}
@@ -358,7 +356,7 @@ def _prepare(config: ExperimentConfig, ds, parts, fold: int, rep: int) -> _RunSe
 
     def eval_ctx(by_course):
         groups = _group_split(config, strategy, ds, by_course)
-        test = _client_map(task, vocab, seqs, groups,
+        test = _client_map(task, encoded, groups,
                            require_nonempty=False)
         return EvalContext(strategy=strategy, master_seed=config.seed,
                            rep=rep, fold=fold,
@@ -367,8 +365,8 @@ def _prepare(config: ExperimentConfig, ds, parts, fold: int, rep: int) -> _RunSe
                            course_pools=course_pools,
                            subgroup_ids=subgroup_ids)
 
-    return _RunSetup(strategy=strategy, vocab=vocab, seqs=seqs, ctx=ctx,
-                     val_ectx=eval_ctx(part.val), test_ectx=eval_ctx(part.test))
+    return _RunSetup(strategy=strategy, ctx=ctx, val_ectx=eval_ctx(part.val),
+                     test_ectx=eval_ctx(part.test))
 
 
 class _Selection:
@@ -722,7 +720,7 @@ def cmd_export_embeddings(config: ExperimentConfig, out, workers: int = 1) -> di
             variable = key.variable or "none"
             subgroup = key.subgroup or "all"
             for sid in data.ids:
-                h = extract_embedding(setup.seqs[sid], params, setup.vocab)
+                h = extract_embedding(data.arrays[sid][0], params)
                 rows.append([sid, key.course, variable, subgroup]
                             + [float(v) for v in h])
     rows.sort(key=lambda r: r[0])

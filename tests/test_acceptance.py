@@ -32,14 +32,7 @@ from hierfed.fed.irt import irt_confidence, irt_interpolate
 from hierfed.fed.strategy import parse_strategy
 from hierfed.keys import GroupKey
 from hierfed.metrics import activity_heatmap, auc
-from hierfed.models.encoding import (
-    ActivitySeq,
-    ForumStep,
-    InteractionSeq,
-    ModelSpec,
-    VideoStep,
-    Vocab,
-)
+from hierfed.models.encoding import ModelSpec, Vocab
 from hierfed.models.kt import kt_init
 from hierfed.models.task import KT, OP
 from hierfed.nn.gradcheck import finite_diff_grad, grad_rel_error
@@ -48,6 +41,7 @@ from hierfed.nn.params import GradSet, ParamSet, axpy_params, clip_grad_norm
 from hierfed.runner import ExperimentConfig, cmd_train
 from hierfed.synth.archetypes import ENGAGEMENT_CAP, GenConfig, build_archetypes
 from hierfed.synth.generate import PRESETS, generate, preset
+from stepwise import forum, kt_entry, op_entry, video
 
 VOCAB = Vocab(("c0", "c1"), ("v0", "v1", "v2", "v3"))
 
@@ -58,9 +52,9 @@ def kt_client_data(rng, n_students, prefix="s"):
         L = int(rng.integers(3, 8))
         items = [(int(rng.integers(2)), int(rng.integers(5))) for _ in range(L)]
         sid = f"{prefix}{i:02d}"
-        seqs[sid] = InteractionSeq(sid, items,
-                                   [int(rng.integers(2)) for _ in range(L)])
-    return build_client_data(KT, VOCAB, seqs, sorted(seqs))
+        seqs[sid] = kt_entry(items, [int(rng.integers(2)) for _ in range(L)],
+                             VOCAB)
+    return build_client_data(KT, seqs, sorted(seqs))
 
 
 def op_client_data(rng, n_students, prefix="s"):
@@ -71,14 +65,14 @@ def op_client_data(rng, n_students, prefix="s"):
         for _ in range(L):
             if rng.random() < 0.7:
                 resp = int(rng.integers(2)) if rng.random() < 0.5 else None
-                steps.append(VideoStep(int(rng.integers(2)),
-                                       int(rng.integers(5)), resp))
+                steps.append(video(int(rng.integers(2)),
+                                   int(rng.integers(5)), resp))
             else:
-                steps.append(ForumStep(int(rng.integers(2)),
-                                       int(rng.integers(3))))
+                steps.append(forum(int(rng.integers(2)),
+                                   int(rng.integers(3))))
         sid = f"{prefix}{i:02d}"
-        seqs[sid] = ActivitySeq(sid, steps, int(rng.integers(2)))
-    return build_client_data(OP, VOCAB, seqs, sorted(seqs))
+        seqs[sid] = op_entry(steps, int(rng.integers(2)), VOCAB)
+    return build_client_data(OP, seqs, sorted(seqs))
 
 
 def forward_loss(task, x, lengths, targets):

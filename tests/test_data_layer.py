@@ -256,10 +256,12 @@ def test_kt_sequences_keep_quiz_responses_only():
     vocab = build_vocab(ds, ["s1", "s2"])
     seqs = build_sequences(ds, KT, vocab)
     assert set(seqs) == {"s1"}  # s2 never answered a quiz
-    seq = seqs["s1"]
-    assert seq.responses == [1, 0]
-    assert seq.items == [(0, vocab.video_index("v0")),
-                         (0, vocab.video_index("v1"))]
+    x, targets = seqs["s1"]
+    # the first response is input only; the second is the one target
+    assert targets.tolist() == [0]
+    assert x.shape == (1, vocab.kt_input_dim)
+    assert np.flatnonzero(x[0]).tolist() == [
+        0, vocab.n_courses + vocab.video_index("v0")]
 
 
 def test_op_sequences_keep_every_event_and_the_outcome():
@@ -267,9 +269,9 @@ def test_op_sequences_keep_every_event_and_the_outcome():
     vocab = build_vocab(ds, ["s1", "s2"])
     seqs = build_sequences(ds, OP, vocab)
     assert set(seqs) == {"s1", "s2"}
-    assert len(seqs["s1"]) == 4
-    assert seqs["s1"].outcome == 1
-    assert seqs["s2"].outcome == 0
+    assert seqs["s1"][0].shape == (4, vocab.op_input_dim)
+    assert seqs["s1"][1] == 1
+    assert seqs["s2"][1] == 0
 
 
 def test_sequences_truncate_to_the_step_budget():
@@ -280,8 +282,9 @@ def test_sequences_truncate_to_the_step_budget():
     ds = Dataset(students, events)
     vocab = build_vocab(ds, ["s1"])
     seqs = build_sequences(ds, KT, vocab, max_len=8)
-    assert len(seqs["s1"]) == 8
-    assert seqs["s1"].responses == [t % 2 for t in range(8)]
+    x, targets = seqs["s1"]
+    assert x.shape[0] == 7
+    assert targets.tolist() == [t % 2 for t in range(1, 8)]
 
 
 def test_stratified_batch_draws_from_every_subgroup():

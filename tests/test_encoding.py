@@ -1,22 +1,78 @@
-"""Vocabulary, one-hot layouts, and per-student encoding contracts."""
+"""Vocabulary, one-hot layouts, and per-student encoding contracts.
+
+The program encodes each student straight from the event log with index
+writes; every check here compares against the per-step reference encoder in
+stepwise.py, or against the block layout directly.
+"""
 
 import numpy as np
 import pytest
 
+from hierfed.data.partition import make_folds
+from hierfed.data.records import Dataset, EventRecord, StudentRecord
+from hierfed.data.sequences import MAX_SEQ_LEN, build_sequences, build_vocab
 from hierfed.models.encoding import (
     FORUM_ACTIONS,
-    ActivitySeq,
-    ForumStep,
-    InteractionSeq,
     ModelSpec,
-    VideoStep,
     Vocab,
-    encode_activity,
-    encode_interaction,
-    encode_kt_student,
-    encode_op_student,
+    encode_kt,
+    encode_op,
     pad_batch,
 )
+from hierfed.models.task import KT, OP
+from hierfed.runner import ExperimentConfig, _prepare
+from hierfed.synth.generate import generate, preset
+from stepwise import forum, item_row, kt_entry, op_entry, step_row, video
+
+
+def quiz(course, vid, response, sid="s"):
+    return EventRecord(sid, course, "quiz_response", video_id=vid,
+                       response=response)
+
+
+def watch(course, vid, sid="s"):
+    return EventRecord(sid, course, "video", video_id=vid)
+
+
+def post(course, action, sid="s"):
+    return EventRecord(sid, course, "forum", forum_action=action)
+
+
+def stepwise_reference(dataset, task, vocab, max_len=MAX_SEQ_LEN) -> dict:
+    """{sid: (x, target)} built one step at a time from the event log."""
+    out = {}
+    for sid in sorted(dataset.students):
+        events = dataset.events_by_student.get(sid, [])
+        if task is KT:
+            quizzes = [ev for ev in events if ev.kind == "quiz_response"][:max_len]
+            if quizzes:
+                out[sid] = kt_entry([(vocab.course_index(ev.course_id),
+                                      vocab.video_index(ev.video_id))
+                                     for ev in quizzes],
+                                    [ev.response for ev in quizzes], vocab)
+            continue
+        steps = [forum(vocab.course_index(ev.course_id),
+                       FORUM_ACTIONS.index(ev.forum_action))
+                 if ev.kind == "forum" else
+                 video(vocab.course_index(ev.course_id),
+                       vocab.video_index(ev.video_id), ev.response)
+                 for ev in events[:max_len]]
+        if steps:
+            out[sid] = op_entry(steps, dataset.students[sid].outcome, vocab)
+    return out
+
+
+def assert_same_encoding(got: dict, want: dict):
+    assert list(got) == list(want)
+    for sid, (x, target) in want.items():
+        gx, gtarget = got[sid]
+        assert gx.dtype == x.dtype and gx.shape == x.shape, sid
+        assert gx.tobytes() == x.tobytes(), sid
+        if isinstance(target, np.ndarray):
+            assert gtarget.dtype == target.dtype
+            assert np.array_equal(gtarget, target), sid
+        else:
+            assert type(gtarget) is type(target) and gtarget == target, sid
 
 
 def test_vocab_sorts_and_dedupes():
@@ -73,94 +129,164 @@ def test_model_spec_validation():
 
 def test_interaction_encoding_has_exactly_two_ones():
     vocab = Vocab(["a", "b"], ["v0", "v1", "v2"])
-    x = encode_interaction(1, 2, vocab)
-    assert x.shape == (vocab.kt_input_dim,)
-    assert x.sum() == 2.0
-    assert x[1] == 1.0  # course block
-    assert x[2 + 2] == 1.0  # video block offset by course count
-    with pytest.raises(ValueError):
-        encode_interaction(2, 0, vocab)
-    with pytest.raises(ValueError):
-        encode_interaction(0, 4, vocab)
+    x, _ = encode_kt([quiz("b", "v2", 1), quiz("a", "v0", 0)], vocab)
+    assert x.shape == (1, vocab.kt_input_dim)
+    assert x[0].sum() == 2.0
+    assert x[0, 1] == 1.0  # course block
+    assert x[0, 2 + 2] == 1.0  # video block offset by course count
 
 
 def test_activity_encoding_video_step():
     vocab = Vocab(["a", "b"], ["v0", "v1"])
     base = vocab.n_courses
-    x = encode_activity(VideoStep(0, 1, response=1), vocab)
-    assert x[0] == 1.0
-    assert x[base + 1] == 1.0
-    assert x[base + vocab.n_video_slots + 1] == 1.0
-    assert x.sum() == 3.0
+    x, _ = encode_op([quiz("a", "v1", 1)], 1, vocab)
+    assert x[0, 0] == 1.0
+    assert x[0, base + 1] == 1.0
+    assert x[0, base + vocab.n_video_slots + 1] == 1.0
+    assert x[0].sum() == 3.0
     # forum block stays zero for video steps
-    assert np.all(x[base + vocab.n_video_slots + 2:] == 0.0)
+    assert np.all(x[0, base + vocab.n_video_slots + 2:] == 0.0)
 
 
 def test_activity_encoding_video_step_without_response():
     vocab = Vocab(["a", "b"], ["v0", "v1"])
-    x = encode_activity(VideoStep(1, 0), vocab)
-    assert x.sum() == 2.0
-    assert np.all(x[vocab.n_courses + vocab.n_video_slots:] == 0.0)
+    x, _ = encode_op([watch("b", "v0")], 0, vocab)
+    assert x[0].sum() == 2.0
+    assert np.all(x[0, vocab.n_courses + vocab.n_video_slots:] == 0.0)
 
 
 def test_activity_encoding_forum_step():
     vocab = Vocab(["a", "b"], ["v0", "v1"])
     base = vocab.n_courses
-    x = encode_activity(ForumStep(1, 2), vocab)
-    assert x[1] == 1.0
-    assert x[base + vocab.n_video_slots + 2 + 2] == 1.0
-    assert x.sum() == 2.0
+    x, _ = encode_op([post("b", "forum_view")], 0, vocab)
+    assert x[0, 1] == 1.0
+    assert x[0, base + vocab.n_video_slots + 2 + 2] == 1.0
+    assert x[0].sum() == 2.0
     # video and response blocks stay zero for forum steps
-    assert np.all(x[base:base + vocab.n_video_slots + 2] == 0.0)
+    assert np.all(x[0, base:base + vocab.n_video_slots + 2] == 0.0)
 
 
 def test_activity_encoding_rejects_bad_steps():
     vocab = Vocab(["a"], ["v0"])
+    strict = Vocab(["a"], ["v0"], reserve_unknown=False)
     with pytest.raises(ValueError):
-        encode_activity(ForumStep(0, 3), vocab)
+        encode_op([post("z", "forum_post")], 0, vocab)
     with pytest.raises(ValueError):
-        encode_activity(VideoStep(0, 0, response=2), vocab)
-    with pytest.raises(TypeError):
-        encode_activity("not a step", vocab)
+        encode_kt([quiz("z", "v0", 1), quiz("a", "v0", 1)], vocab)
+    with pytest.raises(ValueError):
+        encode_op([watch("a", "never-seen")], 0, strict)
+    with pytest.raises(ValueError):
+        encode_kt([quiz("a", "never-seen", 1), quiz("a", "v0", 1)], strict)
+
+
+def test_unseen_video_maps_to_the_reserved_slot():
+    vocab = Vocab(["a"], ["v0"])
+    unknown = vocab.n_courses + vocab.unknown_video
+    x, _ = encode_op([watch("a", "never-seen"), quiz("a", "never-seen", 0)],
+                     1, vocab)
+    assert np.all(x[:, unknown] == 1.0)
+    assert np.array_equal(x, op_entry([video(0, vocab.unknown_video),
+                                       video(0, vocab.unknown_video, 0)],
+                                      1, vocab)[0])
+    x, _ = encode_kt([quiz("a", "never-seen", 1), quiz("a", "v0", 0)], vocab)
+    assert x[0, unknown] == 1.0
 
 
 def test_kt_student_encoding_shifts_targets():
     vocab = Vocab(["a", "b"], ["v0", "v1", "v2"])
-    seq = InteractionSeq("s", [(0, 0), (1, 2), (0, 1)], [1, 0, 1])
-    x, targets = encode_kt_student(seq, vocab)
+    x, targets = encode_kt([quiz("a", "v0", 1), quiz("b", "v2", 0),
+                            quiz("a", "v1", 1)], vocab)
     # inputs are the first L-1 items, targets the last L-1 responses
     assert x.shape == (2, vocab.kt_input_dim)
-    assert np.array_equal(x[0], encode_interaction(0, 0, vocab))
-    assert np.array_equal(x[1], encode_interaction(1, 2, vocab))
+    assert np.array_equal(x[0], item_row(0, 0, vocab))
+    assert np.array_equal(x[1], item_row(1, 2, vocab))
+    assert targets.dtype == np.int64
     assert np.array_equal(targets, np.array([0, 1]))
 
 
 def test_kt_student_encoding_length_one_is_empty():
     vocab = Vocab(["a"], ["v0"])
-    x, targets = encode_kt_student(InteractionSeq("s", [(0, 0)], [1]), vocab)
+    x, targets = encode_kt([quiz("a", "v0", 1)], vocab)
     assert x.shape == (0, vocab.kt_input_dim)
     assert targets.shape == (0,)
 
 
 def test_op_student_encoding():
     vocab = Vocab(["a", "b"], ["v0", "v1"])
-    seq = ActivitySeq("s", [VideoStep(0, 1, 1), ForumStep(0, 0)], 1)
-    x, label = encode_op_student(seq, vocab)
+    x, label = encode_op([quiz("a", "v1", 1), post("a", "forum_post")], 1, vocab)
     assert x.shape == (2, vocab.op_input_dim)
     assert label == 1
-    assert np.array_equal(x[0], encode_activity(seq.steps[0], vocab))
-    assert np.array_equal(x[1], encode_activity(seq.steps[1], vocab))
+    assert np.array_equal(x[0], step_row(video(0, 1, 1), vocab))
+    assert np.array_equal(x[1], step_row(forum(0, 0), vocab))
 
 
-def test_sequence_validation():
-    with pytest.raises(ValueError):
-        InteractionSeq("s", [(0, 0)], [1, 0])
-    with pytest.raises(ValueError):
-        InteractionSeq("s", [], [])
-    with pytest.raises(ValueError):
-        ActivitySeq("s", [], 1)
-    with pytest.raises(ValueError):
-        ActivitySeq("s", [VideoStep(0, 0)], 2)
+@pytest.fixture(scope="module")
+def heterogeneous():
+    ds = generate(preset("heterogeneous-3course"))
+    return ds, make_folds(ds, 101)
+
+
+@pytest.mark.parametrize("task", [KT, OP], ids=["KT", "OP"])
+def test_every_fold_matches_the_stepwise_reference(heterogeneous, task):
+    ds, parts = heterogeneous
+    for part in parts:
+        vocab = build_vocab(ds, part.train_ids())
+        assert_same_encoding(build_sequences(ds, task, vocab),
+                             stepwise_reference(ds, task, vocab))
+
+
+def edge_case_dataset():
+    """s1: forum steps, unanswered and unseen videos; s2: a single quiz;
+    s3: forum steps only; s4: no events; s5: longer than the step budget."""
+    students = {sid: StudentRecord(sid, "c0", outcome=int(sid == "s1"))
+                for sid in ("s1", "s2", "s3", "s4", "s5")}
+    long_run = [quiz("c0", f"v{t % 7}", t % 2, "s5")
+                for t in range(MAX_SEQ_LEN + 5)]
+    events = {
+        "s1": [watch("c0", "v0", "s1"), post("c0", "forum_reply", "s1"),
+               quiz("c0", "v1", 1, "s1"), quiz("c0", "v9", 0, "s1"),
+               watch("c0", "v8", "s1")],
+        "s2": [quiz("c0", "v0", 1, "s2"), post("c0", "forum_view", "s2")],
+        "s3": [post("c0", "forum_post", "s3")],
+        "s5": long_run,
+    }
+    return Dataset(students, events)
+
+
+@pytest.mark.parametrize("task", [KT, OP], ids=["KT", "OP"])
+def test_edge_cases_match_the_stepwise_reference(task):
+    ds = edge_case_dataset()
+    # s1 is held out: v8 and v9 are unseen in training
+    vocab = build_vocab(ds, ["s2", "s3", "s5"])
+    assert vocab.video_ids == tuple(f"v{j}" for j in range(7))
+    got = build_sequences(ds, task, vocab)
+    assert_same_encoding(got, stepwise_reference(ds, task, vocab))
+    if task is KT:
+        # students with no quiz response are skipped; one response is no row
+        assert set(got) == {"s1", "s2", "s5"}
+        assert got["s2"][0].shape == (0, vocab.kt_input_dim)
+        assert got["s2"][1].shape == (0,)
+        assert got["s5"][0].shape == (MAX_SEQ_LEN - 1, vocab.kt_input_dim)
+    else:
+        assert set(got) == {"s1", "s2", "s3", "s5"}
+        assert got["s5"][0].shape == (MAX_SEQ_LEN, vocab.op_input_dim)
+        unknown = vocab.n_courses + vocab.unknown_video
+        assert got["s1"][0][:, unknown].tolist() == [0, 0, 0, 1, 1]
+
+
+def test_clients_of_a_fold_share_each_students_arrays(heterogeneous):
+    ds, parts = heterogeneous
+    config = ExperimentConfig(dataset="heterogeneous-3course", task="OP",
+                              strategy="sc2-P-AT-B", demographic="age",
+                              folds=(0,), seed=101)
+    setup = _prepare(config, ds, parts, 0, 0)
+    assert len(setup.ctx.clients) > 1
+    for key, data in setup.ctx.clients.items():
+        pool = setup.ctx.course_pools[key.course]
+        assert setup.val_ectx.adapt[key] is data
+        assert data.ids
+        for sid in data.ids:
+            assert pool.arrays[sid][0] is data.arrays[sid][0]
 
 
 def test_pad_batch_shapes_and_lengths():

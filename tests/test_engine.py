@@ -21,10 +21,11 @@ from hierfed.fed.engine import (
 )
 from hierfed.fed.strategy import parse_strategy
 from hierfed.keys import GroupKey
-from hierfed.models.encoding import InteractionSeq, ModelSpec, Vocab
+from hierfed.models.encoding import ModelSpec, Vocab
 from hierfed.models.kt import kt_init
 from hierfed.models.task import KT
 from hierfed.nn.params import axpy_params
+from stepwise import kt_entry
 
 VOCAB = Vocab(("c0", "c1"), ("v0", "v1", "v2", "v3"))
 
@@ -35,14 +36,14 @@ def make_sequences(rng, sids, course=0, bias=0.5):
         L = int(rng.integers(3, 7))
         items = [(course, int(rng.integers(5))) for _ in range(L)]
         responses = [int(rng.random() < bias) for _ in range(L)]
-        seqs[sid] = InteractionSeq(sid, items, responses)
+        seqs[sid] = kt_entry(items, responses, VOCAB)
     return seqs
 
 
 def make_client(rng, n=8, prefix="s", course=0, bias=0.5):
     sids = [f"{prefix}{i:02d}" for i in range(n)]
     seqs = make_sequences(rng, sids, course=course, bias=bias)
-    return build_client_data(KT, VOCAB, seqs, sids)
+    return build_client_data(KT, seqs, sids)
 
 
 def init_params(rng, hidden=4):
@@ -59,9 +60,9 @@ def two_level_world(rng, per_sub=5):
             seqs = make_sequences(rng, sids, course=ci, bias=0.3 + 0.4 * ci)
             pooled.update(seqs)
             key = GroupKey(c, "gender", g)
-            clients[key] = build_client_data(KT, VOCAB, seqs, sids)
+            clients[key] = build_client_data(KT, seqs, sids)
             subgroup_ids[key] = list(clients[key].ids)
-        course_pools[c] = build_client_data(KT, VOCAB, pooled, sorted(pooled))
+        course_pools[c] = build_client_data(KT, pooled, sorted(pooled))
     return clients, course_pools, subgroup_ids
 
 
@@ -130,7 +131,7 @@ def test_one_level_engine_populates_course_models(name):
     seen = []
     bundle = train_strategy(ctx, callback=capture_bundles(seen))
     assert set(bundle.models) == set(clients)
-    assert bundle.global_params.is_finite()
+    assert bundle.global_params.first_nonfinite_layer() is None
     assert [h["round"] for h in bundle.history] == [0, 1]
     assert all(h["steps"] > 0 for h in bundle.history)
     assert len(seen) == 2
@@ -146,7 +147,7 @@ def test_two_level_engine_populates_every_level():
                         course_pools=pools, subgroup_ids=sub_ids)
     bundle = train_strategy(ctx)
     assert set(bundle.models) == set(clients) | {GroupKey("c0"), GroupKey("c1")}
-    assert bundle.global_params.is_finite()
+    assert bundle.global_params.first_nonfinite_layer() is None
     assert len(bundle.history) == 2
 
 
@@ -179,7 +180,7 @@ def test_centralized_training_uses_one_pooled_client():
                         init_params=init_params(rng),
                         clients={GroupKey("c0"): data})
     bundle = train_strategy(ctx)
-    assert bundle.global_params.is_finite()
+    assert bundle.global_params.first_nonfinite_layer() is None
     assert bundle.models == {}
     assert [h["round"] for h in bundle.history] == [0, 1, 2]
 
@@ -410,14 +411,51 @@ def test_two_level_personalization_shares_course_models_and_b_refines():
         assert max_param_diff(bottom[key], mid[key]) > 0.0
 
 
+def nan_params(rng):
+    params = init_params(rng)
+    params["lstm.W"][0, 0] = np.nan  # a diverged P bundle
+    return params
+
+
+def test_course_adaptation_divergence_names_fold_rep_tag_and_client():
+    rng = np.random.default_rng(26)
+    clients, pools, sub_ids, _, _, _ = eval_world(rng)
+    keys = sorted(clients, key=GroupKey.sort_key)
+    bundle = TrainedBundle(strategy="x", global_params=nan_params(rng))
+    s = parse_strategy("sc2-P-AT-B").with_overrides(batch_size=4, per_group=2)
+    ectx = EvalContext(strategy=s, master_seed=3, rep=2, fold=1,
+                       groups=keys, test=clients, adapt=clients,
+                       course_pools=pools, subgroup_ids=sub_ids)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericsError,
+                           match=r"^fold 1, rep 2, val 4 course adaptation, "
+                                 r"client .*c0.*: non-finite loss"):
+            adapted_params(bundle, ectx, tag=("val", 4))
+
+
+def test_evaluation_epoch_divergence_names_fold_rep_tag_and_client():
+    rng = np.random.default_rng(27)
+    data = make_client(rng, n=6)
+    bundle = TrainedBundle(strategy="x", global_params=nan_params(rng))
+    s = parse_strategy("sc1-P-AT").with_overrides(batch_size=4)
+    key = GroupKey("c1")
+    ectx = EvalContext(strategy=s, master_seed=3, rep=0, fold=3,
+                       groups=[key], test={}, adapt={key: data})
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericsError,
+                           match=r"^fold 3, rep 0, test adaptation, "
+                                 r"client .*c1.*: non-finite loss"):
+            adapted_params(bundle, ectx)
+
+
 def test_evaluation_skips_groups_without_usable_auc(caplog):
     rng = np.random.default_rng(24)
     gp = init_params(rng)
     good = make_client(rng, n=6, prefix="g")
     sids = ["p00", "p01"]
-    all_correct = {sid: InteractionSeq(sid, [(0, 1), (0, 2), (0, 3)], [1, 1, 1])
+    all_correct = {sid: kt_entry([(0, 1), (0, 2), (0, 3)], [1, 1, 1], VOCAB)
                    for sid in sids}
-    single_class = build_client_data(KT, VOCAB, all_correct, sids)
+    single_class = build_client_data(KT, all_correct, sids)
     k_good, k_flat, k_empty = (GroupKey("c0"), GroupKey("c1"),
                                GroupKey("c1", "gender", "F"))
     bundle = TrainedBundle(strategy="x", global_params=gp)

@@ -111,7 +111,7 @@ def test_interpolate_identical_inputs_pass_through_bitwise():
 def test_interpolate_falls_back_to_global():
     rng = np.random.default_rng(12)
     g = params_from({"a.W": rng.normal(size=(3, 2)), "a.b": rng.normal(size=2)})
-    zero_local = g.zeros_like()
+    zero_local = params_from({k: np.zeros_like(v) for k, v in g})
     out = irt_interpolate(zero_local, g)
     for name, arr in out:
         assert np.array_equal(arr, g[name])

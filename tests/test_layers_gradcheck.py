@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hierfed.fed.clients import build_client_data
-from hierfed.models.encoding import ActivitySeq, InteractionSeq, VideoStep, Vocab
+from hierfed.models.encoding import Vocab
 from hierfed.models.task import KT, OP
 from hierfed.nn.gradcheck import OracleError, finite_diff_grad, grad_rel_error
 from hierfed.nn.layers import (
@@ -18,6 +18,7 @@ from hierfed.nn.layers import (
     softmax_probs,
 )
 from hierfed.nn.params import GradSet, ParamSet
+from stepwise import kt_entry, op_entry, video
 
 TOL = 1e-6
 
@@ -247,12 +248,12 @@ def test_bce_clamp_keeps_loss_finite():
     # clamp caps each term at -log(PROB_CLAMP) instead of returning inf
     vocab = Vocab(("c0",), ("v0",))
     rng = np.random.default_rng(10)
-    for task, seq in (
-            (KT, InteractionSeq("s", [(0, 0)] * 3, [1, 1, 1])),
-            (OP, ActivitySeq("s", [VideoStep(0, 0, 1)], 1))):
+    for task, entry in (
+            (KT, kt_entry([(0, 0)] * 3, [1, 1, 1], vocab)),
+            (OP, op_entry([video(0, 0, 1)], 1, vocab))):
         params = task.init(task.spec(vocab, 3), rng)
         params.layers["out.b"] = np.array([1e4, -1e4])
-        data = build_client_data(task, vocab, {"s": seq}, ["s"])
+        data = build_client_data(task, {"s": entry}, ["s"])
         loss, grads = data.loss_grad(["s"], params)
         n_terms = len(data.predict(params)[0])
         assert loss == pytest.approx(-n_terms * np.log(PROB_CLAMP))

@@ -13,10 +13,11 @@ from hierfed.fed.clients import (
     meta_update,
 )
 from hierfed.keys import GroupKey
-from hierfed.models.encoding import InteractionSeq, ModelSpec, Vocab
+from hierfed.models.encoding import ModelSpec, Vocab
 from hierfed.models.kt import kt_init
 from hierfed.models.task import KT
 from hierfed.nn.params import GradSet, ParamSet, axpy_params
+from stepwise import kt_entry
 
 VOCAB = Vocab(("c0", "c1"), ("v0", "v1", "v2", "v3"))
 
@@ -28,8 +29,8 @@ def kt_client(rng, n_students=12, course="c0"):
         items = [(int(rng.integers(2)), int(rng.integers(5))) for _ in range(L)]
         responses = [int(rng.integers(2)) for _ in range(L)]
         sid = f"s{i:02d}"
-        seqs[sid] = InteractionSeq(sid, items, responses)
-    data = build_client_data(KT, VOCAB, seqs, list(seqs))
+        seqs[sid] = kt_entry(items, responses, VOCAB)
+    data = build_client_data(KT, seqs, list(seqs))
     params = kt_init(ModelSpec.kt(VOCAB, hidden_dim=5), rng)
     return ClientState(GroupKey(course), params, data)
 
@@ -155,7 +156,7 @@ def test_local_updates_reject_empty_clients():
     rng = np.random.default_rng(8)
     client = kt_client(rng)
     empty = ClientState(client.key, client.params,
-                        build_client_data(KT, VOCAB, {}, []))
+                        build_client_data(KT, {}, []))
     with pytest.raises(ValueError):
         local_sgd_steps(empty, 0.1, 4, np.random.default_rng(0), n_steps=1)
     with pytest.raises(ValueError):

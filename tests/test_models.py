@@ -1,24 +1,16 @@
 """Model-level behavior: losses, predictions, masking, and gradients."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from hierfed.models.encoding import (
-    ActivitySeq,
-    ForumStep,
-    InteractionSeq,
-    ModelSpec,
-    VideoStep,
-    Vocab,
-)
+from hierfed.models.encoding import ModelSpec, Vocab, pad_batch
 from hierfed.fed.clients import build_client_data
 from hierfed.models.kt import kt_init, kt_loss_grad, kt_predict
 from hierfed.models.op import extract_embedding, op_forward, op_init, op_predict
 from hierfed.models.task import KT, OP
 from hierfed.nn.gradcheck import finite_diff_grad, grad_rel_error
 from hierfed.nn.params import ParamSet
+from stepwise import forum, kt_entry, op_entry, video
 
 TOL = 1e-6
 
@@ -31,35 +23,36 @@ def small_vocab():
 
 
 def random_interaction(rng, sid, min_len=2, max_len=6):
+    """(sid, (x, targets)) of a random quiz sequence."""
     L = int(rng.integers(min_len, max_len + 1))
     items = [(int(rng.integers(2)), int(rng.integers(5))) for _ in range(L)]
     responses = [int(rng.integers(2)) for _ in range(L)]
-    return InteractionSeq(sid, items, responses)
+    return sid, kt_entry(items, responses, small_vocab())
 
 
 def random_activity(rng, sid, min_len=1, max_len=7):
+    """(sid, (x, label)) of a random activity sequence."""
     L = int(rng.integers(min_len, max_len + 1))
     steps = []
     for _ in range(L):
         c = int(rng.integers(2))
         if rng.random() < 0.3:
-            steps.append(ForumStep(c, int(rng.integers(3))))
+            steps.append(forum(c, int(rng.integers(3))))
         elif rng.random() < 0.5:
-            steps.append(VideoStep(c, int(rng.integers(5))))
+            steps.append(video(c, int(rng.integers(5))))
         else:
-            steps.append(VideoStep(c, int(rng.integers(5)), int(rng.integers(2))))
-    return ActivitySeq(sid, steps, int(rng.integers(2)))
+            steps.append(video(c, int(rng.integers(5)), int(rng.integers(2))))
+    return sid, op_entry(steps, int(rng.integers(2)), small_vocab())
 
 
 def zero_params(params):
     return ParamSet({name: np.zeros_like(arr) for name, arr in params})
 
 
-def client_data(task, seqs, vocab):
-    """Encoded client over the given sequences, ids in the given order."""
-    data = build_client_data(task, vocab, {s.student_id: s for s in seqs},
-                             [s.student_id for s in seqs])
-    return data, [s.student_id for s in seqs]
+def client_data(task, students):
+    """Client over the given (sid, entry) students, ids in the given order."""
+    ids = [sid for sid, _ in students]
+    return build_client_data(task, dict(students), ids), ids
 
 
 def test_kt_init_layout():
@@ -95,14 +88,14 @@ def test_kt_zero_params_predicts_even_odds():
     rng = np.random.default_rng(7)
     seqs = [random_interaction(rng, f"s{i}") for i in range(5)]
     params = zero_params(kt_init(ModelSpec.kt(vocab, 4), rng))
-    data, ids = client_data(KT, seqs, vocab)
+    data, ids = client_data(KT, seqs)
 
     loss, _ = data.loss_grad(ids, params)
-    n_steps = sum(len(s) - 1 for s in seqs)
+    n_steps = sum(x.shape[0] for _, (x, _) in seqs)
     assert np.isclose(loss, n_steps * np.log(2.0), rtol=1e-12)
 
     scores, _ = data.predict(params, ids[:1])
-    assert scores.size == len(seqs[0]) - 1
+    assert scores.size == seqs[0][1][0].shape[0]
     assert np.all(scores == 0.5)
 
 
@@ -111,12 +104,12 @@ def test_op_zero_params_predicts_even_odds():
     rng = np.random.default_rng(8)
     seqs = [random_activity(rng, f"s{i}") for i in range(5)]
     params = zero_params(op_init(ModelSpec.op(vocab, 4), rng))
-    data, ids = client_data(OP, seqs, vocab)
+    data, ids = client_data(OP, seqs)
 
     loss, _ = data.loss_grad(ids, params)
     assert np.isclose(loss, len(seqs) * np.log(2.0), rtol=1e-12)
 
-    probs, h_tilde, _, _ = op_forward(seqs[0], params, vocab)
+    probs, h_tilde, _, _ = op_forward(seqs[0][1][0], params)
     assert np.all(probs == 0.5)
     assert np.all(h_tilde == 0.0)
 
@@ -127,9 +120,9 @@ def test_kt_single_interaction_contributes_nothing():
     rng = np.random.default_rng(11)
     params = kt_init(ModelSpec.kt(vocab, 4), rng)
     seqs = [random_interaction(rng, f"s{i}") for i in range(3)]
-    stub = InteractionSeq("stub", [(0, 1)], [1])
+    stub = ("stub", kt_entry([(0, 1)], [1], vocab))
 
-    data, ids = client_data(KT, seqs + [stub], vocab)
+    data, ids = client_data(KT, seqs + [stub])
     base, gbase = data.loss_grad(ids[:-1], params)
     with_stub, gstub = data.loss_grad(ids, params)
     assert with_stub == base
@@ -146,7 +139,7 @@ def test_duplicating_a_batch_doubles_the_loss():
     aseqs = [random_activity(rng, f"s{i}") for i in range(4)]
 
     for task, seqs, params in ((KT, iseqs, kt_params), (OP, aseqs, op_params)):
-        data, ids = client_data(task, seqs, vocab)
+        data, ids = client_data(task, seqs)
         l1, g1 = data.loss_grad(ids, params)
         l2, g2 = data.loss_grad(ids + ids, params)
         assert np.isclose(l2, 2.0 * l1, rtol=1e-12)
@@ -165,7 +158,7 @@ def test_batch_loss_matches_per_student_sum():
 
         for task, seqs, params in ((KT, iseqs, kt_params),
                                    (OP, aseqs, op_params)):
-            data, ids = client_data(task, seqs, vocab)
+            data, ids = client_data(task, seqs)
             batch, _ = data.loss_grad(ids, params)
             solo = sum(data.loss_grad([sid], params)[0] for sid in ids)
             assert np.isclose(batch, solo, rtol=1e-12)
@@ -176,7 +169,7 @@ def test_batch_order_does_not_change_the_loss():
     rng = np.random.default_rng(29)
     params = kt_init(ModelSpec.kt(vocab, 5), rng)
     seqs = [random_interaction(rng, f"s{i}") for i in range(6)]
-    data, ids = client_data(KT, seqs, vocab)
+    data, ids = client_data(KT, seqs)
     fwd, _ = data.loss_grad(ids, params)
     rev, _ = data.loss_grad(ids[::-1], params)
     assert np.isclose(fwd, rev, rtol=1e-12)
@@ -192,8 +185,8 @@ def test_identical_students_score_identically_at_any_batch_row(task, make):
     for _ in range(10):
         params = task.init(task.spec(vocab, 16), rng)
         seqs = [make(rng, f"s{i:02d}") for i in range(31)]
-        seqs[30] = replace(seqs[0], student_id="s30")
-        data, ids = client_data(task, seqs, vocab)
+        seqs[30] = ("s30", seqs[0][1])
+        data, ids = client_data(task, seqs)
         x, lengths, targets = data.batch(ids)
         scores = (kt_loss_grad(x, lengths, targets, params)[2][:, :, 1]
                   if task is KT else op_predict(x, lengths, targets, params)[0])
@@ -250,11 +243,11 @@ def test_kt_single_student_loss_matches_its_predictions():
     rng = np.random.default_rng(23)
     params = kt_init(ModelSpec.kt(vocab, 5), rng)
     seq = random_interaction(rng, "s0", min_len=4, max_len=4)
-    data, ids = client_data(KT, [seq], vocab)
+    data, ids = client_data(KT, [seq])
 
     scores, labels = data.predict(params)
     assert scores.shape == (3,)
-    assert np.array_equal(labels, seq.responses[1:])
+    assert np.array_equal(labels, seq[1][1])
     assert np.all((scores > 0.0) & (scores < 1.0))
 
     loss, _ = data.loss_grad(ids, params)
@@ -283,8 +276,8 @@ def test_op_single_step_gets_full_attention():
     vocab = small_vocab()
     rng = np.random.default_rng(37)
     params = op_init(ModelSpec.op(vocab, 4), rng)
-    seq = ActivitySeq("s0", [VideoStep(0, 1, 1)], 1)
-    _, _, alphas, _ = op_forward(seq, params, vocab)
+    x, _ = op_entry([video(0, 1, 1)], 1, vocab)
+    _, _, alphas, _ = op_forward(x, params)
     assert np.array_equal(alphas, np.array([1.0]))
 
 
@@ -293,9 +286,9 @@ def test_op_attention_weights_sum_to_one():
     rng = np.random.default_rng(41)
     params = op_init(ModelSpec.op(vocab, 4), rng)
     for i in range(5):
-        seq = random_activity(rng, f"s{i}", min_len=2, max_len=7)
-        _, _, alphas, _ = op_forward(seq, params, vocab)
-        assert alphas.shape == (len(seq),)
+        _, (x, _) = random_activity(rng, f"s{i}", min_len=2, max_len=7)
+        _, _, alphas, _ = op_forward(x, params)
+        assert alphas.shape == (x.shape[0],)
         assert np.isclose(alphas.sum(), 1.0, atol=1e-12)
         assert np.all(alphas >= 0.0)
 
@@ -304,9 +297,9 @@ def test_extract_embedding_is_the_pooled_state():
     vocab = small_vocab()
     rng = np.random.default_rng(43)
     params = op_init(ModelSpec.op(vocab, 6), rng)
-    seq = random_activity(rng, "s0", min_len=3, max_len=6)
-    _, h_tilde, _, _ = op_forward(seq, params, vocab)
-    emb = extract_embedding(seq, params, vocab)
+    _, (x, _) = random_activity(rng, "s0", min_len=3, max_len=6)
+    _, h_tilde, _, _ = op_forward(x, params)
+    emb = extract_embedding(x, params)
     assert emb.shape == (6,)
     assert np.array_equal(emb, h_tilde)
 
@@ -315,15 +308,13 @@ def test_op_predict_scores_probability_of_passing():
     vocab = small_vocab()
     rng = np.random.default_rng(47)
     params = op_init(ModelSpec.op(vocab, 4), rng)
-    seqs = [random_activity(rng, f"s{i}") for i in range(4)]
-    from hierfed.models.encoding import encode_op_student, pad_batch
-    encoded = [encode_op_student(s, vocab) for s in seqs]
+    encoded = [random_activity(rng, f"s{i}")[1] for i in range(4)]
     x, lengths = pad_batch([e[0] for e in encoded])
     labels = np.array([e[1] for e in encoded])
 
     scores, out_labels = op_predict(x, lengths, labels, params)
     assert np.array_equal(out_labels, labels)
-    probs0, _, _, _ = op_forward(seqs[0], params, vocab)
+    probs0, _, _, _ = op_forward(encoded[0][0], params)
     assert np.isclose(scores[0], probs0[1], atol=1e-12)
 
 
@@ -335,7 +326,7 @@ def test_empty_batches_are_rejected():
     for task, seqs, params in (
             (KT, [random_interaction(rng, "s0")], kt_params),
             (OP, [random_activity(rng, "s0")], op_params)):
-        data, _ = client_data(task, seqs, vocab)
+        data, _ = client_data(task, seqs)
         with pytest.raises(ValueError):
             data.loss_grad([], params)
 
@@ -347,7 +338,7 @@ def test_kt_gradients_match_finite_differences():
         params = kt_init(ModelSpec.kt(vocab, 4), rng)
         seqs = [random_interaction(rng, f"s{i}", min_len=2, max_len=5)
                 for i in range(3)]
-        data, ids = client_data(KT, seqs, vocab)
+        data, ids = client_data(KT, seqs)
         _, grads = data.loss_grad(ids, params)
         fd = finite_diff_grad(lambda p: data.loss_grad(ids, p)[0], params)
         assert grad_rel_error(grads, fd) < TOL
@@ -360,7 +351,7 @@ def test_op_gradients_match_finite_differences():
         params = op_init(ModelSpec.op(vocab, 4), rng)
         seqs = [random_activity(rng, f"s{i}", min_len=1, max_len=5)
                 for i in range(3)]
-        data, ids = client_data(OP, seqs, vocab)
+        data, ids = client_data(OP, seqs)
         _, grads = data.loss_grad(ids, params)
         fd = finite_diff_grad(lambda p: data.loss_grad(ids, p)[0], params)
         assert grad_rel_error(grads, fd) < TOL

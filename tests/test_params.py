@@ -101,5 +101,4 @@ def test_first_nonfinite_layer_reports_in_order():
     assert p.first_nonfinite_layer() is None
     p.layers["b"][0] = np.inf
     p.layers["c"][0] = np.nan
-    assert not p.is_finite()
     assert p.first_nonfinite_layer() == "b"

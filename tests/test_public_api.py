@@ -4,9 +4,12 @@ exported name of the lower layers is used by the program itself."""
 import ast
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from hierfed.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "hierfed"
@@ -24,6 +27,20 @@ def test_readme_library_example_runs():
         namespace = {}
         exec(compile(block, "README.md", "exec"), namespace)
     assert namespace["report"]["summary"]["overall_mean"] is not None
+
+
+def test_readme_shell_commands_parse():
+    blocks = re.findall(r"```(?:sh|bash)?\n(.*?)```",
+                        (ROOT / "README.md").read_text(), flags=re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("hierfed ")]
+    assert len(lines) >= 4
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 def _used_names() -> set:

@@ -407,6 +407,27 @@ def test_cli_maps_numeric_failures_to_exit_three(monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_cli_evaluate_exits_three_naming_the_diverged_client(
+        tmp_path, two_course_dir, monkeypatch, capsys):
+    cfg = small_config(two_course_dir, strategy="sc2-P-AT-B",
+                       demographic="gender", hidden_dim=4, rounds=1,
+                       local_iters=1)
+    cmd_train(cfg, out=tmp_path)
+
+    def poisoned(path):
+        models, chash, extra = load_checkpoint(path)
+        models["global"]["lstm.W"][0, 0] = np.nan
+        return models, chash, extra
+
+    monkeypatch.setattr(runner, "load_checkpoint", poisoned)
+    with np.errstate(invalid="ignore"):
+        rc = main(["evaluate", "--out", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: fold 0, rep 0, test course "
+                          "adaptation, client GroupKey(c0|none|all)"), err
+
+
 def test_environment_seed_overrides_every_flag(monkeypatch):
     parser = build_parser()
     args = parser.parse_args(["train", "--seed", "3"])
