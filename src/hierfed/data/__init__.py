@@ -1,14 +1,15 @@
 """Data layer: records, ingestion, folds, grouping, sequences, sampling."""
 
 from .grouping import AGE_BUCKETS, age_bucket, group_by_demographic, subgroup_of
-from .ingest import EVENTS_HEADER, STUDENTS_HEADER, export_dataset, ingest
+from .ingest import STUDENTS_HEADER, export_dataset, ingest
 from .partition import N_FOLDS, Partition, make_folds
 from .records import (
     CONTINENTS,
     EVENT_KINDS,
+    EVENTS_HEADER,
     GENDERS,
     Dataset,
-    EventRecord,
+    EventTable,
     StudentRecord,
 )
 from .sampling import stratified_batch
@@ -20,7 +21,7 @@ __all__ = [
     "Dataset",
     "EVENTS_HEADER",
     "EVENT_KINDS",
-    "EventRecord",
+    "EventTable",
     "GENDERS",
     "MAX_SEQ_LEN",
     "N_FOLDS",

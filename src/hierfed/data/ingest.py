@@ -1,46 +1,40 @@
 """CSV / JSON-Lines ingestion with per-line error reporting.
 
-Events are sorted per student by (timestamp, input order); repeated quiz
-responses for the same (student, video) keep the first and are logged.
+The events file is read into columns and handed to Dataset, which checks
+and sorts them into one event table (see records.Dataset); an invalid
+event is reported with its file and line.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import logging
+import sys
+from array import array
 from pathlib import Path
 
 from ..errors import DataError
-from .records import Dataset, EventRecord, StudentRecord
+from .records import (
+    EVENT_KINDS,
+    EVENTS_HEADER,
+    FORUM_ACTIONS,
+    Dataset,
+    EventError,
+    StudentRecord,
+    _opt,
+    _opt_int,
+    extend_columns,
+)
 
-logger = logging.getLogger(__name__)
-
-EVENTS_HEADER = ["student_id", "course_id", "kind", "video_id", "response",
-                 "forum_action", "timestamp"]
 STUDENTS_HEADER = ["student_id", "course_id", "gender", "continent",
                    "birth_year", "outcome"]
-
-
-def _opt(value):
-    if value is None:
-        return None
-    value = str(value).strip()
-    return value or None
-
-
-def _opt_int(value, what: str):
-    value = _opt(value)
-    if value is None:
-        return None
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+_CHUNK_ROWS = 4096  # rows held as lists at once; the rest are columns
 
 
 def _iter_rows(path: Path, header):
-    """Yield (line_number, field dict) from a CSV or JSON-Lines file."""
+    """Yield (line number, fields in header order) from a CSV or JSON-Lines
+    file. Fields are interned text (JSON values as their text), or None
+    for a missing JSON field, so repeated values share one string."""
     if path.suffix == ".jsonl":
         with open(path, encoding="utf-8") as fh:
             for ln, raw in enumerate(fh, start=1):
@@ -56,7 +50,8 @@ def _iter_rows(path: Path, header):
                 unknown = set(row) - set(header)
                 if unknown:
                     raise DataError(f"{path}:{ln}: unknown fields {sorted(unknown)}")
-                yield ln, {k: row.get(k) for k in header}
+                yield ln, [None if row.get(k) is None else sys.intern(str(row[k]))
+                           for k in header]
     else:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -72,26 +67,31 @@ def _iter_rows(path: Path, header):
                 if len(row) != len(header):
                     raise DataError(f"{path}:{ln}: expected {len(header)} fields, "
                                     f"got {len(row)}")
-                yield ln, dict(zip(header, row))
+                yield ln, list(map(sys.intern, row))
 
 
-def _parse_event(fields) -> EventRecord:
-    response = _opt_int(fields.get("response"), "response")
-    ts = _opt_int(fields.get("timestamp"), "timestamp")
-    if ts is None:
-        raise ValueError("timestamp is required")
-    return EventRecord(
-        student_id=str(fields["student_id"]).strip(),
-        course_id=str(fields["course_id"]).strip(),
-        kind=str(fields["kind"]).strip(),
-        video_id=_opt(fields.get("video_id")),
-        response=response,
-        forum_action=_opt(fields.get("forum_action")),
-        timestamp=ts,
-    )
+def _read_columns(path: Path, header):
+    """(columns, line numbers, error) of a file, read in chunks of rows.
+
+    Reading stops at the first malformed line, whose DataError is returned,
+    not raised, so that an invalid row before it can be reported first.
+    """
+    columns, lines, chunk, error = [[] for _ in header], array("q"), [], None
+    try:
+        for ln, row in _iter_rows(path, header):
+            chunk.append(row)
+            lines.append(ln)
+            if len(chunk) == _CHUNK_ROWS:
+                extend_columns(chunk, columns)
+                chunk.clear()
+    except DataError as exc:
+        error = exc
+    extend_columns(chunk, columns)
+    return columns, lines, error
 
 
-def _parse_student(fields) -> StudentRecord:
+def _parse_student(row) -> StudentRecord:
+    fields = dict(zip(STUDENTS_HEADER, row))
     outcome = _opt_int(fields.get("outcome"), "outcome")
     if outcome is None:
         raise ValueError("outcome is required")
@@ -113,48 +113,27 @@ def ingest(events_path, students_path) -> Dataset:
     """
     events_path, students_path = Path(events_path), Path(students_path)
     students: dict[str, StudentRecord] = {}
-    for ln, fields in _iter_rows(students_path, STUDENTS_HEADER):
+    columns, lines, malformed = _read_columns(students_path, STUDENTS_HEADER)
+    for ln, row in zip(lines, zip(*columns)):
         try:
-            rec = _parse_student(fields)
+            rec = _parse_student(row)
         except ValueError as exc:
             raise DataError(f"{students_path}:{ln}: {exc}") from None
         if rec.student_id in students:
             raise DataError(f"{students_path}:{ln}: duplicate student id "
                             f"{rec.student_id!r}")
         students[rec.student_id] = rec
+    if malformed is not None:
+        raise malformed
 
-    events_by_student = {sid: [] for sid in students}
-    order: dict[str, int] = {}
-    for ln, fields in _iter_rows(events_path, EVENTS_HEADER):
-        try:
-            ev = _parse_event(fields)
-        except ValueError as exc:
-            raise DataError(f"{events_path}:{ln}: {exc}") from None
-        if ev.student_id not in students:
-            raise DataError(f"{events_path}:{ln}: unknown student "
-                            f"{ev.student_id!r}")
-        if ev.course_id != students[ev.student_id].course_id:
-            raise DataError(f"{events_path}:{ln}: event course {ev.course_id!r} "
-                            f"does not match roster course "
-                            f"{students[ev.student_id].course_id!r}")
-        events_by_student[ev.student_id].append(ev)
-
-    n_dup = 0
-    for sid, events in events_by_student.items():
-        events.sort(key=lambda e: e.timestamp)  # stable: input order breaks ties
-        deduped, answered = [], set()
-        for ev in events:
-            if ev.kind == "quiz_response":
-                if ev.video_id in answered:
-                    n_dup += 1
-                    continue
-                answered.add(ev.video_id)
-            deduped.append(ev)
-        events_by_student[sid] = deduped
-    if n_dup:
-        logger.warning("dropped %d repeated quiz responses (first kept)", n_dup)
-
-    return Dataset(students=students, events_by_student=events_by_student)
+    columns, lines, malformed = _read_columns(events_path, EVENTS_HEADER)
+    try:
+        dataset = Dataset(students, columns)
+    except EventError as exc:
+        raise DataError(f"{events_path}:{lines[exc.row]}: {exc}") from None
+    if malformed is not None:
+        raise malformed
+    return dataset
 
 
 def export_dataset(dataset: Dataset, events_path, students_path):
@@ -170,12 +149,16 @@ def export_dataset(dataset: Dataset, events_path, students_path):
                         s.continent or "",
                         "" if s.birth_year is None else s.birth_year,
                         s.outcome])
+    table = dataset.events
+    fields = [(dataset.student_ids, table.student), (dataset.course_ids, table.course),
+              (EVENT_KINDS, table.kind), (table.video_ids, table.video),
+              ((0, 1), table.response), (FORUM_ACTIONS, table.action)]
+    lookups = [list(values) + [""] for values, _ in fields]  # code -1: absent
     with open(events_path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(EVENTS_HEADER)
-        for sid in sorted(dataset.events_by_student):
-            for ev in dataset.events_by_student[sid]:
-                w.writerow([ev.student_id, ev.course_id, ev.kind,
-                            ev.video_id or "",
-                            "" if ev.response is None else ev.response,
-                            ev.forum_action or "", ev.timestamp])
+        for start in range(0, len(table), _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            w.writerows(zip(*[map(lookup.__getitem__, codes[rows].tolist())
+                              for lookup, (_, codes) in zip(lookups, fields)],
+                            table.timestamp[rows].tolist()))

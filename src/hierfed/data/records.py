@@ -1,42 +1,39 @@
-"""Validated event/student records and the immutable Dataset container."""
+"""The student roster and the sorted columnar event table of one dataset."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import logging
+from dataclasses import dataclass
 
+import numpy as np
+
+logger = logging.getLogger(__name__)
+
+EVENTS_HEADER = ["student_id", "course_id", "kind", "video_id", "response",
+                 "forum_action", "timestamp"]
 EVENT_KINDS = ("video", "quiz_response", "forum")
+VIDEO, QUIZ, FORUM = range(len(EVENT_KINDS))
 FORUM_ACTIONS = ("forum_post", "forum_reply", "forum_view")
 GENDERS = ("M", "F")
 CONTINENTS = ("AS", "AF", "EU", "NA", "SA")
+_INT64_MAX = np.iinfo(np.int64).max
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    """One log line; exactly the fields its kind requires are present."""
-    student_id: str
-    course_id: str
-    kind: str
-    video_id: str | None = None
-    response: int | None = None
-    forum_action: str | None = None
-    timestamp: int = 0
+def _opt(value):
+    if value is None:
+        return None
+    value = str(value).strip()
+    return value or None
 
-    def __post_init__(self):
-        if self.kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {self.kind!r}")
-        if self.timestamp < 0:
-            raise ValueError("timestamp must be nonnegative")
-        if self.kind == "video":
-            ok = (self.video_id is not None and self.response is None
-                  and self.forum_action is None)
-        elif self.kind == "quiz_response":
-            ok = (self.video_id is not None and self.response in (0, 1)
-                  and self.forum_action is None)
-        else:
-            ok = (self.video_id is None and self.response is None
-                  and self.forum_action in FORUM_ACTIONS)
-        if not ok:
-            raise ValueError(f"fields inconsistent with kind {self.kind!r}")
+
+def _opt_int(value, what: str):
+    value = _opt(value)
+    if value is None:
+        return None
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -59,22 +56,213 @@ class StudentRecord:
             raise ValueError(f"outcome must be 0/1, got {self.outcome!r}")
 
 
-@dataclass
-class Dataset:
-    """Immutable-after-construction view of one ingested dataset."""
-    students: dict = field(default_factory=dict)           # id -> StudentRecord
-    events_by_student: dict = field(default_factory=dict)  # id -> [EventRecord]
+class EventError(ValueError):
+    """An invalid event; row is its index in the columns given to Dataset."""
 
-    @property
-    def course_ids(self):
-        return tuple(sorted({s.course_id for s in self.students.values()}))
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
+@dataclass(frozen=True, eq=False)
+class EventTable:
+    """Every event of a dataset as integer columns, one row per event.
+
+    Rows are sorted by (student, timestamp), input order breaking ties, so
+    student i's events are rows offsets[i]:offsets[i + 1]. student indexes
+    the dataset's sorted student_ids, course its course_ids, kind
+    EVENT_KINDS, video the sorted video_ids and action FORUM_ACTIONS.
+    video is -1 on forum rows; response (0/1) is set exactly on quiz rows
+    and action exactly on forum rows, -1 elsewhere.
+    """
+    video_ids: tuple
+    offsets: np.ndarray
+    student: np.ndarray
+    course: np.ndarray
+    kind: np.ndarray
+    video: np.ndarray
+    response: np.ndarray
+    action: np.ndarray
+    timestamp: np.ndarray
+
+    def __len__(self) -> int:
+        return self.student.size
+
+
+def extend_columns(rows, columns=None) -> list:
+    """Append rows to columns, one list per field, and return the columns;
+    when columns is None, start the seven event columns (EVENTS_HEADER)."""
+    if columns is None:
+        columns = [[] for _ in EVENTS_HEADER]
+    for column, values in zip(columns, zip(*rows)):
+        column.extend(values)
+    return columns
+
+
+def _coded(column, code_of):
+    """int64 array of code_of(value) per row; runs once per distinct value."""
+    index = dict.fromkeys(column)
+    for raw in index:
+        index[raw] = code_of(raw)
+    return np.fromiter(map(index.__getitem__, column), np.int64, len(column))
+
+
+def _text(value) -> str:
+    return str(value).strip()
+
+
+def _index_or(values, value, missing: int) -> int:
+    return values.index(value) if value in values else missing
+
+
+def _response_code(value) -> int:
+    """0/1; -1 absent, 2 another integer, -2 not an integer."""
+    try:
+        r = _opt_int(value, "response")
+    except ValueError:
+        return -2
+    return -1 if r is None else r if r in (0, 1) else 2
+
+
+def _timestamp_code(value) -> int:
+    """The timestamp; -1 negative, -2 not an integer, -3 absent, -4 beyond
+    int64."""
+    try:
+        t = _opt_int(value, "timestamp")
+    except ValueError:
+        return -2
+    if t is None:
+        return -3
+    return -1 if t < 0 else -4 if t > _INT64_MAX else t
+
+
+def _parse_error(value, what: str) -> str:
+    try:
+        _opt_int(value, what)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _first_failure(n: int, checks):
+    """Row and message of the first failing row's first failing check.
+
+    checks: (per-row failure mask, row -> message) pairs in check order.
+    """
+    failed = np.zeros(n, dtype=bool)
+    for mask, _ in checks:
+        failed |= mask
+    if not failed.any():
+        return None
+    row = int(np.argmax(failed))
+    message = next(describe(row) for mask, describe in checks if mask[row])
+    return row, message
+
+
+class Dataset:
+    """One dataset: the student roster and its event table.
+
+    students maps id -> StudentRecord. columns holds the events as seven
+    equal-length sequences in EVENTS_HEADER order (extend_columns builds
+    them from event rows); values are strings, integers or None, text is
+    stripped and an empty field is absent. Every event is checked against
+    its kind and the roster, the first invalid row raising EventError;
+    repeated quiz responses to one video keep the student's first (the
+    count is logged).
+    """
+
+    def __init__(self, students: dict, columns=()):
+        self.students = dict(students)
+        self.student_ids = tuple(sorted(self.students))
+        self.course_ids = tuple(sorted({s.course_id for s in self.students.values()}))
+        self._student_index = {sid: i for i, sid in enumerate(self.student_ids)}
+        self.events = self._event_table(columns or extend_columns([]))
 
     def students_by_course(self) -> dict:
         out = {c: [] for c in self.course_ids}
-        for sid in sorted(self.students):
+        for sid in self.student_ids:
             out[self.students[sid].course_id].append(sid)
         return out
 
-    def fingerprint_ids(self, student_ids) -> str:
-        """Stable text form of a student set, for deriving RNG streams."""
-        return ",".join(sorted(student_ids))
+    def event_mask(self, student_ids) -> np.ndarray:
+        """Per event row: is its student one of student_ids?"""
+        chosen = np.zeros(len(self.student_ids), dtype=bool)
+        index = self._student_index
+        chosen[[index[sid] for sid in student_ids if sid in index]] = True
+        return chosen[self.events.student]
+
+    def _event_table(self, columns) -> EventTable:
+        if len(columns) != len(EVENTS_HEADER):
+            raise ValueError(f"expected {len(EVENTS_HEADER)} event columns, "
+                             f"got {len(columns)}")
+        n = len(columns[0])
+        if any(len(col) != n for col in columns):
+            raise ValueError("event columns differ in length")
+        sid_col, course_col, kind_col, video_col, resp_col, action_col, ts_col = columns
+        video_ids = tuple(sorted({v for v in map(_opt, dict.fromkeys(video_col))
+                                  if v is not None}))
+        video_index = {v: j for j, v in enumerate(video_ids)}
+        course_index = {c: j for j, c in enumerate(self.course_ids)}
+        # one array per column, -1 where the field is absent; other negative
+        # codes (and response 2) mark values that fail a check
+        t = {
+            "student": _coded(sid_col, lambda v: self._student_index.get(_text(v), -1)),
+            "course": _coded(course_col, lambda v: course_index.get(_text(v), -1)),
+            "kind": _coded(kind_col, lambda v: _index_or(EVENT_KINDS, _text(v), -1)),
+            "video": _coded(video_col, lambda v: video_index.get(_opt(v), -1)),
+            "response": _coded(resp_col, _response_code),
+            "action": _coded(action_col, lambda v: -1 if _opt(v) is None
+                             else _index_or(FORUM_ACTIONS, _opt(v), -2)),
+            "timestamp": _coded(ts_col, _timestamp_code),
+        }
+        failure = self._first_invalid(t, columns)
+        if failure is not None:
+            raise EventError(*failure)
+
+        order = np.argsort(t["timestamp"], kind="stable")
+        order = order[np.argsort(t["student"][order], kind="stable")]
+        quiz = order[t["kind"][order] == QUIZ]
+        _, first = np.unique(t["student"][quiz] * len(video_ids) + t["video"][quiz],
+                             return_index=True)
+        if first.size < quiz.size:
+            logger.warning("dropped %d repeated quiz responses (first kept)",
+                           quiz.size - first.size)
+            keep = np.ones(n, dtype=bool)
+            keep[quiz] = False
+            keep[quiz[first]] = True
+            order = order[keep[order]]
+        for name in t:  # one column at a time, so each unsorted one is freed
+            t[name] = t[name][order]
+        counts = np.bincount(t["student"], minlength=len(self.student_ids))
+        return EventTable(video_ids=video_ids,
+                          offsets=np.concatenate(([0], np.cumsum(counts))), **t)
+
+    def _first_invalid(self, t: dict, columns):
+        """(row, message) of the first invalid event, or None."""
+        sid_col, course_col, kind_col, _, resp_col, _, ts_col = columns
+        student, kind, video = t["student"], t["kind"], t["video"]
+        response, action, ts = t["response"], t["action"], t["timestamp"]
+        # an unknown student (-1) picks the trailing -1
+        roster_course = np.array([self.course_ids.index(self.students[s].course_id)
+                                  for s in self.student_ids] + [-1])[student]
+        has_video = video >= 0
+        consistent = np.where(
+            kind == VIDEO, has_video & (response == -1) & (action == -1),
+            np.where(kind == QUIZ,
+                     has_video & (response >= 0) & (response <= 1) & (action == -1),
+                     ~has_video & (response == -1) & (action >= 0)))
+        return _first_failure(student.size, [
+            (response == -2, lambda i: _parse_error(resp_col[i], "response")),
+            (ts == -2, lambda i: _parse_error(ts_col[i], "timestamp")),
+            (ts == -3, lambda i: "timestamp is required"),
+            (kind == -1, lambda i: f"unknown event kind {_text(kind_col[i])!r}"),
+            (ts == -1, lambda i: "timestamp must be nonnegative"),
+            (~consistent,
+             lambda i: f"fields inconsistent with kind {_text(kind_col[i])!r}"),
+            (student == -1, lambda i: f"unknown student {_text(sid_col[i])!r}"),
+            (t["course"] != roster_course,
+             lambda i: (f"event course {_text(course_col[i])!r} does not match "
+                        f"roster course "
+                        f"{self.students[_text(sid_col[i])].course_id!r}")),
+            (ts == -4, lambda i: f"timestamp {_opt_int(ts_col[i], 'timestamp')} "
+                                 "is out of range"),
+        ])

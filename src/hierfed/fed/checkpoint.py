@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..errors import ConfigError, NumericsError
 from ..nn.params import ParamSet
 
 
@@ -25,12 +26,17 @@ def _encode_params(params: ParamSet) -> list:
     return out
 
 
-def _decode_params(entries: list) -> ParamSet:
+def _decode_params(entries: list, path, key: str) -> ParamSet:
     out = {}
     for entry in entries:
-        raw = base64.b64decode(entry["data"])
+        name = entry["name"]
+        raw = base64.b64decode(entry["data"], validate=True)
         arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-        out[entry["name"]] = arr.reshape(entry["shape"])
+        arr = arr.reshape(entry["shape"])
+        if not np.isfinite(arr).all():
+            raise NumericsError(f"{path}: model {key!r} layer {name!r} "
+                                "contains non-finite values")
+        out[name] = arr
     return ParamSet(out)
 
 
@@ -50,9 +56,17 @@ def save_checkpoint(path, models: dict, config_hash: str, extra: dict | None = N
 
 
 def load_checkpoint(path):
-    """Read back (models, config_hash, extra)."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    models = {key: _decode_params(entry)
-              for key, entry in doc["models"].items()}
-    return models, doc["config_hash"], doc.get("extra", {})
+    """Read back (models, config_hash, extra).
+
+    A file that is not a well-formed checkpoint raises ConfigError and a
+    non-finite weight raises NumericsError, each naming the file.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        models = {key: _decode_params(entry, path, key)
+                  for key, entry in doc["models"].items()}
+        return models, doc["config_hash"], doc.get("extra", {})
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"{path}: malformed checkpoint "
+                          f"({type(exc).__name__}: {exc})") from None

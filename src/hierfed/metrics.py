@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data.records import EVENT_KINDS, FORUM_ACTIONS
+
 logger = logging.getLogger(__name__)
 
 ACTIVITY_TYPES = ("video", "quiz_response", "forum_post", "forum_reply", "forum_view")
@@ -91,25 +93,26 @@ def summarize(runs) -> SubgroupSummary:
     return out
 
 
-def _activity_row(event) -> int:
-    if event.kind == "forum":
-        return ACTIVITY_TYPES.index(event.forum_action)
-    return ACTIVITY_TYPES.index(event.kind)
-
-
 def _engagement_fractions(dataset, students, t_bins: int) -> np.ndarray:
-    frac = np.zeros((len(ACTIVITY_TYPES), t_bins))
-    for sid in students:
-        events = dataset.events_by_student.get(sid, [])
-        if not events:
-            continue
-        seen = np.zeros((len(ACTIVITY_TYPES), t_bins), dtype=bool)
-        T = len(events)
-        for j, ev in enumerate(events):
-            b = min(int(j * t_bins / T), t_bins - 1)
-            seen[_activity_row(ev), b] = True
-        frac += seen
-    return frac / len(students)
+    """Share of students with an event of each activity type in each bin."""
+    table = dataset.events
+    rows = np.flatnonzero(dataset.event_mask(students))
+    student = table.student[rows]
+    # each row's position in its student's sequence, over that length
+    lengths = np.diff(table.offsets)[student]
+    pos = rows - table.offsets[student]
+    bins = np.minimum((pos * t_bins / lengths).astype(np.int64), t_bins - 1)
+    # forum rows take their action's row, the others their kind's
+    kind_row = np.array([ACTIVITY_TYPES.index(k) if k in ACTIVITY_TYPES else -1
+                         for k in EVENT_KINDS])
+    action_row = np.array([ACTIVITY_TYPES.index(a) for a in FORUM_ACTIONS])
+    action = table.action[rows]
+    activity = np.where(action >= 0, action_row[action], kind_row[table.kind[rows]])
+    n_cells = len(ACTIVITY_TYPES) * t_bins
+    # a student counts once per (activity, bin) cell
+    seen = np.unique(student * n_cells + activity * t_bins + bins)
+    counts = np.bincount(seen % n_cells, minlength=n_cells)
+    return counts.reshape(len(ACTIVITY_TYPES), t_bins) / len(students)
 
 
 def activity_heatmap(dataset, group_a, group_b, t_bins: int = 50) -> np.ndarray:

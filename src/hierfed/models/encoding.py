@@ -6,9 +6,10 @@ encoding: course + video + response + forum-action blocks, where a step is
 either a video interaction (forum block zero) or a forum action (video and
 response blocks zero).
 
-A student's events are encoded straight into a dense (steps, width) array:
-the one-hot column of every block a step sets is computed first, and the
-rows are then filled by one fancy-index assignment.
+Each encoder reads a dataset's event table: it maps the table's course and
+video codes to vocabulary columns, writes the one-hot rows of every
+student in one matrix with one fancy-index assignment, and gives each
+student a row slice of it.
 """
 
 from __future__ import annotations
@@ -108,50 +109,87 @@ class ModelSpec:
         return ModelSpec("OP", hidden_dim, vocab.op_input_dim)
 
 
-def encode_kt(quiz, vocab: Vocab):
-    """Knowledge-tracing arrays of one student's quiz-response events.
+def _slots(dataset, vocab: Vocab):
+    """Vocabulary column of each dataset course and each event-table video."""
+    return (np.array([vocab.course_index(c) for c in dataset.course_ids],
+                     dtype=np.int64),
+            np.array([vocab.video_index(v) for v in dataset.events.video_ids],
+                     dtype=np.int64))
 
-    Returns (x, targets): x is (L-1, D) item one-hots of steps 1..L-1 and
-    targets is (L-1,) responses at steps 2..L, since the prediction made
-    after consuming item t scores the response to item t+1. A single
-    response yields zero rows.
+
+def _first_steps(dataset, rows, max_len: int):
+    """The first max_len of each student's table rows among rows (ascending).
+
+    Returns (kept rows, each student's position of every kept row, per
+    student kept counts).
     """
-    items = quiz[:-1]
-    video = vocab.n_courses
-    cols = [col for ev in items
-            for col in (vocab.course_index(ev.course_id),
-                        video + vocab.video_index(ev.video_id))]
-    x = np.zeros((len(items), vocab.kt_input_dim))
-    x[np.repeat(np.arange(len(items)), 2), cols] = 1.0
-    return x, np.array([ev.response for ev in quiz[1:]], dtype=np.int64)
+    counts = np.bincount(dataset.events.student[rows],
+                         minlength=len(dataset.student_ids))
+    pos = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    keep = pos < max_len
+    return rows[keep], pos[keep], np.minimum(counts, max_len)
 
 
-def encode_op(events, outcome: int, vocab: Vocab):
-    """Outcome-prediction arrays of one student's events: ((T, D) x, label).
+def _one_hots(n_rows: int, width: int, rows, cols):
+    x = np.zeros((n_rows, width))
+    x[rows, cols] = 1.0
+    return x
 
-    Forum steps leave the video and response blocks zero; video steps leave
-    the forum block zero, and the response block too when the event has no
-    quiz response.
+
+def encode_kt(dataset, vocab: Vocab, max_len: int) -> dict:
+    """Knowledge-tracing arrays of every student: {sid: (x, targets)}.
+
+    A student's quiz responses (the rows with a response), first max_len,
+    give x: (L-1, D) item one-hots of steps 1..L-1, and targets: (L-1,)
+    responses at steps 2..L, since the prediction made after consuming
+    item t scores the response to item t+1. A single response yields zero
+    rows; a student with none is left out.
     """
+    table = dataset.events
+    course_slot, video_slot = _slots(dataset, vocab)
+    quiz, pos, lengths = _first_steps(dataset, np.flatnonzero(table.response >= 0),
+                                      max_len)
+    items = quiz[pos < np.repeat(lengths - 1, lengths)]  # all but the last
+    targets = table.response[quiz[pos > 0]]
+    step = np.arange(items.size)
+    x = _one_hots(items.size, vocab.kt_input_dim, np.concatenate((step, step)),
+                  np.concatenate((course_slot[table.course[items]],
+                                  vocab.n_courses + video_slot[table.video[items]])))
+    n_items = np.maximum(lengths - 1, 0)
+    ends = np.cumsum(n_items).tolist()
+    return {sid: (x[end - n:end], targets[end - n:end])
+            for sid, end, n, length in zip(dataset.student_ids, ends,
+                                           n_items.tolist(), lengths.tolist())
+            if length}
+
+
+def encode_op(dataset, vocab: Vocab, max_len: int) -> dict:
+    """Outcome-prediction arrays of every student: {sid: ((T, D) x, label)}.
+
+    Each event, first max_len, is one step. Forum steps leave the video and
+    response blocks zero; video steps leave the forum block zero, and the
+    response block too when the event has no quiz response. A student with
+    no events is left out.
+    """
+    table = dataset.events
+    course_slot, video_slot = _slots(dataset, vocab)
+    rows, _, lengths = _first_steps(dataset, np.arange(len(table)), max_len)
+    step = np.arange(rows.size)
+    forum = table.action[rows] >= 0
+    answered = table.response[rows] >= 0
     video = vocab.n_courses
     response = vocab.kt_input_dim
-    forum = response + N_RESPONSE_SLOTS
-    rows, cols = [], []
-    for t, ev in enumerate(events):
-        rows.append(t)
-        cols.append(vocab.course_index(ev.course_id))
-        if ev.kind == "forum":
-            rows.append(t)
-            cols.append(forum + FORUM_ACTIONS.index(ev.forum_action))
-            continue
-        rows.append(t)
-        cols.append(video + vocab.video_index(ev.video_id))
-        if ev.response is not None:
-            rows.append(t)
-            cols.append(response + ev.response)
-    x = np.zeros((len(events), vocab.op_input_dim))
-    x[rows, cols] = 1.0
-    return x, int(outcome)
+    x = _one_hots(rows.size, vocab.op_input_dim,
+                  np.concatenate((step, step[~forum], step[answered], step[forum])),
+                  np.concatenate((course_slot[table.course[rows]],
+                                  video + video_slot[table.video[rows[~forum]]],
+                                  response + table.response[rows[answered]],
+                                  response + N_RESPONSE_SLOTS
+                                  + table.action[rows[forum]])))
+    ends = np.cumsum(lengths).tolist()
+    return {sid: (x[end - n:end], int(dataset.students[sid].outcome))
+            for sid, end, n in zip(dataset.student_ids, ends, lengths.tolist())
+            if n}
 
 
 def pad_batch(arrays):

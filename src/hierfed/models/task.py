@@ -23,8 +23,8 @@ from .op import op_init, op_loss_grad, op_predict
 class Task:
     """What differs between the tasks; see KT and OP for the two instances.
 
-    encode(dataset, sid, vocab, max_len) -> (x, target), or None when the
-    student has no usable steps; stack_targets(targets, T) -> batch target
+    encode(dataset, vocab, max_len) -> {sid: (x, target)} over the
+    students with usable steps; stack_targets(targets, T) -> batch target
     array; spec(vocab, hidden_dim) -> ModelSpec; init, loss_grad and
     predict are the model's entry points.
     """
@@ -35,21 +35,6 @@ class Task:
     init: Callable
     loss_grad: Callable
     predict: Callable
-
-
-def _kt_encode(dataset, sid, vocab, max_len):
-    """Quiz responses only, in chronological order."""
-    quiz = [ev for ev in dataset.events_by_student.get(sid, [])
-            if ev.kind == "quiz_response"][:max_len]
-    return encode_kt(quiz, vocab) if quiz else None
-
-
-def _op_encode(dataset, sid, vocab, max_len):
-    """Every event as one step, labelled with the student's outcome."""
-    events = dataset.events_by_student.get(sid, [])[:max_len]
-    if not events:
-        return None
-    return encode_op(events, dataset.students[sid].outcome, vocab)
 
 
 def _pad_targets(targets, T):
@@ -65,8 +50,8 @@ def _label_vector(targets, T):
     return np.array(targets, dtype=np.int64)
 
 
-KT = Task("KT", _kt_encode, _pad_targets, ModelSpec.kt,
+KT = Task("KT", encode_kt, _pad_targets, ModelSpec.kt,
           kt_init, kt_loss_grad, kt_predict)
-OP = Task("OP", _op_encode, _label_vector, ModelSpec.op,
+OP = Task("OP", encode_op, _label_vector, ModelSpec.op,
           op_init, op_loss_grad, op_predict)
 TASKS = {"KT": KT, "OP": OP}

@@ -25,6 +25,7 @@ from .blas import one_blas_thread
 from .data.grouping import group_by_demographic
 from .data.ingest import ingest
 from .data.partition import make_folds
+from .data.records import EVENT_KINDS, FORUM_ACTIONS
 from .data.sequences import build_sequences, build_vocab
 from .errors import ConfigError
 from .fed.checkpoint import load_checkpoint, save_checkpoint
@@ -227,15 +228,31 @@ def resolve_dataset(name: str):
 
 
 def dataset_hash(ds) -> str:
-    h = hashlib.sha256()
-    for sid in sorted(ds.students):
+    """sha256 over each student's roster fields, then its events, as JSON.
+
+    Each distinct kind, video id and action is JSON-encoded once and every
+    event row is formatted from those pieces; the digest equals hashing
+    json.dumps([kind, video_id, response, forum_action, timestamp]) event
+    by event.
+    """
+    table = ds.events
+    kinds = [json.dumps(k) for k in EVENT_KINDS]
+    videos = [json.dumps(v) for v in table.video_ids] + ["null"]  # -1: none
+    responses = ["0", "1", "null"]
+    actions = [json.dumps(a) for a in FORUM_ACTIONS] + ["null"]
+    rows = [f"[{kinds[k]}, {videos[v]}, {responses[r]}, {actions[a]}, {t}]"
+            for k, v, r, a, t in zip(table.kind.tolist(), table.video.tolist(),
+                                     table.response.tolist(),
+                                     table.action.tolist(),
+                                     table.timestamp.tolist())]
+    offsets = table.offsets.tolist()
+    parts = []
+    for i, sid in enumerate(ds.student_ids):
         s = ds.students[sid]
-        h.update(json.dumps([s.student_id, s.course_id, s.gender, s.continent,
-                             s.birth_year, s.outcome]).encode())
-        for ev in ds.events_by_student.get(sid, []):
-            h.update(json.dumps([ev.kind, ev.video_id, ev.response,
-                                 ev.forum_action, ev.timestamp]).encode())
-    return h.hexdigest()
+        parts.append(json.dumps([s.student_id, s.course_id, s.gender, s.continent,
+                                 s.birth_year, s.outcome]))
+        parts.extend(rows[offsets[i]:offsets[i + 1]])
+    return hashlib.sha256("".join(parts).encode()).hexdigest()
 
 
 def load_gen_config(doc: dict, seed: int | None = None) -> GenConfig:
@@ -306,12 +323,12 @@ def _client_map(task, encoded, groups, require_nonempty: bool):
 
 
 def _quiz_triplets(ds, ids) -> list:
-    out = []
-    for sid in sorted(ids):
-        for ev in ds.events_by_student.get(sid, []):
-            if ev.kind == "quiz_response":
-                out.append((sid, ev.video_id, ev.response))
-    return out
+    """(student id, video id, response) of every quiz response of ids."""
+    table = ds.events
+    quiz = np.flatnonzero(ds.event_mask(ids) & (table.response >= 0))
+    return list(zip(map(ds.student_ids.__getitem__, table.student[quiz].tolist()),
+                    map(table.video_ids.__getitem__, table.video[quiz].tolist()),
+                    table.response[quiz].tolist()))
 
 
 def _prepare(config: ExperimentConfig, ds, parts, fold: int, rep: int) -> _RunSetup:
@@ -534,7 +551,7 @@ def cmd_generate(gen_config: GenConfig, out) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     ds = generate(gen_config, out_dir=out_dir)
     doc = {"students": len(ds.students),
-           "events": sum(len(v) for v in ds.events_by_student.values()),
+           "events": len(ds.events),
            "courses": list(ds.course_ids),
            "out": str(out_dir)}
     logger.info("generated %d students / %d events into %s",

@@ -9,13 +9,18 @@ from pathlib import Path
 import numpy as np
 
 from ..data.ingest import export_dataset
-from ..data.records import CONTINENTS, Dataset, EventRecord, StudentRecord
+from ..data.records import (
+    CONTINENTS,
+    FORUM_ACTIONS,
+    Dataset,
+    StudentRecord,
+    extend_columns,
+)
 from ..errors import ConfigError
 from ..keys import UNSPECIFIED
 from ..seeding import substream
 from .archetypes import ENGAGEMENT_CAP, N_FORUM, ArchetypeSpec, GenConfig, build_archetypes
 
-FORUM_ACTIONS = ("forum_post", "forum_reply", "forum_view")
 MAX_WALK = 120
 
 AGE_YEARS = {"~80": (1965, 1979), "80~90": (1980, 1989), "90~": (1990, 2004)}
@@ -45,7 +50,8 @@ def _fill_other_fields(fields: dict, rng):
 
 
 def _walk_events(sid: str, spec: ArchetypeSpec, ability: float, rng):
-    """One student's chronological events plus their quiz-correct fractions."""
+    """One student's chronological event rows (EVENTS_HEADER order) plus
+    their quiz-correct fraction and forum count."""
     V = spec.n_videos
     stop = V + N_FORUM
     events = []
@@ -59,21 +65,18 @@ def _walk_events(sid: str, spec: ArchetypeSpec, ability: float, rng):
             break
         if state < V:
             vid = spec.video_ids[state]
-            events.append(EventRecord(sid, spec.course, "video", video_id=vid,
-                                      timestamp=t))
+            events.append((sid, spec.course, "video", vid, None, None, t))
             t += 1
             if state not in answered:
                 answered.add(state)
                 p = _sigmoid(ability - spec.difficulty[state])
                 r = int(rng.random() < p)
                 n_correct += r
-                events.append(EventRecord(sid, spec.course, "quiz_response",
-                                          video_id=vid, response=r, timestamp=t))
+                events.append((sid, spec.course, "quiz_response", vid, r, None, t))
                 t += 1
         else:
             action = FORUM_ACTIONS[state - V]
-            events.append(EventRecord(sid, spec.course, "forum",
-                                      forum_action=action, timestamp=t))
+            events.append((sid, spec.course, "forum", None, None, action, t))
             t += 1
             n_forum += 1
         state = int(rng.choice(spec.transitions.shape[1],
@@ -90,7 +93,7 @@ def generate(config: GenConfig, out_dir=None) -> Dataset:
     """
     archetypes = build_archetypes(config)
     students: dict[str, StudentRecord] = {}
-    events_by_student: dict[str, list] = {}
+    columns = extend_columns([])
 
     for course in config.courses:
         n = config.students_per_course
@@ -104,6 +107,7 @@ def generate(config: GenConfig, out_dir=None) -> Dataset:
                 rng = substream(config.seed, "student", sid)
                 ability = spec.ability_mean + spec.ability_std * rng.normal()
                 events, frac, n_forum = _walk_events(sid, spec, ability, rng)
+                extend_columns(events, columns)
                 bonus = 0.1 * min(1.0, n_forum / ENGAGEMENT_CAP)
                 outcome = int(frac + bonus > spec.pass_threshold)
                 if rng.random() < spec.label_noise:
@@ -115,9 +119,8 @@ def generate(config: GenConfig, out_dir=None) -> Dataset:
                         fields[key] = None
                 students[sid] = StudentRecord(sid, course, outcome=outcome,
                                               **fields)
-                events_by_student[sid] = events
 
-    dataset = Dataset(students=students, events_by_student=events_by_student)
+    dataset = Dataset(students, columns)
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

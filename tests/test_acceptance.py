@@ -41,6 +41,7 @@ from hierfed.nn.params import GradSet, ParamSet, axpy_params, clip_grad_norm
 from hierfed.runner import ExperimentConfig, cmd_train
 from hierfed.synth.archetypes import ENGAGEMENT_CAP, GenConfig, build_archetypes
 from hierfed.synth.generate import PRESETS, generate, preset
+from rowwise import events_of
 from stepwise import forum, kt_entry, op_entry, video
 
 VOCAB = Vocab(("c0", "c1"), ("v0", "v1", "v2", "v3"))
@@ -279,12 +280,13 @@ def _op_score_ceiling(demographic: str) -> dict:
     """
     ds = generate(preset("heterogeneous-3course"))
     test_ids = make_folds(ds, 101)[0].test_ids()
+    by_student = events_of(ds)
     out = {}
     for key, ids in group_by_demographic(ds, demographic,
                                          student_ids=test_ids).items():
         scores, labels = [], []
         for sid in sorted(ids):
-            events = ds.events_by_student.get(sid, [])
+            events = by_student[sid]
             if not events:
                 continue
             responses = [ev.response for ev in events
@@ -439,7 +441,7 @@ def test_pipeline_hygiene_round_trips(tmp_path, caplog):
             for i in range(int(rng.integers(5, 31))):
                 sid = f"c{c}-s{i:03d}"
                 students[sid] = StudentRecord(sid, f"c{c}")
-        ds = Dataset(students, {sid: [] for sid in students})
+        ds = Dataset(students)
         folds = make_folds(ds, seed=trial)
         assert len(folds) == 5
         for course, ids in ds.students_by_course().items():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from hierfed.data.records import Dataset, EventRecord, StudentRecord
+from hierfed.data.grouping import group_by_demographic
+from hierfed.data.records import Dataset, StudentRecord, extend_columns
 from hierfed.keys import GroupKey
 from hierfed.metrics import (
     ACTIVITY_TYPES,
@@ -11,6 +12,8 @@ from hierfed.metrics import (
     auc,
     summarize,
 )
+from hierfed.synth.generate import generate, preset
+from rowwise import events_of
 
 
 def pair_count_auc(scores, labels):
@@ -129,16 +132,15 @@ def test_summarize_is_order_invariant():
 
 
 def _video(sid, t):
-    return EventRecord(sid, "c", "video", video_id="v0", timestamp=t)
+    return (sid, "c", "video", "v0", None, None, t)
 
 
 def _quiz(sid, t):
-    return EventRecord(sid, "c", "quiz_response", video_id="v0", response=1,
-                       timestamp=t)
+    return (sid, "c", "quiz_response", "v0", 1, None, t)
 
 
 def _forum(sid, action, t):
-    return EventRecord(sid, "c", "forum", forum_action=action, timestamp=t)
+    return (sid, "c", "forum", None, None, action, t)
 
 
 def heatmap_dataset():
@@ -147,13 +149,11 @@ def heatmap_dataset():
         "s2": StudentRecord("s2", "c"),
         "s3": StudentRecord("s3", "c"),
     }
-    events = {
-        "s1": [_video("s1", t) for t in range(4)],
-        "s2": [_forum("s2", "forum_post", t) for t in range(4)],
-        "s3": [_video("s3", 0), _quiz("s3", 1),
-               _forum("s3", "forum_view", 2), _forum("s3", "forum_reply", 3)],
-    }
-    return Dataset(students, events)
+    events = ([_video("s1", t) for t in range(4)]
+              + [_forum("s2", "forum_post", t) for t in range(4)]
+              + [_video("s3", 0), _quiz("s3", 1),
+                 _forum("s3", "forum_view", 2), _forum("s3", "forum_reply", 3)])
+    return Dataset(students, extend_columns(events))
 
 
 def test_heatmap_identical_groups_are_flat():
@@ -195,3 +195,32 @@ def test_heatmap_rejects_degenerate_input():
         activity_heatmap(ds, [], ["s1"])
     with pytest.raises(ValueError):
         activity_heatmap(ds, ["s1"], ["s2"], t_bins=0)
+
+
+def loop_heatmap(dataset, group_a, group_b, t_bins):
+    """Per-event reference: mark each student's (activity, bin) cells."""
+    by_student = events_of(dataset)
+
+    def fractions(group):
+        frac = np.zeros((len(ACTIVITY_TYPES), t_bins))
+        for sid in group:
+            events = by_student.get(sid, [])
+            seen = np.zeros_like(frac, dtype=bool)
+            for j, ev in enumerate(events):
+                kind = ev.forum_action if ev.kind == "forum" else ev.kind
+                seen[ACTIVITY_TYPES.index(kind),
+                     min(int(j * t_bins / len(events)), t_bins - 1)] = True
+            frac += seen
+        return frac / len(group)
+
+    return np.abs(fractions(set(group_a)) - fractions(set(group_b)))
+
+
+def test_heatmap_matches_the_per_event_reference():
+    ds = generate(preset("imbalanced-minority"))
+    groups = list(group_by_demographic(ds, "gender").values())
+    for t_bins in (7, 50):
+        for a in groups:
+            for b in groups:
+                got = activity_heatmap(ds, a, b, t_bins=t_bins)
+                assert got.tobytes() == loop_heatmap(ds, a, b, t_bins).tobytes()

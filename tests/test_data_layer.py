@@ -1,19 +1,25 @@
 """Ingestion, cross-validation folds, demographic grouping, and sampling."""
 
+import csv
+import json
 import logging
+import random
 
 import numpy as np
 import pytest
 
 from hierfed.data.grouping import age_bucket, group_by_demographic
-from hierfed.data.ingest import export_dataset, ingest
+from hierfed.data.ingest import EVENTS_HEADER, export_dataset, ingest
 from hierfed.data.partition import make_folds
-from hierfed.data.records import Dataset, EventRecord, StudentRecord
+from hierfed.data.records import Dataset, StudentRecord, extend_columns
 from hierfed.data.sampling import stratified_batch
 from hierfed.data.sequences import build_sequences, build_vocab
 from hierfed.errors import ConfigError, DataError
 from hierfed.keys import GroupKey
 from hierfed.models.task import KT, OP
+from hierfed.runner import dataset_hash
+from hierfed.synth.generate import generate, preset
+from rowwise import Event, events_of, reference_events
 
 STUDENTS_CSV = """\
 student_id,course_id,gender,continent,birth_year,outcome
@@ -47,8 +53,10 @@ def test_ingest_parses_both_files(tmp_path):
     assert ds.students["s2"].continent is None
     assert ds.students["s3"].birth_year is None
     assert ds.course_ids == ("c0", "c1")
-    kinds = [e.kind for e in ds.events_by_student["s1"]]
+    kinds = [e.kind for e in events_of(ds)["s1"]]
     assert kinds == ["video", "quiz_response", "forum"]
+    assert len(ds.events) == 5
+    assert ds.events.video_ids == ("v0", "v1", "v9")
 
 
 def test_ingest_round_trips_through_export(tmp_path):
@@ -58,7 +66,7 @@ def test_ingest_round_trips_through_export(tmp_path):
     export_dataset(ds, ep2, sp2)
     again = ingest(ep2, sp2)
     assert again.students == ds.students
-    assert again.events_by_student == ds.events_by_student
+    assert events_of(again) == events_of(ds)
 
 
 def test_ingest_accepts_json_lines(tmp_path):
@@ -73,8 +81,7 @@ def test_ingest_accepts_json_lines(tmp_path):
     sp.write_text("student_id,course_id,gender,continent,birth_year,outcome\n"
                   "s1,c0,,,,0\n")
     ds = ingest(ep, sp)
-    assert [e.kind for e in ds.events_by_student["s1"]] == ["video",
-                                                           "quiz_response"]
+    assert [e.kind for e in events_of(ds)["s1"]] == ["video", "quiz_response"]
 
 
 @pytest.mark.parametrize("mutation, fragment", [
@@ -86,11 +93,44 @@ def test_ingest_accepts_json_lines(tmp_path):
     (lambda e, s: (e + "s1,c0,video,v0,,,\n", s), "timestamp is required"),
     (lambda e, s: (e, s + "s1,c0,M,EU,1985,1\n"), "duplicate student"),
     (lambda e, s: (e, s + "s9,c0,X,,1985,1\n"), "gender"),
+    (lambda e, s: (e + "s1,c0,video,v0,,,-3\n", s), "timestamp must be nonnegative"),
+    (lambda e, s: (e + "s1,c0,quiz_response,v0,x,,9\n", s),
+     "response must be an integer, got 'x'"),
+    (lambda e, s: (e + "s1,c0,quiz_response,v0,2,,9\n", s),
+     "fields inconsistent with kind 'quiz_response'"),
+    (lambda e, s: (e + "s1,c0,video,v0,1,,9\n", s),
+     "fields inconsistent with kind 'video'"),
+    (lambda e, s: (e + "s1,c0,forum,,,,9\n", s),
+     "fields inconsistent with kind 'forum'"),
+    # of two bad lines the first is reported, whatever the later one's fault
+    (lambda e, s: (e + "zz,c0,video,v0,,,9\ns1,c0,video,v0,,,-1\n", s),
+     "unknown student 'zz'"),
+    (lambda e, s: (e + "s1,c0,hover,v0,,,9\ns1,c0\n", s),
+     "unknown event kind 'hover'"),
+    (lambda e, s: (e + "s1,c0\ns1,c0,hover,v0,,,9\n", s),
+     "expected 7 fields, got 2"),
+    # within one line, the checks run in a fixed order
+    (lambda e, s: (e + "zz,c0,hover,v0,y,,\n", s),
+     "response must be an integer, got 'y'"),
 ])
 def test_ingest_reports_file_and_line(tmp_path, mutation, fragment):
     ev, st = mutation(EVENTS_CSV, STUDENTS_CSV)
-    with pytest.raises(DataError, match=fragment):
+    # the error names the first line the mutation touched
+    name, before, after = (("events.csv", EVENTS_CSV, ev) if ev != EVENTS_CSV
+                           else ("students.csv", STUDENTS_CSV, st))
+    line = next(i for i, (old, new) in enumerate(
+        zip(before.splitlines() + [None], after.splitlines()), start=1)
+        if old != new)
+    with pytest.raises(DataError, match=fragment) as info:
         ingest(*write_inputs(tmp_path, events=ev, students=st))
+    assert str(info.value).startswith(f"{tmp_path / name}:{line}: "), info.value
+
+
+def test_ingest_rejects_timestamps_beyond_int64(tmp_path):
+    events = EVENTS_CSV + f"s1,c0,video,v0,,,{2 ** 63}\n"
+    with pytest.raises(DataError, match=f"events.csv:7: timestamp {2 ** 63} "
+                                        "is out of range"):
+        ingest(*write_inputs(tmp_path, events=events))
 
 
 def test_ingest_rejects_malformed_json(tmp_path):
@@ -112,7 +152,7 @@ def test_ingest_sorts_by_timestamp_keeping_input_order_on_ties(tmp_path):
               "s1,c0,video,v0,,,1\n"
               "s1,c0,video,v1,,,1\n")
     ds = ingest(*write_inputs(tmp_path, events=events))
-    assert [e.video_id for e in ds.events_by_student["s1"]] == ["v0", "v1", "v2"]
+    assert [e.video_id for e in events_of(ds)["s1"]] == ["v0", "v1", "v2"]
 
 
 def test_ingest_keeps_first_repeated_quiz_response(tmp_path, caplog):
@@ -122,9 +162,150 @@ def test_ingest_keeps_first_repeated_quiz_response(tmp_path, caplog):
               "s1,c0,quiz_response,v1,0,,3\n")
     with caplog.at_level(logging.WARNING, logger="hierfed.data.ingest"):
         ds = ingest(*write_inputs(tmp_path, events=events))
-    quiz = [e for e in ds.events_by_student["s1"] if e.kind == "quiz_response"]
+    quiz = [e for e in events_of(ds)["s1"] if e.kind == "quiz_response"]
     assert [(e.video_id, e.response) for e in quiz] == [("v0", 1), ("v1", 0)]
     assert any("repeated quiz responses" in r.message for r in caplog.records)
+
+
+def _padded(rng, text):
+    return " " * rng.randint(0, 2) + text + " " * rng.randint(0, 2)
+
+
+def random_log(rng, students):
+    """Shuffled event rows with timestamp ties, repeated quiz responses and
+    whitespace-padded fields, as text fields in EVENTS_HEADER order."""
+    rows = []
+    for sid, course in students.items():
+        for _ in range(rng.randint(0, 12)):
+            kind = rng.choice(["video", "quiz_response", "forum"])
+            vid = rng.choice(["v0", "v1", "v2", "vidéo", 'say "hi"'])
+            ts = str(rng.randint(0, 5))
+            rows.append({
+                "video": [sid, course, kind, vid, "", "", ts],
+                "quiz_response": [sid, course, kind, vid,
+                                  str(rng.randint(0, 1)), "", ts],
+                "forum": [sid, course, kind, "", "", rng.choice(
+                    ["forum_post", "forum_reply", "forum_view"]), ts],
+            }[kind])
+    rng.shuffle(rows)
+    return [[_padded(rng, v) if rng.random() < 0.2 else v for v in row]
+            for row in rows]
+
+
+# one fault per mutation, each caught by a different check
+MUTATIONS = [
+    lambda row: row[:2] + ["hover"] + row[3:],
+    lambda row: row[:6] + ["-2"],
+    lambda row: row[:6] + [""],
+    lambda row: row[:6] + ["1.5"],
+    lambda row: row[:4] + ["x"] + row[5:],
+    lambda row: row[:4] + ["2"] + row[5:],
+    lambda row: row[:4] + ["1"] + row[5:],
+    lambda row: row[:3] + [""] + row[4:],
+    lambda row: row[:5] + [""] + row[6:],
+    lambda row: ["zz"] + row[1:],
+    lambda row: row[:1] + ["cX"] + row[2:],
+]
+
+
+def write_log(path, rows, rng):
+    """CSV, or JSON Lines with integer fields where they parse as integers."""
+    if path.suffix == ".csv":
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(EVENTS_HEADER)
+            w.writerows(rows)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            doc = {}
+            for key, value in zip(EVENTS_HEADER, row):
+                if key in ("response", "timestamp") and value.strip().lstrip("-").isdigit():
+                    doc[key] = int(value)
+                elif value or rng.random() < 0.5:
+                    doc[key] = value
+            fh.write(json.dumps(doc) + "\n")
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+def test_event_table_matches_the_rowwise_reference(tmp_path, suffix, caplog):
+    for trial in range(40):
+        rng = random.Random(trial)
+        courses = [f"c{i}" for i in range(rng.randint(1, 3))]
+        students = {f"s{i:02d}": rng.choice(courses)
+                    for i in range(rng.randint(1, 10))}
+        roster = {sid: StudentRecord(sid, c) for sid, c in students.items()}
+        rows = random_log(rng, students)
+        if trial % 2 and rows:
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(rows))
+                rows[i] = rng.choice(MUTATIONS)(rows[i])
+        ep = tmp_path / f"events{trial}{suffix}"
+        sp = tmp_path / f"students{trial}.csv"
+        write_log(ep, rows, rng)
+        export_dataset(Dataset(roster), tmp_path / "unused.csv", sp)
+        try:
+            want, dropped = reference_events(ep, roster)
+        except DataError as exc:
+            with pytest.raises(DataError) as info:
+                ingest(ep, sp)
+            assert str(info.value) == str(exc)
+            continue
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="hierfed"):
+            ds = ingest(ep, sp)
+        assert events_of(ds) == want
+        logged = [r.getMessage() for r in caplog.records]
+        assert logged == ([f"dropped {dropped} repeated quiz responses "
+                           "(first kept)"] if dropped else [])
+
+
+PINNED_STUDENTS = """\
+student_id,course_id,gender,continent,birth_year,outcome
+ s1 ,c0, M ,EU, 1985 , 1
+s2,c0,F,,1992,0
+s3, c1 ,,,,1
+"""
+PINNED_EVENTS_JSONL = (
+    '{"student_id": " s1", "course_id": "c0 ", "kind": "video", '
+    '"video_id": " vid\\u00e9o-1 ", "timestamp": 4}\n'
+    '{"student_id": "s1", "course_id": "c0", "kind": "quiz_response", '
+    '"video_id": "vid\\u00e9o-1", "response": 1, "timestamp": 5}\n'
+    '{"student_id": "s1", "course_id": "c0", "kind": " forum ", '
+    '"forum_action": "forum_post", "timestamp": 5}\n'
+    '{"student_id": "s2", "course_id": "c0", "kind": "quiz_response", '
+    '"video_id": "say \\"hi\\"", "response": "0", "timestamp": " 2 "}\n'
+    '{"student_id": "s2", "course_id": "c0", "kind": "video", '
+    '"video_id": "say \\"hi\\"", "timestamp": 2}\n'
+    '{"student_id": "s1", "course_id": "c0", "kind": "quiz_response", '
+    '"video_id": "vid\\u00e9o-1", "response": 0, "timestamp": 9}\n'
+    '{"student_id": "s3", "course_id": "c1", "kind": "video", '
+    '"video_id": "v9", "timestamp": 0}\n')
+PINNED_EVENTS_CSV = '''\
+student_id,course_id,kind,video_id,response,forum_action,timestamp
+ s1,c0 ,video, vidéo-1 ,,,4
+s1,c0,quiz_response,vidéo-1,1,,5
+s1,c0, forum ,,,forum_post,5
+s2,c0,quiz_response,"say ""hi""",0 , , 2
+s2,c0,video,"say ""hi""",,,2
+s1,c0,quiz_response,vidéo-1,0,,9
+s3,c1,video,v9,,,0
+'''
+
+
+
+def test_dataset_hash_keeps_its_digests(tmp_path):
+    """Digests recorded before the event table existed: re-scoring a run
+    trained then must still find its dataset unchanged."""
+    sp = tmp_path / "students.csv"
+    sp.write_text(PINNED_STUDENTS, encoding="utf-8")
+    for name, text in (("events.jsonl", PINNED_EVENTS_JSONL),
+                       ("events.csv", PINNED_EVENTS_CSV)):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        assert dataset_hash(ingest(tmp_path / name, sp)) == (
+            "e02cf59cd2138af18df8fce27197ae5c25caa90c968416bf2276373e85965604")
+    assert dataset_hash(generate(preset("heterogeneous-3course"))) == (
+        "a720131018d248cf8e0c4466892fc6154a6c6000324e2c0c0cffd2f72fbc1ae8")
 
 
 def random_dataset(rng):
@@ -134,7 +315,7 @@ def random_dataset(rng):
         for i in range(int(rng.integers(5, 31))):
             sid = f"{cid}-s{i:03d}"
             students[sid] = StudentRecord(sid, cid)
-    return Dataset(students, {sid: [] for sid in students})
+    return Dataset(students)
 
 
 def test_fold_invariants_hold_on_random_datasets():
@@ -169,7 +350,7 @@ def test_folds_are_deterministic_in_the_seed():
 
 def test_folds_need_five_students_per_course():
     students = {f"s{i}": StudentRecord(f"s{i}", "c0") for i in range(4)}
-    ds = Dataset(students, {sid: [] for sid in students})
+    ds = Dataset(students)
     with pytest.raises(ConfigError, match="at least 5"):
         make_folds(ds, seed=0)
 
@@ -189,7 +370,7 @@ def grouping_dataset():
         ("b1", "c1", "M", None, None, 0),
     ]
     students = {r[0]: StudentRecord(*r) for r in rows}
-    return Dataset(students, {sid: [] for sid in students})
+    return Dataset(students)
 
 
 def test_grouping_splits_by_course_and_bucket():
@@ -226,20 +407,14 @@ def sequence_dataset():
         "s1": StudentRecord("s1", "c0", outcome=1),
         "s2": StudentRecord("s2", "c0", outcome=0),
     }
-    events = {
-        "s1": [
-            EventRecord("s1", "c0", "video", video_id="v0", timestamp=0),
-            EventRecord("s1", "c0", "quiz_response", video_id="v0",
-                        response=1, timestamp=1),
-            EventRecord("s1", "c0", "forum", forum_action="forum_view",
-                        timestamp=2),
-            EventRecord("s1", "c0", "quiz_response", video_id="v1",
-                        response=0, timestamp=3),
-        ],
-        "s2": [EventRecord("s2", "c0", "forum", forum_action="forum_post",
-                           timestamp=0)],
-    }
-    return Dataset(students, events)
+    events = [
+        Event("s1", "c0", "video", "v0", None, None, 0),
+        Event("s1", "c0", "quiz_response", "v0", 1, None, 1),
+        Event("s1", "c0", "forum", None, None, "forum_view", 2),
+        Event("s1", "c0", "quiz_response", "v1", 0, None, 3),
+        Event("s2", "c0", "forum", None, None, "forum_post", 0),
+    ]
+    return Dataset(students, extend_columns(events))
 
 
 def test_vocab_comes_from_the_training_split_only():
@@ -276,10 +451,9 @@ def test_op_sequences_keep_every_event_and_the_outcome():
 
 def test_sequences_truncate_to_the_step_budget():
     students = {"s1": StudentRecord("s1", "c0")}
-    events = {"s1": [EventRecord("s1", "c0", "quiz_response", video_id=f"v{t}",
-                                 response=t % 2, timestamp=t)
-                     for t in range(30)]}
-    ds = Dataset(students, events)
+    events = [Event("s1", "c0", "quiz_response", f"v{t}", t % 2, None, t)
+              for t in range(30)]
+    ds = Dataset(students, extend_columns(events))
     vocab = build_vocab(ds, ["s1"])
     seqs = build_sequences(ds, KT, vocab, max_len=8)
     x, targets = seqs["s1"]

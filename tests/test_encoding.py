@@ -9,40 +9,40 @@ import numpy as np
 import pytest
 
 from hierfed.data.partition import make_folds
-from hierfed.data.records import Dataset, EventRecord, StudentRecord
+from hierfed.data.records import Dataset, StudentRecord, extend_columns
 from hierfed.data.sequences import MAX_SEQ_LEN, build_sequences, build_vocab
-from hierfed.models.encoding import (
-    FORUM_ACTIONS,
-    ModelSpec,
-    Vocab,
-    encode_kt,
-    encode_op,
-    pad_batch,
-)
+from hierfed.models.encoding import FORUM_ACTIONS, ModelSpec, Vocab, pad_batch
 from hierfed.models.task import KT, OP
 from hierfed.runner import ExperimentConfig, _prepare
 from hierfed.synth.generate import generate, preset
+from rowwise import Event, events_of
 from stepwise import forum, item_row, kt_entry, op_entry, step_row, video
 
 
 def quiz(course, vid, response, sid="s"):
-    return EventRecord(sid, course, "quiz_response", video_id=vid,
-                       response=response)
+    return Event(sid, course, "quiz_response", vid, response, None, 0)
 
 
 def watch(course, vid, sid="s"):
-    return EventRecord(sid, course, "video", video_id=vid)
+    return Event(sid, course, "video", vid, None, None, 0)
 
 
 def post(course, action, sid="s"):
-    return EventRecord(sid, course, "forum", forum_action=action)
+    return Event(sid, course, "forum", None, None, action, 0)
+
+
+def encode_one(task, events, vocab, outcome=0):
+    """One student's (x, target) under task, encoded through a Dataset."""
+    sid, course = events[0].student_id, events[0].course_id
+    ds = Dataset({sid: StudentRecord(sid, course, outcome=outcome)},
+                 extend_columns(events))
+    return task.encode(ds, vocab, MAX_SEQ_LEN)[sid]
 
 
 def stepwise_reference(dataset, task, vocab, max_len=MAX_SEQ_LEN) -> dict:
     """{sid: (x, target)} built one step at a time from the event log."""
     out = {}
-    for sid in sorted(dataset.students):
-        events = dataset.events_by_student.get(sid, [])
+    for sid, events in events_of(dataset).items():
         if task is KT:
             quizzes = [ev for ev in events if ev.kind == "quiz_response"][:max_len]
             if quizzes:
@@ -129,7 +129,7 @@ def test_model_spec_validation():
 
 def test_interaction_encoding_has_exactly_two_ones():
     vocab = Vocab(["a", "b"], ["v0", "v1", "v2"])
-    x, _ = encode_kt([quiz("b", "v2", 1), quiz("a", "v0", 0)], vocab)
+    x, _ = encode_one(KT, [quiz("b", "v2", 1), quiz("b", "v0", 0)], vocab)
     assert x.shape == (1, vocab.kt_input_dim)
     assert x[0].sum() == 2.0
     assert x[0, 1] == 1.0  # course block
@@ -139,7 +139,7 @@ def test_interaction_encoding_has_exactly_two_ones():
 def test_activity_encoding_video_step():
     vocab = Vocab(["a", "b"], ["v0", "v1"])
     base = vocab.n_courses
-    x, _ = encode_op([quiz("a", "v1", 1)], 1, vocab)
+    x, _ = encode_one(OP, [quiz("a", "v1", 1)], vocab, outcome=1)
     assert x[0, 0] == 1.0
     assert x[0, base + 1] == 1.0
     assert x[0, base + vocab.n_video_slots + 1] == 1.0
@@ -150,7 +150,7 @@ def test_activity_encoding_video_step():
 
 def test_activity_encoding_video_step_without_response():
     vocab = Vocab(["a", "b"], ["v0", "v1"])
-    x, _ = encode_op([watch("b", "v0")], 0, vocab)
+    x, _ = encode_one(OP, [watch("b", "v0")], vocab)
     assert x[0].sum() == 2.0
     assert np.all(x[0, vocab.n_courses + vocab.n_video_slots:] == 0.0)
 
@@ -158,7 +158,7 @@ def test_activity_encoding_video_step_without_response():
 def test_activity_encoding_forum_step():
     vocab = Vocab(["a", "b"], ["v0", "v1"])
     base = vocab.n_courses
-    x, _ = encode_op([post("b", "forum_view")], 0, vocab)
+    x, _ = encode_one(OP, [post("b", "forum_view")], vocab)
     assert x[0, 1] == 1.0
     assert x[0, base + vocab.n_video_slots + 2 + 2] == 1.0
     assert x[0].sum() == 2.0
@@ -170,35 +170,35 @@ def test_activity_encoding_rejects_bad_steps():
     vocab = Vocab(["a"], ["v0"])
     strict = Vocab(["a"], ["v0"], reserve_unknown=False)
     with pytest.raises(ValueError):
-        encode_op([post("z", "forum_post")], 0, vocab)
+        encode_one(OP, [post("z", "forum_post")], vocab)
     with pytest.raises(ValueError):
-        encode_kt([quiz("z", "v0", 1), quiz("a", "v0", 1)], vocab)
+        encode_one(KT, [quiz("z", "v0", 1), quiz("z", "v1", 1)], vocab)
     with pytest.raises(ValueError):
-        encode_op([watch("a", "never-seen")], 0, strict)
+        encode_one(OP, [watch("a", "never-seen")], strict)
     with pytest.raises(ValueError):
-        encode_kt([quiz("a", "never-seen", 1), quiz("a", "v0", 1)], strict)
+        encode_one(KT, [quiz("a", "never-seen", 1), quiz("a", "v0", 1)], strict)
 
 
 def test_unseen_video_maps_to_the_reserved_slot():
     vocab = Vocab(["a"], ["v0"])
     unknown = vocab.n_courses + vocab.unknown_video
-    x, _ = encode_op([watch("a", "never-seen"), quiz("a", "never-seen", 0)],
-                     1, vocab)
+    x, _ = encode_one(OP, [watch("a", "never-seen"), quiz("a", "never-seen", 0)],
+                      vocab, outcome=1)
     assert np.all(x[:, unknown] == 1.0)
     assert np.array_equal(x, op_entry([video(0, vocab.unknown_video),
                                        video(0, vocab.unknown_video, 0)],
                                       1, vocab)[0])
-    x, _ = encode_kt([quiz("a", "never-seen", 1), quiz("a", "v0", 0)], vocab)
+    x, _ = encode_one(KT, [quiz("a", "never-seen", 1), quiz("a", "v0", 0)], vocab)
     assert x[0, unknown] == 1.0
 
 
 def test_kt_student_encoding_shifts_targets():
     vocab = Vocab(["a", "b"], ["v0", "v1", "v2"])
-    x, targets = encode_kt([quiz("a", "v0", 1), quiz("b", "v2", 0),
-                            quiz("a", "v1", 1)], vocab)
+    x, targets = encode_one(KT, [quiz("b", "v0", 1), quiz("b", "v2", 0),
+                                 quiz("b", "v1", 1)], vocab)
     # inputs are the first L-1 items, targets the last L-1 responses
     assert x.shape == (2, vocab.kt_input_dim)
-    assert np.array_equal(x[0], item_row(0, 0, vocab))
+    assert np.array_equal(x[0], item_row(1, 0, vocab))
     assert np.array_equal(x[1], item_row(1, 2, vocab))
     assert targets.dtype == np.int64
     assert np.array_equal(targets, np.array([0, 1]))
@@ -206,14 +206,15 @@ def test_kt_student_encoding_shifts_targets():
 
 def test_kt_student_encoding_length_one_is_empty():
     vocab = Vocab(["a"], ["v0"])
-    x, targets = encode_kt([quiz("a", "v0", 1)], vocab)
+    x, targets = encode_one(KT, [quiz("a", "v0", 1)], vocab)
     assert x.shape == (0, vocab.kt_input_dim)
     assert targets.shape == (0,)
 
 
 def test_op_student_encoding():
     vocab = Vocab(["a", "b"], ["v0", "v1"])
-    x, label = encode_op([quiz("a", "v1", 1), post("a", "forum_post")], 1, vocab)
+    x, label = encode_one(OP, [quiz("a", "v1", 1), post("a", "forum_post")], vocab,
+                          outcome=1)
     assert x.shape == (2, vocab.op_input_dim)
     assert label == 1
     assert np.array_equal(x[0], step_row(video(0, 1, 1), vocab))
@@ -240,27 +241,26 @@ def edge_case_dataset():
     s3: forum steps only; s4: no events; s5: longer than the step budget."""
     students = {sid: StudentRecord(sid, "c0", outcome=int(sid == "s1"))
                 for sid in ("s1", "s2", "s3", "s4", "s5")}
-    long_run = [quiz("c0", f"v{t % 7}", t % 2, "s5")
+    long_run = [quiz("c0", f"v{t}", t % 2, "s5")
                 for t in range(MAX_SEQ_LEN + 5)]
-    events = {
-        "s1": [watch("c0", "v0", "s1"), post("c0", "forum_reply", "s1"),
-               quiz("c0", "v1", 1, "s1"), quiz("c0", "v9", 0, "s1"),
-               watch("c0", "v8", "s1")],
-        "s2": [quiz("c0", "v0", 1, "s2"), post("c0", "forum_view", "s2")],
-        "s3": [post("c0", "forum_post", "s3")],
-        "s5": long_run,
-    }
-    return Dataset(students, events)
+    events = [watch("c0", "v0", "s1"), post("c0", "forum_reply", "s1"),
+              quiz("c0", "v1", 1, "s1"), quiz("c0", "u9", 0, "s1"),
+              watch("c0", "u8", "s1"),
+              quiz("c0", "v0", 1, "s2"), post("c0", "forum_view", "s2"),
+              post("c0", "forum_post", "s3")] + long_run
+    return Dataset(students, extend_columns(events))
 
 
 @pytest.mark.parametrize("task", [KT, OP], ids=["KT", "OP"])
 def test_edge_cases_match_the_stepwise_reference(task):
     ds = edge_case_dataset()
-    # s1 is held out: v8 and v9 are unseen in training
+    # s1 is held out: u8 and u9 are unseen in training
     vocab = build_vocab(ds, ["s2", "s3", "s5"])
-    assert vocab.video_ids == tuple(f"v{j}" for j in range(7))
+    assert set(vocab.video_ids) == {f"v{t}" for t in range(MAX_SEQ_LEN + 5)}
     got = build_sequences(ds, task, vocab)
     assert_same_encoding(got, stepwise_reference(ds, task, vocab))
+    # every student's x is a row slice of the one matrix of this encoding
+    assert len({id(x.base) for x, _ in got.values()}) == 1
     if task is KT:
         # students with no quiz response are skipped; one response is no row
         assert set(got) == {"s1", "s2", "s5"}

@@ -1,5 +1,6 @@
 """Experiment runner commands, artifact formats, and the CLI contract."""
 
+import base64
 import json
 import shutil
 
@@ -426,6 +427,91 @@ def test_cli_evaluate_exits_three_naming_the_diverged_client(
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: fold 0, rep 0, test course "
                           "adaptation, client GroupKey(c0|none|all)"), err
+
+
+def _rewrite_first_layer(path, edit):
+    """Apply edit to the first layer entry of a checkpoint file; return it."""
+    doc = json.loads(path.read_text())
+    entry = doc["models"]["global"][0]
+    edit(entry)
+    path.write_text(json.dumps(doc))
+    return entry
+
+
+def test_cli_evaluate_exits_three_naming_a_checkpoints_nan_weight(
+        tmp_path, trained_dir, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(trained_dir, run)
+    path = run / "checkpoint_f0_r0.json"
+
+    def poison(entry):
+        arr = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").copy()
+        arr[0] = np.nan
+        entry["data"] = base64.b64encode(arr.tobytes()).decode("ascii")
+
+    entry = _rewrite_first_layer(path, poison)
+    rc = main(["evaluate", "--out", str(run)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical failure: {path}: model 'global' layer "
+                          f"{entry['name']!r} contains non-finite values"), err
+
+
+def _truncate(path):
+    path.write_text(path.read_text()[:200])
+
+
+def _bad_base64(path):
+    _rewrite_first_layer(path, lambda e: e.update(data="!!" + e["data"][2:]))
+
+
+def _short_data(path):
+    _rewrite_first_layer(path, lambda e: e.update(data=e["data"][:-12]))
+
+
+def _wrong_shape(path):
+    _rewrite_first_layer(path, lambda e: e.update(shape=[e["shape"][0] + 1]
+                                                  + e["shape"][1:]))
+
+
+@pytest.mark.parametrize("corrupt", [_truncate, _bad_base64, _short_data,
+                                     _wrong_shape])
+def test_cli_evaluate_exits_two_naming_a_malformed_checkpoint(
+        tmp_path, trained_dir, capsys, corrupt):
+    run = tmp_path / "run"
+    shutil.copytree(trained_dir, run)
+    path = run / "checkpoint_f0_r0.json"
+    corrupt(path)
+    rc = main(["evaluate", "--out", str(run)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: malformed checkpoint"), err
+
+
+def test_generated_directory_trains_like_the_in_memory_preset(tmp_path, capsys):
+    """generate writes the table that ingest reads back: same scores."""
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps({"preset": "balanced-small"}))
+    assert main(["generate", "--config", str(gen), "--out",
+                 str(tmp_path / "data")]) == 0
+    reports = {}
+    for name, dataset in (("memory", "balanced-small"),
+                          ("disk", str(tmp_path / "data"))):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"dataset": dataset, "task": "op",
+                                   "strategy": "sc2-G-AV-T",
+                                   "demographic": "gender", "hidden_dim": 6,
+                                   "rounds": 2, "local_iters": 2, "folds": [0],
+                                   "repetitions": 1, "seed": 17}))
+        assert main(["train", "--config", str(cfg), "--out",
+                     str(tmp_path / name)]) == 0
+        reports[name] = json.loads((tmp_path / name / "report.json").read_text())
+    capsys.readouterr()
+    memory, disk = reports["memory"], reports["disk"]
+    assert [run["test_auc"] for run in disk["runs"]] == \
+        [run["test_auc"] for run in memory["runs"]]
+    assert any(v is not None for v in memory["runs"][0]["test_auc"].values())
+    assert disk["dataset_hash"] == memory["dataset_hash"]
 
 
 def test_environment_seed_overrides_every_flag(monkeypatch):

@@ -20,6 +20,7 @@ from hierfed.synth.archetypes import (
     study_order,
 )
 from hierfed.synth.generate import _share_counts, generate, preset
+from rowwise import events_of
 
 
 def two_group_config(tau, n=60, seed=1234, noise=0.05, name="t"):
@@ -173,7 +174,7 @@ def test_generated_output_passes_ingestion_without_warnings(tmp_path, caplog):
 
 def test_timestamps_increase_and_quizzes_follow_first_watch():
     ds = generate(two_group_config(0.8, n=30))
-    for sid, events in ds.events_by_student.items():
+    for sid, events in events_of(ds).items():
         ts = [e.timestamp for e in events]
         assert ts == sorted(ts) and len(set(ts)) == len(ts)
         answered = set()
@@ -189,8 +190,9 @@ def test_outcome_matches_the_label_rule_when_noise_is_off():
     cfg = two_group_config(0.0, n=80, noise=0.0, seed=4242)
     threshold = build_archetypes(cfg)[("c0", "M")].pass_threshold
     ds = generate(cfg)
+    by_student = events_of(ds)
     for sid, s in ds.students.items():
-        events = ds.events_by_student[sid]
+        events = by_student[sid]
         quiz = [e.response for e in events if e.kind == "quiz_response"]
         forum = sum(1 for e in events if e.kind == "forum")
         frac = sum(quiz) / len(quiz) if quiz else 0.0
@@ -224,9 +226,10 @@ def test_age_labels_map_to_matching_birth_years():
 def empirical_joint(ds, ids, state_index, S):
     """Joint distribution over (state, next state) recovered from events."""
     counts = np.zeros((S, S))
+    by_student = events_of(ds)
     for sid in ids:
         path = [state_index[ev.video_id if ev.kind == "video" else ev.forum_action]
-                for ev in ds.events_by_student[sid]
+                for ev in by_student[sid]
                 if ev.kind in ("video", "forum")]
         path.append(S - 1)
         for a, b in zip(path, path[1:]):
@@ -239,8 +242,7 @@ def test_tau_zero_subgroup_walks_are_statistically_identical():
     # empirical transition distributions must agree to within sampling noise
     cfg = two_group_config(0.0, n=4000, seed=1234)
     ds = generate(cfg)
-    vids = sorted({ev.video_id for evs in ds.events_by_student.values()
-                   for ev in evs if ev.video_id is not None})
+    vids = list(ds.events.video_ids)
     states = vids + ["forum_post", "forum_reply", "forum_view"]
     sidx = {s: i for i, s in enumerate(states)}
     S = len(states) + 1
