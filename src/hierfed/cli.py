@@ -25,6 +25,7 @@ from .runner import (
     cmd_train,
     load_config,
     load_gen_config,
+    read_json,
 )
 
 
@@ -116,17 +117,9 @@ def _dispatch(args) -> dict:
         if not args.config:
             raise ConfigError("generate needs --config with a generation "
                               "config or {\"preset\": name}")
-        path = args.config
-        try:
-            doc = json.loads(open(path).read())
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-        seed = args.seed
         env = _env_seed()
-        if env is not None:
-            seed = env
+        seed = args.seed if env is None else env
+        doc = read_json(args.config, "config file")
         return cmd_generate(load_gen_config(doc, seed=seed), _require_out(args))
 
     if args.command == "train":

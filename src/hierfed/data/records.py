@@ -7,13 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..models.encoding import FORUM_ACTIONS
+
 logger = logging.getLogger(__name__)
 
 EVENTS_HEADER = ["student_id", "course_id", "kind", "video_id", "response",
                  "forum_action", "timestamp"]
 EVENT_KINDS = ("video", "quiz_response", "forum")
 VIDEO, QUIZ, FORUM = range(len(EVENT_KINDS))
-FORUM_ACTIONS = ("forum_post", "forum_reply", "forum_view")
 GENDERS = ("M", "F")
 CONTINENTS = ("AS", "AF", "EU", "NA", "SA")
 _INT64_MAX = np.iinfo(np.int64).max

@@ -12,8 +12,7 @@ from .clients import (
     meta_update,
 )
 from .engine import (
-    EngineContext,
-    EvalContext,
+    RunContext,
     TrainedBundle,
     adapted_params,
     evaluate_adapted,
@@ -25,8 +24,7 @@ from .strategy import StrategyConfig, parse_strategy
 __all__ = [
     "ClientData",
     "ClientState",
-    "EngineContext",
-    "EvalContext",
+    "RunContext",
     "StrategyConfig",
     "TrainedBundle",
     "adapted_params",

@@ -52,27 +52,32 @@ class TrainedBundle:
     parameters; key.is_course_level tells the two levels apart. The global
     model, for strategies that have one, is kept apart.
     """
-    strategy: str
     global_params: ParamSet | None = None
     models: dict = field(default_factory=dict)   # GroupKey -> params
     history: list = field(default_factory=list)
 
 
 @dataclass
-class EngineContext:
-    """Everything train_strategy needs for one (fold, repetition) run."""
+class RunContext:
+    """One (fold, repetition) run over the course -> client tree.
+
+    Training reads the clients (the tree's leaves), the course pools
+    (scenario II federated runs) and the IRT responses (FedIRT);
+    evaluation reads the same tree, adapts from the clients' data and
+    scores one split, keyed at the run's evaluation granularity.
+    """
     strategy: StrategyConfig
     master_seed: int
     rep: int
     fold: int
-    init_params: ParamSet
+    init_params: ParamSet | None = None
     clients: dict = field(default_factory=dict)       # GroupKey -> ClientData
     course_pools: dict = field(default_factory=dict)  # course id -> ClientData
-    subgroup_ids: dict = field(default_factory=dict)  # GroupKey -> usable ids
     irt_responses: dict = field(default_factory=dict) # GroupKey -> triplets
+    scored: dict = field(default_factory=dict)        # GroupKey -> ClientData
 
 
-def _client_rng(ctx: EngineContext, fingerprint: str, round_idx: int):
+def _client_rng(ctx: RunContext, fingerprint: str, round_idx: int):
     return substream(ctx.master_seed, "client", str(ctx.rep), str(ctx.fold),
                      fingerprint, str(round_idx))
 
@@ -104,7 +109,7 @@ def _epoch_steps(data: ClientData, s: StrategyConfig) -> int:
     return -(-data.size // s.batch_size)
 
 
-def _update_client(ctx: EngineContext, key: GroupKey, start: ParamSet,
+def _update_client(ctx: RunContext, key: GroupKey, start: ParamSet,
                    round_idx: int, stats: dict) -> ParamSet:
     s = ctx.strategy
     data = ctx.clients[key]
@@ -133,13 +138,13 @@ def _aggregate(server: ParamSet, states, s: StrategyConfig,
     return aggregate_average(states, weights)
 
 
-def _course_adapt(ctx: EngineContext, course: str, subs, theta_g: ParamSet,
+def _course_adapt(ctx: RunContext, course: str, subs, theta_g: ParamSet,
                   round_idx: int, stats: dict) -> ParamSet:
     """One plain gradient step on a stratified cross-subgroup batch."""
     s = ctx.strategy
     rng = substream(ctx.master_seed, "course-adapt", str(ctx.rep),
                     str(ctx.fold), course, str(round_idx))
-    groups = {key: ctx.subgroup_ids[key] for key in subs}
+    groups = {key: ctx.clients[key].ids for key in subs}
     batch = stratified_batch(groups, s.per_group, rng)
 
     def update():
@@ -150,7 +155,7 @@ def _course_adapt(ctx: EngineContext, course: str, subs, theta_g: ParamSet,
     return _located(f"round {round_idx}, course adaptation {course}", update)
 
 
-def _warn_small_meta_clients(ctx: EngineContext, leaves):
+def _warn_small_meta_clients(ctx: RunContext, leaves):
     s = ctx.strategy
     for key in leaves:
         n = ctx.clients[key].size
@@ -160,7 +165,7 @@ def _warn_small_meta_clients(ctx: EngineContext, leaves):
                            ctx.fold, ctx.rep, key, n, s.batch_size)
 
 
-def train_strategy(ctx: EngineContext, callback=None) -> TrainedBundle:
+def train_strategy(ctx: RunContext, callback=None) -> TrainedBundle:
     """Train the context's strategy, calling callback(round, bundle) after
     every round (epoch, for non-federated strategies).
 
@@ -191,7 +196,7 @@ def train_strategy(ctx: EngineContext, callback=None) -> TrainedBundle:
     start = {c: ctx.init_params for c in courses}
     models = {key: ctx.init_params for key in leaves}
     history: list = []
-    bundle = TrainedBundle(strategy=s.name)
+    bundle = TrainedBundle()
     for k in range(s.rounds if s.is_federated else s.epochs):
         stats: dict = {}
         previous, models = models, {}
@@ -233,12 +238,11 @@ def train_strategy(ctx: EngineContext, callback=None) -> TrainedBundle:
         history.append({"round": k, "loss": stats.get("loss", 0.0),
                         "steps": stats.get("steps", 0)})
         if s.is_centralized:
-            bundle = TrainedBundle(strategy=s.name,
-                                   global_params=models[leaves[0]],
+            bundle = TrainedBundle(global_params=models[leaves[0]],
                                    history=list(history))
         else:
             bundle = TrainedBundle(
-                strategy=s.name, models=models, history=list(history),
+                models=models, history=list(history),
                 global_params=theta_g if s.is_federated else None)
         if callback is not None:
             callback(k, bundle)
@@ -252,111 +256,91 @@ def train_strategy(ctx: EngineContext, callback=None) -> TrainedBundle:
 # Evaluation-time adaptation and scoring
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EvalContext:
-    """Evaluation data at the run's granularity (courses or subgroups)."""
-    strategy: StrategyConfig
-    master_seed: int
-    rep: int
-    fold: int
-    groups: list = field(default_factory=list)        # eval GroupKeys
-    test: dict = field(default_factory=dict)          # key -> ClientData
-    adapt: dict = field(default_factory=dict)         # key -> train ClientData
-    course_pools: dict = field(default_factory=dict)  # course -> ClientData
-    subgroup_ids: dict = field(default_factory=dict)  # key -> usable train ids
+def _eval_rng(ctx: RunContext, tag, *parts):
+    return substream(ctx.master_seed, "eval", *tag, str(ctx.rep),
+                     str(ctx.fold), *parts)
 
 
-def _eval_rng(ectx: EvalContext, tag, *parts):
-    return substream(ectx.master_seed, "eval", *tag, str(ectx.rep),
-                     str(ectx.fold), *parts)
+def _eval_where(ctx: RunContext, tag, what: str) -> str:
+    return f"fold {ctx.fold}, rep {ctx.rep}, {' '.join(tag)} {what}"
 
 
-def _eval_where(ectx: EvalContext, tag, what: str) -> str:
-    return f"fold {ectx.fold}, rep {ectx.rep}, {' '.join(tag)} {what}"
-
-
-def _score(data: ClientData | None, params: ParamSet, key: GroupKey):
-    if data is None or data.size == 0:
-        logger.warning("no test students for %s; skipped", key)
-        return None
-    scores, labels = data.predict(params)
-    return auc(scores, labels)
-
-
-def _adapt_courses(bundle: TrainedBundle, ectx: EvalContext, tag) -> dict:
+def _adapt_courses(bundle: TrainedBundle, ctx: RunContext, tag) -> dict:
     """One stratified meta-update from the global to each course model."""
-    s = ectx.strategy
+    s = ctx.strategy
     out = {}
-    for course in sorted(ectx.course_pools):
-        pool = ectx.course_pools[course]
-        groups = {key: ectx.subgroup_ids[key]
-                  for key in ectx.subgroup_ids if key.course == course}
-        groups = {key: ids for key, ids in groups.items() if ids}
-        if pool.size == 0 or not groups:
+    for course in sorted(ctx.course_pools):
+        groups = {key: data.ids for key, data in ctx.clients.items()
+                  if key.course == course}
+        if not groups:
             out[course] = bundle.global_params
             continue
-        rng = _eval_rng(ectx, tag, "course", course)
+        rng = _eval_rng(ctx, tag, "course", course)
         d = stratified_batch(groups, s.per_group, rng)
         d_prime = stratified_batch(groups, s.per_group, rng)
-        client = ClientState(GroupKey(course), bundle.global_params, pool)
+        client = ClientState(GroupKey(course), bundle.global_params,
+                             ctx.course_pools[course])
         out[course] = _located(
-            _eval_where(ectx, tag, f"course adaptation, client {client.key}"),
+            _eval_where(ctx, tag, f"course adaptation, client {client.key}"),
             lambda: meta_update(client, s.eta, s.inner_step,
                                 batch_size=s.batch_size, clip=s.clip,
                                 batches=(d, d_prime)))
     return out
 
 
-def adapted_params(bundle: TrainedBundle, ectx: EvalContext,
+def adapted_params(bundle: TrainedBundle, ctx: RunContext,
                    tag=("test",)) -> dict:
-    """The parameters each evaluation group would be scored with.
+    """The parameters each scored group would be scored with.
 
     Local and FedIRT runs score each group with its own stored model; G
     runs with the global, or under M with the group's course model. P runs
     form course models with one stratified meta-update from the global
-    (scenario II only) and, except under M, add one local epoch per group.
-    Groups with no usable model map to None.
+    (scenario II only) and, except under M, add one local epoch on each
+    group's training client. Groups with no usable model map to None.
     """
-    s = ectx.strategy
+    s = ctx.strategy
+    groups = sorted(ctx.scored, key=GroupKey.sort_key)
     if s.architecture == "L" or s.aggregation == "IRT":
-        return {key: bundle.models.get(key) for key in ectx.groups}
+        return {key: bundle.models.get(key) for key in groups}
     if s.architecture == "G":
         if s.hierarchy == "M":
             return {key: bundle.models.get(key.course_key(), bundle.global_params)
-                    for key in ectx.groups}
-        return {key: bundle.global_params for key in ectx.groups}
+                    for key in groups}
+        return {key: bundle.global_params for key in groups}
 
     tag = tuple(str(t) for t in tag)
-    course_models = _adapt_courses(bundle, ectx, tag)
+    course_models = _adapt_courses(bundle, ctx, tag)
     out: dict[GroupKey, ParamSet] = {}
-    for key in ectx.groups:
+    for key in groups:
         params = course_models.get(key.course, bundle.global_params)
-        data = ectx.adapt.get(key)
-        if s.hierarchy != "M" and data is not None and data.size > 0:
-            rng = _eval_rng(ectx, tag, "adapt", data.fingerprint)
+        data = ctx.clients.get(key)
+        if s.hierarchy != "M" and data is not None:
+            rng = _eval_rng(ctx, tag, "adapt", data.fingerprint)
             client = ClientState(key, params, data)
             params = _located(
-                _eval_where(ectx, tag, f"adaptation, client {key}"),
+                _eval_where(ctx, tag, f"adaptation, client {key}"),
                 lambda: local_sgd_steps(client, s.eta, s.batch_size, rng,
                                         _epoch_steps(data, s), s.clip))
         out[key] = params
     return out
 
 
-def evaluate_adapted(bundle: TrainedBundle, ectx: EvalContext,
+def evaluate_adapted(bundle: TrainedBundle, ctx: RunContext,
                      tag=("test",)) -> dict:
-    """Per-group test AUC after the strategy's evaluation-time adaptation.
+    """Per-group AUC on the scored split after the strategy's
+    evaluation-time adaptation.
 
-    Undefined AUCs (single-class or empty test sets, or a group with no
+    Undefined AUCs (single-class or empty scored sets, or a group with no
     trained model) surface as None rather than a placeholder number.
     """
-    params_map = adapted_params(bundle, ectx, tag)
     out: dict[GroupKey, float | None] = {}
-    for key in ectx.groups:
-        params = params_map.get(key)
+    for key, params in adapted_params(bundle, ctx, tag).items():
+        data = ctx.scored[key]
+        out[key] = None
         if params is None:
             logger.warning("no trained model for %s; skipped", key)
-            out[key] = None
-            continue
-        out[key] = _score(ectx.test.get(key), params, key)
+        elif data.size == 0:
+            logger.warning("no test students for %s; skipped", key)
+        else:
+            out[key] = auc(*data.predict(params))
     return out

@@ -31,8 +31,7 @@ from .errors import ConfigError
 from .fed.checkpoint import load_checkpoint, save_checkpoint
 from .fed.clients import build_client_data
 from .fed.engine import (
-    EngineContext,
-    EvalContext,
+    RunContext,
     TrainedBundle,
     adapted_params,
     evaluate_adapted,
@@ -147,15 +146,21 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         raise ConfigError(str(exc)) from None
 
 
-def load_config(path) -> ExperimentConfig:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {p}")
+def read_json(path, what: str):
+    """The JSON document at path; a file that is missing, unreadable or not
+    valid JSON raises ConfigError naming it."""
     try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{p}: invalid JSON ({exc})") from None
-    return config_from_dict(doc)
+        return json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise ConfigError(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read {what} ({exc.strerror})") from None
+    except ValueError as exc:  # invalid JSON or text
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+
+
+def load_config(path) -> ExperimentConfig:
+    return config_from_dict(read_json(path, "config file"))
 
 
 def config_snapshot(config: ExperimentConfig) -> dict:
@@ -292,14 +297,6 @@ def load_gen_config(doc: dict, seed: int | None = None) -> GenConfig:
 # One (fold, repetition) training run
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _RunSetup:
-    strategy: StrategyConfig
-    ctx: EngineContext
-    val_ectx: EvalContext
-    test_ectx: EvalContext
-
-
 def _group_split(config, strategy, ds, by_course: dict) -> dict:
     """GroupKey -> student ids at the strategy's evaluation granularity."""
     if strategy.scenario == "sc1":
@@ -331,7 +328,12 @@ def _quiz_triplets(ds, ids) -> list:
                     table.response[quiz].tolist()))
 
 
-def _prepare(config: ExperimentConfig, ds, parts, fold: int, rep: int) -> _RunSetup:
+def _prepare(config: ExperimentConfig, ds, parts, fold: int, rep: int):
+    """The (training, validation, test) contexts of one (fold, repetition).
+
+    The three share one tree of clients; the validation and test contexts
+    add the split they score.
+    """
     strategy = validate_config(config)
     part = parts[fold]
     vocab = build_vocab(ds, part.train_ids())
@@ -352,38 +354,26 @@ def _prepare(config: ExperimentConfig, ds, parts, fold: int, rep: int) -> _RunSe
         raise ConfigError(f"fold {fold}: no usable training data for task {config.task}")
 
     course_pools: dict = {}
-    subgroup_ids: dict = {}
     irt_responses: dict = {}
     if strategy.scenario == "sc2" and strategy.is_federated:
         for c, ids in sorted(part.train.items()):
             pool = build_client_data(task, encoded, ids)
             if pool.size:
                 course_pools[c] = pool
-        subgroup_ids = {key: list(data.ids) for key, data in clients.items()}
         if strategy.aggregation == "IRT":
             irt_responses = {key: _quiz_triplets(ds, train_groups[key])
                              for key in clients}
 
-    ctx = EngineContext(strategy=strategy, master_seed=config.seed, rep=rep,
-                        fold=fold, init_params=init, clients=clients,
-                        course_pools=course_pools, subgroup_ids=subgroup_ids,
-                        irt_responses=irt_responses)
+    ctx = RunContext(strategy=strategy, master_seed=config.seed, rep=rep,
+                     fold=fold, init_params=init, clients=clients,
+                     course_pools=course_pools, irt_responses=irt_responses)
 
-    eval_adapt = {} if strategy.is_centralized else clients
-
-    def eval_ctx(by_course):
+    def scoring(by_course) -> RunContext:
         groups = _group_split(config, strategy, ds, by_course)
-        test = _client_map(task, encoded, groups,
-                           require_nonempty=False)
-        return EvalContext(strategy=strategy, master_seed=config.seed,
-                           rep=rep, fold=fold,
-                           groups=sorted(groups, key=lambda k: k.sort_key()),
-                           test=test, adapt=eval_adapt,
-                           course_pools=course_pools,
-                           subgroup_ids=subgroup_ids)
+        return replace(ctx, scored=_client_map(task, encoded, groups,
+                                               require_nonempty=False))
 
-    return _RunSetup(strategy=strategy, ctx=ctx, val_ectx=eval_ctx(part.val),
-                     test_ectx=eval_ctx(part.test))
+    return ctx, scoring(part.val), scoring(part.test)
 
 
 class _Selection:
@@ -394,15 +384,14 @@ class _Selection:
     any defined value beats it and ties keep the earliest snapshot.
     """
 
-    def __init__(self, strategy: StrategyConfig, val_ectx: EvalContext):
-        self.strategy = strategy
-        self.ectx = val_ectx
-        self.per_model = strategy.architecture == "L"
+    def __init__(self, val: RunContext):
+        self.val = val
+        self.per_model = val.strategy.architecture == "L"
         self.best: tuple | None = None
         self.best_groups: dict = {}
 
     def observe(self, round_idx: int, bundle: TrainedBundle):
-        res = evaluate_adapted(bundle, self.ectx, tag=("val", round_idx))
+        res = evaluate_adapted(bundle, self.val, ("val", round_idx))
         if self.per_model:
             for key, params in bundle.models.items():
                 value = res.get(key)
@@ -422,7 +411,7 @@ class _Selection:
         """(best bundle, selected round per model, mean validation AUC)."""
         if self.per_model:
             models = {key: entry[2] for key, entry in self.best_groups.items()}
-            bundle = TrainedBundle(strategy=self.strategy.name, models=models)
+            bundle = TrainedBundle(models=models)
             selected = {key.label(): entry[1]
                         for key, entry in sorted(self.best_groups.items(),
                                                  key=lambda kv: kv[0].sort_key())}
@@ -436,11 +425,11 @@ class _Selection:
 
 def run_one(config: ExperimentConfig, ds, parts, fold: int, rep: int):
     """Train one (fold, repetition); returns (result row, checkpoint models)."""
-    setup = _prepare(config, ds, parts, fold, rep)
-    tracker = _Selection(setup.strategy, setup.val_ectx)
-    final = train_strategy(setup.ctx, callback=tracker.observe)
+    ctx, val, test_ctx = _prepare(config, ds, parts, fold, rep)
+    tracker = _Selection(val)
+    final = train_strategy(ctx, callback=tracker.observe)
     best, selected, val_auc = tracker.result()
-    test = evaluate_adapted(best, setup.test_ectx, tag=("test",))
+    test = evaluate_adapted(best, test_ctx, ("test",))
     result = {
         "fold": fold,
         "rep": rep,
@@ -462,17 +451,23 @@ def _models_payload(bundle: TrainedBundle) -> dict:
     return out
 
 
-def _bundle_from_models(models: dict, strategy_name: str) -> TrainedBundle:
-    bundle = TrainedBundle(strategy=strategy_name)
+def _load_bundle(path) -> tuple[TrainedBundle, str]:
+    """The models of a checkpoint file as a bundle, and its config hash."""
+    models, chash, _ = load_checkpoint(path)
+    bundle = TrainedBundle()
     for name, ps in models.items():
         kind, _, label = name.partition(":")
         if name == "global":
             bundle.global_params = ps
-        elif kind in ("course", "subgroup"):
+            continue
+        try:
+            if kind not in ("course", "subgroup"):
+                raise ValueError(f"unknown kind {kind!r}")
             bundle.models[GroupKey.from_label(label)] = ps
-        else:
-            raise ConfigError(f"unknown model entry {name!r} in checkpoint")
-    return bundle
+        except ValueError as exc:
+            raise ConfigError(f"{path}: malformed checkpoint (model entry "
+                              f"{name!r}: {exc})") from None
+    return bundle, chash
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +537,27 @@ def _checkpoint_path(out_dir: Path, fold: int, rep: int) -> Path:
     return out_dir / f"checkpoint_f{fold}_r{rep}.json"
 
 
+def read_report(path) -> dict:
+    """A train report; one that is not valid JSON, or lacks a field the
+    commands read, raises ConfigError naming the file."""
+    report = read_json(path, "report")
+    try:
+        validate_config(config_from_dict(report["config"]))
+        if not (isinstance(report["config_hash"], str)
+                and isinstance(report["dataset_hash"], str)
+                and all(_is_int(run["fold"]) and _is_int(run["rep"])
+                        and isinstance(run["test_auc"], dict)
+                        for run in report["runs"])
+                and all(GroupKey.from_label(label)
+                        and {"mean", "std", "n_runs"} <= set(stat)
+                        for label, stat in report["summary"]["per_group"].items())):
+            raise TypeError("a field has the wrong type")
+    except (ConfigError, KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"{path}: malformed report "
+                          f"({type(exc).__name__}: {exc})") from None
+    return report
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -609,7 +625,7 @@ def cmd_evaluate(out, config: ExperimentConfig | None = None) -> dict:
     report_path = out_dir / "report.json"
     if not report_path.is_file():
         raise ConfigError(f"no report.json under {out_dir}; run train first")
-    report = json.loads(report_path.read_text())
+    report = read_report(report_path)
     stored = config_from_dict(report["config"])
     if config is not None and config_hash(config) != report["config_hash"]:
         raise ConfigError("given config does not match the trained report")
@@ -624,12 +640,11 @@ def cmd_evaluate(out, config: ExperimentConfig | None = None) -> dict:
         path = _checkpoint_path(out_dir, fold, rep)
         if not path.is_file():
             raise ConfigError(f"missing checkpoint {path}")
-        models, chash, _ = load_checkpoint(path)
+        bundle, chash = _load_bundle(path)
         if chash != report["config_hash"]:
             raise ConfigError(f"{path} belongs to a different config")
-        bundle = _bundle_from_models(models, stored.strategy)
-        setup = _prepare(stored, ds, parts, fold, rep)
-        test = evaluate_adapted(bundle, setup.test_ectx, tag=("test",))
+        _, _, test_ctx = _prepare(stored, ds, parts, fold, rep)
+        test = evaluate_adapted(bundle, test_ctx, ("test",))
         test_auc = {key.label(): value for key, value in test.items()}
         match = test_auc == run["test_auc"]
         all_match = all_match and match
@@ -714,7 +729,7 @@ def cmd_export_embeddings(config: ExperimentConfig, out, workers: int = 1) -> di
     chash = config_hash(config)
     report_path = out_dir / "report.json"
     have = (report_path.is_file()
-            and json.loads(report_path.read_text())["config_hash"] == chash
+            and read_report(report_path)["config_hash"] == chash
             and all(_checkpoint_path(out_dir, f, 0).is_file()
                     for f in config.folds))
     if not have:
@@ -724,16 +739,14 @@ def cmd_export_embeddings(config: ExperimentConfig, out, workers: int = 1) -> di
     parts = make_folds(ds, config.seed)
     rows = []
     for fold in config.folds:
-        models, _, _ = load_checkpoint(_checkpoint_path(out_dir, fold, 0))
-        bundle = _bundle_from_models(models, config.strategy)
-        setup = _prepare(config, ds, parts, fold, rep=0)
-        pmap = adapted_params(bundle, setup.test_ectx, tag=("embed",))
-        for key in setup.test_ectx.groups:
-            params = pmap.get(key)
+        bundle, _ = _load_bundle(_checkpoint_path(out_dir, fold, 0))
+        _, _, test = _prepare(config, ds, parts, fold, rep=0)
+        pmap = adapted_params(bundle, test, ("embed",))
+        for key, params in pmap.items():
             if params is None:
                 logger.warning("no model for %s; embeddings skipped", key)
                 continue
-            data = setup.test_ectx.test[key]
+            data = test.scored[key]
             variable = key.variable or "none"
             subgroup = key.subgroup or "all"
             for sid in data.ids:
@@ -755,10 +768,7 @@ def cmd_report(run_dirs, out) -> dict:
         raise ConfigError("report needs at least one run directory")
     reports = []
     for d in run_dirs:
-        path = Path(d) / "report.json"
-        if not path.is_file():
-            raise ConfigError(f"no report.json under {d}")
-        reports.append(json.loads(path.read_text()))
+        reports.append(read_report(Path(d) / "report.json"))
     hashes = {r["dataset_hash"] for r in reports}
     if len(hashes) > 1:
         raise ConfigError("reports come from different datasets; refusing to merge")

@@ -1,0 +1,82 @@
+"""The reference sweep: train and re-evaluate every strategy on both tasks
+and three presets, and print digests of what each run wrote.
+
+Every config trains one fold and one repetition for two rounds or epochs,
+then re-scores its checkpoint with `cmd_evaluate`. One JSON line per config
+gives the sha256 of report.json, of the checkpoint and of evaluation.json,
+and evaluate's all_match. Two source trees behave the same on the sweep
+when their outputs are identical:
+
+    PYTHONPATH=src python tests/reference_sweep.py --out sweep-a > a.jsonl
+    PYTHONPATH=../parent/src python tests/reference_sweep.py --out sweep-b > b.jsonl
+    cmp a.jsonl b.jsonl
+
+The file is not a pytest module; tests/test_runner_cli.py checks only its
+config list.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+from hierfed.runner import ExperimentConfig, cmd_evaluate, cmd_train
+
+STRATEGIES = ("sc1-L", "sc1-G", "sc1-G-AV", "sc1-G-AT", "sc1-P-AV", "sc1-P-AT",
+              "sc2-L", "sc2-G", "sc2-G-AV-M", "sc2-G-AV-T", "sc2-G-AT-M",
+              "sc2-G-AT-T", "sc2-P-AV-M", "sc2-P-AV-B", "sc2-P-AT-M",
+              "sc2-P-AT-B", "sc2-FedIRT")
+TASKS = ("KT", "OP")
+# preset -> the demographic variable its scenario II runs split by
+PRESETS = (("heterogeneous-3course", "age"), ("balanced-small", "gender"),
+           ("imbalanced-minority", "gender"))
+SETTINGS = dict(folds=(0,), repetitions=1, rounds=2, epochs=2, local_iters=2,
+                seed=3)
+
+
+def configs():
+    """(name, ExperimentConfig fields) of every reference config, in order."""
+    out = []
+    for dataset, demographic in PRESETS:
+        for task in TASKS:
+            for strategy in STRATEGIES:
+                out.append((f"{dataset}/{task}/{strategy}",
+                            dict(SETTINGS, dataset=dataset, task=task,
+                                 strategy=strategy, demographic=demographic)))
+    return out
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run(name: str, fields: dict, out_dir: Path) -> dict:
+    cmd_train(ExperimentConfig(**fields), out=out_dir, workers=1)
+    doc = cmd_evaluate(out_dir)
+    return {"config": name,
+            "report": _sha256(out_dir / "report.json"),
+            "checkpoint": _sha256(out_dir / "checkpoint_f0_r0.json"),
+            "evaluation": _sha256(out_dir / "evaluation.json"),
+            "all_match": doc["all_match"]}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, metavar="DIR",
+                        help="directory that receives one run directory per "
+                             "config")
+    args = parser.parse_args(argv)
+    root = Path(args.out)
+    all_match = True
+    for i, (name, fields) in enumerate(configs()):
+        line = run(name, fields, root / f"{i:03d}")
+        all_match = all_match and line["all_match"]
+        print(json.dumps(line, sort_keys=True), flush=True)
+    return 0 if all_match else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

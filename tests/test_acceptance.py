@@ -27,7 +27,7 @@ from hierfed.fed.aggregate import (
 )
 from hierfed.fed.checkpoint import load_checkpoint, save_checkpoint
 from hierfed.fed.clients import ClientState, build_client_data, meta_step, meta_update
-from hierfed.fed.engine import EngineContext, train_strategy
+from hierfed.fed.engine import RunContext, train_strategy
 from hierfed.fed.irt import irt_confidence, irt_interpolate
 from hierfed.fed.strategy import parse_strategy
 from hierfed.keys import GroupKey
@@ -212,19 +212,18 @@ def test_degenerate_hierarchy_collapses_to_one_level():
         rounds.append(bundle.global_params)
 
     one = parse_strategy("sc1-P-AT").with_overrides(rounds=10, batch_size=4)
-    train_strategy(EngineContext(strategy=one, master_seed=7, rep=0, fold=0,
-                                 init_params=init,
-                                 clients={GroupKey("c0"): data}),
+    train_strategy(RunContext(strategy=one, master_seed=7, rep=0, fold=0,
+                              init_params=init,
+                              clients={GroupKey("c0"): data}),
                    callback=keep)
     flat = list(rounds)
     rounds.clear()
 
     key = GroupKey("c0", "gender", "F")
     two = parse_strategy("sc2-P-AT-B").with_overrides(rounds=10, batch_size=4)
-    train_strategy(EngineContext(strategy=two, master_seed=7, rep=0, fold=0,
-                                 init_params=init, clients={key: data},
-                                 course_pools={"c0": data},
-                                 subgroup_ids={key: list(data.ids)}),
+    train_strategy(RunContext(strategy=two, master_seed=7, rep=0, fold=0,
+                              init_params=init, clients={key: data},
+                              course_pools={"c0": data}),
                    callback=keep)
 
     assert len(flat) == len(rounds) == 10

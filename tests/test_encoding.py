@@ -279,11 +279,11 @@ def test_clients_of_a_fold_share_each_students_arrays(heterogeneous):
     config = ExperimentConfig(dataset="heterogeneous-3course", task="OP",
                               strategy="sc2-P-AT-B", demographic="age",
                               folds=(0,), seed=101)
-    setup = _prepare(config, ds, parts, 0, 0)
-    assert len(setup.ctx.clients) > 1
-    for key, data in setup.ctx.clients.items():
-        pool = setup.ctx.course_pools[key.course]
-        assert setup.val_ectx.adapt[key] is data
+    ctx, val, test = _prepare(config, ds, parts, 0, 0)
+    assert len(ctx.clients) > 1
+    for key, data in ctx.clients.items():
+        pool = ctx.course_pools[key.course]
+        assert val.clients[key] is data and test.clients[key] is data
         assert data.ids
         for sid in data.ids:
             assert pool.arrays[sid][0] is data.arrays[sid][0]

@@ -10,10 +10,14 @@ import numpy as np
 import pytest
 
 from hierfed.errors import NumericsError
-from hierfed.fed.clients import ClientState, build_client_data, meta_batches
+from hierfed.fed.clients import (
+    ClientData,
+    ClientState,
+    build_client_data,
+    meta_batches,
+)
 from hierfed.fed.engine import (
-    EngineContext,
-    EvalContext,
+    RunContext,
     TrainedBundle,
     adapted_params,
     evaluate_adapted,
@@ -52,7 +56,7 @@ def init_params(rng, hidden=4):
 
 def two_level_world(rng, per_sub=5):
     """Two courses, each split into two gender subgroups."""
-    clients, course_pools, subgroup_ids = {}, {}, {}
+    clients, course_pools = {}, {}
     for ci, c in enumerate(("c0", "c1")):
         pooled = {}
         for g in ("F", "M"):
@@ -61,9 +65,8 @@ def two_level_world(rng, per_sub=5):
             pooled.update(seqs)
             key = GroupKey(c, "gender", g)
             clients[key] = build_client_data(KT, seqs, sids)
-            subgroup_ids[key] = list(clients[key].ids)
         course_pools[c] = build_client_data(KT, pooled, sorted(pooled))
-    return clients, course_pools, subgroup_ids
+    return clients, course_pools
 
 
 def params_equal(a, b):
@@ -99,15 +102,14 @@ def test_single_cell_hierarchy_collapses_to_one_level(one_level, two_level):
         rounds=K, batch_size=4, local_iters=2)
 
     seen1, seen2 = [], []
-    ctx1 = EngineContext(strategy=s1, master_seed=7, rep=0, fold=0,
-                         init_params=init, clients={GroupKey("c0"): data})
+    ctx1 = RunContext(strategy=s1, master_seed=7, rep=0, fold=0,
+                      init_params=init, clients={GroupKey("c0"): data})
     b1 = train_strategy(ctx1, callback=capture_bundles(seen1))
 
     key = GroupKey("c0", "gender", "F")
-    ctx2 = EngineContext(strategy=s2, master_seed=7, rep=0, fold=0,
-                         init_params=init, clients={key: data},
-                         course_pools={"c0": data},
-                         subgroup_ids={key: list(data.ids)})
+    ctx2 = RunContext(strategy=s2, master_seed=7, rep=0, fold=0,
+                      init_params=init, clients={key: data},
+                      course_pools={"c0": data})
     b2 = train_strategy(ctx2, callback=capture_bundles(seen2))
 
     assert len(seen1) == len(seen2) == K
@@ -126,8 +128,8 @@ def test_one_level_engine_populates_course_models(name):
     clients = {GroupKey("c0"): make_client(rng, prefix="a", course=0),
                GroupKey("c1"): make_client(rng, prefix="b", course=1)}
     s = parse_strategy(name).with_overrides(rounds=2, batch_size=4, local_iters=2)
-    ctx = EngineContext(strategy=s, master_seed=11, rep=0, fold=0,
-                        init_params=init_params(rng), clients=clients)
+    ctx = RunContext(strategy=s, master_seed=11, rep=0, fold=0,
+                     init_params=init_params(rng), clients=clients)
     seen = []
     bundle = train_strategy(ctx, callback=capture_bundles(seen))
     assert set(bundle.models) == set(clients)
@@ -139,12 +141,12 @@ def test_one_level_engine_populates_course_models(name):
 
 def test_two_level_engine_populates_every_level():
     rng = np.random.default_rng(4)
-    clients, pools, sub_ids = two_level_world(rng)
+    clients, pools = two_level_world(rng)
     s = parse_strategy("sc2-P-AT-B").with_overrides(
         rounds=2, batch_size=4, local_iters=1, per_group=2)
-    ctx = EngineContext(strategy=s, master_seed=5, rep=0, fold=0,
-                        init_params=init_params(rng), clients=clients,
-                        course_pools=pools, subgroup_ids=sub_ids)
+    ctx = RunContext(strategy=s, master_seed=5, rep=0, fold=0,
+                     init_params=init_params(rng), clients=clients,
+                     course_pools=pools)
     bundle = train_strategy(ctx)
     assert set(bundle.models) == set(clients) | {GroupKey("c0"), GroupKey("c1")}
     assert bundle.global_params.first_nonfinite_layer() is None
@@ -156,13 +158,12 @@ def test_rerunning_an_engine_is_bitwise_identical():
     rng_b = np.random.default_rng(9)
 
     def build(rng):
-        clients, pools, sub_ids = two_level_world(rng)
+        clients, pools = two_level_world(rng)
         s = parse_strategy("sc2-P-AT-B").with_overrides(
             rounds=3, batch_size=4, local_iters=2, per_group=2)
-        return EngineContext(strategy=s, master_seed=21, rep=1,
-                             fold=2, init_params=init_params(rng),
-                             clients=clients, course_pools=pools,
-                             subgroup_ids=sub_ids)
+        return RunContext(strategy=s, master_seed=21, rep=1,
+                          fold=2, init_params=init_params(rng),
+                          clients=clients, course_pools=pools)
 
     b1 = train_strategy(build(rng_a))
     b2 = train_strategy(build(rng_b))
@@ -176,9 +177,9 @@ def test_centralized_training_uses_one_pooled_client():
     rng = np.random.default_rng(6)
     data = make_client(rng, n=10)
     s = parse_strategy("sc1-G").with_overrides(epochs=3, batch_size=4)
-    ctx = EngineContext(strategy=s, master_seed=2, rep=0, fold=0,
-                        init_params=init_params(rng),
-                        clients={GroupKey("c0"): data})
+    ctx = RunContext(strategy=s, master_seed=2, rep=0, fold=0,
+                     init_params=init_params(rng),
+                     clients={GroupKey("c0"): data})
     bundle = train_strategy(ctx)
     assert bundle.global_params.first_nonfinite_layer() is None
     assert bundle.models == {}
@@ -190,8 +191,8 @@ def test_local_training_keeps_models_separate():
     clients = {GroupKey("c0"): make_client(rng, prefix="a", course=0, bias=0.2),
                GroupKey("c1"): make_client(rng, prefix="b", course=1, bias=0.8)}
     s = parse_strategy("sc1-L").with_overrides(epochs=2, batch_size=4)
-    ctx = EngineContext(strategy=s, master_seed=2, rep=0, fold=0,
-                        init_params=init_params(rng), clients=clients)
+    ctx = RunContext(strategy=s, master_seed=2, rep=0, fold=0,
+                     init_params=init_params(rng), clients=clients)
     bundle = train_strategy(ctx)
     assert bundle.global_params is None
     assert set(bundle.models) == set(clients)
@@ -201,10 +202,10 @@ def test_local_training_keeps_models_separate():
 
 def test_local_training_stores_subgroup_models_in_scenario_two():
     rng = np.random.default_rng(8)
-    clients, _, _ = two_level_world(rng, per_sub=4)
+    clients, _ = two_level_world(rng, per_sub=4)
     s = parse_strategy("sc2-L").with_overrides(epochs=2, batch_size=4)
-    ctx = EngineContext(strategy=s, master_seed=2, rep=0, fold=0,
-                        init_params=init_params(rng), clients=clients)
+    ctx = RunContext(strategy=s, master_seed=2, rep=0, fold=0,
+                     init_params=init_params(rng), clients=clients)
     bundle = train_strategy(ctx)
     assert bundle.global_params is None
     assert set(bundle.models) == set(clients)
@@ -225,8 +226,8 @@ def test_small_meta_client_falls_back_and_warns_once_per_call(caplog):
 
     s = parse_strategy("sc1-P-AT").with_overrides(
         rounds=2, batch_size=8, local_iters=2)
-    ctx = EngineContext(strategy=s, master_seed=1, rep=3, fold=2,
-                        init_params=init, clients=clients)
+    ctx = RunContext(strategy=s, master_seed=1, rep=3, fold=2,
+                     init_params=init, clients=clients)
     for _ in range(2):
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="hierfed.fed.engine"):
@@ -248,14 +249,14 @@ def make_triplets(rng, sids, n_items=6, per_student=5):
 
 def test_fedirt_reports_confidences_that_sum_to_one():
     rng = np.random.default_rng(10)
-    clients, pools, sub_ids = two_level_world(rng)
-    responses = {key: make_triplets(rng, ids) for key, ids in sub_ids.items()}
+    clients, pools = two_level_world(rng)
+    responses = {key: make_triplets(rng, data.ids)
+                 for key, data in clients.items()}
     s = parse_strategy("sc2-FedIRT").with_overrides(
         rounds=2, batch_size=4, local_iters=2)
-    ctx = EngineContext(strategy=s, master_seed=13, rep=0, fold=0,
-                        init_params=init_params(rng), clients=clients,
-                        course_pools=pools, subgroup_ids=sub_ids,
-                        irt_responses=responses)
+    ctx = RunContext(strategy=s, master_seed=13, rep=0, fold=0,
+                     init_params=init_params(rng), clients=clients,
+                     course_pools=pools, irt_responses=responses)
     bundle = train_strategy(ctx)
     assert set(bundle.models) == set(clients) | {GroupKey("c0"), GroupKey("c1")}
     assert "confidence" not in bundle.history[0]
@@ -280,9 +281,9 @@ def test_federated_divergence_names_the_round_and_client():
     rng = np.random.default_rng(12)
     data = make_client(rng)
     s = parse_strategy("sc1-G-AT").with_overrides(rounds=2, batch_size=4)
-    ctx = EngineContext(strategy=s, master_seed=1, rep=0, fold=0,
-                        init_params=poisoned_init(rng),
-                        clients={GroupKey("c0"): data})
+    ctx = RunContext(strategy=s, master_seed=1, rep=0, fold=0,
+                     init_params=poisoned_init(rng),
+                     clients={GroupKey("c0"): data})
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericsError, match=r"round 0, client .*c0"):
             train_strategy(ctx)
@@ -292,9 +293,9 @@ def test_centralized_divergence_names_the_epoch():
     rng = np.random.default_rng(13)
     data = make_client(rng)
     s = parse_strategy("sc1-G").with_overrides(epochs=2, batch_size=4)
-    ctx = EngineContext(strategy=s, master_seed=1, rep=0, fold=0,
-                        init_params=poisoned_init(rng),
-                        clients={GroupKey("c0"): data})
+    ctx = RunContext(strategy=s, master_seed=1, rep=0, fold=0,
+                     init_params=poisoned_init(rng),
+                     clients={GroupKey("c0"): data})
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericsError, match=r"epoch 0, client"):
             train_strategy(ctx)
@@ -305,8 +306,8 @@ def test_local_divergence_names_the_epoch_and_client():
     data = make_client(rng)
     s = parse_strategy("sc2-L").with_overrides(epochs=2, batch_size=4)
     key = GroupKey("c0", "gender", "F")
-    ctx = EngineContext(strategy=s, master_seed=1, rep=0, fold=0,
-                        init_params=poisoned_init(rng), clients={key: data})
+    ctx = RunContext(strategy=s, master_seed=1, rep=0, fold=0,
+                     init_params=poisoned_init(rng), clients={key: data})
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericsError, match=r"epoch 0, client .*c0"):
             train_strategy(ctx)
@@ -321,52 +322,49 @@ def scaled(params, factor):
 
 
 def eval_world(rng):
-    clients, pools, sub_ids = two_level_world(rng)
+    clients, pools = two_level_world(rng)
     gp = init_params(rng)
     course_models = {GroupKey(c): scaled(gp, 0.01 * (i + 1))
                      for i, c in enumerate(("c0", "c1"))}
     sub_models = {key: scaled(gp, 0.1) for key in clients}
-    return clients, pools, sub_ids, gp, course_models, sub_models
+    return clients, pools, gp, course_models, sub_models
 
 
 def test_global_strategies_reuse_the_stored_models_verbatim():
     rng = np.random.default_rng(20)
-    clients, pools, sub_ids, gp, course_models, _ = eval_world(rng)
+    clients, pools, gp, course_models, _ = eval_world(rng)
     keys = sorted(clients, key=GroupKey.sort_key)
-    bundle = TrainedBundle(strategy="x", global_params=gp,
-                           models=course_models)
+    bundle = TrainedBundle(global_params=gp, models=course_models)
 
     top = parse_strategy("sc2-G-AT-T")
-    ectx = EvalContext(strategy=top, master_seed=1, rep=0, fold=0,
-                       groups=keys, test=clients, adapt=clients,
-                       course_pools=pools, subgroup_ids=sub_ids)
-    out = adapted_params(bundle, ectx)
+    ctx = RunContext(strategy=top, master_seed=1, rep=0, fold=0,
+                     clients=clients, course_pools=pools, scored=clients)
+    out = adapted_params(bundle, ctx)
     assert all(out[key] is gp for key in keys)
 
     mid = parse_strategy("sc2-G-AT-M")
-    ectx = EvalContext(strategy=mid, master_seed=1, rep=0, fold=0,
-                       groups=keys, test=clients, adapt=clients,
-                       course_pools=pools, subgroup_ids=sub_ids)
-    out = adapted_params(bundle, ectx)
+    ctx = RunContext(strategy=mid, master_seed=1, rep=0, fold=0,
+                     clients=clients, course_pools=pools, scored=clients)
+    out = adapted_params(bundle, ctx)
     assert all(out[key] is course_models[key.course_key()] for key in keys)
 
 
 def test_local_strategies_look_up_stored_models_or_none(caplog):
     rng = np.random.default_rng(21)
-    clients, _, _, _, _, sub_models = eval_world(rng)
+    clients, _, _, _, sub_models = eval_world(rng)
     keys = sorted(clients, key=GroupKey.sort_key)
     missing = keys[-1]
     stored = {k: v for k, v in sub_models.items() if k != missing}
-    bundle = TrainedBundle(strategy="x", models=stored)
+    bundle = TrainedBundle(models=stored)
     s = parse_strategy("sc2-L")
-    ectx = EvalContext(strategy=s, master_seed=1, rep=0, fold=0,
-                       groups=keys, test=clients)
-    out = adapted_params(bundle, ectx)
+    ctx = RunContext(strategy=s, master_seed=1, rep=0, fold=0,
+                     clients=clients, scored=clients)
+    out = adapted_params(bundle, ctx)
     assert all(out[key] is stored[key] for key in keys[:-1])
     assert out[missing] is None
 
     with caplog.at_level(logging.WARNING, logger="hierfed.fed.engine"):
-        scores = evaluate_adapted(bundle, ectx)
+        scores = evaluate_adapted(bundle, ctx)
     assert scores[missing] is None
     assert any("no trained model" in r.message for r in caplog.records)
     assert all(0.0 <= scores[key] <= 1.0 for key in keys[:-1])
@@ -376,30 +374,30 @@ def test_course_personalization_adapts_only_where_data_exists():
     rng = np.random.default_rng(22)
     gp = init_params(rng)
     data = make_client(rng, n=6)
-    bundle = TrainedBundle(strategy="x", global_params=gp)
+    bundle = TrainedBundle(global_params=gp)
     s = parse_strategy("sc1-P-AT").with_overrides(batch_size=4)
-    groups = [GroupKey("c0"), GroupKey("c1")]
-    ectx = EvalContext(strategy=s, master_seed=3, rep=0, fold=0,
-                       groups=groups, test={}, adapt={GroupKey("c0"): data})
-    out = adapted_params(bundle, ectx)
+    ctx = RunContext(strategy=s, master_seed=3, rep=0, fold=0,
+                     clients={GroupKey("c0"): data},
+                     scored={GroupKey("c0"): ClientData(KT),
+                             GroupKey("c1"): ClientData(KT)})
+    out = adapted_params(bundle, ctx)
     assert out[GroupKey("c1")] is gp
     assert max_param_diff(out[GroupKey("c0")], gp) > 0.0
 
-    again = adapted_params(bundle, ectx)
+    again = adapted_params(bundle, ctx)
     assert params_equal(out[GroupKey("c0")], again[GroupKey("c0")])
 
 
 def test_two_level_personalization_shares_course_models_and_b_refines():
     rng = np.random.default_rng(23)
-    clients, pools, sub_ids, gp, _, _ = eval_world(rng)
+    clients, pools, gp, _, _ = eval_world(rng)
     keys = sorted(clients, key=GroupKey.sort_key)
-    bundle = TrainedBundle(strategy="x", global_params=gp)
+    bundle = TrainedBundle(global_params=gp)
 
     def eval_ctx(name):
         s = parse_strategy(name).with_overrides(batch_size=4, per_group=2)
-        return EvalContext(strategy=s, master_seed=3, rep=0, fold=0,
-                           groups=keys, test=clients, adapt=clients,
-                           course_pools=pools, subgroup_ids=sub_ids)
+        return RunContext(strategy=s, master_seed=3, rep=0, fold=0,
+                          clients=clients, course_pools=pools, scored=clients)
 
     mid = adapted_params(bundle, eval_ctx("sc2-P-AT-M"))
     c0_keys = [k for k in keys if k.course == "c0"]
@@ -419,33 +417,31 @@ def nan_params(rng):
 
 def test_course_adaptation_divergence_names_fold_rep_tag_and_client():
     rng = np.random.default_rng(26)
-    clients, pools, sub_ids, _, _, _ = eval_world(rng)
-    keys = sorted(clients, key=GroupKey.sort_key)
-    bundle = TrainedBundle(strategy="x", global_params=nan_params(rng))
+    clients, pools, _, _, _ = eval_world(rng)
+    bundle = TrainedBundle(global_params=nan_params(rng))
     s = parse_strategy("sc2-P-AT-B").with_overrides(batch_size=4, per_group=2)
-    ectx = EvalContext(strategy=s, master_seed=3, rep=2, fold=1,
-                       groups=keys, test=clients, adapt=clients,
-                       course_pools=pools, subgroup_ids=sub_ids)
+    ctx = RunContext(strategy=s, master_seed=3, rep=2, fold=1,
+                     clients=clients, course_pools=pools, scored=clients)
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericsError,
                            match=r"^fold 1, rep 2, val 4 course adaptation, "
                                  r"client .*c0.*: non-finite loss"):
-            adapted_params(bundle, ectx, tag=("val", 4))
+            adapted_params(bundle, ctx, tag=("val", 4))
 
 
 def test_evaluation_epoch_divergence_names_fold_rep_tag_and_client():
     rng = np.random.default_rng(27)
     data = make_client(rng, n=6)
-    bundle = TrainedBundle(strategy="x", global_params=nan_params(rng))
+    bundle = TrainedBundle(global_params=nan_params(rng))
     s = parse_strategy("sc1-P-AT").with_overrides(batch_size=4)
     key = GroupKey("c1")
-    ectx = EvalContext(strategy=s, master_seed=3, rep=0, fold=3,
-                       groups=[key], test={}, adapt={key: data})
+    ctx = RunContext(strategy=s, master_seed=3, rep=0, fold=3,
+                     clients={key: data}, scored={key: ClientData(KT)})
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericsError,
                            match=r"^fold 3, rep 0, test adaptation, "
                                  r"client .*c1.*: non-finite loss"):
-            adapted_params(bundle, ectx)
+            adapted_params(bundle, ctx)
 
 
 def test_evaluation_skips_groups_without_usable_auc(caplog):
@@ -458,13 +454,13 @@ def test_evaluation_skips_groups_without_usable_auc(caplog):
     single_class = build_client_data(KT, all_correct, sids)
     k_good, k_flat, k_empty = (GroupKey("c0"), GroupKey("c1"),
                                GroupKey("c1", "gender", "F"))
-    bundle = TrainedBundle(strategy="x", global_params=gp)
+    bundle = TrainedBundle(global_params=gp)
     s = parse_strategy("sc2-G-AT-T")
-    ectx = EvalContext(strategy=s, master_seed=1, rep=0, fold=0,
-                       groups=[k_good, k_flat, k_empty],
-                       test={k_good: good, k_flat: single_class})
+    ctx = RunContext(strategy=s, master_seed=1, rep=0, fold=0,
+                     scored={k_good: good, k_flat: single_class,
+                             k_empty: ClientData(KT)})
     with caplog.at_level(logging.WARNING, logger="hierfed.fed.engine"):
-        scores = evaluate_adapted(bundle, ectx)
+        scores = evaluate_adapted(bundle, ctx)
     assert 0.0 <= scores[k_good] <= 1.0
     assert scores[k_flat] is None       # one-class labels have no AUC
     assert scores[k_empty] is None      # no test students at all
@@ -473,12 +469,11 @@ def test_evaluation_skips_groups_without_usable_auc(caplog):
 
 def test_fedirt_evaluation_uses_the_local_models():
     rng = np.random.default_rng(25)
-    clients, _, _, gp, _, sub_models = eval_world(rng)
+    clients, _, gp, _, sub_models = eval_world(rng)
     keys = sorted(clients, key=GroupKey.sort_key)
-    bundle = TrainedBundle(strategy="x", global_params=gp,
-                           models=sub_models)
+    bundle = TrainedBundle(global_params=gp, models=sub_models)
     s = parse_strategy("sc2-FedIRT")
-    ectx = EvalContext(strategy=s, master_seed=1, rep=0, fold=0,
-                       groups=keys, test=clients)
-    out = adapted_params(bundle, ectx)
+    ctx = RunContext(strategy=s, master_seed=1, rep=0, fold=0,
+                     clients=clients, scored=clients)
+    out = adapted_params(bundle, ctx)
     assert all(out[key] is sub_models[key] for key in keys)

@@ -33,6 +33,7 @@ from hierfed.runner import (
 )
 from hierfed.synth.archetypes import GenConfig
 from hierfed.synth.generate import config_to_dict, generate, preset
+import reference_sweep
 
 
 @pytest.fixture(scope="module")
@@ -275,6 +276,27 @@ def test_every_strategy_trains_and_rescores(tmp_path, two_course_dir, name):
     assert {entry.split(":")[0] for entry in models} == _entry_kinds(name)
 
 
+def test_reference_sweep_lists_every_strategy_task_and_preset():
+    # the sweep is the byte-identity gate of behaviour-preserving changes;
+    # this checks its config list without training anything
+    names = (["sc1-" + "-".join(f) for f in SC1_FORMS]
+             + ["sc2-" + "-".join(f) for f in SC2_FORMS])
+    presets = {"heterogeneous-3course": "age", "balanced-small": "gender",
+               "imbalanced-minority": "gender"}
+    configs = reference_sweep.configs()
+    assert sorted(name for name, _ in configs) == sorted(
+        f"{dataset}/{task}/{strategy}" for dataset in presets
+        for task in ("KT", "OP") for strategy in names)
+    assert len(configs) == 102
+    for name, fields in configs:
+        config = ExperimentConfig(**fields)
+        validate_config(config)
+        assert f"{config.dataset}/{config.task}/{config.strategy}" == name
+        assert config.demographic == presets[config.dataset]
+        assert (config.folds, config.repetitions, config.rounds, config.epochs,
+                config.local_iters, config.seed) == ((0,), 1, 2, 2, 2, 3)
+
+
 def test_grid_search_ranks_cells_by_validation_auc(tmp_path, data_dir):
     cfg = small_config(data_dir, grid={"eta": [0.05, 0.3]})
     out = tmp_path / "grid"
@@ -474,8 +496,14 @@ def _wrong_shape(path):
                                                   + e["shape"][1:]))
 
 
+def _unknown_variable(path):
+    doc = json.loads(path.read_text())
+    doc["models"]["course:c0|weird|x"] = doc["models"].pop("course:c0|none|all")
+    path.write_text(json.dumps(doc))
+
+
 @pytest.mark.parametrize("corrupt", [_truncate, _bad_base64, _short_data,
-                                     _wrong_shape])
+                                     _wrong_shape, _unknown_variable])
 def test_cli_evaluate_exits_two_naming_a_malformed_checkpoint(
         tmp_path, trained_dir, capsys, corrupt):
     run = tmp_path / "run"
@@ -486,6 +514,35 @@ def test_cli_evaluate_exits_two_naming_a_malformed_checkpoint(
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: malformed checkpoint"), err
+
+
+def _drop_runs(path):
+    doc = json.loads(path.read_text())
+    del doc["runs"]
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_truncate, "invalid JSON"),          # JSONDecodeError before
+    (_drop_runs, "malformed report (KeyError: 'runs')"),  # KeyError before
+], ids=["truncated", "no-runs"])
+@pytest.mark.parametrize("command", ["evaluate", "report", "export-embeddings"])
+def test_cli_exits_two_naming_a_malformed_report(
+        tmp_path, data_dir, trained_dir, capsys, command, corrupt, message):
+    run = tmp_path / "run"
+    shutil.copytree(trained_dir, run)
+    path = run / "report.json"
+    corrupt(path)
+    op_config = tmp_path / "op.json"
+    op_config.write_text(json.dumps(config_snapshot(
+        small_config(data_dir, task="OP"))))
+    argv = {"evaluate": ["evaluate", "--out", str(run)],
+            "report": ["report", "--out", str(tmp_path / "tables"), str(run)],
+            "export-embeddings": ["export-embeddings", "--config",
+                                  str(op_config), "--out", str(run)]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {message}"), err
 
 
 def test_generated_directory_trains_like_the_in_memory_preset(tmp_path, capsys):
@@ -555,6 +612,22 @@ def test_cli_generate_rejects_mistyped_fields_with_exit_two(tmp_path, capsys,
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: {field} must be ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda p: None, "config file not found: {p}"),
+    (lambda p: p.mkdir(), "{p}: cannot read config file"),  # exit 1 before
+    (lambda p: p.write_text("{not json"), "{p}: invalid JSON"),
+], ids=["missing", "directory", "invalid-json"])
+@pytest.mark.parametrize("command", ["generate", "train"])
+def test_cli_exits_two_naming_an_unreadable_config_file(tmp_path, capsys,
+                                                       command, make, message):
+    path = tmp_path / "config.json"
+    make(path)
+    assert main([command, "--config", str(path), "--out",
+                 str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(p=path)), err
 
 
 @pytest.mark.parametrize("argv", [
