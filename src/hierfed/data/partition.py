@@ -22,20 +22,8 @@ class Partition:
     val: dict = field(default_factory=dict)
     test: dict = field(default_factory=dict)
 
-    def _union(self, by_course: dict) -> set:
-        out = set()
-        for ids in by_course.values():
-            out |= ids
-        return out
-
     def train_ids(self) -> set:
-        return self._union(self.train)
-
-    def val_ids(self) -> set:
-        return self._union(self.val)
-
-    def test_ids(self) -> set:
-        return self._union(self.test)
+        return set().union(*self.train.values())
 
 
 def make_folds(dataset: Dataset, seed: int):

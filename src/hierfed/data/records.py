@@ -48,6 +48,9 @@ class StudentRecord:
     outcome: int = 0
 
     def __post_init__(self):
+        if "|" in self.course_id:
+            raise ValueError(f"course id {self.course_id!r} must not contain "
+                             "'|', which separates group label fields")
         if self.gender is not None and self.gender not in GENDERS:
             raise ValueError(f"gender must be one of {GENDERS}, got {self.gender!r}")
         if self.continent is not None and self.continent not in CONTINENTS:

@@ -4,7 +4,6 @@ from .aggregate import aggregate_attention, aggregate_average, attention_weights
 from .checkpoint import load_checkpoint, save_checkpoint
 from .clients import (
     ClientData,
-    ClientState,
     build_client_data,
     local_sgd_steps,
     meta_batches,
@@ -23,7 +22,6 @@ from .strategy import StrategyConfig, parse_strategy
 
 __all__ = [
     "ClientData",
-    "ClientState",
     "RunContext",
     "StrategyConfig",
     "TrainedBundle",

@@ -1,47 +1,41 @@
-"""Server-side aggregation: size-weighted averaging and attention pulls.
+"""Server-side aggregation: weighted averaging and attention pulls.
 
-All reductions iterate clients in ascending GroupKey order so results do
-not depend on dict insertion order or scheduling.
+Clients arrive as {GroupKey: ParamSet}. All reductions iterate them in
+ascending GroupKey order so results do not depend on dict insertion order
+or scheduling.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..keys import GroupKey
 from ..nn.params import ParamSet, check_congruent
-from .clients import ClientState
 
 
-def _ordered(clients) -> list:
-    clients = list(clients)
-    if not clients:
+def _ordered(models: dict) -> list:
+    if not models:
         raise ValueError("aggregation needs at least one client")
-    return sorted(clients, key=lambda c: c.key.sort_key())
+    return sorted(models, key=GroupKey.sort_key)
 
 
-def aggregate_average(clients, weights: dict | None = None) -> ParamSet:
-    """Weighted sum of client parameters.
-
-    weights maps each client key to its weight and is used as given; by
-    default every client weighs its share of the total size, which makes
-    the sum a size-weighted mean.
-    """
-    clients = _ordered(clients)
-    if weights is None:
-        total = float(sum(c.size for c in clients))
-        weights = {c.key: c.size / total for c in clients}
-    head, *rest = clients
-    acc = {name: weights[head.key] * arr for name, arr in head.params}
-    for c in rest:
-        check_congruent(head.params, c.params)
-        w = weights[c.key]
-        for name, arr in c.params:
+def aggregate_average(models: dict, weights: dict) -> ParamSet:
+    """Weighted sum of client parameters; weights maps each client key to
+    its weight and is used as given (size shares make a size-weighted
+    mean)."""
+    keys = _ordered(models)
+    head, *rest = keys
+    acc = {name: weights[head] * arr for name, arr in models[head]}
+    for key in rest:
+        check_congruent(models[head], models[key])
+        w = weights[key]
+        for name, arr in models[key]:
             acc[name] = acc[name] + w * arr
     return ParamSet(acc)
 
 
-def attention_weights(server: ParamSet, clients, mode: str = "layerwise"):
-    """Distance-softmax weights per client.
+def attention_weights(server: ParamSet, models: dict, mode: str = "layerwise"):
+    """Distance-softmax weights per client, in GroupKey order.
 
     layerwise: {layer: weight vector across clients}; each layer's weights
     sum to 1. scalar: one vector across clients, the per-layer weights
@@ -50,14 +44,14 @@ def attention_weights(server: ParamSet, clients, mode: str = "layerwise"):
     """
     if mode not in ("layerwise", "scalar"):
         raise ValueError(f"unknown attention mode {mode!r}")
-    clients = _ordered(clients)
-    for c in clients:
-        check_congruent(server, c.params)
+    keys = _ordered(models)
+    for key in keys:
+        check_congruent(server, models[key])
     names = server.names()
-    dist = np.zeros((len(clients), len(names)))
-    for i, c in enumerate(clients):
+    dist = np.zeros((len(keys), len(names)))
+    for i, key in enumerate(keys):
         for j, name in enumerate(names):
-            dist[i, j] = np.linalg.norm(server[name] - c.params[name])
+            dist[i, j] = np.linalg.norm(server[name] - models[key][name])
     shifted = dist - dist.max(axis=0, keepdims=True)
     ex = np.exp(shifted)
     per_layer = ex / ex.sum(axis=0, keepdims=True)  # (clients, layers)
@@ -66,16 +60,16 @@ def attention_weights(server: ParamSet, clients, mode: str = "layerwise"):
     return per_layer.mean(axis=1)
 
 
-def aggregate_attention(server: ParamSet, clients, eps: float,
+def aggregate_attention(server: ParamSet, models: dict, eps: float,
                         mode: str = "layerwise") -> ParamSet:
     """Pull the server toward clients: Θ_g − ε·Σ_c α_c (Θ_g − Θ_c)."""
-    clients = _ordered(clients)
-    weights = attention_weights(server, clients, mode)
+    keys = _ordered(models)
+    weights = attention_weights(server, models, mode)
     out = {}
     for name in server.names():
         alpha = weights[name] if mode == "layerwise" else weights
         pull = np.zeros_like(server[name])
-        for i, c in enumerate(clients):
-            pull = pull + alpha[i] * (server[name] - c.params[name])
+        for i, key in enumerate(keys):
+            pull = pull + alpha[i] * (server[name] - models[key][name])
         out[name] = server[name] - eps * pull
     return ParamSet(out)

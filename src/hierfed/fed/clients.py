@@ -1,9 +1,10 @@
-"""Client-side state and local update rules.
+"""Client data and local update rules.
 
 A client is one training group (course or demographic subgroup). Its data
-is selected from the fold's shared encoding; updates are plain minibatch
-SGD or a first-order meta step (adapt on one batch, step on the gradient
-of the adapted parameters evaluated on a second batch).
+is selected from the fold's shared encoding; updates take the client's
+data and its current parameters and are plain minibatch SGD or a
+first-order meta step (adapt on one batch, step on the gradient of the
+adapted parameters evaluated on a second batch).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import NumericsError
-from ..keys import GroupKey
 from ..models.encoding import pad_batch
 from ..models.task import Task
 from ..nn.params import GradSet, ParamSet, axpy_params, clip_grad_norm
@@ -54,10 +54,9 @@ class ClientData:
             raise NumericsError(f"non-finite loss on batch of {len(ids)} students")
         return loss, grads
 
-    def predict(self, params: ParamSet, ids=None):
-        """(scores, labels) over the given students (default: all)."""
-        ids = self.ids if ids is None else ids
-        x, lengths, targets = self.batch(ids)
+    def predict(self, params: ParamSet):
+        """(scores, labels) over every student of the client."""
+        x, lengths, targets = self.batch(self.ids)
         return self.task.predict(x, lengths, targets, params)
 
 
@@ -76,18 +75,6 @@ def build_client_data(task: Task, encoded: dict, ids) -> ClientData:
     return data
 
 
-@dataclass
-class ClientState:
-    """A client at one point in training."""
-    key: GroupKey
-    params: ParamSet
-    data: ClientData
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-
 def _apply_grad(params: ParamSet, grads: GradSet, step: float,
                 clip: float | None) -> ParamSet:
     if clip is not None:
@@ -102,23 +89,28 @@ def _minibatches(ids, batch_size: int, rng) -> list:
             for i in range(0, len(shuffled), batch_size)]
 
 
-def local_sgd_steps(client: ClientState, eta: float, batch_size: int, rng,
-                    n_steps: int, clip: float | None = None,
+def _require_students(data: ClientData):
+    if data.size == 0:
+        raise ValueError("client has no students")
+
+
+def local_sgd_steps(data: ClientData, params: ParamSet, eta: float,
+                    batch_size: int, rng, n_steps: int,
+                    clip: float | None = None,
                     stats: dict | None = None) -> ParamSet:
-    """Exactly n_steps minibatch SGD steps, reshuffling as data runs out.
+    """Exactly n_steps minibatch SGD steps from params, reshuffling as data
+    runs out.
 
     n_steps = ceil(size / batch_size) is one shuffled pass over the client's
     students.
     """
-    if client.size == 0:
-        raise ValueError(f"client {client.key} has no students")
-    params = client.params
+    _require_students(data)
     pending: list = []
     for _ in range(n_steps):
         if not pending:
-            pending = _minibatches(client.data.ids, batch_size, rng)
+            pending = _minibatches(data.ids, batch_size, rng)
         batch = pending.pop(0)
-        loss, grads = client.data.loss_grad(batch, params)
+        loss, grads = data.loss_grad(batch, params)
         params = _apply_grad(params, grads, eta, clip)
         if stats is not None:
             stats["loss"] = stats.get("loss", 0.0) + loss
@@ -126,10 +118,11 @@ def local_sgd_steps(client: ClientState, eta: float, batch_size: int, rng,
     return params
 
 
-def meta_batches(client: ClientState, batch_size: int, rng):
+def meta_batches(data: ClientData, batch_size: int, rng):
     """Two disjoint minibatches (D, D'); falls back to the whole client
     twice when there are fewer than two batches' worth of students."""
-    ids = client.data.ids
+    _require_students(data)
+    ids = data.ids
     if len(ids) < 2 * batch_size:
         # keep the stream aligned with the two-batch path
         rng.permutation(len(ids))
@@ -159,33 +152,24 @@ def meta_step(params: ParamSet, grad_d, grad_d_prime, eta: float, beta: float,
     return _apply_grad(params, g2, eta, clip)
 
 
-def meta_update(client: ClientState, eta: float, beta: float, rng=None,
-                batch_size: int = 16, clip: float | None = None,
-                batches=None, stats: dict | None = None) -> ParamSet:
-    """One first-order meta-gradient update on the client.
-
-    Batches are drawn from rng unless an explicit (D, D') pair is given.
-    """
-    if client.size == 0:
-        raise ValueError(f"client {client.key} has no students")
-    if batches is None:
-        if rng is None:
-            raise ValueError("meta_update needs an rng when batches are not given")
-        d, d_prime = meta_batches(client, batch_size, rng)
-    else:
-        d, d_prime = batches
+def meta_update(data: ClientData, params: ParamSet, batches, eta: float,
+                beta: float, clip: float | None = None,
+                stats: dict | None = None) -> ParamSet:
+    """One first-order meta-gradient update of params on the client's
+    (D, D') pair of student-id batches (see meta_batches)."""
+    d, d_prime = batches
 
     def grad_d(p):
-        loss, grads = client.data.loss_grad(d, p)
+        loss, grads = data.loss_grad(d, p)
         if stats is not None:
             stats["inner_loss"] = stats.get("inner_loss", 0.0) + loss
         return grads
 
     def grad_d_prime(p):
-        loss, grads = client.data.loss_grad(d_prime, p)
+        loss, grads = data.loss_grad(d_prime, p)
         if stats is not None:
             stats["loss"] = stats.get("loss", 0.0) + loss
             stats["steps"] = stats.get("steps", 0) + 1
         return grads
 
-    return meta_step(client.params, grad_d, grad_d_prime, eta, beta, clip)
+    return meta_step(params, grad_d, grad_d_prime, eta, beta, clip)

@@ -32,12 +32,7 @@ from ..metrics import auc
 from ..nn.params import ParamSet, axpy_params, clip_grad_norm
 from ..seeding import substream
 from .aggregate import aggregate_attention, aggregate_average
-from .clients import (
-    ClientData,
-    ClientState,
-    local_sgd_steps,
-    meta_update,
-)
+from .clients import ClientData, local_sgd_steps, meta_batches, meta_update
 from .irt import irt_confidence, irt_interpolate
 from .strategy import StrategyConfig
 
@@ -120,22 +115,28 @@ def _update_client(ctx: RunContext, key: GroupKey, start: ParamSet,
         if _meta_updates(s):
             params = start
             for _ in range(s.local_iters):
-                client = ClientState(key, params, data)
-                params = meta_update(client, s.eta, s.inner_step, rng,
-                                     s.batch_size, s.clip, stats=stats)
+                params = meta_update(data, params,
+                                     meta_batches(data, s.batch_size, rng),
+                                     s.eta, s.inner_step, s.clip, stats)
             return params
         n_steps = s.local_iters if s.is_federated else _epoch_steps(data, s)
-        return local_sgd_steps(ClientState(key, start, data), s.eta,
-                               s.batch_size, rng, n_steps, s.clip, stats=stats)
+        return local_sgd_steps(data, start, s.eta, s.batch_size, rng, n_steps,
+                               s.clip, stats)
 
     return _located(where, update)
 
 
-def _aggregate(server: ParamSet, states, s: StrategyConfig,
-               weights: dict | None = None) -> ParamSet:
+def _size_weights(data: dict) -> dict:
+    """Each client's share of the students: a size-weighted mean's weights."""
+    total = float(sum(d.size for d in data.values()))
+    return {key: d.size / total for key, d in data.items()}
+
+
+def _aggregate(server: ParamSet, models: dict, s: StrategyConfig,
+               weights: dict) -> ParamSet:
     if s.aggregation == "AT":
-        return aggregate_attention(server, states, s.eps, s.attention_mode)
-    return aggregate_average(states, weights)
+        return aggregate_attention(server, models, s.eps, s.attention_mode)
+    return aggregate_average(models, weights)
 
 
 def _course_adapt(ctx: RunContext, course: str, subs, theta_g: ParamSet,
@@ -210,9 +211,10 @@ def train_strategy(ctx: RunContext, callback=None) -> TrainedBundle:
                     begin = start[c]
                 models[key] = _update_client(ctx, key, begin, k, stats)
             if course_aggregates:
-                states = [ClientState(key, models[key], ctx.clients[key])
-                          for key in keys]
-                models[GroupKey(c)] = _aggregate(start[c], states, s, confidence)
+                weights = confidence or _size_weights(
+                    {key: ctx.clients[key] for key in keys})
+                models[GroupKey(c)] = _aggregate(
+                    start[c], {key: models[key] for key in keys}, s, weights)
                 _check_finite(models[GroupKey(c)],
                               f"round {k}, course {c} aggregation")
 
@@ -221,11 +223,10 @@ def train_strategy(ctx: RunContext, callback=None) -> TrainedBundle:
                 (only,) = courses
                 theta_g = models[GroupKey(only)]
             else:
-                theta_g = _aggregate(theta_g, [
-                    ClientState(GroupKey(c), models[GroupKey(c)],
-                                ctx.course_pools[c] if course_aggregates
-                                else ctx.clients[GroupKey(c)])
-                    for c in courses], s)
+                pools = {GroupKey(c): ctx.course_pools[c] if course_aggregates
+                         else ctx.clients[GroupKey(c)] for c in courses}
+                theta_g = _aggregate(theta_g, {key: models[key] for key in pools},
+                                     s, _size_weights(pools))
             _check_finite(theta_g, f"round {k}, global aggregation")
             for c, keys in courses.items():
                 if _meta_updates(s) and len(keys) >= 2:
@@ -278,13 +279,10 @@ def _adapt_courses(bundle: TrainedBundle, ctx: RunContext, tag) -> dict:
         rng = _eval_rng(ctx, tag, "course", course)
         d = stratified_batch(groups, s.per_group, rng)
         d_prime = stratified_batch(groups, s.per_group, rng)
-        client = ClientState(GroupKey(course), bundle.global_params,
-                             ctx.course_pools[course])
         out[course] = _located(
-            _eval_where(ctx, tag, f"course adaptation, client {client.key}"),
-            lambda: meta_update(client, s.eta, s.inner_step,
-                                batch_size=s.batch_size, clip=s.clip,
-                                batches=(d, d_prime)))
+            _eval_where(ctx, tag, f"course adaptation, client {GroupKey(course)}"),
+            lambda: meta_update(ctx.course_pools[course], bundle.global_params,
+                                (d, d_prime), s.eta, s.inner_step, s.clip))
     return out
 
 
@@ -316,10 +314,9 @@ def adapted_params(bundle: TrainedBundle, ctx: RunContext,
         data = ctx.clients.get(key)
         if s.hierarchy != "M" and data is not None:
             rng = _eval_rng(ctx, tag, "adapt", data.fingerprint)
-            client = ClientState(key, params, data)
             params = _located(
                 _eval_where(ctx, tag, f"adaptation, client {key}"),
-                lambda: local_sgd_steps(client, s.eta, s.batch_size, rng,
+                lambda: local_sgd_steps(data, params, s.eta, s.batch_size, rng,
                                         _epoch_steps(data, s), s.clip))
         out[key] = params
     return out

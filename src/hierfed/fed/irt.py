@@ -6,7 +6,7 @@ import logging
 
 import numpy as np
 
-from ..data.sampling import key_order
+from ..keys import GroupKey
 from ..nn.params import ParamSet
 
 logger = logging.getLogger(__name__)
@@ -93,7 +93,7 @@ def irt_confidence(subgroup_responses: dict) -> dict:
     else:
         abilities, difficulties = {}, {}
     raw = {}
-    for key in sorted(subgroup_responses, key=key_order):
+    for key in sorted(subgroup_responses, key=GroupKey.sort_key):
         ts = subgroup_responses[key]
         if not ts:
             logger.info("subgroup %s has no quiz responses; using uniform "

@@ -14,8 +14,6 @@ student a row slice of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 FORUM_ACTIONS = ("forum_post", "forum_reply", "forum_view")
@@ -76,37 +74,9 @@ class Vocab:
             return self.unknown_video
         return j
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Vocab)
-                and self.course_ids == other.course_ids
-                and self.video_ids == other.video_ids
-                and self.reserve_unknown == other.reserve_unknown)
-
     def __repr__(self) -> str:
         return (f"Vocab({self.n_courses} courses, {len(self.video_ids)} videos, "
                 f"reserve_unknown={self.reserve_unknown})")
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Architecture description: task, hidden width, derived input width."""
-    task: str
-    hidden_dim: int
-    input_dim: int
-
-    def __post_init__(self):
-        if self.task not in ("KT", "OP"):
-            raise ValueError(f"task must be KT or OP, got {self.task!r}")
-        if self.hidden_dim < 1 or self.input_dim < 1:
-            raise ValueError("hidden_dim and input_dim must be >= 1")
-
-    @staticmethod
-    def kt(vocab: Vocab, hidden_dim: int = 48) -> "ModelSpec":
-        return ModelSpec("KT", hidden_dim, vocab.kt_input_dim)
-
-    @staticmethod
-    def op(vocab: Vocab, hidden_dim: int = 48) -> "ModelSpec":
-        return ModelSpec("OP", hidden_dim, vocab.op_input_dim)
 
 
 def _slots(dataset, vocab: Vocab):

@@ -13,14 +13,11 @@ import numpy as np
 from ..nn.layers import (PROB_CLAMP, head_params, head_probs, lstm_backward,
                          lstm_forward)
 from ..nn.params import ParamSet, as_grads
-from .encoding import ModelSpec
 
 
-def kt_init(model: ModelSpec, rng: np.random.Generator) -> ParamSet:
+def kt_init(vocab, hidden_dim: int, rng: np.random.Generator) -> ParamSet:
     """Uniform(-1/sqrt(fan_in)) weights, zero biases."""
-    if model.task != "KT":
-        raise ValueError(f"expected a KT model spec, got {model.task}")
-    d, k = model.input_dim, model.hidden_dim
+    d, k = vocab.kt_input_dim, hidden_dim
     s_in = 1.0 / np.sqrt(d + k)
     s_out = 1.0 / np.sqrt(k)
     return ParamSet({
@@ -31,6 +28,15 @@ def kt_init(model: ModelSpec, rng: np.random.Generator) -> ParamSet:
     })
 
 
+def _forward(x, lengths, params: ParamSet):
+    """Hidden states (B, T, k), class probabilities (B, T, 2) and the LSTM
+    cache of an encoded padded batch, plus its valid-step mask (B, T)."""
+    W, b = head_params(params, params["lstm.b"].size // 4)
+    h_seq, cache = lstm_forward(x, lengths, params)
+    valid = np.arange(h_seq.shape[1])[None, :] < np.asarray(lengths)[:, None]
+    return h_seq, head_probs(h_seq, W, b), cache, valid
+
+
 def kt_loss_grad(x, lengths, targets, params: ParamSet):
     """Loss, gradient, and per-step probabilities on an encoded padded batch.
 
@@ -39,19 +45,9 @@ def kt_loss_grad(x, lengths, targets, params: ParamSet):
     (loss, grads, probs) with probs (B, T, 2); rows past a student's length
     are meaningless and must be ignored by callers.
     """
-    x = np.asarray(x, dtype=np.float64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    targets = np.asarray(targets, dtype=np.int64)
-    B, T, _ = x.shape
-    k = params["lstm.b"].size // 4
-    W, b = head_params(params, k)
-
-    h_seq, cache = lstm_forward(x, lengths, params)
-    probs = head_probs(h_seq, W, b)
-    valid = np.arange(T)[None, :] < lengths[:, None]
-
-    safe_t = np.where(valid, targets, 0)
-    onehot = np.zeros((B, T, 2))
+    h_seq, probs, cache, valid = _forward(x, lengths, params)
+    safe_t = np.where(valid, np.asarray(targets, dtype=np.int64), 0)
+    onehot = np.zeros(probs.shape)
     np.put_along_axis(onehot, safe_t[:, :, None], 1.0, axis=2)
 
     picked = np.take_along_axis(probs, safe_t[:, :, None], axis=2)[:, :, 0]
@@ -61,7 +57,7 @@ def kt_loss_grad(x, lengths, targets, params: ParamSet):
     dlogits = (probs - onehot) * valid[:, :, None]
     dW = np.einsum("btk,btj->kj", h_seq, dlogits)
     db = dlogits.sum(axis=(0, 1))
-    dh_seq = dlogits @ W.T
+    dh_seq = dlogits @ params["out.W"].T
     g_lstm, _, _ = lstm_backward(dh_seq, cache, params)
 
     grads = as_grads({
@@ -76,13 +72,5 @@ def kt_predict(x, lengths, targets, params: ParamSet):
 
     Returns (scores, labels) in batch-major, step-minor order.
     """
-    x = np.asarray(x, dtype=np.float64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    targets = np.asarray(targets, dtype=np.int64)
-    k = params["lstm.b"].size // 4
-    W, b = head_params(params, k)
-    h_seq, _ = lstm_forward(x, lengths, params)
-    probs = head_probs(h_seq, W, b)
-    T = x.shape[1]
-    valid = np.arange(T)[None, :] < lengths[:, None]
-    return probs[:, :, 1][valid], targets[valid]
+    _, probs, _, valid = _forward(x, lengths, params)
+    return probs[:, :, 1][valid], np.asarray(targets, dtype=np.int64)[valid]

@@ -15,14 +15,11 @@ from ..nn.layers import (
     head_probs,
 )
 from ..nn.params import ParamSet, as_grads
-from .encoding import ModelSpec
 
 
-def op_init(model: ModelSpec, rng: np.random.Generator) -> ParamSet:
+def op_init(vocab, hidden_dim: int, rng: np.random.Generator) -> ParamSet:
     """Uniform(-1/sqrt(fan_in)) weights, zero biases."""
-    if model.task != "OP":
-        raise ValueError(f"expected an OP model spec, got {model.task}")
-    d, k = model.input_dim, model.hidden_dim
+    d, k = vocab.op_input_dim, hidden_dim
     s_in = 1.0 / np.sqrt(d + k)
     s_k = 1.0 / np.sqrt(k)
     return ParamSet({
@@ -37,28 +34,29 @@ def op_init(model: ModelSpec, rng: np.random.Generator) -> ParamSet:
     })
 
 
-def op_loss_grad(x, lengths, labels, params: ParamSet):
-    """Loss, gradient, and P(pass) per student on an encoded padded batch."""
-    x = np.asarray(x, dtype=np.float64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
-    B = x.shape[0]
-    k = params["gru.bn"].size
-    W, b = head_params(params, k)
-
+def _forward(x, lengths, params: ParamSet):
+    """Class probabilities (B, 2), pooled states h_tilde (B, k) and the GRU
+    and attention caches of an encoded padded batch."""
+    W, b = head_params(params, params["gru.bn"].size)
     h_seq, cache_g = gru_forward(x, lengths, params)
     h_tilde, _, cache_a = attention_pool(h_seq, lengths, params)
-    probs = head_probs(h_tilde, W, b)
+    return head_probs(h_tilde, W, b), h_tilde, cache_g, cache_a
 
-    picked = np.clip(probs[np.arange(B), labels], PROB_CLAMP, 1.0 - PROB_CLAMP)
+
+def op_loss_grad(x, lengths, labels, params: ParamSet):
+    """Loss, gradient, and P(pass) per student on an encoded padded batch."""
+    probs, h_tilde, cache_g, cache_a = _forward(x, lengths, params)
+    rows = np.arange(probs.shape[0])
+    labels = np.asarray(labels, dtype=np.int64)
+    picked = np.clip(probs[rows, labels], PROB_CLAMP, 1.0 - PROB_CLAMP)
     loss = float(-np.log(picked).sum())
 
-    onehot = np.zeros((B, 2))
-    onehot[np.arange(B), labels] = 1.0
+    onehot = np.zeros(probs.shape)
+    onehot[rows, labels] = 1.0
     dlogits = probs - onehot
     dW = h_tilde.T @ dlogits
     db = dlogits.sum(axis=0)
-    dh_tilde = dlogits @ W.T
+    dh_tilde = dlogits @ params["out.W"].T
     g_att, dh_seq = attention_pool_backward(dh_tilde, cache_a, params)
     g_gru, _ = gru_backward(dh_seq, cache_g, params)
 
@@ -71,31 +69,12 @@ def op_loss_grad(x, lengths, labels, params: ParamSet):
     return loss, grads, probs[:, 1]
 
 
-def op_forward(x, params: ParamSet):
-    """Single-student forward on its encoded (T, D) steps:
-    (class probs (2,), h_tilde (k,), alphas, cache)."""
-    k = params["gru.bn"].size
-    W, b = head_params(params, k)
-    lengths = np.array([x.shape[0]])
-    h_seq, cache_g = gru_forward(x[None, :, :], lengths, params)
-    h_tilde, alphas, cache_a = attention_pool(h_seq, lengths, params)
-    probs = head_probs(h_tilde, W, b)
-    return probs[0], h_tilde[0], alphas[0], {"gru": cache_g, "att": cache_a}
-
-
 def op_predict(x, lengths, labels, params: ParamSet):
     """Scores and labels for AUC: P(pass) per student."""
-    x = np.asarray(x, dtype=np.float64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    k = params["gru.bn"].size
-    W, b = head_params(params, k)
-    h_seq, _ = gru_forward(x, lengths, params)
-    h_tilde, _, _ = attention_pool(h_seq, lengths, params)
-    probs = head_probs(h_tilde, W, b)
+    probs = _forward(x, lengths, params)[0]
     return probs[:, 1], np.asarray(labels, dtype=np.int64)
 
 
-def extract_embedding(x, params: ParamSet) -> np.ndarray:
-    """Pooled hidden state h_tilde for export; identical to op_forward's."""
-    _, h_tilde, _, _ = op_forward(x, params)
-    return h_tilde
+def op_embed(x, lengths, params: ParamSet) -> np.ndarray:
+    """Each student's pooled hidden state h_tilde: (B, k)."""
+    return _forward(x, lengths, params)[1]

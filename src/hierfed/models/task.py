@@ -14,9 +14,9 @@ from typing import Callable
 
 import numpy as np
 
-from .encoding import ModelSpec, encode_kt, encode_op
+from .encoding import encode_kt, encode_op
 from .kt import kt_init, kt_loss_grad, kt_predict
-from .op import op_init, op_loss_grad, op_predict
+from .op import op_embed, op_init, op_loss_grad, op_predict
 
 
 @dataclass(frozen=True)
@@ -25,16 +25,17 @@ class Task:
 
     encode(dataset, vocab, max_len) -> {sid: (x, target)} over the
     students with usable steps; stack_targets(targets, T) -> batch target
-    array; spec(vocab, hidden_dim) -> ModelSpec; init, loss_grad and
-    predict are the model's entry points.
+    array; init(vocab, hidden_dim, rng) -> initial parameters; loss_grad
+    and predict score a padded batch; embed(x, lengths, params) -> one
+    pooled state per student, or None when the model has none.
     """
     name: str
     encode: Callable
     stack_targets: Callable
-    spec: Callable
     init: Callable
     loss_grad: Callable
     predict: Callable
+    embed: Callable | None
 
 
 def _pad_targets(targets, T):
@@ -50,8 +51,8 @@ def _label_vector(targets, T):
     return np.array(targets, dtype=np.int64)
 
 
-KT = Task("KT", encode_kt, _pad_targets, ModelSpec.kt,
-          kt_init, kt_loss_grad, kt_predict)
-OP = Task("OP", encode_op, _label_vector, ModelSpec.op,
-          op_init, op_loss_grad, op_predict)
+KT = Task("KT", encode_kt, _pad_targets, kt_init, kt_loss_grad, kt_predict,
+          embed=None)
+OP = Task("OP", encode_op, _label_vector, op_init, op_loss_grad, op_predict,
+          embed=op_embed)
 TASKS = {"KT": KT, "OP": OP}

@@ -7,6 +7,7 @@ compared bitwise. All artifacts embed the config hash and the master seed.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import itertools
@@ -40,7 +41,7 @@ from .fed.engine import (
 from .fed.strategy import StrategyConfig, parse_strategy
 from .keys import DEMOGRAPHIC_VARIABLES, GroupKey
 from .metrics import ACTIVITY_TYPES, activity_heatmap, summarize
-from .models import TASKS, extract_embedding
+from .models import TASKS
 from .seeding import substream
 from .synth.archetypes import GenConfig
 from .synth.generate import PRESETS, generate, preset
@@ -310,7 +311,7 @@ def _group_split(config, strategy, ds, by_course: dict) -> dict:
 
 def _client_map(task, encoded, groups, require_nonempty: bool):
     out = {}
-    for key in sorted(groups, key=lambda k: k.sort_key()):
+    for key in sorted(groups, key=GroupKey.sort_key):
         data = build_client_data(task, encoded, groups[key])
         if data.size == 0 and require_nonempty:
             logger.warning("group %s has no usable training students; excluded", key)
@@ -339,7 +340,7 @@ def _prepare(config: ExperimentConfig, ds, parts, fold: int, rep: int):
     vocab = build_vocab(ds, part.train_ids())
     task = TASKS[config.task]
     encoded = build_sequences(ds, task, vocab)
-    init = task.init(task.spec(vocab, config.hidden_dim),
+    init = task.init(vocab, config.hidden_dim,
                      substream(config.seed, "init", task.name.lower(),
                                str(rep), str(fold)))
 
@@ -512,12 +513,12 @@ def write_json(path, doc):
 
 
 def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join("" if v is None else
-                              (repr(v) if isinstance(v, float) else str(v))
-                              for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Header and rows as CSV: None is empty, a field holding a comma or a
+    quote is quoted."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _summary_doc(summary) -> dict:
@@ -720,10 +721,11 @@ def cmd_grid(config: ExperimentConfig, out=None, workers: int = 1) -> dict:
 @one_blas_thread()
 def cmd_export_embeddings(config: ExperimentConfig, out, workers: int = 1) -> dict:
     """Write one activity-embedding row per test student (outcome task only)."""
-    if config.task != "OP":
+    validate_config(config)
+    task = TASKS[config.task]
+    if task.embed is None:
         raise ConfigError("export-embeddings needs task OP; the interaction "
                           "model has no per-student pooled representation")
-    validate_config(config)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     chash = config_hash(config)
@@ -749,8 +751,11 @@ def cmd_export_embeddings(config: ExperimentConfig, out, workers: int = 1) -> di
             data = test.scored[key]
             variable = key.variable or "none"
             subgroup = key.subgroup or "all"
+            # one student per forward call, so a row's bits do not depend
+            # on which students share its batch
             for sid in data.ids:
-                h = extract_embedding(data.arrays[sid][0], params)
+                x, lengths, _ = data.batch([sid])
+                h = task.embed(x, lengths, params)[0]
                 rows.append([sid, key.course, variable, subgroup]
                             + [float(v) for v in h])
     rows.sort(key=lambda r: r[0])
@@ -823,7 +828,7 @@ def cmd_report(run_dirs, out) -> dict:
         groups = group_by_demographic(ds, variable, include[variable])
         for course in ds.course_ids:
             keys = sorted((k for k in groups if k.course == course),
-                          key=lambda k: k.sort_key())
+                          key=GroupKey.sort_key)
             for a, b in itertools.combinations(keys, 2):
                 grid = activity_heatmap(ds, groups[a], groups[b],
                                         t_bins=HEATMAP_BINS)

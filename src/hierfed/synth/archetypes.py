@@ -29,8 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..data.grouping import AGE_BUCKETS
+from ..data.records import CONTINENTS, GENDERS
 from ..errors import ConfigError
 from ..keys import DEMOGRAPHIC_VARIABLES
+
+# the subgroup labels each demographic variable can take
+SUBGROUP_VALUES = {"gender": GENDERS, "continent": CONTINENTS, "age": AGE_BUCKETS}
 
 N_FORUM = 3
 
@@ -82,8 +87,16 @@ class GenConfig:
     def __post_init__(self):
         if not self.courses:
             raise ConfigError("need at least one course")
+        if any("|" in c for c in self.courses):
+            raise ConfigError(f"courses must be free of '|', which separates "
+                              f"group label fields, got {list(self.courses)}")
         if self.demographic not in DEMOGRAPHIC_VARIABLES:
             raise ConfigError(f"unknown demographic {self.demographic!r}")
+        labels, allowed = self.subgroup_labels, SUBGROUP_VALUES[self.demographic]
+        if not set(labels) <= set(allowed) or len(set(labels)) < len(labels):
+            raise ConfigError(f"subgroup_labels must be distinct values of "
+                              f"demographic {self.demographic!r} {allowed}, "
+                              f"got {list(labels)}")
         if len(self.subgroup_labels) != len(self.subgroup_shares):
             raise ConfigError("subgroup labels/shares length mismatch")
         if abs(sum(self.subgroup_shares) - 1.0) > 1e-9:

@@ -6,8 +6,6 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
-
 from ..data.ingest import export_dataset
 from ..data.records import (
     CONTINENTS,
@@ -17,7 +15,6 @@ from ..data.records import (
     extend_columns,
 )
 from ..errors import ConfigError
-from ..keys import UNSPECIFIED
 from ..seeding import substream
 from .archetypes import ENGAGEMENT_CAP, N_FORUM, ArchetypeSpec, GenConfig, build_archetypes
 
@@ -216,6 +213,3 @@ def preset(name: str) -> GenConfig:
     except KeyError:
         raise ConfigError(f"unknown preset {name!r}; available: "
                           f"{sorted(PRESETS)}") from None
-
-
-UNSPECIFIED_LABEL = UNSPECIFIED

@@ -2,10 +2,13 @@
 and three presets, and print digests of what each run wrote.
 
 Every config trains one fold and one repetition for two rounds or epochs,
-then re-scores its checkpoint with `cmd_evaluate`. One JSON line per config
-gives the sha256 of report.json, of the checkpoint and of evaluation.json,
-and evaluate's all_match. Two source trees behave the same on the sweep
-when their outputs are identical:
+then re-scores its checkpoint with `cmd_evaluate`; an outcome-prediction
+config also exports its test students' embeddings from the same directory
+with `cmd_export_embeddings` (a KT config, whose model has none, is
+refused there). One JSON line per config gives the sha256 of
+report.json, of the checkpoint, of evaluation.json and, for OP, of
+embeddings.csv, and evaluate's all_match. Two source trees behave the same
+on the sweep when their outputs are identical:
 
     PYTHONPATH=src python tests/reference_sweep.py --out sweep-a > a.jsonl
     PYTHONPATH=../parent/src python tests/reference_sweep.py --out sweep-b > b.jsonl
@@ -23,7 +26,9 @@ import json
 import sys
 from pathlib import Path
 
-from hierfed.runner import ExperimentConfig, cmd_evaluate, cmd_train
+from hierfed.errors import ConfigError
+from hierfed.runner import (ExperimentConfig, cmd_evaluate,
+                            cmd_export_embeddings, cmd_train)
 
 STRATEGIES = ("sc1-L", "sc1-G", "sc1-G-AV", "sc1-G-AT", "sc1-P-AV", "sc1-P-AT",
               "sc2-L", "sc2-G", "sc2-G-AV-M", "sc2-G-AV-T", "sc2-G-AT-M",
@@ -54,13 +59,20 @@ def _sha256(path: Path) -> str:
 
 
 def run(name: str, fields: dict, out_dir: Path) -> dict:
-    cmd_train(ExperimentConfig(**fields), out=out_dir, workers=1)
+    config = ExperimentConfig(**fields)
+    cmd_train(config, out=out_dir, workers=1)
     doc = cmd_evaluate(out_dir)
-    return {"config": name,
+    line = {"config": name,
             "report": _sha256(out_dir / "report.json"),
             "checkpoint": _sha256(out_dir / "checkpoint_f0_r0.json"),
             "evaluation": _sha256(out_dir / "evaluation.json"),
             "all_match": doc["all_match"]}
+    try:
+        cmd_export_embeddings(config, out_dir)
+    except ConfigError:  # the task has no per-student embedding
+        return line
+    line["embeddings"] = _sha256(out_dir / "embeddings.csv")
+    return line
 
 
 def main(argv=None) -> int:

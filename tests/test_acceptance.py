@@ -10,7 +10,6 @@ artifact hygiene. Heavy tests also pin their runtime budgets.
 import json
 import logging
 import time
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -26,14 +25,13 @@ from hierfed.fed.aggregate import (
     attention_weights,
 )
 from hierfed.fed.checkpoint import load_checkpoint, save_checkpoint
-from hierfed.fed.clients import ClientState, build_client_data, meta_step, meta_update
+from hierfed.fed.clients import build_client_data, meta_step, meta_update
 from hierfed.fed.engine import RunContext, train_strategy
 from hierfed.fed.irt import irt_confidence, irt_interpolate
 from hierfed.fed.strategy import parse_strategy
 from hierfed.keys import GroupKey
 from hierfed.metrics import activity_heatmap, auc
-from hierfed.models.encoding import ModelSpec, Vocab
-from hierfed.models.kt import kt_init
+from hierfed.models.encoding import Vocab
 from hierfed.models.task import KT, OP
 from hierfed.nn.gradcheck import finite_diff_grad, grad_rel_error
 from hierfed.nn.layers import PROB_CLAMP
@@ -94,7 +92,7 @@ def test_analytic_gradients_match_finite_differences():
                                              (OP, op_client_data, 1000 + seed)):
             rng = np.random.default_rng(data_seed)
             data = client_data(rng, 2)
-            params = task.init(task.spec(VOCAB, hidden_dim=8), rng)
+            params = task.init(VOCAB, 8, rng)
             x, lengths, targets = data.batch(data.ids)
             _, analytic, _ = task.loss_grad(x, lengths, targets, params)
             numeric = finite_diff_grad(forward_loss(task, x, lengths, targets),
@@ -143,13 +141,6 @@ def test_auc_equals_pairwise_brute_force_exactly():
     assert elapsed < 5.0, f"ranking checks took {elapsed:.1f}s"
 
 
-@dataclass
-class FakeClient:
-    key: GroupKey
-    params: ParamSet
-    size: int
-
-
 def test_aggregation_algebra_identities():
     rng = np.random.default_rng(17)
     shapes = {"a.W": (4, 3), "a.b": (3,), "out.W": (3, 2)}
@@ -157,20 +148,19 @@ def test_aggregation_algebra_identities():
     def random_params():
         return ParamSet({k: rng.normal(size=s) for k, s in shapes.items()})
 
-    clients = [FakeClient(GroupKey(f"c{i}"), random_params(), 10)
-               for i in range(4)]
-    mean = aggregate_average(clients)
+    clients = {GroupKey(f"c{i}"): random_params() for i in range(4)}
+    mean = aggregate_average(clients, dict.fromkeys(clients, 0.25))
     for name in shapes:
-        stack = np.stack([c.params[name] for c in clients])
+        stack = np.stack([p[name] for p in clients.values()])
         assert np.abs(mean[name] - stack.mean(axis=0)).max() <= 1e-12
 
     server = random_params()
-    copies = [FakeClient(GroupKey(f"c{i}"), server.copy(), 5) for i in range(3)]
+    copies = {GroupKey(f"c{i}"): server.copy() for i in range(3)}
     for mode in ("layerwise", "scalar"):
         fixed = aggregate_attention(server, copies, eps=0.7, mode=mode)
         assert all(np.array_equal(fixed[n], server[n]) for n in shapes)
 
-    spread = [FakeClient(GroupKey(f"c{i}"), random_params(), 5) for i in range(5)]
+    spread = {GroupKey(f"c{i}"): random_params() for i in range(5)}
     scalar = attention_weights(server, spread, mode="scalar")
     assert abs(scalar.sum() - 1.0) <= 1e-12
     layerwise = attention_weights(server, spread, mode="layerwise")
@@ -192,11 +182,9 @@ def test_meta_update_reduces_to_sgd_and_the_quadratic_value():
 
     rng = np.random.default_rng(5)
     data = kt_client_data(rng, 10)
-    init = kt_init(ModelSpec.kt(VOCAB, hidden_dim=6), rng)
-    client = ClientState(GroupKey("c0"), init, data)
+    init = KT.init(VOCAB, 6, rng)
     d, d_prime = data.ids[:4], data.ids[4:8]
-    meta = meta_update(client, eta=0.3, beta=0.0, clip=5.0,
-                       batches=(d, d_prime))
+    meta = meta_update(data, init, (d, d_prime), eta=0.3, beta=0.0, clip=5.0)
     _, grads = data.loss_grad(d_prime, init)
     sgd = axpy_params(-0.3, clip_grad_norm(grads, 5.0), init)
     assert all(np.array_equal(arr, sgd[name]) for name, arr in meta)
@@ -205,7 +193,7 @@ def test_meta_update_reduces_to_sgd_and_the_quadratic_value():
 def test_degenerate_hierarchy_collapses_to_one_level():
     rng = np.random.default_rng(42)
     data = kt_client_data(rng, 12)
-    init = kt_init(ModelSpec.kt(VOCAB, hidden_dim=8), rng)
+    init = KT.init(VOCAB, 8, rng)
     rounds = []
 
     def keep(k, bundle):
@@ -278,7 +266,7 @@ def _op_score_ceiling(demographic: str) -> dict:
     model can do there; only the flipped labels keep it below 1.
     """
     ds = generate(preset("heterogeneous-3course"))
-    test_ids = make_folds(ds, 101)[0].test_ids()
+    test_ids = set().union(*make_folds(ds, 101)[0].test.values())
     by_student = events_of(ds)
     out = {}
     for key, ids in group_by_demographic(ds, demographic,
@@ -456,7 +444,7 @@ def test_pipeline_hygiene_round_trips(tmp_path, caplog):
 
     rng = np.random.default_rng(99)
     models = {
-        "global": kt_init(ModelSpec.kt(VOCAB, hidden_dim=5), rng),
+        "global": KT.init(VOCAB, 5, rng),
         "course:c0|none|all": ParamSet({"w": rng.normal(size=(3, 4))[::2].copy(),
                                         "b": rng.normal(size=4)}),
     }

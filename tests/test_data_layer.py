@@ -93,6 +93,7 @@ def test_ingest_accepts_json_lines(tmp_path):
     (lambda e, s: (e + "s1,c0,video,v0,,,\n", s), "timestamp is required"),
     (lambda e, s: (e, s + "s1,c0,M,EU,1985,1\n"), "duplicate student"),
     (lambda e, s: (e, s + "s9,c0,X,,1985,1\n"), "gender"),
+    (lambda e, s: (e, s + "s9,c0|x,,,,1\n"), "course id 'c0|x' must not contain"),
     (lambda e, s: (e + "s1,c0,video,v0,,,-3\n", s), "timestamp must be nonnegative"),
     (lambda e, s: (e + "s1,c0,quiz_response,v0,x,,9\n", s),
      "response must be an integer, got 'x'"),
@@ -462,12 +463,14 @@ def test_sequences_truncate_to_the_step_budget():
 
 
 def test_stratified_batch_draws_from_every_subgroup():
-    groups = {"a": ["s1", "s2", "s3", "s4"], "b": ["s9"]}
-    batch = stratified_batch(groups, per_group=2, rng=0)
+    a, b = GroupKey("c0", "gender", "F"), GroupKey("c0", "gender", "M")
+    groups = {b: ["s9"], a: ["s1", "s2", "s3", "s4"]}
+    batch = stratified_batch(groups, per_group=2, rng=np.random.default_rng(0))
     assert len(batch) == 3
-    assert "s9" in batch
-    assert stratified_batch(groups, per_group=2, rng=0) == batch
+    assert batch[-1] == "s9"  # subgroups in GroupKey order
+    assert stratified_batch(groups, per_group=2,
+                            rng=np.random.default_rng(0)) == batch
     with pytest.raises(ValueError):
-        stratified_batch(groups, per_group=0, rng=0)
+        stratified_batch(groups, per_group=0, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
-        stratified_batch({"a": []}, per_group=1, rng=0)
+        stratified_batch({a: []}, per_group=1, rng=np.random.default_rng(0))

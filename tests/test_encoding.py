@@ -11,7 +11,7 @@ import pytest
 from hierfed.data.partition import make_folds
 from hierfed.data.records import Dataset, StudentRecord, extend_columns
 from hierfed.data.sequences import MAX_SEQ_LEN, build_sequences, build_vocab
-from hierfed.models.encoding import FORUM_ACTIONS, ModelSpec, Vocab, pad_batch
+from hierfed.models.encoding import FORUM_ACTIONS, Vocab, pad_batch
 from hierfed.models.task import KT, OP
 from hierfed.runner import ExperimentConfig, _prepare
 from hierfed.synth.generate import generate, preset
@@ -103,9 +103,7 @@ def test_vocab_rejects_unknown_course():
         vocab.course_index("z")
 
 
-def test_vocab_equality_and_empty():
-    assert Vocab(["a"], ["v0"]) == Vocab(["a"], ["v0"])
-    assert Vocab(["a"], ["v0"]) != Vocab(["a"], ["v0"], reserve_unknown=False)
+def test_vocab_needs_a_course():
     with pytest.raises(ValueError):
         Vocab([], ["v0"])
 
@@ -114,17 +112,10 @@ def test_input_widths_follow_block_layout():
     vocab = Vocab(["a", "b", "c"], ["v0", "v1"])
     assert vocab.kt_input_dim == 3 + 3
     assert vocab.op_input_dim == 6 + 2 + len(FORUM_ACTIONS)
-    assert ModelSpec.kt(vocab).input_dim == vocab.kt_input_dim
-    assert ModelSpec.op(vocab).input_dim == vocab.op_input_dim
-    assert ModelSpec.kt(vocab, hidden_dim=7).hidden_dim == 7
-
-
-def test_model_spec_validation():
-    vocab = Vocab(["a"], ["v0"])
-    with pytest.raises(ValueError):
-        ModelSpec("XX", 4, 4)
-    with pytest.raises(ValueError):
-        ModelSpec("KT", 0, 4)
+    # each task's first layer reads its own width
+    rng = np.random.default_rng(0)
+    assert KT.init(vocab, 7, rng)["lstm.W"].shape == (vocab.kt_input_dim + 7, 28)
+    assert OP.init(vocab, 7, rng)["gru.Wn"].shape == (vocab.op_input_dim + 7, 7)
 
 
 def test_interaction_encoding_has_exactly_two_ones():

@@ -12,7 +12,6 @@ import pytest
 from hierfed.errors import NumericsError
 from hierfed.fed.clients import (
     ClientData,
-    ClientState,
     build_client_data,
     meta_batches,
 )
@@ -25,8 +24,7 @@ from hierfed.fed.engine import (
 )
 from hierfed.fed.strategy import parse_strategy
 from hierfed.keys import GroupKey
-from hierfed.models.encoding import ModelSpec, Vocab
-from hierfed.models.kt import kt_init
+from hierfed.models.encoding import Vocab
 from hierfed.models.task import KT
 from hierfed.nn.params import axpy_params
 from stepwise import kt_entry
@@ -51,7 +49,7 @@ def make_client(rng, n=8, prefix="s", course=0, bias=0.5):
 
 
 def init_params(rng, hidden=4):
-    return kt_init(ModelSpec.kt(VOCAB, hidden_dim=hidden), rng)
+    return KT.init(VOCAB, hidden, rng)
 
 
 def two_level_world(rng, per_sub=5):
@@ -220,8 +218,7 @@ def test_small_meta_client_falls_back_and_warns_once_per_call(caplog):
     clients = {small: make_client(rng, n=5, prefix="a", course=0),
                large: make_client(rng, n=16, prefix="b", course=1)}
     init = init_params(rng)
-    d, d_prime = meta_batches(ClientState(small, init, clients[small]), 8,
-                              np.random.default_rng(0))
+    d, d_prime = meta_batches(clients[small], 8, np.random.default_rng(0))
     assert d == d_prime == clients[small].ids
 
     s = parse_strategy("sc1-P-AT").with_overrides(

@@ -9,7 +9,10 @@ from hierfed.fed.irt import (
     mean_predictive_likelihood,
     rasch_fit,
 )
+from hierfed.keys import GroupKey
 from hierfed.nn.params import ParamSet
+
+CLEAN, NOISY = GroupKey("c0", "gender", "F"), GroupKey("c0", "gender", "M")
 
 
 def simulate_triplets(rng, abilities, difficulties, flip=0.0, tag=""):
@@ -77,9 +80,9 @@ def test_confidence_prefers_the_predictable_subgroup():
         clean = simulate_triplets(rng, abilities, difficulties, tag="a-")
         noisy = simulate_triplets(rng, abilities, difficulties, flip=0.45,
                                   tag="b-")
-        conf = irt_confidence({"clean": clean, "noisy": noisy})
+        conf = irt_confidence({CLEAN: clean, NOISY: noisy})
         assert abs(sum(conf.values()) - 1.0) <= 1e-12
-        if conf["clean"] > conf["noisy"]:
+        if conf[CLEAN] > conf[NOISY]:
             wins += 1
     assert wins >= 2
 
@@ -87,10 +90,11 @@ def test_confidence_prefers_the_predictable_subgroup():
 def test_confidence_uniform_prior_for_silent_subgroups():
     rng, abilities, difficulties = world(seed=7)
     triplets = simulate_triplets(rng, abilities, difficulties)
-    conf = irt_confidence({"active": triplets, "silent": []})
-    assert set(conf) == {"active", "silent"}
+    active, silent = CLEAN, NOISY
+    conf = irt_confidence({active: triplets, silent: []})
+    assert set(conf) == {active, silent}
     assert abs(sum(conf.values()) - 1.0) <= 1e-12
-    assert conf["silent"] > 0.0
+    assert conf[silent] > 0.0
     with pytest.raises(ValueError):
         irt_confidence({})
 

@@ -251,7 +251,7 @@ def test_bce_clamp_keeps_loss_finite():
     for task, entry in (
             (KT, kt_entry([(0, 0)] * 3, [1, 1, 1], vocab)),
             (OP, op_entry([video(0, 0, 1)], 1, vocab))):
-        params = task.init(task.spec(vocab, 3), rng)
+        params = task.init(vocab, 3, rng)
         params.layers["out.b"] = np.array([1e4, -1e4])
         data = build_client_data(task, {"s": entry}, ["s"])
         loss, grads = data.loss_grad(["s"], params)

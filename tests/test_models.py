@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from hierfed.models.encoding import ModelSpec, Vocab, pad_batch
+from hierfed.models.encoding import Vocab, pad_batch
 from hierfed.fed.clients import build_client_data
 from hierfed.models.kt import kt_init, kt_loss_grad, kt_predict
-from hierfed.models.op import extract_embedding, op_forward, op_init, op_predict
+from hierfed.models.op import op_embed, op_init, op_predict
 from hierfed.models.task import KT, OP
 from hierfed.nn.gradcheck import finite_diff_grad, grad_rel_error
+from hierfed.nn.layers import attention_pool, gru_forward
 from hierfed.nn.params import ParamSet
 from stepwise import forum, kt_entry, op_entry, video
 
@@ -57,45 +58,42 @@ def client_data(task, students):
 
 def test_kt_init_layout():
     vocab = small_vocab()
-    spec = ModelSpec.kt(vocab, hidden_dim=6)
-    params = kt_init(spec, np.random.default_rng(0))
+    params = kt_init(vocab, 6, np.random.default_rng(0))
     assert [name for name, _ in params] == ["lstm.W", "lstm.b", "out.W", "out.b"]
-    d, k = spec.input_dim, 6
+    d, k = vocab.kt_input_dim, 6
     assert params["lstm.W"].shape == (d + k, 4 * k)
     assert np.all(params["lstm.b"] == 0.0)
     assert np.all(params["out.b"] == 0.0)
     assert np.abs(params["lstm.W"]).max() <= 1.0 / np.sqrt(d + k)
-    with pytest.raises(ValueError):
-        kt_init(ModelSpec.op(vocab, hidden_dim=6), np.random.default_rng(0))
 
 
 def test_op_init_layout():
     vocab = small_vocab()
-    spec = ModelSpec.op(vocab, hidden_dim=5)
-    params = op_init(spec, np.random.default_rng(0))
+    params = op_init(vocab, 5, np.random.default_rng(0))
     assert [name for name, _ in params] == [
         "gru.Wzr", "gru.bzr", "gru.Wn", "gru.bn",
         "att.W", "att.p", "out.W", "out.b",
     ]
+    d, k = vocab.op_input_dim, 5
+    assert params["gru.Wzr"].shape == (d + k, 2 * k)
+    assert params["gru.Wn"].shape == (d + k, k)
     assert np.all(params["gru.bzr"] == 0.0)
     assert np.all(params["gru.bn"] == 0.0)
-    with pytest.raises(ValueError):
-        op_init(ModelSpec.kt(vocab, hidden_dim=5), np.random.default_rng(0))
 
 
 def test_kt_zero_params_predicts_even_odds():
     vocab = small_vocab()
     rng = np.random.default_rng(7)
     seqs = [random_interaction(rng, f"s{i}") for i in range(5)]
-    params = zero_params(kt_init(ModelSpec.kt(vocab, 4), rng))
+    params = zero_params(kt_init(vocab, 4, rng))
     data, ids = client_data(KT, seqs)
 
     loss, _ = data.loss_grad(ids, params)
     n_steps = sum(x.shape[0] for _, (x, _) in seqs)
     assert np.isclose(loss, n_steps * np.log(2.0), rtol=1e-12)
 
-    scores, _ = data.predict(params, ids[:1])
-    assert scores.size == seqs[0][1][0].shape[0]
+    scores, _ = data.predict(params)
+    assert scores.size == n_steps
     assert np.all(scores == 0.5)
 
 
@@ -103,22 +101,23 @@ def test_op_zero_params_predicts_even_odds():
     vocab = small_vocab()
     rng = np.random.default_rng(8)
     seqs = [random_activity(rng, f"s{i}") for i in range(5)]
-    params = zero_params(op_init(ModelSpec.op(vocab, 4), rng))
+    params = zero_params(op_init(vocab, 4, rng))
     data, ids = client_data(OP, seqs)
 
     loss, _ = data.loss_grad(ids, params)
     assert np.isclose(loss, len(seqs) * np.log(2.0), rtol=1e-12)
 
-    probs, h_tilde, _, _ = op_forward(seqs[0][1][0], params)
-    assert np.all(probs == 0.5)
-    assert np.all(h_tilde == 0.0)
+    scores, _ = data.predict(params)
+    assert np.all(scores == 0.5)
+    x, lengths, _ = data.batch(ids)
+    assert np.all(op_embed(x, lengths, params) == 0.0)
 
 
 def test_kt_single_interaction_contributes_nothing():
     # one quiz interaction means zero predictable steps
     vocab = small_vocab()
     rng = np.random.default_rng(11)
-    params = kt_init(ModelSpec.kt(vocab, 4), rng)
+    params = kt_init(vocab, 4, rng)
     seqs = [random_interaction(rng, f"s{i}") for i in range(3)]
     stub = ("stub", kt_entry([(0, 1)], [1], vocab))
 
@@ -133,8 +132,8 @@ def test_kt_single_interaction_contributes_nothing():
 def test_duplicating_a_batch_doubles_the_loss():
     vocab = small_vocab()
     rng = np.random.default_rng(13)
-    kt_params = kt_init(ModelSpec.kt(vocab, 5), rng)
-    op_params = op_init(ModelSpec.op(vocab, 5), rng)
+    kt_params = kt_init(vocab, 5, rng)
+    op_params = op_init(vocab, 5, rng)
     iseqs = [random_interaction(rng, f"s{i}") for i in range(4)]
     aseqs = [random_activity(rng, f"s{i}") for i in range(4)]
 
@@ -151,8 +150,8 @@ def test_batch_loss_matches_per_student_sum():
     vocab = small_vocab()
     for seed in range(6):
         rng = np.random.default_rng(seed)
-        kt_params = kt_init(ModelSpec.kt(vocab, 5), rng)
-        op_params = op_init(ModelSpec.op(vocab, 5), rng)
+        kt_params = kt_init(vocab, 5, rng)
+        op_params = op_init(vocab, 5, rng)
         iseqs = [random_interaction(rng, f"s{i}") for i in range(5)]
         aseqs = [random_activity(rng, f"s{i}") for i in range(5)]
 
@@ -167,7 +166,7 @@ def test_batch_loss_matches_per_student_sum():
 def test_batch_order_does_not_change_the_loss():
     vocab = small_vocab()
     rng = np.random.default_rng(29)
-    params = kt_init(ModelSpec.kt(vocab, 5), rng)
+    params = kt_init(vocab, 5, rng)
     seqs = [random_interaction(rng, f"s{i}") for i in range(6)]
     data, ids = client_data(KT, seqs)
     fwd, _ = data.loss_grad(ids, params)
@@ -183,7 +182,7 @@ def test_identical_students_score_identically_at_any_batch_row(task, make):
     vocab = small_vocab()
     rng = np.random.default_rng(31)
     for _ in range(10):
-        params = task.init(task.spec(vocab, 16), rng)
+        params = task.init(vocab, 16, rng)
         seqs = [make(rng, f"s{i:02d}") for i in range(31)]
         seqs[30] = ("s30", seqs[0][1])
         data, ids = client_data(task, seqs)
@@ -197,7 +196,7 @@ def test_kt_predictions_are_causal():
     # perturbing the input at step t must not move predictions before t
     vocab = small_vocab()
     rng = np.random.default_rng(17)
-    params = kt_init(ModelSpec.kt(vocab, 6), rng)
+    params = kt_init(vocab, 6, rng)
     B, T, D = 3, 6, vocab.kt_input_dim
     x = rng.normal(size=(B, T, D))
     lengths = np.array([6, 4, 5])
@@ -217,7 +216,7 @@ def test_kt_predictions_are_causal():
 def test_padding_garbage_is_ignored():
     vocab = small_vocab()
     rng = np.random.default_rng(19)
-    kt_params = kt_init(ModelSpec.kt(vocab, 5), rng)
+    kt_params = kt_init(vocab, 5, rng)
     B, T, D = 3, 6, vocab.kt_input_dim
     x = rng.normal(size=(B, T, D))
     lengths = np.array([6, 3, 4])
@@ -241,7 +240,7 @@ def test_padding_garbage_is_ignored():
 def test_kt_single_student_loss_matches_its_predictions():
     vocab = small_vocab()
     rng = np.random.default_rng(23)
-    params = kt_init(ModelSpec.kt(vocab, 5), rng)
+    params = kt_init(vocab, 5, rng)
     seq = random_interaction(rng, "s0", min_len=4, max_len=4)
     data, ids = client_data(KT, [seq])
 
@@ -258,7 +257,7 @@ def test_kt_single_student_loss_matches_its_predictions():
 def test_kt_predict_flattens_valid_steps_only():
     vocab = small_vocab()
     rng = np.random.default_rng(31)
-    params = kt_init(ModelSpec.kt(vocab, 4), rng)
+    params = kt_init(vocab, 4, rng)
     B, T, D = 3, 5, vocab.kt_input_dim
     x = rng.normal(size=(B, T, D))
     lengths = np.array([5, 2, 3])
@@ -272,57 +271,71 @@ def test_kt_predict_flattens_valid_steps_only():
     assert np.all((scores > 0.0) & (scores < 1.0))
 
 
+def op_alphas(x, lengths, params):
+    """The OP model's attention weights over a padded batch: (B, T)."""
+    h_seq, _ = gru_forward(x, lengths, params)
+    return attention_pool(h_seq, lengths, params)[1]
+
+
 def test_op_single_step_gets_full_attention():
     vocab = small_vocab()
     rng = np.random.default_rng(37)
-    params = op_init(ModelSpec.op(vocab, 4), rng)
+    params = op_init(vocab, 4, rng)
     x, _ = op_entry([video(0, 1, 1)], 1, vocab)
-    _, _, alphas, _ = op_forward(x, params)
-    assert np.array_equal(alphas, np.array([1.0]))
+    alphas = op_alphas(x[None], np.array([1]), params)
+    assert np.array_equal(alphas, np.array([[1.0]]))
 
 
 def test_op_attention_weights_sum_to_one():
     vocab = small_vocab()
     rng = np.random.default_rng(41)
-    params = op_init(ModelSpec.op(vocab, 4), rng)
-    for i in range(5):
-        _, (x, _) = random_activity(rng, f"s{i}", min_len=2, max_len=7)
-        _, _, alphas, _ = op_forward(x, params)
-        assert alphas.shape == (x.shape[0],)
-        assert np.isclose(alphas.sum(), 1.0, atol=1e-12)
-        assert np.all(alphas >= 0.0)
+    params = op_init(vocab, 4, rng)
+    seqs = [random_activity(rng, f"s{i}", min_len=2, max_len=7)[1][0]
+            for i in range(5)]
+    x, lengths = pad_batch(seqs)
+    alphas = op_alphas(x, lengths, params)
+    for row, n in zip(alphas, lengths):
+        assert np.isclose(row.sum(), 1.0, atol=1e-12)
+        assert np.all(row >= 0.0)
+        assert np.all(row[n:] == 0.0)
 
 
-def test_extract_embedding_is_the_pooled_state():
+def test_op_embed_is_the_pooled_state():
     vocab = small_vocab()
     rng = np.random.default_rng(43)
-    params = op_init(ModelSpec.op(vocab, 6), rng)
-    _, (x, _) = random_activity(rng, "s0", min_len=3, max_len=6)
-    _, h_tilde, _, _ = op_forward(x, params)
-    emb = extract_embedding(x, params)
-    assert emb.shape == (6,)
+    params = op_init(vocab, 6, rng)
+    seqs = [random_activity(rng, f"s{i}", min_len=3, max_len=6)[1][0]
+            for i in range(3)]
+    x, lengths = pad_batch(seqs)
+    emb = op_embed(x, lengths, params)
+    assert emb.shape == (3, 6)
+    h_seq, _ = gru_forward(x, lengths, params)
+    h_tilde = np.einsum("bt,btk->bk", op_alphas(x, lengths, params), h_seq)
     assert np.array_equal(emb, h_tilde)
 
 
 def test_op_predict_scores_probability_of_passing():
     vocab = small_vocab()
     rng = np.random.default_rng(47)
-    params = op_init(ModelSpec.op(vocab, 4), rng)
+    params = op_init(vocab, 4, rng)
     encoded = [random_activity(rng, f"s{i}")[1] for i in range(4)]
     x, lengths = pad_batch([e[0] for e in encoded])
     labels = np.array([e[1] for e in encoded])
 
     scores, out_labels = op_predict(x, lengths, labels, params)
     assert np.array_equal(out_labels, labels)
-    probs0, _, _, _ = op_forward(encoded[0][0], params)
-    assert np.isclose(scores[0], probs0[1], atol=1e-12)
+    assert np.all((scores > 0.0) & (scores < 1.0))
+    # a student scores the same alone as in the batch
+    x0, lengths0 = pad_batch([encoded[0][0]])
+    alone, _ = op_predict(x0, lengths0, labels[:1], params)
+    assert np.isclose(scores[0], alone[0], atol=1e-12)
 
 
 def test_empty_batches_are_rejected():
     vocab = small_vocab()
     rng = np.random.default_rng(53)
-    kt_params = kt_init(ModelSpec.kt(vocab, 4), rng)
-    op_params = op_init(ModelSpec.op(vocab, 4), rng)
+    kt_params = kt_init(vocab, 4, rng)
+    op_params = op_init(vocab, 4, rng)
     for task, seqs, params in (
             (KT, [random_interaction(rng, "s0")], kt_params),
             (OP, [random_activity(rng, "s0")], op_params)):
@@ -335,7 +348,7 @@ def test_kt_gradients_match_finite_differences():
     vocab = small_vocab()
     for seed in range(4):
         rng = np.random.default_rng(seed)
-        params = kt_init(ModelSpec.kt(vocab, 4), rng)
+        params = kt_init(vocab, 4, rng)
         seqs = [random_interaction(rng, f"s{i}", min_len=2, max_len=5)
                 for i in range(3)]
         data, ids = client_data(KT, seqs)
@@ -348,7 +361,7 @@ def test_op_gradients_match_finite_differences():
     vocab = small_vocab()
     for seed in range(4):
         rng = np.random.default_rng(seed)
-        params = op_init(ModelSpec.op(vocab, 4), rng)
+        params = op_init(vocab, 4, rng)
         seqs = [random_activity(rng, f"s{i}", min_len=1, max_len=5)
                 for i in range(3)]
         data, ids = client_data(OP, seqs)

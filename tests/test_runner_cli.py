@@ -1,6 +1,7 @@
 """Experiment runner commands, artifact formats, and the CLI contract."""
 
 import base64
+import csv
 import json
 import shutil
 
@@ -345,6 +346,36 @@ def test_export_embeddings_is_outcome_task_only(tmp_path, data_dir):
         cmd_export_embeddings(small_config(data_dir, task="KT"), tmp_path / "e")
 
 
+def _copy_dataset(src, dst, student=lambda sid: sid, course=lambda c: c):
+    """src's students.csv and events.csv with student and course ids
+    rewritten, written to dst by the csv module, which quotes as needed."""
+    dst.mkdir()
+    for name in ("students.csv", "events.csv"):
+        with open(src / name, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        with open(dst / name, "w", newline="") as fh:
+            csv.writer(fh).writerows(
+                [header] + [[student(r[0]), course(r[1])] + r[2:] for r in rows])
+    return dst
+
+
+def test_export_embeddings_quotes_a_student_id_holding_a_comma(tmp_path, data_dir):
+    # a quoted id such as "c0,s0001" is legal in students.csv; unquoted, it
+    # split its embeddings.csv row into one field more than the header
+    ds_dir = _copy_dataset(data_dir, tmp_path / "ds",
+                           student=lambda sid: sid.replace("_", ","))
+    cfg = small_config(ds_dir, task="OP")
+    cmd_export_embeddings(cfg, tmp_path / "emb")
+    with open(tmp_path / "emb" / "embeddings.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert len(header) == 4 + cfg.hidden_dim
+    assert all(len(row) == len(header) for row in rows)
+    part = make_folds(resolve_dataset(cfg.dataset), cfg.seed)[0]
+    expected = sorted(sid for ids in part.test.values() for sid in ids)
+    assert all("," in sid for sid in expected)
+    assert [row[0] for row in rows] == expected
+
+
 def test_report_merges_strategies_and_writes_heatmaps(tmp_path, data_dir, trained_dir):
     sub_dir = tmp_path / "run_local"
     cmd_train(small_config(data_dir, strategy="sc2-L", demographic="gender"),
@@ -600,6 +631,10 @@ def test_cli_generate_writes_dataset_files(tmp_path, capsys):
     ("subgroup_shares", {"subgroup_shares": ["0.5", "0.5"]}),
     ("seed", {"preset": "balanced-small", "seed": 1.5}),      # was truncated
     ("preset", {"preset": ["balanced-small"]}),               # exit 1 before
+    ("courses", {"courses": ["a|b"]}),  # exit 0, then train failed
+    ("subgroup_labels", {"demographic": "age",
+                         "subgroup_labels": ["old", "young"]}),  # KeyError
+    ("subgroup_labels", {"subgroup_labels": ["X", "F"]}),  # gender ValueError
 ])
 def test_cli_generate_rejects_mistyped_fields_with_exit_two(tmp_path, capsys,
                                                            field, doc):
@@ -612,6 +647,22 @@ def test_cli_generate_rejects_mistyped_fields_with_exit_two(tmp_path, capsys,
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: {field} must be ")
     assert not out.exists()
+
+
+def test_cli_train_exits_two_naming_a_course_id_with_the_label_separator(
+        tmp_path, data_dir, capsys):
+    # "|" separates the fields of a group label; such a course used to train
+    # and then crash parsing its own report labels
+    ds_dir = _copy_dataset(data_dir, tmp_path / "ds",
+                           course=lambda c: c.replace("c0", "c0|x"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_snapshot(small_config(ds_dir))))
+    rc = main(["train", "--config", str(cfg_path),
+               "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {ds_dir / 'students.csv'}:2: course id 'c0|x' must not contain")
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("make, message", [

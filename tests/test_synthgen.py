@@ -45,6 +45,21 @@ def test_config_validation():
         GenConfig(**{**good.__dict__, "shared_videos": 11})
     with pytest.raises(ConfigError):
         GenConfig(**{**good.__dict__, "courses": ()})
+    with pytest.raises(ConfigError, match=r"courses must be free of '\|'"):
+        GenConfig(**{**good.__dict__, "courses": ("c0", "a|b")})
+
+
+@pytest.mark.parametrize("demographic, labels", [
+    ("age", ("old", "young")),
+    ("gender", ("X", "F")),
+    ("continent", ("EU", "Mars")),
+    ("gender", ("M", "M")),  # one archetype silently served both
+])
+def test_subgroup_labels_must_be_values_of_the_demographic(demographic, labels):
+    good = two_group_config(0.5)
+    with pytest.raises(ConfigError, match="subgroup_labels"):
+        GenConfig(**{**good.__dict__, "demographic": demographic,
+                     "subgroup_labels": labels})
 
 
 def test_presets_match_their_documentation():
