@@ -234,7 +234,7 @@ class Dataset:
             keep[quiz] = False
             keep[quiz[first]] = True
             order = order[keep[order]]
-        for name in t:  # one column at a time, so each unsorted one is freed
+        for name in t:  # one column at a time, so each pre-sort copy is freed
             t[name] = t[name][order]
         counts = np.bincount(t["student"], minlength=len(self.student_ids))
         return EventTable(video_ids=video_ids,

@@ -7,7 +7,6 @@ from .clients import (
     build_client_data,
     local_sgd_steps,
     meta_batches,
-    meta_step,
     meta_update,
 )
 from .engine import (
@@ -37,7 +36,6 @@ __all__ = [
     "local_sgd_steps",
     "mean_predictive_likelihood",
     "meta_batches",
-    "meta_step",
     "meta_update",
     "parse_strategy",
     "rasch_fit",

@@ -76,10 +76,8 @@ def build_client_data(task: Task, encoded: dict, ids) -> ClientData:
 
 
 def _apply_grad(params: ParamSet, grads: GradSet, step: float,
-                clip: float | None) -> ParamSet:
-    if clip is not None:
-        grads = clip_grad_norm(grads, clip)
-    return axpy_params(-step, grads, params)
+                clip: float) -> ParamSet:
+    return axpy_params(-step, clip_grad_norm(grads, clip), params)
 
 
 def _minibatches(ids, batch_size: int, rng) -> list:
@@ -95,8 +93,7 @@ def _require_students(data: ClientData):
 
 
 def local_sgd_steps(data: ClientData, params: ParamSet, eta: float,
-                    batch_size: int, rng, n_steps: int,
-                    clip: float | None = None,
+                    batch_size: int, rng, n_steps: int, clip: float,
                     stats: dict | None = None) -> ParamSet:
     """Exactly n_steps minibatch SGD steps from params, reshuffling as data
     runs out.
@@ -133,43 +130,24 @@ def meta_batches(data: ClientData, batch_size: int, rng):
     return d, d_prime
 
 
-def meta_step(params: ParamSet, grad_d, grad_d_prime, eta: float, beta: float,
-              clip: float | None = None) -> ParamSet:
-    """First-order meta update from explicit gradient callables.
-
-    theta_tilde = theta - beta * grad_d(theta);
-    theta_plus  = theta - eta * grad_d_prime(theta_tilde).
-    beta = 0 reduces bitwise to an SGD step on the second batch.
-    """
-    if beta == 0.0:
-        adapted = params
-    else:
-        g1 = grad_d(params)
-        if clip is not None:
-            g1 = clip_grad_norm(g1, clip)
-        adapted = axpy_params(-beta, g1, params)
-    g2 = grad_d_prime(adapted)
-    return _apply_grad(params, g2, eta, clip)
-
-
 def meta_update(data: ClientData, params: ParamSet, batches, eta: float,
-                beta: float, clip: float | None = None,
+                beta: float, clip: float,
                 stats: dict | None = None) -> ParamSet:
     """One first-order meta-gradient update of params on the client's
-    (D, D') pair of student-id batches (see meta_batches)."""
+    (D, D') pair of student-id batches (see meta_batches):
+
+    theta_tilde = theta - beta * grad_D(theta);
+    theta_plus  = theta - eta * grad_D'(theta_tilde),
+
+    both gradients clipped. beta = 0 never evaluates D and reduces bitwise
+    to an SGD step on D'.
+    """
     d, d_prime = batches
-
-    def grad_d(p):
-        loss, grads = data.loss_grad(d, p)
-        if stats is not None:
-            stats["inner_loss"] = stats.get("inner_loss", 0.0) + loss
-        return grads
-
-    def grad_d_prime(p):
-        loss, grads = data.loss_grad(d_prime, p)
-        if stats is not None:
-            stats["loss"] = stats.get("loss", 0.0) + loss
-            stats["steps"] = stats.get("steps", 0) + 1
-        return grads
-
-    return meta_step(params, grad_d, grad_d_prime, eta, beta, clip)
+    adapted = params
+    if beta != 0.0:
+        adapted = _apply_grad(params, data.loss_grad(d, params)[1], beta, clip)
+    loss, grads = data.loss_grad(d_prime, adapted)
+    if stats is not None:
+        stats["loss"] = stats.get("loss", 0.0) + loss
+        stats["steps"] = stats.get("steps", 0) + 1
+    return _apply_grad(params, grads, eta, clip)

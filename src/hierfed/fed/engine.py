@@ -77,6 +77,11 @@ def _client_rng(ctx: RunContext, fingerprint: str, round_idx: int):
                      fingerprint, str(round_idx))
 
 
+def _where(ctx: RunContext, what: str) -> str:
+    """Where in the run a numerical failure happened: fold, rep, then what."""
+    return f"fold {ctx.fold}, rep {ctx.rep}, {what}"
+
+
 def _check_finite(params: ParamSet, where: str):
     bad = params.first_nonfinite_layer()
     if bad is not None:
@@ -109,7 +114,8 @@ def _update_client(ctx: RunContext, key: GroupKey, start: ParamSet,
     s = ctx.strategy
     data = ctx.clients[key]
     rng = _client_rng(ctx, data.fingerprint, round_idx)
-    where = f"{'round' if s.is_federated else 'epoch'} {round_idx}, client {key}"
+    where = _where(ctx, f"{'round' if s.is_federated else 'epoch'} "
+                        f"{round_idx}, client {key}")
 
     def update():
         if _meta_updates(s):
@@ -153,7 +159,8 @@ def _course_adapt(ctx: RunContext, course: str, subs, theta_g: ParamSet,
         stats["loss"] = stats.get("loss", 0.0) + loss
         return axpy_params(-s.eta, clip_grad_norm(grads, s.clip), theta_g)
 
-    return _located(f"round {round_idx}, course adaptation {course}", update)
+    return _located(_where(ctx, f"round {round_idx}, course adaptation {course}"),
+                    update)
 
 
 def _warn_small_meta_clients(ctx: RunContext, leaves):
@@ -216,7 +223,7 @@ def train_strategy(ctx: RunContext, callback=None) -> TrainedBundle:
                 models[GroupKey(c)] = _aggregate(
                     start[c], {key: models[key] for key in keys}, s, weights)
                 _check_finite(models[GroupKey(c)],
-                              f"round {k}, course {c} aggregation")
+                              _where(ctx, f"round {k}, course {c} aggregation"))
 
         if s.is_federated:
             if course_aggregates and len(courses) == 1:
@@ -227,7 +234,7 @@ def train_strategy(ctx: RunContext, callback=None) -> TrainedBundle:
                          else ctx.clients[GroupKey(c)] for c in courses}
                 theta_g = _aggregate(theta_g, {key: models[key] for key in pools},
                                      s, _size_weights(pools))
-            _check_finite(theta_g, f"round {k}, global aggregation")
+            _check_finite(theta_g, _where(ctx, f"round {k}, global aggregation"))
             for c, keys in courses.items():
                 if _meta_updates(s) and len(keys) >= 2:
                     start[c] = _course_adapt(ctx, c, keys, theta_g, k, stats)
@@ -263,7 +270,7 @@ def _eval_rng(ctx: RunContext, tag, *parts):
 
 
 def _eval_where(ctx: RunContext, tag, what: str) -> str:
-    return f"fold {ctx.fold}, rep {ctx.rep}, {' '.join(tag)} {what}"
+    return _where(ctx, f"{' '.join(tag)} {what}")
 
 
 def _adapt_courses(bundle: TrainedBundle, ctx: RunContext, tag) -> dict:

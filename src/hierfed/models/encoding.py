@@ -26,15 +26,14 @@ class Vocab:
     """Index maps for courses and videos.
 
     Built from the training split only; unseen videos map to a reserved
-    trailing slot when reserve_unknown is set. Courses must always be known.
+    trailing slot. Courses must always be known.
     """
 
-    def __init__(self, course_ids, video_ids, reserve_unknown: bool = True):
+    def __init__(self, course_ids, video_ids):
         self.course_ids = tuple(sorted(set(course_ids)))
         self.video_ids = tuple(sorted(set(video_ids)))
         if not self.course_ids:
             raise ValueError("vocabulary needs at least one course")
-        self.reserve_unknown = bool(reserve_unknown)
         self._course_index = {c: j for j, c in enumerate(self.course_ids)}
         self._video_index = {v: j for j, v in enumerate(self.video_ids)}
 
@@ -44,12 +43,10 @@ class Vocab:
 
     @property
     def n_video_slots(self) -> int:
-        return len(self.video_ids) + (1 if self.reserve_unknown else 0)
+        return len(self.video_ids) + 1
 
     @property
     def unknown_video(self) -> int:
-        if not self.reserve_unknown:
-            raise ValueError("vocabulary has no reserved unknown-video slot")
         return len(self.video_ids)
 
     @property
@@ -67,16 +64,10 @@ class Vocab:
             raise ValueError(f"unknown course id {course_id!r}") from None
 
     def video_index(self, video_id: str) -> int:
-        j = self._video_index.get(video_id)
-        if j is None:
-            if not self.reserve_unknown:
-                raise ValueError(f"unknown video id {video_id!r}")
-            return self.unknown_video
-        return j
+        return self._video_index.get(video_id, self.unknown_video)
 
     def __repr__(self) -> str:
-        return (f"Vocab({self.n_courses} courses, {len(self.video_ids)} videos, "
-                f"reserve_unknown={self.reserve_unknown})")
+        return f"Vocab({self.n_courses} courses, {len(self.video_ids)} videos)"
 
 
 def _slots(dataset, vocab: Vocab):

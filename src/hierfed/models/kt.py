@@ -58,7 +58,7 @@ def kt_loss_grad(x, lengths, targets, params: ParamSet):
     dW = np.einsum("btk,btj->kj", h_seq, dlogits)
     db = dlogits.sum(axis=(0, 1))
     dh_seq = dlogits @ params["out.W"].T
-    g_lstm, _, _ = lstm_backward(dh_seq, cache, params)
+    g_lstm = lstm_backward(dh_seq, cache, params)
 
     grads = as_grads({
         "lstm.W": g_lstm["lstm.W"], "lstm.b": g_lstm["lstm.b"],

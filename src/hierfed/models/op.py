@@ -58,7 +58,7 @@ def op_loss_grad(x, lengths, labels, params: ParamSet):
     db = dlogits.sum(axis=0)
     dh_tilde = dlogits @ params["out.W"].T
     g_att, dh_seq = attention_pool_backward(dh_tilde, cache_a, params)
-    g_gru, _ = gru_backward(dh_seq, cache_g, params)
+    g_gru = gru_backward(dh_seq, cache_g, params)
 
     grads = as_grads({
         "gru.Wzr": g_gru["gru.Wzr"], "gru.bzr": g_gru["gru.bzr"],

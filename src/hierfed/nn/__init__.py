@@ -16,7 +16,6 @@ from .layers import (
     lstm_forward,
     lstm_backward,
 )
-from .gradcheck import OracleError, finite_diff_grad
 
 __all__ = [
     "GradSet",
@@ -33,6 +32,4 @@ __all__ = [
     "gru_backward",
     "lstm_forward",
     "lstm_backward",
-    "OracleError",
-    "finite_diff_grad",
 ]

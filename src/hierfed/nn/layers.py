@@ -66,7 +66,6 @@ class _Packing:
         step_of = np.repeat(np.arange(steps), active)
         rank = np.arange(offsets[-1]) - offsets[step_of]
         self.B, self.T, self.n = B, T, int(offsets[-1])
-        self.order = order
         self.rows = order[rank]          # batch row of each packed row
         self.cols = step_of              # time step of each packed row
         self.spans = [(int(offsets[t]), int(offsets[t + 1]),
@@ -92,19 +91,13 @@ class _Packing:
         out[self.first:] = packed[self.prev_rows]
         return out
 
-    def unsort(self, state: np.ndarray) -> np.ndarray:
-        """Per-sequence state in length order -> the caller's row order."""
-        out = np.empty_like(state)
-        out[self.order] = state
-        return out
 
-
-def _check_input(x, d: int, prefix: str, kind: str):
+def _check_input(x, d: int, kind: str):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
         raise ShapeError(f"{kind} input must be (B, T, D), got {x.shape}")
     if x.shape[2] != d:
-        raise ShapeError(f"{prefix} weights expect input dim {d}, got {x.shape[2]}")
+        raise ShapeError(f"{kind} weights expect input dim {d}, got {x.shape[2]}")
     return x
 
 
@@ -112,28 +105,28 @@ def _check_input(x, d: int, prefix: str, kind: str):
 # LSTM
 # ---------------------------------------------------------------------------
 
-def _lstm_dims(params: ParamSet, prefix: str):
-    W = params[f"{prefix}.W"]
-    b = params[f"{prefix}.b"]
+def _lstm_dims(params: ParamSet):
+    W = params["lstm.W"]
+    b = params["lstm.b"]
     if b.ndim != 1 or b.size % 4 != 0:
-        raise ShapeError(f"{prefix}.b must be a flat vector of length 4*k, got {b.shape}")
+        raise ShapeError(f"lstm.b must be a flat vector of length 4*k, got {b.shape}")
     k = b.size // 4
     if W.ndim != 2 or W.shape[1] != 4 * k:
-        raise ShapeError(f"{prefix}.W must have 4*k={4 * k} columns, got {W.shape}")
+        raise ShapeError(f"lstm.W must have 4*k={4 * k} columns, got {W.shape}")
     d = W.shape[0] - k
     if d < 1:
-        raise ShapeError(f"{prefix}.W rows must exceed hidden dim {k}, got {W.shape}")
+        raise ShapeError(f"lstm.W rows must exceed hidden dim {k}, got {W.shape}")
     return W, b, d, k
 
 
-def lstm_forward(x, lengths, params: ParamSet, prefix: str = "lstm"):
+def lstm_forward(x, lengths, params: ParamSet):
     """Run the LSTM over the valid steps of a padded batch from zero state.
 
     x: (B, T, D); lengths: (B,) valid step counts. Returns (h_seq, cache)
     where h_seq is (B, T, k), zero past each length.
     """
-    W, b, d, k = _lstm_dims(params, prefix)
-    x = _check_input(x, d, prefix, "lstm")
+    W, b, d, k = _lstm_dims(params)
+    x = _check_input(x, d, "lstm")
     B, T, _ = x.shape
     pk = _Packing(lengths, B, T)
     xs = pk.gather(x)
@@ -167,7 +160,7 @@ def lstm_forward(x, lengths, params: ParamSet, prefix: str = "lstm"):
         np.multiply(a[:, 3 * k:], tc[start:end], out=hs[start:end])
 
     cache = {
-        "prefix": prefix, "d": d, "k": k, "T": T, "B": B, "packing": pk,
+        "d": d, "k": k, "T": T, "B": B, "packing": pk,
         "x": xs, "acts": acts, "c": cs, "tanh_c": tc, "h": hs,
     }
     return pk.scatter(hs), cache
@@ -177,12 +170,12 @@ def lstm_backward(dh_seq, cache, params: ParamSet):
     """Backprop through time for lstm_forward.
 
     dh_seq: (B, T, k) adjoints of each hidden state from the loss heads;
-    entries past a sequence's length are ignored. Returns (grads, dh0, dc0).
+    entries past a sequence's length are ignored. Returns the gradients.
     """
-    prefix, d, k, B = (cache[n] for n in ("prefix", "d", "k", "B"))
+    d, k, B = (cache[n] for n in ("d", "k", "B"))
     pk = cache["packing"]
     acts, tc = cache["acts"], cache["tanh_c"]
-    U_T = params[f"{prefix}.W"][d:].T
+    U_T = params["lstm.W"][d:].T
     i, f, g, o = (acts[:, j * k:(j + 1) * k] for j in range(4))
     # d gate / d pre-activation: s(1 - s) for the sigmoids, 1 - g^2 for g
     dact = acts * (1.0 - acts)
@@ -209,37 +202,37 @@ def lstm_backward(dh_seq, cache, params: ParamSet):
         dc_m *= f[start:end]
 
     dW = np.concatenate([cache["x"].T @ da, pk.previous(cache["h"]).T @ da])
-    grads = as_grads({f"{prefix}.W": dW, f"{prefix}.b": da.sum(axis=0)})
-    return grads, pk.unsort(dh), pk.unsort(dc)
+    return as_grads({"lstm.W": dW, "lstm.b": da.sum(axis=0)})
 
 
 # ---------------------------------------------------------------------------
 # GRU
 # ---------------------------------------------------------------------------
 
-def _gru_dims(params: ParamSet, prefix: str):
-    Wzr = params[f"{prefix}.Wzr"]
-    bzr = params[f"{prefix}.bzr"]
-    Wn = params[f"{prefix}.Wn"]
-    bn = params[f"{prefix}.bn"]
+def _gru_dims(params: ParamSet):
+    Wzr = params["gru.Wzr"]
+    bzr = params["gru.bzr"]
+    Wn = params["gru.Wn"]
+    bn = params["gru.bn"]
     k = bn.size
     if bzr.size != 2 * k:
-        raise ShapeError(f"{prefix}.bzr must have length 2*k={2 * k}, got {bzr.shape}")
+        raise ShapeError(f"gru.bzr must have length 2*k={2 * k}, got {bzr.shape}")
     if Wzr.ndim != 2 or Wzr.shape[1] != 2 * k or Wn.shape[1] != k:
-        raise ShapeError(f"{prefix} weight columns inconsistent with hidden dim {k}")
+        raise ShapeError(f"gru weight columns inconsistent with hidden dim {k}")
     d = Wn.shape[0] - k
     if Wzr.shape[0] != d + k or d < 1:
-        raise ShapeError(f"{prefix}.Wzr rows {Wzr.shape[0]} inconsistent with {prefix}.Wn rows {Wn.shape[0]}")
+        raise ShapeError(f"gru.Wzr rows {Wzr.shape[0]} inconsistent with "
+                         f"gru.Wn rows {Wn.shape[0]}")
     return Wzr, bzr, Wn, bn, d, k
 
 
-def gru_forward(x, lengths, params: ParamSet, prefix: str = "gru"):
+def gru_forward(x, lengths, params: ParamSet):
     """Run the GRU over the valid steps of a padded batch from zero state.
 
     Returns (h_seq, cache); h_seq is (B, T, k), zero past each length.
     """
-    Wzr, bzr, Wn, bn, d, k = _gru_dims(params, prefix)
-    x = _check_input(x, d, prefix, "gru")
+    Wzr, bzr, Wn, bn, d, k = _gru_dims(params)
+    x = _check_input(x, d, "gru")
     B, T, _ = x.shape
     pk = _Packing(lengths, B, T)
     xs = pk.gather(x)
@@ -270,19 +263,19 @@ def gru_forward(x, lengths, params: ParamSet, prefix: str = "gru"):
         h += hp
 
     cache = {
-        "prefix": prefix, "d": d, "k": k, "T": T, "B": B, "packing": pk,
+        "d": d, "k": k, "T": T, "B": B, "packing": pk,
         "x": xs, "zr": zr, "n": n, "rh": rh, "h": hs,
     }
     return pk.scatter(hs), cache
 
 
 def gru_backward(dh_seq, cache, params: ParamSet):
-    """Backprop through time for gru_forward. Returns (grads, dh0)."""
-    prefix, d, k, B = (cache[n] for n in ("prefix", "d", "k", "B"))
+    """Backprop through time for gru_forward. Returns the gradients."""
+    d, k, B = (cache[n] for n in ("d", "k", "B"))
     pk = cache["packing"]
     zr, n = cache["zr"], cache["n"]
-    Uzr_T = params[f"{prefix}.Wzr"][d:].T
-    Un_T = params[f"{prefix}.Wn"][d:].T
+    Uzr_T = params["gru.Wzr"][d:].T
+    Un_T = params["gru.Wn"][d:].T
     hp = pk.previous(cache["h"])
     z, r = zr[:, :k], zr[:, k:]
     dzr = zr * (1.0 - zr)
@@ -316,18 +309,17 @@ def gru_backward(dh_seq, cache, params: ParamSet):
     xs = cache["x"]
     dWzr = np.concatenate([xs.T @ da_zr, hp.T @ da_zr])
     dWn = np.concatenate([xs.T @ da_n, cache["rh"].T @ da_n])
-    grads = as_grads({
-        f"{prefix}.Wzr": dWzr, f"{prefix}.bzr": da_zr.sum(axis=0),
-        f"{prefix}.Wn": dWn, f"{prefix}.bn": da_n.sum(axis=0),
+    return as_grads({
+        "gru.Wzr": dWzr, "gru.bzr": da_zr.sum(axis=0),
+        "gru.Wn": dWn, "gru.bn": da_n.sum(axis=0),
     })
-    return grads, pk.unsort(dh)
 
 
 # ---------------------------------------------------------------------------
 # Attention pooling
 # ---------------------------------------------------------------------------
 
-def attention_pool(h_seq, lengths, params: ParamSet, prefix: str = "att"):
+def attention_pool(h_seq, lengths, params: ParamSet):
     """Pool hidden states with tanh-score attention.
 
     Scores e_t = p . tanh(W h_t); weights are a softmax over each sequence's
@@ -336,12 +328,12 @@ def attention_pool(h_seq, lengths, params: ParamSet, prefix: str = "att"):
     """
     h_seq = np.asarray(h_seq, dtype=np.float64)
     B, T, k = h_seq.shape
-    W = params[f"{prefix}.W"]
-    p = params[f"{prefix}.p"]
+    W = params["att.W"]
+    p = params["att.p"]
     if W.shape != (k, k):
-        raise ShapeError(f"{prefix}.W must be ({k}, {k}), got {W.shape}")
+        raise ShapeError(f"att.W must be ({k}, {k}), got {W.shape}")
     if p.shape != (k,):
-        raise ShapeError(f"{prefix}.p must have length {k}, got {p.shape}")
+        raise ShapeError(f"att.p must have length {k}, got {p.shape}")
     lengths = np.asarray(lengths, dtype=np.int64)
     if np.any(lengths < 1):
         raise ValueError("attention_pool requires nonempty sequences")
@@ -354,16 +346,14 @@ def attention_pool(h_seq, lengths, params: ParamSet, prefix: str = "att"):
     ex = np.where(valid, np.exp(e_shift), 0.0)
     alphas = ex / ex.sum(axis=1, keepdims=True)
     h_tilde = np.einsum("bt,btk->bk", alphas, h_seq)
-    cache = {"prefix": prefix, "u": u, "alphas": alphas, "valid": valid,
-             "h_seq": h_seq}
+    cache = {"u": u, "alphas": alphas, "h_seq": h_seq}
     return h_tilde, alphas, cache
 
 
 def attention_pool_backward(dh_tilde, cache, params: ParamSet):
     """Backward for attention_pool. Returns (grads, dh_seq)."""
-    prefix = cache["prefix"]
-    W = params[f"{prefix}.W"]
-    p = params[f"{prefix}.p"]
+    W = params["att.W"]
+    p = params["att.p"]
     u, alphas, h_seq = cache["u"], cache["alphas"], cache["h_seq"]
 
     B, T, k = h_seq.shape
@@ -377,8 +367,7 @@ def attention_pool_backward(dh_tilde, cache, params: ParamSet):
     dpre = (du * (1.0 - u * u)).reshape(B * T, k)
     dW = h_seq.reshape(B * T, k).T @ dpre
     dh_seq += (dpre @ W.T).reshape(B, T, k)
-    grads = as_grads({f"{prefix}.W": dW, f"{prefix}.p": dp})
-    return grads, dh_seq
+    return as_grads({"att.W": dW, "att.p": dp}), dh_seq
 
 
 # ---------------------------------------------------------------------------

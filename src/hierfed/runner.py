@@ -452,9 +452,14 @@ def _models_payload(bundle: TrainedBundle) -> dict:
     return out
 
 
-def _load_bundle(path) -> tuple[TrainedBundle, str]:
-    """The models of a checkpoint file as a bundle, and its config hash."""
-    models, chash, _ = load_checkpoint(path)
+def _load_bundle(path, chash: str) -> TrainedBundle:
+    """The models of a checkpoint file as a bundle; a checkpoint missing or
+    saved under another config hash than chash raises ConfigError."""
+    if not Path(path).is_file():
+        raise ConfigError(f"missing checkpoint {path}")
+    models, saved_hash, _ = load_checkpoint(path)
+    if saved_hash != chash:
+        raise ConfigError(f"{path} belongs to a different config")
     bundle = TrainedBundle()
     for name, ps in models.items():
         kind, _, label = name.partition(":")
@@ -468,7 +473,7 @@ def _load_bundle(path) -> tuple[TrainedBundle, str]:
         except ValueError as exc:
             raise ConfigError(f"{path}: malformed checkpoint (model entry "
                               f"{name!r}: {exc})") from None
-    return bundle, chash
+    return bundle
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +564,17 @@ def read_report(path) -> dict:
     return report
 
 
+def _trained_dataset(report: dict):
+    """The dataset a train report names, resolved again; one whose contents
+    changed since training raises ConfigError."""
+    name = report["config"]["dataset"]
+    ds = resolve_dataset(name)
+    if dataset_hash(ds) != report["dataset_hash"]:
+        raise ConfigError(f"dataset {name}: contents changed since training; "
+                          f"refusing")
+    return ds
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -630,20 +646,14 @@ def cmd_evaluate(out, config: ExperimentConfig | None = None) -> dict:
     stored = config_from_dict(report["config"])
     if config is not None and config_hash(config) != report["config_hash"]:
         raise ConfigError("given config does not match the trained report")
-    ds = resolve_dataset(stored.dataset)
-    if dataset_hash(ds) != report["dataset_hash"]:
-        raise ConfigError("dataset contents changed since training; refusing")
+    ds = _trained_dataset(report)
     parts = make_folds(ds, stored.seed)
     rows = []
     all_match = True
     for run in report["runs"]:
         fold, rep = run["fold"], run["rep"]
-        path = _checkpoint_path(out_dir, fold, rep)
-        if not path.is_file():
-            raise ConfigError(f"missing checkpoint {path}")
-        bundle, chash = _load_bundle(path)
-        if chash != report["config_hash"]:
-            raise ConfigError(f"{path} belongs to a different config")
+        bundle = _load_bundle(_checkpoint_path(out_dir, fold, rep),
+                              report["config_hash"])
         _, _, test_ctx = _prepare(stored, ds, parts, fold, rep)
         test = evaluate_adapted(bundle, test_ctx, ("test",))
         test_auc = {key.label(): value for key, value in test.items()}
@@ -730,18 +740,17 @@ def cmd_export_embeddings(config: ExperimentConfig, out, workers: int = 1) -> di
     out_dir.mkdir(parents=True, exist_ok=True)
     chash = config_hash(config)
     report_path = out_dir / "report.json"
-    have = (report_path.is_file()
-            and read_report(report_path)["config_hash"] == chash
+    report = read_report(report_path) if report_path.is_file() else None
+    if not (report and report["config_hash"] == chash
             and all(_checkpoint_path(out_dir, f, 0).is_file()
-                    for f in config.folds))
-    if not have:
-        cmd_train(config, out=out_dir, workers=workers)
+                    for f in config.folds)):
+        report = cmd_train(config, out=out_dir, workers=workers)
 
-    ds = resolve_dataset(config.dataset)
+    ds = _trained_dataset(report)
     parts = make_folds(ds, config.seed)
     rows = []
     for fold in config.folds:
-        bundle, _ = _load_bundle(_checkpoint_path(out_dir, fold, 0))
+        bundle = _load_bundle(_checkpoint_path(out_dir, fold, 0), chash)
         _, _, test = _prepare(config, ds, parts, fold, rep=0)
         pmap = adapted_params(bundle, test, ("embed",))
         for key, params in pmap.items():
@@ -818,7 +827,7 @@ def cmd_report(run_dirs, out) -> dict:
                 cells.append(f"{stat['mean']:.4f} ({stat['std']:.4f})")
         lines.append("| " + label + " | " + " | ".join(cells) + " |")
 
-    ds = resolve_dataset(reports[0]["config"]["dataset"])
+    ds = _trained_dataset(reports[0])
     variables = sorted({r["config"]["demographic"] for r in reports
                        if r["config"]["demographic"]})
     include = {v: any(r["config"]["include_unspecified"] for r in reports

@@ -1,14 +1,13 @@
 """Synthetic heterogeneous education-data generator."""
 
 from .archetypes import ArchetypeSpec, GenConfig, build_archetypes
-from .generate import PRESETS, config_to_dict, generate, preset
+from .generate import PRESETS, generate, preset
 
 __all__ = [
     "ArchetypeSpec",
     "GenConfig",
     "PRESETS",
     "build_archetypes",
-    "config_to_dict",
     "generate",
     "preset",
 ]

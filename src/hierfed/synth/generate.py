@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -122,7 +123,7 @@ def generate(config: GenConfig, out_dir=None) -> Dataset:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         export_dataset(dataset, out_dir / "events.csv", out_dir / "students.csv")
-        manifest = {"config": config_to_dict(config)}
+        manifest = {"config": dataclasses.asdict(config)}
         with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, sort_keys=True, indent=2)
             fh.write("\n")
@@ -139,25 +140,6 @@ def _share_counts(n: int, shares) -> list:
     for j in order[:rem]:
         counts[j] += 1
     return counts
-
-
-def config_to_dict(config: GenConfig) -> dict:
-    return {
-        "name": config.name,
-        "courses": list(config.courses),
-        "students_per_course": config.students_per_course,
-        "videos_per_course": config.videos_per_course,
-        "shared_videos": config.shared_videos,
-        "demographic": config.demographic,
-        "subgroup_labels": list(config.subgroup_labels),
-        "subgroup_shares": list(config.subgroup_shares),
-        "tau": config.tau,
-        "undisclosed_fraction": config.undisclosed_fraction,
-        "label_noise": config.label_noise,
-        "seed": config.seed,
-        "ability_std": config.ability_std,
-        "difficulty_span": config.difficulty_span,
-    }
 
 
 PRESETS = {

@@ -1,4 +1,5 @@
-"""Central finite-difference gradients for checking analytic backprop."""
+"""Central finite differences: the reference the gradient tests compare the
+analytic backward passes against."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .params import GradSet, ParamSet
+from hierfed.nn.params import GradSet, ParamSet
 
 
 class OracleError(RuntimeError):

@@ -1,7 +1,10 @@
-"""The reference sweep: train and re-evaluate every strategy on both tasks
-and three presets, and print digests of what each run wrote.
+"""The reference sweep: generate the three presets, train and re-evaluate
+every strategy on both tasks and each preset, and print digests of what each
+step wrote.
 
-Every config trains one fold and one repetition for two rounds or epochs,
+The sweep first writes each preset with `cmd_generate` and prints one JSON
+line with the sha256 of its events.csv, students.csv and manifest.json.
+Every config then trains one fold and one repetition for two rounds or epochs,
 then re-scores its checkpoint with `cmd_evaluate`; an outcome-prediction
 config also exports its test students' embeddings from the same directory
 with `cmd_export_embeddings` (a KT config, whose model has none, is
@@ -28,7 +31,8 @@ from pathlib import Path
 
 from hierfed.errors import ConfigError
 from hierfed.runner import (ExperimentConfig, cmd_evaluate,
-                            cmd_export_embeddings, cmd_train)
+                            cmd_export_embeddings, cmd_generate, cmd_train)
+from hierfed.synth.generate import preset
 
 STRATEGIES = ("sc1-L", "sc1-G", "sc1-G-AV", "sc1-G-AT", "sc1-P-AV", "sc1-P-AT",
               "sc2-L", "sc2-G", "sc2-G-AV-M", "sc2-G-AV-T", "sc2-G-AT-M",
@@ -58,6 +62,14 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def generate(dataset: str, out_dir: Path) -> dict:
+    cmd_generate(preset(dataset), out_dir)
+    line = {"generate": dataset}
+    for name in ("events.csv", "students.csv", "manifest.json"):
+        line[name] = _sha256(out_dir / name)
+    return line
+
+
 def run(name: str, fields: dict, out_dir: Path) -> dict:
     config = ExperimentConfig(**fields)
     cmd_train(config, out=out_dir, workers=1)
@@ -78,10 +90,13 @@ def run(name: str, fields: dict, out_dir: Path) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, metavar="DIR",
-                        help="directory that receives one run directory per "
-                             "config")
+                        help="directory that receives the generated presets "
+                             "and one run directory per config")
     args = parser.parse_args(argv)
     root = Path(args.out)
+    for dataset, _ in PRESETS:
+        line = generate(dataset, root / "generated" / dataset)
+        print(json.dumps(line, sort_keys=True), flush=True)
     all_match = True
     for i, (name, fields) in enumerate(configs()):
         line = run(name, fields, root / f"{i:03d}")

@@ -25,7 +25,7 @@ from hierfed.fed.aggregate import (
     attention_weights,
 )
 from hierfed.fed.checkpoint import load_checkpoint, save_checkpoint
-from hierfed.fed.clients import build_client_data, meta_step, meta_update
+from hierfed.fed.clients import build_client_data, meta_update
 from hierfed.fed.engine import RunContext, train_strategy
 from hierfed.fed.irt import irt_confidence, irt_interpolate
 from hierfed.fed.strategy import parse_strategy
@@ -33,12 +33,12 @@ from hierfed.keys import GroupKey
 from hierfed.metrics import activity_heatmap, auc
 from hierfed.models.encoding import Vocab
 from hierfed.models.task import KT, OP
-from hierfed.nn.gradcheck import finite_diff_grad, grad_rel_error
 from hierfed.nn.layers import PROB_CLAMP
 from hierfed.nn.params import GradSet, ParamSet, axpy_params, clip_grad_norm
 from hierfed.runner import ExperimentConfig, cmd_train
 from hierfed.synth.archetypes import ENGAGEMENT_CAP, GenConfig, build_archetypes
 from hierfed.synth.generate import PRESETS, generate, preset
+from gradcheck import finite_diff_grad, grad_rel_error
 from rowwise import events_of
 from stepwise import forum, kt_entry, op_entry, video
 
@@ -172,12 +172,20 @@ def test_aggregation_algebra_identities():
     assert all(np.array_equal(blended[n], same[n]) for n in shapes)
 
 
+class QuadraticClient:
+    """A client whose loss on any batch is w^2 / 2, so its gradient is w."""
+
+    def loss_grad(self, ids, params):
+        w = params["w"]
+        return float(w @ w) / 2.0, GradSet({"w": w.copy()})
+
+
 def test_meta_update_reduces_to_sgd_and_the_quadratic_value():
     # f(w) = w^2/2: adapting w=1 by 0.5 then stepping by 0.1 on the adapted
     # gradient lands exactly on 1 - 0.1 * 0.5 = 0.95 in double precision
     params = ParamSet({"w": np.array([1.0])})
-    grad = lambda p: GradSet({"w": p["w"].copy()})
-    out = meta_step(params, grad, grad, eta=0.1, beta=0.5)
+    out = meta_update(QuadraticClient(), params, ([], []), eta=0.1, beta=0.5,
+                      clip=5.0)
     assert out["w"][0] == 0.95
 
     rng = np.random.default_rng(5)

@@ -89,12 +89,6 @@ def test_vocab_sorts_and_dedupes():
 def test_vocab_unknown_video_maps_to_reserved_slot():
     vocab = Vocab(["a"], ["v0"])
     assert vocab.video_index("never-seen") == vocab.unknown_video
-    strict = Vocab(["a"], ["v0"], reserve_unknown=False)
-    assert strict.n_video_slots == 1
-    with pytest.raises(ValueError):
-        strict.video_index("never-seen")
-    with pytest.raises(ValueError):
-        strict.unknown_video
 
 
 def test_vocab_rejects_unknown_course():
@@ -159,15 +153,10 @@ def test_activity_encoding_forum_step():
 
 def test_activity_encoding_rejects_bad_steps():
     vocab = Vocab(["a"], ["v0"])
-    strict = Vocab(["a"], ["v0"], reserve_unknown=False)
     with pytest.raises(ValueError):
         encode_one(OP, [post("z", "forum_post")], vocab)
     with pytest.raises(ValueError):
         encode_one(KT, [quiz("z", "v0", 1), quiz("z", "v1", 1)], vocab)
-    with pytest.raises(ValueError):
-        encode_one(OP, [watch("a", "never-seen")], strict)
-    with pytest.raises(ValueError):
-        encode_one(KT, [quiz("a", "never-seen", 1), quiz("a", "v0", 1)], strict)
 
 
 def test_unseen_video_maps_to_the_reserved_slot():

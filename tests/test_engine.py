@@ -278,11 +278,13 @@ def test_federated_divergence_names_the_round_and_client():
     rng = np.random.default_rng(12)
     data = make_client(rng)
     s = parse_strategy("sc1-G-AT").with_overrides(rounds=2, batch_size=4)
-    ctx = RunContext(strategy=s, master_seed=1, rep=0, fold=0,
+    ctx = RunContext(strategy=s, master_seed=1, rep=3, fold=2,
                      init_params=poisoned_init(rng),
                      clients={GroupKey("c0"): data})
     with np.errstate(invalid="ignore"):
-        with pytest.raises(NumericsError, match=r"round 0, client .*c0"):
+        with pytest.raises(NumericsError,
+                           match=r"^fold 2, rep 3, round 0, client .*c0.*: "
+                                 r"non-finite"):
             train_strategy(ctx)
 
 
@@ -290,11 +292,13 @@ def test_centralized_divergence_names_the_epoch():
     rng = np.random.default_rng(13)
     data = make_client(rng)
     s = parse_strategy("sc1-G").with_overrides(epochs=2, batch_size=4)
-    ctx = RunContext(strategy=s, master_seed=1, rep=0, fold=0,
+    ctx = RunContext(strategy=s, master_seed=1, rep=1, fold=4,
                      init_params=poisoned_init(rng),
                      clients={GroupKey("c0"): data})
     with np.errstate(invalid="ignore"):
-        with pytest.raises(NumericsError, match=r"epoch 0, client"):
+        with pytest.raises(NumericsError,
+                           match=r"^fold 4, rep 1, epoch 0, client .*: "
+                                 r"non-finite"):
             train_strategy(ctx)
 
 
@@ -303,11 +307,61 @@ def test_local_divergence_names_the_epoch_and_client():
     data = make_client(rng)
     s = parse_strategy("sc2-L").with_overrides(epochs=2, batch_size=4)
     key = GroupKey("c0", "gender", "F")
-    ctx = RunContext(strategy=s, master_seed=1, rep=0, fold=0,
+    ctx = RunContext(strategy=s, master_seed=1, rep=2, fold=1,
                      init_params=poisoned_init(rng), clients={key: data})
     with np.errstate(invalid="ignore"):
-        with pytest.raises(NumericsError, match=r"epoch 0, client .*c0"):
+        with pytest.raises(NumericsError,
+                           match=r"^fold 1, rep 2, epoch 0, client .*c0.*: "
+                                 r"non-finite"):
             train_strategy(ctx)
+
+
+def nan_average(models, weights):
+    """An aggregate that diverged: the first model with one NaN weight."""
+    out = next(iter(models.values())).copy()
+    out["lstm.W"][0, 0] = np.nan
+    return out
+
+
+@pytest.mark.parametrize("name,where", [
+    ("sc2-G-AV-T", "round 0, course c0 aggregation"),
+    ("sc1-G-AV", "round 0, global aggregation"),
+])
+def test_aggregation_divergence_names_fold_rep_and_level(monkeypatch, name,
+                                                         where):
+    rng = np.random.default_rng(15)
+    clients, pools = two_level_world(rng)
+    if name.startswith("sc1"):  # the courses are the clients
+        clients, pools = {GroupKey(c): data for c, data in pools.items()}, {}
+    monkeypatch.setattr("hierfed.fed.engine.aggregate_average", nan_average)
+    s = parse_strategy(name).with_overrides(rounds=2, batch_size=4,
+                                            local_iters=1)
+    ctx = RunContext(strategy=s, master_seed=1, rep=1, fold=3,
+                     init_params=init_params(rng), clients=clients,
+                     course_pools=pools)
+    with pytest.raises(NumericsError,
+                       match=rf"^fold 3, rep 1, {where}: non-finite "
+                             rf"parameters in layer 'lstm.W'"):
+        train_strategy(ctx)
+
+
+def test_training_course_adaptation_divergence_names_fold_rep_and_course():
+    rng = np.random.default_rng(16)
+    clients, pools = two_level_world(rng)
+
+    def diverged(ids, params):
+        raise NumericsError(f"non-finite loss on batch of {len(ids)} students")
+
+    pools["c1"].loss_grad = diverged
+    s = parse_strategy("sc2-P-AT-B").with_overrides(
+        rounds=2, batch_size=4, local_iters=1, per_group=2)
+    ctx = RunContext(strategy=s, master_seed=1, rep=4, fold=2,
+                     init_params=init_params(rng), clients=clients,
+                     course_pools=pools)
+    with pytest.raises(NumericsError,
+                       match=r"^fold 2, rep 4, round 0, course adaptation c1: "
+                             r"non-finite loss"):
+        train_strategy(ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 from hierfed.fed.clients import build_client_data
 from hierfed.models.encoding import Vocab
 from hierfed.models.task import KT, OP
-from hierfed.nn.gradcheck import OracleError, finite_diff_grad, grad_rel_error
 from hierfed.nn.layers import (
     PROB_CLAMP,
     attention_pool,
@@ -18,6 +17,7 @@ from hierfed.nn.layers import (
     softmax_probs,
 )
 from hierfed.nn.params import GradSet, ParamSet
+from gradcheck import OracleError, finite_diff_grad, grad_rel_error
 from stepwise import kt_entry, op_entry, video
 
 TOL = 1e-6
@@ -69,7 +69,7 @@ def test_lstm_gradients_match_finite_differences():
         dh_seq = np.zeros_like(h_seq)
         for b, L in enumerate(lengths):
             dh_seq[b, :L, :] = weight
-        grads, _, _ = lstm_backward(dh_seq, cache, params)
+        grads = lstm_backward(dh_seq, cache, params)
 
         def loss(p):
             h, _ = lstm_forward(x, lengths, p)
@@ -91,7 +91,7 @@ def test_gru_gradients_match_finite_differences():
         dh_seq = np.zeros_like(h_seq)
         for b, L in enumerate(lengths):
             dh_seq[b, :L, :] = weight
-        grads, _ = gru_backward(dh_seq, cache, params)
+        grads = gru_backward(dh_seq, cache, params)
 
         def loss(p):
             h, _ = gru_forward(x, lengths, p)
@@ -151,7 +151,7 @@ def run_kernel(kind, x, lengths, params, weight):
     forward, backward = ((lstm_forward, lstm_backward) if kind == "lstm"
                          else (gru_forward, gru_backward))
     h_seq, cache = forward(x, lengths, params)
-    grads = backward(valid[:, :, None] * weight, cache, params)[0]
+    grads = backward(valid[:, :, None] * weight, cache, params)
     assert np.all(h_seq[~valid] == 0.0)
     return [h_seq[b, :L] for b, L in enumerate(lengths)], grads
 

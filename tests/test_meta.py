@@ -1,4 +1,4 @@
-"""Local update rules: SGD epochs and the first-order meta step."""
+"""Local update rules: SGD epochs and the first-order meta-update."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,11 @@ from hierfed.fed.clients import (
     build_client_data,
     local_sgd_steps,
     meta_batches,
-    meta_step,
     meta_update,
 )
 from hierfed.models.encoding import Vocab
 from hierfed.models.task import KT
-from hierfed.nn.params import GradSet, ParamSet, axpy_params
+from hierfed.nn.params import GradSet, ParamSet, axpy_params, clip_grad_norm
 from stepwise import kt_entry
 
 VOCAB = Vocab(("c0", "c1"), ("v0", "v1", "v2", "v3"))
@@ -32,13 +31,21 @@ def kt_client(rng, n_students=12):
     return data, KT.init(VOCAB, 5, rng)
 
 
+class QuadraticClient:
+    """A client whose loss on any batch is w^2 / 2, so its gradient is w."""
+
+    def loss_grad(self, ids, params):
+        w = params["w"]
+        return float(w @ w) / 2.0, GradSet({"w": w.copy()})
+
+
 def test_meta_step_on_a_quadratic_is_exact():
-    # f(w) = w^2 / 2 so the gradient is w itself; starting from w = 1 with
-    # an adaptation step of 0.5 and an outer step of 0.1 the update lands
-    # exactly on 1 - 0.1 * (1 - 0.5) = 0.95 in double precision
+    # starting from w = 1 with an adaptation step of 0.5 and an outer step
+    # of 0.1 the update lands exactly on 1 - 0.1 * (1 - 0.5) = 0.95 in double
+    # precision; the clip is above every gradient norm here
     params = ParamSet({"w": np.array([1.0])})
-    grad = lambda p: GradSet({"w": p["w"].copy()})
-    out = meta_step(params, grad, grad, eta=0.1, beta=0.5)
+    out = meta_update(QuadraticClient(), params, ([], []), eta=0.1, beta=0.5,
+                      clip=5.0)
     assert out["w"][0] == 0.95
 
 
@@ -47,23 +54,23 @@ def test_zero_adaptation_is_bitwise_plain_sgd():
     data, params = kt_client(rng)
     d = data.ids[:4]
     d_prime = data.ids[4:8]
-
-    calls = {"d": 0}
-
-    def grad_d(p):
-        calls["d"] += 1
-        return data.loss_grad(d, p)[1]
-
-    def grad_d_prime(p):
-        return data.loss_grad(d_prime, p)[1]
-
-    stepped = meta_step(params, grad_d, grad_d_prime, eta=0.3, beta=0.0)
     _, grads = data.loss_grad(d_prime, params)
-    sgd = axpy_params(-0.3, grads, params)
+    sgd = axpy_params(-0.3, clip_grad_norm(grads, 5.0), params)
+
+    seen = []
+    loss_grad = data.loss_grad
+
+    def recording(ids, params):
+        seen.append(list(ids))
+        return loss_grad(ids, params)
+
+    data.loss_grad = recording
+    stepped = meta_update(data, params, (d, d_prime), eta=0.3, beta=0.0,
+                          clip=5.0)
     for name, arr in stepped:
         assert np.array_equal(arr, sgd[name])
     # the adaptation batch is never evaluated when beta is zero
-    assert calls["d"] == 0
+    assert seen == [d_prime]
 
 
 def test_meta_update_matches_manual_two_stage_computation():
@@ -71,20 +78,20 @@ def test_meta_update_matches_manual_two_stage_computation():
     data, params = kt_client(rng)
     d = data.ids[:4]
     d_prime = data.ids[4:8]
-    eta, beta = 0.2, 0.05
+    eta, beta, clip = 0.2, 0.05, 5.0
 
-    out = meta_update(data, params, (d, d_prime), eta, beta)
+    out = meta_update(data, params, (d, d_prime), eta, beta, clip)
 
     _, g1 = data.loss_grad(d, params)
-    adapted = axpy_params(-beta, g1, params)
+    adapted = axpy_params(-beta, clip_grad_norm(g1, clip), params)
     _, g2 = data.loss_grad(d_prime, adapted)
-    expect = axpy_params(-eta, g2, params)
+    expect = axpy_params(-eta, clip_grad_norm(g2, clip), params)
     for name, arr in out:
         assert np.array_equal(arr, expect[name])
 
     # with adaptation on, the result differs from plain SGD on d_prime
     _, g_plain = data.loss_grad(d_prime, params)
-    sgd = axpy_params(-eta, g_plain, params)
+    sgd = axpy_params(-eta, clip_grad_norm(g_plain, clip), params)
     assert any(not np.array_equal(arr, sgd[name]) for name, arr in out)
 
 
@@ -93,9 +100,9 @@ def test_meta_update_reports_losses():
     data, params = kt_client(rng)
     stats = {}
     batches = meta_batches(data, 4, np.random.default_rng(9))
-    meta_update(data, params, batches, eta=0.1, beta=0.05, stats=stats)
+    meta_update(data, params, batches, eta=0.1, beta=0.05, clip=5.0,
+                stats=stats)
     assert stats["steps"] == 1
-    assert stats["inner_loss"] > 0.0
     assert stats["loss"] > 0.0
 
 
@@ -131,7 +138,7 @@ def test_one_epoch_of_steps_visits_every_student():
 
     data.loss_grad = recording
     out = local_sgd_steps(data, params, eta=0.1, batch_size=4,
-                          rng=np.random.default_rng(1), n_steps=3)
+                          rng=np.random.default_rng(1), n_steps=3, clip=5.0)
     assert [len(b) for b in seen] == [4, 4, 2]
     assert sorted(sid for b in seen for sid in b) == data.ids
     assert any(not np.array_equal(arr, params[name]) for name, arr in out)
@@ -142,7 +149,8 @@ def test_local_sgd_steps_runs_exactly_n_steps():
     data, params = kt_client(rng, n_students=6)
     stats = {}
     local_sgd_steps(data, params, eta=0.1, batch_size=4,
-                    rng=np.random.default_rng(1), n_steps=5, stats=stats)
+                    rng=np.random.default_rng(1), n_steps=5, clip=5.0,
+                    stats=stats)
     assert stats["steps"] == 5
 
 
@@ -152,7 +160,7 @@ def test_local_updates_reject_empty_clients():
     empty = build_client_data(KT, {}, [])
     with pytest.raises(ValueError):
         local_sgd_steps(empty, params, 0.1, 4, np.random.default_rng(0),
-                        n_steps=1)
+                        n_steps=1, clip=5.0)
     with pytest.raises(ValueError):
         meta_batches(empty, 4, np.random.default_rng(0))
 

@@ -8,9 +8,9 @@ from hierfed.fed.clients import build_client_data
 from hierfed.models.kt import kt_init, kt_loss_grad, kt_predict
 from hierfed.models.op import op_embed, op_init, op_predict
 from hierfed.models.task import KT, OP
-from hierfed.nn.gradcheck import finite_diff_grad, grad_rel_error
 from hierfed.nn.layers import attention_pool, gru_forward
 from hierfed.nn.params import ParamSet
+from gradcheck import finite_diff_grad, grad_rel_error
 from stepwise import forum, kt_entry, op_entry, video
 
 TOL = 1e-6

@@ -14,9 +14,6 @@ from hierfed.cli import build_parser
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "hierfed"
 PACKAGES = ("nn", "models", "fed", "data", "synth")
-# the finite-difference oracle is the reference the gradient tests compare
-# against; nothing in the program needs it
-REFERENCE_ONLY = {"finite_diff_grad"}
 
 
 def test_readme_library_example_runs():
@@ -64,5 +61,5 @@ def _used_names() -> set:
 @pytest.mark.parametrize("package", PACKAGES)
 def test_every_exported_name_is_used_by_the_program(package):
     exported = importlib.import_module(f"hierfed.{package}").__all__
-    unused = sorted(set(exported) - _used_names() - REFERENCE_ONLY)
+    unused = sorted(set(exported) - _used_names())
     assert not unused, f"hierfed.{package} exports names only tests use: {unused}"

@@ -2,6 +2,7 @@
 
 import base64
 import csv
+import dataclasses
 import json
 import shutil
 
@@ -33,7 +34,7 @@ from hierfed.runner import (
     validate_config,
 )
 from hierfed.synth.archetypes import GenConfig
-from hierfed.synth.generate import config_to_dict, generate, preset
+from hierfed.synth.generate import generate, preset
 import reference_sweep
 
 
@@ -576,6 +577,72 @@ def test_cli_exits_two_naming_a_malformed_report(
     assert err.startswith(f"error: {path}: {message}"), err
 
 
+def _add_videos(events):
+    """Every student watches three unseen videos: the vocabulary grows, so
+    the trained weights no longer fit the encoding."""
+    with open(events, newline="") as fh:
+        students = sorted({(row[0], row[1]) for row in list(csv.reader(fh))[1:]})
+    with open(events, "a", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            [sid, course, "video", f"new_v{j}", "", "", 10_000 + j]
+            for sid, course in students for j in range(3))
+
+
+def _flip_a_response(events):
+    """One quiz response flipped: the vocabulary stays the same."""
+    with open(events, newline="") as fh:
+        rows = list(csv.reader(fh))
+    row = next(r for r in rows if r[2] == "quiz_response")
+    row[4] = str(1 - int(row[4]))
+    with open(events, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def _train_op_run(tmp_path, data_dir):
+    """A copy of data_dir, an OP config file over it and a run trained on it."""
+    ds = tmp_path / "ds"
+    shutil.copytree(data_dir, ds)
+    cfg = tmp_path / "op.json"
+    cfg.write_text(json.dumps(config_snapshot(
+        small_config(ds, task="OP", strategy="sc1-G"))))
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
+    return ds, cfg, run
+
+
+@pytest.mark.parametrize("edit", [_add_videos, _flip_a_response])
+@pytest.mark.parametrize("command", ["evaluate", "export-embeddings", "report"])
+def test_cli_refuses_a_dataset_changed_since_training(
+        tmp_path, data_dir, capsys, command, edit):
+    # stale checkpoints cannot read new videos, and with the same videos
+    # they would embed, or heatmaps would draw, data they were not trained on
+    ds, cfg, run = _train_op_run(tmp_path, data_dir)
+    edit(ds / "events.csv")
+    capsys.readouterr()
+    argv = {"evaluate": ["evaluate", "--out", str(run)],
+            "export-embeddings": ["export-embeddings", "--config", str(cfg),
+                                  "--out", str(run)],
+            "report": ["report", "--out", str(tmp_path / "tables"), str(run)],
+            }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: dataset {ds}: contents changed since "
+                          f"training; refusing"), err
+
+
+def test_cli_export_embeddings_refuses_a_checkpoint_of_another_config(
+        tmp_path, data_dir, capsys):
+    _, cfg, run = _train_op_run(tmp_path, data_dir)
+    path = run / "checkpoint_f0_r0.json"
+    models, _, extra = load_checkpoint(path)
+    save_checkpoint(path, models, "0" * 64, extra=extra)
+    capsys.readouterr()
+    assert main(["export-embeddings", "--config", str(cfg),
+                 "--out", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} belongs to a different config"), err
+
+
 def test_generated_directory_trains_like_the_in_memory_preset(tmp_path, capsys):
     """generate writes the table that ingest reads back: same scores."""
     gen = tmp_path / "gen.json"
@@ -639,7 +706,7 @@ def test_cli_generate_writes_dataset_files(tmp_path, capsys):
 def test_cli_generate_rejects_mistyped_fields_with_exit_two(tmp_path, capsys,
                                                            field, doc):
     if "preset" not in doc:
-        doc = {**config_to_dict(preset("balanced-small")), **doc}
+        doc = {**dataclasses.asdict(preset("balanced-small")), **doc}
     cfg_path = tmp_path / "gen.json"
     cfg_path.write_text(json.dumps(doc))
     out = tmp_path / "data"
