@@ -49,7 +49,7 @@ class ClientData:
 
     def loss_grad(self, ids, params: ParamSet):
         x, lengths, targets = self.batch(ids)
-        loss, grads, _ = self.task.loss_grad(x, lengths, targets, params)
+        loss, grads = self.task.loss_grad(x, lengths, targets, params)
         if not np.isfinite(loss):
             raise NumericsError(f"non-finite loss on batch of {len(ids)} students")
         return loss, grads

@@ -29,42 +29,45 @@ def kt_init(vocab, hidden_dim: int, rng: np.random.Generator) -> ParamSet:
 
 
 def _forward(x, lengths, params: ParamSet):
-    """Hidden states (B, T, k), class probabilities (B, T, 2) and the LSTM
-    cache of an encoded padded batch, plus its valid-step mask (B, T)."""
+    """The valid-step mask (B, T) of an encoded padded batch, the hidden
+    states (n, k) and class probabilities (n, 2) of its n valid steps in
+    batch-major, step-minor order, and the LSTM cache."""
     W, b = head_params(params, params["lstm.b"].size // 4)
     h_seq, cache = lstm_forward(x, lengths, params)
     valid = np.arange(h_seq.shape[1])[None, :] < np.asarray(lengths)[:, None]
-    return h_seq, head_probs(h_seq, W, b), cache, valid
+    h = h_seq[valid]
+    return valid, h, head_probs(h, W, b), cache
 
 
 def kt_loss_grad(x, lengths, targets, params: ParamSet):
-    """Loss, gradient, and per-step probabilities on an encoded padded batch.
+    """Loss and gradient on an encoded padded batch.
 
     x: (B, T, D); lengths: scored steps per student; targets: (B, T) int
-    responses, only entries before each length are read. Returns
-    (loss, grads, probs) with probs (B, T, 2); rows past a student's length
-    are meaningless and must be ignored by callers.
+    responses, only entries before each length are read. The head and the
+    loss are computed at valid steps only.
     """
-    h_seq, probs, cache, valid = _forward(x, lengths, params)
-    safe_t = np.where(valid, np.asarray(targets, dtype=np.int64), 0)
-    onehot = np.zeros(probs.shape)
-    np.put_along_axis(onehot, safe_t[:, :, None], 1.0, axis=2)
+    valid, h, probs, cache = _forward(x, lengths, params)
+    t = np.asarray(targets, dtype=np.int64)[valid]
+    rows = np.arange(t.size)
+    picked = np.clip(probs[rows, t], PROB_CLAMP, 1.0 - PROB_CLAMP)
+    # summed in the padded (B, T) layout: numpy's pairwise sum groups the
+    # terms by position there, so a batch's loss keeps the bits it has when
+    # the head runs over every padded step (tests/padded.py)
+    log_picked = np.zeros(valid.shape)
+    log_picked[valid] = np.log(picked)
+    loss = float(-log_picked.sum())
 
-    picked = np.take_along_axis(probs, safe_t[:, :, None], axis=2)[:, :, 0]
-    picked = np.clip(picked, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    loss = float(-(np.log(picked) * valid).sum())
-
-    dlogits = (probs - onehot) * valid[:, :, None]
-    dW = np.einsum("btk,btj->kj", h_seq, dlogits)
-    db = dlogits.sum(axis=(0, 1))
-    dh_seq = dlogits @ params["out.W"].T
+    dlogits = probs
+    dlogits[rows, t] -= 1.0
+    dh_seq = np.zeros(valid.shape + h.shape[1:])
+    dh_seq[valid] = dlogits @ params["out.W"].T
     g_lstm = lstm_backward(dh_seq, cache, params)
 
     grads = as_grads({
         "lstm.W": g_lstm["lstm.W"], "lstm.b": g_lstm["lstm.b"],
-        "out.W": dW, "out.b": db,
+        "out.W": h.T @ dlogits, "out.b": dlogits.sum(axis=0),
     })
-    return loss, grads, probs
+    return loss, grads
 
 
 def kt_predict(x, lengths, targets, params: ParamSet):
@@ -72,5 +75,5 @@ def kt_predict(x, lengths, targets, params: ParamSet):
 
     Returns (scores, labels) in batch-major, step-minor order.
     """
-    _, probs, _, valid = _forward(x, lengths, params)
-    return probs[:, :, 1][valid], np.asarray(targets, dtype=np.int64)[valid]
+    valid, _, probs, _ = _forward(x, lengths, params)
+    return probs[:, 1], np.asarray(targets, dtype=np.int64)[valid]

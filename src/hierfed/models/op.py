@@ -44,7 +44,7 @@ def _forward(x, lengths, params: ParamSet):
 
 
 def op_loss_grad(x, lengths, labels, params: ParamSet):
-    """Loss, gradient, and P(pass) per student on an encoded padded batch."""
+    """Loss and gradient on an encoded padded batch."""
     probs, h_tilde, cache_g, cache_a = _forward(x, lengths, params)
     rows = np.arange(probs.shape[0])
     labels = np.asarray(labels, dtype=np.int64)
@@ -66,7 +66,7 @@ def op_loss_grad(x, lengths, labels, params: ParamSet):
         "att.W": g_att["att.W"], "att.p": g_att["att.p"],
         "out.W": dW, "out.b": db,
     })
-    return loss, grads, probs[:, 1]
+    return loss, grads
 
 
 def op_predict(x, lengths, labels, params: ParamSet):

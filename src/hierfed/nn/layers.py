@@ -12,8 +12,8 @@ projection of every step is one GEMM before the time loop and the weight
 gradients are GEMMs after backprop through time (Appleyard, Kocisky &
 Blunsom 2016, arXiv:1604.01946). The returned h_seq is in the caller's row
 order and zero past each sequence's length; adjoints at those positions are
-ignored. Backward passes return parameter gradients accumulated over the
-whole batch.
+ignored. The attention pooler likewise scores valid steps only. Backward
+passes return parameter gradients accumulated over the whole batch.
 
 Gate conventions are the standard ones: LSTM input/forget/output gates are
 sigmoids and the candidate is tanh; the GRU update gate z mixes as
@@ -323,8 +323,9 @@ def attention_pool(h_seq, lengths, params: ParamSet):
     """Pool hidden states with tanh-score attention.
 
     Scores e_t = p . tanh(W h_t); weights are a softmax over each sequence's
-    valid steps; output is the weighted sum of hidden states. Returns
-    (h_tilde (B, k), alphas (B, T), cache). Alphas are zero at padded steps.
+    valid steps; output is the weighted sum of hidden states. Scores are
+    computed at valid steps only. Returns (h_tilde (B, k), alphas (B, T),
+    cache). Alphas, and the cache's u (B, T, k), are zero at padded steps.
     """
     h_seq = np.asarray(h_seq, dtype=np.float64)
     B, T, k = h_seq.shape
@@ -338,36 +339,41 @@ def attention_pool(h_seq, lengths, params: ParamSet):
     if np.any(lengths < 1):
         raise ValueError("attention_pool requires nonempty sequences")
 
-    u = np.tanh(h_seq @ W)               # (B, T, k)
-    e = u @ p                            # (B, T)
     valid = np.arange(T)[None, :] < lengths[:, None]
-    e_shift = np.where(valid, e, -np.inf)
-    e_shift = e_shift - e_shift.max(axis=1, keepdims=True)
-    ex = np.where(valid, np.exp(e_shift), 0.0)
+    u_valid = np.tanh(h_seq[valid] @ W)  # (n, k), batch-major
+    e = np.full((B, T), -np.inf)
+    e[valid] = u_valid @ p
+    e -= e.max(axis=1, keepdims=True)
+    ex = np.exp(e)                       # exactly 0 at padded steps
     alphas = ex / ex.sum(axis=1, keepdims=True)
     h_tilde = np.einsum("bt,btk->bk", alphas, h_seq)
-    cache = {"u": u, "alphas": alphas, "h_seq": h_seq}
+    u = np.zeros((B, T, k))
+    u[valid] = u_valid
+    cache = {"u": u, "alphas": alphas, "h_seq": h_seq, "valid": valid}
     return h_tilde, alphas, cache
 
 
 def attention_pool_backward(dh_tilde, cache, params: ParamSet):
-    """Backward for attention_pool. Returns (grads, dh_seq)."""
+    """Backward for attention_pool, at valid steps only. Returns (grads,
+    dh_seq), with dh_seq (B, T, k) zero at padded steps."""
     W = params["att.W"]
     p = params["att.p"]
-    u, alphas, h_seq = cache["u"], cache["alphas"], cache["h_seq"]
-
-    B, T, k = h_seq.shape
-    dalpha = (h_seq @ dh_tilde[:, :, None])[:, :, 0]
-    dh_seq = alphas[:, :, None] * dh_tilde[:, None, :]
-    # softmax jacobian, rowwise; padded steps have alpha 0 so they drop out
-    inner = (alphas * dalpha).sum(axis=1, keepdims=True)
-    de = alphas * (dalpha - inner)
-    du = de[:, :, None] * p[None, None, :]
-    dp = u.reshape(B * T, k).T @ de.reshape(B * T)
-    dpre = (du * (1.0 - u * u)).reshape(B * T, k)
-    dW = h_seq.reshape(B * T, k).T @ dpre
-    dh_seq += (dpre @ W.T).reshape(B, T, k)
-    return as_grads({"att.W": dW, "att.p": dp}), dh_seq
+    u, alphas, h_seq, valid = (cache[n] for n in ("u", "alphas", "h_seq", "valid"))
+    row = np.nonzero(valid)[0]           # batch row of each valid step
+    h, u, a = h_seq[valid], u[valid], alphas[valid]
+    g = dh_tilde[row]                    # adjoint of h_tilde, per valid step
+    dalpha = np.einsum("nk,nk->n", h, g)
+    # softmax jacobian, rowwise: de_t = a_t (dalpha_t - sum_s a_s dalpha_s)
+    inner = np.zeros(valid.shape)
+    inner[valid] = a * dalpha
+    de = a * (dalpha - inner.sum(axis=1)[row])
+    dpre = np.outer(de, p)
+    dpre *= 1.0 - u * u
+    dh = dpre @ W.T
+    dh += a[:, None] * g
+    dh_seq = np.zeros(h_seq.shape)
+    dh_seq[valid] = dh
+    return as_grads({"att.W": h.T @ dpre, "att.p": u.T @ de}), dh_seq
 
 
 # ---------------------------------------------------------------------------

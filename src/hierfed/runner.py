@@ -730,20 +730,25 @@ def cmd_grid(config: ExperimentConfig, out=None, workers: int = 1) -> dict:
 
 @one_blas_thread()
 def cmd_export_embeddings(config: ExperimentConfig, out, workers: int = 1) -> dict:
-    """Write one activity-embedding row per test student (outcome task only)."""
+    """Write one activity-embedding row per test student (outcome task only).
+
+    The run in `out` is trained first when `out` holds no report; a report
+    of another config there is refused, never overwritten.
+    """
     validate_config(config)
     task = TASKS[config.task]
     if task.embed is None:
         raise ConfigError("export-embeddings needs task OP; the interaction "
                           "model has no per-student pooled representation")
     out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     chash = config_hash(config)
     report_path = out_dir / "report.json"
-    report = read_report(report_path) if report_path.is_file() else None
-    if not (report and report["config_hash"] == chash
-            and all(_checkpoint_path(out_dir, f, 0).is_file()
-                    for f in config.folds)):
+    if report_path.is_file():
+        report = read_report(report_path)
+        if report["config_hash"] != chash:
+            raise ConfigError(f"{out_dir} holds the run of another config; "
+                              "refusing to overwrite it")
+    else:
         report = cmd_train(config, out=out_dir, workers=workers)
 
     ds = _trained_dataset(report)

@@ -50,6 +50,11 @@ def zero_params(params):
     return ParamSet({name: np.zeros_like(arr) for name, arr in params})
 
 
+def per_student(scores, lengths):
+    """Flat batch-major KT scores split into one array per student."""
+    return np.split(scores, np.cumsum(lengths)[:-1])
+
+
 def client_data(task, students):
     """Client over the given (sid, entry) students, ids in the given order."""
     ids = [sid for sid, _ in students]
@@ -187,8 +192,9 @@ def test_identical_students_score_identically_at_any_batch_row(task, make):
         seqs[30] = ("s30", seqs[0][1])
         data, ids = client_data(task, seqs)
         x, lengths, targets = data.batch(ids)
-        scores = (kt_loss_grad(x, lengths, targets, params)[2][:, :, 1]
-                  if task is KT else op_predict(x, lengths, targets, params)[0])
+        scores = task.predict(x, lengths, targets, params)[0]
+        if task is KT:
+            scores = per_student(scores, lengths)
         assert np.array_equal(scores[0], scores[30])
 
 
@@ -202,15 +208,15 @@ def test_kt_predictions_are_causal():
     lengths = np.array([6, 4, 5])
     targets = rng.integers(0, 2, size=(B, T))
 
-    _, _, probs = kt_loss_grad(x, lengths, targets, params)
+    probs = per_student(kt_predict(x, lengths, targets, params)[0], lengths)
     cut = 3
     x2 = x.copy()
     x2[0, cut:, :] += rng.normal(size=(T - cut, D))
-    _, _, probs2 = kt_loss_grad(x2, lengths, targets, params)
-    assert np.array_equal(probs[0, :cut], probs2[0, :cut])
-    assert not np.allclose(probs[0, cut:], probs2[0, cut:])
+    probs2 = per_student(kt_predict(x2, lengths, targets, params)[0], lengths)
+    assert np.array_equal(probs[0][:cut], probs2[0][:cut])
+    assert not np.allclose(probs[0][cut:], probs2[0][cut:])
     # untouched students are untouched
-    assert np.array_equal(probs[1, :4], probs2[1, :4])
+    assert np.array_equal(probs[1], probs2[1])
 
 
 def test_padding_garbage_is_ignored():
@@ -224,14 +230,14 @@ def test_padding_garbage_is_ignored():
     for b, L in enumerate(lengths):
         x[b, L:, :] = 0.0
 
-    loss, grads, _ = kt_loss_grad(x, lengths, targets, kt_params)
+    loss, grads = kt_loss_grad(x, lengths, targets, kt_params)
     x2 = x.copy()
     for b, L in enumerate(lengths):
         x2[b, L:, :] = rng.normal(size=(T - L, D))
     t2 = targets.copy()
     for b, L in enumerate(lengths):
         t2[b, L:] = rng.integers(0, 2, size=T - L)
-    loss2, grads2, _ = kt_loss_grad(x2, lengths, t2, kt_params)
+    loss2, grads2 = kt_loss_grad(x2, lengths, t2, kt_params)
     assert loss == loss2
     for name, g in grads:
         assert np.array_equal(g, grads2[name])

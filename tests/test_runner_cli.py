@@ -643,6 +643,24 @@ def test_cli_export_embeddings_refuses_a_checkpoint_of_another_config(
     assert err.startswith(f"error: {path} belongs to a different config"), err
 
 
+def test_cli_export_embeddings_refuses_a_run_of_another_config(
+        tmp_path, data_dir, trained_dir, capsys):
+    # trained_dir holds a KT run; exporting OP embeddings into it must not
+    # retrain over that run
+    run = tmp_path / "run"
+    shutil.copytree(trained_dir, run)
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    op_config = tmp_path / "op.json"
+    op_config.write_text(json.dumps(config_snapshot(
+        small_config(data_dir, task="OP"))))
+    capsys.readouterr()
+    assert main(["export-embeddings", "--config", str(op_config),
+                 "--out", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {run} holds the run of another config"), err
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
 def test_generated_directory_trains_like_the_in_memory_preset(tmp_path, capsys):
     """generate writes the table that ingest reads back: same scores."""
     gen = tmp_path / "gen.json"
