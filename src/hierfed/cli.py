@@ -29,20 +29,36 @@ from .runner import (
 )
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", metavar="PATH", help="JSON config file")
-    p.add_argument("--strategy", metavar="NAME",
-                   help="strategy name, e.g. sc2-P-AT-B")
-    p.add_argument("--task", type=str.upper, choices=TASKS)
-    p.add_argument("--demographic", choices=["gender", "continent", "age"])
-    p.add_argument("--include-unspecified", action="store_true", default=None,
-                   help="keep students with the variable missing as their own "
-                        "subgroup")
-    p.add_argument("--seed", type=int, metavar="N")
-    p.add_argument("--out", metavar="DIR", help="output directory")
-    p.add_argument("--workers", type=int, default=1, metavar="N",
-                   help="parallel (fold, repetition) workers; results do not "
-                        "depend on this")
+# every option, by the option string; each subcommand takes the ones it reads
+_OPTIONS = {
+    "--config": dict(metavar="PATH", help="JSON config file"),
+    "--strategy": dict(metavar="NAME", help="strategy name, e.g. sc2-P-AT-B"),
+    "--task": dict(type=str.upper, choices=TASKS),
+    "--demographic": dict(choices=["gender", "continent", "age"]),
+    "--include-unspecified": dict(action="store_true", default=None,
+                                  help="keep students with the variable "
+                                       "missing as their own subgroup"),
+    "--seed": dict(type=int, metavar="N"),
+    "--out": dict(metavar="DIR", help="output directory"),
+    "--workers": dict(type=int, default=1, metavar="N",
+                      help="parallel (fold, repetition) workers; results do "
+                           "not depend on this"),
+}
+_EXPERIMENT = ("--config", "--strategy", "--task", "--demographic",
+               "--include-unspecified", "--seed")
+_COMMANDS = {
+    "generate": ("synthesize a dataset into --out",
+                 ("--config", "--seed", "--out")),
+    "train": ("train one strategy over folds x repetitions",
+              _EXPERIMENT + ("--out", "--workers")),
+    "evaluate": ("re-score saved checkpoints against their report; "
+                 "experiment flags need --config", _EXPERIMENT + ("--out",)),
+    "grid": ("grid-search hyperparameters by validation AUC",
+             _EXPERIMENT + ("--out", "--workers")),
+    "export-embeddings": ("write per-student activity embeddings (OP)",
+                          _EXPERIMENT + ("--out", "--workers")),
+    "report": ("merge train reports into tables and heatmaps", ("--out",)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,16 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Personalized federated learning simulations over "
                     "hierarchical student data")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in [
-        ("generate", "synthesize a dataset into --out"),
-        ("train", "train one strategy over folds x repetitions"),
-        ("evaluate", "re-score saved checkpoints against their report"),
-        ("grid", "grid-search hyperparameters by validation AUC"),
-        ("export-embeddings", "write per-student activity embeddings (OP)"),
-        ("report", "merge train reports into tables and heatmaps"),
-    ]:
+    for name, (doc, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=doc)
-        _add_common(p)
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
         if name == "report":
             p.add_argument("run_dirs", nargs="+", metavar="RUN_DIR",
                            help="directories containing report.json")
@@ -128,6 +138,11 @@ def _dispatch(args) -> dict:
         return _summary_line(report)
 
     if args.command == "evaluate":
+        given = [option for option in _EXPERIMENT[1:]
+                 if getattr(args, option[2:].replace("-", "_")) is not None]
+        if given and not args.config:
+            raise ConfigError(f"evaluate takes {', '.join(given)} only "
+                              "together with --config")
         config = _experiment_config(args) if args.config else None
         doc = cmd_evaluate(_require_out(args), config=config)
         return {"config_hash": doc["config_hash"], "runs": len(doc["runs"]),

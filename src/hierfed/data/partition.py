@@ -33,6 +33,9 @@ def make_folds(dataset: Dataset, seed: int):
     chunks; each fold's validation set is 1/5 of its training pool, drawn
     with a fold-specific shuffle.
     """
+    if not dataset.students:
+        raise ConfigError(f"dataset has no students; need at least {N_FOLDS} "
+                          f"per course for {N_FOLDS}-fold CV")
     by_course = dataset.students_by_course()
     for course, ids in by_course.items():
         if len(ids) < N_FOLDS:

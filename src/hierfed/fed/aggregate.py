@@ -10,24 +10,16 @@ from __future__ import annotations
 import numpy as np
 
 from ..keys import GroupKey
-from ..nn.params import ParamSet, check_congruent
-
-
-def _ordered(models: dict) -> list:
-    if not models:
-        raise ValueError("aggregation needs at least one client")
-    return sorted(models, key=GroupKey.sort_key)
+from ..nn.params import ParamSet
 
 
 def aggregate_average(models: dict, weights: dict) -> ParamSet:
     """Weighted sum of client parameters; weights maps each client key to
     its weight and is used as given (size shares make a size-weighted
     mean)."""
-    keys = _ordered(models)
-    head, *rest = keys
+    head, *rest = sorted(models, key=GroupKey.sort_key)
     acc = {name: weights[head] * arr for name, arr in models[head]}
     for key in rest:
-        check_congruent(models[head], models[key])
         w = weights[key]
         for name, arr in models[key]:
             acc[name] = acc[name] + w * arr
@@ -42,11 +34,7 @@ def attention_weights(server: ParamSet, models: dict, mode: str = "layerwise"):
     averaged over layers, so it also sums to 1. Clients farther from the
     server receive larger weight.
     """
-    if mode not in ("layerwise", "scalar"):
-        raise ValueError(f"unknown attention mode {mode!r}")
-    keys = _ordered(models)
-    for key in keys:
-        check_congruent(server, models[key])
+    keys = sorted(models, key=GroupKey.sort_key)
     names = server.names()
     dist = np.zeros((len(keys), len(names)))
     for i, key in enumerate(keys):
@@ -63,7 +51,7 @@ def attention_weights(server: ParamSet, models: dict, mode: str = "layerwise"):
 def aggregate_attention(server: ParamSet, models: dict, eps: float,
                         mode: str = "layerwise") -> ParamSet:
     """Pull the server toward clients: Θ_g − ε·Σ_c α_c (Θ_g − Θ_c)."""
-    keys = _ordered(models)
+    keys = sorted(models, key=GroupKey.sort_key)
     weights = attention_weights(server, models, mode)
     out = {}
     for name in server.names():

@@ -16,7 +16,7 @@ import numpy as np
 from ..errors import NumericsError
 from ..models.encoding import pad_batch
 from ..models.task import Task
-from ..nn.params import GradSet, ParamSet, axpy_params, clip_grad_norm
+from ..nn.params import ParamSet, axpy_params, clip_grad_norm
 
 
 @dataclass
@@ -75,7 +75,7 @@ def build_client_data(task: Task, encoded: dict, ids) -> ClientData:
     return data
 
 
-def _apply_grad(params: ParamSet, grads: GradSet, step: float,
+def _apply_grad(params: ParamSet, grads: ParamSet, step: float,
                 clip: float) -> ParamSet:
     return axpy_params(-step, clip_grad_norm(grads, clip), params)
 

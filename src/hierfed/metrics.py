@@ -18,16 +18,14 @@ def auc(scores, labels):
     """Area under the ROC curve via tied-rank Mann-Whitney statistics.
 
     Ties between a positive and a negative score credit 0.5. Returns None
-    when the labels are single-class (AUC undefined); callers must exclude
-    None from averages rather than substituting a default.
+    when the labels are single-class or empty (AUC undefined); callers must
+    exclude None from averages rather than substituting a default.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValueError(f"scores/labels must be equal-length vectors, got "
                          f"{scores.shape} vs {labels.shape}")
-    if scores.size == 0:
-        raise ValueError("auc: empty scored set")
     pos = labels == 1
     n_pos = int(pos.sum())
     n_neg = scores.size - n_pos

@@ -32,8 +32,6 @@ class Vocab:
     def __init__(self, course_ids, video_ids):
         self.course_ids = tuple(sorted(set(course_ids)))
         self.video_ids = tuple(sorted(set(video_ids)))
-        if not self.course_ids:
-            raise ValueError("vocabulary needs at least one course")
         self._course_index = {c: j for j, c in enumerate(self.course_ids)}
         self._video_index = {v: j for j, v in enumerate(self.video_ids)}
 

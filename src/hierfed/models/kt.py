@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn.layers import (PROB_CLAMP, head_params, head_probs, lstm_backward,
-                         lstm_forward)
-from ..nn.params import ParamSet, as_grads
+from ..nn.layers import PROB_CLAMP, head_probs, lstm_backward, lstm_forward
+from ..nn.params import ParamSet
 
 
 def kt_init(vocab, hidden_dim: int, rng: np.random.Generator) -> ParamSet:
@@ -32,11 +31,10 @@ def _forward(x, lengths, params: ParamSet):
     """The valid-step mask (B, T) of an encoded padded batch, the hidden
     states (n, k) and class probabilities (n, 2) of its n valid steps in
     batch-major, step-minor order, and the LSTM cache."""
-    W, b = head_params(params, params["lstm.b"].size // 4)
     h_seq, cache = lstm_forward(x, lengths, params)
     valid = np.arange(h_seq.shape[1])[None, :] < np.asarray(lengths)[:, None]
     h = h_seq[valid]
-    return valid, h, head_probs(h, W, b), cache
+    return valid, h, head_probs(h, params["out.W"], params["out.b"]), cache
 
 
 def kt_loss_grad(x, lengths, targets, params: ParamSet):
@@ -63,7 +61,7 @@ def kt_loss_grad(x, lengths, targets, params: ParamSet):
     dh_seq[valid] = dlogits @ params["out.W"].T
     g_lstm = lstm_backward(dh_seq, cache, params)
 
-    grads = as_grads({
+    grads = ParamSet({
         "lstm.W": g_lstm["lstm.W"], "lstm.b": g_lstm["lstm.b"],
         "out.W": h.T @ dlogits, "out.b": dlogits.sum(axis=0),
     })

@@ -11,10 +11,9 @@ from ..nn.layers import (
     attention_pool_backward,
     gru_forward,
     gru_backward,
-    head_params,
     head_probs,
 )
-from ..nn.params import ParamSet, as_grads
+from ..nn.params import ParamSet
 
 
 def op_init(vocab, hidden_dim: int, rng: np.random.Generator) -> ParamSet:
@@ -37,10 +36,10 @@ def op_init(vocab, hidden_dim: int, rng: np.random.Generator) -> ParamSet:
 def _forward(x, lengths, params: ParamSet):
     """Class probabilities (B, 2), pooled states h_tilde (B, k) and the GRU
     and attention caches of an encoded padded batch."""
-    W, b = head_params(params, params["gru.bn"].size)
     h_seq, cache_g = gru_forward(x, lengths, params)
     h_tilde, _, cache_a = attention_pool(h_seq, lengths, params)
-    return head_probs(h_tilde, W, b), h_tilde, cache_g, cache_a
+    probs = head_probs(h_tilde, params["out.W"], params["out.b"])
+    return probs, h_tilde, cache_g, cache_a
 
 
 def op_loss_grad(x, lengths, labels, params: ParamSet):
@@ -60,7 +59,7 @@ def op_loss_grad(x, lengths, labels, params: ParamSet):
     g_att, dh_seq = attention_pool_backward(dh_tilde, cache_a, params)
     g_gru = gru_backward(dh_seq, cache_g, params)
 
-    grads = as_grads({
+    grads = ParamSet({
         "gru.Wzr": g_gru["gru.Wzr"], "gru.bzr": g_gru["gru.bzr"],
         "gru.Wn": g_gru["gru.Wn"], "gru.bn": g_gru["gru.bn"],
         "att.W": g_att["att.W"], "att.p": g_att["att.p"],

@@ -1,8 +1,5 @@
 from .params import (
-    GradSet,
     ParamSet,
-    ShapeError,
-    StructureError,
     axpy_params,
     clip_grad_norm,
     param_norm,
@@ -18,10 +15,7 @@ from .layers import (
 )
 
 __all__ = [
-    "GradSet",
     "ParamSet",
-    "ShapeError",
-    "StructureError",
     "axpy_params",
     "clip_grad_norm",
     "param_norm",

@@ -15,6 +15,10 @@ order and zero past each sequence's length; adjoints at those positions are
 ignored. The attention pooler likewise scores valid steps only. Backward
 passes return parameter gradients accumulated over the whole batch.
 
+Kernels read their dimensions from their inputs and parameters without
+checking them: a run's parameters all derive from one Task.init or from a
+checkpoint checked against it when it loads.
+
 Gate conventions are the standard ones: LSTM input/forget/output gates are
 sigmoids and the candidate is tanh; the GRU update gate z mixes as
 h = (1-z)*h_prev + z*h_candidate.
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .params import ParamSet, ShapeError, as_grads
+from .params import ParamSet
 
 PROB_CLAMP = 1e-7
 
@@ -56,9 +60,6 @@ class _Packing:
 
     def __init__(self, lengths, B: int, T: int):
         lengths = np.asarray(lengths, dtype=np.int64)
-        if lengths.shape != (B,) or np.any(lengths < 0) or np.any(lengths > T):
-            raise ShapeError(f"lengths must be {B} step counts within 0..{T}, "
-                             f"got {lengths!r}")
         order = np.argsort(-lengths, kind="stable")
         steps = int(lengths.max()) if B else 0
         active = (lengths[None, :] > np.arange(steps)[:, None]).sum(axis=1)
@@ -92,32 +93,9 @@ class _Packing:
         return out
 
 
-def _check_input(x, d: int, kind: str):
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ShapeError(f"{kind} input must be (B, T, D), got {x.shape}")
-    if x.shape[2] != d:
-        raise ShapeError(f"{kind} weights expect input dim {d}, got {x.shape[2]}")
-    return x
-
-
 # ---------------------------------------------------------------------------
 # LSTM
 # ---------------------------------------------------------------------------
-
-def _lstm_dims(params: ParamSet):
-    W = params["lstm.W"]
-    b = params["lstm.b"]
-    if b.ndim != 1 or b.size % 4 != 0:
-        raise ShapeError(f"lstm.b must be a flat vector of length 4*k, got {b.shape}")
-    k = b.size // 4
-    if W.ndim != 2 or W.shape[1] != 4 * k:
-        raise ShapeError(f"lstm.W must have 4*k={4 * k} columns, got {W.shape}")
-    d = W.shape[0] - k
-    if d < 1:
-        raise ShapeError(f"lstm.W rows must exceed hidden dim {k}, got {W.shape}")
-    return W, b, d, k
-
 
 def lstm_forward(x, lengths, params: ParamSet):
     """Run the LSTM over the valid steps of a padded batch from zero state.
@@ -125,9 +103,9 @@ def lstm_forward(x, lengths, params: ParamSet):
     x: (B, T, D); lengths: (B,) valid step counts. Returns (h_seq, cache)
     where h_seq is (B, T, k), zero past each length.
     """
-    W, b, d, k = _lstm_dims(params)
-    x = _check_input(x, d, "lstm")
-    B, T, _ = x.shape
+    W, b = params["lstm.W"], params["lstm.b"]
+    B, T, d = x.shape
+    k = b.size // 4
     pk = _Packing(lengths, B, T)
     xs = pk.gather(x)
     # gates i, f, g, o; the sigmoid gates' columns are halved
@@ -202,38 +180,22 @@ def lstm_backward(dh_seq, cache, params: ParamSet):
         dc_m *= f[start:end]
 
     dW = np.concatenate([cache["x"].T @ da, pk.previous(cache["h"]).T @ da])
-    return as_grads({"lstm.W": dW, "lstm.b": da.sum(axis=0)})
+    return ParamSet({"lstm.W": dW, "lstm.b": da.sum(axis=0)})
 
 
 # ---------------------------------------------------------------------------
 # GRU
 # ---------------------------------------------------------------------------
 
-def _gru_dims(params: ParamSet):
-    Wzr = params["gru.Wzr"]
-    bzr = params["gru.bzr"]
-    Wn = params["gru.Wn"]
-    bn = params["gru.bn"]
-    k = bn.size
-    if bzr.size != 2 * k:
-        raise ShapeError(f"gru.bzr must have length 2*k={2 * k}, got {bzr.shape}")
-    if Wzr.ndim != 2 or Wzr.shape[1] != 2 * k or Wn.shape[1] != k:
-        raise ShapeError(f"gru weight columns inconsistent with hidden dim {k}")
-    d = Wn.shape[0] - k
-    if Wzr.shape[0] != d + k or d < 1:
-        raise ShapeError(f"gru.Wzr rows {Wzr.shape[0]} inconsistent with "
-                         f"gru.Wn rows {Wn.shape[0]}")
-    return Wzr, bzr, Wn, bn, d, k
-
-
 def gru_forward(x, lengths, params: ParamSet):
     """Run the GRU over the valid steps of a padded batch from zero state.
 
     Returns (h_seq, cache); h_seq is (B, T, k), zero past each length.
     """
-    Wzr, bzr, Wn, bn, d, k = _gru_dims(params)
-    x = _check_input(x, d, "gru")
-    B, T, _ = x.shape
+    Wzr, Wn = params["gru.Wzr"], params["gru.Wn"]
+    bzr, bn = params["gru.bzr"], params["gru.bn"]
+    B, T, d = x.shape
+    k = bn.size
     pk = _Packing(lengths, B, T)
     xs = pk.gather(x)
     Uzr, Un = 0.5 * Wzr[d:], Wn[d:]   # z and r are sigmoids: halved
@@ -309,7 +271,7 @@ def gru_backward(dh_seq, cache, params: ParamSet):
     xs = cache["x"]
     dWzr = np.concatenate([xs.T @ da_zr, hp.T @ da_zr])
     dWn = np.concatenate([xs.T @ da_n, cache["rh"].T @ da_n])
-    return as_grads({
+    return ParamSet({
         "gru.Wzr": dWzr, "gru.bzr": da_zr.sum(axis=0),
         "gru.Wn": dWn, "gru.bn": da_n.sum(axis=0),
     })
@@ -327,17 +289,9 @@ def attention_pool(h_seq, lengths, params: ParamSet):
     computed at valid steps only. Returns (h_tilde (B, k), alphas (B, T),
     cache). Alphas, and the cache's u (B, T, k), are zero at padded steps.
     """
-    h_seq = np.asarray(h_seq, dtype=np.float64)
     B, T, k = h_seq.shape
-    W = params["att.W"]
-    p = params["att.p"]
-    if W.shape != (k, k):
-        raise ShapeError(f"att.W must be ({k}, {k}), got {W.shape}")
-    if p.shape != (k,):
-        raise ShapeError(f"att.p must have length {k}, got {p.shape}")
+    W, p = params["att.W"], params["att.p"]
     lengths = np.asarray(lengths, dtype=np.int64)
-    if np.any(lengths < 1):
-        raise ValueError("attention_pool requires nonempty sequences")
 
     valid = np.arange(T)[None, :] < lengths[:, None]
     u_valid = np.tanh(h_seq[valid] @ W)  # (n, k), batch-major
@@ -356,8 +310,7 @@ def attention_pool(h_seq, lengths, params: ParamSet):
 def attention_pool_backward(dh_tilde, cache, params: ParamSet):
     """Backward for attention_pool, at valid steps only. Returns (grads,
     dh_seq), with dh_seq (B, T, k) zero at padded steps."""
-    W = params["att.W"]
-    p = params["att.p"]
+    W, p = params["att.W"], params["att.p"]
     u, alphas, h_seq, valid = (cache[n] for n in ("u", "alphas", "h_seq", "valid"))
     row = np.nonzero(valid)[0]           # batch row of each valid step
     h, u, a = h_seq[valid], u[valid], alphas[valid]
@@ -373,23 +326,12 @@ def attention_pool_backward(dh_tilde, cache, params: ParamSet):
     dh += a[:, None] * g
     dh_seq = np.zeros(h_seq.shape)
     dh_seq[valid] = dh
-    return as_grads({"att.W": h.T @ dpre, "att.p": u.T @ de}), dh_seq
+    return ParamSet({"att.W": h.T @ dpre, "att.p": u.T @ de}), dh_seq
 
 
 # ---------------------------------------------------------------------------
 # Softmax head
 # ---------------------------------------------------------------------------
-
-def head_params(params: ParamSet, k: int):
-    """The 2-way output layer (out.W (k, 2), out.b (2,)), shape-checked."""
-    W = params["out.W"]
-    b = params["out.b"]
-    if W.shape != (k, 2):
-        raise ShapeError(f"out.W must be ({k}, 2), got {W.shape}")
-    if b.shape != (2,):
-        raise ShapeError(f"out.b must be (2,), got {b.shape}")
-    return W, b
-
 
 def head_probs(h: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Class probabilities of the 2-way head for each row of h (..., k).

@@ -2,8 +2,7 @@
 
 A ParamSet is an ordered mapping layer-name -> float64 array. It is the unit
 that federated aggregation, meta updates, and checkpointing operate on.
-Gradients use the same container (GradSet is an alias); a gradient is
-congruent with its parameters layer by layer.
+Gradients use the same container, layer for layer with their parameters.
 """
 
 from __future__ import annotations
@@ -13,49 +12,28 @@ import math
 import numpy as np
 
 
-class ShapeError(ValueError):
-    """A tensor has the wrong shape for the layer consuming it."""
-
-
-class StructureError(ValueError):
-    """Two parameter sets disagree on layer names or shapes."""
-
-
 class ParamSet:
     """Ordered map of layer name -> float64 ndarray.
 
     Iteration order is insertion order and is part of the contract: two
     ParamSets from the same model architecture always have identical layer
-    names, shapes, and ordering.
+    names, shapes, and ordering. A run's ParamSets all derive from one
+    Task.init or from a checkpoint checked against it at load, so the
+    algebra below does not re-check them.
     """
 
     def __init__(self, layers: dict[str, np.ndarray]):
-        self.layers: dict[str, np.ndarray] = {}
-        for name, arr in layers.items():
-            a = np.asarray(arr, dtype=np.float64)
-            if not np.all(np.isfinite(a)):
-                raise ValueError(f"layer {name!r} contains non-finite values")
-            self.layers[name] = a
+        self.layers = {name: np.asarray(arr, dtype=np.float64)
+                       for name, arr in layers.items()}
 
     def names(self) -> list[str]:
         return list(self.layers.keys())
 
     def __getitem__(self, name: str) -> np.ndarray:
-        try:
-            return self.layers[name]
-        except KeyError:
-            raise StructureError(f"no layer named {name!r}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.layers
+        return self.layers[name]
 
     def __iter__(self):
         return iter(self.layers.items())
-
-    def copy(self) -> "ParamSet":
-        out = ParamSet.__new__(ParamSet)
-        out.layers = {k: v.copy() for k, v in self.layers.items()}
-        return out
 
     def flat(self) -> np.ndarray:
         """Concatenation of all layers in order, row-major."""
@@ -74,46 +52,13 @@ class ParamSet:
         return f"ParamSet({shapes})"
 
 
-# Gradients share the container; congruence with the owning ParamSet is
-# checked wherever the two meet.
-GradSet = ParamSet
-
-
-def as_grads(layers: dict[str, np.ndarray]) -> GradSet:
-    """GradSet over freshly computed arrays, skipping the finite-input check.
-
-    Backward passes legitimately produce non-finite values once training has
-    diverged; the training loop detects that from the loss, so wrapping the
-    arrays must not raise first.
-    """
-    out = GradSet.__new__(GradSet)
-    out.layers = {k: np.asarray(v, dtype=np.float64) for k, v in layers.items()}
-    return out
-
-
-def check_congruent(p: ParamSet, q: ParamSet) -> None:
-    if p.names() != q.names():
-        raise StructureError(f"layer names differ: {p.names()} vs {q.names()}")
-    for name in p.layers:
-        if p.layers[name].shape != q.layers[name].shape:
-            raise StructureError(
-                f"layer {name!r} shape mismatch: "
-                f"{p.layers[name].shape} vs {q.layers[name].shape}"
-            )
-
-
 def axpy_params(a: float, x: ParamSet, y: ParamSet) -> ParamSet:
     """y + a*x, layer by layer."""
-    check_congruent(x, y)
-    out = ParamSet.__new__(ParamSet)
-    out.layers = {k: y.layers[k] + a * x.layers[k] for k in y.layers}
-    return out
+    return ParamSet({k: y.layers[k] + a * x.layers[k] for k in y.layers})
 
 
 def param_scale(a: float, p: ParamSet) -> ParamSet:
-    out = ParamSet.__new__(ParamSet)
-    out.layers = {k: a * v for k, v in p.layers.items()}
-    return out
+    return ParamSet({k: a * v for k, v in p.layers.items()})
 
 
 def param_norm(p: ParamSet) -> float:
@@ -124,7 +69,7 @@ def param_norm(p: ParamSet) -> float:
     return math.sqrt(total)
 
 
-def clip_grad_norm(g: GradSet, max_norm: float) -> GradSet:
+def clip_grad_norm(g: ParamSet, max_norm: float) -> ParamSet:
     """Scale g so its global L2 norm is at most max_norm.
 
     Returns g unchanged (same object) when no clipping is needed, which keeps

@@ -42,6 +42,7 @@ from .fed.strategy import StrategyConfig, parse_strategy
 from .keys import DEMOGRAPHIC_VARIABLES, GroupKey
 from .metrics import ACTIVITY_TYPES, activity_heatmap, summarize
 from .models import TASKS
+from .nn.params import ParamSet
 from .seeding import substream
 from .synth.archetypes import GenConfig
 from .synth.generate import PRESETS, generate, preset
@@ -452,9 +453,21 @@ def _models_payload(bundle: TrainedBundle) -> dict:
     return out
 
 
-def _load_bundle(path, chash: str) -> TrainedBundle:
-    """The models of a checkpoint file as a bundle; a checkpoint missing or
-    saved under another config hash than chash raises ConfigError."""
+def _check_layers(path, name: str, params: ParamSet, init: ParamSet):
+    """Raise ConfigError, naming the file and the model, unless params has
+    init's layer names, in init's order, with init's shapes."""
+    got = [f"{layer} {arr.shape}" for layer, arr in params]
+    want = [f"{layer} {arr.shape}" for layer, arr in init]
+    for i, (g, w) in enumerate(itertools.zip_longest(got, want, fillvalue="none")):
+        if g != w:
+            raise ConfigError(f"{path}: model {name!r} does not fit the config: "
+                              f"layer {i} is {g}, expected {w}")
+
+
+def _load_bundle(path, chash: str, init: ParamSet) -> TrainedBundle:
+    """The models of a checkpoint file as a bundle. A checkpoint missing,
+    saved under another config hash than chash, or holding a model whose
+    layers differ from init's raises ConfigError."""
     if not Path(path).is_file():
         raise ConfigError(f"missing checkpoint {path}")
     models, saved_hash, _ = load_checkpoint(path)
@@ -462,6 +475,7 @@ def _load_bundle(path, chash: str) -> TrainedBundle:
         raise ConfigError(f"{path} belongs to a different config")
     bundle = TrainedBundle()
     for name, ps in models.items():
+        _check_layers(path, name, ps, init)
         kind, _, label = name.partition(":")
         if name == "global":
             bundle.global_params = ps
@@ -652,9 +666,9 @@ def cmd_evaluate(out, config: ExperimentConfig | None = None) -> dict:
     all_match = True
     for run in report["runs"]:
         fold, rep = run["fold"], run["rep"]
-        bundle = _load_bundle(_checkpoint_path(out_dir, fold, rep),
-                              report["config_hash"])
         _, _, test_ctx = _prepare(stored, ds, parts, fold, rep)
+        bundle = _load_bundle(_checkpoint_path(out_dir, fold, rep),
+                              report["config_hash"], test_ctx.init_params)
         test = evaluate_adapted(bundle, test_ctx, ("test",))
         test_auc = {key.label(): value for key, value in test.items()}
         match = test_auc == run["test_auc"]
@@ -755,8 +769,9 @@ def cmd_export_embeddings(config: ExperimentConfig, out, workers: int = 1) -> di
     parts = make_folds(ds, config.seed)
     rows = []
     for fold in config.folds:
-        bundle = _load_bundle(_checkpoint_path(out_dir, fold, 0), chash)
         _, _, test = _prepare(config, ds, parts, fold, rep=0)
+        bundle = _load_bundle(_checkpoint_path(out_dir, fold, 0), chash,
+                              test.init_params)
         pmap = adapted_params(bundle, test, ("embed",))
         for key, params in pmap.items():
             if params is None:

@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from hierfed.nn.params import GradSet, ParamSet
+from hierfed.nn.params import ParamSet
 
 
 class OracleError(RuntimeError):
@@ -16,13 +16,13 @@ class OracleError(RuntimeError):
 
 
 def finite_diff_grad(loss_fn: Callable[[ParamSet], float], params: ParamSet,
-                     step: float = 1e-5) -> GradSet:
+                     step: float = 1e-5) -> ParamSet:
     """Estimate d loss / d params by central differences, one entry at a time.
 
     loss_fn must be a pure function of the parameters. O(P) evaluations, so
     keep the models tiny when calling this.
     """
-    work = params.copy()
+    work = ParamSet({name: arr.copy() for name, arr in params})
     out = {}
     for name, arr in work:
         g = np.zeros_like(arr)
@@ -40,10 +40,10 @@ def finite_diff_grad(loss_fn: Callable[[ParamSet], float], params: ParamSet,
                     f"non-finite loss while differencing {name}[{j}]")
             gflat[j] = (lo_plus - lo_minus) / (2.0 * step)
         out[name] = g
-    return GradSet(out)
+    return ParamSet(out)
 
 
-def grad_rel_error(ga: GradSet, gfd: GradSet) -> float:
+def grad_rel_error(ga: ParamSet, gfd: ParamSet) -> float:
     """Max over layers of ||ga - gfd|| / (||ga|| + ||gfd|| + 1e-12)."""
     worst = 0.0
     for name, a in ga:

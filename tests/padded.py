@@ -8,15 +8,15 @@ steps only; the tests compare the two on the same batches.
 
 import numpy as np
 
-from hierfed.nn.layers import (PROB_CLAMP, head_params, head_probs,
-                               lstm_backward, lstm_forward)
-from hierfed.nn.params import ParamSet, as_grads
+from hierfed.nn.layers import (PROB_CLAMP, head_probs, lstm_backward,
+                               lstm_forward)
+from hierfed.nn.params import ParamSet
 
 
 def kt_loss_grad(x, lengths, targets, params: ParamSet):
     """(loss, grads, probs (B, T, 2)) of the KT model; probs past a
     student's length are the head's output on zero states."""
-    W, b = head_params(params, params["lstm.b"].size // 4)
+    W, b = params["out.W"], params["out.b"]
     h_seq, cache = lstm_forward(x, lengths, params)
     probs = head_probs(h_seq, W, b)
     valid = np.arange(h_seq.shape[1])[None, :] < np.asarray(lengths)[:, None]
@@ -32,7 +32,7 @@ def kt_loss_grad(x, lengths, targets, params: ParamSet):
     dW = np.einsum("btk,btj->kj", h_seq, dlogits)
     db = dlogits.sum(axis=(0, 1))
     g_lstm = lstm_backward(dlogits @ W.T, cache, params)
-    grads = as_grads({
+    grads = ParamSet({
         "lstm.W": g_lstm["lstm.W"], "lstm.b": g_lstm["lstm.b"],
         "out.W": dW, "out.b": db,
     })
@@ -71,4 +71,4 @@ def attention_pool_backward(dh_tilde, cache, params: ParamSet):
     dpre = (du * (1.0 - u * u)).reshape(B * T, k)
     dW = h_seq.reshape(B * T, k).T @ dpre
     dh_seq += (dpre @ W.T).reshape(B, T, k)
-    return as_grads({"att.W": dW, "att.p": dp}), dh_seq
+    return ParamSet({"att.W": dW, "att.p": dp}), dh_seq

@@ -34,7 +34,7 @@ from hierfed.metrics import activity_heatmap, auc
 from hierfed.models.encoding import Vocab
 from hierfed.models.task import KT, OP
 from hierfed.nn.layers import PROB_CLAMP
-from hierfed.nn.params import GradSet, ParamSet, axpy_params, clip_grad_norm
+from hierfed.nn.params import ParamSet, axpy_params, clip_grad_norm
 from hierfed.runner import ExperimentConfig, cmd_train
 from hierfed.synth.archetypes import ENGAGEMENT_CAP, GenConfig, build_archetypes
 from hierfed.synth.generate import PRESETS, generate, preset
@@ -155,7 +155,8 @@ def test_aggregation_algebra_identities():
         assert np.abs(mean[name] - stack.mean(axis=0)).max() <= 1e-12
 
     server = random_params()
-    copies = {GroupKey(f"c{i}"): server.copy() for i in range(3)}
+    copies = {GroupKey(f"c{i}"): ParamSet({n: a.copy() for n, a in server})
+              for i in range(3)}
     for mode in ("layerwise", "scalar"):
         fixed = aggregate_attention(server, copies, eps=0.7, mode=mode)
         assert all(np.array_equal(fixed[n], server[n]) for n in shapes)
@@ -177,7 +178,7 @@ class QuadraticClient:
 
     def loss_grad(self, ids, params):
         w = params["w"]
-        return float(w @ w) / 2.0, GradSet({"w": w.copy()})
+        return float(w @ w) / 2.0, ParamSet({"w": w.copy()})
 
 
 def test_meta_update_reduces_to_sgd_and_the_quadratic_value():

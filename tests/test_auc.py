@@ -77,11 +77,10 @@ def test_auc_single_class_is_undefined():
     assert auc([0.1, 0.9], [1, 1]) is None
     assert auc([0.1, 0.9], [0, 0]) is None
     assert auc([0.2], [1]) is None
+    assert auc([], []) is None
 
 
 def test_auc_rejects_malformed_input():
-    with pytest.raises(ValueError):
-        auc([], [])
     with pytest.raises(ValueError):
         auc([0.1, 0.2], [1])
     with pytest.raises(ValueError):

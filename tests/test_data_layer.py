@@ -356,6 +356,12 @@ def test_folds_need_five_students_per_course():
         make_folds(ds, seed=0)
 
 
+def test_folds_need_students():
+    # an empty roster stops here, before any vocabulary is built
+    with pytest.raises(ConfigError, match="dataset has no students"):
+        make_folds(Dataset({}), seed=0)
+
+
 def test_age_buckets_are_left_inclusive():
     assert age_bucket(1979) == "~80"
     assert age_bucket(1980) == "80~90"

@@ -97,11 +97,6 @@ def test_vocab_rejects_unknown_course():
         vocab.course_index("z")
 
 
-def test_vocab_needs_a_course():
-    with pytest.raises(ValueError):
-        Vocab([], ["v0"])
-
-
 def test_input_widths_follow_block_layout():
     vocab = Vocab(["a", "b", "c"], ["v0", "v1"])
     assert vocab.kt_input_dim == 3 + 3

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from hierfed.errors import NumericsError
+from hierfed.fed.aggregate import aggregate_average
 from hierfed.fed.clients import (
     ClientData,
     build_client_data,
@@ -317,10 +318,8 @@ def test_local_divergence_names_the_epoch_and_client():
 
 
 def nan_average(models, weights):
-    """An aggregate that diverged: the first model with one NaN weight."""
-    out = next(iter(models.values())).copy()
-    out["lstm.W"][0, 0] = np.nan
-    return out
+    """An aggregate that diverged: the average under NaN weights."""
+    return aggregate_average(models, dict.fromkeys(weights, np.nan))
 
 
 @pytest.mark.parametrize("name,where", [
@@ -516,6 +515,21 @@ def test_evaluation_skips_groups_without_usable_auc(caplog):
     assert scores[k_flat] is None       # one-class labels have no AUC
     assert scores[k_empty] is None      # no test students at all
     assert any("no test students" in r.message for r in caplog.records)
+
+
+def test_a_group_with_no_scored_steps_has_no_auc():
+    # a student with one quiz response has no scored step, so this group
+    # has students but an empty scored set
+    rng = np.random.default_rng(28)
+    sids = ["q00", "q01"]
+    one_response = {sid: kt_entry([(0, 1)], [1], VOCAB) for sid in sids}
+    key = GroupKey("c0")
+    ctx = RunContext(strategy=parse_strategy("sc1-G"), master_seed=1, rep=0,
+                     fold=0,
+                     scored={key: build_client_data(KT, one_response, sids)})
+    bundle = TrainedBundle(global_params=init_params(rng))
+    assert ctx.scored[key].size == 2
+    assert evaluate_adapted(bundle, ctx) == {key: None}
 
 
 def test_fedirt_evaluation_uses_the_local_models():

@@ -107,7 +107,7 @@ def params_from(arr_map):
 def test_interpolate_identical_inputs_pass_through_bitwise():
     rng = np.random.default_rng(11)
     g = params_from({"a.W": rng.normal(size=(3, 2)), "a.b": rng.normal(size=2)})
-    out = irt_interpolate(g.copy(), g)
+    out = irt_interpolate(ParamSet({n: a.copy() for n, a in g}), g)
     for name, arr in out:
         assert np.array_equal(arr, g[name])
 

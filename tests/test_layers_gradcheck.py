@@ -16,7 +16,7 @@ from hierfed.nn.layers import (
     lstm_forward,
     softmax_probs,
 )
-from hierfed.nn.params import GradSet, ParamSet
+from hierfed.nn.params import ParamSet
 from gradcheck import OracleError, finite_diff_grad, grad_rel_error
 from stepwise import kt_entry, op_entry, video
 
@@ -176,7 +176,7 @@ def test_batched_kernels_match_per_student_runs(kind):
         (row,), g = run_kernel(kind, x[b:b + 1, :L], lengths[b:b + 1],
                                params, weight)
         np.testing.assert_allclose(rows[b], row, rtol=0, atol=EQUIV_TOL)
-        total = g if total is None else GradSet(
+        total = g if total is None else ParamSet(
             {name: total[name] + arr for name, arr in g})
     for name, arr in grads:
         np.testing.assert_allclose(arr, total[name], rtol=0, atol=EQUIV_TOL)
@@ -281,5 +281,5 @@ def test_finite_diff_grad_flags_nonfinite_loss():
 
 
 def test_grad_rel_error_zero_for_identical_grads():
-    g = GradSet({"w": np.array([1.0, -2.0])})
+    g = ParamSet({"w": np.array([1.0, -2.0])})
     assert grad_rel_error(g, g) == 0.0

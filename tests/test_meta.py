@@ -12,7 +12,7 @@ from hierfed.fed.clients import (
 )
 from hierfed.models.encoding import Vocab
 from hierfed.models.task import KT
-from hierfed.nn.params import GradSet, ParamSet, axpy_params, clip_grad_norm
+from hierfed.nn.params import ParamSet, axpy_params, clip_grad_norm
 from stepwise import kt_entry
 
 VOCAB = Vocab(("c0", "c1"), ("v0", "v1", "v2", "v3"))
@@ -36,7 +36,7 @@ class QuadraticClient:
 
     def loss_grad(self, ids, params):
         w = params["w"]
-        return float(w @ w) / 2.0, GradSet({"w": w.copy()})
+        return float(w @ w) / 2.0, ParamSet({"w": w.copy()})
 
 
 def test_meta_step_on_a_quadratic_is_exact():

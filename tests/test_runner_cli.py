@@ -661,6 +661,68 @@ def test_cli_export_embeddings_refuses_a_run_of_another_config(
     assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 
+@pytest.fixture(scope="module")
+def op_sc2_run(tmp_path_factory, data_dir):
+    """The config file of an OP sc2-G-AV-T run and the run: its checkpoint
+    holds a global, a course and two subgroup models."""
+    root = tmp_path_factory.mktemp("op_sc2")
+    cfg = root / "op.json"
+    cfg.write_text(json.dumps(config_snapshot(small_config(
+        data_dir, task="OP", strategy="sc2-G-AV-T", demographic="gender"))))
+    assert main(["train", "--config", str(cfg), "--out", str(root / "run")]) == 0
+    return cfg, root / "run"
+
+
+def _narrow_att_w(layers):
+    layers["att.W"] = layers["att.W"][:, :-1]
+
+
+def _drop_out_b(layers):
+    del layers["out.b"]
+
+
+def _add_a_layer(layers):
+    layers["extra.W"] = np.zeros(3)
+
+
+def _swap_the_first_two(layers):
+    first, second, *rest = layers.items()
+    layers.clear()
+    layers.update([second, first, *rest])
+
+
+@pytest.mark.parametrize("edit, detail", [
+    (_narrow_att_w, "layer 4 is att.W (6, 5), expected att.W (6, 6)"),
+    (_drop_out_b, "layer 7 is none, expected out.b (2,)"),
+    (_add_a_layer, "layer 8 is extra.W (3,), expected none"),
+    (_swap_the_first_two, "layer 0 is gru.bzr (12,), expected gru.Wzr ("),
+], ids=["shape", "missing", "extra", "order"])
+@pytest.mark.parametrize("model", ["global", "subgroup:"])
+@pytest.mark.parametrize("command", ["evaluate", "export-embeddings"])
+def test_cli_exits_two_naming_a_checkpoint_model_that_does_not_fit(
+        tmp_path, op_sc2_run, capsys, command, model, edit, detail):
+    cfg, trained = op_sc2_run
+    run = tmp_path / "run"
+    shutil.copytree(trained, run)
+    path = run / "checkpoint_f0_r0.json"
+    models, chash, extra = load_checkpoint(path)
+    name = next(n for n in sorted(models) if n.startswith(model))
+    layers = dict(models[name])
+    edit(layers)
+    models[name] = ParamSet(layers)
+    save_checkpoint(path, models, chash, extra=extra)
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    capsys.readouterr()
+    argv = {"evaluate": ["evaluate", "--out", str(run)],
+            "export-embeddings": ["export-embeddings", "--config", str(cfg),
+                                  "--out", str(run)]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: model {name!r} does not fit the "
+                          f"config: {detail}"), err
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
 def test_generated_directory_trains_like_the_in_memory_preset(tmp_path, capsys):
     """generate writes the table that ingest reads back: same scores."""
     gen = tmp_path / "gen.json"
@@ -774,6 +836,57 @@ def test_cli_exits_two_naming_an_unreadable_config_file(tmp_path, capsys,
 def test_cli_requires_the_missing_argument(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("generate", ["--task", "KT"]),
+    ("generate", ["--workers", "9"]),
+    ("generate", ["--strategy", "sc1-G"]),
+    ("evaluate", ["--workers", "4"]),
+    ("evaluate", ["--strategy", "sc2-L"]),
+    ("evaluate", ["--task", "OP"]),
+    ("evaluate", ["--demographic", "gender"]),
+    ("evaluate", ["--include-unspecified"]),
+    ("evaluate", ["--seed", "5"]),
+    ("report", ["--config", "c.json"]),
+    ("report", ["--strategy", "sc1-G"]),
+    ("report", ["--seed", "1"]),
+    ("report", ["--workers", "2"]),
+])
+def test_cli_rejects_a_flag_the_command_does_not_read(
+        tmp_path, trained_dir, capsys, command, flag):
+    run = tmp_path / "run"
+    shutil.copytree(trained_dir, run)
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps({"preset": "balanced-small"}))
+    argv = {"generate": ["generate", "--config", str(gen),
+                         "--out", str(tmp_path / "ds")],
+            "evaluate": ["evaluate", "--out", str(run)],
+            "report": ["report", "--out", str(tmp_path / "tables"), str(run)],
+            }[command] + flag
+    try:
+        rc = main(argv)
+    except SystemExit as exc:   # argparse rejects the flag
+        rc = exc.code
+    assert rc == 2
+    assert flag[0] in capsys.readouterr().err
+    assert not (tmp_path / "ds").exists()
+    assert not (tmp_path / "tables").exists()
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
+def test_cli_train_exits_two_on_an_empty_roster(tmp_path, data_dir, capsys):
+    ds = tmp_path / "ds"
+    ds.mkdir()
+    for name in ("students.csv", "events.csv"):
+        header = (data_dir / name).read_text().splitlines()[0]
+        (ds / name).write_text(header + "\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config_snapshot(small_config(ds))))
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: dataset has no students"), err
 
 
 # ---------------------------------------------------------------------------
