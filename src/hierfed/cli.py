@@ -144,7 +144,7 @@ def _dispatch(args) -> dict:
             raise ConfigError(f"evaluate takes {', '.join(given)} only "
                               "together with --config")
         config = _experiment_config(args) if args.config else None
-        doc = cmd_evaluate(_require_out(args), config=config)
+        doc = cmd_evaluate(_require_out(args), config=config, seed=_env_seed())
         return {"config_hash": doc["config_hash"], "runs": len(doc["runs"]),
                 "all_match": doc["all_match"]}
 

@@ -22,6 +22,11 @@ checkpoint checked against it when it loads.
 Gate conventions are the standard ones: LSTM input/forget/output gates are
 sigmoids and the candidate is tanh; the GRU update gate z mixes as
 h = (1-z)*h_prev + z*h_candidate.
+
+At the models' shapes a step is a few rows (about 8 for KT), so the
+pointwise gate operations around its one GEMM set its time, and on strided
+column slices they cost 2-3 times as much as on a contiguous block. So the
+LSTM writes its sigmoid gates into a contiguous buffer, not in place.
 """
 
 from __future__ import annotations
@@ -33,16 +38,20 @@ from .params import ParamSet
 PROB_CLAMP = 1e-7
 
 
-def _sigmoid_from_tanh_(t: np.ndarray) -> np.ndarray:
-    """(1 + t) / 2 in place: sigmoid(2a) from t = tanh(a), stable for any a.
+def _sigmoid_from_tanh_(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(1 + t) / 2 into out (default t): sigmoid(2a) from t = tanh(a), stable
+    for any a.
 
     Kernels halve the weights and biases of their sigmoid gates (exact in
     floating point), so one tanh over all gate pre-activations serves both
-    the tanh and the sigmoid gates.
+    the tanh and the sigmoid gates. The LSTM passes its step's whole (m, 4k)
+    block and a contiguous out: in place on the strided sigmoid columns, the
+    two ufuncs cost 2-3 times as much at m = 8.
     """
-    t += 1.0
-    t *= 0.5
-    return t
+    out = t if out is None else out
+    np.add(t, 1.0, out=out)
+    out *= 0.5
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +78,9 @@ class _Packing:
         self.B, self.T, self.n = B, T, int(offsets[-1])
         self.rows = order[rank]          # batch row of each packed row
         self.cols = step_of              # time step of each packed row
-        self.spans = [(int(offsets[t]), int(offsets[t + 1]),
-                       int(offsets[t - 1]) if t else -1) for t in range(steps)]
+        bounds = offsets.tolist()
+        self.spans = [(bounds[t], bounds[t + 1], bounds[t - 1] if t else -1)
+                      for t in range(steps)]
         # packed row of each step-(t >= 1) row's previous state
         self.first = int(active[0]) if steps else 0
         self.prev_rows = (np.arange(self.first, self.n)
@@ -116,6 +126,7 @@ def lstm_forward(x, lengths, params: ParamSet):
 
     acts = xs @ Ws[:d]       # input projection of every step, hoisted
     acts += b * scale
+    sig = np.empty((pk.n, 4 * k))   # i, f and o are read from here, g from acts
     cs = np.empty((pk.n, k))
     tc = np.empty((pk.n, k))
     hs = np.empty((pk.n, k))
@@ -126,20 +137,20 @@ def lstm_forward(x, lengths, params: ParamSet):
         m = end - start
         hp, cp = ((hs[prev:prev + m], cs[prev:prev + m]) if prev >= 0
                   else (zero[:m], zero[:m]))
-        a = acts[start:end]
+        a, s = acts[start:end], sig[start:end]
         a += np.matmul(hp, U, out=rec[:m])
         np.tanh(a, out=a)
-        _sigmoid_from_tanh_(a[:, :2 * k])
-        _sigmoid_from_tanh_(a[:, 3 * k:])
+        _sigmoid_from_tanh_(a, out=s)
         c = cs[start:end]
-        np.multiply(a[:, k:2 * k], cp, out=c)
-        c += np.multiply(a[:, :k], a[:, 2 * k:3 * k], out=tmp[:m])
+        np.multiply(s[:, k:2 * k], cp, out=c)
+        c += np.multiply(s[:, :k], a[:, 2 * k:3 * k], out=tmp[:m])
         np.tanh(c, out=tc[start:end])
-        np.multiply(a[:, 3 * k:], tc[start:end], out=hs[start:end])
+        np.multiply(s[:, 3 * k:], tc[start:end], out=hs[start:end])
+    sig[:, 2 * k:3 * k] = acts[:, 2 * k:3 * k]   # so the cache holds every gate
 
     cache = {
         "d": d, "k": k, "T": T, "B": B, "packing": pk,
-        "x": xs, "acts": acts, "c": cs, "tanh_c": tc, "h": hs,
+        "x": xs, "acts": sig, "c": cs, "tanh_c": tc, "h": hs,
     }
     return pk.scatter(hs), cache
 
@@ -159,8 +170,9 @@ def lstm_backward(dh_seq, cache, params: ParamSet):
     dact = acts * (1.0 - acts)
     np.subtract(1.0, g * g, out=dact[:, 2 * k:3 * k])
     # the adjoints of i, f, g are dc times these; that of o is dh times tanh(c)
-    coef = np.stack([g, pk.previous(cache["c"]), i, tc], axis=1)
+    coef = np.stack([g, pk.previous(cache["c"]), i], axis=1)
     dc_dh = o * (1.0 - tc * tc)
+    f = np.ascontiguousarray(f)
     dhs = pk.gather(np.asarray(dh_seq, dtype=np.float64))
     da = np.empty((pk.n, 4 * k))
     da4 = da.reshape(pk.n, 4, k)
@@ -173,8 +185,8 @@ def lstm_backward(dh_seq, cache, params: ParamSet):
         dh_m, dc_m = dh[:m], dc[:m]
         dh_m += dhs[start:end]
         dc_m += np.multiply(dh_m, dc_dh[start:end], out=tmp[:m])
-        np.multiply(dc_m[:, None, :], coef[start:end, :3], out=da4[start:end, :3])
-        np.multiply(dh_m, coef[start:end, 3], out=da4[start:end, 3])
+        np.multiply(dc_m[:, None, :], coef[start:end], out=da4[start:end, :3])
+        np.multiply(dh_m, tc[start:end], out=da4[start:end, 3])
         da[start:end] *= dact[start:end]
         np.matmul(da[start:end], U_T, out=dh_m)
         dc_m *= f[start:end]

@@ -650,14 +650,21 @@ def cmd_train(config: ExperimentConfig, out=None, workers: int = 1) -> dict:
 
 
 @one_blas_thread()
-def cmd_evaluate(out, config: ExperimentConfig | None = None) -> dict:
-    """Re-score saved checkpoints on the test folds and compare to the report."""
+def cmd_evaluate(out, config: ExperimentConfig | None = None,
+                 seed: int | None = None) -> dict:
+    """Re-score saved checkpoints on the test folds and compare to the report.
+
+    A given config, or a given seed, must be the trained run's.
+    """
     out_dir = Path(out)
     report_path = out_dir / "report.json"
     if not report_path.is_file():
         raise ConfigError(f"no report.json under {out_dir}; run train first")
     report = read_report(report_path)
     stored = config_from_dict(report["config"])
+    if seed is not None and seed != stored.seed:
+        raise ConfigError(f"seed {seed} does not match the trained report's "
+                          f"seed {stored.seed}")
     if config is not None and config_hash(config) != report["config_hash"]:
         raise ConfigError("given config does not match the trained report")
     ds = _trained_dataset(report)

@@ -1,18 +1,29 @@
-"""The valid-step KT head and attention pooler against their padded reference.
+"""The program's layers against their earlier forms in tests/padded.py.
 
-tests/padded.py computes both layers over every padded step and masks
-afterwards. The program computes only valid steps, so sums run in another
-order: forward outputs may move by 1e-13 and gradients by 1e-12, relative to
-each array's largest entry. KT scores and the KT loss keep their bits.
+tests/padded.py computes the KT head and the attention pooler over every
+padded step and masks afterwards. The program computes only valid steps, so
+sums run in another order: forward outputs may move by 1e-13 and gradients
+by 1e-12, relative to each array's largest entry. KT scores and the KT loss
+keep their bits.
+
+The LSTM kernels changed only where their sigmoid gates are written, so
+they must match their reference bit for bit.
 """
 
 import numpy as np
 import pytest
 
 import padded
-from hierfed.models.kt import kt_loss_grad, kt_predict
-from hierfed.nn.layers import attention_pool, attention_pool_backward
+import hierfed.models.kt
+from hierfed.data.partition import make_folds
+from hierfed.data.sequences import build_sequences, build_vocab
+from hierfed.fed.clients import build_client_data
+from hierfed.models.kt import kt_init, kt_loss_grad, kt_predict
+from hierfed.models.task import KT
+from hierfed.nn.layers import (_Packing, attention_pool, attention_pool_backward,
+                               lstm_backward, lstm_forward)
 from hierfed.nn.params import ParamSet
+from hierfed.synth.generate import generate, preset
 
 FORWARD_TOL = 1e-13
 GRAD_TOL = 1e-12
@@ -109,3 +120,67 @@ def test_kt_head_matches_the_padded_reference(case):
         assert loss == ref_loss
         for name, g in ref_grads:
             assert rel(grads[name], g) <= GRAD_TOL, name
+
+
+# LSTM batches: the KT cases and tied lengths
+LSTM_CASES = {**KT_CASES, "tied": ([4, 2, 4, 1, 2, 4], 5)}
+
+
+def lstm_params(rng, D, k):
+    return ParamSet({"lstm.W": 0.5 * rng.normal(size=(D + k, 4 * k)),
+                     "lstm.b": 0.5 * rng.normal(size=4 * k)})
+
+
+@pytest.mark.parametrize("case", sorted(LSTM_CASES))
+def test_lstm_matches_the_in_place_reference_bit_for_bit(case):
+    lengths, T = LSTM_CASES[case]
+    lengths = np.array(lengths)
+    for seed, (D, k) in enumerate([(5, 6), (5, 6), (20, 48)]):
+        rng = np.random.default_rng(200 + seed)
+        params = lstm_params(rng, D, k)
+        x = masked(rng.normal(size=(len(lengths), T, D)), lengths)
+        dh_seq = masked(rng.normal(size=(len(lengths), T, k)), lengths)
+
+        h_seq, cache = lstm_forward(x, lengths, params)
+        ref_h, ref_cache = padded.lstm_forward(x, lengths, params)
+        assert np.array_equal(h_seq, ref_h)
+        for key in ("acts", "c", "tanh_c"):
+            assert np.array_equal(cache[key], ref_cache[key]), key
+
+        grads = lstm_backward(dh_seq, cache, params)
+        ref_grads = padded.lstm_backward(dh_seq, ref_cache, params)
+        for name, g in ref_grads:
+            assert np.array_equal(grads[name], g), name
+
+
+@pytest.mark.parametrize("case", sorted(LSTM_CASES))
+def test_packing_spans_count_the_rows_still_running(case):
+    lengths, T = LSTM_CASES[case]
+    pk = _Packing(lengths, len(lengths), T)
+    # rows before step t: every row's valid steps among the first t
+    before = [sum(min(L, t) for L in lengths) for t in range(max(lengths) + 1)]
+    expected = [(before[t], before[t + 1], before[t - 1] if t else -1)
+                for t in range(max(lengths))]
+    assert pk.spans == expected
+    assert all(type(v) is int for span in pk.spans for v in span)
+
+
+def test_kt_loss_grad_keeps_its_bits_on_encoded_batches(monkeypatch):
+    ds = generate(preset("heterogeneous-3course"))
+    part = make_folds(ds, 101)[0]
+    train_ids = part.train_ids()
+    vocab = build_vocab(ds, train_ids)
+    data = build_client_data(KT, build_sequences(ds, KT, vocab), train_ids)
+    params = kt_init(vocab, 48, np.random.default_rng(7))
+    # non-zero biases, as after training
+    params["lstm.b"][:] = np.random.default_rng(8).normal(scale=0.3, size=4 * 48)
+    batches = [data.batch(data.ids[i:i + 16]) for i in range(0, 160, 16)]
+
+    results = [kt_loss_grad(*batch, params) for batch in batches]
+    monkeypatch.setattr(hierfed.models.kt, "lstm_forward", padded.lstm_forward)
+    monkeypatch.setattr(hierfed.models.kt, "lstm_backward", padded.lstm_backward)
+    for batch, (loss, grads) in zip(batches, results):
+        ref_loss, ref_grads = kt_loss_grad(*batch, params)
+        assert loss == ref_loss
+        for name, g in ref_grads:
+            assert np.array_equal(grads[name], g), name

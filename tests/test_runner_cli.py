@@ -453,6 +453,30 @@ def test_cli_rejects_bad_hyperparameters_with_exit_two(tmp_path, data_dir,
         assert not (tmp_path / str(i)).exists()
 
 
+def test_cli_evaluate_refuses_a_hierfed_seed_other_than_the_trained_one(
+        tmp_path, data_dir, trained_dir, monkeypatch, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(trained_dir, run, ignore=shutil.ignore_patterns("evaluation.json"))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config_snapshot(small_config(data_dir))))
+    monkeypatch.setenv("HIERFED_SEED", "5")
+    for extra in ([], ["--config", str(cfg_path)]):
+        assert main(["evaluate", "--out", str(run)] + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed 5 does not match")
+        assert "seed 11" in err
+    assert not (run / "evaluation.json").exists()
+
+
+def test_cli_evaluate_accepts_the_trained_runs_hierfed_seed(
+        tmp_path, trained_dir, monkeypatch, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(trained_dir, run)
+    monkeypatch.setenv("HIERFED_SEED", "11")
+    assert main(["evaluate", "--out", str(run)]) == 0
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["all_match"] is True
+
+
 def test_cli_maps_numeric_failures_to_exit_three(monkeypatch, capsys):
     def explode(config, out=None, workers=1):
         raise NumericsError("non-finite parameters in layer 'lstm.W'")
