@@ -3,7 +3,9 @@
 One round engine, `train_strategy`, trains every strategy over the
 course -> client tree. Clients are the leaves: courses in scenario I,
 demographic subgroups in scenario II, and one pooled client for centralized
-runs. Strategies differ in three rules, all read from the StrategyConfig:
+runs. Each round takes every leaf's start model, then updates every leaf,
+then aggregates. Strategies differ in three rules, all read from the
+StrategyConfig:
 
 - where a client starts: its own previous model (local and centralized
   runs), the IRT blend of its own previous model and its course (FedIRT),
@@ -145,14 +147,22 @@ def _aggregate(server: ParamSet, models: dict, s: StrategyConfig,
     return aggregate_average(models, weights)
 
 
-def _course_adapt(ctx: RunContext, course: str, subs, theta_g: ParamSet,
+def _courses(ctx: RunContext) -> dict:
+    """Course id -> {leaf key: student ids}, in GroupKey order; each entry
+    is also the course's stratified-batch groups."""
+    out: dict = {}
+    for key in sorted(ctx.clients, key=GroupKey.sort_key):
+        out.setdefault(key.course, {})[key] = ctx.clients[key].ids
+    return out
+
+
+def _course_adapt(ctx: RunContext, course: str, strata: dict, theta_g: ParamSet,
                   round_idx: int, stats: dict) -> ParamSet:
     """One plain gradient step on a stratified cross-subgroup batch."""
     s = ctx.strategy
     rng = substream(ctx.master_seed, "course-adapt", str(ctx.rep),
                     str(ctx.fold), course, str(round_idx))
-    groups = {key: ctx.clients[key].ids for key in subs}
-    batch = stratified_batch(groups, s.per_group, rng)
+    batch = stratified_batch(strata, s.per_group, rng)
 
     def update():
         loss, grads = ctx.course_pools[course].loss_grad(batch, theta_g)
@@ -163,19 +173,13 @@ def _course_adapt(ctx: RunContext, course: str, subs, theta_g: ParamSet,
                     update)
 
 
-def _warn_small_meta_clients(ctx: RunContext, leaves):
-    s = ctx.strategy
-    for key in leaves:
-        n = ctx.clients[key].size
-        if n < 2 * s.batch_size:
-            logger.warning("fold %d, rep %d: client %s has %d students "
-                           "(< 2 batches of %d); meta-update reuses one batch",
-                           ctx.fold, ctx.rep, key, n, s.batch_size)
-
-
 def train_strategy(ctx: RunContext, callback=None) -> TrainedBundle:
     """Train the context's strategy, calling callback(round, bundle) after
     every round (epoch, for non-federated strategies).
+
+    A round runs in three phases: every leaf's start model; every leaf's
+    update, in leaf order; then (federated runs) the course aggregates, the
+    global, and each course's next start.
 
     Hierarchy rules: a course aggregates its subgroup clients even when it
     has only one, while scenario I clients are the courses themselves and
@@ -186,45 +190,46 @@ def train_strategy(ctx: RunContext, callback=None) -> TrainedBundle:
     its global is only reported.
     """
     s = ctx.strategy
-    leaves = sorted(ctx.clients, key=GroupKey.sort_key)
-    courses: dict = {}
-    for key in leaves:
-        courses.setdefault(key.course, []).append(key)
+    courses = _courses(ctx)
+    leaves = [key for strata in courses.values() for key in strata]
     course_aggregates = s.is_federated and not leaves[0].is_course_level
     confidence = None
     if s.aggregation == "IRT":
         confidence = {}
-        for keys in courses.values():
+        for strata in courses.values():
             confidence.update(irt_confidence(
-                {key: ctx.irt_responses.get(key, []) for key in keys}))
-    if _meta_updates(s):
-        _warn_small_meta_clients(ctx, leaves)
+                {key: ctx.irt_responses.get(key, []) for key in strata}))
+    for key in leaves:
+        n = ctx.clients[key].size
+        if _meta_updates(s) and n < 2 * s.batch_size:
+            logger.warning("fold %d, rep %d: client %s has %d students "
+                           "(< 2 batches of %d); meta-update reuses one batch",
+                           ctx.fold, ctx.rep, key, n, s.batch_size)
 
     theta_g = ctx.init_params
-    start = {c: ctx.init_params for c in courses}
-    models = {key: ctx.init_params for key in leaves}
+    start = dict.fromkeys(courses, ctx.init_params)
+    models = dict.fromkeys(leaves, ctx.init_params)
     history: list = []
-    bundle = TrainedBundle()
     for k in range(s.rounds if s.is_federated else s.epochs):
         stats: dict = {}
-        previous, models = models, {}
-        for c, keys in courses.items():
-            for key in keys:
-                if not s.is_federated:
-                    begin = previous[key]
-                elif s.aggregation == "IRT":
-                    begin = irt_interpolate(previous[key], start[c])
-                else:
-                    begin = start[c]
-                models[key] = _update_client(ctx, key, begin, k, stats)
-            if course_aggregates:
+        if not s.is_federated:
+            begin = models
+        elif s.aggregation == "IRT":
+            begin = {key: irt_interpolate(models[key], start[key.course])
+                     for key in leaves}
+        else:
+            begin = {key: start[key.course] for key in leaves}
+        models = {key: _update_client(ctx, key, begin[key], k, stats)
+                  for key in leaves}
+
+        if course_aggregates:
+            for c, strata in courses.items():
                 weights = confidence or _size_weights(
-                    {key: ctx.clients[key] for key in keys})
+                    {key: ctx.clients[key] for key in strata})
                 models[GroupKey(c)] = _aggregate(
-                    start[c], {key: models[key] for key in keys}, s, weights)
+                    start[c], {key: models[key] for key in strata}, s, weights)
                 _check_finite(models[GroupKey(c)],
                               _where(ctx, f"round {k}, course {c} aggregation"))
-
         if s.is_federated:
             if course_aggregates and len(courses) == 1:
                 (only,) = courses
@@ -235,9 +240,9 @@ def train_strategy(ctx: RunContext, callback=None) -> TrainedBundle:
                 theta_g = _aggregate(theta_g, {key: models[key] for key in pools},
                                      s, _size_weights(pools))
             _check_finite(theta_g, _where(ctx, f"round {k}, global aggregation"))
-            for c, keys in courses.items():
-                if _meta_updates(s) and len(keys) >= 2:
-                    start[c] = _course_adapt(ctx, c, keys, theta_g, k, stats)
+            for c, strata in courses.items():
+                if _meta_updates(s) and len(strata) >= 2:
+                    start[c] = _course_adapt(ctx, c, strata, theta_g, k, stats)
                 elif s.aggregation == "IRT":
                     start[c] = models[GroupKey(c)]
                 else:
@@ -273,26 +278,6 @@ def _eval_where(ctx: RunContext, tag, what: str) -> str:
     return _where(ctx, f"{' '.join(tag)} {what}")
 
 
-def _adapt_courses(bundle: TrainedBundle, ctx: RunContext, tag) -> dict:
-    """One stratified meta-update from the global to each course model."""
-    s = ctx.strategy
-    out = {}
-    for course in sorted(ctx.course_pools):
-        groups = {key: data.ids for key, data in ctx.clients.items()
-                  if key.course == course}
-        if not groups:
-            out[course] = bundle.global_params
-            continue
-        rng = _eval_rng(ctx, tag, "course", course)
-        d = stratified_batch(groups, s.per_group, rng)
-        d_prime = stratified_batch(groups, s.per_group, rng)
-        out[course] = _located(
-            _eval_where(ctx, tag, f"course adaptation, client {GroupKey(course)}"),
-            lambda: meta_update(ctx.course_pools[course], bundle.global_params,
-                                (d, d_prime), s.eta, s.inner_step, s.clip))
-    return out
-
-
 def adapted_params(bundle: TrainedBundle, ctx: RunContext,
                    tag=("test",)) -> dict:
     """The parameters each scored group would be scored with.
@@ -300,8 +285,9 @@ def adapted_params(bundle: TrainedBundle, ctx: RunContext,
     Local and FedIRT runs score each group with its own stored model; G
     runs with the global, or under M with the group's course model. P runs
     form course models with one stratified meta-update from the global
-    (scenario II only) and, except under M, add one local epoch on each
-    group's training client. Groups with no usable model map to None.
+    (scenario II only), start each group from its course model or the
+    global and, except under M, run one local epoch on each group's
+    training client. Groups with no usable model map to None.
     """
     s = ctx.strategy
     groups = sorted(ctx.scored, key=GroupKey.sort_key)
@@ -314,18 +300,26 @@ def adapted_params(bundle: TrainedBundle, ctx: RunContext,
         return {key: bundle.global_params for key in groups}
 
     tag = tuple(str(t) for t in tag)
-    course_models = _adapt_courses(bundle, ctx, tag)
-    out: dict[GroupKey, ParamSet] = {}
+    course_models = {}
+    for c, strata in _courses(ctx).items():
+        if c in ctx.course_pools:
+            rng = _eval_rng(ctx, tag, "course", c)
+            batches = (stratified_batch(strata, s.per_group, rng),
+                       stratified_batch(strata, s.per_group, rng))
+            course_models[c] = _located(
+                _eval_where(ctx, tag, f"course adaptation, client {GroupKey(c)}"),
+                lambda: meta_update(ctx.course_pools[c], bundle.global_params,
+                                    batches, s.eta, s.inner_step, s.clip))
+    out = {key: course_models.get(key.course, bundle.global_params)
+           for key in groups}
     for key in groups:
-        params = course_models.get(key.course, bundle.global_params)
         data = ctx.clients.get(key)
         if s.hierarchy != "M" and data is not None:
             rng = _eval_rng(ctx, tag, "adapt", data.fingerprint)
-            params = _located(
+            out[key] = _located(
                 _eval_where(ctx, tag, f"adaptation, client {key}"),
-                lambda: local_sgd_steps(data, params, s.eta, s.batch_size, rng,
-                                        _epoch_steps(data, s), s.clip))
-        out[key] = params
+                lambda: local_sgd_steps(data, out[key], s.eta, s.batch_size,
+                                        rng, _epoch_steps(data, s), s.clip))
     return out
 
 

@@ -589,13 +589,42 @@ def _trained_dataset(report: dict):
     return ds
 
 
+def _trained_runs(report: dict, out_dir: Path, pairs):
+    """(fold, rep, test context, bundle) of each (fold, rep) in pairs of
+    the trained run that report describes, its checkpoints in out_dir."""
+    config = config_from_dict(report["config"])
+    ds = _trained_dataset(report)
+    parts = make_folds(ds, config.seed)
+    for fold, rep in pairs:
+        _, _, test = _prepare(config, ds, parts, fold, rep)
+        yield fold, rep, test, _load_bundle(_checkpoint_path(out_dir, fold, rep),
+                                            report["config_hash"],
+                                            test.init_params)
+
+
+def _out_dir(out) -> Path:
+    """The output directory out, created if missing; a path that is not a
+    directory, or lies under a file, raises ConfigError naming it."""
+    out_dir = Path(out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{out_dir}: cannot use as output directory "
+                          f"({exc.strerror})") from None
+    return out_dir
+
+
+def _check_workers(workers):
+    if not (_is_int(workers) and workers >= 1):
+        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 def cmd_generate(gen_config: GenConfig, out) -> dict:
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(out)
     ds = generate(gen_config, out_dir=out_dir)
     doc = {"students": len(ds.students),
            "events": len(ds.events),
@@ -609,8 +638,10 @@ def cmd_generate(gen_config: GenConfig, out) -> dict:
 @one_blas_thread()
 def cmd_train(config: ExperimentConfig, out=None, workers: int = 1) -> dict:
     validate_config(config)
+    _check_workers(workers)
     ds = resolve_dataset(config.dataset)
     parts = make_folds(ds, config.seed)
+    out_dir = None if out is None else _out_dir(out)
     started = time.monotonic()
     outputs = _run_all(config, ds, parts, workers)
     elapsed = time.monotonic() - started
@@ -631,9 +662,7 @@ def cmd_train(config: ExperimentConfig, out=None, workers: int = 1) -> dict:
         "runs": runs,
         "summary": _summary_doc(summary),
     }
-    if out is not None:
-        out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir is not None:
         write_json(out_dir / "report.json", report)
         for result, models in outputs:
             save_checkpoint(_checkpoint_path(out_dir, result["fold"], result["rep"]),
@@ -667,15 +696,11 @@ def cmd_evaluate(out, config: ExperimentConfig | None = None,
                           f"seed {stored.seed}")
     if config is not None and config_hash(config) != report["config_hash"]:
         raise ConfigError("given config does not match the trained report")
-    ds = _trained_dataset(report)
-    parts = make_folds(ds, stored.seed)
     rows = []
     all_match = True
-    for run in report["runs"]:
-        fold, rep = run["fold"], run["rep"]
-        _, _, test_ctx = _prepare(stored, ds, parts, fold, rep)
-        bundle = _load_bundle(_checkpoint_path(out_dir, fold, rep),
-                              report["config_hash"], test_ctx.init_params)
+    runs = report["runs"]
+    trained = _trained_runs(report, out_dir, [(r["fold"], r["rep"]) for r in runs])
+    for run, (fold, rep, test_ctx, bundle) in zip(runs, trained):
         test = evaluate_adapted(bundle, test_ctx, ("test",))
         test_auc = {key.label(): value for key, value in test.items()}
         match = test_auc == run["test_auc"]
@@ -712,6 +737,8 @@ def cmd_grid(config: ExperimentConfig, out=None, workers: int = 1) -> dict:
             for values in itertools.product(*(config.grid[name] for name in names))]
     for sub in subs:
         validate_config(sub)
+    _check_workers(workers)
+    out_dir = None if out is None else _out_dir(out)
 
     cells = []
     best_idx, best_score = None, None
@@ -737,9 +764,7 @@ def cmd_grid(config: ExperimentConfig, out=None, workers: int = 1) -> dict:
         "cells": cells,
         "winner": cells[best_idx],
     }
-    if out is not None:
-        out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir is not None:
         write_json(out_dir / "grid.json", doc)
         header = names + ["mean_val_auc", "test_overall_mean"]
         rows = [[cell["params"][n] for n in names]
@@ -757,6 +782,7 @@ def cmd_export_embeddings(config: ExperimentConfig, out, workers: int = 1) -> di
     of another config there is refused, never overwritten.
     """
     validate_config(config)
+    _check_workers(workers)
     task = TASKS[config.task]
     if task.embed is None:
         raise ConfigError("export-embeddings needs task OP; the interaction "
@@ -772,13 +798,9 @@ def cmd_export_embeddings(config: ExperimentConfig, out, workers: int = 1) -> di
     else:
         report = cmd_train(config, out=out_dir, workers=workers)
 
-    ds = _trained_dataset(report)
-    parts = make_folds(ds, config.seed)
     rows = []
-    for fold in config.folds:
-        _, _, test = _prepare(config, ds, parts, fold, rep=0)
-        bundle = _load_bundle(_checkpoint_path(out_dir, fold, 0), chash,
-                              test.init_params)
+    for _, _, test, bundle in _trained_runs(report, out_dir,
+                                            [(fold, 0) for fold in config.folds]):
         pmap = adapted_params(bundle, test, ("embed",))
         for key, params in pmap.items():
             if params is None:
@@ -814,8 +836,7 @@ def cmd_report(run_dirs, out) -> dict:
     if len(hashes) > 1:
         raise ConfigError("reports come from different datasets; refusing to merge")
 
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(out)
 
     rows = []
     columns: dict = {}

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hierfed.errors import NumericsError
-from hierfed.fed.aggregate import aggregate_average
+from hierfed.fed.aggregate import aggregate_attention, aggregate_average
 from hierfed.fed.clients import (
     ClientData,
     build_client_data,
@@ -150,6 +150,45 @@ def test_two_level_engine_populates_every_level():
     assert set(bundle.models) == set(clients) | {GroupKey("c0"), GroupKey("c1")}
     assert bundle.global_params.first_nonfinite_layer() is None
     assert len(bundle.history) == 2
+
+
+def test_every_leaf_updates_before_the_rounds_first_aggregation(monkeypatch):
+    # a round starts every leaf, updates every leaf, then aggregates: no
+    # course aggregates while another course's leaves have yet to update
+    rng = np.random.default_rng(4)
+    clients, pools = two_level_world(rng)
+    leaf_of = {id(data): key for key, data in clients.items()}
+    events = []
+    loss_grad = ClientData.loss_grad
+
+    def recorded_loss_grad(self, ids, params):
+        if id(self) in leaf_of:
+            events.append(("leaf", leaf_of[id(self)]))
+        return loss_grad(self, ids, params)
+
+    def recorded_attention(*args, **kwargs):
+        events.append(("aggregate", None))
+        return aggregate_attention(*args, **kwargs)
+
+    monkeypatch.setattr(ClientData, "loss_grad", recorded_loss_grad)
+    monkeypatch.setattr("hierfed.fed.engine.aggregate_attention",
+                        recorded_attention)
+    s = parse_strategy("sc2-P-AT-B").with_overrides(
+        rounds=2, batch_size=4, local_iters=1, per_group=2)
+    ctx = RunContext(strategy=s, master_seed=5, rep=0, fold=0,
+                     init_params=init_params(rng), clients=clients,
+                     course_pools=pools)
+    train_strategy(ctx, callback=lambda k, bundle: events.append(("end", k)))
+
+    ends = [i for i, (kind, _) in enumerate(events) if kind == "end"]
+    assert len(ends) == 2
+    for begin, end in zip([0] + [i + 1 for i in ends], ends):
+        kinds = [kind for kind, _ in events[begin:end]]
+        first_aggregate = kinds.index("aggregate")
+        updated = {key for kind, key in events[begin:begin + first_aggregate]
+                   if kind == "leaf"}
+        assert updated == set(clients)
+        assert "leaf" not in kinds[first_aggregate:]
 
 
 def test_rerunning_an_engine_is_bitwise_identical():

@@ -913,6 +913,67 @@ def test_cli_train_exits_two_on_an_empty_roster(tmp_path, data_dir, capsys):
     assert err.startswith("error: dataset has no students"), err
 
 
+def _refuse_training(monkeypatch):
+    def trained(*args, **kwargs):
+        raise AssertionError("training ran before the argument was refused")
+    monkeypatch.setattr(runner, "train_strategy", trained)
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+@pytest.mark.parametrize("command", ["generate", "train", "grid",
+                                     "export-embeddings", "report"])
+def test_cli_exits_two_naming_an_out_that_is_not_a_directory(
+        tmp_path, data_dir, trained_dir, monkeypatch, capsys, command, under):
+    # each exited 1 with FileExistsError; train, grid and export-embeddings
+    # trained first
+    _refuse_training(monkeypatch)
+    blocker = tmp_path / "F"
+    blocker.write_text("kept")
+    out = blocker / "sub" if under else blocker
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps({"preset": "balanced-small"}))
+    cfg = tmp_path / "cfg.json"
+    fields = {"grid": dict(grid={"eta": [0.1, 0.2]}),
+              "export-embeddings": dict(task="OP")}.get(command, {})
+    cfg.write_text(json.dumps(config_snapshot(small_config(data_dir, **fields))))
+    argv = {"generate": ["generate", "--config", str(gen)],
+            "report": ["report", str(trained_dir)]}.get(
+                command, [command, "--config", str(cfg)])
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {out}: cannot use as output directory (")
+    assert blocker.read_text() == "kept"
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_cli_train_exits_two_on_workers_below_one(tmp_path, data_dir,
+                                                  monkeypatch, capsys, workers):
+    # both exited 0 and wrote the value to timing.json
+    _refuse_training(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config_snapshot(small_config(data_dir))))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                 "--workers", str(workers)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: workers must be an integer >= 1, got {workers}")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("workers", [0, 1.5, True])
+def test_library_commands_refuse_workers_below_one(tmp_path, data_dir,
+                                                   monkeypatch, workers):
+    _refuse_training(monkeypatch)
+    calls = [lambda: cmd_train(small_config(data_dir), workers=workers),
+             lambda: cmd_grid(small_config(data_dir, grid={"eta": [0.1]}),
+                              workers=workers),
+             lambda: cmd_export_embeddings(small_config(data_dir, task="OP"),
+                                           tmp_path / "emb", workers=workers)]
+    for call in calls:
+        with pytest.raises(ConfigError, match="workers must be an integer >= 1"):
+            call()
+    assert not (tmp_path / "emb").exists()
+
+
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
