@@ -262,6 +262,13 @@ def dataset_hash(ds) -> str:
     return hashlib.sha256("".join(parts).encode()).hexdigest()
 
 
+def _dataset(config: ExperimentConfig):
+    """(dataset, folds, dataset hash) of config: a command resolves, splits
+    and hashes its dataset once, and trains and scores every run on them."""
+    ds = resolve_dataset(config.dataset)
+    return ds, make_folds(ds, config.seed), dataset_hash(ds)
+
+
 def load_gen_config(doc: dict, seed: int | None = None) -> GenConfig:
     """A generation config document: {"preset": name} or full field set."""
     if not isinstance(doc, dict):
@@ -497,10 +504,10 @@ def _load_bundle(path, chash: str, init: ParamSet) -> TrainedBundle:
 _POOL: dict = {}
 
 
-def _pool_init(config, ds):
+def _pool_init(config, ds, parts):
     _POOL["config"] = config
     _POOL["ds"] = ds
-    _POOL["parts"] = make_folds(ds, config.seed)
+    _POOL["parts"] = parts
 
 
 def _pool_run(pair):
@@ -517,7 +524,7 @@ def _run_all(config: ExperimentConfig, ds, parts, workers: int):
         with ProcessPoolExecutor(max_workers=min(workers, len(pairs)),
                                  mp_context=ctx,
                                  initializer=_pool_init,
-                                 initargs=(config, ds)) as ex:
+                                 initargs=(config, ds, parts)) as ex:
             return list(ex.map(_pool_run, pairs))
     return [run_one(config, ds, parts, fold, rep) for fold, rep in pairs]
 
@@ -579,22 +586,22 @@ def read_report(path) -> dict:
 
 
 def _trained_dataset(report: dict):
-    """The dataset a train report names, resolved again; one whose contents
-    changed since training raises ConfigError."""
-    name = report["config"]["dataset"]
-    ds = resolve_dataset(name)
-    if dataset_hash(ds) != report["dataset_hash"]:
-        raise ConfigError(f"dataset {name}: contents changed since training; "
-                          f"refusing")
-    return ds
+    """What _dataset gives a train report's config, resolved again; a
+    dataset whose contents changed since training raises ConfigError."""
+    data = _dataset(config_from_dict(report["config"]))
+    if data[2] != report["dataset_hash"]:
+        raise ConfigError(f"dataset {report['config']['dataset']}: contents "
+                          f"changed since training; refusing")
+    return data
 
 
-def _trained_runs(report: dict, out_dir: Path, pairs):
+def _trained_runs(report: dict, out_dir: Path, pairs, data=None):
     """(fold, rep, test context, bundle) of each (fold, rep) in pairs of
-    the trained run that report describes, its checkpoints in out_dir."""
+    the trained run that report describes, its checkpoints in out_dir.
+    data is what _dataset gave the run's training when the caller has just
+    trained it; without it the report's dataset is resolved again."""
     config = config_from_dict(report["config"])
-    ds = _trained_dataset(report)
-    parts = make_folds(ds, config.seed)
+    ds, parts, _ = data or _trained_dataset(report)
     for fold, rep in pairs:
         _, _, test = _prepare(config, ds, parts, fold, rep)
         yield fold, rep, test, _load_bundle(_checkpoint_path(out_dir, fold, rep),
@@ -639,9 +646,14 @@ def cmd_generate(gen_config: GenConfig, out) -> dict:
 def cmd_train(config: ExperimentConfig, out=None, workers: int = 1) -> dict:
     validate_config(config)
     _check_workers(workers)
-    ds = resolve_dataset(config.dataset)
-    parts = make_folds(ds, config.seed)
-    out_dir = None if out is None else _out_dir(out)
+    data = _dataset(config)
+    return _train(config, data, None if out is None else _out_dir(out), workers)
+
+
+def _train(config: ExperimentConfig, data, out_dir: Path | None, workers: int) -> dict:
+    """Train every (fold, rep) of config on data, which _dataset gave; the
+    report, and under out_dir (unless None) the artifacts."""
+    ds, parts, dhash = data
     started = time.monotonic()
     outputs = _run_all(config, ds, parts, workers)
     elapsed = time.monotonic() - started
@@ -656,7 +668,7 @@ def cmd_train(config: ExperimentConfig, out=None, workers: int = 1) -> dict:
         "kind": "train-report",
         "config": config_snapshot(config),
         "config_hash": chash,
-        "dataset_hash": dataset_hash(ds),
+        "dataset_hash": dhash,
         "master_seed": config.seed,
         "groups": sorted({label for run in runs for label in run["test_auc"]}),
         "runs": runs,
@@ -738,12 +750,15 @@ def cmd_grid(config: ExperimentConfig, out=None, workers: int = 1) -> dict:
     for sub in subs:
         validate_config(sub)
     _check_workers(workers)
+    # the grid ranges over strategy fields and hidden_dim only, so every
+    # cell shares the dataset and the seed that splits it
+    data = _dataset(config)
     out_dir = None if out is None else _out_dir(out)
 
     cells = []
     best_idx, best_score = None, None
     for sub in subs:
-        report = cmd_train(sub, out=None, workers=workers)
+        report = _train(sub, data, None, workers)
         defined = [r["val_auc"] for r in report["runs"] if r["val_auc"] is not None]
         mean_val = float(np.mean(defined)) if defined else None
         cells.append({
@@ -790,17 +805,20 @@ def cmd_export_embeddings(config: ExperimentConfig, out, workers: int = 1) -> di
     out_dir = Path(out)
     chash = config_hash(config)
     report_path = out_dir / "report.json"
+    data = None
     if report_path.is_file():
         report = read_report(report_path)
         if report["config_hash"] != chash:
             raise ConfigError(f"{out_dir} holds the run of another config; "
                               "refusing to overwrite it")
     else:
-        report = cmd_train(config, out=out_dir, workers=workers)
+        data = _dataset(config)
+        report = _train(config, data, _out_dir(out_dir), workers)
 
     rows = []
     for _, _, test, bundle in _trained_runs(report, out_dir,
-                                            [(fold, 0) for fold in config.folds]):
+                                            [(fold, 0) for fold in config.folds],
+                                            data):
         pmap = adapted_params(bundle, test, ("embed",))
         for key, params in pmap.items():
             if params is None:
@@ -875,7 +893,7 @@ def cmd_report(run_dirs, out) -> dict:
                 cells.append(f"{stat['mean']:.4f} ({stat['std']:.4f})")
         lines.append("| " + label + " | " + " | ".join(cells) + " |")
 
-    ds = _trained_dataset(reports[0])
+    ds, _, _ = _trained_dataset(reports[0])
     variables = sorted({r["config"]["demographic"] for r in reports
                        if r["config"]["demographic"]})
     include = {v: any(r["config"]["include_unspecified"] for r in reports

@@ -129,9 +129,13 @@ class ArchetypeSpec:
         return len(self.video_ids)
 
     def validate(self):
+        """Reject a chain the walk cannot draw from. The walk searches
+        cumulative rows and checks nothing itself, so this is its guard."""
         S = self.n_videos + N_FORUM + 1
         if self.transitions.shape != (S, S):
             raise ConfigError(f"transition matrix must be ({S}, {S})")
+        if not (np.isfinite(self.transitions).all() and np.isfinite(self.start).all()):
+            raise ConfigError("non-finite probability in archetype")
         if np.any(self.transitions < 0) or np.any(self.start < 0):
             raise ConfigError("negative probability in archetype")
         if not np.allclose(self.transitions.sum(axis=1), 1.0, atol=1e-9):

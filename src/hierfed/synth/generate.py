@@ -7,6 +7,8 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
+
 from ..data.ingest import export_dataset
 from ..data.records import (
     CONTINENTS,
@@ -47,9 +49,20 @@ def _fill_other_fields(fields: dict, rng):
         fields["birth_year"] = int(rng.integers(1965, 2005))
 
 
-def _walk_events(sid: str, spec: ArchetypeSpec, ability: float, rng):
+def _cumulative(p: np.ndarray) -> np.ndarray:
+    """The rows of p as the normalised cumulative sums Generator.choice
+    builds for one draw; searching one with side="right" for rng.random()
+    picks the state choice(n, p=row) would, from the same single double."""
+    c = np.cumsum(p, axis=-1)
+    c /= c[..., -1:]
+    return c
+
+
+def _walk_events(sid: str, spec: ArchetypeSpec, start_cdf: np.ndarray,
+                 step_cdf: np.ndarray, ability: float, rng):
     """One student's chronological event rows (EVENTS_HEADER order) plus
-    their quiz-correct fraction and forum count."""
+    their quiz-correct fraction and forum count. start_cdf and step_cdf are
+    spec's start row and transition rows made cumulative."""
     V = spec.n_videos
     stop = V + N_FORUM
     events = []
@@ -57,7 +70,7 @@ def _walk_events(sid: str, spec: ArchetypeSpec, ability: float, rng):
     n_correct = 0
     n_forum = 0
     t = 0
-    state = int(rng.choice(len(spec.start), p=spec.start))
+    state = int(start_cdf.searchsorted(rng.random(), side="right"))
     for _ in range(MAX_WALK):
         if state == stop:
             break
@@ -77,8 +90,7 @@ def _walk_events(sid: str, spec: ArchetypeSpec, ability: float, rng):
             events.append((sid, spec.course, "forum", None, None, action, t))
             t += 1
             n_forum += 1
-        state = int(rng.choice(spec.transitions.shape[1],
-                               p=spec.transitions[state]))
+        state = int(step_cdf[state].searchsorted(rng.random(), side="right"))
     frac_correct = n_correct / len(answered) if answered else 0.0
     return events, frac_correct, n_forum
 
@@ -99,12 +111,14 @@ def generate(config: GenConfig, out_dir=None) -> Dataset:
         idx = 0
         for label, count in zip(config.subgroup_labels, counts):
             spec = archetypes[(course, label)]
+            start_cdf, step_cdf = _cumulative(spec.start), _cumulative(spec.transitions)
             for _ in range(count):
                 sid = f"{course}_s{idx:04d}"
                 idx += 1
                 rng = substream(config.seed, "student", sid)
                 ability = spec.ability_mean + spec.ability_std * rng.normal()
-                events, frac, n_forum = _walk_events(sid, spec, ability, rng)
+                events, frac, n_forum = _walk_events(sid, spec, start_cdf,
+                                                     step_cdf, ability, rng)
                 extend_columns(events, columns)
                 bonus = 0.1 * min(1.0, n_forum / ENGAGEMENT_CAP)
                 outcome = int(frac + bonus > spec.pass_threshold)

@@ -313,6 +313,45 @@ def test_grid_search_ranks_cells_by_validation_auc(tmp_path, data_dir):
     assert len(lines) == 3
 
 
+def _count_dataset_calls(monkeypatch) -> dict:
+    """Count the runner's calls of the three steps that give a command its
+    dataset; the counts fill the returned dict."""
+    calls = {}
+    for name in ("resolve_dataset", "make_folds", "dataset_hash"):
+        def counted(*args, _name=name, _real=getattr(runner, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(runner, name, counted)
+    return calls
+
+
+def test_grid_resolves_folds_and_hashes_its_dataset_once(tmp_path, data_dir,
+                                                         monkeypatch):
+    calls = _count_dataset_calls(monkeypatch)
+    cfg = small_config(data_dir, grid={"eta": [0.05, 0.3]})
+    doc = cmd_grid(cfg, out=tmp_path / "grid")
+    assert calls == {"resolve_dataset": 1, "make_folds": 1, "dataset_hash": 1}
+    # each cell is what training its config alone reports
+    for cell in doc["cells"]:
+        report = cmd_train(dataclasses.replace(cfg, grid={}, **cell["params"]))
+        assert cell["config_hash"] == report["config_hash"]
+        assert cell["test_overall_mean"] == report["summary"]["overall_mean"]
+
+
+def test_export_embeddings_scores_the_dataset_it_just_trained_on(
+        tmp_path, data_dir, monkeypatch):
+    calls = _count_dataset_calls(monkeypatch)
+    cfg = small_config(data_dir, task="OP")
+    cmd_export_embeddings(cfg, tmp_path / "emb")
+    assert calls == {"resolve_dataset": 1, "make_folds": 1, "dataset_hash": 1}
+    first = (tmp_path / "emb" / "embeddings.csv").read_bytes()
+    calls.clear()
+    # from the saved report the dataset is resolved again and checked
+    cmd_export_embeddings(cfg, tmp_path / "emb")
+    assert calls == {"resolve_dataset": 1, "make_folds": 1, "dataset_hash": 1}
+    assert (tmp_path / "emb" / "embeddings.csv").read_bytes() == first
+
+
 @pytest.mark.parametrize("grid,msg", [
     ({}, "non-empty 'grid' mapping"),
     ({"dataset": ["a"]}, "unknown hyperparameters"),

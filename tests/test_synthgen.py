@@ -1,5 +1,6 @@
 """Synthetic data generator: archetypes, walks, labels, and presets."""
 
+import hashlib
 import json
 import logging
 from dataclasses import replace
@@ -19,7 +20,7 @@ from hierfed.synth.archetypes import (
     build_archetypes,
     study_order,
 )
-from hierfed.synth.generate import _share_counts, generate, preset
+from hierfed.synth.generate import _cumulative, _share_counts, generate, preset
 from rowwise import events_of
 
 
@@ -156,13 +157,76 @@ def test_archetype_validation_rejects_broken_chains():
         spec_with(bad_rows, start).validate()
     neg = np.full((5, 5), 0.25)
     neg[:, 0] = -0.0001
-    neg[:, 1] = 0.2501 + 0.0001 - 0.25 + 0.25  # keep rows near 1
-    with pytest.raises(ConfigError):
-        spec_with(np.where(np.eye(5) > 0, 1.2, -0.05), start).validate()
+    neg[:, 1] = 0.2501  # rows still sum to 1
+    for transitions in (neg, np.where(np.eye(5) > 0, 1.2, -0.05)):
+        with pytest.raises(ConfigError, match="negative probability"):
+            spec_with(transitions, start).validate()
     ok = np.zeros((5, 5))
     ok[:, 4] = 1.0
     with pytest.raises(ConfigError, match="mass on stop"):
         spec_with(ok, np.array([0.5, 0.0, 0.0, 0.0, 0.5])).validate()
+    # a NaN start sums to NaN, which no "sum to 1" comparison rejects
+    with pytest.raises(ConfigError, match="non-finite probability"):
+        spec_with(ok, np.array([np.nan, 1.0, 0.0, 0.0, 0.0])).validate()
+    nan_row = ok.copy()
+    nan_row[0] = [np.nan, 0.0, 0.0, 0.0, 1.0]
+    with pytest.raises(ConfigError, match="non-finite probability"):
+        spec_with(nan_row, start).validate()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cumulative_row_draws_match_generator_choice(seed):
+    # the walk draws with cdf.searchsorted(rng.random(), side="right"); this
+    # pins it to Generator.choice(n, p=row): the same index from the same
+    # one double, row after row, under whatever numpy is installed
+    maker = np.random.default_rng(seed)
+    n = 9
+    rows = maker.random((30, n))
+    rows[maker.random(rows.shape) < 0.3] = 0.0  # zero-mass entries
+    rows[::2, -1] = 0.0                         # a zero last entry
+    rows[:, 0] += 1e-3                          # no all-zero row
+    rows /= rows.sum(axis=1, keepdims=True)
+    cdf = _cumulative(rows)
+    for i in range(len(rows)):  # a single row, as the start row is built
+        assert np.array_equal(_cumulative(rows[i]), cdf[i])
+    rng_a = np.random.default_rng(1000 + seed)
+    rng_b = np.random.default_rng(1000 + seed)
+    for i in maker.integers(0, len(rows), size=2000):
+        got = int(cdf[i].searchsorted(rng_a.random(), side="right"))
+        assert got == int(rng_b.choice(n, p=rows[i])), i
+        assert rows[i, got] > 0.0
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+# sha256 of what generate writes, recorded with the walk drawing through
+# Generator.choice; the cumulative-row walk must write the same bytes
+GENERATED_DIGESTS = {
+    ("balanced-small", None): (
+        "b11cde3180d5f3068d8434162e78e3c5d9e3a774ec89d25179fe9b2d15cc306e",
+        "6c070f8a4f3a242c88c0699d8312e99b1d7ccae80918ab48e60e1cddc9f32a45",
+        "dd57cc467d35301ae81b40996eee77532df09456da5226918129af6194bf56dd"),
+    ("heterogeneous-3course", None): (
+        "801727af91da9574c7dad392241e13d5a94f6832a0a21ff771fffe8d730cc8d6",
+        "ea83c43d96e8273b0d6f504299c72794677d609642c560ab598932d0500e3be1",
+        "9a2f7b8d58b19dea1daa3f9fe92f838a3e01eefd2dc68a7455927ae0145a32cb"),
+    ("imbalanced-minority", None): (
+        "3bd966d57915f8dfe83d6058a5e33a4a1ef2c01d9e84d6096c70581ec898e7bc",
+        "cf7863302cf2c637140568b52f1a3490129763159f951de51a990469dc26f58c",
+        "09f1e266ada0449bacca5b0cb430fa079f9434e78d3dfe66ef6884e42b957f0b"),
+    ("heterogeneous-3course", 1): (  # the benchmark's dataset
+        "324950f4bd3628e7f7ecec68e881c5e495d202d7b9a252df461fe76272b60d08",
+        "45c24ae00082f28150cd158c900ba6cfbe364358ab24ec68208b6f674307871f",
+        "cade6dd03c9254822e59b05fe5f7fadcf689d97c614a5274279cd4edd8911567"),
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(GENERATED_DIGESTS, key=str))
+def test_generated_files_keep_their_digests(tmp_path, name, seed):
+    cfg = preset(name) if seed is None else replace(preset(name), seed=seed)
+    generate(cfg, out_dir=tmp_path)
+    got = tuple(hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest()
+                for fname in ("events.csv", "students.csv", "manifest.json"))
+    assert got == GENERATED_DIGESTS[(name, seed)]
 
 
 def test_same_seed_generates_identical_files(tmp_path):
