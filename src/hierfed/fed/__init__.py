@@ -4,8 +4,9 @@ from .aggregate import aggregate_attention, aggregate_average, attention_weights
 from .checkpoint import load_checkpoint, save_checkpoint
 from .clients import (
     ClientData,
+    apply_updates,
     build_client_data,
-    local_sgd_steps,
+    epoch_batches,
     meta_batches,
     meta_update,
 )
@@ -27,13 +28,14 @@ __all__ = [
     "adapted_params",
     "aggregate_attention",
     "aggregate_average",
+    "apply_updates",
     "attention_weights",
     "build_client_data",
+    "epoch_batches",
     "evaluate_adapted",
     "irt_confidence",
     "irt_interpolate",
     "load_checkpoint",
-    "local_sgd_steps",
     "mean_predictive_likelihood",
     "meta_batches",
     "meta_update",

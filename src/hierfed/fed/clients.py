@@ -2,9 +2,10 @@
 
 A client is one training group (course or demographic subgroup). Its data
 is selected from the fold's shared encoding; updates take the client's
-data and its current parameters and are plain minibatch SGD or a
-first-order meta step (adapt on one batch, step on the gradient of the
-adapted parameters evaluated on a second batch).
+data and its current parameters. Every update is one first-order meta step
+(adapt on one batch, step on the gradient of the adapted parameters
+evaluated on a second batch); with no adaptation it is a plain minibatch
+SGD step on the second batch.
 """
 
 from __future__ import annotations
@@ -80,39 +81,21 @@ def _apply_grad(params: ParamSet, grads: ParamSet, step: float,
     return axpy_params(-step, clip_grad_norm(grads, clip), params)
 
 
-def _minibatches(ids, batch_size: int, rng) -> list:
-    perm = rng.permutation(len(ids))
-    shuffled = [ids[i] for i in perm]
-    return [shuffled[i:i + batch_size]
-            for i in range(0, len(shuffled), batch_size)]
-
-
 def _require_students(data: ClientData):
     if data.size == 0:
         raise ValueError("client has no students")
 
 
-def local_sgd_steps(data: ClientData, params: ParamSet, eta: float,
-                    batch_size: int, rng, n_steps: int, clip: float,
-                    stats: dict | None = None) -> ParamSet:
-    """Exactly n_steps minibatch SGD steps from params, reshuffling as data
-    runs out.
-
-    n_steps = ceil(size / batch_size) is one shuffled pass over the client's
-    students.
-    """
+def epoch_batches(data: ClientData, batch_size: int, rng, n_steps: int) -> list:
+    """Exactly n_steps minibatches of the client's students, reshuffling as
+    they run out; ceil(size / batch_size) steps are one shuffled pass."""
     _require_students(data)
-    pending: list = []
-    for _ in range(n_steps):
-        if not pending:
-            pending = _minibatches(data.ids, batch_size, rng)
-        batch = pending.pop(0)
-        loss, grads = data.loss_grad(batch, params)
-        params = _apply_grad(params, grads, eta, clip)
-        if stats is not None:
-            stats["loss"] = stats.get("loss", 0.0) + loss
-            stats["steps"] = stats.get("steps", 0) + 1
-    return params
+    batches: list = []
+    while len(batches) < n_steps:
+        shuffled = [data.ids[i] for i in rng.permutation(data.size)]
+        batches += [shuffled[i:i + batch_size]
+                    for i in range(0, data.size, batch_size)]
+    return batches[:n_steps]
 
 
 def meta_batches(data: ClientData, batch_size: int, rng):
@@ -120,21 +103,18 @@ def meta_batches(data: ClientData, batch_size: int, rng):
     twice when there are fewer than two batches' worth of students."""
     _require_students(data)
     ids = data.ids
+    perm = rng.permutation(len(ids))    # drawn on both paths: one stream
     if len(ids) < 2 * batch_size:
-        # keep the stream aligned with the two-batch path
-        rng.permutation(len(ids))
         return list(ids), list(ids)
-    perm = rng.permutation(len(ids))
     d = [ids[i] for i in perm[:batch_size]]
     d_prime = [ids[i] for i in perm[batch_size:2 * batch_size]]
     return d, d_prime
 
 
 def meta_update(data: ClientData, params: ParamSet, batches, eta: float,
-                beta: float, clip: float,
-                stats: dict | None = None) -> ParamSet:
+                beta: float, clip: float):
     """One first-order meta-gradient update of params on the client's
-    (D, D') pair of student-id batches (see meta_batches):
+    (D, D') pair of student-id batches (see meta_batches), and its loss on D':
 
     theta_tilde = theta - beta * grad_D(theta);
     theta_plus  = theta - eta * grad_D'(theta_tilde),
@@ -147,7 +127,16 @@ def meta_update(data: ClientData, params: ParamSet, batches, eta: float,
     if beta != 0.0:
         adapted = _apply_grad(params, data.loss_grad(d, params)[1], beta, clip)
     loss, grads = data.loss_grad(d_prime, adapted)
-    if stats is not None:
-        stats["loss"] = stats.get("loss", 0.0) + loss
-        stats["steps"] = stats.get("steps", 0) + 1
-    return _apply_grad(params, grads, eta, clip)
+    return _apply_grad(params, grads, eta, clip), loss
+
+
+def apply_updates(data: ClientData, params: ParamSet, pairs, eta: float,
+                  beta: float, clip: float):
+    """params after one meta_update per (D, D') pair, in order, and each
+    update's loss. Plain SGD is beta = 0 over the pairs (B, B) of
+    epoch_batches."""
+    losses = []
+    for pair in pairs:
+        params, loss = meta_update(data, params, pair, eta, beta, clip)
+        losses.append(loss)
+    return params, losses

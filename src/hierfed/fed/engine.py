@@ -15,6 +15,13 @@ StrategyConfig:
 - how a course aggregates its clients: AV/AT, IRT confidences, or not at
   all when the run is not federated.
 
+Every adaptation is one `apply_updates` call over (D, D') batch pairs at an
+adaptation step beta; beta = 0 is plain SGD on D'. In training a leaf takes
+E `meta_batches` pairs at `inner_step` (P), or E or one epoch of
+`epoch_batches` pairs at 0, and a P course restarts from one stratified pair
+at 0; at evaluation a P course model is one pair of stratified batches at
+`inner_step`, and a P subgroup one epoch of pairs at 0.
+
 The engine is a pure function of (context, master seed): every random draw
 comes from a named substream keyed by repetition, fold, the client's data
 fingerprint, and the round index. Keying client streams by data fingerprint
@@ -31,10 +38,10 @@ from ..data.sampling import stratified_batch
 from ..errors import NumericsError
 from ..keys import GroupKey
 from ..metrics import auc
-from ..nn.params import ParamSet, axpy_params, clip_grad_norm
+from ..nn.params import ParamSet
 from ..seeding import substream
 from .aggregate import aggregate_attention, aggregate_average
-from .clients import ClientData, local_sgd_steps, meta_batches, meta_update
+from .clients import ClientData, apply_updates, epoch_batches, meta_batches
 from .irt import irt_confidence, irt_interpolate
 from .strategy import StrategyConfig
 
@@ -51,7 +58,6 @@ class TrainedBundle:
     """
     global_params: ParamSet | None = None
     models: dict = field(default_factory=dict)   # GroupKey -> params
-    history: list = field(default_factory=list)
 
 
 @dataclass
@@ -90,15 +96,16 @@ def _check_finite(params: ParamSet, where: str):
         raise NumericsError(f"{where}: non-finite parameters in layer {bad!r}")
 
 
-def _located(where: str, update) -> ParamSet:
-    """update(), with a numerical failure inside it or a non-finite result
-    reported at where."""
+def _located(where: str, s: StrategyConfig, data: ClientData,
+             params: ParamSet, pairs, beta: float):
+    """apply_updates at the strategy's eta and clip, with a numerical failure
+    inside it or a non-finite result reported at where."""
     try:
-        params = update()
+        params, losses = apply_updates(data, params, pairs, s.eta, beta, s.clip)
     except NumericsError as exc:
         raise NumericsError(f"{where}: {exc}") from None
     _check_finite(params, where)
-    return params
+    return params, losses
 
 
 def _meta_updates(s: StrategyConfig) -> bool:
@@ -111,27 +118,24 @@ def _epoch_steps(data: ClientData, s: StrategyConfig) -> int:
     return -(-data.size // s.batch_size)
 
 
+def _sgd_pairs(data: ClientData, s: StrategyConfig, rng, n_steps: int) -> list:
+    """n_steps plain SGD pairs (B, B) from epoch_batches."""
+    return [(b, b) for b in epoch_batches(data, s.batch_size, rng, n_steps)]
+
+
 def _update_client(ctx: RunContext, key: GroupKey, start: ParamSet,
-                   round_idx: int, stats: dict) -> ParamSet:
+                   round_idx: int):
     s = ctx.strategy
     data = ctx.clients[key]
     rng = _client_rng(ctx, data.fingerprint, round_idx)
     where = _where(ctx, f"{'round' if s.is_federated else 'epoch'} "
                         f"{round_idx}, client {key}")
-
-    def update():
-        if _meta_updates(s):
-            params = start
-            for _ in range(s.local_iters):
-                params = meta_update(data, params,
-                                     meta_batches(data, s.batch_size, rng),
-                                     s.eta, s.inner_step, s.clip, stats)
-            return params
-        n_steps = s.local_iters if s.is_federated else _epoch_steps(data, s)
-        return local_sgd_steps(data, start, s.eta, s.batch_size, rng, n_steps,
-                               s.clip, stats)
-
-    return _located(where, update)
+    if _meta_updates(s):
+        pairs = [meta_batches(data, s.batch_size, rng)
+                 for _ in range(s.local_iters)]
+        return _located(where, s, data, start, pairs, s.inner_step)
+    n_steps = s.local_iters if s.is_federated else _epoch_steps(data, s)
+    return _located(where, s, data, start, _sgd_pairs(data, s, rng, n_steps), 0.0)
 
 
 def _size_weights(data: dict) -> dict:
@@ -157,25 +161,21 @@ def _courses(ctx: RunContext) -> dict:
 
 
 def _course_adapt(ctx: RunContext, course: str, strata: dict, theta_g: ParamSet,
-                  round_idx: int, stats: dict) -> ParamSet:
+                  round_idx: int):
     """One plain gradient step on a stratified cross-subgroup batch."""
     s = ctx.strategy
     rng = substream(ctx.master_seed, "course-adapt", str(ctx.rep),
                     str(ctx.fold), course, str(round_idx))
     batch = stratified_batch(strata, s.per_group, rng)
-
-    def update():
-        loss, grads = ctx.course_pools[course].loss_grad(batch, theta_g)
-        stats["loss"] = stats.get("loss", 0.0) + loss
-        return axpy_params(-s.eta, clip_grad_norm(grads, s.clip), theta_g)
-
     return _located(_where(ctx, f"round {round_idx}, course adaptation {course}"),
-                    update)
+                    s, ctx.course_pools[course], theta_g, [(batch, batch)], 0.0)
 
 
-def train_strategy(ctx: RunContext, callback=None) -> TrainedBundle:
+def train_strategy(ctx: RunContext, callback=None):
     """Train the context's strategy, calling callback(round, bundle) after
-    every round (epoch, for non-federated strategies).
+    every round (epoch, for non-federated strategies). Returns the last
+    bundle and each round's training loss: the sum of every leaf update's
+    loss, in leaf order, then every course restart's, in course order.
 
     A round runs in three phases: every leaf's start model; every leaf's
     update, in leaf order; then (federated runs) the course aggregates, the
@@ -193,9 +193,8 @@ def train_strategy(ctx: RunContext, callback=None) -> TrainedBundle:
     courses = _courses(ctx)
     leaves = [key for strata in courses.values() for key in strata]
     course_aggregates = s.is_federated and not leaves[0].is_course_level
-    confidence = None
+    confidence: dict = {}
     if s.aggregation == "IRT":
-        confidence = {}
         for strata in courses.values():
             confidence.update(irt_confidence(
                 {key: ctx.irt_responses.get(key, []) for key in strata}))
@@ -209,9 +208,8 @@ def train_strategy(ctx: RunContext, callback=None) -> TrainedBundle:
     theta_g = ctx.init_params
     start = dict.fromkeys(courses, ctx.init_params)
     models = dict.fromkeys(leaves, ctx.init_params)
-    history: list = []
+    round_losses: list = []
     for k in range(s.rounds if s.is_federated else s.epochs):
-        stats: dict = {}
         if not s.is_federated:
             begin = models
         elif s.aggregation == "IRT":
@@ -219,8 +217,9 @@ def train_strategy(ctx: RunContext, callback=None) -> TrainedBundle:
                      for key in leaves}
         else:
             begin = {key: start[key.course] for key in leaves}
-        models = {key: _update_client(ctx, key, begin[key], k, stats)
-                  for key in leaves}
+        updated = {key: _update_client(ctx, key, begin[key], k) for key in leaves}
+        models = {key: params for key, (params, _) in updated.items()}
+        losses = [loss for _, leaf in updated.values() for loss in leaf]
 
         if course_aggregates:
             for c, strata in courses.items():
@@ -242,27 +241,25 @@ def train_strategy(ctx: RunContext, callback=None) -> TrainedBundle:
             _check_finite(theta_g, _where(ctx, f"round {k}, global aggregation"))
             for c, strata in courses.items():
                 if _meta_updates(s) and len(strata) >= 2:
-                    start[c] = _course_adapt(ctx, c, strata, theta_g, k, stats)
+                    start[c], restart = _course_adapt(ctx, c, strata, theta_g, k)
+                    losses += restart
                 elif s.aggregation == "IRT":
                     start[c] = models[GroupKey(c)]
                 else:
                     start[c] = theta_g
 
-        history.append({"round": k, "loss": stats.get("loss", 0.0),
-                        "steps": stats.get("steps", 0)})
+        total = 0.0     # left to right, not fsum: train_loss keeps its bits
+        for loss in losses:
+            total += loss
+        round_losses.append(total)
         if s.is_centralized:
-            bundle = TrainedBundle(global_params=models[leaves[0]],
-                                   history=list(history))
+            bundle = TrainedBundle(global_params=models[leaves[0]])
         else:
             bundle = TrainedBundle(
-                models=models, history=list(history),
-                global_params=theta_g if s.is_federated else None)
+                models=models, global_params=theta_g if s.is_federated else None)
         if callback is not None:
             callback(k, bundle)
-    if confidence is not None:
-        bundle.history[-1] = dict(bundle.history[-1], confidence={
-            key.label(): confidence[key] for key in leaves})
-    return bundle
+    return bundle, round_losses
 
 
 # ---------------------------------------------------------------------------
@@ -304,22 +301,22 @@ def adapted_params(bundle: TrainedBundle, ctx: RunContext,
     for c, strata in _courses(ctx).items():
         if c in ctx.course_pools:
             rng = _eval_rng(ctx, tag, "course", c)
-            batches = (stratified_batch(strata, s.per_group, rng),
-                       stratified_batch(strata, s.per_group, rng))
-            course_models[c] = _located(
+            pair = (stratified_batch(strata, s.per_group, rng),
+                    stratified_batch(strata, s.per_group, rng))
+            course_models[c], _ = _located(
                 _eval_where(ctx, tag, f"course adaptation, client {GroupKey(c)}"),
-                lambda: meta_update(ctx.course_pools[c], bundle.global_params,
-                                    batches, s.eta, s.inner_step, s.clip))
+                s, ctx.course_pools[c], bundle.global_params, [pair],
+                s.inner_step)
     out = {key: course_models.get(key.course, bundle.global_params)
            for key in groups}
     for key in groups:
         data = ctx.clients.get(key)
         if s.hierarchy != "M" and data is not None:
             rng = _eval_rng(ctx, tag, "adapt", data.fingerprint)
-            out[key] = _located(
+            out[key], _ = _located(
                 _eval_where(ctx, tag, f"adaptation, client {key}"),
-                lambda: local_sgd_steps(data, out[key], s.eta, s.batch_size,
-                                        rng, _epoch_steps(data, s), s.clip))
+                s, data, out[key], _sgd_pairs(data, s, rng, _epoch_steps(data, s)),
+                0.0)
     return out
 
 

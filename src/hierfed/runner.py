@@ -436,7 +436,7 @@ def run_one(config: ExperimentConfig, ds, parts, fold: int, rep: int):
     """Train one (fold, repetition); returns (result row, checkpoint models)."""
     ctx, val, test_ctx = _prepare(config, ds, parts, fold, rep)
     tracker = _Selection(val)
-    final = train_strategy(ctx, callback=tracker.observe)
+    _, train_loss = train_strategy(ctx, callback=tracker.observe)
     best, selected, val_auc = tracker.result()
     test = evaluate_adapted(best, test_ctx, ("test",))
     result = {
@@ -445,7 +445,7 @@ def run_one(config: ExperimentConfig, ds, parts, fold: int, rep: int):
         "selected": selected,
         "val_auc": val_auc,
         "test_auc": {key.label(): value for key, value in test.items()},
-        "train_loss": [h["loss"] for h in final.history],
+        "train_loss": train_loss,
     }
     return result, _models_payload(best)
 

@@ -99,10 +99,15 @@ class GenConfig:
                               f"got {list(labels)}")
         if len(self.subgroup_labels) != len(self.subgroup_shares):
             raise ConfigError("subgroup labels/shares length mismatch")
+        for name, values in (("subgroup_shares", self.subgroup_shares),
+                             ("tau", (self.tau,)),
+                             ("label_noise", (self.label_noise,)),
+                             ("undisclosed_fraction", (self.undisclosed_fraction,))):
+            bad = [v for v in values if not 0.0 <= v <= 1.0]
+            if bad:
+                raise ConfigError(f"{name} must be in [0, 1], got {bad[0]!r}")
         if abs(sum(self.subgroup_shares) - 1.0) > 1e-9:
             raise ConfigError("subgroup shares must sum to 1")
-        if not 0.0 <= self.tau <= 1.0:
-            raise ConfigError("tau must lie in [0, 1]")
         if not 0 <= self.shared_videos <= self.videos_per_course:
             raise ConfigError("shared_videos must be within videos_per_course")
         if self.students_per_course < 1 or self.videos_per_course < 1:

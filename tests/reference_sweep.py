@@ -11,11 +11,17 @@ with `cmd_export_embeddings` (a KT config, whose model has none, is
 refused there). One JSON line per config gives the sha256 of
 report.json, of the checkpoint, of evaluation.json and, for OP, of
 embeddings.csv, and evaluate's all_match. Two source trees behave the same
-on the sweep when their outputs are identical:
+on the sweep when their outputs and their logs on stderr are identical. Run
+it on clean copies of both trees (`git archive`), with no bytecode written,
+so that neither tree runs stale compiled files:
 
-    PYTHONPATH=src python tests/reference_sweep.py --out sweep-a > a.jsonl
-    PYTHONPATH=../parent/src python tests/reference_sweep.py --out sweep-b > b.jsonl
-    cmp a.jsonl b.jsonl
+    git archive HEAD | tar -x -C ../a
+    git archive PARENT | tar -x -C ../b
+    cd ../a && PYTHONDONTWRITEBYTECODE=1 PYTHONPATH=src \
+        python tests/reference_sweep.py --out ../sweep-a > ../a.jsonl 2> ../a.err
+    cd ../b && PYTHONDONTWRITEBYTECODE=1 PYTHONPATH=src \
+        python tests/reference_sweep.py --out ../sweep-b > ../b.jsonl 2> ../b.err
+    cmp ../a.jsonl ../b.jsonl && cmp ../a.err ../b.err
 
 The file is not a pytest module; tests/test_runner_cli.py checks only its
 config list.

@@ -185,18 +185,21 @@ def test_meta_update_reduces_to_sgd_and_the_quadratic_value():
     # f(w) = w^2/2: adapting w=1 by 0.5 then stepping by 0.1 on the adapted
     # gradient lands exactly on 1 - 0.1 * 0.5 = 0.95 in double precision
     params = ParamSet({"w": np.array([1.0])})
-    out = meta_update(QuadraticClient(), params, ([], []), eta=0.1, beta=0.5,
-                      clip=5.0)
+    out, loss = meta_update(QuadraticClient(), params, ([], []), eta=0.1,
+                            beta=0.5, clip=5.0)
     assert out["w"][0] == 0.95
+    assert loss == 0.125    # f(0.5), the loss on D' at the adapted w
 
     rng = np.random.default_rng(5)
     data = kt_client_data(rng, 10)
     init = KT.init(VOCAB, 6, rng)
     d, d_prime = data.ids[:4], data.ids[4:8]
-    meta = meta_update(data, init, (d, d_prime), eta=0.3, beta=0.0, clip=5.0)
-    _, grads = data.loss_grad(d_prime, init)
+    meta, meta_loss = meta_update(data, init, (d, d_prime), eta=0.3, beta=0.0,
+                                  clip=5.0)
+    loss, grads = data.loss_grad(d_prime, init)
     sgd = axpy_params(-0.3, clip_grad_norm(grads, 5.0), init)
     assert all(np.array_equal(arr, sgd[name]) for name, arr in meta)
+    assert meta_loss == loss
 
 
 def test_degenerate_hierarchy_collapses_to_one_level():

@@ -13,6 +13,7 @@ from hierfed.errors import NumericsError
 from hierfed.fed.aggregate import aggregate_attention, aggregate_average
 from hierfed.fed.clients import (
     ClientData,
+    apply_updates,
     build_client_data,
     meta_batches,
 )
@@ -103,18 +104,18 @@ def test_single_cell_hierarchy_collapses_to_one_level(one_level, two_level):
     seen1, seen2 = [], []
     ctx1 = RunContext(strategy=s1, master_seed=7, rep=0, fold=0,
                       init_params=init, clients={GroupKey("c0"): data})
-    b1 = train_strategy(ctx1, callback=capture_bundles(seen1))
+    _, losses1 = train_strategy(ctx1, callback=capture_bundles(seen1))
 
     key = GroupKey("c0", "gender", "F")
     ctx2 = RunContext(strategy=s2, master_seed=7, rep=0, fold=0,
                       init_params=init, clients={key: data},
                       course_pools={"c0": data})
-    b2 = train_strategy(ctx2, callback=capture_bundles(seen2))
+    _, losses2 = train_strategy(ctx2, callback=capture_bundles(seen2))
 
     assert len(seen1) == len(seen2) == K
     for r1, r2 in zip(seen1, seen2):
         assert max_param_diff(r1.global_params, r2.global_params) <= 1e-10
-    assert b1.history == b2.history
+    assert losses1 == losses2
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +131,11 @@ def test_one_level_engine_populates_course_models(name):
     ctx = RunContext(strategy=s, master_seed=11, rep=0, fold=0,
                      init_params=init_params(rng), clients=clients)
     seen = []
-    bundle = train_strategy(ctx, callback=capture_bundles(seen))
+    bundle, losses = train_strategy(ctx, callback=capture_bundles(seen))
     assert set(bundle.models) == set(clients)
     assert bundle.global_params.first_nonfinite_layer() is None
-    assert [h["round"] for h in bundle.history] == [0, 1]
-    assert all(h["steps"] > 0 for h in bundle.history)
+    assert len(losses) == 2
+    assert all(loss > 0.0 for loss in losses)
     assert len(seen) == 2
 
 
@@ -146,10 +147,10 @@ def test_two_level_engine_populates_every_level():
     ctx = RunContext(strategy=s, master_seed=5, rep=0, fold=0,
                      init_params=init_params(rng), clients=clients,
                      course_pools=pools)
-    bundle = train_strategy(ctx)
+    bundle, losses = train_strategy(ctx)
     assert set(bundle.models) == set(clients) | {GroupKey("c0"), GroupKey("c1")}
     assert bundle.global_params.first_nonfinite_layer() is None
-    assert len(bundle.history) == 2
+    assert len(losses) == 2
 
 
 def test_every_leaf_updates_before_the_rounds_first_aggregation(monkeypatch):
@@ -203,12 +204,12 @@ def test_rerunning_an_engine_is_bitwise_identical():
                           fold=2, init_params=init_params(rng),
                           clients=clients, course_pools=pools)
 
-    b1 = train_strategy(build(rng_a))
-    b2 = train_strategy(build(rng_b))
+    b1, losses1 = train_strategy(build(rng_a))
+    b2, losses2 = train_strategy(build(rng_b))
     assert params_equal(b1.global_params, b2.global_params)
     for key in b1.models:
         assert params_equal(b1.models[key], b2.models[key])
-    assert b1.history == b2.history
+    assert losses1 == losses2
 
 
 def test_centralized_training_uses_one_pooled_client():
@@ -218,10 +219,10 @@ def test_centralized_training_uses_one_pooled_client():
     ctx = RunContext(strategy=s, master_seed=2, rep=0, fold=0,
                      init_params=init_params(rng),
                      clients={GroupKey("c0"): data})
-    bundle = train_strategy(ctx)
+    bundle, losses = train_strategy(ctx)
     assert bundle.global_params.first_nonfinite_layer() is None
     assert bundle.models == {}
-    assert [h["round"] for h in bundle.history] == [0, 1, 2]
+    assert len(losses) == 3
 
 
 def test_local_training_keeps_models_separate():
@@ -231,7 +232,7 @@ def test_local_training_keeps_models_separate():
     s = parse_strategy("sc1-L").with_overrides(epochs=2, batch_size=4)
     ctx = RunContext(strategy=s, master_seed=2, rep=0, fold=0,
                      init_params=init_params(rng), clients=clients)
-    bundle = train_strategy(ctx)
+    bundle, _ = train_strategy(ctx)
     assert bundle.global_params is None
     assert set(bundle.models) == set(clients)
     a, b = (bundle.models[k] for k in sorted(clients, key=GroupKey.sort_key))
@@ -244,7 +245,7 @@ def test_local_training_stores_subgroup_models_in_scenario_two():
     s = parse_strategy("sc2-L").with_overrides(epochs=2, batch_size=4)
     ctx = RunContext(strategy=s, master_seed=2, rep=0, fold=0,
                      init_params=init_params(rng), clients=clients)
-    bundle = train_strategy(ctx)
+    bundle, _ = train_strategy(ctx)
     assert bundle.global_params is None
     assert set(bundle.models) == set(clients)
 
@@ -284,7 +285,17 @@ def make_triplets(rng, sids, n_items=6, per_student=5):
     return out
 
 
-def test_fedirt_reports_confidences_that_sum_to_one():
+def test_fedirt_reports_confidences_that_sum_to_one(monkeypatch):
+    # each course aggregates its subgroups with IRT confidences that sum to
+    # one over the course
+    seen = []
+
+    def recording_average(models, weights):
+        seen.append({key: weights[key] for key in models})
+        return aggregate_average(models, weights)
+
+    monkeypatch.setattr("hierfed.fed.engine.aggregate_average",
+                        recording_average)
     rng = np.random.default_rng(10)
     clients, pools = two_level_world(rng)
     responses = {key: make_triplets(rng, data.ids)
@@ -294,14 +305,110 @@ def test_fedirt_reports_confidences_that_sum_to_one():
     ctx = RunContext(strategy=s, master_seed=13, rep=0, fold=0,
                      init_params=init_params(rng), clients=clients,
                      course_pools=pools, irt_responses=responses)
-    bundle = train_strategy(ctx)
+    bundle, _ = train_strategy(ctx)
     assert set(bundle.models) == set(clients) | {GroupKey("c0"), GroupKey("c1")}
-    assert "confidence" not in bundle.history[0]
-    conf = bundle.history[-1]["confidence"]
-    assert sorted(conf) == sorted(k.label() for k in clients)
-    for c in ("c0", "c1"):
-        total = sum(v for label, v in conf.items() if label.startswith(c))
-        assert abs(total - 1.0) <= 1e-12
+    course_weights = [w for w in seen if not next(iter(w)).is_course_level]
+    assert len(course_weights) == 4     # two courses, two rounds
+    for conf in course_weights:
+        assert len({key.course for key in conf}) == 1
+        assert abs(sum(conf.values()) - 1.0) <= 1e-12
+    assert {key for conf in course_weights for key in conf} == set(clients)
+
+
+# ---------------------------------------------------------------------------
+# Training losses and the update table
+# ---------------------------------------------------------------------------
+
+# each round's training loss, as float.hex; these bits are report.json's
+# train_loss, so a change that moves them moves every trained report
+LOSS_BITS = {
+    # P: meta-update losses of every leaf, then both course restarts
+    "sc2-P-AT-B": ["0x1.1c7de76f6299cp+7", "0x1.da0205d699086p+6"],
+    "sc2-FedIRT": ["0x1.38f1cba301ae6p+6", "0x1.29f5afe36d83bp+6"],
+    "sc2-G-AV-T": ["0x1.38f1cba301ae6p+6", "0x1.1b027086c81afp+6"],
+    "sc1-G": ["0x1.e0f56decf1e97p+4", "0x1.0df7cd1cb7473p+5"],   # epochs
+}
+
+
+def loss_context(name, **overrides):
+    """Two rounds (or epochs) of a strategy over two_level_world, or over
+    one nine-student client for scenario I; batches of two students."""
+    rng = np.random.default_rng(31)
+    if name.startswith("sc1"):
+        clients, pools = {GroupKey("c0"): make_client(rng, n=9)}, {}
+    else:
+        clients, pools = two_level_world(rng)
+    responses = {key: make_triplets(rng, data.ids)
+                 for key, data in clients.items()}
+    s = parse_strategy(name).with_overrides(
+        **{"rounds": 2, "epochs": 2, "batch_size": 2, "local_iters": 4,
+           "per_group": 2, **overrides})
+    return RunContext(strategy=s, master_seed=17, rep=0, fold=0,
+                      init_params=init_params(rng), clients=clients,
+                      course_pools=pools, irt_responses=responses,
+                      scored=clients)
+
+
+@pytest.mark.parametrize("name", sorted(LOSS_BITS))
+def test_each_rounds_training_loss_keeps_its_bits(name):
+    _, losses = train_strategy(loss_context(name))
+    assert [loss.hex() for loss in losses] == LOSS_BITS[name]
+
+
+def record_updates(monkeypatch):
+    """Patch the engine's update loop to log (data, pairs, beta) per call."""
+    calls = []
+
+    def recording(data, params, pairs, eta, beta, clip):
+        calls.append((data, list(pairs), beta))
+        return apply_updates(data, params, pairs, eta, beta, clip)
+
+    monkeypatch.setattr("hierfed.fed.engine.apply_updates", recording)
+    return calls
+
+
+def update_table(calls, ctx):
+    """Each call as (whose data, number of pairs, beta)."""
+    names = {id(data): str(key) for key, data in ctx.clients.items()}
+    names.update({id(data): f"pool {c}" for c, data in ctx.course_pools.items()})
+    return [(names[id(data)], len(pairs), beta) for data, pairs, beta in calls]
+
+
+def test_every_adaptation_is_one_update_loop_call(monkeypatch):
+    # the adaptation rules as data: a P leaf meta-updates E times at the
+    # inner step, but its course restarts with one plain step, its
+    # evaluation course model is one meta pair, and its evaluation subgroup
+    # model is one plain epoch
+    calls = record_updates(monkeypatch)
+    ctx = loss_context("sc2-P-AT-B", rounds=1)
+    s = ctx.strategy
+    leaves = [str(k) for k in sorted(ctx.clients, key=GroupKey.sort_key)]
+    bundle, _ = train_strategy(ctx)
+    assert update_table(calls, ctx) == (
+        [(leaf, s.local_iters, s.inner_step) for leaf in leaves]
+        + [("pool c0", 1, 0.0), ("pool c1", 1, 0.0)])
+    for _, pairs, _ in calls[len(leaves):]:
+        ((d, d_prime),) = pairs
+        assert d == d_prime and len(d) == 2 * s.per_group
+
+    calls.clear()
+    adapted_params(bundle, ctx)
+    epoch = -(-5 // s.batch_size)
+    assert update_table(calls, ctx) == (
+        [("pool c0", 1, s.inner_step), ("pool c1", 1, s.inner_step)]
+        + [(leaf, epoch, 0.0) for leaf in leaves])
+
+
+@pytest.mark.parametrize("name,steps", [("sc2-G-AV-T", 4), ("sc1-G", 5)])
+def test_sgd_leaves_update_at_zero_adaptation(monkeypatch, name, steps):
+    # G leaves take E = 4 plain steps; a centralized epoch is ceil(9 / 2)
+    calls = record_updates(monkeypatch)
+    ctx = loss_context(name, rounds=1, epochs=1)
+    train_strategy(ctx)
+    assert update_table(calls, ctx) == [
+        (str(key), steps, 0.0)
+        for key in sorted(ctx.clients, key=GroupKey.sort_key)]
+    assert all(d == d_prime for _, pairs, _ in calls for d, d_prime in pairs)
 
 
 # ---------------------------------------------------------------------------

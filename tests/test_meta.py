@@ -1,12 +1,14 @@
-"""Local update rules: SGD epochs and the first-order meta-update."""
+"""Local update rules: the first-order meta-update, plain SGD as its
+beta = 0 case, and the loop that applies a list of batch pairs."""
 
 import numpy as np
 import pytest
 
 from hierfed.errors import NumericsError
 from hierfed.fed.clients import (
+    apply_updates,
     build_client_data,
-    local_sgd_steps,
+    epoch_batches,
     meta_batches,
     meta_update,
 )
@@ -44,9 +46,10 @@ def test_meta_step_on_a_quadratic_is_exact():
     # of 0.1 the update lands exactly on 1 - 0.1 * (1 - 0.5) = 0.95 in double
     # precision; the clip is above every gradient norm here
     params = ParamSet({"w": np.array([1.0])})
-    out = meta_update(QuadraticClient(), params, ([], []), eta=0.1, beta=0.5,
-                      clip=5.0)
+    out, loss = meta_update(QuadraticClient(), params, ([], []), eta=0.1,
+                            beta=0.5, clip=5.0)
     assert out["w"][0] == 0.95
+    assert loss == 0.125    # (1 - 0.5)^2 / 2 at the adapted parameters
 
 
 def test_zero_adaptation_is_bitwise_plain_sgd():
@@ -65,8 +68,8 @@ def test_zero_adaptation_is_bitwise_plain_sgd():
         return loss_grad(ids, params)
 
     data.loss_grad = recording
-    stepped = meta_update(data, params, (d, d_prime), eta=0.3, beta=0.0,
-                          clip=5.0)
+    stepped, _ = meta_update(data, params, (d, d_prime), eta=0.3, beta=0.0,
+                             clip=5.0)
     for name, arr in stepped:
         assert np.array_equal(arr, sgd[name])
     # the adaptation batch is never evaluated when beta is zero
@@ -80,7 +83,7 @@ def test_meta_update_matches_manual_two_stage_computation():
     d_prime = data.ids[4:8]
     eta, beta, clip = 0.2, 0.05, 5.0
 
-    out = meta_update(data, params, (d, d_prime), eta, beta, clip)
+    out, _ = meta_update(data, params, (d, d_prime), eta, beta, clip)
 
     _, g1 = data.loss_grad(d, params)
     adapted = axpy_params(-beta, clip_grad_norm(g1, clip), params)
@@ -96,14 +99,16 @@ def test_meta_update_matches_manual_two_stage_computation():
 
 
 def test_meta_update_reports_losses():
+    # the reported loss is the summed loss on D' at the adapted parameters
     rng = np.random.default_rng(2)
     data, params = kt_client(rng)
-    stats = {}
-    batches = meta_batches(data, 4, np.random.default_rng(9))
-    meta_update(data, params, batches, eta=0.1, beta=0.05, clip=5.0,
-                stats=stats)
-    assert stats["steps"] == 1
-    assert stats["loss"] > 0.0
+    d, d_prime = meta_batches(data, 4, np.random.default_rng(9))
+    _, loss = meta_update(data, params, (d, d_prime), eta=0.1, beta=0.05,
+                          clip=5.0)
+    adapted = axpy_params(-0.05, clip_grad_norm(data.loss_grad(d, params)[1],
+                                                5.0), params)
+    assert loss == data.loss_grad(d_prime, adapted)[0]
+    assert loss > 0.0
 
 
 def test_meta_batches_are_disjoint_same_size_draws():
@@ -137,30 +142,34 @@ def test_one_epoch_of_steps_visits_every_student():
         return loss_grad(ids, params)
 
     data.loss_grad = recording
-    out = local_sgd_steps(data, params, eta=0.1, batch_size=4,
-                          rng=np.random.default_rng(1), n_steps=3, clip=5.0)
+    batches = epoch_batches(data, 4, np.random.default_rng(1), n_steps=3)
+    out, losses = apply_updates(data, params, [(b, b) for b in batches],
+                                eta=0.1, beta=0.0, clip=5.0)
+    assert len(losses) == 3
+    assert seen == batches
     assert [len(b) for b in seen] == [4, 4, 2]
     assert sorted(sid for b in seen for sid in b) == data.ids
     assert any(not np.array_equal(arr, params[name]) for name, arr in out)
 
 
 def test_local_sgd_steps_runs_exactly_n_steps():
+    # five steps of four over six students reshuffle twice: passes of 4 + 2
+    # students, with the same permutation draws as one pass at a time
     rng = np.random.default_rng(7)
     data, params = kt_client(rng, n_students=6)
-    stats = {}
-    local_sgd_steps(data, params, eta=0.1, batch_size=4,
-                    rng=np.random.default_rng(1), n_steps=5, clip=5.0,
-                    stats=stats)
-    assert stats["steps"] == 5
+    batches = epoch_batches(data, 4, np.random.default_rng(1), n_steps=5)
+    draws = np.random.default_rng(1)
+    passes = [[data.ids[j] for j in draws.permutation(6)] for _ in range(3)]
+    assert batches == [p[i:i + 4] for p in passes for i in (0, 4)][:5]
+    _, losses = apply_updates(data, params, [(b, b) for b in batches],
+                              eta=0.1, beta=0.0, clip=5.0)
+    assert len(losses) == 5
 
 
 def test_local_updates_reject_empty_clients():
-    rng = np.random.default_rng(8)
-    _, params = kt_client(rng)
     empty = build_client_data(KT, {}, [])
     with pytest.raises(ValueError):
-        local_sgd_steps(empty, params, 0.1, 4, np.random.default_rng(0),
-                        n_steps=1, clip=5.0)
+        epoch_batches(empty, 4, np.random.default_rng(0), n_steps=1)
     with pytest.raises(ValueError):
         meta_batches(empty, 4, np.random.default_rng(0))
 
@@ -169,8 +178,9 @@ def test_gradient_clipping_bounds_the_step_size():
     rng = np.random.default_rng(9)
     data, params = kt_client(rng, n_students=4)
     clip, eta = 0.01, 0.5
-    out = local_sgd_steps(data, params, eta=eta, batch_size=8,
-                          rng=np.random.default_rng(1), n_steps=1, clip=clip)
+    (batch,) = epoch_batches(data, 8, np.random.default_rng(1), n_steps=1)
+    out, _ = apply_updates(data, params, [(batch, batch)], eta=eta, beta=0.0,
+                           clip=clip)
     delta = np.concatenate([(arr - params[name]).ravel()
                             for name, arr in out])
     assert np.linalg.norm(delta) <= eta * clip + 1e-12

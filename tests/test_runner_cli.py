@@ -845,6 +845,12 @@ def test_cli_generate_writes_dataset_files(tmp_path, capsys):
     ("subgroup_labels", {"demographic": "age",
                          "subgroup_labels": ["old", "young"]}),  # KeyError
     ("subgroup_labels", {"subgroup_labels": ["X", "F"]}),  # gender ValueError
+    # probabilities outside [0, 1] exited 0; these shares wrote 15 students
+    # in a course of 10
+    ("subgroup_shares", {"subgroup_shares": [1.5, -0.5],
+                         "students_per_course": 10}),
+    ("label_noise", {"label_noise": 7}),
+    ("undisclosed_fraction", {"undisclosed_fraction": -3}),
 ])
 def test_cli_generate_rejects_mistyped_fields_with_exit_two(tmp_path, capsys,
                                                            field, doc):

@@ -48,6 +48,13 @@ def test_config_validation():
         GenConfig(**{**good.__dict__, "courses": ()})
     with pytest.raises(ConfigError, match=r"courses must be free of '\|'"):
         GenConfig(**{**good.__dict__, "courses": ("c0", "a|b")})
+    # probabilities outside [0, 1]; shares of 1.5 and -0.5 sum to one
+    for field, value in (("subgroup_shares", (1.5, -0.5)),
+                         ("label_noise", 7.0), ("label_noise", -0.1),
+                         ("undisclosed_fraction", -3.0),
+                         ("undisclosed_fraction", float("nan"))):
+        with pytest.raises(ConfigError, match=f"^{field} must be in \\[0, 1\\]"):
+            GenConfig(**{**good.__dict__, field: value})
 
 
 @pytest.mark.parametrize("demographic, labels", [
