@@ -14,7 +14,8 @@ import os
 import sys
 
 from .errors import ConfigError, NumericsError
-from .models import TASKS
+from .keys import DEMOGRAPHIC_VARIABLES
+from .models.task import TASKS
 from .runner import (
     ExperimentConfig,
     cmd_evaluate,
@@ -34,7 +35,7 @@ _OPTIONS = {
     "--config": dict(metavar="PATH", help="JSON config file"),
     "--strategy": dict(metavar="NAME", help="strategy name, e.g. sc2-P-AT-B"),
     "--task": dict(type=str.upper, choices=TASKS),
-    "--demographic": dict(choices=["gender", "continent", "age"]),
+    "--demographic": dict(choices=DEMOGRAPHIC_VARIABLES),
     "--include-unspecified": dict(action="store_true", default=None,
                                   help="keep students with the variable "
                                        "missing as their own subgroup"),

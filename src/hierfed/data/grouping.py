@@ -5,16 +5,17 @@ from __future__ import annotations
 from ..keys import DEMOGRAPHIC_VARIABLES, UNSPECIFIED, GroupKey
 from .records import Dataset
 
-AGE_BUCKETS = ("~80", "80~90", "90~")
+# age band -> the birth years [first, end) the generator draws it from
+AGE_BANDS = {"~80": (1965, 1980), "80~90": (1980, 1990), "90~": (1990, 2005)}
+AGE_BUCKETS = tuple(AGE_BANDS)
 
 
 def age_bucket(birth_year: int) -> str:
     """Left-inclusive birth-year bands: <1980, 1980-1989, >=1990."""
-    if birth_year < 1980:
-        return AGE_BUCKETS[0]
-    if birth_year < 1990:
-        return AGE_BUCKETS[1]
-    return AGE_BUCKETS[2]
+    for label, (_, end) in AGE_BANDS.items():
+        if birth_year < end:
+            return label
+    return AGE_BUCKETS[-1]
 
 
 def subgroup_of(student, variable: str) -> str | None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-FORUM_ACTIONS = ("forum_post", "forum_reply", "forum_view")
+from ..data.records import FORUM_ACTIONS
 
 N_RESPONSE_SLOTS = 2
 N_FORUM_SLOTS = len(FORUM_ACTIONS)

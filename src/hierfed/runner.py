@@ -41,7 +41,7 @@ from .fed.engine import (
 from .fed.strategy import StrategyConfig, parse_strategy
 from .keys import DEMOGRAPHIC_VARIABLES, GroupKey
 from .metrics import ACTIVITY_TYPES, activity_heatmap, summarize
-from .models import TASKS
+from .models.task import TASKS
 from .nn.params import ParamSet
 from .seeding import substream
 from .synth.archetypes import GenConfig
@@ -515,9 +515,14 @@ def _pool_run(pair):
     return run_one(_POOL["config"], _POOL["ds"], _POOL["parts"], fold, rep)
 
 
+def _pairs(config: ExperimentConfig) -> list:
+    """The (fold, rep) of every run of config, in the order they run."""
+    return [(fold, rep) for fold in config.folds
+            for rep in range(config.repetitions)]
+
+
 def _run_all(config: ExperimentConfig, ds, parts, workers: int):
-    pairs = [(fold, rep) for fold in config.folds
-             for rep in range(config.repetitions)]
+    pairs = _pairs(config)
     if workers > 1 and len(pairs) > 1:
         methods = mp.get_all_start_methods()
         ctx = mp.get_context("fork" if "fork" in methods else None)
@@ -565,11 +570,13 @@ def _checkpoint_path(out_dir: Path, fold: int, rep: int) -> Path:
 
 
 def read_report(path) -> dict:
-    """A train report; one that is not valid JSON, or lacks a field the
-    commands read, raises ConfigError naming the file."""
+    """A train report; one that is not valid JSON, lacks a field the
+    commands read, or whose runs are not each (fold, rep) of its config
+    once, raises ConfigError naming the file."""
     report = read_json(path, "report")
     try:
-        validate_config(config_from_dict(report["config"]))
+        config = config_from_dict(report["config"])
+        validate_config(config)
         if not (isinstance(report["config_hash"], str)
                 and isinstance(report["dataset_hash"], str)
                 and all(_is_int(run["fold"]) and _is_int(run["rep"])
@@ -579,6 +586,9 @@ def read_report(path) -> dict:
                         and {"mean", "std", "n_runs"} <= set(stat)
                         for label, stat in report["summary"]["per_group"].items())):
             raise TypeError("a field has the wrong type")
+        runs = sorted((run["fold"], run["rep"]) for run in report["runs"])
+        if runs != sorted(_pairs(config)):
+            raise ValueError("runs are not each (fold, rep) of the config once")
     except (ConfigError, KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"{path}: malformed report "
                           f"({type(exc).__name__}: {exc})") from None
@@ -824,13 +834,13 @@ def cmd_export_embeddings(config: ExperimentConfig, out, workers: int = 1) -> di
             if params is None:
                 logger.warning("no model for %s; embeddings skipped", key)
                 continue
-            data = test.scored[key]
+            group_data = test.scored[key]
             variable = key.variable or "none"
             subgroup = key.subgroup or "all"
             # one student per forward call, so a row's bits do not depend
             # on which students share its batch
-            for sid in data.ids:
-                x, lengths, _ = data.batch([sid])
+            for sid in group_data.ids:
+                x, lengths, _ = group_data.batch([sid])
                 h = task.embed(x, lengths, params)[0]
                 rows.append([sid, key.course, variable, subgroup]
                             + [float(v) for v in h])

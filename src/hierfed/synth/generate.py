@@ -9,10 +9,12 @@ from pathlib import Path
 
 import numpy as np
 
+from ..data.grouping import AGE_BANDS
 from ..data.ingest import export_dataset
 from ..data.records import (
     CONTINENTS,
     FORUM_ACTIONS,
+    GENDERS,
     Dataset,
     StudentRecord,
     extend_columns,
@@ -22,8 +24,6 @@ from ..seeding import substream
 from .archetypes import ENGAGEMENT_CAP, N_FORUM, ArchetypeSpec, GenConfig, build_archetypes
 
 MAX_WALK = 120
-
-AGE_YEARS = {"~80": (1965, 1979), "80~90": (1980, 1989), "90~": (1990, 2004)}
 
 
 def _sigmoid(x: float) -> float:
@@ -36,17 +36,17 @@ def _bucket_value(variable: str, label: str, rng) -> dict:
         return {"gender": label}
     if variable == "continent":
         return {"continent": label}
-    lo, hi = AGE_YEARS[label]
-    return {"birth_year": int(rng.integers(lo, hi + 1))}
+    return {"birth_year": int(rng.integers(*AGE_BANDS[label]))}
 
 
 def _fill_other_fields(fields: dict, rng):
     if "gender" not in fields:
-        fields["gender"] = ("M", "F")[int(rng.integers(0, 2))]
+        fields["gender"] = GENDERS[int(rng.integers(0, len(GENDERS)))]
     if "continent" not in fields:
         fields["continent"] = CONTINENTS[int(rng.integers(0, len(CONTINENTS)))]
     if "birth_year" not in fields:
-        fields["birth_year"] = int(rng.integers(1965, 2005))
+        bands = list(AGE_BANDS.values())
+        fields["birth_year"] = int(rng.integers(bands[0][0], bands[-1][1]))
 
 
 def _cumulative(p: np.ndarray) -> np.ndarray:

@@ -617,10 +617,34 @@ def _drop_runs(path):
     path.write_text(json.dumps(doc))
 
 
+def _unknown_fold(path):
+    doc = json.loads(path.read_text())
+    doc["runs"][0]["fold"] = 7
+    path.write_text(json.dumps(doc))
+
+
+def _empty_runs(path):
+    doc = json.loads(path.read_text())
+    doc["runs"] = []
+    path.write_text(json.dumps(doc))
+
+
+def _duplicated_run(path):
+    doc = json.loads(path.read_text())
+    doc["runs"].append(doc["runs"][0])
+    path.write_text(json.dumps(doc))
+
+
+_NOT_THE_RUNS = "malformed report (ValueError: runs are not each (fold, rep)"
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_truncate, "invalid JSON"),          # JSONDecodeError before
     (_drop_runs, "malformed report (KeyError: 'runs')"),  # KeyError before
-], ids=["truncated", "no-runs"])
+    (_unknown_fold, _NOT_THE_RUNS),       # IndexError in _prepare before
+    (_empty_runs, _NOT_THE_RUNS),         # evaluate exited 0 with runs: 0
+    (_duplicated_run, _NOT_THE_RUNS),
+], ids=["truncated", "no-runs", "fold-7", "empty-runs", "duplicated-run"])
 @pytest.mark.parametrize("command", ["evaluate", "report", "export-embeddings"])
 def test_cli_exits_two_naming_a_malformed_report(
         tmp_path, data_dir, trained_dir, capsys, command, corrupt, message):
