@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data.records import EVENT_KINDS, FORUM_ACTIONS
+from .keys import GroupKey
 
 logger = logging.getLogger(__name__)
 
@@ -47,48 +47,35 @@ def auc(scores, labels):
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-@dataclass
-class GroupStat:
-    mean: float | None
-    std: float | None
-    n_runs: int
+def _mean_std(values) -> dict:
+    """Mean and population std of a list of floats; None for both if empty."""
+    if not values:
+        return {"mean": None, "std": None}
+    return {"mean": float(np.mean(values)), "std": float(np.std(values))}
 
 
-@dataclass
-class SubgroupSummary:
-    """Per-subgroup mean/std over repetitions plus the across-subgroup view.
+def summarize(runs) -> dict:
+    """The report's summary of a list of {group label: auc-or-None} maps.
 
-    Standard deviations use the population (n) divisor. Subgroups whose AUC
-    was undefined or absent in some runs are listed in flagged.
+    per_group gives each label's mean, population std and count over the
+    runs where its AUC is defined; a label undefined or absent in some run
+    is flagged. The overall view reduces the defined means in GroupKey
+    order, as every reduction over groups does.
     """
-    per_group: dict = field(default_factory=dict)
-    overall_mean: float | None = None
-    overall_std: float | None = None
-    flagged: set = field(default_factory=set)
-
-
-def summarize(runs) -> SubgroupSummary:
-    """Aggregate a list of {GroupKey: auc-or-None} maps across repetitions."""
     if not runs:
         raise ValueError("summarize: no runs")
-    keys = sorted({k for run in runs for k in run}, key=lambda k: k.sort_key())
-    out = SubgroupSummary()
-    for key in keys:
-        values = [run[key] for run in runs if key in run and run[key] is not None]
-        if len(values) < len(runs):
-            out.flagged.add(key)
-        if values:
-            arr = np.asarray(values, dtype=np.float64)
-            out.per_group[key] = GroupStat(float(arr.mean()),
-                                           float(arr.std()), len(values))
-        else:
-            out.per_group[key] = GroupStat(None, None, 0)
-    means = np.asarray([s.mean for s in out.per_group.values()
-                        if s.mean is not None], dtype=np.float64)
-    if means.size:
-        out.overall_mean = float(means.mean())
-        out.overall_std = float(means.std())
-    return out
+    labels = sorted({label for run in runs for label in run},
+                    key=lambda label: GroupKey.from_label(label).sort_key())
+    per_group = {}
+    for label in labels:
+        values = [run[label] for run in runs if run.get(label) is not None]
+        per_group[label] = {**_mean_std(values), "n_runs": len(values)}
+    overall = _mean_std([stat["mean"] for stat in per_group.values()
+                         if stat["mean"] is not None])
+    return {"per_group": per_group, "overall_mean": overall["mean"],
+            "overall_std": overall["std"],
+            "flagged": sorted(label for label, stat in per_group.items()
+                              if stat["n_runs"] < len(runs))}
 
 
 def _engagement_fractions(dataset, students, t_bins: int) -> np.ndarray:

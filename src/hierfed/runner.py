@@ -202,6 +202,8 @@ def validate_config(config: ExperimentConfig) -> StrategyConfig:
         raise ConfigError(f"strategy {config.strategy!r} needs --demographic")
     if not config.folds or not all(_is_int(f) and 0 <= f <= 4 for f in config.folds):
         raise ConfigError(f"folds must be within 0..4, got {list(config.folds)}")
+    if len(set(config.folds)) < len(config.folds):
+        raise ConfigError(f"folds must be distinct, got {list(config.folds)}")
     if config.repetitions < 1:
         raise ConfigError("repetitions must be >= 1")
     if config.hidden_dim < 1:
@@ -385,51 +387,46 @@ def _prepare(config: ExperimentConfig, ds, parts, fold: int, rep: int):
     return ctx, scoring(part.val), scoring(part.test)
 
 
-class _Selection:
-    """Tracks the best validation snapshot across rounds/epochs.
+def _mean_defined(values) -> float | None:
+    """The mean of the values that are not None; None if none is."""
+    defined = [v for v in values if v is not None]
+    return float(np.mean(defined)) if defined else None
 
-    Local-only strategies select per model; everything else selects one
-    round for the whole bundle. Undefined validation AUC scores as -1 so
-    any defined value beats it and ties keep the earliest snapshot.
-    """
+
+class _Selection:
+    """Tracks each unit's best validation snapshot across rounds/epochs: a
+    unit is one model under local-only strategies, the whole bundle ("*")
+    otherwise. A unit scores the mean of its groups' defined validation
+    AUCs, or -1 with none. Ties between defined scores keep the earliest
+    round; a unit undefined in every round keeps its latest snapshot."""
 
     def __init__(self, val: RunContext):
         self.val = val
         self.per_model = val.strategy.architecture == "L"
-        self.best: tuple | None = None
-        self.best_groups: dict = {}
+        self.best: dict = {}    # unit -> (score, round, bundle)
 
     def observe(self, round_idx: int, bundle: TrainedBundle):
         res = evaluate_adapted(bundle, self.val, ("val", round_idx))
-        if self.per_model:
-            for key, params in bundle.models.items():
-                value = res.get(key)
-                score = -1.0 if value is None else value
-                cur = self.best_groups.get(key)
-                # a group with no validation signal keeps its final model
-                if cur is None or score > cur[0] or score == cur[0] == -1.0:
-                    self.best_groups[key] = (score, round_idx, params)
-        else:
-            defined = [v for v in res.values() if v is not None]
-            score = float(np.mean(defined)) if defined else -1.0
-            if (self.best is None or score > self.best[0]
-                    or score == self.best[0] == -1.0):
-                self.best = (score, round_idx, bundle)
+        units = ({key: [res.get(key)] for key in bundle.models} if self.per_model
+                 else {"*": list(res.values())})
+        for unit, values in units.items():
+            mean = _mean_defined(values)
+            score = -1.0 if mean is None else mean
+            best = self.best.get(unit)
+            if best is None or score > best[0] or score == best[0] == -1.0:
+                self.best[unit] = (score, round_idx, bundle)
 
     def result(self):
-        """(best bundle, selected round per model, mean validation AUC)."""
+        """(best bundle, selected round per unit label, mean validation AUC)."""
+        entries = self.best.items()
         if self.per_model:
-            models = {key: entry[2] for key, entry in self.best_groups.items()}
-            bundle = TrainedBundle(models=models)
-            selected = {key.label(): entry[1]
-                        for key, entry in sorted(self.best_groups.items(),
-                                                 key=lambda kv: kv[0].sort_key())}
-            defined = [entry[0] for entry in self.best_groups.values()
-                       if entry[0] >= 0.0]
-            val = float(np.mean(defined)) if defined else None
-            return bundle, selected, val
-        score, round_idx, bundle = self.best
-        return bundle, {"*": round_idx}, (score if score >= 0.0 else None)
+            bundle = TrainedBundle(models={k: b.models[k] for k, (_, _, b) in entries})
+            selected = {k.label(): r for k, (_, r, _) in entries}
+        else:
+            (_, r, bundle), = self.best.values()
+            selected = {"*": r}
+        val = _mean_defined([s for s, _, _ in self.best.values() if s >= 0.0])
+        return bundle, selected, val
 
 
 def run_one(config: ExperimentConfig, ds, parts, fold: int, rep: int):
@@ -552,19 +549,6 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _summary_doc(summary) -> dict:
-    per_group = {}
-    for key, stat in summary.per_group.items():
-        per_group[key.label()] = {"mean": stat.mean, "std": stat.std,
-                                  "n_runs": stat.n_runs}
-    return {
-        "per_group": per_group,
-        "overall_mean": summary.overall_mean,
-        "overall_std": summary.overall_std,
-        "flagged": sorted(key.label() for key in summary.flagged),
-    }
-
-
 def _checkpoint_path(out_dir: Path, fold: int, rep: int) -> Path:
     return out_dir / f"checkpoint_f{fold}_r{rep}.json"
 
@@ -669,9 +653,6 @@ def _train(config: ExperimentConfig, data, out_dir: Path | None, workers: int) -
     elapsed = time.monotonic() - started
 
     runs = [result for result, _ in outputs]
-    keyed = [{GroupKey.from_label(label): value
-              for label, value in run["test_auc"].items()} for run in runs]
-    summary = summarize(keyed)
     chash = config_hash(config)
     report = {
         "schema": SCHEMA_VERSION,
@@ -682,7 +663,7 @@ def _train(config: ExperimentConfig, data, out_dir: Path | None, workers: int) -
         "master_seed": config.seed,
         "groups": sorted({label for run in runs for label in run["test_auc"]}),
         "runs": runs,
-        "summary": _summary_doc(summary),
+        "summary": summarize([run["test_auc"] for run in runs]),
     }
     if out_dir is not None:
         write_json(out_dir / "report.json", report)
@@ -769,8 +750,7 @@ def cmd_grid(config: ExperimentConfig, out=None, workers: int = 1) -> dict:
     best_idx, best_score = None, None
     for sub in subs:
         report = _train(sub, data, None, workers)
-        defined = [r["val_auc"] for r in report["runs"] if r["val_auc"] is not None]
-        mean_val = float(np.mean(defined)) if defined else None
+        mean_val = _mean_defined([run["val_auc"] for run in report["runs"]])
         cells.append({
             "params": {name: getattr(sub, name) for name in names},
             "mean_val_auc": mean_val,

@@ -90,6 +90,8 @@ class GenConfig:
         if any("|" in c for c in self.courses):
             raise ConfigError(f"courses must be free of '|', which separates "
                               f"group label fields, got {list(self.courses)}")
+        if len(set(self.courses)) < len(self.courses):
+            raise ConfigError(f"courses must be distinct, got {list(self.courses)}")
         if self.demographic not in DEMOGRAPHIC_VARIABLES:
             raise ConfigError(f"unknown demographic {self.demographic!r}")
         labels, allowed = self.subgroup_labels, SUBGROUP_VALUES[self.demographic]

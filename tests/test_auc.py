@@ -88,31 +88,31 @@ def test_auc_rejects_malformed_input():
 
 
 def K(course, subgroup=None):
-    return GroupKey(course, "gender" if subgroup else None, subgroup)
+    return GroupKey(course, "gender" if subgroup else None, subgroup).label()
 
 
 def test_summarize_mean_and_population_std():
     a, b = K("c0", "M"), K("c0", "F")
     runs = [{a: 0.6, b: 0.5}, {a: 0.8, b: 0.7}]
     s = summarize(runs)
-    assert s.per_group[a].mean == pytest.approx(0.7, abs=1e-12)
-    assert s.per_group[a].std == pytest.approx(0.1, abs=1e-12)
-    assert s.per_group[a].n_runs == 2
-    assert s.overall_mean == pytest.approx(0.65, abs=1e-12)
-    assert s.overall_std == pytest.approx(0.05, abs=1e-12)
-    assert not s.flagged
+    assert s["per_group"][a]["mean"] == pytest.approx(0.7, abs=1e-12)
+    assert s["per_group"][a]["std"] == pytest.approx(0.1, abs=1e-12)
+    assert s["per_group"][a]["n_runs"] == 2
+    assert s["overall_mean"] == pytest.approx(0.65, abs=1e-12)
+    assert s["overall_std"] == pytest.approx(0.05, abs=1e-12)
+    assert not s["flagged"]
 
 
 def test_summarize_flags_missing_and_undefined_groups():
     a, b, c = K("c0", "M"), K("c0", "F"), K("c1", "M")
     runs = [{a: 0.6, b: None, c: None}, {a: 0.8, c: None}]
     s = summarize(runs)
-    assert s.flagged == {b, c}
-    assert s.per_group[b].mean is None
-    assert s.per_group[b].n_runs == 0
-    assert s.per_group[c].mean is None
+    assert s["flagged"] == [b, c]
+    assert s["per_group"][b]["mean"] is None
+    assert s["per_group"][b]["n_runs"] == 0
+    assert s["per_group"][c]["mean"] is None
     # undefined groups are excluded from the across-subgroup view
-    assert s.overall_mean == pytest.approx(0.7, abs=1e-12)
+    assert s["overall_mean"] == pytest.approx(0.7, abs=1e-12)
 
 
 def test_summarize_is_order_invariant():
@@ -121,11 +121,16 @@ def test_summarize_is_order_invariant():
     s1 = summarize(runs)
     s2 = summarize(runs[::-1])
     for key in (a, b):
-        assert s1.per_group[key].mean == pytest.approx(
-            s2.per_group[key].mean, abs=1e-15)
-        assert s1.per_group[key].std == pytest.approx(
-            s2.per_group[key].std, abs=1e-15)
-    assert s1.overall_mean == pytest.approx(s2.overall_mean, abs=1e-15)
+        assert s1["per_group"][key]["mean"] == pytest.approx(
+            s2["per_group"][key]["mean"], abs=1e-15)
+        assert s1["per_group"][key]["std"] == pytest.approx(
+            s2["per_group"][key]["std"], abs=1e-15)
+    assert s1["overall_mean"] == pytest.approx(s2["overall_mean"], abs=1e-15)
+    # groups reduce in GroupKey order (c1, c1a, c1b), whatever order the
+    # labels come in; label order (c1a|..., c1b|..., c1|...) sums to
+    # 0x1.9999999999999p-3
+    groups = {K("c1b"): 0.3, K("c1"): 0.1, K("c1a"): 0.2}
+    assert summarize([groups])["overall_mean"] == float.fromhex("0x1.999999999999bp-3")
     with pytest.raises(ValueError):
         summarize([])
 

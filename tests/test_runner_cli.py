@@ -3,6 +3,7 @@
 import base64
 import csv
 import dataclasses
+import hashlib
 import json
 import shutil
 
@@ -137,6 +138,7 @@ def test_config_hash_tracks_content(data_dir):
     ({"task": ["KT"]}, "task must be a string"),
     ({"include_unspecified": "no"}, "include_unspecified must be true or false"),
     ({"folds": (0.5,)}, "folds must be within"),
+    ({"folds": (0, 0)}, "folds must be distinct"),  # trained fold 0 twice
 ])
 def test_validation_rejects_bad_experiments(data_dir, kw, msg):
     with pytest.raises(ConfigError, match=msg):
@@ -276,6 +278,40 @@ def test_every_strategy_trains_and_rescores(tmp_path, two_course_dir, name):
     assert cmd_evaluate(tmp_path)["all_match"] is True
     models, _, _ = load_checkpoint(tmp_path / "checkpoint_f0_r0.json")
     assert {entry.split(":")[0] for entry in models} == _entry_kinds(name)
+
+
+# sha256 of report.json trained on folds (0, 1) with 2 repetitions; the
+# sweep trains one run per config, so these pin summaries over several runs,
+# under per-model (sc2-L) and per-bundle (sc2-P-AT-B) selection
+MULTI_RUN_REPORTS = {
+    ("balanced-small", "KT", "sc2-L"):
+        "32eb67cccee868c51b2de6516653760edc269f1ee068573a56a1e69ab54867e2",
+    ("balanced-small", "KT", "sc2-P-AT-B"):
+        "8c7ea4a6e7c21dacd5ac03a1093180b05aeee326556a8a2727d9dedf44745942",
+    ("balanced-small", "OP", "sc2-L"):
+        "aa4f0e9a6a9091d1a548b64215fc3e2ac7a50148013749bb60cd077e78cc305f",
+    ("balanced-small", "OP", "sc2-P-AT-B"):
+        "87b67c085c76af26506307258112ea7a5c76d9392c46d69b427cc1d6fc996c63",
+    ("imbalanced-minority", "KT", "sc2-L"):
+        "5671936830c0cebf1a7cf62a1fe1e7d0973ffcee4d1ecc664f5ae4d53fc3f9bd",
+    ("imbalanced-minority", "KT", "sc2-P-AT-B"):
+        "883a91b3781a88f28988812710569a94f50c11575f2ace2e1c40442e699c675f",
+    ("imbalanced-minority", "OP", "sc2-L"):
+        "e645e345200e76518e35ada113077acf4e0346ebf168b2fb778c82840e4e775b",
+    ("imbalanced-minority", "OP", "sc2-P-AT-B"):
+        "73c5bab425ef193af3d4a9833a70370c41ea448b34b4dfa2c6c2853cde0693dd",
+}
+
+
+@pytest.mark.parametrize("dataset, task, strategy", sorted(MULTI_RUN_REPORTS))
+def test_multi_run_reports_keep_their_bytes(tmp_path, dataset, task, strategy):
+    cmd_train(ExperimentConfig(dataset=dataset, task=task, strategy=strategy,
+                               demographic="gender", folds=(0, 1),
+                               repetitions=2, rounds=2, epochs=2,
+                               local_iters=1, seed=5), out=tmp_path)
+    report = (tmp_path / "report.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == MULTI_RUN_REPORTS[
+        (dataset, task, strategy)]
 
 
 def test_reference_sweep_lists_every_strategy_task_and_preset():
@@ -866,6 +902,9 @@ def test_cli_generate_writes_dataset_files(tmp_path, capsys):
     ("seed", {"preset": "balanced-small", "seed": 1.5}),      # was truncated
     ("preset", {"preset": ["balanced-small"]}),               # exit 1 before
     ("courses", {"courses": ["a|b"]}),  # exit 0, then train failed
+    # exit 0 with 20 students, not 40: the second course's walks merged
+    # into the first course's students
+    ("courses", {"courses": ["a", "a"], "students_per_course": 20}),
     ("subgroup_labels", {"demographic": "age",
                          "subgroup_labels": ["old", "young"]}),  # KeyError
     ("subgroup_labels", {"subgroup_labels": ["X", "F"]}),  # gender ValueError

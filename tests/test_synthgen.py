@@ -48,6 +48,9 @@ def test_config_validation():
         GenConfig(**{**good.__dict__, "courses": ()})
     with pytest.raises(ConfigError, match=r"courses must be free of '\|'"):
         GenConfig(**{**good.__dict__, "courses": ("c0", "a|b")})
+    # a repeated course merged its walks into the first course's students
+    with pytest.raises(ConfigError, match="courses must be distinct"):
+        GenConfig(**{**good.__dict__, "courses": ("c0", "c0")})
     # probabilities outside [0, 1]; shares of 1.5 and -0.5 sum to one
     for field, value in (("subgroup_shares", (1.5, -0.5)),
                          ("label_noise", 7.0), ("label_noise", -0.1),
