@@ -7,7 +7,6 @@ HIERFED_SEED environment variable overrides every other seed source.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
@@ -24,7 +23,7 @@ from .runner import (
     cmd_grid,
     cmd_report,
     cmd_train,
-    load_config,
+    config_from_dict,
     load_gen_config,
     read_json,
 )
@@ -89,22 +88,18 @@ def _env_seed() -> int | None:
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
-    overrides: dict = {}
-    if args.strategy:
-        overrides["strategy"] = args.strategy
-    if args.task:
-        overrides["task"] = args.task
-    if args.demographic:
-        overrides["demographic"] = args.demographic
-    if args.include_unspecified is not None:
-        overrides["include_unspecified"] = True
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    env = _env_seed()
-    if env is not None:
-        overrides["seed"] = env
-    return dataclasses.replace(cfg, **overrides) if overrides else cfg
+    """One config made from one document: the config file's, completed or
+    overridden by each experiment flag given, and then by HIERFED_SEED."""
+    doc = {} if args.config is None else read_json(args.config, "config file")
+    if isinstance(doc, dict):  # config_from_dict refuses any other document
+        for option in _EXPERIMENT[1:]:
+            name = option[2:].replace("-", "_")
+            if getattr(args, name) is not None:
+                doc[name] = getattr(args, name)
+        env = _env_seed()
+        if env is not None:
+            doc["seed"] = env
+    return config_from_dict(doc)
 
 
 def _require_out(args) -> str:
@@ -141,10 +136,10 @@ def _dispatch(args) -> dict:
     if args.command == "evaluate":
         given = [option for option in _EXPERIMENT[1:]
                  if getattr(args, option[2:].replace("-", "_")) is not None]
-        if given and not args.config:
+        if given and args.config is None:
             raise ConfigError(f"evaluate takes {', '.join(given)} only "
                               "together with --config")
-        config = _experiment_config(args) if args.config else None
+        config = None if args.config is None else _experiment_config(args)
         doc = cmd_evaluate(_require_out(args), config=config, seed=_env_seed())
         return {"config_hash": doc["config_hash"], "runs": len(doc["runs"]),
                 "all_match": doc["all_match"]}

@@ -96,8 +96,8 @@ def _parse_student(row) -> StudentRecord:
     if outcome is None:
         raise ValueError("outcome is required")
     return StudentRecord(
-        student_id=str(fields["student_id"]).strip(),
-        course_id=str(fields["course_id"]).strip(),
+        student_id=_opt(fields["student_id"]),
+        course_id=_opt(fields["course_id"]),
         gender=_opt(fields.get("gender")),
         continent=_opt(fields.get("continent")),
         birth_year=_opt_int(fields.get("birth_year"), "birth_year"),

@@ -47,6 +47,9 @@ class StudentRecord:
     outcome: int = 0
 
     def __post_init__(self):
+        for name in ("student_id", "course_id"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} is required")
         if "|" in self.course_id:
             raise ValueError(f"course id {self.course_id!r} must not contain "
                              "'|', which separates group label fields")

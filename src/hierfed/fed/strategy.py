@@ -14,27 +14,13 @@ from dataclasses import dataclass, replace
 
 from ..errors import ConfigError
 
-SC1_FORMS = {
-    ("L",): ("L", "none", "none"),
-    ("G",): ("G", "none", "none"),
-    ("G", "AV"): ("G", "AV", "none"),
-    ("G", "AT"): ("G", "AT", "none"),
-    ("P", "AV"): ("P", "AV", "none"),
-    ("P", "AT"): ("P", "AT", "none"),
-}
-
-SC2_FORMS = {
-    ("L",): ("L", "none", "none"),
-    ("G",): ("G", "none", "none"),
-    ("G", "AV", "M"): ("G", "AV", "M"),
-    ("G", "AV", "T"): ("G", "AV", "T"),
-    ("G", "AT", "M"): ("G", "AT", "M"),
-    ("G", "AT", "T"): ("G", "AT", "T"),
-    ("P", "AV", "M"): ("P", "AV", "M"),
-    ("P", "AV", "B"): ("P", "AV", "B"),
-    ("P", "AT", "M"): ("P", "AT", "M"),
-    ("P", "AT", "B"): ("P", "AT", "B"),
-    ("FedIRT",): ("P", "IRT", "B"),
+# scenario -> the forms of a strategy name after its scenario token. A
+# form's tokens are its architecture, aggregation and hierarchy, "none" where
+# absent; FedIRT is P with IRT aggregation and hierarchy B.
+FORMS = {
+    "sc1": ("L", "G", "G-AV", "G-AT", "P-AV", "P-AT"),
+    "sc2": ("L", "G", "G-AV-M", "G-AV-T", "G-AT-M", "G-AT-T", "P-AV-M",
+            "P-AV-B", "P-AT-M", "P-AT-B", "FedIRT"),
 }
 
 
@@ -91,26 +77,26 @@ class StrategyConfig:
 
 def parse_strategy(name: str) -> StrategyConfig:
     """Parse a strategy name; errors carry the offending token position."""
-    tokens = tuple(name.split("-"))
-    if not tokens or tokens[0] not in ("sc1", "sc2"):
+    scenario, _, form = name.partition("-")
+    if scenario not in FORMS:
         raise ConfigError(
             f"bad strategy {name!r}: token 1 must be sc1 or sc2")
-    forms = SC1_FORMS if tokens[0] == "sc1" else SC2_FORMS
-    rest = tokens[1:]
-    if rest not in forms:
-        known = ", ".join("-".join((tokens[0],) + f) for f in sorted(forms))
-        bad = _first_bad_token(rest, forms)
+    forms = FORMS[scenario]
+    if form not in forms:
+        known = ", ".join(f"{scenario}-{f}" for f in sorted(forms))
+        bad = _first_bad_token(form.split("-"), forms)
         raise ConfigError(
             f"bad strategy {name!r}: token {bad + 2} unrecognized; "
             f"valid forms: {known}")
-    architecture, aggregation, hierarchy = forms[rest]
-    return StrategyConfig(name=name, scenario=tokens[0],
+    tokens = ("P", "IRT", "B") if form == "FedIRT" else tuple(form.split("-"))
+    architecture, aggregation, hierarchy = tokens + ("none",) * (3 - len(tokens))
+    return StrategyConfig(name=name, scenario=scenario,
                           architecture=architecture, aggregation=aggregation,
                           hierarchy=hierarchy)
 
 
 def _first_bad_token(rest, forms) -> int:
     for j in range(len(rest)):
-        if not any(f[:j + 1] == rest[:j + 1] for f in forms):
+        if not any(f.split("-")[:j + 1] == rest[:j + 1] for f in forms):
             return j
     return len(rest)

@@ -25,7 +25,7 @@ import numpy as np
 from .blas import one_blas_thread
 from .data.grouping import group_by_demographic
 from .data.ingest import ingest
-from .data.partition import make_folds
+from .data.partition import N_FOLDS, make_folds
 from .data.records import EVENT_KINDS, FORUM_ACTIONS
 from .data.sequences import build_sequences, build_vocab
 from .errors import ConfigError
@@ -61,7 +61,9 @@ _STRATEGY_FIELDS = ("eta", "beta", "eps", "rounds", "local_iters", "epochs",
 class ExperimentConfig:
     """One experiment: dataset x task x strategy x folds x repetitions.
 
-    Hyperparameters left as None fall back to the strategy defaults.
+    Hyperparameters left as None fall back to the strategy defaults. Making
+    a config checks it, so every config that exists is runnable; one that
+    would not run raises ConfigError.
     """
     dataset: str = "balanced-small"
     task: str = "KT"
@@ -83,6 +85,29 @@ class ExperimentConfig:
     repetitions: int = 5
     seed: int = 0
     grid: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        _check_fields(ExperimentConfig, vars(self))
+        strategy = build_strategy(self)
+        if self.task not in TASKS:
+            raise ConfigError(f"task must be one of {tuple(TASKS)}, got {self.task!r}")
+        if self.demographic is not None and self.demographic not in DEMOGRAPHIC_VARIABLES:
+            raise ConfigError(f"demographic must be one of {DEMOGRAPHIC_VARIABLES}, "
+                              f"got {self.demographic!r}")
+        if strategy.scenario == "sc2" and self.demographic is None:
+            raise ConfigError(f"strategy {self.strategy!r} needs --demographic")
+        if not self.folds or not all(_is_int(f) and 0 <= f < N_FOLDS
+                                     for f in self.folds):
+            raise ConfigError(f"folds must be within 0..{N_FOLDS - 1}, "
+                              f"got {list(self.folds)}")
+        if len(set(self.folds)) < len(self.folds):
+            raise ConfigError(f"folds must be distinct, got {list(self.folds)}")
+        if self.repetitions < 1:
+            raise ConfigError("repetitions must be >= 1")
+        if self.hidden_dim < 1:
+            raise ConfigError("hidden_dim must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
 
 
 _CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
@@ -142,10 +167,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         if not isinstance(folds, (list, tuple)) or not all(map(_is_int, folds)):
             raise ConfigError(f"folds must be a list of integers, got {folds!r}")
         doc["folds"] = tuple(sorted(set(folds)))
-    try:
-        return ExperimentConfig(**doc)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    return ExperimentConfig(**doc)
 
 
 def read_json(path, what: str):
@@ -159,10 +181,6 @@ def read_json(path, what: str):
         raise ConfigError(f"{path}: cannot read {what} ({exc.strerror})") from None
     except ValueError as exc:  # invalid JSON or text
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-
-
-def load_config(path) -> ExperimentConfig:
-    return config_from_dict(read_json(path, "config file"))
 
 
 def config_snapshot(config: ExperimentConfig) -> dict:
@@ -182,35 +200,8 @@ def config_hash(config: ExperimentConfig) -> str:
 
 
 def build_strategy(config: ExperimentConfig) -> StrategyConfig:
-    base = parse_strategy(config.strategy)
     overrides = {name: getattr(config, name) for name in _STRATEGY_FIELDS}
-    try:
-        return base.with_overrides(**overrides)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def validate_config(config: ExperimentConfig) -> StrategyConfig:
-    _check_fields(ExperimentConfig, vars(config))
-    strategy = build_strategy(config)
-    if config.task not in TASKS:
-        raise ConfigError(f"task must be one of {tuple(TASKS)}, got {config.task!r}")
-    if config.demographic is not None and config.demographic not in DEMOGRAPHIC_VARIABLES:
-        raise ConfigError(f"demographic must be one of {DEMOGRAPHIC_VARIABLES}, "
-                          f"got {config.demographic!r}")
-    if strategy.scenario == "sc2" and config.demographic is None:
-        raise ConfigError(f"strategy {config.strategy!r} needs --demographic")
-    if not config.folds or not all(_is_int(f) and 0 <= f <= 4 for f in config.folds):
-        raise ConfigError(f"folds must be within 0..4, got {list(config.folds)}")
-    if len(set(config.folds)) < len(config.folds):
-        raise ConfigError(f"folds must be distinct, got {list(config.folds)}")
-    if config.repetitions < 1:
-        raise ConfigError("repetitions must be >= 1")
-    if config.hidden_dim < 1:
-        raise ConfigError("hidden_dim must be >= 1")
-    if config.seed < 0:
-        raise ConfigError("seed must be nonnegative")
-    return strategy
+    return parse_strategy(config.strategy).with_overrides(**overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -272,36 +263,28 @@ def _dataset(config: ExperimentConfig):
 
 
 def load_gen_config(doc: dict, seed: int | None = None) -> GenConfig:
-    """A generation config document: {"preset": name} or full field set."""
+    """A generation config document: a full field set, or {"preset": name}
+    with an optional seed. A given seed replaces the document's."""
     if not isinstance(doc, dict):
         raise ConfigError("generation config must be a JSON object")
-    if "preset" in doc:
-        unknown = sorted(set(doc) - {"preset", "seed"})
-        if unknown:
-            raise ConfigError(f"unknown preset config fields: {', '.join(unknown)}")
-        if not isinstance(doc["preset"], str):
-            raise ConfigError(f"preset must be a string, got {doc['preset']!r}")
-        _check_fields(GenConfig, doc)
-        cfg = preset(doc["preset"])
-        if "seed" in doc:
-            cfg = replace(cfg, seed=doc["seed"])
-    else:
-        fields = {f.name for f in dataclasses.fields(GenConfig)}
-        unknown = sorted(set(doc) - fields)
-        if unknown:
-            raise ConfigError(f"unknown generation config fields: {', '.join(unknown)}")
-        _check_fields(GenConfig, doc)
-        doc = dict(doc)
-        for name in ("courses", "subgroup_labels", "subgroup_shares"):
-            if name in doc:
-                doc[name] = tuple(doc[name])
-        try:
-            cfg = GenConfig(**doc)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from None
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    return cfg
+    named = "preset" in doc
+    allowed = ({"preset", "seed"} if named
+               else {f.name for f in dataclasses.fields(GenConfig)})
+    unknown = sorted(set(doc) - allowed)
+    if unknown:
+        raise ConfigError(f"unknown {'preset' if named else 'generation'} "
+                          f"config fields: {', '.join(unknown)}")
+    if not isinstance(doc.get("preset", ""), str):
+        raise ConfigError(f"preset must be a string, got {doc['preset']!r}")
+    _check_fields(GenConfig, doc)
+    fields = dataclasses.asdict(preset(doc["preset"])) if named else {}
+    fields.update((name, tuple(value) if isinstance(value, list) else value)
+                  for name, value in doc.items() if name != "preset")
+    try:
+        cfg = GenConfig(**fields)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+    return cfg if seed is None else replace(cfg, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +328,7 @@ def _prepare(config: ExperimentConfig, ds, parts, fold: int, rep: int):
     The three share one tree of clients; the validation and test contexts
     add the split they score.
     """
-    strategy = validate_config(config)
+    strategy = build_strategy(config)
     part = parts[fold]
     vocab = build_vocab(ds, part.train_ids())
     task = TASKS[config.task]
@@ -447,13 +430,17 @@ def run_one(config: ExperimentConfig, ds, parts, fold: int, rep: int):
     return result, _models_payload(best)
 
 
+def _model_name(key: GroupKey) -> str:
+    """The checkpoint entry name of key's model."""
+    return f"{'course' if key.is_course_level else 'subgroup'}:{key.label()}"
+
+
 def _models_payload(bundle: TrainedBundle) -> dict:
     out = {}
     if bundle.global_params is not None:
         out["global"] = bundle.global_params
     for key, ps in bundle.models.items():
-        kind = "course" if key.is_course_level else "subgroup"
-        out[f"{kind}:{key.label()}"] = ps
+        out[_model_name(key)] = ps
     return out
 
 
@@ -480,14 +467,14 @@ def _load_bundle(path, chash: str, init: ParamSet) -> TrainedBundle:
     bundle = TrainedBundle()
     for name, ps in models.items():
         _check_layers(path, name, ps, init)
-        kind, _, label = name.partition(":")
         if name == "global":
             bundle.global_params = ps
             continue
         try:
-            if kind not in ("course", "subgroup"):
-                raise ValueError(f"unknown kind {kind!r}")
-            bundle.models[GroupKey.from_label(label)] = ps
+            key = GroupKey.from_label(name.partition(":")[2])
+            if _model_name(key) != name:
+                raise ValueError(f"expected {_model_name(key)!r}")
+            bundle.models[key] = ps
         except ValueError as exc:
             raise ConfigError(f"{path}: malformed checkpoint (model entry "
                               f"{name!r}: {exc})") from None
@@ -560,7 +547,6 @@ def read_report(path) -> dict:
     report = read_json(path, "report")
     try:
         config = config_from_dict(report["config"])
-        validate_config(config)
         if not (isinstance(report["config_hash"], str)
                 and isinstance(report["dataset_hash"], str)
                 and all(_is_int(run["fold"]) and _is_int(run["rep"])
@@ -638,7 +624,6 @@ def cmd_generate(gen_config: GenConfig, out) -> dict:
 
 @one_blas_thread()
 def cmd_train(config: ExperimentConfig, out=None, workers: int = 1) -> dict:
-    validate_config(config)
     _check_workers(workers)
     data = _dataset(config)
     return _train(config, data, None if out is None else _out_dir(out), workers)
@@ -725,7 +710,7 @@ def cmd_evaluate(out, config: ExperimentConfig | None = None,
 
 @one_blas_thread()
 def cmd_grid(config: ExperimentConfig, out=None, workers: int = 1) -> dict:
-    if not isinstance(config.grid, dict) or not config.grid:
+    if not config.grid:
         raise ConfigError("grid search needs a non-empty 'grid' mapping")
     names = sorted(config.grid)
     allowed = set(_STRATEGY_FIELDS) | {"hidden_dim"}
@@ -738,8 +723,6 @@ def cmd_grid(config: ExperimentConfig, out=None, workers: int = 1) -> dict:
 
     subs = [replace(config, grid={}, **dict(zip(names, values)))
             for values in itertools.product(*(config.grid[name] for name in names))]
-    for sub in subs:
-        validate_config(sub)
     _check_workers(workers)
     # the grid ranges over strategy fields and hidden_dim only, so every
     # cell shares the dataset and the seed that splits it
@@ -786,7 +769,6 @@ def cmd_export_embeddings(config: ExperimentConfig, out, workers: int = 1) -> di
     The run in `out` is trained first when `out` holds no report; a report
     of another config there is refused, never overwritten.
     """
-    validate_config(config)
     _check_workers(workers)
     task = TASKS[config.task]
     if task.embed is None:

@@ -87,9 +87,10 @@ class GenConfig:
     def __post_init__(self):
         if not self.courses:
             raise ConfigError("need at least one course")
-        if any("|" in c for c in self.courses):
+        if any(not c or "|" in c for c in self.courses):
             raise ConfigError(f"courses must be free of '|', which separates "
-                              f"group label fields, got {list(self.courses)}")
+                              f"group label fields, and not empty, got "
+                              f"{list(self.courses)}")
         if len(set(self.courses)) < len(self.courses):
             raise ConfigError(f"courses must be distinct, got {list(self.courses)}")
         if self.demographic not in DEMOGRAPHIC_VARIABLES:

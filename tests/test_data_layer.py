@@ -94,6 +94,9 @@ def test_ingest_accepts_json_lines(tmp_path):
     (lambda e, s: (e, s + "s1,c0,M,EU,1985,1\n"), "duplicate student"),
     (lambda e, s: (e, s + "s9,c0,X,,1985,1\n"), "gender"),
     (lambda e, s: (e, s + "s9,c0|x,,,,1\n"), "course id 'c0|x' must not contain"),
+    # these made a student "" and a course ""
+    (lambda e, s: (e, s + ",c0,F,,,1\n"), "student_id is required"),
+    (lambda e, s: (e, s + "s3,,M,,,0\n"), "course_id is required"),
     (lambda e, s: (e + "s1,c0,video,v0,,,-3\n", s), "timestamp must be nonnegative"),
     (lambda e, s: (e + "s1,c0,quiz_response,v0,x,,9\n", s),
      "response must be an integer, got 'x'"),
@@ -125,6 +128,18 @@ def test_ingest_reports_file_and_line(tmp_path, mutation, fragment):
     with pytest.raises(DataError, match=fragment) as info:
         ingest(*write_inputs(tmp_path, events=ev, students=st))
     assert str(info.value).startswith(f"{tmp_path / name}:{line}: "), info.value
+
+
+def test_ingest_requires_a_student_id_in_json_lines(tmp_path):
+    # a line without one ingested as a student named "None"
+    ep = tmp_path / "events.csv"
+    ep.write_text(",".join(EVENTS_HEADER) + "\n")
+    sp = tmp_path / "students.jsonl"
+    sp.write_text('{"student_id": "s1", "course_id": "c0", "outcome": 0}\n'
+                  '{"course_id": "c0", "outcome": 1}\n')
+    with pytest.raises(DataError) as info:
+        ingest(ep, sp)
+    assert str(info.value) == f"{sp}:2: student_id is required"
 
 
 def test_ingest_rejects_timestamps_beyond_int64(tmp_path):

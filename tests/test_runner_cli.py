@@ -15,7 +15,7 @@ from hierfed.blas import _openblas_threads
 from hierfed.cli import _experiment_config, build_parser, main
 from hierfed.errors import ConfigError, NumericsError
 from hierfed.fed.checkpoint import load_checkpoint, save_checkpoint
-from hierfed.fed.strategy import SC1_FORMS, SC2_FORMS
+from hierfed.fed.strategy import FORMS
 from hierfed.data.partition import make_folds
 from hierfed.metrics import ACTIVITY_TYPES
 from hierfed.nn.params import ParamSet
@@ -30,9 +30,7 @@ from hierfed.runner import (
     config_from_dict,
     config_hash,
     config_snapshot,
-    load_config,
     resolve_dataset,
-    validate_config,
 )
 from hierfed.synth.archetypes import GenConfig
 from hierfed.synth.generate import generate, preset
@@ -95,15 +93,6 @@ def test_task_is_upcased_and_folds_normalized():
             config_from_dict({"folds": folds})
 
 
-def test_load_config_reports_missing_or_broken_files(tmp_path):
-    with pytest.raises(ConfigError, match="config file not found"):
-        load_config(tmp_path / "nope.json")
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(ConfigError, match="invalid JSON"):
-        load_config(bad)
-
-
 def test_config_hash_tracks_content(data_dir):
     a = small_config(data_dir)
     assert config_hash(a) == config_hash(small_config(data_dir))
@@ -142,7 +131,7 @@ def test_config_hash_tracks_content(data_dir):
 ])
 def test_validation_rejects_bad_experiments(data_dir, kw, msg):
     with pytest.raises(ConfigError, match=msg):
-        validate_config(small_config(data_dir, **kw))
+        small_config(data_dir, **kw)
 
 
 def test_hyperparameters_flow_into_the_strategy(data_dir):
@@ -269,8 +258,11 @@ def _entry_kinds(name: str) -> set:
     return {"global", "course", "subgroup"}
 
 
-@pytest.mark.parametrize("name", ["sc1-" + "-".join(f) for f in SC1_FORMS]
-                         + ["sc2-" + "-".join(f) for f in SC2_FORMS])
+STRATEGIES = [f"{scenario}-{form}" for scenario, forms in FORMS.items()
+              for form in forms]
+
+
+@pytest.mark.parametrize("name", STRATEGIES)
 def test_every_strategy_trains_and_rescores(tmp_path, two_course_dir, name):
     cfg = small_config(two_course_dir, strategy=name, demographic="gender",
                        hidden_dim=4, rounds=1, epochs=1, local_iters=1)
@@ -317,18 +309,15 @@ def test_multi_run_reports_keep_their_bytes(tmp_path, dataset, task, strategy):
 def test_reference_sweep_lists_every_strategy_task_and_preset():
     # the sweep is the byte-identity gate of behaviour-preserving changes;
     # this checks its config list without training anything
-    names = (["sc1-" + "-".join(f) for f in SC1_FORMS]
-             + ["sc2-" + "-".join(f) for f in SC2_FORMS])
     presets = {"heterogeneous-3course": "age", "balanced-small": "gender",
                "imbalanced-minority": "gender"}
     configs = reference_sweep.configs()
     assert sorted(name for name, _ in configs) == sorted(
         f"{dataset}/{task}/{strategy}" for dataset in presets
-        for task in ("KT", "OP") for strategy in names)
+        for task in ("KT", "OP") for strategy in STRATEGIES)
     assert len(configs) == 102
     for name, fields in configs:
         config = ExperimentConfig(**fields)
-        validate_config(config)
         assert f"{config.dataset}/{config.task}/{config.strategy}" == name
         assert config.demographic == presets[config.dataset]
         assert (config.folds, config.repetitions, config.rounds, config.epochs,
@@ -518,7 +507,7 @@ def test_cli_rejects_bad_hyperparameters_with_exit_two(tmp_path, data_dir,
              ("train", "folds", [0.5]), ("train", "include_unspecified", "no"),
              ("grid", "grid", {"rounds": [1.5]})]
     for i, (command, field, value) in enumerate(cases):
-        doc = config_snapshot(small_config(data_dir, **{field: value}))
+        doc = {**config_snapshot(small_config(data_dir)), field: value}
         cfg_path = tmp_path / f"{i}.json"
         cfg_path.write_text(json.dumps(doc))
         rc = main([command, "--config", str(cfg_path),
@@ -633,8 +622,16 @@ def _unknown_variable(path):
     path.write_text(json.dumps(doc))
 
 
+def _kind_contradicts_label(path):
+    # loaded as the course model, and evaluate reported all_match
+    doc = json.loads(path.read_text())
+    doc["models"]["subgroup:c0|none|all"] = doc["models"].pop("course:c0|none|all")
+    path.write_text(json.dumps(doc))
+
+
 @pytest.mark.parametrize("corrupt", [_truncate, _bad_base64, _short_data,
-                                     _wrong_shape, _unknown_variable])
+                                     _wrong_shape, _unknown_variable,
+                                     _kind_contradicts_label])
 def test_cli_evaluate_exits_two_naming_a_malformed_checkpoint(
         tmp_path, trained_dir, capsys, corrupt):
     run = tmp_path / "run"
@@ -882,6 +879,60 @@ def test_environment_seed_overrides_every_flag(monkeypatch):
     assert main(["train", "--seed", "3"]) == 2
 
 
+def test_cli_flags_complete_a_config_file_before_it_is_checked(
+        tmp_path, data_dir, capsys):
+    # the file alone is not runnable: sc2 needs a demographic
+    doc = config_snapshot(small_config(data_dir))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**doc, "strategy": "sc2-G-AV-T"}))
+    assert main(["train", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "bare")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: strategy 'sc2-G-AV-T' needs --demographic")
+    assert main(["train", "--config", str(cfg_path), "--demographic", "gender",
+                 "--out", str(tmp_path / "run")]) == 0
+    line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert line["config_hash"] == config_hash(small_config(
+        data_dir, strategy="sc2-G-AV-T", demographic="gender"))
+
+
+def test_cli_flags_override_a_config_file(tmp_path, data_dir):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_snapshot(small_config(data_dir))))
+    args = build_parser().parse_args(["train", "--config", str(cfg_path),
+                                      "--task", "op", "--seed", "4"])
+    assert _experiment_config(args) == small_config(data_dir, task="OP", seed=4)
+
+
+@pytest.mark.parametrize("flag, message", [
+    # the file's strategy trained, exit 0
+    ("--strategy", "bad strategy '': "),
+    # the config file was not read: 25 default runs trained, exit 0
+    ("--config", ": cannot read config file"),
+], ids=["strategy", "config"])
+def test_cli_train_exits_two_on_an_empty_flag_value(
+        tmp_path, data_dir, monkeypatch, capsys, flag, message):
+    _refuse_training(monkeypatch)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_snapshot(small_config(data_dir))))
+    assert main(["train", "--config", str(cfg_path), flag, "",
+                 "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith("error: " + message)
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_evaluate_exits_two_naming_a_bad_config_field(
+        tmp_path, data_dir, trained_dir, capsys):
+    # exited 2 saying the config does not match the trained report
+    run = tmp_path / "run"
+    shutil.copytree(trained_dir, run)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**config_snapshot(small_config(data_dir)),
+                                    "task": "XX"}))
+    assert main(["evaluate", "--config", str(cfg_path), "--out", str(run)]) == 2
+    assert capsys.readouterr().err.startswith("error: task must be one of")
+
+
 def test_cli_generate_writes_dataset_files(tmp_path, capsys):
     cfg_path = tmp_path / "gen.json"
     cfg_path.write_text(json.dumps({"preset": "balanced-small"}))
@@ -914,6 +965,7 @@ def test_cli_generate_writes_dataset_files(tmp_path, capsys):
                          "students_per_course": 10}),
     ("label_noise", {"label_noise": 7}),
     ("undisclosed_fraction", {"undisclosed_fraction": -3}),
+    ("courses", {"courses": [""]}),  # exit 0, wrote a course ""
 ])
 def test_cli_generate_rejects_mistyped_fields_with_exit_two(tmp_path, capsys,
                                                            field, doc):

@@ -48,6 +48,8 @@ def test_config_validation():
         GenConfig(**{**good.__dict__, "courses": ()})
     with pytest.raises(ConfigError, match=r"courses must be free of '\|'"):
         GenConfig(**{**good.__dict__, "courses": ("c0", "a|b")})
+    with pytest.raises(ConfigError, match="and not empty"):
+        GenConfig(**{**good.__dict__, "courses": ("c0", "")})
     # a repeated course merged its walks into the first course's students
     with pytest.raises(ConfigError, match="courses must be distinct"):
         GenConfig(**{**good.__dict__, "courses": ("c0", "c0")})
