@@ -79,27 +79,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _env_seed() -> int | None:
     raw = os.environ.get("HIERFED_SEED")
-    if raw is None:
-        return None
     try:
-        return int(raw)
+        return None if raw is None else int(raw)
     except ValueError:
         raise ConfigError(f"HIERFED_SEED must be an integer, got {raw!r}") from None
 
 
-def _experiment_config(args) -> ExperimentConfig:
-    """One config made from one document: the config file's, completed or
-    overridden by each experiment flag given, and then by HIERFED_SEED."""
+def _document(args, options) -> dict:
+    """The config file's document, completed or overridden by each of the
+    options given, and then by HIERFED_SEED."""
     doc = {} if args.config is None else read_json(args.config, "config file")
-    if isinstance(doc, dict):  # config_from_dict refuses any other document
-        for option in _EXPERIMENT[1:]:
+    if isinstance(doc, dict):  # the readers refuse any other document
+        for option in options:
             name = option[2:].replace("-", "_")
             if getattr(args, name) is not None:
                 doc[name] = getattr(args, name)
         env = _env_seed()
         if env is not None:
             doc["seed"] = env
-    return config_from_dict(doc)
+    return doc
+
+
+def _experiment_config(args) -> ExperimentConfig:
+    return config_from_dict(_document(args, _EXPERIMENT[1:]))
 
 
 def _require_out(args) -> str:
@@ -123,10 +125,8 @@ def _dispatch(args) -> dict:
         if not args.config:
             raise ConfigError("generate needs --config with a generation "
                               "config or {\"preset\": name}")
-        env = _env_seed()
-        seed = args.seed if env is None else env
-        doc = read_json(args.config, "config file")
-        return cmd_generate(load_gen_config(doc, seed=seed), _require_out(args))
+        return cmd_generate(load_gen_config(_document(args, ("--seed",))),
+                            _require_out(args))
 
     if args.command == "train":
         report = cmd_train(_experiment_config(args), out=args.out,

@@ -81,7 +81,7 @@ class ExperimentConfig:
     per_group: int | None = None
     attention_mode: str | None = None
     clip: float | None = None
-    folds: tuple = (0, 1, 2, 3, 4)
+    folds: tuple[int, ...] = (0, 1, 2, 3, 4)
     repetitions: int = 5
     seed: int = 0
     grid: dict = field(default_factory=dict)
@@ -96,8 +96,7 @@ class ExperimentConfig:
                               f"got {self.demographic!r}")
         if strategy.scenario == "sc2" and self.demographic is None:
             raise ConfigError(f"strategy {self.strategy!r} needs --demographic")
-        if not self.folds or not all(_is_int(f) and 0 <= f < N_FOLDS
-                                     for f in self.folds):
+        if not self.folds or not all(0 <= f < N_FOLDS for f in self.folds):
             raise ConfigError(f"folds must be within 0..{N_FOLDS - 1}, "
                               f"got {list(self.folds)}")
         if len(set(self.folds)) < len(self.folds):
@@ -108,9 +107,8 @@ class ExperimentConfig:
             raise ConfigError("hidden_dim must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-
-
-_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
+        # the order of folds carries no meaning, so one set has one config
+        object.__setattr__(self, "folds", tuple(sorted(self.folds)))
 
 
 def _is_int(value) -> bool:
@@ -150,24 +148,36 @@ def _check_fields(cls, values: dict):
             raise ConfigError(f"{f.name} must be {what}, got {value!r}")
 
 
-def config_from_dict(doc: dict) -> ExperimentConfig:
+def _from_document(cls, doc, what: str, base=dict):
+    """The cls a config document describes, over base()'s field values; a
+    document that is not an object, holds an unknown, mistyped or missing
+    field, or a wrong schema, raises ConfigError naming it."""
     if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
+        raise ConfigError(f"{what} must be a JSON object")
     doc = dict(doc)
-    schema = doc.pop("schema", SCHEMA_VERSION)
-    if schema != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported config schema {schema!r}")
-    unknown = sorted(set(doc) - set(_CONFIG_FIELDS))
+    if cls is ExperimentConfig:
+        schema = doc.pop("schema", SCHEMA_VERSION)
+        if schema != SCHEMA_VERSION:
+            raise ConfigError(f"unsupported config schema {schema!r}")
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(doc) - {f.name for f in fields})
     if unknown:
-        raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
-    if "task" in doc and isinstance(doc["task"], str):
-        doc["task"] = doc["task"].upper()
-    if "folds" in doc:
-        folds = doc["folds"]
-        if not isinstance(folds, (list, tuple)) or not all(map(_is_int, folds)):
-            raise ConfigError(f"folds must be a list of integers, got {folds!r}")
-        doc["folds"] = tuple(sorted(set(folds)))
-    return ExperimentConfig(**doc)
+        raise ConfigError(f"unknown {what} fields: {', '.join(unknown)}")
+    _check_fields(cls, doc)
+    values = {**base(), **doc}
+    missing = [f.name for f in fields if f.name not in values
+               and f.default is f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ConfigError(f"missing {what} fields: {', '.join(missing)}")
+    # only a tuple[...] field takes a list once its type is checked
+    return cls(**{name: tuple(value) if isinstance(value, list) else value
+                  for name, value in values.items()})
+
+
+def config_from_dict(doc: dict) -> ExperimentConfig:
+    if isinstance(doc, dict) and isinstance(doc.get("task"), str):
+        doc = {**doc, "task": doc["task"].upper()}
+    return _from_document(ExperimentConfig, doc, "config")
 
 
 def read_json(path, what: str):
@@ -184,13 +194,9 @@ def read_json(path, what: str):
 
 
 def config_snapshot(config: ExperimentConfig) -> dict:
-    doc = {"schema": SCHEMA_VERSION}
-    for name in _CONFIG_FIELDS:
-        value = getattr(config, name)
-        if isinstance(value, tuple):
-            value = list(value)
-        doc[name] = value
-    return doc
+    return {"schema": SCHEMA_VERSION,
+            **{name: list(value) if isinstance(value, tuple) else value
+               for name, value in vars(config).items()}}
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -262,29 +268,19 @@ def _dataset(config: ExperimentConfig):
     return ds, make_folds(ds, config.seed), dataset_hash(ds)
 
 
-def load_gen_config(doc: dict, seed: int | None = None) -> GenConfig:
+def load_gen_config(doc: dict) -> GenConfig:
     """A generation config document: a full field set, or {"preset": name}
-    with an optional seed. A given seed replaces the document's."""
-    if not isinstance(doc, dict):
-        raise ConfigError("generation config must be a JSON object")
-    named = "preset" in doc
-    allowed = ({"preset", "seed"} if named
-               else {f.name for f in dataclasses.fields(GenConfig)})
-    unknown = sorted(set(doc) - allowed)
+    with an optional seed over the preset's."""
+    if not (isinstance(doc, dict) and "preset" in doc):
+        return _from_document(GenConfig, doc, "generation config")
+    unknown = sorted(set(doc) - {"preset", "seed"})
     if unknown:
-        raise ConfigError(f"unknown {'preset' if named else 'generation'} "
-                          f"config fields: {', '.join(unknown)}")
-    if not isinstance(doc.get("preset", ""), str):
-        raise ConfigError(f"preset must be a string, got {doc['preset']!r}")
-    _check_fields(GenConfig, doc)
-    fields = dataclasses.asdict(preset(doc["preset"])) if named else {}
-    fields.update((name, tuple(value) if isinstance(value, list) else value)
-                  for name, value in doc.items() if name != "preset")
-    try:
-        cfg = GenConfig(**fields)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
-    return cfg if seed is None else replace(cfg, seed=seed)
+        raise ConfigError(f"unknown preset config fields: {', '.join(unknown)}")
+    name = doc["preset"]
+    if not isinstance(name, str):
+        raise ConfigError(f"preset must be a string, got {name!r}")
+    return _from_document(GenConfig, {k: v for k, v in doc.items() if k != "preset"},
+                          "preset config", lambda: dataclasses.asdict(preset(name)))
 
 
 # ---------------------------------------------------------------------------
@@ -540,10 +536,10 @@ def _checkpoint_path(out_dir: Path, fold: int, rep: int) -> Path:
     return out_dir / f"checkpoint_f{fold}_r{rep}.json"
 
 
-def read_report(path) -> dict:
-    """A train report; one that is not valid JSON, lacks a field the
-    commands read, or whose runs are not each (fold, rep) of its config
-    once, raises ConfigError naming the file."""
+def read_report(path) -> tuple:
+    """(config, report) of a train report; one that is not valid JSON,
+    lacks a field the commands read, or whose runs are not each (fold, rep)
+    of its config once, raises ConfigError naming the file."""
     report = read_json(path, "report")
     try:
         config = config_from_dict(report["config"])
@@ -562,26 +558,26 @@ def read_report(path) -> dict:
     except (ConfigError, KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"{path}: malformed report "
                           f"({type(exc).__name__}: {exc})") from None
-    return report
+    return config, report
 
 
-def _trained_dataset(report: dict):
+def _trained_dataset(config: ExperimentConfig, report: dict):
     """What _dataset gives a train report's config, resolved again; a
     dataset whose contents changed since training raises ConfigError."""
-    data = _dataset(config_from_dict(report["config"]))
+    data = _dataset(config)
     if data[2] != report["dataset_hash"]:
-        raise ConfigError(f"dataset {report['config']['dataset']}: contents "
+        raise ConfigError(f"dataset {config.dataset}: contents "
                           f"changed since training; refusing")
     return data
 
 
-def _trained_runs(report: dict, out_dir: Path, pairs, data=None):
+def _trained_runs(config: ExperimentConfig, report: dict, out_dir: Path,
+                  pairs, data=None):
     """(fold, rep, test context, bundle) of each (fold, rep) in pairs of
-    the trained run that report describes, its checkpoints in out_dir.
+    the trained run of config and report, its checkpoints in out_dir.
     data is what _dataset gave the run's training when the caller has just
     trained it; without it the report's dataset is resolved again."""
-    config = config_from_dict(report["config"])
-    ds, parts, _ = data or _trained_dataset(report)
+    ds, parts, _ = data or _trained_dataset(config, report)
     for fold, rep in pairs:
         _, _, test = _prepare(config, ds, parts, fold, rep)
         yield fold, rep, test, _load_bundle(_checkpoint_path(out_dir, fold, rep),
@@ -589,12 +585,16 @@ def _trained_runs(report: dict, out_dir: Path, pairs, data=None):
                                             test.init_params)
 
 
-def _out_dir(out) -> Path:
-    """The output directory out, created if missing; a path that is not a
-    directory, or lies under a file, raises ConfigError naming it."""
+def _out_dir(out, create: bool = True) -> Path:
+    """The output directory out, created if missing and create; an empty
+    path, one that is not a directory, or one under a file, raises
+    ConfigError naming it."""
+    if out == "":  # Path("") is the working directory
+        raise ConfigError("output directory must be a non-empty path")
     out_dir = Path(out)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        if create:
+            out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"{out_dir}: cannot use as output directory "
                           f"({exc.strerror})") from None
@@ -673,28 +673,25 @@ def cmd_evaluate(out, config: ExperimentConfig | None = None,
 
     A given config, or a given seed, must be the trained run's.
     """
-    out_dir = Path(out)
+    out_dir = _out_dir(out, create=False)
     report_path = out_dir / "report.json"
     if not report_path.is_file():
         raise ConfigError(f"no report.json under {out_dir}; run train first")
-    report = read_report(report_path)
-    stored = config_from_dict(report["config"])
+    stored, report = read_report(report_path)
     if seed is not None and seed != stored.seed:
         raise ConfigError(f"seed {seed} does not match the trained report's "
                           f"seed {stored.seed}")
     if config is not None and config_hash(config) != report["config_hash"]:
         raise ConfigError("given config does not match the trained report")
     rows = []
-    all_match = True
     runs = report["runs"]
-    trained = _trained_runs(report, out_dir, [(r["fold"], r["rep"]) for r in runs])
+    trained = _trained_runs(stored, report, out_dir,
+                            [(r["fold"], r["rep"]) for r in runs])
     for run, (fold, rep, test_ctx, bundle) in zip(runs, trained):
         test = evaluate_adapted(bundle, test_ctx, ("test",))
         test_auc = {key.label(): value for key, value in test.items()}
-        match = test_auc == run["test_auc"]
-        all_match = all_match and match
         rows.append({"fold": fold, "rep": rep, "test_auc": test_auc,
-                     "matches_report": match})
+                     "matches_report": test_auc == run["test_auc"]})
     doc = {
         "schema": SCHEMA_VERSION,
         "kind": "evaluation",
@@ -702,7 +699,7 @@ def cmd_evaluate(out, config: ExperimentConfig | None = None,
         "dataset_hash": report["dataset_hash"],
         "master_seed": stored.seed,
         "runs": rows,
-        "all_match": all_match,
+        "all_match": all(row["matches_report"] for row in rows),
     }
     write_json(out_dir / "evaluation.json", doc)
     return doc
@@ -774,12 +771,12 @@ def cmd_export_embeddings(config: ExperimentConfig, out, workers: int = 1) -> di
     if task.embed is None:
         raise ConfigError("export-embeddings needs task OP; the interaction "
                           "model has no per-student pooled representation")
-    out_dir = Path(out)
+    out_dir = _out_dir(out, create=False)
     chash = config_hash(config)
     report_path = out_dir / "report.json"
     data = None
     if report_path.is_file():
-        report = read_report(report_path)
+        _, report = read_report(report_path)
         if report["config_hash"] != chash:
             raise ConfigError(f"{out_dir} holds the run of another config; "
                               "refusing to overwrite it")
@@ -788,7 +785,7 @@ def cmd_export_embeddings(config: ExperimentConfig, out, workers: int = 1) -> di
         report = _train(config, data, _out_dir(out_dir), workers)
 
     rows = []
-    for _, _, test, bundle in _trained_runs(report, out_dir,
+    for _, _, test, bundle in _trained_runs(config, report, out_dir,
                                             [(fold, 0) for fold in config.folds],
                                             data):
         pmap = adapted_params(bundle, test, ("embed",))
@@ -819,9 +816,8 @@ def cmd_report(run_dirs, out) -> dict:
     """Merge train reports into comparison tables plus activity heatmaps."""
     if not run_dirs:
         raise ConfigError("report needs at least one run directory")
-    reports = []
-    for d in run_dirs:
-        reports.append(read_report(Path(d) / "report.json"))
+    configs, reports = zip(*(read_report(Path(d) / "report.json")
+                             for d in run_dirs))
     hashes = {r["dataset_hash"] for r in reports}
     if len(hashes) > 1:
         raise ConfigError("reports come from different datasets; refusing to merge")
@@ -830,9 +826,8 @@ def cmd_report(run_dirs, out) -> dict:
 
     rows = []
     columns: dict = {}
-    for report in reports:
-        cfg = report["config"]
-        name = base = f"{cfg['task'].lower()}/{cfg['strategy']}"
+    for config, report in zip(configs, reports):
+        name = base = f"{config.task.lower()}/{config.strategy}"
         serial = 2
         while name in columns:
             name = f"{base}#{serial}"
@@ -840,8 +835,8 @@ def cmd_report(run_dirs, out) -> dict:
         cells = columns.setdefault(name, {})
         for label, stat in sorted(report["summary"]["per_group"].items()):
             course, variable, subgroup = label.split("|")
-            rows.append([course, variable, subgroup, cfg["task"],
-                         cfg["strategy"], stat["mean"], stat["std"],
+            rows.append([course, variable, subgroup, config.task,
+                         config.strategy, stat["mean"], stat["std"],
                          stat["n_runs"]])
             cells[label] = stat
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[4]))
@@ -865,11 +860,10 @@ def cmd_report(run_dirs, out) -> dict:
                 cells.append(f"{stat['mean']:.4f} ({stat['std']:.4f})")
         lines.append("| " + label + " | " + " | ".join(cells) + " |")
 
-    ds, _, _ = _trained_dataset(reports[0])
-    variables = sorted({r["config"]["demographic"] for r in reports
-                       if r["config"]["demographic"]})
-    include = {v: any(r["config"]["include_unspecified"] for r in reports
-                      if r["config"]["demographic"] == v) for v in variables}
+    ds, _, _ = _trained_dataset(configs[0], reports[0])
+    variables = sorted({c.demographic for c in configs if c.demographic})
+    include = {v: any(c.include_unspecified for c in configs
+                      if c.demographic == v) for v in variables}
     heatmap_files = []
     for variable in variables:
         groups = group_by_demographic(ds, variable, include[variable])

@@ -115,6 +115,8 @@ class GenConfig:
             raise ConfigError("shared_videos must be within videos_per_course")
         if self.students_per_course < 1 or self.videos_per_course < 1:
             raise ConfigError("students and videos per course must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
 
 
 @dataclass

@@ -35,6 +35,7 @@ from hierfed.runner import (
 from hierfed.synth.archetypes import GenConfig
 from hierfed.synth.generate import generate, preset
 import reference_sweep
+from test_synthgen import GENERATED_DIGESTS
 
 
 @pytest.fixture(scope="module")
@@ -85,12 +86,21 @@ def test_unsupported_schema_is_rejected():
 
 
 def test_task_is_upcased_and_folds_normalized():
-    cfg = config_from_dict({"task": "kt", "folds": [3, 1, 1]})
+    cfg = config_from_dict({"task": "kt", "folds": [3, 1]})
     assert cfg.task == "KT"
     assert cfg.folds == (1, 3)
+    # a repeat was dropped silently; it is refused as it is when made directly
+    with pytest.raises(ConfigError, match=r"folds must be distinct, got \[3, 1, 1\]"):
+        config_from_dict({"folds": [3, 1, 1]})
     for folds in ("abc", [0.5], [1.0], ["1"], [True]):
-        with pytest.raises(ConfigError, match="folds must be a list of integers"):
+        with pytest.raises(ConfigError,
+                           match="folds must be a list, each item an integer"):
             config_from_dict({"folds": folds})
+    # order carries no meaning: one set of folds is one config and one hash
+    made = ExperimentConfig(folds=[1, 0])
+    assert made == ExperimentConfig(folds=(1, 0)) == ExperimentConfig(folds=(0, 1))
+    assert made.folds == (0, 1)
+    assert config_hash(made) == config_hash(ExperimentConfig(folds=(0, 1)))
 
 
 def test_config_hash_tracks_content(data_dir):
@@ -126,8 +136,10 @@ def test_config_hash_tracks_content(data_dir):
     ({"dataset": 5}, "dataset must be a string"),
     ({"task": ["KT"]}, "task must be a string"),
     ({"include_unspecified": "no"}, "include_unspecified must be true or false"),
-    ({"folds": (0.5,)}, "folds must be within"),
+    ({"folds": (0.5,)}, "folds must be a list, each item an integer"),
     ({"folds": (0, 0)}, "folds must be distinct"),  # trained fold 0 twice
+    ({"folds": 5}, "folds must be a list, each item an integer"),  # TypeError
+    ({"folds": None}, "folds must be a list, each item an integer"),  # TypeError
 ])
 def test_validation_rejects_bad_experiments(data_dir, kw, msg):
     with pytest.raises(ConfigError, match=msg):
@@ -505,7 +517,8 @@ def test_cli_rejects_bad_hyperparameters_with_exit_two(tmp_path, data_dir,
              ("train", "eta", float("nan")), ("train", "eta", float("inf")),
              ("train", "clip", float("nan")), ("train", "seed", 1.5),
              ("train", "folds", [0.5]), ("train", "include_unspecified", "no"),
-             ("grid", "grid", {"rounds": [1.5]})]
+             ("grid", "grid", {"rounds": [1.5]}),
+             ("train", "folds", [3, 1, 1])]  # trained folds 1 and 3, exit 0
     for i, (command, field, value) in enumerate(cases):
         doc = {**config_snapshot(small_config(data_dir)), field: value}
         cfg_path = tmp_path / f"{i}.json"
@@ -933,16 +946,51 @@ def test_cli_evaluate_exits_two_naming_a_bad_config_field(
     assert capsys.readouterr().err.startswith("error: task must be one of")
 
 
-def test_cli_generate_writes_dataset_files(tmp_path, capsys):
+def _seedless_document():
+    doc = dataclasses.asdict(preset("balanced-small"))
+    del doc["seed"]
+    return doc
+
+
+# seed None: the preset's own
+@pytest.mark.parametrize("doc, flags, env, seed", [
+    ({"preset": "balanced-small"}, [], None, None),
+    ({"preset": "balanced-small", "seed": 7}, [], None, 7),
+    ({"preset": "balanced-small"}, ["--seed", "7"], None, 7),
+    ({"preset": "balanced-small", "seed": 3}, [], "7", 7),
+    ({**_seedless_document(), "seed": 7}, [], None, 7),
+    # a seed completes a generation document as it does an experiment
+    # document; these exited 2 with "missing 1 required positional argument"
+    (_seedless_document(), ["--seed", "7"], None, 7),
+    (_seedless_document(), [], "7", 7),
+], ids=["preset", "preset-seed", "preset-flag", "preset-env", "full",
+        "seedless-flag", "seedless-env"])
+def test_cli_generate_writes_dataset_files(tmp_path, monkeypatch, capsys,
+                                           doc, flags, env, seed):
+    if env is not None:
+        monkeypatch.setenv("HIERFED_SEED", env)
     cfg_path = tmp_path / "gen.json"
-    cfg_path.write_text(json.dumps({"preset": "balanced-small"}))
+    cfg_path.write_text(json.dumps(doc))
     out = tmp_path / "data"
-    rc = main(["generate", "--config", str(cfg_path), "--out", str(out)])
+    rc = main(["generate", "--config", str(cfg_path), "--out", str(out)] + flags)
     assert rc == 0
     doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert doc["students"] == 60
-    for name in ("students.csv", "events.csv", "manifest.json"):
-        assert (out / name).is_file()
+    got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("events.csv", "students.csv", "manifest.json"))
+    assert got == GENERATED_DIGESTS[("balanced-small", seed)]
+
+
+def test_cli_generate_exits_two_naming_a_missing_seed(tmp_path, monkeypatch,
+                                                      capsys):
+    monkeypatch.delenv("HIERFED_SEED", raising=False)
+    cfg_path = tmp_path / "gen.json"
+    cfg_path.write_text(json.dumps(_seedless_document()))
+    out = tmp_path / "data"
+    assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: missing generation config fields: seed\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field, doc", [
@@ -1103,6 +1151,53 @@ def test_cli_exits_two_naming_an_out_that_is_not_a_directory(
     assert capsys.readouterr().err.startswith(
         f"error: {out}: cannot use as output directory (")
     assert blocker.read_text() == "kept"
+
+
+# train and grid wrote report.json, checkpoints and timing.json, or grid.json
+# and grid.csv, into the working directory and exited 0
+@pytest.mark.parametrize("command", ["train", "grid", "generate", "evaluate",
+                                     "export-embeddings", "report"])
+def test_cli_exits_two_on_an_empty_out(tmp_path_factory, tmp_path, data_dir,
+                                       trained_dir, monkeypatch, capsys,
+                                       command):
+    _refuse_training(monkeypatch)
+    inputs = tmp_path_factory.mktemp("inputs")
+    gen = inputs / "gen.json"
+    gen.write_text(json.dumps({"preset": "balanced-small"}))
+    cfg = inputs / "cfg.json"
+    fields = {"grid": dict(grid={"eta": [0.1, 0.2]}),
+              "export-embeddings": dict(task="OP")}.get(command, {})
+    cfg.write_text(json.dumps(config_snapshot(small_config(data_dir, **fields))))
+    argv = {"generate": ["generate", "--config", str(gen)],
+            "evaluate": ["evaluate"],
+            "report": ["report", str(trained_dir)]}.get(
+                command, [command, "--config", str(cfg)])
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", ""]) == 2
+    message = ("output directory must be a non-empty path"
+               if command in ("train", "grid") else f"{command} needs --out")
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_library_commands_refuse_an_empty_out(tmp_path, data_dir, trained_dir,
+                                              monkeypatch):
+    # evaluate read and wrote in the working directory, export-embeddings
+    # trained into it
+    _refuse_training(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    calls = [lambda: cmd_train(small_config(data_dir), out=""),
+             lambda: cmd_grid(small_config(data_dir, grid={"eta": [0.1]}),
+                              out=""),
+             lambda: cmd_evaluate(""),
+             lambda: cmd_export_embeddings(small_config(data_dir, task="OP"), ""),
+             lambda: runner.cmd_generate(preset("balanced-small"), ""),
+             lambda: cmd_report([trained_dir], "")]
+    for call in calls:
+        with pytest.raises(ConfigError,
+                           match="^output directory must be a non-empty path$"):
+            call()
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("workers", [0, -2])

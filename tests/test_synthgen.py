@@ -53,6 +53,9 @@ def test_config_validation():
     # a repeated course merged its walks into the first course's students
     with pytest.raises(ConfigError, match="courses must be distinct"):
         GenConfig(**{**good.__dict__, "courses": ("c0", "c0")})
+    # the experiment config's seed rule: generate with seed -1 exited 0
+    with pytest.raises(ConfigError, match="^seed must be nonnegative$"):
+        GenConfig(**{**good.__dict__, "seed": -1})
     # probabilities outside [0, 1]; shares of 1.5 and -0.5 sum to one
     for field, value in (("subgroup_shares", (1.5, -0.5)),
                          ("label_noise", 7.0), ("label_noise", -0.1),
@@ -225,6 +228,10 @@ GENERATED_DIGESTS = {
         "3bd966d57915f8dfe83d6058a5e33a4a1ef2c01d9e84d6096c70581ec898e7bc",
         "cf7863302cf2c637140568b52f1a3490129763159f951de51a990469dc26f58c",
         "09f1e266ada0449bacca5b0cb430fa079f9434e78d3dfe66ef6884e42b957f0b"),
+    ("balanced-small", 7): (  # what hierfed generate writes given seed 7
+        "93fdf5118c27ea76d8fd867423e41511c5198953de7b9e2dc4cbe28b75bf2509",
+        "b6e1e1bc0682de6d9c5b499a554e3fce326f0a9fa68a13de52d922eaf2c4480d",
+        "d0e4112eafe48e59095d62e99fce2e5ec1711fe725feeb5dba0e8762e17cfe0b"),
     ("heterogeneous-3course", 1): (  # the benchmark's dataset
         "324950f4bd3628e7f7ecec68e881c5e495d202d7b9a252df461fe76272b60d08",
         "45c24ae00082f28150cd158c900ba6cfbe364358ab24ec68208b6f674307871f",
