@@ -275,9 +275,33 @@ def _eval_where(ctx: RunContext, tag, what: str) -> str:
     return _where(ctx, f"{' '.join(tag)} {what}")
 
 
+def evaluated_models(bundle: TrainedBundle, s: StrategyConfig) -> TrainedBundle:
+    """The part of bundle that adapted_params reads under s, which is all a
+    checkpoint keeps:
+
+    - local and FedIRT runs: each scored group's own model, keyed at the
+      scenario's granularity (scenario II course aggregates are not read);
+    - G and P runs: the global, plus the course models under G-M.
+
+    A G or P bundle without a global raises ValueError naming it.
+    """
+    if s.architecture == "L" or s.aggregation == "IRT":
+        return TrainedBundle(models={
+            key: ps for key, ps in bundle.models.items()
+            if key.is_course_level == (s.scenario == "sc1")})
+    if bundle.global_params is None:
+        raise ValueError(f"no 'global' model, which {s.name} runs are "
+                         "scored with")
+    under_m = s.architecture == "G" and s.hierarchy == "M"
+    return TrainedBundle(global_params=bundle.global_params, models={
+        key: ps for key, ps in bundle.models.items()
+        if under_m and key.is_course_level})
+
+
 def adapted_params(bundle: TrainedBundle, ctx: RunContext,
                    tag=("test",)) -> dict:
-    """The parameters each scored group would be scored with.
+    """The parameters each scored group would be scored with, formed from
+    evaluated_models(bundle) alone.
 
     Local and FedIRT runs score each group with its own stored model; G
     runs with the global, or under M with the group's course model. P runs
@@ -287,6 +311,7 @@ def adapted_params(bundle: TrainedBundle, ctx: RunContext,
     training client. Groups with no usable model map to None.
     """
     s = ctx.strategy
+    bundle = evaluated_models(bundle, s)
     groups = sorted(ctx.scored, key=GroupKey.sort_key)
     if s.architecture == "L" or s.aggregation == "IRT":
         return {key: bundle.models.get(key) for key in groups}

@@ -36,6 +36,7 @@ from .fed.engine import (
     TrainedBundle,
     adapted_params,
     evaluate_adapted,
+    evaluated_models,
     train_strategy,
 )
 from .fed.strategy import StrategyConfig, parse_strategy
@@ -107,8 +108,14 @@ class ExperimentConfig:
             raise ConfigError("hidden_dim must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        # the order of folds carries no meaning, so one set has one config
+        # the order of folds carries no meaning, so one set has one config;
+        # nor does an integer's type where a float is meant, so 1 and 1.0
+        # are one config and one hash
         object.__setattr__(self, "folds", tuple(sorted(self.folds)))
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type.startswith("float") and value is not None:
+                object.__setattr__(self, f.name, float(value))
 
 
 def _is_int(value) -> bool:
@@ -409,7 +416,8 @@ class _Selection:
 
 
 def run_one(config: ExperimentConfig, ds, parts, fold: int, rep: int):
-    """Train one (fold, repetition); returns (result row, checkpoint models)."""
+    """Train one (fold, repetition); returns (result row, checkpoint models):
+    the models of the selected bundle that evaluation reads."""
     ctx, val, test_ctx = _prepare(config, ds, parts, fold, rep)
     tracker = _Selection(val)
     _, train_loss = train_strategy(ctx, callback=tracker.observe)
@@ -423,7 +431,7 @@ def run_one(config: ExperimentConfig, ds, parts, fold: int, rep: int):
         "test_auc": {key.label(): value for key, value in test.items()},
         "train_loss": train_loss,
     }
-    return result, _models_payload(best)
+    return result, _models_payload(evaluated_models(best, ctx.strategy))
 
 
 def _model_name(key: GroupKey) -> str:
@@ -451,10 +459,13 @@ def _check_layers(path, name: str, params: ParamSet, init: ParamSet):
                               f"layer {i} is {g}, expected {w}")
 
 
-def _load_bundle(path, chash: str, init: ParamSet) -> TrainedBundle:
-    """The models of a checkpoint file as a bundle. A checkpoint missing,
-    saved under another config hash than chash, or holding a model whose
-    layers differ from init's raises ConfigError."""
+def _load_bundle(path, chash: str, init: ParamSet,
+                 strategy: StrategyConfig) -> TrainedBundle:
+    """The models of a checkpoint file that evaluation reads under strategy.
+    A checkpoint missing, saved under another config hash than chash,
+    holding a model whose layers differ from init's or a malformed entry,
+    or lacking a model the strategy reads raises ConfigError. Every entry
+    is checked, also one that evaluation does not read."""
     if not Path(path).is_file():
         raise ConfigError(f"missing checkpoint {path}")
     models, saved_hash, _ = load_checkpoint(path)
@@ -474,7 +485,10 @@ def _load_bundle(path, chash: str, init: ParamSet) -> TrainedBundle:
         except ValueError as exc:
             raise ConfigError(f"{path}: malformed checkpoint (model entry "
                               f"{name!r}: {exc})") from None
-    return bundle
+    try:
+        return evaluated_models(bundle, strategy)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: malformed checkpoint ({exc})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +596,7 @@ def _trained_runs(config: ExperimentConfig, report: dict, out_dir: Path,
         _, _, test = _prepare(config, ds, parts, fold, rep)
         yield fold, rep, test, _load_bundle(_checkpoint_path(out_dir, fold, rep),
                                             report["config_hash"],
-                                            test.init_params)
+                                            test.init_params, test.strategy)
 
 
 def _out_dir(out, create: bool = True) -> Path:

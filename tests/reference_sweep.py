@@ -23,8 +23,14 @@ so that neither tree runs stale compiled files:
         python tests/reference_sweep.py --out ../sweep-b > ../b.jsonl 2> ../b.err
     cmp ../a.jsonl ../b.jsonl && cmp ../a.err ../b.err
 
-The file is not a pytest module; tests/test_runner_cli.py checks only its
-config list.
+Where the outputs differ, `--compare` names what moved: for each preset and
+config whose lines differ it prints the name and the fields whose values
+differ, and it prints nothing, exiting 0, when the two files agree:
+
+    python tests/reference_sweep.py --compare ../a.jsonl ../b.jsonl
+
+The file is not a pytest module; tests/test_runner_cli.py checks its
+config list and `--compare`, without training anything.
 """
 
 from __future__ import annotations
@@ -93,12 +99,45 @@ def run(name: str, fields: dict, out_dir: Path) -> dict:
     return line
 
 
+def _lines(path) -> dict:
+    """The sweep's output at path: each line by its preset or config name."""
+    out = {}
+    for text in Path(path).read_text().splitlines():
+        line = json.loads(text)
+        out[line.get("config", line.get("generate"))] = line
+    return out
+
+
+def compare(a, b) -> list:
+    """Each preset or config whose line differs between the sweep outputs
+    a and b, as "name: field ...", in a's order and then b's; a line
+    missing from one file differs in every field."""
+    lines_a, lines_b = _lines(a), _lines(b)
+    out = []
+    for name in {**lines_a, **lines_b}:
+        line_a, line_b = lines_a.get(name, {}), lines_b.get(name, {})
+        fields = sorted(f for f in {**line_a, **line_b}
+                        if line_a.get(f) != line_b.get(f))
+        if fields:
+            out.append(f"{name}: {' '.join(fields)}")
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", required=True, metavar="DIR",
-                        help="directory that receives the generated presets "
-                             "and one run directory per config")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--out", metavar="DIR",
+                      help="directory that receives the generated presets "
+                           "and one run directory per config")
+    mode.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                      help="print the fields that differ between two sweep "
+                           "outputs, per preset and config")
     args = parser.parse_args(argv)
+    if args.compare:
+        differences = compare(*args.compare)
+        for line in differences:
+            print(line)
+        return 1 if differences else 0
     root = Path(args.out)
     for dataset, _ in PRESETS:
         line = generate(dataset, root / "generated" / dataset)

@@ -10,11 +10,13 @@ import shutil
 import numpy as np
 import pytest
 
+import hierfed.fed.engine as engine
 import hierfed.runner as runner
 from hierfed.blas import _openblas_threads
 from hierfed.cli import _experiment_config, build_parser, main
 from hierfed.errors import ConfigError, NumericsError
 from hierfed.fed.checkpoint import load_checkpoint, save_checkpoint
+from hierfed.fed.engine import adapted_params, evaluated_models, train_strategy
 from hierfed.fed.strategy import FORMS
 from hierfed.data.partition import make_folds
 from hierfed.metrics import ACTIVITY_TYPES
@@ -65,6 +67,14 @@ def trained_dir(tmp_path_factory, data_dir):
     return out
 
 
+@pytest.fixture(scope="module")
+def local_dir(tmp_path_factory, data_dir):
+    """A KT sc1-L run: its checkpoint keeps the course model of c0."""
+    out = tmp_path_factory.mktemp("run_local")
+    cmd_train(small_config(data_dir, strategy="sc1-L"), out=out)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Config handling
 # ---------------------------------------------------------------------------
@@ -101,6 +111,26 @@ def test_task_is_upcased_and_folds_normalized():
     assert made == ExperimentConfig(folds=(1, 0)) == ExperimentConfig(folds=(0, 1))
     assert made.folds == (0, 1)
     assert config_hash(made) == config_hash(ExperimentConfig(folds=(0, 1)))
+
+
+def test_an_integer_in_a_float_field_is_the_same_config(tmp_path, data_dir,
+                                                       capsys):
+    for name in ("eta", "beta", "eps", "clip"):
+        whole, real = config_from_dict({name: 1}), config_from_dict({name: 1.0})
+        assert whole == real
+        assert config_hash(whole) == config_hash(real)
+        assert type(getattr(whole, name)) is float
+    # refused as "given config does not match the trained report"
+    doc = config_snapshot(small_config(data_dir))
+    trained, given = tmp_path / "whole.json", tmp_path / "real.json"
+    trained.write_text(json.dumps({**doc, "eta": 1}))
+    given.write_text(json.dumps({**doc, "eta": 1.0}))
+    run = str(tmp_path / "run")
+    assert main(["train", "--config", str(trained), "--out", run]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(given), "--out", run]) == 0
+    line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert line["all_match"] is True
 
 
 def test_config_hash_tracks_content(data_dir):
@@ -260,14 +290,14 @@ def two_course_dir(tmp_path_factory):
 
 
 def _entry_kinds(name: str) -> set:
-    scenario, form = name.split("-", 1)
-    if form == "L":
-        return {"course"} if scenario == "sc1" else {"subgroup"}
-    if form == "G":
-        return {"global"}
-    if scenario == "sc1":
+    """The entries a checkpoint keeps: the models evaluation reads."""
+    if name == "sc1-L":
+        return {"course"}
+    if name in ("sc2-L", "sc2-FedIRT"):
+        return {"subgroup"}
+    if name in ("sc2-G-AV-M", "sc2-G-AT-M"):
         return {"global", "course"}
-    return {"global", "course", "subgroup"}
+    return {"global"}
 
 
 STRATEGIES = [f"{scenario}-{form}" for scenario, forms in FORMS.items()
@@ -282,6 +312,64 @@ def test_every_strategy_trains_and_rescores(tmp_path, two_course_dir, name):
     assert cmd_evaluate(tmp_path)["all_match"] is True
     models, _, _ = load_checkpoint(tmp_path / "checkpoint_f0_r0.json")
     assert {entry.split(":")[0] for entry in models} == _entry_kinds(name)
+
+
+def _every_entry_kind(name: str) -> set:
+    """The entries of a checkpoint that keeps every model of the selected
+    bundle, as checkpoints written before _entry_kinds did."""
+    scenario, form = name.split("-", 1)
+    if form == "L":
+        return {"course"} if scenario == "sc1" else {"subgroup"}
+    if form == "G":
+        return {"global"}
+    if scenario == "sc1":
+        return {"global", "course"}
+    return {"global", "course", "subgroup"}
+
+
+def _train_keeping_every_model(cfg, out, monkeypatch):
+    """Train cfg into out with checkpoints that keep every model."""
+    with monkeypatch.context() as m:
+        m.setattr(runner, "evaluated_models", lambda bundle, s: bundle)
+        cmd_train(cfg, out=out)
+
+
+@pytest.mark.parametrize("name", STRATEGIES)
+def test_a_checkpoint_keeping_every_model_still_rescores(
+        tmp_path, two_course_dir, monkeypatch, name):
+    cfg = small_config(two_course_dir, strategy=name, demographic="gender",
+                       hidden_dim=4, rounds=1, epochs=1, local_iters=1)
+    _train_keeping_every_model(cfg, tmp_path, monkeypatch)
+    models, _, _ = load_checkpoint(tmp_path / "checkpoint_f0_r0.json")
+    assert {entry.split(":")[0] for entry in models} == _every_entry_kind(name)
+    assert cmd_evaluate(tmp_path)["all_match"] is True
+
+
+@pytest.mark.parametrize("name", STRATEGIES)
+def test_adapted_params_are_the_same_from_what_a_checkpoint_keeps(
+        tmp_path, two_course_dir, monkeypatch, name):
+    cfg = small_config(two_course_dir, strategy=name, demographic="gender",
+                       hidden_dim=4, rounds=1, epochs=1, local_iters=1)
+    ds, parts, _ = runner._dataset(cfg)
+    ctx, _, test = runner._prepare(cfg, ds, parts, 0, 0)
+    full, _ = train_strategy(ctx)
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, runner._models_payload(
+        evaluated_models(full, ctx.strategy)), "h")
+    kept = runner._load_bundle(path, "h", test.init_params, test.strategy)
+    got = adapted_params(kept, test)
+    with monkeypatch.context() as m:    # adapted_params reading all of full
+        m.setattr(engine, "evaluated_models", lambda bundle, s: bundle)
+        want = adapted_params(full, test)
+    assert list(got) == list(want)
+    assert any(params is not None for params in want.values())
+    for key, params in want.items():
+        if params is None:
+            assert got[key] is None, key
+        else:
+            assert got[key].names() == params.names(), key
+            assert all(np.array_equal(got[key][layer], arr)
+                       for layer, arr in params), key
 
 
 # sha256 of report.json trained on folds (0, 1) with 2 repetitions; the
@@ -334,6 +422,24 @@ def test_reference_sweep_lists_every_strategy_task_and_preset():
         assert config.demographic == presets[config.dataset]
         assert (config.folds, config.repetitions, config.rounds, config.epochs,
                 config.local_iters, config.seed) == ((0,), 1, 2, 2, 2, 3)
+
+
+def test_reference_sweep_compare_names_the_fields_that_moved(tmp_path, capsys):
+    lines = [{"generate": "balanced-small", "events.csv": "e1"},
+             {"config": "a/KT/sc1-L", "report": "r1", "checkpoint": "c1",
+              "all_match": True},
+             {"config": "a/KT/sc1-G", "report": "r2", "checkpoint": "c2",
+              "all_match": True}]
+    moved = [lines[0], {**lines[1], "checkpoint": "c9", "all_match": False}]
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    a.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    b.write_text("".join(json.dumps(line) + "\n" for line in moved))
+    assert reference_sweep.main(["--compare", str(a), str(a)]) == 0
+    assert capsys.readouterr().out == ""
+    assert reference_sweep.main(["--compare", str(a), str(b)]) == 1
+    assert capsys.readouterr().out == (
+        "a/KT/sc1-L: all_match checkpoint\n"
+        "a/KT/sc1-G: all_match checkpoint config report\n")
 
 
 def test_grid_search_ranks_cells_by_validation_auc(tmp_path, data_dir):
@@ -646,9 +752,12 @@ def _kind_contradicts_label(path):
                                      _wrong_shape, _unknown_variable,
                                      _kind_contradicts_label])
 def test_cli_evaluate_exits_two_naming_a_malformed_checkpoint(
-        tmp_path, trained_dir, capsys, corrupt):
+        tmp_path, request, capsys, corrupt):
+    # the edits of the course entry need a run whose checkpoint keeps one
+    course_edits = (_unknown_variable, _kind_contradicts_label)
     run = tmp_path / "run"
-    shutil.copytree(trained_dir, run)
+    shutil.copytree(request.getfixturevalue(
+        "local_dir" if corrupt in course_edits else "trained_dir"), run)
     path = run / "checkpoint_f0_r0.json"
     corrupt(path)
     rc = main(["evaluate", "--out", str(run)])
@@ -795,15 +904,23 @@ def test_cli_export_embeddings_refuses_a_run_of_another_config(
 
 
 @pytest.fixture(scope="module")
-def op_sc2_run(tmp_path_factory, data_dir):
-    """The config file of an OP sc2-G-AV-T run and the run: its checkpoint
-    holds a global, a course and two subgroup models."""
-    root = tmp_path_factory.mktemp("op_sc2")
-    cfg = root / "op.json"
-    cfg.write_text(json.dumps(config_snapshot(small_config(
-        data_dir, task="OP", strategy="sc2-G-AV-T", demographic="gender"))))
-    assert main(["train", "--config", str(cfg), "--out", str(root / "run")]) == 0
-    return cfg, root / "run"
+def op_sc2_runs(tmp_path_factory, data_dir):
+    """strategy -> the config file of an OP scenario II run and the run,
+    each trained once. An sc2-G-AV-T or sc2-P-AT-B checkpoint holds the
+    global model, an sc2-L one the two subgroup models."""
+    runs = {}
+
+    def run_of(strategy):
+        if strategy not in runs:
+            root = tmp_path_factory.mktemp("op_sc2")
+            cfg = root / "op.json"
+            cfg.write_text(json.dumps(config_snapshot(small_config(
+                data_dir, task="OP", strategy=strategy, demographic="gender"))))
+            assert main(["train", "--config", str(cfg),
+                         "--out", str(root / "run")]) == 0
+            runs[strategy] = cfg, root / "run"
+        return runs[strategy]
+    return run_of
 
 
 def _narrow_att_w(layers):
@@ -833,8 +950,8 @@ def _swap_the_first_two(layers):
 @pytest.mark.parametrize("model", ["global", "subgroup:"])
 @pytest.mark.parametrize("command", ["evaluate", "export-embeddings"])
 def test_cli_exits_two_naming_a_checkpoint_model_that_does_not_fit(
-        tmp_path, op_sc2_run, capsys, command, model, edit, detail):
-    cfg, trained = op_sc2_run
+        tmp_path, op_sc2_runs, capsys, command, model, edit, detail):
+    cfg, trained = op_sc2_runs("sc2-G-AV-T" if model == "global" else "sc2-L")
     run = tmp_path / "run"
     shutil.copytree(trained, run)
     path = run / "checkpoint_f0_r0.json"
@@ -854,6 +971,65 @@ def test_cli_exits_two_naming_a_checkpoint_model_that_does_not_fit(
     assert err.startswith(f"error: {path}: model {name!r} does not fit the "
                           f"config: {detail}"), err
     assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
+# without the global, evaluate died with a TypeError (P) or exited 0 with
+# all_match false (G), and export-embeddings exited 0
+@pytest.mark.parametrize("strategy", ["sc2-G-AV-T", "sc2-P-AT-B"])
+@pytest.mark.parametrize("command", ["evaluate", "export-embeddings"])
+def test_cli_exits_two_naming_a_missing_global_model(
+        tmp_path, op_sc2_runs, capsys, command, strategy):
+    cfg, trained = op_sc2_runs(strategy)
+    run = tmp_path / "run"
+    shutil.copytree(trained, run)
+    path = run / "checkpoint_f0_r0.json"
+    models, chash, extra = load_checkpoint(path)
+    del models["global"]
+    save_checkpoint(path, models, chash, extra=extra)
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    capsys.readouterr()
+    argv = {"evaluate": ["evaluate", "--out", str(run)],
+            "export-embeddings": ["export-embeddings", "--config", str(cfg),
+                                  "--out", str(run)]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: malformed checkpoint (no 'global' "
+                          f"model, which {strategy} runs are scored with)"), err
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
+def _misname_a_subgroup(models):
+    name = next(n for n in sorted(models) if n.startswith("subgroup:"))
+    models["subgroup:c0|weird|x"] = models.pop(name)
+    return "malformed checkpoint (model entry 'subgroup:c0|weird|x': "
+
+
+def _narrow_a_subgroup(models):
+    name = next(n for n in sorted(models) if n.startswith("subgroup:"))
+    layers = dict(models[name])
+    _narrow_att_w(layers)
+    models[name] = ParamSet(layers)
+    return f"model {name!r} does not fit the config: layer 4 is att.W (6, 5)"
+
+
+@pytest.mark.parametrize("edit", [_misname_a_subgroup, _narrow_a_subgroup],
+                         ids=["misnamed", "does-not-fit"])
+def test_cli_evaluate_checks_the_entries_it_does_not_read(
+        tmp_path, data_dir, monkeypatch, capsys, edit):
+    # a checkpoint that keeps every model, as older ones do: evaluation of
+    # sc2-G-AV-T reads only the global, yet a bad subgroup entry exits 2
+    run = tmp_path / "run"
+    _train_keeping_every_model(small_config(
+        data_dir, task="OP", strategy="sc2-G-AV-T", demographic="gender"),
+        run, monkeypatch)
+    path = run / "checkpoint_f0_r0.json"
+    models, chash, extra = load_checkpoint(path)
+    message = edit(models)
+    save_checkpoint(path, models, chash, extra=extra)
+    capsys.readouterr()
+    assert main(["evaluate", "--out", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {message}"), err
 
 
 def test_generated_directory_trains_like_the_in_memory_preset(tmp_path, capsys):
