@@ -27,8 +27,8 @@ def build_sequences(dataset: Dataset, task: Task, vocab: Vocab,
                     max_len: int = MAX_SEQ_LEN) -> dict:
     """Encode every student once for one task: {student_id: (x, target)}.
 
-    The task's encode rule writes the fold's one-hot rows in one matrix and
-    each student's x is a row slice of it; students with no usable steps
+    The task's encode rule writes the fold's one-hot rows in blocks and
+    each student's x is a row slice of one; students with no usable steps
     for the task are skipped (count logged). Sequences longer than max_len
     keep their first max_len steps. Every client of a fold selects its
     students from this one mapping, so a student's arrays are shared, not

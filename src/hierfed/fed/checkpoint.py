@@ -9,14 +9,13 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ConfigError, NumericsError
-from ..nn.params import ParamSet
 
 
-def _encode_params(params: ParamSet) -> list:
-    # a list, not a mapping: layer order is part of the ParamSet contract
+def _encode_params(params: dict) -> list:
+    # a list, not a mapping: layer order is part of the parameters' contract
     # and JSON key sorting must not disturb it
     out = []
-    for name, arr in params:
+    for name, arr in params.items():
         little = np.ascontiguousarray(arr, dtype="<f8")
         out.append({
             "name": name,
@@ -26,7 +25,7 @@ def _encode_params(params: ParamSet) -> list:
     return out
 
 
-def _decode_params(entries: list, path, key: str) -> ParamSet:
+def _decode_params(entries: list, path, key: str) -> dict:
     out = {}
     for entry in entries:
         name = entry["name"]
@@ -37,11 +36,11 @@ def _decode_params(entries: list, path, key: str) -> ParamSet:
             raise NumericsError(f"{path}: model {key!r} layer {name!r} "
                                 "contains non-finite values")
         out[name] = arr
-    return ParamSet(out)
+    return out
 
 
 def save_checkpoint(path, models: dict, config_hash: str, extra: dict | None = None):
-    """Write {model key: ParamSet} plus the config hash as stable JSON."""
+    """Write {model key: parameters} plus the config hash as stable JSON."""
     doc = {
         "config_hash": config_hash,
         "models": {key: _encode_params(p) for key, p in sorted(models.items())},

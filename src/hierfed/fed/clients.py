@@ -17,7 +17,7 @@ import numpy as np
 from ..errors import NumericsError
 from ..models.encoding import pad_batch
 from ..models.task import Task
-from ..nn.params import ParamSet, axpy_params, clip_grad_norm
+from ..nn.params import axpy_params, clip_grad_norm
 
 
 @dataclass
@@ -48,14 +48,14 @@ class ClientData:
         return x, lengths, self.task.stack_targets([e[1] for e in entries],
                                                    x.shape[1])
 
-    def loss_grad(self, ids, params: ParamSet):
+    def loss_grad(self, ids, params: dict):
         x, lengths, targets = self.batch(ids)
         loss, grads = self.task.loss_grad(x, lengths, targets, params)
         if not np.isfinite(loss):
             raise NumericsError(f"non-finite loss on batch of {len(ids)} students")
         return loss, grads
 
-    def predict(self, params: ParamSet):
+    def predict(self, params: dict):
         """(scores, labels) over every student of the client."""
         x, lengths, targets = self.batch(self.ids)
         return self.task.predict(x, lengths, targets, params)
@@ -76,8 +76,7 @@ def build_client_data(task: Task, encoded: dict, ids) -> ClientData:
     return data
 
 
-def _apply_grad(params: ParamSet, grads: ParamSet, step: float,
-                clip: float) -> ParamSet:
+def _apply_grad(params: dict, grads: dict, step: float, clip: float) -> dict:
     return axpy_params(-step, clip_grad_norm(grads, clip), params)
 
 
@@ -111,7 +110,7 @@ def meta_batches(data: ClientData, batch_size: int, rng):
     return d, d_prime
 
 
-def meta_update(data: ClientData, params: ParamSet, batches, eta: float,
+def meta_update(data: ClientData, params: dict, batches, eta: float,
                 beta: float, clip: float):
     """One first-order meta-gradient update of params on the client's
     (D, D') pair of student-id batches (see meta_batches), and its loss on D':
@@ -130,7 +129,7 @@ def meta_update(data: ClientData, params: ParamSet, batches, eta: float,
     return _apply_grad(params, grads, eta, clip), loss
 
 
-def apply_updates(data: ClientData, params: ParamSet, pairs, eta: float,
+def apply_updates(data: ClientData, params: dict, pairs, eta: float,
                   beta: float, clip: float):
     """params after one meta_update per (D, D') pair, in order, and each
     update's loss. Plain SGD is beta = 0 over the pairs (B, B) of

@@ -34,11 +34,12 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..data.sampling import stratified_batch
 from ..errors import NumericsError
 from ..keys import GroupKey
 from ..metrics import auc
-from ..nn.params import ParamSet
 from ..seeding import substream
 from .aggregate import aggregate_attention, aggregate_average
 from .clients import ClientData, apply_updates, epoch_batches, meta_batches
@@ -56,7 +57,7 @@ class TrainedBundle:
     parameters; key.is_course_level tells the two levels apart. The global
     model, for strategies that have one, is kept apart.
     """
-    global_params: ParamSet | None = None
+    global_params: dict | None = None
     models: dict = field(default_factory=dict)   # GroupKey -> params
 
 
@@ -73,7 +74,7 @@ class RunContext:
     master_seed: int
     rep: int
     fold: int
-    init_params: ParamSet | None = None
+    init_params: dict | None = None
     clients: dict = field(default_factory=dict)       # GroupKey -> ClientData
     course_pools: dict = field(default_factory=dict)  # course id -> ClientData
     irt_responses: dict = field(default_factory=dict) # GroupKey -> triplets
@@ -90,14 +91,14 @@ def _where(ctx: RunContext, what: str) -> str:
     return f"fold {ctx.fold}, rep {ctx.rep}, {what}"
 
 
-def _check_finite(params: ParamSet, where: str):
-    bad = params.first_nonfinite_layer()
-    if bad is not None:
-        raise NumericsError(f"{where}: non-finite parameters in layer {bad!r}")
+def _check_finite(params: dict, where: str):
+    for name, arr in params.items():
+        if not np.all(np.isfinite(arr)):
+            raise NumericsError(f"{where}: non-finite parameters in layer {name!r}")
 
 
 def _located(where: str, s: StrategyConfig, data: ClientData,
-             params: ParamSet, pairs, beta: float):
+             params: dict, pairs, beta: float):
     """apply_updates at the strategy's eta and clip, with a numerical failure
     inside it or a non-finite result reported at where."""
     try:
@@ -123,7 +124,7 @@ def _sgd_pairs(data: ClientData, s: StrategyConfig, rng, n_steps: int) -> list:
     return [(b, b) for b in epoch_batches(data, s.batch_size, rng, n_steps)]
 
 
-def _update_client(ctx: RunContext, key: GroupKey, start: ParamSet,
+def _update_client(ctx: RunContext, key: GroupKey, start: dict,
                    round_idx: int):
     s = ctx.strategy
     data = ctx.clients[key]
@@ -144,8 +145,8 @@ def _size_weights(data: dict) -> dict:
     return {key: d.size / total for key, d in data.items()}
 
 
-def _aggregate(server: ParamSet, models: dict, s: StrategyConfig,
-               weights: dict) -> ParamSet:
+def _aggregate(server: dict, models: dict, s: StrategyConfig,
+               weights: dict) -> dict:
     if s.aggregation == "AT":
         return aggregate_attention(server, models, s.eps, s.attention_mode)
     return aggregate_average(models, weights)
@@ -160,7 +161,7 @@ def _courses(ctx: RunContext) -> dict:
     return out
 
 
-def _course_adapt(ctx: RunContext, course: str, strata: dict, theta_g: ParamSet,
+def _course_adapt(ctx: RunContext, course: str, strata: dict, theta_g: dict,
                   round_idx: int):
     """One plain gradient step on a stratified cross-subgroup batch."""
     s = ctx.strategy

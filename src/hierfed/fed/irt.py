@@ -7,7 +7,6 @@ import logging
 import numpy as np
 
 from ..keys import GroupKey
-from ..nn.params import ParamSet
 
 logger = logging.getLogger(__name__)
 
@@ -105,7 +104,7 @@ def irt_confidence(subgroup_responses: dict) -> dict:
     return {key: val / total for key, val in raw.items()}
 
 
-def irt_interpolate(local_prev: ParamSet, global_params: ParamSet) -> ParamSet:
+def irt_interpolate(local_prev: dict, global_params: dict) -> dict:
     """Convex blend of previous local and fresh global parameters.
 
     The blend weight is the cosine similarity of the flattened parameter
@@ -113,8 +112,8 @@ def irt_interpolate(local_prev: ParamSet, global_params: ParamSet) -> ParamSet:
     global). Written as global + lam*(local - global) so identical inputs
     pass through bitwise.
     """
-    x = local_prev.flat()
-    y = global_params.flat()
+    x = np.concatenate([a.ravel() for a in local_prev.values()])
+    y = np.concatenate([a.ravel() for a in global_params.values()])
     nx = float(np.linalg.norm(x))
     ny = float(np.linalg.norm(y))
     if nx == 0.0 or ny == 0.0:
@@ -124,7 +123,7 @@ def irt_interpolate(local_prev: ParamSet, global_params: ParamSet) -> ParamSet:
         lam = float(np.dot(x, y) / (nx * ny))
         lam = min(1.0, max(0.0, lam))
     out = {}
-    for name, g_arr in global_params:
+    for name, g_arr in global_params.items():
         l_arr = local_prev[name]
         out[name] = g_arr + lam * (l_arr - g_arr)
-    return ParamSet(out)
+    return out

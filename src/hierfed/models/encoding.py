@@ -8,8 +8,8 @@ response blocks zero).
 
 Each encoder reads a dataset's event table: it maps the table's course and
 video codes to vocabulary columns, writes the one-hot rows of every
-student in one matrix with one fancy-index assignment, and gives each
-student a row slice of it.
+student into blocks of about 1 MiB, one index assignment per block and
+one-hot column group, and gives each student a row slice of its block.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from ..data.records import FORUM_ACTIONS
 
 N_RESPONSE_SLOTS = 2
 N_FORUM_SLOTS = len(FORUM_ACTIONS)
+_BLOCK_BYTES = 1 << 20
 
 
 class Vocab:
@@ -89,10 +90,37 @@ def _first_steps(dataset, rows, max_len: int):
     return rows[keep], pos[keep], np.minimum(counts, max_len)
 
 
-def _one_hots(n_rows: int, width: int, rows, cols):
-    x = np.zeros((n_rows, width))
-    x[rows, cols] = 1.0
-    return x
+def _one_hots(counts, width: int, pieces) -> list:
+    """Each student's (count, width) float64 row slice of the students'
+    stacked one-hot rows. pieces are (rows, cols) pairs, rows ascending
+    within each: the stack is one at every (row, col) and zero elsewhere.
+
+    The stack is written in blocks of about _BLOCK_BYTES, each student's
+    rows in one block. As one matrix it would be one large heap block per
+    fold (10 MB on the heterogeneous preset): freed and requested again, its
+    hole is now and then split by a smaller request, and the next fold's
+    matrix then grows the heap, so peak memory would differ from run to run.
+    """
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    rows_per_block = max(1, _BLOCK_BYTES // (8 * width))
+    first = np.flatnonzero(np.diff(starts // rows_per_block, prepend=-1))
+    bounds = np.append(starts[first], ends[-1:])
+    # flat indices ascend with the rows, so each block's are one range
+    flats = [rows * width + cols for rows, cols in pieces]
+    cuts = [np.searchsorted(flat, bounds * width).tolist() for flat in flats]
+    members = np.append(first, len(counts)).tolist()
+    bounds, starts, ends = bounds.tolist(), starts.tolist(), ends.tolist()
+    out = []
+    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        block = np.zeros((hi - lo) * width)
+        for flat, cut in zip(flats, cuts):
+            block[flat[cut[k]:cut[k + 1]] - lo * width] = 1.0
+        block = block.reshape(hi - lo, width)
+        out += [block[s - lo:e - lo]
+                for s, e in zip(starts[members[k]:members[k + 1]],
+                                ends[members[k]:members[k + 1]])]
+    return out
 
 
 def encode_kt(dataset, vocab: Vocab, max_len: int) -> dict:
@@ -111,14 +139,14 @@ def encode_kt(dataset, vocab: Vocab, max_len: int) -> dict:
     items = quiz[pos < np.repeat(lengths - 1, lengths)]  # all but the last
     targets = table.response[quiz[pos > 0]]
     step = np.arange(items.size)
-    x = _one_hots(items.size, vocab.kt_input_dim, np.concatenate((step, step)),
-                  np.concatenate((course_slot[table.course[items]],
-                                  vocab.n_courses + video_slot[table.video[items]])))
     n_items = np.maximum(lengths - 1, 0)
+    xs = _one_hots(n_items, vocab.kt_input_dim,
+                   ((step, course_slot[table.course[items]]),
+                    (step, vocab.n_courses + video_slot[table.video[items]])))
     ends = np.cumsum(n_items).tolist()
-    return {sid: (x[end - n:end], targets[end - n:end])
-            for sid, end, n, length in zip(dataset.student_ids, ends,
-                                           n_items.tolist(), lengths.tolist())
+    return {sid: (x, targets[end - n:end])
+            for sid, x, end, n, length in zip(dataset.student_ids, xs, ends,
+                                              n_items.tolist(), lengths.tolist())
             if length}
 
 
@@ -138,17 +166,14 @@ def encode_op(dataset, vocab: Vocab, max_len: int) -> dict:
     answered = table.response[rows] >= 0
     video = vocab.n_courses
     response = vocab.kt_input_dim
-    x = _one_hots(rows.size, vocab.op_input_dim,
-                  np.concatenate((step, step[~forum], step[answered], step[forum])),
-                  np.concatenate((course_slot[table.course[rows]],
-                                  video + video_slot[table.video[rows[~forum]]],
-                                  response + table.response[rows[answered]],
-                                  response + N_RESPONSE_SLOTS
-                                  + table.action[rows[forum]])))
-    ends = np.cumsum(lengths).tolist()
-    return {sid: (x[end - n:end], int(dataset.students[sid].outcome))
-            for sid, end, n in zip(dataset.student_ids, ends, lengths.tolist())
-            if n}
+    xs = _one_hots(lengths, vocab.op_input_dim,
+                   ((step, course_slot[table.course[rows]]),
+                    (step[~forum], video + video_slot[table.video[rows[~forum]]]),
+                    (step[answered], response + table.response[rows[answered]]),
+                    (step[forum], response + N_RESPONSE_SLOTS
+                     + table.action[rows[forum]])))
+    return {sid: (x, int(dataset.students[sid].outcome))
+            for sid, x in zip(dataset.student_ids, xs) if len(x)}
 
 
 def pad_batch(arrays):

@@ -11,23 +11,22 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn.layers import PROB_CLAMP, head_probs, lstm_backward, lstm_forward
-from ..nn.params import ParamSet
 
 
-def kt_init(vocab, hidden_dim: int, rng: np.random.Generator) -> ParamSet:
+def kt_init(vocab, hidden_dim: int, rng: np.random.Generator) -> dict:
     """Uniform(-1/sqrt(fan_in)) weights, zero biases."""
     d, k = vocab.kt_input_dim, hidden_dim
     s_in = 1.0 / np.sqrt(d + k)
     s_out = 1.0 / np.sqrt(k)
-    return ParamSet({
+    return {
         "lstm.W": rng.uniform(-s_in, s_in, (d + k, 4 * k)),
         "lstm.b": np.zeros(4 * k),
         "out.W": rng.uniform(-s_out, s_out, (k, 2)),
         "out.b": np.zeros(2),
-    })
+    }
 
 
-def _forward(x, lengths, params: ParamSet):
+def _forward(x, lengths, params: dict):
     """The valid-step mask (B, T) of an encoded padded batch, the hidden
     states (n, k) and class probabilities (n, 2) of its n valid steps in
     batch-major, step-minor order, and the LSTM cache."""
@@ -37,7 +36,7 @@ def _forward(x, lengths, params: ParamSet):
     return valid, h, head_probs(h, params["out.W"], params["out.b"]), cache
 
 
-def kt_loss_grad(x, lengths, targets, params: ParamSet):
+def kt_loss_grad(x, lengths, targets, params: dict):
     """Loss and gradient on an encoded padded batch.
 
     x: (B, T, D); lengths: scored steps per student; targets: (B, T) int
@@ -61,14 +60,11 @@ def kt_loss_grad(x, lengths, targets, params: ParamSet):
     dh_seq[valid] = dlogits @ params["out.W"].T
     g_lstm = lstm_backward(dh_seq, cache, params)
 
-    grads = ParamSet({
-        "lstm.W": g_lstm["lstm.W"], "lstm.b": g_lstm["lstm.b"],
-        "out.W": h.T @ dlogits, "out.b": dlogits.sum(axis=0),
-    })
-    return loss, grads
+    return loss, {**g_lstm, "out.W": h.T @ dlogits,
+                  "out.b": dlogits.sum(axis=0)}
 
 
-def kt_predict(x, lengths, targets, params: ParamSet):
+def kt_predict(x, lengths, targets, params: dict):
     """Scores and labels for AUC: P(correct) per valid step, flattened.
 
     Returns (scores, labels) in batch-major, step-minor order.

@@ -33,8 +33,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .params import ParamSet
-
 PROB_CLAMP = 1e-7
 
 
@@ -107,7 +105,7 @@ class _Packing:
 # LSTM
 # ---------------------------------------------------------------------------
 
-def lstm_forward(x, lengths, params: ParamSet):
+def lstm_forward(x, lengths, params: dict):
     """Run the LSTM over the valid steps of a padded batch from zero state.
 
     x: (B, T, D); lengths: (B,) valid step counts. Returns (h_seq, cache)
@@ -155,7 +153,7 @@ def lstm_forward(x, lengths, params: ParamSet):
     return pk.scatter(hs), cache
 
 
-def lstm_backward(dh_seq, cache, params: ParamSet):
+def lstm_backward(dh_seq, cache, params: dict):
     """Backprop through time for lstm_forward.
 
     dh_seq: (B, T, k) adjoints of each hidden state from the loss heads;
@@ -192,14 +190,14 @@ def lstm_backward(dh_seq, cache, params: ParamSet):
         dc_m *= f[start:end]
 
     dW = np.concatenate([cache["x"].T @ da, pk.previous(cache["h"]).T @ da])
-    return ParamSet({"lstm.W": dW, "lstm.b": da.sum(axis=0)})
+    return {"lstm.W": dW, "lstm.b": da.sum(axis=0)}
 
 
 # ---------------------------------------------------------------------------
 # GRU
 # ---------------------------------------------------------------------------
 
-def gru_forward(x, lengths, params: ParamSet):
+def gru_forward(x, lengths, params: dict):
     """Run the GRU over the valid steps of a padded batch from zero state.
 
     Returns (h_seq, cache); h_seq is (B, T, k), zero past each length.
@@ -243,7 +241,7 @@ def gru_forward(x, lengths, params: ParamSet):
     return pk.scatter(hs), cache
 
 
-def gru_backward(dh_seq, cache, params: ParamSet):
+def gru_backward(dh_seq, cache, params: dict):
     """Backprop through time for gru_forward. Returns the gradients."""
     d, k, B = (cache[n] for n in ("d", "k", "B"))
     pk = cache["packing"]
@@ -283,17 +281,17 @@ def gru_backward(dh_seq, cache, params: ParamSet):
     xs = cache["x"]
     dWzr = np.concatenate([xs.T @ da_zr, hp.T @ da_zr])
     dWn = np.concatenate([xs.T @ da_n, cache["rh"].T @ da_n])
-    return ParamSet({
+    return {
         "gru.Wzr": dWzr, "gru.bzr": da_zr.sum(axis=0),
         "gru.Wn": dWn, "gru.bn": da_n.sum(axis=0),
-    })
+    }
 
 
 # ---------------------------------------------------------------------------
 # Attention pooling
 # ---------------------------------------------------------------------------
 
-def attention_pool(h_seq, lengths, params: ParamSet):
+def attention_pool(h_seq, lengths, params: dict):
     """Pool hidden states with tanh-score attention.
 
     Scores e_t = p . tanh(W h_t); weights are a softmax over each sequence's
@@ -319,7 +317,7 @@ def attention_pool(h_seq, lengths, params: ParamSet):
     return h_tilde, alphas, cache
 
 
-def attention_pool_backward(dh_tilde, cache, params: ParamSet):
+def attention_pool_backward(dh_tilde, cache, params: dict):
     """Backward for attention_pool, at valid steps only. Returns (grads,
     dh_seq), with dh_seq (B, T, k) zero at padded steps."""
     W, p = params["att.W"], params["att.p"]
@@ -338,7 +336,7 @@ def attention_pool_backward(dh_tilde, cache, params: ParamSet):
     dh += a[:, None] * g
     dh_seq = np.zeros(h_seq.shape)
     dh_seq[valid] = dh
-    return ParamSet({"att.W": h.T @ dpre, "att.p": u.T @ de}), dh_seq
+    return {"att.W": h.T @ dpre, "att.p": u.T @ de}, dh_seq
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ import hashlib
 import itertools
 import json
 import logging
-import math
 import multiprocessing as mp
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -40,10 +40,10 @@ from .fed.engine import (
     train_strategy,
 )
 from .fed.strategy import StrategyConfig, parse_strategy
+from .heap import keep_temporaries_on_heap
 from .keys import DEMOGRAPHIC_VARIABLES, GroupKey
 from .metrics import ACTIVITY_TYPES, activity_heatmap, summarize
 from .models.task import TASKS
-from .nn.params import ParamSet
 from .seeding import substream
 from .synth.archetypes import GenConfig
 from .synth.generate import PRESETS, generate, preset
@@ -122,11 +122,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_finite_number(value) -> bool:
+    # compared, not converted to float: a huge integer must not overflow
+    return ((_is_int(value) or isinstance(value, float))
+            and abs(value) <= sys.float_info.max)
+
+
 # field annotation -> (accepts a value, what the value must be)
 _FIELD_TYPES = {
     "int": (_is_int, "an integer"),
-    "float": (lambda v: (_is_int(v) or isinstance(v, float)) and math.isfinite(v),
-              "a finite number"),
+    "float": (_is_finite_number, "a finite number"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "dict": (lambda v: isinstance(v, dict), "a mapping"),
@@ -206,10 +211,13 @@ def config_snapshot(config: ExperimentConfig) -> dict:
                for name, value in vars(config).items()}}
 
 
-def config_hash(config: ExperimentConfig) -> str:
-    text = json.dumps(config_snapshot(config), sort_keys=True,
-                      separators=(",", ":"))
+def _snapshot_hash(snapshot: dict) -> str:
+    text = json.dumps(snapshot, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def config_hash(config: ExperimentConfig) -> str:
+    return _snapshot_hash(config_snapshot(config))
 
 
 def build_strategy(config: ExperimentConfig) -> StrategyConfig:
@@ -448,18 +456,18 @@ def _models_payload(bundle: TrainedBundle) -> dict:
     return out
 
 
-def _check_layers(path, name: str, params: ParamSet, init: ParamSet):
+def _check_layers(path, name: str, params: dict, init: dict):
     """Raise ConfigError, naming the file and the model, unless params has
     init's layer names, in init's order, with init's shapes."""
-    got = [f"{layer} {arr.shape}" for layer, arr in params]
-    want = [f"{layer} {arr.shape}" for layer, arr in init]
+    got = [f"{layer} {arr.shape}" for layer, arr in params.items()]
+    want = [f"{layer} {arr.shape}" for layer, arr in init.items()]
     for i, (g, w) in enumerate(itertools.zip_longest(got, want, fillvalue="none")):
         if g != w:
             raise ConfigError(f"{path}: model {name!r} does not fit the config: "
                               f"layer {i} is {g}, expected {w}")
 
 
-def _load_bundle(path, chash: str, init: ParamSet,
+def _load_bundle(path, chash: str, init: dict,
                  strategy: StrategyConfig) -> TrainedBundle:
     """The models of a checkpoint file that evaluation reads under strategy.
     A checkpoint missing, saved under another config hash than chash,
@@ -552,8 +560,9 @@ def _checkpoint_path(out_dir: Path, fold: int, rep: int) -> Path:
 
 def read_report(path) -> tuple:
     """(config, report) of a train report; one that is not valid JSON,
-    lacks a field the commands read, or whose runs are not each (fold, rep)
-    of its config once, raises ConfigError naming the file."""
+    lacks a field the commands read or mistypes one, whose config_hash is
+    not the hash of its stored config, or whose runs are not each (fold,
+    rep) of its config once, raises ConfigError naming the file."""
     report = read_json(path, "report")
     try:
         config = config_from_dict(report["config"])
@@ -562,10 +571,15 @@ def read_report(path) -> tuple:
                 and all(_is_int(run["fold"]) and _is_int(run["rep"])
                         and isinstance(run["test_auc"], dict)
                         for run in report["runs"])
-                and all(GroupKey.from_label(label)
-                        and {"mean", "std", "n_runs"} <= set(stat)
+                and all(GroupKey.from_label(label) and _is_int(stat["n_runs"])
+                        and all(v is None or _is_finite_number(v)
+                                for v in (stat["mean"], stat["std"]))
                         for label, stat in report["summary"]["per_group"].items())):
             raise TypeError("a field has the wrong type")
+        # over the stored document, not the parsed config, so a report
+        # written before folds and floats were normalised still loads
+        if report["config_hash"] != _snapshot_hash(report["config"]):
+            raise ValueError("config_hash is not its config's")
         runs = sorted((run["fold"], run["rep"]) for run in report["runs"])
         if runs != sorted(_pairs(config)):
             raise ValueError("runs are not each (fold, rep) of the config once")
@@ -639,6 +653,7 @@ def cmd_generate(gen_config: GenConfig, out) -> dict:
 @one_blas_thread()
 def cmd_train(config: ExperimentConfig, out=None, workers: int = 1) -> dict:
     _check_workers(workers)
+    keep_temporaries_on_heap()
     data = _dataset(config)
     return _train(config, data, None if out is None else _out_dir(out), workers)
 
@@ -687,6 +702,7 @@ def cmd_evaluate(out, config: ExperimentConfig | None = None,
 
     A given config, or a given seed, must be the trained run's.
     """
+    keep_temporaries_on_heap()
     out_dir = _out_dir(out, create=False)
     report_path = out_dir / "report.json"
     if not report_path.is_file():
@@ -735,6 +751,7 @@ def cmd_grid(config: ExperimentConfig, out=None, workers: int = 1) -> dict:
     subs = [replace(config, grid={}, **dict(zip(names, values)))
             for values in itertools.product(*(config.grid[name] for name in names))]
     _check_workers(workers)
+    keep_temporaries_on_heap()
     # the grid ranges over strategy fields and hidden_dim only, so every
     # cell shares the dataset and the seed that splits it
     data = _dataset(config)
@@ -781,6 +798,7 @@ def cmd_export_embeddings(config: ExperimentConfig, out, workers: int = 1) -> di
     of another config there is refused, never overwritten.
     """
     _check_workers(workers)
+    keep_temporaries_on_heap()
     task = TASKS[config.task]
     if task.embed is None:
         raise ConfigError("export-embeddings needs task OP; the interaction "

@@ -8,23 +8,21 @@ from typing import Callable
 
 import numpy as np
 
-from hierfed.nn.params import ParamSet
-
 
 class OracleError(RuntimeError):
     """Raised when a loss evaluation is not finite during differencing."""
 
 
-def finite_diff_grad(loss_fn: Callable[[ParamSet], float], params: ParamSet,
-                     step: float = 1e-5) -> ParamSet:
+def finite_diff_grad(loss_fn: Callable[[dict], float], params: dict,
+                     step: float = 1e-5) -> dict:
     """Estimate d loss / d params by central differences, one entry at a time.
 
     loss_fn must be a pure function of the parameters. O(P) evaluations, so
     keep the models tiny when calling this.
     """
-    work = ParamSet({name: arr.copy() for name, arr in params})
+    work = {name: arr.copy() for name, arr in params.items()}
     out = {}
-    for name, arr in work:
+    for name, arr in work.items():
         g = np.zeros_like(arr)
         flat = arr.reshape(-1)
         gflat = g.reshape(-1)
@@ -40,13 +38,13 @@ def finite_diff_grad(loss_fn: Callable[[ParamSet], float], params: ParamSet,
                     f"non-finite loss while differencing {name}[{j}]")
             gflat[j] = (lo_plus - lo_minus) / (2.0 * step)
         out[name] = g
-    return ParamSet(out)
+    return out
 
 
-def grad_rel_error(ga: ParamSet, gfd: ParamSet) -> float:
+def grad_rel_error(ga: dict, gfd: dict) -> float:
     """Max over layers of ||ga - gfd|| / (||ga|| + ||gfd|| + 1e-12)."""
     worst = 0.0
-    for name, a in ga:
+    for name, a in ga.items():
         f = gfd[name]
         num = float(np.linalg.norm(a - f))
         den = float(np.linalg.norm(a)) + float(np.linalg.norm(f)) + 1e-12

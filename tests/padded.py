@@ -14,7 +14,6 @@ in the same order, so the tests compare the two bit for bit.
 import numpy as np
 
 from hierfed.nn.layers import PROB_CLAMP, _Packing, head_probs
-from hierfed.nn.params import ParamSet
 
 
 def _sigmoid_from_tanh_(t):
@@ -23,7 +22,7 @@ def _sigmoid_from_tanh_(t):
     return t
 
 
-def lstm_forward(x, lengths, params: ParamSet):
+def lstm_forward(x, lengths, params: dict):
     """(h_seq (B, T, k), cache) of the packed LSTM, sigmoids in place."""
     W, b = params["lstm.W"], params["lstm.b"]
     B, T, d = x.shape
@@ -66,7 +65,7 @@ def lstm_forward(x, lengths, params: ParamSet):
     return pk.scatter(hs), cache
 
 
-def lstm_backward(dh_seq, cache, params: ParamSet):
+def lstm_backward(dh_seq, cache, params: dict):
     """Gradients of lstm_forward above, tanh(c) read from a fourth coef slot."""
     d, k, B = (cache[n] for n in ("d", "k", "B"))
     pk = cache["packing"]
@@ -98,10 +97,10 @@ def lstm_backward(dh_seq, cache, params: ParamSet):
         dc_m *= f[start:end]
 
     dW = np.concatenate([cache["x"].T @ da, pk.previous(cache["h"]).T @ da])
-    return ParamSet({"lstm.W": dW, "lstm.b": da.sum(axis=0)})
+    return {"lstm.W": dW, "lstm.b": da.sum(axis=0)}
 
 
-def kt_loss_grad(x, lengths, targets, params: ParamSet):
+def kt_loss_grad(x, lengths, targets, params: dict):
     """(loss, grads, probs (B, T, 2)) of the KT model; probs past a
     student's length are the head's output on zero states."""
     W, b = params["out.W"], params["out.b"]
@@ -120,14 +119,10 @@ def kt_loss_grad(x, lengths, targets, params: ParamSet):
     dW = np.einsum("btk,btj->kj", h_seq, dlogits)
     db = dlogits.sum(axis=(0, 1))
     g_lstm = lstm_backward(dlogits @ W.T, cache, params)
-    grads = ParamSet({
-        "lstm.W": g_lstm["lstm.W"], "lstm.b": g_lstm["lstm.b"],
-        "out.W": dW, "out.b": db,
-    })
-    return loss, grads, probs
+    return loss, {**g_lstm, "out.W": dW, "out.b": db}, probs
 
 
-def attention_pool(h_seq, lengths, params: ParamSet):
+def attention_pool(h_seq, lengths, params: dict):
     """(h_tilde (B, k), alphas (B, T), cache) with scores at every step."""
     h_seq = np.asarray(h_seq, dtype=np.float64)
     T = h_seq.shape[1]
@@ -144,7 +139,7 @@ def attention_pool(h_seq, lengths, params: ParamSet):
     return h_tilde, alphas, {"u": u, "alphas": alphas, "h_seq": h_seq}
 
 
-def attention_pool_backward(dh_tilde, cache, params: ParamSet):
+def attention_pool_backward(dh_tilde, cache, params: dict):
     """(grads, dh_seq (B, T, k)) of attention_pool above."""
     W, p = params["att.W"], params["att.p"]
     u, alphas, h_seq = cache["u"], cache["alphas"], cache["h_seq"]
@@ -159,4 +154,4 @@ def attention_pool_backward(dh_tilde, cache, params: ParamSet):
     dpre = (du * (1.0 - u * u)).reshape(B * T, k)
     dW = h_seq.reshape(B * T, k).T @ dpre
     dh_seq += (dpre @ W.T).reshape(B, T, k)
-    return ParamSet({"att.W": dW, "att.p": dp}), dh_seq
+    return {"att.W": dW, "att.p": dp}, dh_seq

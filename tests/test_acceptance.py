@@ -34,7 +34,7 @@ from hierfed.metrics import activity_heatmap, auc
 from hierfed.models.encoding import Vocab
 from hierfed.models.task import KT, OP
 from hierfed.nn.layers import PROB_CLAMP
-from hierfed.nn.params import ParamSet, axpy_params, clip_grad_norm
+from hierfed.nn.params import axpy_params, clip_grad_norm
 from hierfed.runner import ExperimentConfig, cmd_train
 from hierfed.synth.archetypes import ENGAGEMENT_CAP, GenConfig, build_archetypes
 from hierfed.synth.generate import PRESETS, generate, preset
@@ -146,7 +146,7 @@ def test_aggregation_algebra_identities():
     shapes = {"a.W": (4, 3), "a.b": (3,), "out.W": (3, 2)}
 
     def random_params():
-        return ParamSet({k: rng.normal(size=s) for k, s in shapes.items()})
+        return {k: rng.normal(size=s) for k, s in shapes.items()}
 
     clients = {GroupKey(f"c{i}"): random_params() for i in range(4)}
     mean = aggregate_average(clients, dict.fromkeys(clients, 0.25))
@@ -155,7 +155,7 @@ def test_aggregation_algebra_identities():
         assert np.abs(mean[name] - stack.mean(axis=0)).max() <= 1e-12
 
     server = random_params()
-    copies = {GroupKey(f"c{i}"): ParamSet({n: a.copy() for n, a in server})
+    copies = {GroupKey(f"c{i}"): {n: a.copy() for n, a in server.items()}
               for i in range(3)}
     for mode in ("layerwise", "scalar"):
         fixed = aggregate_attention(server, copies, eps=0.7, mode=mode)
@@ -178,13 +178,13 @@ class QuadraticClient:
 
     def loss_grad(self, ids, params):
         w = params["w"]
-        return float(w @ w) / 2.0, ParamSet({"w": w.copy()})
+        return float(w @ w) / 2.0, {"w": w.copy()}
 
 
 def test_meta_update_reduces_to_sgd_and_the_quadratic_value():
     # f(w) = w^2/2: adapting w=1 by 0.5 then stepping by 0.1 on the adapted
     # gradient lands exactly on 1 - 0.1 * 0.5 = 0.95 in double precision
-    params = ParamSet({"w": np.array([1.0])})
+    params = {"w": np.array([1.0])}
     out, loss = meta_update(QuadraticClient(), params, ([], []), eta=0.1,
                             beta=0.5, clip=5.0)
     assert out["w"][0] == 0.95
@@ -198,7 +198,7 @@ def test_meta_update_reduces_to_sgd_and_the_quadratic_value():
                                   clip=5.0)
     loss, grads = data.loss_grad(d_prime, init)
     sgd = axpy_params(-0.3, clip_grad_norm(grads, 5.0), init)
-    assert all(np.array_equal(arr, sgd[name]) for name, arr in meta)
+    assert all(np.array_equal(arr, sgd[name]) for name, arr in meta.items())
     assert meta_loss == loss
 
 
@@ -228,7 +228,7 @@ def test_degenerate_hierarchy_collapses_to_one_level():
 
     assert len(flat) == len(rounds) == 10
     for k, (p1, p2) in enumerate(zip(flat, rounds)):
-        gap = max(np.abs(arr - p2[name]).max() for name, arr in p1)
+        gap = max(np.abs(arr - p2[name]).max() for name, arr in p1.items())
         assert gap <= 1e-10, f"round {k} diverged by {gap:.2e}"
 
 
@@ -457,14 +457,14 @@ def test_pipeline_hygiene_round_trips(tmp_path, caplog):
     rng = np.random.default_rng(99)
     models = {
         "global": KT.init(VOCAB, 5, rng),
-        "course:c0|none|all": ParamSet({"w": rng.normal(size=(3, 4))[::2].copy(),
-                                        "b": rng.normal(size=4)}),
+        "course:c0|none|all": {"w": rng.normal(size=(3, 4))[::2].copy(),
+                               "b": rng.normal(size=4)},
     }
     path = tmp_path / "ck.json"
     save_checkpoint(path, models, "a" * 64, extra={"fold": 1, "rep": 2})
     loaded, chash, extra = load_checkpoint(path)
     assert chash == "a" * 64 and extra == {"fold": 1, "rep": 2}
     for name, params in models.items():
-        assert loaded[name].names() == params.names()
-        for lname, arr in params:
+        assert list(loaded[name]) == list(params)
+        for lname, arr in params.items():
             assert np.array_equal(loaded[name][lname], arr)

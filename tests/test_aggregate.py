@@ -9,13 +9,12 @@ from hierfed.fed.aggregate import (
     attention_weights,
 )
 from hierfed.keys import GroupKey
-from hierfed.nn.params import ParamSet
 
 SHAPES = {"a.W": (3, 2), "a.b": (2,)}
 
 
 def rand_params(rng):
-    return ParamSet({k: rng.normal(size=s) for k, s in SHAPES.items()})
+    return {k: rng.normal(size=s) for k, s in SHAPES.items()}
 
 
 def make_models(rng, n):
@@ -74,8 +73,8 @@ def test_attention_weights_sum_to_one():
 def test_farther_clients_attract_more_weight():
     rng = np.random.default_rng(5)
     server = rand_params(rng)
-    near = ParamSet({k: server[k] + 0.01 for k in server.names()})
-    far = ParamSet({k: server[k] + 2.0 for k in server.names()})
+    near = {k: a + 0.01 for k, a in server.items()}
+    far = {k: a + 2.0 for k, a in server.items()}
     w = attention_weights(server, {GroupKey("c0"): near, GroupKey("c1"): far},
                           mode="scalar")
     assert w[1] > w[0]
@@ -84,7 +83,7 @@ def test_farther_clients_attract_more_weight():
 def test_attention_fixed_point_when_clients_match_server():
     rng = np.random.default_rng(6)
     server = rand_params(rng)
-    clients = {GroupKey(f"c{i}"): ParamSet({n: a.copy() for n, a in server})
+    clients = {GroupKey(f"c{i}"): {n: a.copy() for n, a in server.items()}
                for i in range(3)}
     for mode in ("layerwise", "scalar"):
         out = aggregate_attention(server, clients, eps=0.7, mode=mode)

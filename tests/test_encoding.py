@@ -207,8 +207,10 @@ def test_every_fold_matches_the_stepwise_reference(heterogeneous, task):
     ds, parts = heterogeneous
     for part in parts:
         vocab = build_vocab(ds, part.train_ids())
-        assert_same_encoding(build_sequences(ds, task, vocab),
-                             stepwise_reference(ds, task, vocab))
+        got = build_sequences(ds, task, vocab)
+        assert_same_encoding(got, stepwise_reference(ds, task, vocab))
+        # several blocks, each student's x a row slice of one of them
+        assert len({id(x.base) for x, _ in got.values()}) > 1
 
 
 def edge_case_dataset():
@@ -234,7 +236,8 @@ def test_edge_cases_match_the_stepwise_reference(task):
     assert set(vocab.video_ids) == {f"v{t}" for t in range(MAX_SEQ_LEN + 5)}
     got = build_sequences(ds, task, vocab)
     assert_same_encoding(got, stepwise_reference(ds, task, vocab))
-    # every student's x is a row slice of the one matrix of this encoding
+    # every student starts within one block's rows, so every x is a row
+    # slice of one block, s5's too though it runs past the block's size
     assert len({id(x.base) for x, _ in got.values()}) == 1
     if task is KT:
         # students with no quiz response are skipped; one response is no row

@@ -70,11 +70,11 @@ def two_level_world(rng, per_sub=5):
 
 
 def params_equal(a, b):
-    return all(np.array_equal(arr, b[name]) for name, arr in a)
+    return all(np.array_equal(arr, b[name]) for name, arr in a.items())
 
 
 def max_param_diff(a, b):
-    return max(np.abs(arr - b[name]).max() for name, arr in a)
+    return max(np.abs(arr - b[name]).max() for name, arr in a.items())
 
 
 def capture_bundles(store):
@@ -133,7 +133,7 @@ def test_one_level_engine_populates_course_models(name):
     seen = []
     bundle, losses = train_strategy(ctx, callback=capture_bundles(seen))
     assert set(bundle.models) == set(clients)
-    assert bundle.global_params.first_nonfinite_layer() is None
+    assert all(np.isfinite(a).all() for a in bundle.global_params.values())
     assert len(losses) == 2
     assert all(loss > 0.0 for loss in losses)
     assert len(seen) == 2
@@ -149,7 +149,7 @@ def test_two_level_engine_populates_every_level():
                      course_pools=pools)
     bundle, losses = train_strategy(ctx)
     assert set(bundle.models) == set(clients) | {GroupKey("c0"), GroupKey("c1")}
-    assert bundle.global_params.first_nonfinite_layer() is None
+    assert all(np.isfinite(a).all() for a in bundle.global_params.values())
     assert len(losses) == 2
 
 
@@ -220,7 +220,7 @@ def test_centralized_training_uses_one_pooled_client():
                      init_params=init_params(rng),
                      clients={GroupKey("c0"): data})
     bundle, losses = train_strategy(ctx)
-    assert bundle.global_params.first_nonfinite_layer() is None
+    assert all(np.isfinite(a).all() for a in bundle.global_params.values())
     assert bundle.models == {}
     assert len(losses) == 3
 
@@ -463,22 +463,34 @@ def test_local_divergence_names_the_epoch_and_client():
             train_strategy(ctx)
 
 
-def nan_average(models, weights):
-    """An aggregate that diverged: the average under NaN weights."""
-    return aggregate_average(models, dict.fromkeys(weights, np.nan))
+def nan_average(layers):
+    """An aggregate that diverged in the given layers (every layer when
+    None): the average with NaN added there."""
+    def diverged(models, weights):
+        return {name: arr + np.nan if layers is None or name in layers else arr
+                for name, arr in aggregate_average(models, weights).items()}
+    return diverged
 
 
-@pytest.mark.parametrize("name,where", [
-    ("sc2-G-AV-T", "round 0, course c0 aggregation"),
-    ("sc1-G-AV", "round 0, global aggregation"),
+@pytest.mark.parametrize("name,where,layers,bad", [
+    pytest.param("sc2-G-AV-T", "round 0, course c0 aggregation", None,
+                 "lstm.W", id="sc2-G-AV-T-round 0, course c0 aggregation"),
+    pytest.param("sc1-G-AV", "round 0, global aggregation", None, "lstm.W",
+                 id="sc1-G-AV-round 0, global aggregation"),
+    # only later layers diverged: the first of them in layer order is named
+    pytest.param("sc1-G-AV", "round 0, global aggregation", ("out.b",),
+                 "out.b", id="sc1-G-AV-out.b"),
+    pytest.param("sc2-G-AV-T", "round 0, course c0 aggregation",
+                 ("out.b", "lstm.b"), "lstm.b", id="sc2-G-AV-T-lstm.b"),
 ])
 def test_aggregation_divergence_names_fold_rep_and_level(monkeypatch, name,
-                                                         where):
+                                                         where, layers, bad):
     rng = np.random.default_rng(15)
     clients, pools = two_level_world(rng)
     if name.startswith("sc1"):  # the courses are the clients
         clients, pools = {GroupKey(c): data for c, data in pools.items()}, {}
-    monkeypatch.setattr("hierfed.fed.engine.aggregate_average", nan_average)
+    monkeypatch.setattr("hierfed.fed.engine.aggregate_average",
+                        nan_average(layers))
     s = parse_strategy(name).with_overrides(rounds=2, batch_size=4,
                                             local_iters=1)
     ctx = RunContext(strategy=s, master_seed=1, rep=1, fold=3,
@@ -486,7 +498,7 @@ def test_aggregation_divergence_names_fold_rep_and_level(monkeypatch, name,
                      course_pools=pools)
     with pytest.raises(NumericsError,
                        match=rf"^fold 3, rep 1, {where}: non-finite "
-                             rf"parameters in layer 'lstm.W'"):
+                             rf"parameters in layer '{bad}'$"):
         train_strategy(ctx)
 
 

@@ -10,7 +10,6 @@ from hierfed.fed.irt import (
     rasch_fit,
 )
 from hierfed.keys import GroupKey
-from hierfed.nn.params import ParamSet
 
 CLEAN, NOISY = GroupKey("c0", "gender", "F"), GroupKey("c0", "gender", "M")
 
@@ -99,36 +98,31 @@ def test_confidence_uniform_prior_for_silent_subgroups():
         irt_confidence({})
 
 
-def params_from(arr_map):
-    return ParamSet({k: np.asarray(v, dtype=np.float64)
-                     for k, v in arr_map.items()})
-
-
 def test_interpolate_identical_inputs_pass_through_bitwise():
     rng = np.random.default_rng(11)
-    g = params_from({"a.W": rng.normal(size=(3, 2)), "a.b": rng.normal(size=2)})
-    out = irt_interpolate(ParamSet({n: a.copy() for n, a in g}), g)
-    for name, arr in out:
+    g = {"a.W": rng.normal(size=(3, 2)), "a.b": rng.normal(size=2)}
+    out = irt_interpolate({n: a.copy() for n, a in g.items()}, g)
+    for name, arr in out.items():
         assert np.array_equal(arr, g[name])
 
 
 def test_interpolate_falls_back_to_global():
     rng = np.random.default_rng(12)
-    g = params_from({"a.W": rng.normal(size=(3, 2)), "a.b": rng.normal(size=2)})
-    zero_local = params_from({k: np.zeros_like(v) for k, v in g})
+    g = {"a.W": rng.normal(size=(3, 2)), "a.b": rng.normal(size=2)}
+    zero_local = {k: np.zeros_like(v) for k, v in g.items()}
     out = irt_interpolate(zero_local, g)
-    for name, arr in out:
+    for name, arr in out.items():
         assert np.array_equal(arr, g[name])
     # opposite directions clamp the similarity at zero, not -1
-    neg_local = params_from({k: -v for k, v in g})
+    neg_local = {k: -v for k, v in g.items()}
     out = irt_interpolate(neg_local, g)
-    for name, arr in out:
+    for name, arr in out.items():
         assert np.array_equal(arr, g[name])
 
 
 def test_interpolate_blends_by_cosine_similarity():
-    g = params_from({"w": [1.0, 0.0]})
-    local = params_from({"w": [1.0, 1.0]})
+    g = {"w": np.array([1.0, 0.0])}
+    local = {"w": np.array([1.0, 1.0])}
     lam = 1.0 / np.sqrt(2.0)
     out = irt_interpolate(local, g)
     expect = g["w"] + lam * (local["w"] - g["w"])

@@ -9,21 +9,20 @@ import numpy as np
 import pytest
 
 from hierfed.nn.layers import gru_forward, lstm_forward
-from hierfed.nn.params import ParamSet
 
 B, T, D, K = 3, 5, 4, 7
 
 
 def lstm_params(rng):
-    return ParamSet({"lstm.W": rng.normal(size=(D + K, 4 * K)),
-                     "lstm.b": rng.normal(size=4 * K)})
+    return {"lstm.W": rng.normal(size=(D + K, 4 * K)),
+            "lstm.b": rng.normal(size=4 * K)}
 
 
 def gru_params(rng):
-    return ParamSet({"gru.Wzr": rng.normal(size=(D + K, 2 * K)),
-                     "gru.bzr": rng.normal(size=2 * K),
-                     "gru.Wn": rng.normal(size=(D + K, K)),
-                     "gru.bn": rng.normal(size=K)})
+    return {"gru.Wzr": rng.normal(size=(D + K, 2 * K)),
+            "gru.bzr": rng.normal(size=2 * K),
+            "gru.Wn": rng.normal(size=(D + K, K)),
+            "gru.bn": rng.normal(size=K)}
 
 
 @pytest.mark.parametrize("forward, make_params", [(lstm_forward, lstm_params),

@@ -16,7 +16,6 @@ from hierfed.nn.layers import (
     lstm_forward,
     softmax_probs,
 )
-from hierfed.nn.params import ParamSet
 from gradcheck import OracleError, finite_diff_grad, grad_rel_error
 from stepwise import kt_entry, op_entry, video
 
@@ -24,7 +23,7 @@ TOL = 1e-6
 
 
 def make_params(rng, shapes):
-    return ParamSet({k: 0.4 * rng.normal(size=s) for k, s in shapes.items()})
+    return {k: 0.4 * rng.normal(size=s) for k, s in shapes.items()}
 
 
 def lstm_shapes(D, k):
@@ -176,9 +175,9 @@ def test_batched_kernels_match_per_student_runs(kind):
         (row,), g = run_kernel(kind, x[b:b + 1, :L], lengths[b:b + 1],
                                params, weight)
         np.testing.assert_allclose(rows[b], row, rtol=0, atol=EQUIV_TOL)
-        total = g if total is None else ParamSet(
-            {name: total[name] + arr for name, arr in g})
-    for name, arr in grads:
+        total = g if total is None else {
+            name: total[name] + arr for name, arr in g.items()}
+    for name, arr in grads.items():
         np.testing.assert_allclose(arr, total[name], rtol=0, atol=EQUIV_TOL)
 
 
@@ -190,7 +189,7 @@ def test_permuting_batch_rows_permutes_outputs_and_keeps_gradients(kind):
     rows_p, grads_p = run_kernel(kind, x[perm], lengths[perm], params, weight)
     for i, b in enumerate(perm):
         np.testing.assert_allclose(rows_p[i], rows[b], rtol=0, atol=EQUIV_TOL)
-    for name, arr in grads:
+    for name, arr in grads.items():
         np.testing.assert_allclose(grads_p[name], arr, rtol=0, atol=EQUIV_TOL)
 
 
@@ -252,12 +251,12 @@ def test_bce_clamp_keeps_loss_finite():
             (KT, kt_entry([(0, 0)] * 3, [1, 1, 1], vocab)),
             (OP, op_entry([video(0, 0, 1)], 1, vocab))):
         params = task.init(vocab, 3, rng)
-        params.layers["out.b"] = np.array([1e4, -1e4])
+        params["out.b"] = np.array([1e4, -1e4])
         data = build_client_data(task, {"s": entry}, ["s"])
         loss, grads = data.loss_grad(["s"], params)
         n_terms = len(data.predict(params)[0])
         assert loss == pytest.approx(-n_terms * np.log(PROB_CLAMP))
-        assert all(np.all(np.isfinite(g)) for _, g in grads)
+        assert all(np.all(np.isfinite(g)) for g in grads.values())
 
 
 def test_softmax_probs_rows_normalized():
@@ -271,7 +270,7 @@ def test_softmax_probs_rows_normalized():
 
 
 def test_finite_diff_grad_flags_nonfinite_loss():
-    params = ParamSet({"w": np.zeros(1)})
+    params = {"w": np.zeros(1)}
 
     def bad(p):
         return float("nan")
@@ -281,5 +280,5 @@ def test_finite_diff_grad_flags_nonfinite_loss():
 
 
 def test_grad_rel_error_zero_for_identical_grads():
-    g = ParamSet({"w": np.array([1.0, -2.0])})
+    g = {"w": np.array([1.0, -2.0])}
     assert grad_rel_error(g, g) == 0.0

@@ -14,7 +14,7 @@ from hierfed.fed.clients import (
 )
 from hierfed.models.encoding import Vocab
 from hierfed.models.task import KT
-from hierfed.nn.params import ParamSet, axpy_params, clip_grad_norm
+from hierfed.nn.params import axpy_params, clip_grad_norm
 from stepwise import kt_entry
 
 VOCAB = Vocab(("c0", "c1"), ("v0", "v1", "v2", "v3"))
@@ -38,14 +38,14 @@ class QuadraticClient:
 
     def loss_grad(self, ids, params):
         w = params["w"]
-        return float(w @ w) / 2.0, ParamSet({"w": w.copy()})
+        return float(w @ w) / 2.0, {"w": w.copy()}
 
 
 def test_meta_step_on_a_quadratic_is_exact():
     # starting from w = 1 with an adaptation step of 0.5 and an outer step
     # of 0.1 the update lands exactly on 1 - 0.1 * (1 - 0.5) = 0.95 in double
     # precision; the clip is above every gradient norm here
-    params = ParamSet({"w": np.array([1.0])})
+    params = {"w": np.array([1.0])}
     out, loss = meta_update(QuadraticClient(), params, ([], []), eta=0.1,
                             beta=0.5, clip=5.0)
     assert out["w"][0] == 0.95
@@ -70,7 +70,7 @@ def test_zero_adaptation_is_bitwise_plain_sgd():
     data.loss_grad = recording
     stepped, _ = meta_update(data, params, (d, d_prime), eta=0.3, beta=0.0,
                              clip=5.0)
-    for name, arr in stepped:
+    for name, arr in stepped.items():
         assert np.array_equal(arr, sgd[name])
     # the adaptation batch is never evaluated when beta is zero
     assert seen == [d_prime]
@@ -89,13 +89,13 @@ def test_meta_update_matches_manual_two_stage_computation():
     adapted = axpy_params(-beta, clip_grad_norm(g1, clip), params)
     _, g2 = data.loss_grad(d_prime, adapted)
     expect = axpy_params(-eta, clip_grad_norm(g2, clip), params)
-    for name, arr in out:
+    for name, arr in out.items():
         assert np.array_equal(arr, expect[name])
 
     # with adaptation on, the result differs from plain SGD on d_prime
     _, g_plain = data.loss_grad(d_prime, params)
     sgd = axpy_params(-eta, clip_grad_norm(g_plain, clip), params)
-    assert any(not np.array_equal(arr, sgd[name]) for name, arr in out)
+    assert any(not np.array_equal(arr, sgd[name]) for name, arr in out.items())
 
 
 def test_meta_update_reports_losses():
@@ -149,7 +149,7 @@ def test_one_epoch_of_steps_visits_every_student():
     assert seen == batches
     assert [len(b) for b in seen] == [4, 4, 2]
     assert sorted(sid for b in seen for sid in b) == data.ids
-    assert any(not np.array_equal(arr, params[name]) for name, arr in out)
+    assert any(not np.array_equal(arr, params[name]) for name, arr in out.items())
 
 
 def test_local_sgd_steps_runs_exactly_n_steps():
@@ -182,7 +182,7 @@ def test_gradient_clipping_bounds_the_step_size():
     out, _ = apply_updates(data, params, [(batch, batch)], eta=eta, beta=0.0,
                            clip=clip)
     delta = np.concatenate([(arr - params[name]).ravel()
-                            for name, arr in out])
+                            for name, arr in out.items()])
     assert np.linalg.norm(delta) <= eta * clip + 1e-12
 
 

@@ -9,7 +9,6 @@ from hierfed.models.kt import kt_init, kt_loss_grad, kt_predict
 from hierfed.models.op import op_embed, op_init, op_predict
 from hierfed.models.task import KT, OP
 from hierfed.nn.layers import attention_pool, gru_forward
-from hierfed.nn.params import ParamSet
 from gradcheck import finite_diff_grad, grad_rel_error
 from stepwise import forum, kt_entry, op_entry, video
 
@@ -47,7 +46,7 @@ def random_activity(rng, sid, min_len=1, max_len=7):
 
 
 def zero_params(params):
-    return ParamSet({name: np.zeros_like(arr) for name, arr in params})
+    return {name: np.zeros_like(arr) for name, arr in params.items()}
 
 
 def per_student(scores, lengths):
@@ -64,7 +63,7 @@ def client_data(task, students):
 def test_kt_init_layout():
     vocab = small_vocab()
     params = kt_init(vocab, 6, np.random.default_rng(0))
-    assert [name for name, _ in params] == ["lstm.W", "lstm.b", "out.W", "out.b"]
+    assert list(params) == ["lstm.W", "lstm.b", "out.W", "out.b"]
     d, k = vocab.kt_input_dim, 6
     assert params["lstm.W"].shape == (d + k, 4 * k)
     assert np.all(params["lstm.b"] == 0.0)
@@ -75,7 +74,7 @@ def test_kt_init_layout():
 def test_op_init_layout():
     vocab = small_vocab()
     params = op_init(vocab, 5, np.random.default_rng(0))
-    assert [name for name, _ in params] == [
+    assert list(params) == [
         "gru.Wzr", "gru.bzr", "gru.Wn", "gru.bn",
         "att.W", "att.p", "out.W", "out.b",
     ]
@@ -130,7 +129,7 @@ def test_kt_single_interaction_contributes_nothing():
     base, gbase = data.loss_grad(ids[:-1], params)
     with_stub, gstub = data.loss_grad(ids, params)
     assert with_stub == base
-    for name, g in gbase:
+    for name, g in gbase.items():
         assert np.array_equal(g, gstub[name])
 
 
@@ -147,7 +146,7 @@ def test_duplicating_a_batch_doubles_the_loss():
         l1, g1 = data.loss_grad(ids, params)
         l2, g2 = data.loss_grad(ids + ids, params)
         assert np.isclose(l2, 2.0 * l1, rtol=1e-12)
-        for name, g in g1:
+        for name, g in g1.items():
             assert np.allclose(g2[name], 2.0 * g, rtol=1e-10, atol=1e-12)
 
 
@@ -239,7 +238,7 @@ def test_padding_garbage_is_ignored():
         t2[b, L:] = rng.integers(0, 2, size=T - L)
     loss2, grads2 = kt_loss_grad(x2, lengths, t2, kt_params)
     assert loss == loss2
-    for name, g in grads:
+    for name, g in grads.items():
         assert np.array_equal(g, grads2[name])
 
 
@@ -359,6 +358,7 @@ def test_kt_gradients_match_finite_differences():
                 for i in range(3)]
         data, ids = client_data(KT, seqs)
         _, grads = data.loss_grad(ids, params)
+        assert list(grads) == list(params)   # param_norm sums in this order
         fd = finite_diff_grad(lambda p: data.loss_grad(ids, p)[0], params)
         assert grad_rel_error(grads, fd) < TOL
 
@@ -372,5 +372,6 @@ def test_op_gradients_match_finite_differences():
                 for i in range(3)]
         data, ids = client_data(OP, seqs)
         _, grads = data.loss_grad(ids, params)
+        assert list(grads) == list(params)   # param_norm sums in this order
         fd = finite_diff_grad(lambda p: data.loss_grad(ids, p)[0], params)
         assert grad_rel_error(grads, fd) < TOL

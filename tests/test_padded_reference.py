@@ -22,7 +22,6 @@ from hierfed.models.kt import kt_init, kt_loss_grad, kt_predict
 from hierfed.models.task import KT
 from hierfed.nn.layers import (_Packing, attention_pool, attention_pool_backward,
                                lstm_backward, lstm_forward)
-from hierfed.nn.params import ParamSet
 from hierfed.synth.generate import generate, preset
 
 FORWARD_TOL = 1e-13
@@ -63,8 +62,8 @@ def test_attention_matches_the_padded_reference(case):
     for seed in range(5):
         rng = np.random.default_rng(seed)
         B, k = len(lengths), 6
-        params = ParamSet({"att.W": 0.5 * rng.normal(size=(k, k)),
-                           "att.p": rng.normal(size=k)})
+        params = {"att.W": 0.5 * rng.normal(size=(k, k)),
+                  "att.p": rng.normal(size=k)}
         # zero past each length, as gru_forward returns its states
         h_seq = masked(rng.normal(size=(B, T, k)), lengths)
         dh_tilde = rng.normal(size=(B, k))
@@ -78,7 +77,7 @@ def test_attention_matches_the_padded_reference(case):
 
         assert rel(h_tilde, ref_tilde) <= FORWARD_TOL
         assert rel(alphas, ref_alphas) <= FORWARD_TOL
-        for name, g in ref_grads:
+        for name, g in ref_grads.items():
             assert rel(grads[name], g) <= GRAD_TOL, name
         assert rel(dh_seq, ref_dh) <= GRAD_TOL
 
@@ -102,10 +101,10 @@ def test_kt_head_matches_the_padded_reference(case):
     for seed in range(5):
         rng = np.random.default_rng(100 + seed)
         B, D, k = len(lengths), 5, 6
-        params = ParamSet({"lstm.W": 0.5 * rng.normal(size=(D + k, 4 * k)),
-                           "lstm.b": 0.5 * rng.normal(size=4 * k),
-                           "out.W": rng.normal(size=(k, 2)),
-                           "out.b": rng.normal(size=2)})
+        params = {"lstm.W": 0.5 * rng.normal(size=(D + k, 4 * k)),
+                  "lstm.b": 0.5 * rng.normal(size=4 * k),
+                  "out.W": rng.normal(size=(k, 2)),
+                  "out.b": rng.normal(size=2)}
         x = masked(rng.normal(size=(B, T, D)), lengths)
         targets = rng.integers(0, 2, size=(B, T))
 
@@ -118,7 +117,7 @@ def test_kt_head_matches_the_padded_reference(case):
         assert np.array_equal(scores, ref_probs[:, :, 1][valid])
         assert np.array_equal(labels, targets[valid])
         assert loss == ref_loss
-        for name, g in ref_grads:
+        for name, g in ref_grads.items():
             assert rel(grads[name], g) <= GRAD_TOL, name
 
 
@@ -127,8 +126,8 @@ LSTM_CASES = {**KT_CASES, "tied": ([4, 2, 4, 1, 2, 4], 5)}
 
 
 def lstm_params(rng, D, k):
-    return ParamSet({"lstm.W": 0.5 * rng.normal(size=(D + k, 4 * k)),
-                     "lstm.b": 0.5 * rng.normal(size=4 * k)})
+    return {"lstm.W": 0.5 * rng.normal(size=(D + k, 4 * k)),
+            "lstm.b": 0.5 * rng.normal(size=4 * k)}
 
 
 @pytest.mark.parametrize("case", sorted(LSTM_CASES))
@@ -149,7 +148,7 @@ def test_lstm_matches_the_in_place_reference_bit_for_bit(case):
 
         grads = lstm_backward(dh_seq, cache, params)
         ref_grads = padded.lstm_backward(dh_seq, ref_cache, params)
-        for name, g in ref_grads:
+        for name, g in ref_grads.items():
             assert np.array_equal(grads[name], g), name
 
 
@@ -182,5 +181,5 @@ def test_kt_loss_grad_keeps_its_bits_on_encoded_batches(monkeypatch):
     for batch, (loss, grads) in zip(batches, results):
         ref_loss, ref_grads = kt_loss_grad(*batch, params)
         assert loss == ref_loss
-        for name, g in ref_grads:
+        for name, g in ref_grads.items():
             assert np.array_equal(grads[name], g), name

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import resource
 import shutil
 
 import numpy as np
@@ -18,9 +19,9 @@ from hierfed.errors import ConfigError, NumericsError
 from hierfed.fed.checkpoint import load_checkpoint, save_checkpoint
 from hierfed.fed.engine import adapted_params, evaluated_models, train_strategy
 from hierfed.fed.strategy import FORMS
+from hierfed.heap import keep_temporaries_on_heap
 from hierfed.data.partition import make_folds
 from hierfed.metrics import ACTIVITY_TYPES
-from hierfed.nn.params import ParamSet
 from hierfed.runner import (
     ExperimentConfig,
     build_strategy,
@@ -133,6 +134,27 @@ def test_an_integer_in_a_float_field_is_the_same_config(tmp_path, data_dir,
     assert line["all_match"] is True
 
 
+def test_a_run_hashed_before_floats_were_cast_still_evaluates(tmp_path, data_dir,
+                                                              capsys):
+    # such a run stored "eta": 1 and hashed that document, so the report's
+    # hash is checked against the stored config, not the parsed one
+    run = tmp_path / "run"
+    cmd_train(small_config(data_dir, eta=1.0), out=run)
+    report = json.loads((run / "report.json").read_text())
+    report["config"]["eta"] = 1
+    text = json.dumps(report["config"], sort_keys=True, separators=(",", ":"))
+    report["config_hash"] = hashlib.sha256(text.encode()).hexdigest()
+    assert report["config_hash"] != config_hash(config_from_dict(report["config"]))
+    (run / "report.json").write_text(json.dumps(report))
+    path = run / "checkpoint_f0_r0.json"
+    models, _, extra = load_checkpoint(path)
+    save_checkpoint(path, models, report["config_hash"], extra=extra)
+    capsys.readouterr()
+    assert main(["evaluate", "--out", str(run)]) == 0
+    line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert line["all_match"] is True
+
+
 def test_config_hash_tracks_content(data_dir):
     a = small_config(data_dir)
     assert config_hash(a) == config_hash(small_config(data_dir))
@@ -156,6 +178,7 @@ def test_config_hash_tracks_content(data_dir):
     ({"eta": "0.1"}, "eta must be a finite number"),
     ({"eta": float("nan")}, "eta must be a finite number"),
     ({"eta": float("inf")}, "eta must be a finite number"),
+    ({"eta": 10 ** 400}, "eta must be a finite number"),  # OverflowError
     ({"clip": float("nan")}, "clip must be a finite number"),
     ({"rounds": 1.5}, "rounds must be an integer"),
     ({"hidden_dim": 2.5}, "hidden_dim must be an integer"),
@@ -252,6 +275,19 @@ def test_training_computes_on_one_blas_thread(data_dir, monkeypatch):
     assert get_threads() == before
 
 
+def test_commands_reuse_heap_memory_for_temporaries(data_dir):
+    cmd_train(small_config(data_dir))
+    if not keep_temporaries_on_heap():
+        pytest.skip("the C library is not glibc")
+    np.ones(1 << 19)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(16):
+        np.ones(1 << 19)  # 4 MiB, the size of a kernel's larger temporaries
+    # under glibc's dynamic thresholds a fresh process maps these afresh
+    # until it has freed one: hundreds of page faults
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults < 256
+
+
 def test_evaluate_confirms_saved_checkpoints(tmp_path, trained_dir):
     doc = cmd_evaluate(trained_dir)
     assert doc["all_match"] is True
@@ -262,8 +298,8 @@ def test_evaluate_confirms_saved_checkpoints(tmp_path, trained_dir):
     path = tampered / "checkpoint_f0_r0.json"
     models, chash, extra = load_checkpoint(path)
     # a zeroed model scores every student 0.5, so the stored AUC cannot match
-    for name in models["global"].names():
-        models["global"][name][...] = 0.0
+    for arr in models["global"].values():
+        arr[...] = 0.0
     save_checkpoint(path, models, chash, extra=extra)
     redo = cmd_evaluate(tampered)
     assert redo["all_match"] is False
@@ -367,9 +403,9 @@ def test_adapted_params_are_the_same_from_what_a_checkpoint_keeps(
         if params is None:
             assert got[key] is None, key
         else:
-            assert got[key].names() == params.names(), key
+            assert list(got[key]) == list(params), key
             assert all(np.array_equal(got[key][layer], arr)
-                       for layer, arr in params), key
+                       for layer, arr in params.items()), key
 
 
 # sha256 of report.json trained on folds (0, 1) with 2 repetitions; the
@@ -790,7 +826,22 @@ def _duplicated_run(path):
     path.write_text(json.dumps(doc))
 
 
+def _edited(edit):
+    """A corruption of report.json that applies edit to its document."""
+    def corrupt(path):
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+    return corrupt
+
+
+def _first_stat(doc):
+    return next(iter(doc["summary"]["per_group"].values()))
+
+
 _NOT_THE_RUNS = "malformed report (ValueError: runs are not each (fold, rep)"
+_NOT_ITS_HASH = "malformed report (ValueError: config_hash is not its config's)"
+_MISTYPED = "malformed report (TypeError: a field has the wrong type)"
 
 
 @pytest.mark.parametrize("corrupt, message", [
@@ -799,7 +850,14 @@ _NOT_THE_RUNS = "malformed report (ValueError: runs are not each (fold, rep)"
     (_unknown_fold, _NOT_THE_RUNS),       # IndexError in _prepare before
     (_empty_runs, _NOT_THE_RUNS),         # evaluate exited 0 with runs: 0
     (_duplicated_run, _NOT_THE_RUNS),
-], ids=["truncated", "no-runs", "fold-7", "empty-runs", "duplicated-run"])
+    # evaluate exited 0, with all_match false and true respectively
+    (_edited(lambda d: d["config"].update(eta=0.05)), _NOT_ITS_HASH),
+    (_edited(lambda d: d["config"].update(strategy="sc1-G-AT")), _NOT_ITS_HASH),
+    # report died formatting the mean, with a ValueError and a TypeError
+    (_edited(lambda d: _first_stat(d).update(mean="x")), _MISTYPED),
+    (_edited(lambda d: _first_stat(d).update(mean=[1])), _MISTYPED),
+], ids=["truncated", "no-runs", "fold-7", "empty-runs", "duplicated-run",
+        "other-eta", "other-strategy", "text-mean", "list-mean"])
 @pytest.mark.parametrize("command", ["evaluate", "report", "export-embeddings"])
 def test_cli_exits_two_naming_a_malformed_report(
         tmp_path, data_dir, trained_dir, capsys, command, corrupt, message):
@@ -959,7 +1017,7 @@ def test_cli_exits_two_naming_a_checkpoint_model_that_does_not_fit(
     name = next(n for n in sorted(models) if n.startswith(model))
     layers = dict(models[name])
     edit(layers)
-    models[name] = ParamSet(layers)
+    models[name] = layers
     save_checkpoint(path, models, chash, extra=extra)
     before = {p.name: p.read_bytes() for p in run.iterdir()}
     capsys.readouterr()
@@ -1008,7 +1066,7 @@ def _narrow_a_subgroup(models):
     name = next(n for n in sorted(models) if n.startswith("subgroup:"))
     layers = dict(models[name])
     _narrow_att_w(layers)
-    models[name] = ParamSet(layers)
+    models[name] = layers
     return f"model {name!r} does not fit the config: layer 4 is att.W (6, 5)"
 
 
@@ -1413,10 +1471,10 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
     rng = np.random.default_rng(5)
     base = rng.normal(size=(6, 8))
     models = {
-        "global": ParamSet({"z.W": base[::2].copy() * np.pi,
-                            "a.b": rng.normal(size=3)}),
-        "course:c0|none|all": ParamSet({"z.W": np.asfortranarray(base),
-                                        "a.b": np.zeros(3)}),
+        "global": {"z.W": base[::2].copy() * np.pi,
+                   "a.b": rng.normal(size=3)},
+        "course:c0|none|all": {"z.W": np.asfortranarray(base),
+                               "a.b": np.zeros(3)},
     }
     path = tmp_path / "ck.json"
     extra = {"fold": 0, "rep": 2, "selected": {"*": 4}}
@@ -1427,13 +1485,13 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
     assert sorted(loaded) == sorted(models)
     for name, params in models.items():
         # layer order is part of the contract, not just the values
-        assert loaded[name].names() == params.names()
-        for lname, arr in params:
+        assert list(loaded[name]) == list(params)
+        for lname, arr in params.items():
             assert np.array_equal(loaded[name][lname], arr)
 
 
 def test_checkpoint_without_extra_loads_empty_extra(tmp_path):
     path = tmp_path / "ck.json"
-    save_checkpoint(path, {"global": ParamSet({"w": np.ones(2)})}, "x")
+    save_checkpoint(path, {"global": {"w": np.ones(2)}}, "x")
     _, _, extra = load_checkpoint(path)
     assert extra == {}
