@@ -6,7 +6,7 @@ import logging
 
 import numpy as np
 
-from ..models.encoding import Vocab
+from ..models.encoding import Encoding, Vocab
 from ..models.task import Task
 from .records import Dataset
 
@@ -24,18 +24,18 @@ def build_vocab(dataset: Dataset, train_ids) -> Vocab:
 
 
 def build_sequences(dataset: Dataset, task: Task, vocab: Vocab,
-                    max_len: int = MAX_SEQ_LEN) -> dict:
-    """Encode every student once for one task: {student_id: (x, target)}.
+                    max_len: int = MAX_SEQ_LEN) -> Encoding:
+    """Encode every student once for one task.
 
-    The task's encode rule writes the fold's one-hot rows in blocks and
-    each student's x is a row slice of one; students with no usable steps
-    for the task are skipped (count logged). Sequences longer than max_len
+    Each student's x is a row slice of the fold's one column-index array,
+    which the task's encode rule writes; students with no usable steps for
+    the task are skipped (count logged). Sequences longer than max_len
     keep their first max_len steps. Every client of a fold selects its
-    students from this one mapping, so a student's arrays are shared, not
+    students from this one encoding, so a student's arrays are shared, not
     copied, across clients.
     """
     out = task.encode(dataset, vocab, max_len)
-    skipped = len(dataset.students) - len(out)
+    skipped = len(dataset.students) - len(out.students)
     if skipped:
         logger.info("build_sequences(%s): skipped %d students with no usable steps",
                     task.name, skipped)

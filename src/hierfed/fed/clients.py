@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import NumericsError
-from ..models.encoding import pad_batch
+from ..models.encoding import Encoding, pad_batch
 from ..models.task import Task
 from ..nn.params import axpy_params, clip_grad_norm
 
@@ -25,10 +25,13 @@ class ClientData:
     """Encoded per-student arrays for one group under one task.
 
     Students are encoded once per fold, by build_sequences, and
-    build_client_data selects them by id; the task decides how their
-    targets stack into a batch and which model scores it.
+    build_client_data selects them by id. A student's x holds the one-hot
+    column indices of its steps; batch expands them into one-hot rows of
+    the encoding's width. The task decides how targets stack into a batch
+    and which model scores it.
     """
     task: Task
+    width: int                                  # one-hot input width
     ids: list = field(default_factory=list)     # sorted student ids
     arrays: dict = field(default_factory=dict)  # sid -> (x, target)
 
@@ -44,7 +47,7 @@ class ClientData:
     def batch(self, ids):
         """Padded arrays (x, lengths, targets) for a list of student ids."""
         entries = [self.arrays[sid] for sid in ids]
-        x, lengths = pad_batch([e[0] for e in entries])
+        x, lengths = pad_batch([e[0] for e in entries], self.width)
         return x, lengths, self.task.stack_targets([e[1] for e in entries],
                                                    x.shape[1])
 
@@ -61,15 +64,15 @@ class ClientData:
         return self.task.predict(x, lengths, targets, params)
 
 
-def build_client_data(task: Task, encoded: dict, ids) -> ClientData:
+def build_client_data(task: Task, encoded: Encoding, ids) -> ClientData:
     """The students of ids that have an encoding for this task.
 
-    encoded is a fold's build_sequences mapping; the client holds the same
+    encoded is a fold's build_sequences encoding; the client holds the same
     (x, target) objects, so clients over overlapping students share them.
     """
-    data = ClientData(task=task)
+    data = ClientData(task=task, width=encoded.width)
     for sid in sorted(ids):
-        entry = encoded.get(sid)
+        entry = encoded.students.get(sid)
         if entry is not None:
             data.arrays[sid] = entry
             data.ids.append(sid)

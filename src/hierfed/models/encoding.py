@@ -6,13 +6,17 @@ encoding: course + video + response + forum-action blocks, where a step is
 either a video interaction (forum block zero) or a forum action (video and
 response blocks zero).
 
-Each encoder reads a dataset's event table: it maps the table's course and
-video codes to vocabulary columns, writes the one-hot rows of every
-student into blocks of about 1 MiB, one index assignment per block and
-one-hot column group, and gives each student a row slice of its block.
+A step is stored as the columns of its ones: (course, video) for KT, and
+(course, video or forum action, response) for OP, the response NULL where
+the step has none. Each encoder maps a dataset's event table to these
+columns and gives each student a row slice of one fold-wide integer array,
+so an encoding grows with the events, not with the vocabulary; pad_batch
+expands a batch into the padded float64 one-hot rows the models read.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +24,7 @@ from ..data.records import FORUM_ACTIONS
 
 N_RESPONSE_SLOTS = 2
 N_FORUM_SLOTS = len(FORUM_ACTIONS)
-_BLOCK_BYTES = 1 << 20
+NULL = -1  # a step's index that sets no column: an OP step without a response
 
 
 class Vocab:
@@ -90,47 +94,23 @@ def _first_steps(dataset, rows, max_len: int):
     return rows[keep], pos[keep], np.minimum(counts, max_len)
 
 
-def _one_hots(counts, width: int, pieces) -> list:
-    """Each student's (count, width) float64 row slice of the students'
-    stacked one-hot rows. pieces are (rows, cols) pairs, rows ascending
-    within each: the stack is one at every (row, col) and zero elsewhere.
-
-    The stack is written in blocks of about _BLOCK_BYTES, each student's
-    rows in one block. As one matrix it would be one large heap block per
-    fold (10 MB on the heterogeneous preset): freed and requested again, its
-    hole is now and then split by a smaller request, and the next fold's
-    matrix then grows the heap, so peak memory would differ from run to run.
-    """
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    rows_per_block = max(1, _BLOCK_BYTES // (8 * width))
-    first = np.flatnonzero(np.diff(starts // rows_per_block, prepend=-1))
-    bounds = np.append(starts[first], ends[-1:])
-    # flat indices ascend with the rows, so each block's are one range
-    flats = [rows * width + cols for rows, cols in pieces]
-    cuts = [np.searchsorted(flat, bounds * width).tolist() for flat in flats]
-    members = np.append(first, len(counts)).tolist()
-    bounds, starts, ends = bounds.tolist(), starts.tolist(), ends.tolist()
-    out = []
-    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        block = np.zeros((hi - lo) * width)
-        for flat, cut in zip(flats, cuts):
-            block[flat[cut[k]:cut[k + 1]] - lo * width] = 1.0
-        block = block.reshape(hi - lo, width)
-        out += [block[s - lo:e - lo]
-                for s, e in zip(starts[members[k]:members[k + 1]],
-                                ends[members[k]:members[k + 1]])]
-    return out
+@dataclass(frozen=True)
+class Encoding:
+    """One task's encoding of a fold: students maps each student id to
+    (x, target), x its steps' (L, k) one-hot column indices, and width is
+    the one-hot rows' width, the task's input width under the vocabulary."""
+    width: int
+    students: dict
 
 
-def encode_kt(dataset, vocab: Vocab, max_len: int) -> dict:
-    """Knowledge-tracing arrays of every student: {sid: (x, targets)}.
+def encode_kt(dataset, vocab: Vocab, max_len: int) -> Encoding:
+    """Knowledge-tracing encoding of every student: (x, targets) each.
 
     A student's quiz responses (the rows with a response), first max_len,
-    give x: (L-1, D) item one-hots of steps 1..L-1, and targets: (L-1,)
-    responses at steps 2..L, since the prediction made after consuming
-    item t scores the response to item t+1. A single response yields zero
-    rows; a student with none is left out.
+    give x: (L-1, 2) (course, video) columns of items 1..L-1, and targets:
+    (L-1,) responses at steps 2..L, since the prediction made after
+    consuming item t scores the response to item t+1. A single response
+    yields zero rows; a student with none is left out.
     """
     table = dataset.events
     course_slot, video_slot = _slots(dataset, vocab)
@@ -138,54 +118,57 @@ def encode_kt(dataset, vocab: Vocab, max_len: int) -> dict:
                                       max_len)
     items = quiz[pos < np.repeat(lengths - 1, lengths)]  # all but the last
     targets = table.response[quiz[pos > 0]]
-    step = np.arange(items.size)
+    x = np.stack([course_slot[table.course[items]],
+                  vocab.n_courses + video_slot[table.video[items]]], axis=1)
     n_items = np.maximum(lengths - 1, 0)
-    xs = _one_hots(n_items, vocab.kt_input_dim,
-                   ((step, course_slot[table.course[items]]),
-                    (step, vocab.n_courses + video_slot[table.video[items]])))
     ends = np.cumsum(n_items).tolist()
-    return {sid: (x, targets[end - n:end])
-            for sid, x, end, n, length in zip(dataset.student_ids, xs, ends,
-                                              n_items.tolist(), lengths.tolist())
-            if length}
+    return Encoding(vocab.kt_input_dim, {
+        sid: (x[end - n:end], targets[end - n:end]) for sid, end, n, length
+        in zip(dataset.student_ids, ends, n_items.tolist(), lengths.tolist())
+        if length})
 
 
-def encode_op(dataset, vocab: Vocab, max_len: int) -> dict:
-    """Outcome-prediction arrays of every student: {sid: ((T, D) x, label)}.
+def encode_op(dataset, vocab: Vocab, max_len: int) -> Encoding:
+    """Outcome-prediction encoding of every student: ((T, 3) x, label) each.
 
-    Each event, first max_len, is one step. Forum steps leave the video and
-    response blocks zero; video steps leave the forum block zero, and the
-    response block too when the event has no quiz response. A student with
-    no events is left out.
+    Each event, first max_len, is one step: its course, then its video or
+    forum action, then its quiz response, NULL on forum steps and on video
+    steps without one. A student with no events is left out.
     """
     table = dataset.events
     course_slot, video_slot = _slots(dataset, vocab)
     rows, _, lengths = _first_steps(dataset, np.arange(len(table)), max_len)
-    step = np.arange(rows.size)
     forum = table.action[rows] >= 0
-    answered = table.response[rows] >= 0
-    video = vocab.n_courses
-    response = vocab.kt_input_dim
-    xs = _one_hots(lengths, vocab.op_input_dim,
-                   ((step, course_slot[table.course[rows]]),
-                    (step[~forum], video + video_slot[table.video[rows[~forum]]]),
-                    (step[answered], response + table.response[rows[answered]]),
-                    (step[forum], response + N_RESPONSE_SLOTS
-                     + table.action[rows[forum]])))
-    return {sid: (x, int(dataset.students[sid].outcome))
-            for sid, x in zip(dataset.student_ids, xs) if len(x)}
+    response = table.response[rows]
+    x = np.empty((rows.size, 3), dtype=np.int64)
+    x[:, 0] = course_slot[table.course[rows]]
+    x[~forum, 1] = vocab.n_courses + video_slot[table.video[rows[~forum]]]
+    x[forum, 1] = (vocab.kt_input_dim + N_RESPONSE_SLOTS
+                   + table.action[rows[forum]])
+    x[:, 2] = np.where(response >= 0, vocab.kt_input_dim + response, NULL)
+    ends = np.cumsum(lengths).tolist()
+    return Encoding(vocab.op_input_dim, {
+        sid: (x[end - n:end], int(dataset.students[sid].outcome))
+        for sid, end, n in zip(dataset.student_ids, ends, lengths.tolist()) if n})
 
 
-def pad_batch(arrays):
-    """Stack variable-length (L_i, D) arrays into (B, T_max, D) plus lengths."""
+def pad_batch(arrays, width: int):
+    """The padded one-hot rows of variable-length (L_i, k) arrays of
+    column indices in [0, width) or NULL: (B, T_max, width) float64, one at
+    each step's indices and zero past each length, plus the lengths."""
     if not arrays:
         raise ValueError("pad_batch: empty batch")
-    lengths = np.array([a.shape[0] for a in arrays], dtype=np.int64)
-    D = arrays[0].shape[1]
-    T = int(lengths.max())
-    out = np.zeros((len(arrays), T, D))
-    for b, a in enumerate(arrays):
-        if a.shape[1] != D:
-            raise ValueError(f"pad_batch: inconsistent widths {a.shape[1]} vs {D}")
-        out[b, :a.shape[0], :] = a
+    ls = [len(a) for a in arrays]
+    lengths = np.array(ls, dtype=np.int64)
+    cols = np.concatenate(arrays)
+    out = np.zeros((len(ls), max(ls), width))
+    # each step's row of out as (B * T_max, width): b * T_max + t
+    rows = (np.arange(out.shape[1]) < lengths[:, None]).ravel().nonzero()[0]
+    if cols.shape[1] > 2:  # only a third index, OP's response, can be NULL
+        # a NULL sets no column: write the step's second column once more
+        cols = np.where(cols == NULL, cols[:, 1:2], cols)
+    try:
+        out.reshape(-1, width)[rows[:, None], cols] = 1.0
+    except IndexError:
+        raise ValueError(f"pad_batch: a column outside width {width}") from None
     return out, lengths

@@ -23,11 +23,12 @@ from .op import op_embed, op_init, op_loss_grad, op_predict
 class Task:
     """What differs between the tasks; see KT and OP for the two instances.
 
-    encode(dataset, vocab, max_len) -> {sid: (x, target)} over the
-    students with usable steps; stack_targets(targets, T) -> batch target
-    array; init(vocab, hidden_dim, rng) -> initial parameters; loss_grad
-    and predict score a padded batch; embed(x, lengths, params) -> one
-    pooled state per student, or None when the model has none.
+    encode(dataset, vocab, max_len) -> Encoding: (x, target) of each
+    student with usable steps, x its steps' one-hot column indices, and
+    the one-hot width; stack_targets(targets, T) -> batch target array;
+    init(vocab, hidden_dim, rng) -> initial parameters; loss_grad and
+    predict score a padded batch; embed(x, lengths, params) -> one pooled
+    state per student, or None when the model has none.
     """
     name: str
     encode: Callable

@@ -600,17 +600,21 @@ def _trained_dataset(config: ExperimentConfig, report: dict):
 
 
 def _trained_runs(config: ExperimentConfig, report: dict, out_dir: Path,
-                  pairs, data=None):
-    """(fold, rep, test context, bundle) of each (fold, rep) in pairs of
-    the trained run of config and report, its checkpoints in out_dir.
-    data is what _dataset gave the run's training when the caller has just
-    trained it; without it the report's dataset is resolved again."""
+                  pairs, score, data=None) -> list:
+    """score(test context, bundle) of each (fold, rep) in pairs of the
+    trained run of config and report, its checkpoints in out_dir. Nothing
+    holds one pair's context or bundle once its score returns, so one
+    fold's data is resident at a time. data is what _dataset gave the run's
+    training when the caller has just trained it; without it the report's
+    dataset is resolved again."""
     ds, parts, _ = data or _trained_dataset(config, report)
-    for fold, rep in pairs:
+
+    def trained(fold, rep):
         _, _, test = _prepare(config, ds, parts, fold, rep)
-        yield fold, rep, test, _load_bundle(_checkpoint_path(out_dir, fold, rep),
-                                            report["config_hash"],
-                                            test.init_params, test.strategy)
+        return test, _load_bundle(_checkpoint_path(out_dir, fold, rep),
+                                  report["config_hash"], test.init_params,
+                                  test.strategy)
+    return [score(*trained(fold, rep)) for fold, rep in pairs]
 
 
 def _out_dir(out, create: bool = True) -> Path:
@@ -713,15 +717,16 @@ def cmd_evaluate(out, config: ExperimentConfig | None = None,
                           f"seed {stored.seed}")
     if config is not None and config_hash(config) != report["config_hash"]:
         raise ConfigError("given config does not match the trained report")
-    rows = []
-    runs = report["runs"]
-    trained = _trained_runs(stored, report, out_dir,
-                            [(r["fold"], r["rep"]) for r in runs])
-    for run, (fold, rep, test_ctx, bundle) in zip(runs, trained):
+    def rescore(test_ctx, bundle) -> dict:
         test = evaluate_adapted(bundle, test_ctx, ("test",))
-        test_auc = {key.label(): value for key, value in test.items()}
-        rows.append({"fold": fold, "rep": rep, "test_auc": test_auc,
-                     "matches_report": test_auc == run["test_auc"]})
+        return {key.label(): value for key, value in test.items()}
+
+    runs = report["runs"]
+    aucs = _trained_runs(stored, report, out_dir,
+                         [(r["fold"], r["rep"]) for r in runs], rescore)
+    rows = [{"fold": run["fold"], "rep": run["rep"], "test_auc": test_auc,
+             "matches_report": test_auc == run["test_auc"]}
+            for run, test_auc in zip(runs, aucs)]
     doc = {
         "schema": SCHEMA_VERSION,
         "kind": "evaluation",
@@ -816,12 +821,9 @@ def cmd_export_embeddings(config: ExperimentConfig, out, workers: int = 1) -> di
         data = _dataset(config)
         report = _train(config, data, _out_dir(out_dir), workers)
 
-    rows = []
-    for _, _, test, bundle in _trained_runs(config, report, out_dir,
-                                            [(fold, 0) for fold in config.folds],
-                                            data):
-        pmap = adapted_params(bundle, test, ("embed",))
-        for key, params in pmap.items():
+    def embed(test, bundle) -> list:
+        out = []
+        for key, params in adapted_params(bundle, test, ("embed",)).items():
             if params is None:
                 logger.warning("no model for %s; embeddings skipped", key)
                 continue
@@ -833,9 +835,14 @@ def cmd_export_embeddings(config: ExperimentConfig, out, workers: int = 1) -> di
             for sid in group_data.ids:
                 x, lengths, _ = group_data.batch([sid])
                 h = task.embed(x, lengths, params)[0]
-                rows.append([sid, key.course, variable, subgroup]
-                            + [float(v) for v in h])
-    rows.sort(key=lambda r: r[0])
+                out.append([sid, key.course, variable, subgroup]
+                           + [float(v) for v in h])
+        return out
+
+    per_fold = _trained_runs(config, report, out_dir,
+                             [(fold, 0) for fold in config.folds], embed, data)
+    rows = sorted((row for fold_rows in per_fold for row in fold_rows),
+                  key=lambda r: r[0])
     k = config.hidden_dim
     header = (["student_id", "course", "demographic_variable", "subgroup"]
               + [f"dim_{i}" for i in range(k)])

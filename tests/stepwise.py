@@ -1,15 +1,16 @@
-"""A per-step one-hot encoder: the reference for the program's encoding.
+"""A per-step encoder: the reference for the program's encoding.
 
-It writes one dense row per step with plain element assignments, so the
-encoding tests can compare build_sequences against it student by student,
-and other tests can hand-build clients from index-level steps. A KT step is
-a (course index, video index) item; an OP step is video(c, v, response) or
+It writes one dense one-hot row per step with plain element assignments,
+and lists each step's one-hot columns one step at a time, so the encoding
+tests can compare build_sequences against it student by student, and
+other tests can hand-build clients from index-level steps. A KT step is a
+(course index, video index) item; an OP step is video(c, v, response) or
 forum(c, action).
 """
 
 import numpy as np
 
-from hierfed.models.encoding import N_RESPONSE_SLOTS, N_FORUM_SLOTS
+from hierfed.models.encoding import NULL, N_RESPONSE_SLOTS, N_FORUM_SLOTS
 
 
 def video(course, vid, response=None):
@@ -55,8 +56,31 @@ def step_row(step, vocab):
     return out
 
 
-def kt_entry(items, responses, vocab):
-    """(x, targets): items 1..L-1 as rows, responses 2..L as targets."""
+def item_cols(course, vid, vocab):
+    """KT item columns: (course, video)."""
+    _check_range(course, vocab.n_courses, "course")
+    _check_range(vid, vocab.n_video_slots, "video")
+    return [course, vocab.n_courses + vid]
+
+
+def step_cols(step, vocab):
+    """OP step columns: (course, video or forum action, response or NULL)."""
+    kind, course = step[0], step[1]
+    _check_range(course, vocab.n_courses, "course")
+    responses = vocab.n_courses + vocab.n_video_slots
+    if kind == "forum":
+        _check_range(step[2], N_FORUM_SLOTS, "forum action")
+        return [course, responses + N_RESPONSE_SLOTS + step[2], NULL]
+    _, _, vid, response = step
+    _check_range(vid, vocab.n_video_slots, "video")
+    if response is None:
+        return [course, vocab.n_courses + vid, NULL]
+    _check_range(response, N_RESPONSE_SLOTS, "response")
+    return [course, vocab.n_courses + vid, responses + response]
+
+
+def kt_rows(items, responses, vocab):
+    """(x, targets): items 1..L-1 as one-hot rows, responses 2..L as targets."""
     assert len(items) == len(responses) >= 1
     L = len(items)
     x = np.zeros((L - 1, vocab.kt_input_dim))
@@ -67,10 +91,30 @@ def kt_entry(items, responses, vocab):
     return x, targets
 
 
-def op_entry(steps, outcome, vocab):
-    """((T, D) x, label), one row per step."""
+def op_rows(steps, outcome, vocab):
+    """((T, D) x, label), one one-hot row per step."""
     assert len(steps) >= 1 and outcome in (0, 1)
     x = np.zeros((len(steps), vocab.op_input_dim))
     for t, step in enumerate(steps):
         x[t] = step_row(step, vocab)
     return x, int(outcome)
+
+
+def kt_entry(items, responses, vocab):
+    """(x, targets): items 1..L-1 as (course, video) columns, responses
+    2..L as targets."""
+    assert len(items) == len(responses) >= 1
+    x = np.zeros((len(items) - 1, 2), dtype=np.int64)
+    for t in range(len(items) - 1):
+        x[t] = item_cols(*items[t], vocab)
+    return x, np.array(responses[1:], dtype=np.int64)
+
+
+def op_entry(steps, outcome, vocab):
+    """((T, 3) x, label), one step's columns per row."""
+    assert len(steps) >= 1 and outcome in (0, 1)
+    x = np.zeros((len(steps), 3), dtype=np.int64)
+    for t, step in enumerate(steps):
+        x[t] = step_cols(step, vocab)
+    return x, int(outcome)
+

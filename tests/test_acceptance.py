@@ -31,7 +31,7 @@ from hierfed.fed.irt import irt_confidence, irt_interpolate
 from hierfed.fed.strategy import parse_strategy
 from hierfed.keys import GroupKey
 from hierfed.metrics import activity_heatmap, auc
-from hierfed.models.encoding import Vocab
+from hierfed.models.encoding import Encoding, Vocab
 from hierfed.models.task import KT, OP
 from hierfed.nn.layers import PROB_CLAMP
 from hierfed.nn.params import axpy_params, clip_grad_norm
@@ -53,7 +53,7 @@ def kt_client_data(rng, n_students, prefix="s"):
         sid = f"{prefix}{i:02d}"
         seqs[sid] = kt_entry(items, [int(rng.integers(2)) for _ in range(L)],
                              VOCAB)
-    return build_client_data(KT, seqs, sorted(seqs))
+    return build_client_data(KT, Encoding(VOCAB.kt_input_dim, seqs), sorted(seqs))
 
 
 def op_client_data(rng, n_students, prefix="s"):
@@ -71,7 +71,7 @@ def op_client_data(rng, n_students, prefix="s"):
                                    int(rng.integers(3))))
         sid = f"{prefix}{i:02d}"
         seqs[sid] = op_entry(steps, int(rng.integers(2)), VOCAB)
-    return build_client_data(OP, seqs, sorted(seqs))
+    return build_client_data(OP, Encoding(VOCAB.op_input_dim, seqs), sorted(seqs))
 
 
 def forward_loss(task, x, lengths, targets):

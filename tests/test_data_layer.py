@@ -451,22 +451,20 @@ def test_vocab_comes_from_the_training_split_only():
 def test_kt_sequences_keep_quiz_responses_only():
     ds = sequence_dataset()
     vocab = build_vocab(ds, ["s1", "s2"])
-    seqs = build_sequences(ds, KT, vocab)
+    seqs = build_sequences(ds, KT, vocab).students
     assert set(seqs) == {"s1"}  # s2 never answered a quiz
     x, targets = seqs["s1"]
     # the first response is input only; the second is the one target
     assert targets.tolist() == [0]
-    assert x.shape == (1, vocab.kt_input_dim)
-    assert np.flatnonzero(x[0]).tolist() == [
-        0, vocab.n_courses + vocab.video_index("v0")]
+    assert x.tolist() == [[0, vocab.n_courses + vocab.video_index("v0")]]
 
 
 def test_op_sequences_keep_every_event_and_the_outcome():
     ds = sequence_dataset()
     vocab = build_vocab(ds, ["s1", "s2"])
-    seqs = build_sequences(ds, OP, vocab)
+    seqs = build_sequences(ds, OP, vocab).students
     assert set(seqs) == {"s1", "s2"}
-    assert seqs["s1"][0].shape == (4, vocab.op_input_dim)
+    assert seqs["s1"][0].shape == (4, 3)
     assert seqs["s1"][1] == 1
     assert seqs["s2"][1] == 0
 
@@ -477,7 +475,7 @@ def test_sequences_truncate_to_the_step_budget():
               for t in range(30)]
     ds = Dataset(students, extend_columns(events))
     vocab = build_vocab(ds, ["s1"])
-    seqs = build_sequences(ds, KT, vocab, max_len=8)
+    seqs = build_sequences(ds, KT, vocab, max_len=8).students
     x, targets = seqs["s1"]
     assert x.shape[0] == 7
     assert targets.tolist() == [t % 2 for t in range(1, 8)]

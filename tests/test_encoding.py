@@ -1,9 +1,12 @@
 """Vocabulary, one-hot layouts, and per-student encoding contracts.
 
-The program encodes each student straight from the event log with index
-writes; every check here compares against the per-step reference encoder in
-stepwise.py, or against the block layout directly.
+The program encodes each student straight from the event log as one-hot
+column indices, and pad_batch expands them into one-hot rows; every check
+here compares the columns and the expanded rows against the per-step
+reference encoder in stepwise.py.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,12 +14,13 @@ import pytest
 from hierfed.data.partition import make_folds
 from hierfed.data.records import Dataset, StudentRecord, extend_columns
 from hierfed.data.sequences import MAX_SEQ_LEN, build_sequences, build_vocab
-from hierfed.models.encoding import FORUM_ACTIONS, Vocab, pad_batch
+from hierfed.models.encoding import FORUM_ACTIONS, NULL, Vocab, pad_batch
 from hierfed.models.task import KT, OP
 from hierfed.runner import ExperimentConfig, _prepare
 from hierfed.synth.generate import generate, preset
 from rowwise import Event, events_of
-from stepwise import forum, item_row, kt_entry, op_entry, step_row, video
+from stepwise import (forum, item_row, kt_entry, kt_rows, op_entry, op_rows,
+                      step_row, video)
 
 
 def quiz(course, vid, response, sid="s"):
@@ -31,25 +35,35 @@ def post(course, action, sid="s"):
     return Event(sid, course, "forum", None, None, action, 0)
 
 
+def rows_of(x, width):
+    """A student's one-hot rows: its column indices expanded by pad_batch."""
+    return pad_batch([x], width)[0][0]
+
+
 def encode_one(task, events, vocab, outcome=0):
-    """One student's (x, target) under task, encoded through a Dataset."""
+    """One student's (one-hot rows, target) under task, encoded through a
+    Dataset."""
     sid, course = events[0].student_id, events[0].course_id
     ds = Dataset({sid: StudentRecord(sid, course, outcome=outcome)},
                  extend_columns(events))
-    return task.encode(ds, vocab, MAX_SEQ_LEN)[sid]
+    encoded = task.encode(ds, vocab, MAX_SEQ_LEN)
+    x, target = encoded.students[sid]
+    return rows_of(x, encoded.width), target
 
 
 def stepwise_reference(dataset, task, vocab, max_len=MAX_SEQ_LEN) -> dict:
-    """{sid: (x, target)} built one step at a time from the event log."""
+    """{sid: (one-hot rows, column indices, target)} built one step at a
+    time from the event log."""
     out = {}
     for sid, events in events_of(dataset).items():
         if task is KT:
             quizzes = [ev for ev in events if ev.kind == "quiz_response"][:max_len]
             if quizzes:
-                out[sid] = kt_entry([(vocab.course_index(ev.course_id),
-                                      vocab.video_index(ev.video_id))
-                                     for ev in quizzes],
-                                    [ev.response for ev in quizzes], vocab)
+                items = [(vocab.course_index(ev.course_id),
+                          vocab.video_index(ev.video_id)) for ev in quizzes]
+                responses = [ev.response for ev in quizzes]
+                rows, targets = kt_rows(items, responses, vocab)
+                out[sid] = rows, kt_entry(items, responses, vocab)[0], targets
             continue
         steps = [forum(vocab.course_index(ev.course_id),
                        FORUM_ACTIONS.index(ev.forum_action))
@@ -58,21 +72,34 @@ def stepwise_reference(dataset, task, vocab, max_len=MAX_SEQ_LEN) -> dict:
                        vocab.video_index(ev.video_id), ev.response)
                  for ev in events[:max_len]]
         if steps:
-            out[sid] = op_entry(steps, dataset.students[sid].outcome, vocab)
+            outcome = dataset.students[sid].outcome
+            rows, label = op_rows(steps, outcome, vocab)
+            out[sid] = rows, op_entry(steps, outcome, vocab)[0], label
     return out
 
 
-def assert_same_encoding(got: dict, want: dict):
-    assert list(got) == list(want)
-    for sid, (x, target) in want.items():
-        gx, gtarget = got[sid]
-        assert gx.dtype == x.dtype and gx.shape == x.shape, sid
-        assert gx.tobytes() == x.tobytes(), sid
+def assert_same_encoding(got, want: dict):
+    """got, an Encoding, holds want's columns and targets, and its columns
+    expand to want's one-hot rows bit for bit, alone and in one batch."""
+    assert list(got.students) == list(want)
+    for sid, (rows, cols, target) in want.items():
+        gx, gtarget = got.students[sid]
+        assert gx.dtype == cols.dtype and np.array_equal(gx, cols), sid
+        grows = rows_of(gx, got.width)
+        assert grows.dtype == rows.dtype and grows.shape == rows.shape, sid
+        assert grows.tobytes() == rows.tobytes(), sid
         if isinstance(target, np.ndarray):
             assert gtarget.dtype == target.dtype
             assert np.array_equal(gtarget, target), sid
         else:
             assert type(gtarget) is type(target) and gtarget == target, sid
+    sids = list(want)[:32]
+    x, lengths = pad_batch([got.students[sid][0] for sid in sids], got.width)
+    for b, sid in enumerate(sids):
+        rows = want[sid][0]
+        assert lengths[b] == len(rows)
+        assert x[b, :len(rows)].tobytes() == rows.tobytes(), sid
+        assert not x[b, len(rows):].any(), sid
 
 
 def test_vocab_sorts_and_dedupes():
@@ -160,9 +187,9 @@ def test_unseen_video_maps_to_the_reserved_slot():
     x, _ = encode_one(OP, [watch("a", "never-seen"), quiz("a", "never-seen", 0)],
                       vocab, outcome=1)
     assert np.all(x[:, unknown] == 1.0)
-    assert np.array_equal(x, op_entry([video(0, vocab.unknown_video),
-                                       video(0, vocab.unknown_video, 0)],
-                                      1, vocab)[0])
+    assert np.array_equal(x, op_rows([video(0, vocab.unknown_video),
+                                      video(0, vocab.unknown_video, 0)],
+                                     1, vocab)[0])
     x, _ = encode_one(KT, [quiz("a", "never-seen", 1), quiz("a", "v0", 0)], vocab)
     assert x[0, unknown] == 1.0
 
@@ -209,8 +236,6 @@ def test_every_fold_matches_the_stepwise_reference(heterogeneous, task):
         vocab = build_vocab(ds, part.train_ids())
         got = build_sequences(ds, task, vocab)
         assert_same_encoding(got, stepwise_reference(ds, task, vocab))
-        # several blocks, each student's x a row slice of one of them
-        assert len({id(x.base) for x, _ in got.values()}) > 1
 
 
 def edge_case_dataset():
@@ -234,22 +259,39 @@ def test_edge_cases_match_the_stepwise_reference(task):
     # s1 is held out: u8 and u9 are unseen in training
     vocab = build_vocab(ds, ["s2", "s3", "s5"])
     assert set(vocab.video_ids) == {f"v{t}" for t in range(MAX_SEQ_LEN + 5)}
-    got = build_sequences(ds, task, vocab)
-    assert_same_encoding(got, stepwise_reference(ds, task, vocab))
-    # every student starts within one block's rows, so every x is a row
-    # slice of one block, s5's too though it runs past the block's size
-    assert len({id(x.base) for x, _ in got.values()}) == 1
+    encoded = build_sequences(ds, task, vocab)
+    assert_same_encoding(encoded, stepwise_reference(ds, task, vocab))
+    got = encoded.students
     if task is KT:
         # students with no quiz response are skipped; one response is no row
         assert set(got) == {"s1", "s2", "s5"}
-        assert got["s2"][0].shape == (0, vocab.kt_input_dim)
+        assert got["s2"][0].shape == (0, 2)
         assert got["s2"][1].shape == (0,)
-        assert got["s5"][0].shape == (MAX_SEQ_LEN - 1, vocab.kt_input_dim)
+        assert rows_of(got["s2"][0], encoded.width).shape == (0, vocab.kt_input_dim)
+        assert got["s5"][0].shape == (MAX_SEQ_LEN - 1, 2)
     else:
         assert set(got) == {"s1", "s2", "s3", "s5"}
-        assert got["s5"][0].shape == (MAX_SEQ_LEN, vocab.op_input_dim)
+        assert got["s5"][0].shape == (MAX_SEQ_LEN, 3)
         unknown = vocab.n_courses + vocab.unknown_video
-        assert got["s1"][0][:, unknown].tolist() == [0, 0, 0, 1, 1]
+        assert got["s1"][0][:, 1].tolist().count(unknown) == 2
+        assert rows_of(got["s1"][0], encoded.width)[:, unknown].tolist() == [
+            0, 0, 0, 1, 1]
+        # s1's forum step and its unanswered videos have no response
+        assert (got["s1"][0][:, 2] == NULL).tolist() == [True, True, False,
+                                                          False, True]
+
+
+@pytest.mark.parametrize("task", [KT, OP], ids=["KT", "OP"])
+def test_a_folds_encoding_does_not_grow_with_the_vocabulary(task):
+    ds = generate(replace(preset("balanced-small"), videos_per_course=1000))
+    vocab = build_vocab(ds, make_folds(ds, 101)[0].train_ids())
+    encoded = build_sequences(ds, task, vocab)
+    assert encoded.width > 300
+    xs = [x for x, _ in encoded.students.values()]
+    steps = sum(len(x) for x in xs)
+    assert steps > 0
+    # at most three indices a step, however wide its one-hot row
+    assert sum(x.nbytes for x in xs) <= steps * 3 * xs[0].itemsize
 
 
 def test_clients_of_a_fold_share_each_students_arrays(heterogeneous):
@@ -263,20 +305,46 @@ def test_clients_of_a_fold_share_each_students_arrays(heterogeneous):
         pool = ctx.course_pools[key.course]
         assert val.clients[key] is data and test.clients[key] is data
         assert data.ids
+        assert data.width == pool.width == (ctx.init_params["gru.Wn"].shape[0]
+                                            - config.hidden_dim)
         for sid in data.ids:
             assert pool.arrays[sid][0] is data.arrays[sid][0]
 
 
 def test_pad_batch_shapes_and_lengths():
-    rng = np.random.default_rng(3)
-    arrays = [rng.normal(size=(L, 4)) for L in (3, 1, 5)]
-    x, lengths = pad_batch(arrays)
-    assert x.shape == (3, 5, 4)
-    assert np.array_equal(lengths, np.array([3, 1, 5]))
-    for b, a in enumerate(arrays):
-        assert np.array_equal(x[b, :a.shape[0]], a)
-        assert np.all(x[b, a.shape[0]:] == 0.0)
-    with pytest.raises(ValueError):
-        pad_batch([])
-    with pytest.raises(ValueError):
-        pad_batch([np.zeros((2, 4)), np.zeros((2, 3))])
+    vocab = Vocab(["a", "b"], ["v0", "v1", "v2"])
+    # an answered video, a forum step and an unanswered video: three, two
+    # and two ones, the last two with a NULL response
+    students = [[video(1, 2, 0), forum(0, 2)], [video(0, 3)],
+                [forum(1, 0), video(1, 1, 1), video(0, 0)]]
+    arrays = [op_entry(steps, 0, vocab)[0] for steps in students]
+    assert [(a[:, 2] == NULL).sum() for a in arrays] == [1, 1, 2]
+    copies = [a.copy() for a in arrays]
+    x, lengths = pad_batch(arrays, vocab.op_input_dim)
+    assert x.shape == (3, 3, vocab.op_input_dim) and x.dtype == np.float64
+    assert x.flags.c_contiguous
+    assert np.array_equal(lengths, np.array([2, 1, 3]))
+    for b, steps in enumerate(students):
+        L = len(steps)
+        assert x[b, :L].tobytes() == op_rows(steps, 0, vocab)[0].tobytes()
+        assert np.all(x[b, L:] == 0.0)
+        assert np.array_equal(arrays[b], copies[b])  # the entries are not written
+    assert x.sum() == 3 + 2 + 2 + 2 + 3 + 2
+    # KT rows: two indices a step; a student with no item is an empty row set
+    items = [kt_entry([(1, 0), (0, 3), (1, 1)], [1, 0, 1], vocab)[0],
+             kt_entry([(0, 2)], [0], vocab)[0]]
+    x, lengths = pad_batch(items, vocab.kt_input_dim)
+    assert x.shape == (2, 2, vocab.kt_input_dim)
+    assert lengths.tolist() == [2, 0]
+    assert x[0].tobytes() == kt_rows([(1, 0), (0, 3), (1, 1)], [1, 0, 1],
+                                     vocab)[0].tobytes()
+    assert not x[1].any()
+    x, lengths = pad_batch(items[1:], vocab.kt_input_dim)
+    assert x.shape == (1, 0, vocab.kt_input_dim) and lengths.tolist() == [0]
+    with pytest.raises(ValueError, match="empty batch"):
+        pad_batch([], vocab.op_input_dim)
+    # a column past the width: an entry encoded under a wider vocabulary
+    with pytest.raises(ValueError, match="outside width"):
+        pad_batch(arrays, vocab.op_input_dim - 1)
+    with pytest.raises(ValueError, match="outside width"):
+        pad_batch(items, vocab.kt_input_dim - 1)

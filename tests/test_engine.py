@@ -26,7 +26,7 @@ from hierfed.fed.engine import (
 )
 from hierfed.fed.strategy import parse_strategy
 from hierfed.keys import GroupKey
-from hierfed.models.encoding import Vocab
+from hierfed.models.encoding import Encoding, Vocab
 from hierfed.models.task import KT
 from hierfed.nn.params import axpy_params
 from stepwise import kt_entry
@@ -47,7 +47,7 @@ def make_sequences(rng, sids, course=0, bias=0.5):
 def make_client(rng, n=8, prefix="s", course=0, bias=0.5):
     sids = [f"{prefix}{i:02d}" for i in range(n)]
     seqs = make_sequences(rng, sids, course=course, bias=bias)
-    return build_client_data(KT, seqs, sids)
+    return build_client_data(KT, Encoding(VOCAB.kt_input_dim, seqs), sids)
 
 
 def init_params(rng, hidden=4):
@@ -64,8 +64,10 @@ def two_level_world(rng, per_sub=5):
             seqs = make_sequences(rng, sids, course=ci, bias=0.3 + 0.4 * ci)
             pooled.update(seqs)
             key = GroupKey(c, "gender", g)
-            clients[key] = build_client_data(KT, seqs, sids)
-        course_pools[c] = build_client_data(KT, pooled, sorted(pooled))
+            clients[key] = build_client_data(
+                KT, Encoding(VOCAB.kt_input_dim, seqs), sids)
+        course_pools[c] = build_client_data(
+            KT, Encoding(VOCAB.kt_input_dim, pooled), sorted(pooled))
     return clients, course_pools
 
 
@@ -586,8 +588,8 @@ def test_course_personalization_adapts_only_where_data_exists():
     s = parse_strategy("sc1-P-AT").with_overrides(batch_size=4)
     ctx = RunContext(strategy=s, master_seed=3, rep=0, fold=0,
                      clients={GroupKey("c0"): data},
-                     scored={GroupKey("c0"): ClientData(KT),
-                             GroupKey("c1"): ClientData(KT)})
+                     scored={GroupKey("c0"): ClientData(KT, VOCAB.kt_input_dim),
+                             GroupKey("c1"): ClientData(KT, VOCAB.kt_input_dim)})
     out = adapted_params(bundle, ctx)
     assert out[GroupKey("c1")] is gp
     assert max_param_diff(out[GroupKey("c0")], gp) > 0.0
@@ -644,7 +646,8 @@ def test_evaluation_epoch_divergence_names_fold_rep_tag_and_client():
     s = parse_strategy("sc1-P-AT").with_overrides(batch_size=4)
     key = GroupKey("c1")
     ctx = RunContext(strategy=s, master_seed=3, rep=0, fold=3,
-                     clients={key: data}, scored={key: ClientData(KT)})
+                     clients={key: data},
+                     scored={key: ClientData(KT, VOCAB.kt_input_dim)})
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericsError,
                            match=r"^fold 3, rep 0, test adaptation, "
@@ -659,14 +662,15 @@ def test_evaluation_skips_groups_without_usable_auc(caplog):
     sids = ["p00", "p01"]
     all_correct = {sid: kt_entry([(0, 1), (0, 2), (0, 3)], [1, 1, 1], VOCAB)
                    for sid in sids}
-    single_class = build_client_data(KT, all_correct, sids)
+    single_class = build_client_data(
+        KT, Encoding(VOCAB.kt_input_dim, all_correct), sids)
     k_good, k_flat, k_empty = (GroupKey("c0"), GroupKey("c1"),
                                GroupKey("c1", "gender", "F"))
     bundle = TrainedBundle(global_params=gp)
     s = parse_strategy("sc2-G-AT-T")
     ctx = RunContext(strategy=s, master_seed=1, rep=0, fold=0,
                      scored={k_good: good, k_flat: single_class,
-                             k_empty: ClientData(KT)})
+                             k_empty: ClientData(KT, VOCAB.kt_input_dim)})
     with caplog.at_level(logging.WARNING, logger="hierfed.fed.engine"):
         scores = evaluate_adapted(bundle, ctx)
     assert 0.0 <= scores[k_good] <= 1.0
@@ -684,7 +688,8 @@ def test_a_group_with_no_scored_steps_has_no_auc():
     key = GroupKey("c0")
     ctx = RunContext(strategy=parse_strategy("sc1-G"), master_seed=1, rep=0,
                      fold=0,
-                     scored={key: build_client_data(KT, one_response, sids)})
+                     scored={key: build_client_data(
+                         KT, Encoding(VOCAB.kt_input_dim, one_response), sids)})
     bundle = TrainedBundle(global_params=init_params(rng))
     assert ctx.scored[key].size == 2
     assert evaluate_adapted(bundle, ctx) == {key: None}

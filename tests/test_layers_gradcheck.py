@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hierfed.fed.clients import build_client_data
-from hierfed.models.encoding import Vocab
+from hierfed.models.encoding import Encoding, Vocab
 from hierfed.models.task import KT, OP
 from hierfed.nn.layers import (
     PROB_CLAMP,
@@ -252,7 +252,8 @@ def test_bce_clamp_keeps_loss_finite():
             (OP, op_entry([video(0, 0, 1)], 1, vocab))):
         params = task.init(vocab, 3, rng)
         params["out.b"] = np.array([1e4, -1e4])
-        data = build_client_data(task, {"s": entry}, ["s"])
+        width = vocab.kt_input_dim if task is KT else vocab.op_input_dim
+        data = build_client_data(task, Encoding(width, {"s": entry}), ["s"])
         loss, grads = data.loss_grad(["s"], params)
         n_terms = len(data.predict(params)[0])
         assert loss == pytest.approx(-n_terms * np.log(PROB_CLAMP))

@@ -12,7 +12,7 @@ from hierfed.fed.clients import (
     meta_batches,
     meta_update,
 )
-from hierfed.models.encoding import Vocab
+from hierfed.models.encoding import Encoding, Vocab
 from hierfed.models.task import KT
 from hierfed.nn.params import axpy_params, clip_grad_norm
 from stepwise import kt_entry
@@ -29,7 +29,7 @@ def kt_client(rng, n_students=12):
         responses = [int(rng.integers(2)) for _ in range(L)]
         sid = f"s{i:02d}"
         seqs[sid] = kt_entry(items, responses, VOCAB)
-    data = build_client_data(KT, seqs, list(seqs))
+    data = build_client_data(KT, Encoding(VOCAB.kt_input_dim, seqs), list(seqs))
     return data, KT.init(VOCAB, 5, rng)
 
 
@@ -167,7 +167,7 @@ def test_local_sgd_steps_runs_exactly_n_steps():
 
 
 def test_local_updates_reject_empty_clients():
-    empty = build_client_data(KT, {}, [])
+    empty = build_client_data(KT, Encoding(VOCAB.kt_input_dim, {}), [])
     with pytest.raises(ValueError):
         epoch_batches(empty, 4, np.random.default_rng(0), n_steps=1)
     with pytest.raises(ValueError):

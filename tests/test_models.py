@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hierfed.models.encoding import Vocab, pad_batch
+from hierfed.models.encoding import Encoding, Vocab, pad_batch
 from hierfed.fed.clients import build_client_data
 from hierfed.models.kt import kt_init, kt_loss_grad, kt_predict
 from hierfed.models.op import op_embed, op_init, op_predict
@@ -57,7 +57,9 @@ def per_student(scores, lengths):
 def client_data(task, students):
     """Client over the given (sid, entry) students, ids in the given order."""
     ids = [sid for sid, _ in students]
-    return build_client_data(task, dict(students), ids), ids
+    vocab = small_vocab()
+    width = vocab.kt_input_dim if task is KT else vocab.op_input_dim
+    return build_client_data(task, Encoding(width, dict(students)), ids), ids
 
 
 def test_kt_init_layout():
@@ -286,8 +288,9 @@ def test_op_single_step_gets_full_attention():
     vocab = small_vocab()
     rng = np.random.default_rng(37)
     params = op_init(vocab, 4, rng)
-    x, _ = op_entry([video(0, 1, 1)], 1, vocab)
-    alphas = op_alphas(x[None], np.array([1]), params)
+    x, lengths = pad_batch([op_entry([video(0, 1, 1)], 1, vocab)[0]],
+                           vocab.op_input_dim)
+    alphas = op_alphas(x, lengths, params)
     assert np.array_equal(alphas, np.array([[1.0]]))
 
 
@@ -297,7 +300,7 @@ def test_op_attention_weights_sum_to_one():
     params = op_init(vocab, 4, rng)
     seqs = [random_activity(rng, f"s{i}", min_len=2, max_len=7)[1][0]
             for i in range(5)]
-    x, lengths = pad_batch(seqs)
+    x, lengths = pad_batch(seqs, vocab.op_input_dim)
     alphas = op_alphas(x, lengths, params)
     for row, n in zip(alphas, lengths):
         assert np.isclose(row.sum(), 1.0, atol=1e-12)
@@ -311,7 +314,7 @@ def test_op_embed_is_the_pooled_state():
     params = op_init(vocab, 6, rng)
     seqs = [random_activity(rng, f"s{i}", min_len=3, max_len=6)[1][0]
             for i in range(3)]
-    x, lengths = pad_batch(seqs)
+    x, lengths = pad_batch(seqs, vocab.op_input_dim)
     emb = op_embed(x, lengths, params)
     assert emb.shape == (3, 6)
     h_seq, _ = gru_forward(x, lengths, params)
@@ -324,14 +327,14 @@ def test_op_predict_scores_probability_of_passing():
     rng = np.random.default_rng(47)
     params = op_init(vocab, 4, rng)
     encoded = [random_activity(rng, f"s{i}")[1] for i in range(4)]
-    x, lengths = pad_batch([e[0] for e in encoded])
+    x, lengths = pad_batch([e[0] for e in encoded], vocab.op_input_dim)
     labels = np.array([e[1] for e in encoded])
 
     scores, out_labels = op_predict(x, lengths, labels, params)
     assert np.array_equal(out_labels, labels)
     assert np.all((scores > 0.0) & (scores < 1.0))
     # a student scores the same alone as in the batch
-    x0, lengths0 = pad_batch([encoded[0][0]])
+    x0, lengths0 = pad_batch([encoded[0][0]], vocab.op_input_dim)
     alone, _ = op_predict(x0, lengths0, labels[:1], params)
     assert np.isclose(scores[0], alone[0], atol=1e-12)
 

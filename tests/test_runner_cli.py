@@ -3,10 +3,12 @@
 import base64
 import csv
 import dataclasses
+import gc
 import hashlib
 import json
 import resource
 import shutil
+import weakref
 
 import numpy as np
 import pytest
@@ -288,6 +290,19 @@ def test_commands_reuse_heap_memory_for_temporaries(data_dir):
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults < 256
 
 
+def test_a_second_heap_call_leaves_no_cyclic_garbage():
+    keep_temporaries_on_heap()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        keep_temporaries_on_heap()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_evaluate_confirms_saved_checkpoints(tmp_path, trained_dir):
     doc = cmd_evaluate(trained_dir)
     assert doc["all_match"] is True
@@ -304,6 +319,42 @@ def test_evaluate_confirms_saved_checkpoints(tmp_path, trained_dir):
     redo = cmd_evaluate(tampered)
     assert redo["all_match"] is False
     assert redo["runs"][0]["matches_report"] is False
+
+
+@pytest.mark.parametrize("command", ["evaluate", "export-embeddings"])
+def test_a_folds_data_is_released_before_the_next_fold_is_prepared(
+        tmp_path, data_dir, monkeypatch, command):
+    config = small_config(data_dir, task="OP", folds=(0, 1, 2))
+    cmd_train(config, out=tmp_path)
+    prepare, load = runner._prepare, runner._load_bundle
+    held, alive = [], []
+
+    def recording_prepare(*args):
+        # with the collector off, only a reference can keep one alive
+        alive.append([ref() is not None for ref in held])
+        out = prepare(*args)
+        held.append(weakref.ref(out[2]))
+        return out
+
+    def recording_load(*args):
+        bundle = load(*args)
+        held.append(weakref.ref(bundle))
+        return bundle
+
+    monkeypatch.setattr(runner, "_prepare", recording_prepare)
+    monkeypatch.setattr(runner, "_load_bundle", recording_load)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        if command == "evaluate":
+            assert cmd_evaluate(tmp_path)["all_match"] is True
+        else:
+            assert cmd_export_embeddings(config, tmp_path)["rows"] > 0
+    finally:
+        if enabled:
+            gc.enable()
+    # fold f's test context and bundle are gone when fold f + 1 is prepared
+    assert alive == [[], [False, False], [False] * 4]
 
 
 def test_evaluate_refuses_mismatched_inputs(tmp_path, data_dir, trained_dir):
