@@ -22,18 +22,18 @@ from ..nn.params import axpy_params, clip_grad_norm
 
 @dataclass
 class ClientData:
-    """Encoded per-student arrays for one group under one task.
+    """One group's students under one task.
 
-    Students are encoded once per fold, by build_sequences, and
-    build_client_data selects them by id. A student's x holds the one-hot
+    Students are encoded once per fold, by build_sequences; a client holds
+    that Encoding and the sorted ids of its students in it, so clients of
+    one fold share every student's arrays. A student's x holds the one-hot
     column indices of its steps; batch expands them into one-hot rows of
-    the encoding's width. The task decides how targets stack into a batch
-    and which model scores it.
+    the encoding's width and concatenates the students' targets, and the
+    task's model scores the batch.
     """
     task: Task
-    width: int                                  # one-hot input width
+    encoding: Encoding
     ids: list = field(default_factory=list)     # sorted student ids
-    arrays: dict = field(default_factory=dict)  # sid -> (x, target)
 
     @property
     def size(self) -> int:
@@ -45,11 +45,11 @@ class ClientData:
         return ",".join(self.ids)
 
     def batch(self, ids):
-        """Padded arrays (x, lengths, targets) for a list of student ids."""
-        entries = [self.arrays[sid] for sid in ids]
-        x, lengths = pad_batch([e[0] for e in entries], self.width)
-        return x, lengths, self.task.stack_targets([e[1] for e in entries],
-                                                   x.shape[1])
+        """Padded x, lengths and the concatenated targets of a list of
+        student ids."""
+        entries = [self.encoding.students[sid] for sid in ids]
+        x, lengths = pad_batch([e[0] for e in entries], self.encoding.width)
+        return x, lengths, np.hstack([e[1] for e in entries])
 
     def loss_grad(self, ids, params: dict):
         x, lengths, targets = self.batch(ids)
@@ -65,18 +65,10 @@ class ClientData:
 
 
 def build_client_data(task: Task, encoded: Encoding, ids) -> ClientData:
-    """The students of ids that have an encoding for this task.
-
-    encoded is a fold's build_sequences encoding; the client holds the same
-    (x, target) objects, so clients over overlapping students share them.
-    """
-    data = ClientData(task=task, width=encoded.width)
-    for sid in sorted(ids):
-        entry = encoded.students.get(sid)
-        if entry is not None:
-            data.arrays[sid] = entry
-            data.ids.append(sid)
-    return data
+    """The students of ids that have an encoding for this task, over
+    encoded, a fold's build_sequences encoding."""
+    return ClientData(task, encoded,
+                      [sid for sid in sorted(ids) if sid in encoded.students])
 
 
 def _apply_grad(params: dict, grads: dict, step: float, clip: float) -> dict:

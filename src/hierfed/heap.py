@@ -3,13 +3,14 @@
 The kernels allocate arrays of a few MB at every step. glibc maps a request
 above its mmap threshold (128 KiB at start) afresh, faulting it in page by
 page, and hands free heap memory above its trim threshold back to the
-kernel; it raises both only after freeing a mapped block larger than the
-threshold. Left to glibc, a process steps slowly until something frees a
-large block, and whether anything does depends on the run: on a 2-vCPU
-host an op-personal-train operation of the benchmark took 1.41 s of CPU
-and 258k page faults in a fresh process, and 1.17 s and 0.3k faults in a
-process that had freed a 10 MB array first. Other C libraries are left as
-they are.
+kernel; it raises them, to a block's size and twice that, only after
+freeing a mapped block larger than the threshold. Left to glibc, a process
+steps slowly until it happens to free a block as large as its
+temporaries. On a 2-vCPU host, the benchmark's op-personal-train workload
+(`bench/run.py --seconds 12 --trace 0`, seeds 1-6, alternating pairs)
+reported a median run_s of 2.43 s (2.29-2.48 s) with these thresholds and
+2.90 s (2.66-3.05 s) without them: 19% slower without, in every pair, for
+3.4 MB less peak RSS. Other C libraries are left as they are.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn.layers import PROB_CLAMP, head_probs, lstm_backward, lstm_forward
+from ..nn.layers import head_backward, head_probs, lstm_backward, lstm_forward
 
 
 def kt_init(vocab, hidden_dim: int, rng: np.random.Generator) -> dict:
@@ -39,35 +39,29 @@ def _forward(x, lengths, params: dict):
 def kt_loss_grad(x, lengths, targets, params: dict):
     """Loss and gradient on an encoded padded batch.
 
-    x: (B, T, D); lengths: scored steps per student; targets: (B, T) int
-    responses, only entries before each length are read. The head and the
-    loss are computed at valid steps only.
+    x: (B, T, D); lengths: scored steps per student; targets: (n,) int
+    responses of the n valid steps, in batch-major, step-minor order. The
+    head and the loss are computed at valid steps only.
     """
     valid, h, probs, cache = _forward(x, lengths, params)
-    t = np.asarray(targets, dtype=np.int64)[valid]
-    rows = np.arange(t.size)
-    picked = np.clip(probs[rows, t], PROB_CLAMP, 1.0 - PROB_CLAMP)
+    log_lik, dh, g_out = head_backward(h, probs, targets, params["out.W"])
     # summed in the padded (B, T) layout: numpy's pairwise sum groups the
     # terms by position there, so a batch's loss keeps the bits it has when
     # the head runs over every padded step (tests/padded.py)
-    log_picked = np.zeros(valid.shape)
-    log_picked[valid] = np.log(picked)
-    loss = float(-log_picked.sum())
+    log_padded = np.zeros(valid.shape)
+    log_padded[valid] = log_lik
+    loss = float(-log_padded.sum())
 
-    dlogits = probs
-    dlogits[rows, t] -= 1.0
     dh_seq = np.zeros(valid.shape + h.shape[1:])
-    dh_seq[valid] = dlogits @ params["out.W"].T
-    g_lstm = lstm_backward(dh_seq, cache, params)
-
-    return loss, {**g_lstm, "out.W": h.T @ dlogits,
-                  "out.b": dlogits.sum(axis=0)}
+    dh_seq[valid] = dh
+    return loss, {**lstm_backward(dh_seq, cache, params), **g_out}
 
 
 def kt_predict(x, lengths, targets, params: dict):
-    """Scores and labels for AUC: P(correct) per valid step, flattened.
+    """Scores and labels for AUC: P(correct) per valid step, and targets,
+    the (n,) responses of the n valid steps, as labels.
 
     Returns (scores, labels) in batch-major, step-minor order.
     """
-    valid, _, probs, _ = _forward(x, lengths, params)
-    return probs[:, 1], np.asarray(targets, dtype=np.int64)[valid]
+    _, _, probs, _ = _forward(x, lengths, params)
+    return probs[:, 1], np.asarray(targets, dtype=np.int64)

@@ -6,11 +6,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn.layers import (
-    PROB_CLAMP,
     attention_pool,
     attention_pool_backward,
     gru_forward,
     gru_backward,
+    head_backward,
     head_probs,
 )
 
@@ -42,22 +42,13 @@ def _forward(x, lengths, params: dict):
 
 
 def op_loss_grad(x, lengths, labels, params: dict):
-    """Loss and gradient on an encoded padded batch."""
+    """Loss and gradient on an encoded padded batch; labels: (B,) int."""
     probs, h_tilde, cache_g, cache_a = _forward(x, lengths, params)
-    rows = np.arange(probs.shape[0])
-    labels = np.asarray(labels, dtype=np.int64)
-    picked = np.clip(probs[rows, labels], PROB_CLAMP, 1.0 - PROB_CLAMP)
-    loss = float(-np.log(picked).sum())
-
-    onehot = np.zeros(probs.shape)
-    onehot[rows, labels] = 1.0
-    dlogits = probs - onehot
-    dh_tilde = dlogits @ params["out.W"].T
+    log_lik, dh_tilde, g_out = head_backward(h_tilde, probs, labels,
+                                             params["out.W"])
     g_att, dh_seq = attention_pool_backward(dh_tilde, cache_a, params)
     g_gru = gru_backward(dh_seq, cache_g, params)
-
-    return loss, {**g_gru, **g_att, "out.W": h_tilde.T @ dlogits,
-                  "out.b": dlogits.sum(axis=0)}
+    return float(-log_lik.sum()), {**g_gru, **g_att, **g_out}
 
 
 def op_predict(x, lengths, labels, params: dict):

@@ -1,7 +1,8 @@
 """Dense forward/backward kernels for the two student models.
 
 Everything here is hand-written numpy: LSTM and GRU recurrences, a
-tanh-score attention pooler, and a 2-way softmax head.
+tanh-score attention pooler, and a 2-way softmax head with its
+cross-entropy backward, shared by both models.
 
 The recurrences take padded (B, T, D) inputs with per-sequence lengths but
 compute only valid steps, packed as in cuDNN and PyTorch's packed
@@ -352,6 +353,24 @@ def head_probs(h: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
     their AUC tie broke. einsum sums every row the same way.
     """
     return softmax_probs(np.einsum("...k,kj->...j", h, W) + b)
+
+
+def head_backward(h: np.ndarray, probs: np.ndarray, targets, W: np.ndarray):
+    """Cross-entropy backward of the 2-way head over rows h (n, k), whose
+    head_probs are probs (n, 2), against one class index per row.
+
+    Returns (each row's log-likelihood, the adjoint of h (n, k), the
+    gradients {"out.W", "out.b"}). The likelihood is clamped to
+    [PROB_CLAMP, 1 - PROB_CLAMP] so a saturated head stays finite; the
+    adjoints are those of the unclamped loss. probs is overwritten with the
+    adjoint of the logits.
+    """
+    rows = np.arange(probs.shape[0])
+    log_lik = np.log(np.clip(probs[rows, targets], PROB_CLAMP, 1.0 - PROB_CLAMP))
+    dlogits = probs
+    dlogits[rows, targets] -= 1.0
+    return log_lik, dlogits @ W.T, {"out.W": h.T @ dlogits,
+                                    "out.b": dlogits.sum(axis=0)}
 
 
 def softmax_probs(logits: np.ndarray) -> np.ndarray:

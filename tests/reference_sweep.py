@@ -27,7 +27,7 @@ Where the outputs differ, `--compare` names what moved: for each preset and
 config whose lines differ it prints the name and the fields whose values
 differ, and it prints nothing, exiting 0, when the two files agree:
 
-    python tests/reference_sweep.py --compare ../a.jsonl ../b.jsonl
+    PYTHONPATH=src python tests/reference_sweep.py --compare ../a.jsonl ../b.jsonl
 
 The file is not a pytest module; tests/test_runner_cli.py checks its
 config list and `--compare`, without training anything.

@@ -305,10 +305,10 @@ def test_clients_of_a_fold_share_each_students_arrays(heterogeneous):
         pool = ctx.course_pools[key.course]
         assert val.clients[key] is data and test.clients[key] is data
         assert data.ids
-        assert data.width == pool.width == (ctx.init_params["gru.Wn"].shape[0]
-                                            - config.hidden_dim)
-        for sid in data.ids:
-            assert pool.arrays[sid][0] is data.arrays[sid][0]
+        assert pool.encoding is data.encoding
+        assert data.encoding.width == (ctx.init_params["gru.Wn"].shape[0]
+                                       - config.hidden_dim)
+        assert set(data.ids) <= set(pool.ids)
 
 
 def test_pad_batch_shapes_and_lengths():

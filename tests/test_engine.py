@@ -50,6 +50,11 @@ def make_client(rng, n=8, prefix="s", course=0, bias=0.5):
     return build_client_data(KT, Encoding(VOCAB.kt_input_dim, seqs), sids)
 
 
+def empty_client():
+    """A client with no students."""
+    return ClientData(KT, Encoding(VOCAB.kt_input_dim, {}))
+
+
 def init_params(rng, hidden=4):
     return KT.init(VOCAB, hidden, rng)
 
@@ -588,8 +593,8 @@ def test_course_personalization_adapts_only_where_data_exists():
     s = parse_strategy("sc1-P-AT").with_overrides(batch_size=4)
     ctx = RunContext(strategy=s, master_seed=3, rep=0, fold=0,
                      clients={GroupKey("c0"): data},
-                     scored={GroupKey("c0"): ClientData(KT, VOCAB.kt_input_dim),
-                             GroupKey("c1"): ClientData(KT, VOCAB.kt_input_dim)})
+                     scored={GroupKey("c0"): empty_client(),
+                             GroupKey("c1"): empty_client()})
     out = adapted_params(bundle, ctx)
     assert out[GroupKey("c1")] is gp
     assert max_param_diff(out[GroupKey("c0")], gp) > 0.0
@@ -647,7 +652,7 @@ def test_evaluation_epoch_divergence_names_fold_rep_tag_and_client():
     key = GroupKey("c1")
     ctx = RunContext(strategy=s, master_seed=3, rep=0, fold=3,
                      clients={key: data},
-                     scored={key: ClientData(KT, VOCAB.kt_input_dim)})
+                     scored={key: empty_client()})
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericsError,
                            match=r"^fold 3, rep 0, test adaptation, "
@@ -670,7 +675,7 @@ def test_evaluation_skips_groups_without_usable_auc(caplog):
     s = parse_strategy("sc2-G-AT-T")
     ctx = RunContext(strategy=s, master_seed=1, rep=0, fold=0,
                      scored={k_good: good, k_flat: single_class,
-                             k_empty: ClientData(KT, VOCAB.kt_input_dim)})
+                             k_empty: empty_client()})
     with caplog.at_level(logging.WARNING, logger="hierfed.fed.engine"):
         scores = evaluate_adapted(bundle, ctx)
     assert 0.0 <= scores[k_good] <= 1.0

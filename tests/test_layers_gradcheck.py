@@ -1,4 +1,5 @@
-"""Finite-difference gradient checks for the recurrent and attention layers."""
+"""Finite-difference gradient checks for the recurrent and attention layers
+and the softmax head."""
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from hierfed.nn.layers import (
     attention_pool_backward,
     gru_backward,
     gru_forward,
+    head_backward,
+    head_probs,
     lstm_backward,
     lstm_forward,
     softmax_probs,
@@ -119,6 +122,54 @@ def test_attention_gradients_match_finite_differences():
 
         fd = finite_diff_grad(loss, params)
         assert grad_rel_error(grads, fd) < TOL
+
+
+def head_inputs(rng, n, k):
+    return {"h": rng.normal(size=(n, k)), "out.W": rng.normal(size=(k, 2)),
+            "out.b": rng.normal(size=2)}
+
+
+def head_loss(p, targets):
+    """Unclamped cross-entropy of the head over the rows of p["h"]."""
+    probs = head_probs(p["h"], p["out.W"], p["out.b"])
+    return float(-np.log(probs[np.arange(targets.size), targets]).sum())
+
+
+def check_head_backward(p, targets):
+    """head_backward's gradients against finite differences of head_loss;
+    returns its log-likelihoods and each row's probability of its target."""
+    probs = head_probs(p["h"], p["out.W"], p["out.b"])
+    picked = probs[np.arange(targets.size), targets]
+    log_lik, dh, grads = head_backward(p["h"], probs, targets, p["out.W"])
+    assert list(grads) == ["out.W", "out.b"]
+    fd = finite_diff_grad(lambda q: head_loss(q, targets), p)
+    assert grad_rel_error({"h": dh, **grads}, fd) < TOL
+    return log_lik, picked
+
+
+def test_head_gradients_match_finite_differences():
+    for seed in range(8):
+        rng = np.random.default_rng(400 + seed)
+        p = head_inputs(rng, 5, 3)
+        log_lik, picked = check_head_backward(p, rng.integers(0, 2, size=5))
+        assert np.array_equal(log_lik, np.log(picked))
+
+
+def test_head_clamps_saturated_rows_but_keeps_their_gradients():
+    # rows 0 and 1 have logit gap 25 towards class 0: row 0 gives its
+    # target about 1e-11 and row 1 about 1 - 1e-11. Their log-likelihoods
+    # stop at the clamp; their adjoints stay those of the unclamped loss
+    rng = np.random.default_rng(410)
+    p = head_inputs(rng, 4, 3)
+    targets = np.array([1, 0, 0, 1])
+    w = p["out.W"][:, 0] - p["out.W"][:, 1]
+    gap = 25.0 - (p["out.b"][0] - p["out.b"][1])
+    p["h"][:2] = gap / (w @ w) * w
+    log_lik, picked = check_head_backward(p, targets)
+    assert picked[0] < PROB_CLAMP and picked[1] > 1.0 - PROB_CLAMP
+    assert log_lik[0] == np.log(PROB_CLAMP)
+    assert log_lik[1] == np.log(1.0 - PROB_CLAMP)
+    assert np.array_equal(log_lik[2:], np.log(picked[2:]))
 
 
 # Batched kernels against per-student runs. Lengths are unsorted and tied,

@@ -49,6 +49,11 @@ def zero_params(params):
     return {name: np.zeros_like(arr) for name, arr in params.items()}
 
 
+def valid_mask(lengths, T):
+    """(B, T) mask of each student's steps before its length."""
+    return np.arange(T)[None, :] < lengths[:, None]
+
+
 def per_student(scores, lengths):
     """Flat batch-major KT scores split into one array per student."""
     return np.split(scores, np.cumsum(lengths)[:-1])
@@ -207,7 +212,7 @@ def test_kt_predictions_are_causal():
     B, T, D = 3, 6, vocab.kt_input_dim
     x = rng.normal(size=(B, T, D))
     lengths = np.array([6, 4, 5])
-    targets = rng.integers(0, 2, size=(B, T))
+    targets = rng.integers(0, 2, size=(B, T))[valid_mask(lengths, T)]
 
     probs = per_student(kt_predict(x, lengths, targets, params)[0], lengths)
     cut = 3
@@ -227,7 +232,7 @@ def test_padding_garbage_is_ignored():
     B, T, D = 3, 6, vocab.kt_input_dim
     x = rng.normal(size=(B, T, D))
     lengths = np.array([6, 3, 4])
-    targets = rng.integers(0, 2, size=(B, T))
+    targets = rng.integers(0, 2, size=(B, T))[valid_mask(lengths, T)]
     for b, L in enumerate(lengths):
         x[b, L:, :] = 0.0
 
@@ -235,10 +240,7 @@ def test_padding_garbage_is_ignored():
     x2 = x.copy()
     for b, L in enumerate(lengths):
         x2[b, L:, :] = rng.normal(size=(T - L, D))
-    t2 = targets.copy()
-    for b, L in enumerate(lengths):
-        t2[b, L:] = rng.integers(0, 2, size=T - L)
-    loss2, grads2 = kt_loss_grad(x2, lengths, t2, kt_params)
+    loss2, grads2 = kt_loss_grad(x2, lengths, targets, kt_params)
     assert loss == loss2
     for name, g in grads.items():
         assert np.array_equal(g, grads2[name])
@@ -270,7 +272,8 @@ def test_kt_predict_flattens_valid_steps_only():
     lengths = np.array([5, 2, 3])
     targets = rng.integers(0, 2, size=(B, T))
 
-    scores, labels = kt_predict(x, lengths, targets, params)
+    scores, labels = kt_predict(x, lengths,
+                                targets[valid_mask(lengths, T)], params)
     assert scores.shape == (10,)
     assert labels.shape == (10,)
     assert np.array_equal(labels[:5], targets[0, :5])

@@ -107,13 +107,13 @@ def test_kt_head_matches_the_padded_reference(case):
                   "out.b": rng.normal(size=2)}
         x = masked(rng.normal(size=(B, T, D)), lengths)
         targets = rng.integers(0, 2, size=(B, T))
+        valid = valid_mask(lengths, T)
 
-        loss, grads = kt_loss_grad(x, lengths, targets, params)
-        scores, labels = kt_predict(x, lengths, targets, params)
+        loss, grads = kt_loss_grad(x, lengths, targets[valid], params)
+        scores, labels = kt_predict(x, lengths, targets[valid], params)
         ref_loss, ref_grads, ref_probs = padded.kt_loss_grad(
             x, lengths, targets, params)
 
-        valid = valid_mask(lengths, T)
         assert np.array_equal(scores, ref_probs[:, :, 1][valid])
         assert np.array_equal(labels, targets[valid])
         assert loss == ref_loss

@@ -14,7 +14,8 @@ from hierfed.cli import build_parser
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "hierfed"
 PACKAGES = ("nn", "models", "fed", "data", "synth")
-MODULES = ("runner", "cli", "metrics", "keys", "seeding", "blas", "errors")
+MODULES = ("runner", "cli", "metrics", "keys", "seeding", "blas", "errors",
+           "heap")
 
 
 def test_readme_library_example_runs():
