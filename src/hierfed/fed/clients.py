@@ -49,7 +49,7 @@ class ClientData:
         student ids."""
         entries = [self.encoding.students[sid] for sid in ids]
         x, lengths = pad_batch([e[0] for e in entries], self.encoding.width)
-        return x, lengths, np.hstack([e[1] for e in entries])
+        return x, lengths, np.concatenate([e[1] for e in entries])
 
     def loss_grad(self, ids, params: dict):
         x, lengths, targets = self.batch(ids)

@@ -129,7 +129,8 @@ def encode_kt(dataset, vocab: Vocab, max_len: int) -> Encoding:
 
 
 def encode_op(dataset, vocab: Vocab, max_len: int) -> Encoding:
-    """Outcome-prediction encoding of every student: ((T, 3) x, label) each.
+    """Outcome-prediction encoding of every student: ((T, 3) x, (1,) label)
+    each.
 
     Each event, first max_len, is one step: its course, then its video or
     forum action, then its quiz response, NULL on forum steps and on video
@@ -146,10 +147,12 @@ def encode_op(dataset, vocab: Vocab, max_len: int) -> Encoding:
     x[forum, 1] = (vocab.kt_input_dim + N_RESPONSE_SLOTS
                    + table.action[rows[forum]])
     x[:, 2] = np.where(response >= 0, vocab.kt_input_dim + response, NULL)
+    labels = np.array([dataset.students[sid].outcome for sid in dataset.student_ids],
+                      dtype=np.int64)
     ends = np.cumsum(lengths).tolist()
     return Encoding(vocab.op_input_dim, {
-        sid: (x[end - n:end], int(dataset.students[sid].outcome))
-        for sid, end, n in zip(dataset.student_ids, ends, lengths.tolist()) if n})
+        sid: (x[end - n:end], labels[j:j + 1]) for j, (sid, end, n)
+        in enumerate(zip(dataset.student_ids, ends, lengths.tolist())) if n})
 
 
 def pad_batch(arrays, width: int):

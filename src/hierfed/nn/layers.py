@@ -24,10 +24,23 @@ Gate conventions are the standard ones: LSTM input/forget/output gates are
 sigmoids and the candidate is tanh; the GRU update gate z mixes as
 h = (1-z)*h_prev + z*h_candidate.
 
-At the models' shapes a step is a few rows (about 8 for KT), so the
-pointwise gate operations around its one GEMM set its time, and on strided
-column slices they cost 2-3 times as much as on a contiguous block. So the
-LSTM writes its sigmoid gates into a contiguous buffer, not in place.
+At the models' shapes a step is a few rows (about 8 for KT, 6 for OP), so
+the pointwise gate operations around its one GEMM set its time, and on
+strided column slices they cost 2-3 times as much as on a contiguous block.
+So the LSTM writes its sigmoid gates into a contiguous buffer, not in place.
+
+At such sizes numpy's per-call dispatch costs more than the arithmetic, so
+the time loops trim it without changing any operation, operand or order:
+- The step products call ndarray.dot, not np.matmul: both reach the same
+  BLAS routine with identical bits, and at (6, 48) @ (48, 96) with one BLAS
+  thread the call took 1.6 us against np.matmul's 2.5 us.
+- Row-prefix views buf[:m] of the step scratch buffers come from one table
+  per call, built for the step sizes that occur, and the ufuncs are bound to
+  locals.
+- The kernels halve the weights and biases of their sigmoid gates (exact in
+  floating point), so one tanh over all gate pre-activations serves both
+  kinds of gate: sigmoid(2a) = (1 + tanh(a)) / 2, stable for any a, is then
+  an add and a multiply.
 """
 
 from __future__ import annotations
@@ -35,22 +48,6 @@ from __future__ import annotations
 import numpy as np
 
 PROB_CLAMP = 1e-7
-
-
-def _sigmoid_from_tanh_(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """(1 + t) / 2 into out (default t): sigmoid(2a) from t = tanh(a), stable
-    for any a.
-
-    Kernels halve the weights and biases of their sigmoid gates (exact in
-    floating point), so one tanh over all gate pre-activations serves both
-    the tanh and the sigmoid gates. The LSTM passes its step's whole (m, 4k)
-    block and a contiguous out: in place on the strided sigmoid columns, the
-    two ufuncs cost 2-3 times as much at m = 8.
-    """
-    out = t if out is None else out
-    np.add(t, 1.0, out=out)
-    out *= 0.5
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +81,10 @@ class _Packing:
         self.first = int(active[0]) if steps else 0
         self.prev_rows = (np.arange(self.first, self.n)
                           - np.repeat(active[:-1], active[1:]))
+
+    def prefixes(self, *bufs) -> dict:
+        """Each step size m -> the row-prefix views buf[:m] of bufs."""
+        return {m: [b[:m] for b in bufs] for m in {e - s for s, e, _ in self.spans}}
 
     def gather(self, seq: np.ndarray) -> np.ndarray:
         """(B, T, D) -> (n, D) packed rows."""
@@ -130,21 +131,23 @@ def lstm_forward(x, lengths, params: dict):
     tc = np.empty((pk.n, k))
     hs = np.empty((pk.n, k))
     zero = np.zeros((B, k))
-    rec = np.empty((B, 4 * k))
-    tmp = np.empty((B, k))
+    views = pk.prefixes(np.empty((B, 4 * k)), np.empty((B, k)))
+    tanh, add, multiply = np.tanh, np.add, np.multiply
     for start, end, prev in pk.spans:
         m = end - start
+        rec, tmp = views[m]
         hp, cp = ((hs[prev:prev + m], cs[prev:prev + m]) if prev >= 0
                   else (zero[:m], zero[:m]))
         a, s = acts[start:end], sig[start:end]
-        a += np.matmul(hp, U, out=rec[:m])
-        np.tanh(a, out=a)
-        _sigmoid_from_tanh_(a, out=s)
-        c = cs[start:end]
-        np.multiply(s[:, k:2 * k], cp, out=c)
-        c += np.multiply(s[:, :k], a[:, 2 * k:3 * k], out=tmp[:m])
-        np.tanh(c, out=tc[start:end])
-        np.multiply(s[:, 3 * k:], tc[start:end], out=hs[start:end])
+        a += hp.dot(U, out=rec)
+        tanh(a, out=a)
+        add(a, 1.0, out=s)   # sigmoid from tanh
+        s *= 0.5
+        c, t_c = cs[start:end], tc[start:end]
+        multiply(s[:, k:2 * k], cp, out=c)
+        c += multiply(s[:, :k], a[:, 2 * k:3 * k], out=tmp)
+        tanh(c, out=t_c)
+        multiply(s[:, 3 * k:], t_c, out=hs[start:end])
     sig[:, 2 * k:3 * k] = acts[:, 2 * k:3 * k]   # so the cache holds every gate
 
     cache = {
@@ -175,19 +178,18 @@ def lstm_backward(dh_seq, cache, params: dict):
     dhs = pk.gather(np.asarray(dh_seq, dtype=np.float64))
     da = np.empty((pk.n, 4 * k))
     da4 = da.reshape(pk.n, 4, k)
-    dh = np.zeros((B, k))
-    dc = np.zeros((B, k))
-    tmp = np.empty((B, k))
+    views = pk.prefixes(np.zeros((B, k)), np.zeros((B, k)), np.empty((B, k)))
+    multiply = np.multiply
 
     for start, end, _ in reversed(pk.spans):
-        m = end - start
-        dh_m, dc_m = dh[:m], dc[:m]
+        dh_m, dc_m, tmp = views[end - start]
         dh_m += dhs[start:end]
-        dc_m += np.multiply(dh_m, dc_dh[start:end], out=tmp[:m])
-        np.multiply(dc_m[:, None, :], coef[start:end], out=da4[start:end, :3])
-        np.multiply(dh_m, tc[start:end], out=da4[start:end, 3])
-        da[start:end] *= dact[start:end]
-        np.matmul(da[start:end], U_T, out=dh_m)
+        dc_m += multiply(dh_m, dc_dh[start:end], out=tmp)
+        multiply(dc_m[:, None, :], coef[start:end], out=da4[start:end, :3])
+        multiply(dh_m, tc[start:end], out=da4[start:end, 3])
+        da_t = da[start:end]
+        da_t *= dact[start:end]
+        da_t.dot(U_T, out=dh_m)
         dc_m *= f[start:end]
 
     dW = np.concatenate([cache["x"].T @ da, pk.previous(cache["h"]).T @ da])
@@ -219,19 +221,22 @@ def gru_forward(x, lengths, params: dict):
     rh = np.empty((pk.n, k))
     hs = np.empty((pk.n, k))
     zero = np.zeros((B, k))
-    rec = np.empty((B, 2 * k))
-    rec_n = np.empty((B, k))
+    views = pk.prefixes(np.empty((B, 2 * k)), np.empty((B, k)))
+    tanh, multiply, subtract = np.tanh, np.multiply, np.subtract
     for start, end, prev in pk.spans:
         m = end - start
+        rec, rec_n = views[m]
         hp = hs[prev:prev + m] if prev >= 0 else zero[:m]
-        a_zr, a_n, h = zr[start:end], n[start:end], hs[start:end]
-        a_zr += np.matmul(hp, Uzr, out=rec[:m])
-        _sigmoid_from_tanh_(np.tanh(a_zr, out=a_zr))
-        np.multiply(a_zr[:, k:], hp, out=rh[start:end])
-        a_n += np.matmul(rh[start:end], Un, out=rec_n[:m])
-        np.tanh(a_n, out=a_n)
+        a_zr, a_n, r_h, h = zr[start:end], n[start:end], rh[start:end], hs[start:end]
+        a_zr += hp.dot(Uzr, out=rec)
+        tanh(a_zr, out=a_zr)
+        a_zr += 1.0   # sigmoid from tanh
+        a_zr *= 0.5
+        multiply(a_zr[:, k:], hp, out=r_h)
+        a_n += r_h.dot(Un, out=rec_n)
+        tanh(a_n, out=a_n)
         # h = (1 - z) * hp + z * n, as hp + z * (n - hp)
-        np.subtract(a_n, hp, out=h)
+        subtract(a_n, hp, out=h)
         h *= a_zr[:, :k]
         h += hp
 
@@ -258,25 +263,23 @@ def gru_backward(dh_seq, cache, params: dict):
     dhs = pk.gather(np.asarray(dh_seq, dtype=np.float64))
     da_zr = np.empty((pk.n, 2 * k))
     da_n = np.empty((pk.n, k))
-    dh = np.zeros((B, k))
-    drh = np.empty((B, k))
-    tmp = np.empty((B, k))
+    views = pk.prefixes(np.zeros((B, k)), np.empty((B, k)), np.empty((B, k)))
+    multiply = np.multiply
 
     for start, end, _ in reversed(pk.spans):
-        m = end - start
-        dh_m, drh_m = dh[:m], drh[:m]
+        dh_m, drh_m, tmp = views[end - start]
         dh_m += dhs[start:end]
         dazr, dan = da_zr[start:end], da_n[start:end]
-        np.multiply(dh_m, n_hp[start:end], out=dazr[:, :k])
-        np.multiply(dh_m, z[start:end], out=dan)
+        multiply(dh_m, n_hp[start:end], out=dazr[:, :k])
+        multiply(dh_m, z[start:end], out=dan)
         dan *= dtanh[start:end]
-        np.matmul(dan, Un_T, out=drh_m)
-        np.multiply(drh_m, hp[start:end], out=dazr[:, k:])
+        dan.dot(Un_T, out=drh_m)
+        multiply(drh_m, hp[start:end], out=dazr[:, k:])
         dazr *= dzr[start:end]
         # adjoint of the previous state: (1 - z) dh + r drh + U_zr dazr
         drh_m *= r[start:end]
-        drh_m += np.multiply(dh_m, one_z[start:end], out=tmp[:m])
-        np.matmul(dazr, Uzr_T, out=dh_m)
+        drh_m += multiply(dh_m, one_z[start:end], out=tmp)
+        dazr.dot(Uzr_T, out=dh_m)
         dh_m += drh_m
 
     xs = cache["x"]
@@ -374,6 +377,9 @@ def head_backward(h: np.ndarray, probs: np.ndarray, targets, W: np.ndarray):
 
 
 def softmax_probs(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=-1, keepdims=True)
+    """Softmax of (..., 2) logits over the last axis, on its two columns:
+    np.maximum and ex0 + ex1 give the bits of max and sum along the axis at
+    under half their cost."""
+    top = np.maximum(logits[..., 0], logits[..., 1])
+    ex = np.exp(logits - top[..., None])
+    return ex / (ex[..., 0] + ex[..., 1])[..., None]

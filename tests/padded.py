@@ -9,6 +9,13 @@ The packed LSTM forward and backward as they computed their sigmoid gates
 in place on the strided gate columns. The program writes them to a
 contiguous buffer instead; every element goes through the same operations
 in the same order, so the tests compare the two bit for bit.
+
+The packed GRU forward and backward as they were before their time loops
+shed per-call overhead: np.matmul for the step products, a fresh slice of
+each scratch buffer per step, and a helper for the sigmoid-from-tanh step.
+The program's loops apply the same operations to the same operands in the
+same order, so the tests compare the two bit for bit. The LSTM reference
+above already calls np.matmul.
 """
 
 import numpy as np
@@ -98,6 +105,93 @@ def lstm_backward(dh_seq, cache, params: dict):
 
     dW = np.concatenate([cache["x"].T @ da, pk.previous(cache["h"]).T @ da])
     return {"lstm.W": dW, "lstm.b": da.sum(axis=0)}
+
+
+def gru_forward(x, lengths, params: dict):
+    """(h_seq (B, T, k), cache) of the packed GRU, np.matmul per step."""
+    Wzr, Wn = params["gru.Wzr"], params["gru.Wn"]
+    bzr, bn = params["gru.bzr"], params["gru.bn"]
+    B, T, d = x.shape
+    k = bn.size
+    pk = _Packing(lengths, B, T)
+    xs = pk.gather(x)
+    Uzr, Un = 0.5 * Wzr[d:], Wn[d:]   # z and r are sigmoids: halved
+
+    # input projections of every step, hoisted
+    zr = xs @ (0.5 * Wzr[:d])
+    zr += 0.5 * bzr
+    n = xs @ Wn[:d]
+    n += bn
+    rh = np.empty((pk.n, k))
+    hs = np.empty((pk.n, k))
+    zero = np.zeros((B, k))
+    rec = np.empty((B, 2 * k))
+    rec_n = np.empty((B, k))
+    for start, end, prev in pk.spans:
+        m = end - start
+        hp = hs[prev:prev + m] if prev >= 0 else zero[:m]
+        a_zr, a_n, h = zr[start:end], n[start:end], hs[start:end]
+        a_zr += np.matmul(hp, Uzr, out=rec[:m])
+        _sigmoid_from_tanh_(np.tanh(a_zr, out=a_zr))
+        np.multiply(a_zr[:, k:], hp, out=rh[start:end])
+        a_n += np.matmul(rh[start:end], Un, out=rec_n[:m])
+        np.tanh(a_n, out=a_n)
+        # h = (1 - z) * hp + z * n, as hp + z * (n - hp)
+        np.subtract(a_n, hp, out=h)
+        h *= a_zr[:, :k]
+        h += hp
+
+    cache = {
+        "d": d, "k": k, "T": T, "B": B, "packing": pk,
+        "x": xs, "zr": zr, "n": n, "rh": rh, "h": hs,
+    }
+    return pk.scatter(hs), cache
+
+
+def gru_backward(dh_seq, cache, params: dict):
+    """Gradients of gru_forward above, np.matmul per step."""
+    d, k, B = (cache[n] for n in ("d", "k", "B"))
+    pk = cache["packing"]
+    zr, n = cache["zr"], cache["n"]
+    Uzr_T = params["gru.Wzr"][d:].T
+    Un_T = params["gru.Wn"][d:].T
+    hp = pk.previous(cache["h"])
+    z, r = zr[:, :k], zr[:, k:]
+    dzr = zr * (1.0 - zr)
+    dtanh = 1.0 - n * n
+    n_hp = n - hp
+    one_z = 1.0 - z
+    dhs = pk.gather(np.asarray(dh_seq, dtype=np.float64))
+    da_zr = np.empty((pk.n, 2 * k))
+    da_n = np.empty((pk.n, k))
+    dh = np.zeros((B, k))
+    drh = np.empty((B, k))
+    tmp = np.empty((B, k))
+
+    for start, end, _ in reversed(pk.spans):
+        m = end - start
+        dh_m, drh_m = dh[:m], drh[:m]
+        dh_m += dhs[start:end]
+        dazr, dan = da_zr[start:end], da_n[start:end]
+        np.multiply(dh_m, n_hp[start:end], out=dazr[:, :k])
+        np.multiply(dh_m, z[start:end], out=dan)
+        dan *= dtanh[start:end]
+        np.matmul(dan, Un_T, out=drh_m)
+        np.multiply(drh_m, hp[start:end], out=dazr[:, k:])
+        dazr *= dzr[start:end]
+        # adjoint of the previous state: (1 - z) dh + r drh + U_zr dazr
+        drh_m *= r[start:end]
+        drh_m += np.multiply(dh_m, one_z[start:end], out=tmp[:m])
+        np.matmul(dazr, Uzr_T, out=dh_m)
+        dh_m += drh_m
+
+    xs = cache["x"]
+    dWzr = np.concatenate([xs.T @ da_zr, hp.T @ da_zr])
+    dWn = np.concatenate([xs.T @ da_n, cache["rh"].T @ da_n])
+    return {
+        "gru.Wzr": dWzr, "gru.bzr": da_zr.sum(axis=0),
+        "gru.Wn": dWn, "gru.bn": da_n.sum(axis=0),
+    }
 
 
 def kt_loss_grad(x, lengths, targets, params: dict):

@@ -92,12 +92,12 @@ def kt_rows(items, responses, vocab):
 
 
 def op_rows(steps, outcome, vocab):
-    """((T, D) x, label), one one-hot row per step."""
+    """((T, D) x, (1,) label), one one-hot row per step."""
     assert len(steps) >= 1 and outcome in (0, 1)
     x = np.zeros((len(steps), vocab.op_input_dim))
     for t, step in enumerate(steps):
         x[t] = step_row(step, vocab)
-    return x, int(outcome)
+    return x, np.array([outcome], dtype=np.int64)
 
 
 def kt_entry(items, responses, vocab):
@@ -111,10 +111,10 @@ def kt_entry(items, responses, vocab):
 
 
 def op_entry(steps, outcome, vocab):
-    """((T, 3) x, label), one step's columns per row."""
+    """((T, 3) x, (1,) label), one step's columns per row."""
     assert len(steps) >= 1 and outcome in (0, 1)
     x = np.zeros((len(steps), 3), dtype=np.int64)
     for t, step in enumerate(steps):
         x[t] = step_cols(step, vocab)
-    return x, int(outcome)
+    return x, np.array([outcome], dtype=np.int64)
 

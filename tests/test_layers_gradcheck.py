@@ -321,6 +321,18 @@ def test_softmax_probs_rows_normalized():
     assert np.all(np.isfinite(big))
 
 
+@pytest.mark.parametrize("shape", [(16, 2), (124, 2), (600, 2), (16, 15, 2)])
+def test_softmax_probs_keeps_the_bits_of_the_axis_reductions(shape):
+    rng = np.random.default_rng(12)
+    for scale in (1.0, 30.0, 1e3):
+        logits = scale * rng.normal(size=shape)
+        logits[0, ...] = logits[0, ..., :1]          # tied columns
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        ex = np.exp(shifted)
+        want = ex / ex.sum(axis=-1, keepdims=True)
+        assert softmax_probs(logits).tobytes() == want.tobytes(), scale
+
+
 def test_finite_diff_grad_flags_nonfinite_loss():
     params = {"w": np.zeros(1)}
 

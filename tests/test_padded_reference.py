@@ -6,8 +6,9 @@ sums run in another order: forward outputs may move by 1e-13 and gradients
 by 1e-12, relative to each array's largest entry. KT scores and the KT loss
 keep their bits.
 
-The LSTM kernels changed only where their sigmoid gates are written, so
-they must match their reference bit for bit.
+The LSTM kernels changed only where their sigmoid gates are written, and
+the GRU kernels only in how their time loops call numpy, so both must match
+their references bit for bit.
 """
 
 import numpy as np
@@ -15,13 +16,16 @@ import pytest
 
 import padded
 import hierfed.models.kt
+import hierfed.models.op
 from hierfed.data.partition import make_folds
 from hierfed.data.sequences import build_sequences, build_vocab
 from hierfed.fed.clients import build_client_data
 from hierfed.models.kt import kt_init, kt_loss_grad, kt_predict
-from hierfed.models.task import KT
+from hierfed.models.op import op_init, op_loss_grad, op_predict
+from hierfed.models.task import KT, OP
 from hierfed.nn.layers import (_Packing, attention_pool, attention_pool_backward,
-                               lstm_backward, lstm_forward)
+                               gru_backward, gru_forward, lstm_backward,
+                               lstm_forward)
 from hierfed.synth.generate import generate, preset
 
 FORWARD_TOL = 1e-13
@@ -153,6 +157,32 @@ def test_lstm_matches_the_in_place_reference_bit_for_bit(case):
 
 
 @pytest.mark.parametrize("case", sorted(LSTM_CASES))
+def test_gru_matches_the_reference_bit_for_bit(case):
+    lengths, T = LSTM_CASES[case]
+    lengths = np.array(lengths)
+    for seed, (D, k) in enumerate([(5, 6), (45, 48)]):
+        rng = np.random.default_rng(300 + seed)
+        params = {"gru.Wzr": 0.5 * rng.normal(size=(D + k, 2 * k)),
+                  "gru.bzr": 0.5 * rng.normal(size=2 * k),
+                  "gru.Wn": 0.5 * rng.normal(size=(D + k, k)),
+                  "gru.bn": 0.5 * rng.normal(size=k)}
+        x = masked(rng.normal(size=(len(lengths), T, D)), lengths)
+        dh_seq = masked(rng.normal(size=(len(lengths), T, k)), lengths)
+
+        h_seq, cache = gru_forward(x, lengths, params)
+        ref_h, ref_cache = padded.gru_forward(x, lengths, params)
+        assert np.array_equal(h_seq, ref_h)
+        for key in ("zr", "n", "rh", "h"):
+            assert np.array_equal(cache[key], ref_cache[key]), key
+
+        grads = gru_backward(dh_seq, cache, params)
+        ref_grads = padded.gru_backward(dh_seq, ref_cache, params)
+        assert grads.keys() == ref_grads.keys()
+        for name, g in ref_grads.items():
+            assert np.array_equal(grads[name], g), name
+
+
+@pytest.mark.parametrize("case", sorted(LSTM_CASES))
 def test_packing_spans_count_the_rows_still_running(case):
     lengths, T = LSTM_CASES[case]
     pk = _Packing(lengths, len(lengths), T)
@@ -183,3 +213,28 @@ def test_kt_loss_grad_keeps_its_bits_on_encoded_batches(monkeypatch):
         assert loss == ref_loss
         for name, g in ref_grads.items():
             assert np.array_equal(grads[name], g), name
+
+
+def test_op_loss_grad_keeps_its_bits_on_encoded_batches(monkeypatch):
+    ds = generate(preset("heterogeneous-3course"))
+    part = make_folds(ds, 101)[0]
+    train_ids = part.train_ids()
+    vocab = build_vocab(ds, train_ids)
+    data = build_client_data(OP, build_sequences(ds, OP, vocab), train_ids)
+    params = op_init(vocab, 48, np.random.default_rng(7))
+    # non-zero biases, as after training
+    rng = np.random.default_rng(8)
+    params["gru.bzr"][:] = rng.normal(scale=0.3, size=2 * 48)
+    params["gru.bn"][:] = rng.normal(scale=0.3, size=48)
+    batches = [data.batch(data.ids[i:i + 16]) for i in range(0, 96, 16)]
+
+    results = [(op_loss_grad(*batch, params), op_predict(*batch, params)[0])
+               for batch in batches]
+    monkeypatch.setattr(hierfed.models.op, "gru_forward", padded.gru_forward)
+    monkeypatch.setattr(hierfed.models.op, "gru_backward", padded.gru_backward)
+    for batch, ((loss, grads), scores) in zip(batches, results):
+        ref_loss, ref_grads = op_loss_grad(*batch, params)
+        assert loss == ref_loss
+        for name, g in ref_grads.items():
+            assert np.array_equal(grads[name], g), name
+        assert np.array_equal(scores, op_predict(*batch, params)[0])
