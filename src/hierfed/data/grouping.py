@@ -42,7 +42,7 @@ def group_by_demographic(dataset: Dataset, variable: str,
         raise ValueError(f"demographic variable must be one of "
                          f"{DEMOGRAPHIC_VARIABLES}, got {variable!r}")
     pool = dataset.students.keys() if student_ids is None else student_ids
-    out: dict[GroupKey, set] = {}
+    groups: dict[tuple, set] = {}  # (course, bucket) -> ids
     for sid in pool:
         student = dataset.students[sid]
         bucket = subgroup_of(student, variable)
@@ -50,6 +50,6 @@ def group_by_demographic(dataset: Dataset, variable: str,
             if not include_unspecified:
                 continue
             bucket = UNSPECIFIED
-        key = GroupKey(student.course_id, variable, bucket)
-        out.setdefault(key, set()).add(sid)
-    return out
+        groups.setdefault((student.course_id, bucket), set()).add(sid)
+    return {GroupKey(course, variable, bucket): ids
+            for (course, bucket), ids in groups.items()}

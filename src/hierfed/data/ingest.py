@@ -1,16 +1,15 @@
 """CSV / JSON-Lines ingestion with per-line error reporting.
 
-The events file is read into columns and handed to Dataset, which checks
-and sorts them into one event table (see records.Dataset); an invalid
-event is reported with its file and line.
+The events file is read a chunk of rows at a time and each chunk is coded
+at once (records.EventCoder); Dataset checks and sorts the coded rows into
+one event table, and an invalid event is reported with its file and line.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import sys
-from array import array
+from itertools import chain, islice
 from pathlib import Path
 
 from ..errors import DataError
@@ -19,75 +18,103 @@ from .records import (
     EVENTS_HEADER,
     FORUM_ACTIONS,
     Dataset,
+    EventCoder,
     EventError,
     StudentRecord,
     _opt,
     _opt_int,
-    extend_columns,
 )
 
 STUDENTS_HEADER = ["student_id", "course_id", "gender", "continent",
                    "birth_year", "outcome"]
-_CHUNK_ROWS = 4096  # rows held as lists at once; the rest are columns
+_CHUNK_ROWS = 4096  # rows held as lists at once; events are coded per chunk
 
 
-def _iter_rows(path: Path, header):
-    """Yield (line number, fields in header order) from a CSV or JSON-Lines
-    file. Fields are interned text (JSON values as their text), or None
-    for a missing JSON field, so repeated values share one string."""
-    if path.suffix == ".jsonl":
-        with open(path, encoding="utf-8") as fh:
-            for ln, raw in enumerate(fh, start=1):
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    row = json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"{path}:{ln}: invalid JSON: {exc}") from None
-                if not isinstance(row, dict):
-                    raise DataError(f"{path}:{ln}: expected an object")
-                unknown = set(row) - set(header)
-                if unknown:
-                    raise DataError(f"{path}:{ln}: unknown fields {sorted(unknown)}")
-                yield ln, [None if row.get(k) is None else sys.intern(str(row[k]))
-                           for k in header]
-    else:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
+def _undecodable(path: Path) -> DataError:
+    """The error for a file that is not UTF-8, at its first such line."""
+    with open(path, "rb") as fh:
+        for ln, raw in enumerate(fh, start=1):
             try:
-                first = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}:1: empty file, expected header") from None
-            if first != header:
-                raise DataError(f"{path}:1: bad header {first!r}, expected {header!r}")
-            for ln, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise DataError(f"{path}:{ln}: expected {len(header)} fields, "
-                                    f"got {len(row)}")
-                yield ln, list(map(sys.intern, row))
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return DataError(f"{path}:{ln}: not UTF-8 text ({exc.reason})")
+    return DataError(f"{path}: not UTF-8 text")
 
 
-def _read_columns(path: Path, header):
-    """(columns, line numbers, error) of a file, read in chunks of rows.
-
-    Reading stops at the first malformed line, whose DataError is returned,
-    not raised, so that an invalid row before it can be reported first.
-    """
-    columns, lines, chunk, error = [[] for _ in header], array("q"), [], None
+def _json_row(raw: str, header) -> list:
+    """One JSON line's fields in header order; ValueError if malformed."""
     try:
-        for ln, row in _iter_rows(path, header):
-            chunk.append(row)
+        row = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON: {exc}") from None
+    if not isinstance(row, dict):
+        raise ValueError("expected an object")
+    unknown = set(row) - set(header)
+    if unknown:
+        raise ValueError(f"unknown fields {sorted(unknown)}")
+    return [None if row.get(k) is None else str(row[k]) for k in header]
+
+
+def _json_chunks(fh, path: Path, header):
+    lines, rows = [], []
+    for ln, raw in enumerate(fh, start=1):
+        raw = raw.strip()
+        if raw:
+            try:
+                rows.append(_json_row(raw, header))
+            except ValueError as exc:
+                yield lines, rows
+                raise DataError(f"{path}:{ln}: {exc}") from None
             lines.append(ln)
-            if len(chunk) == _CHUNK_ROWS:
-                extend_columns(chunk, columns)
-                chunk.clear()
-    except DataError as exc:
-        error = exc
-    extend_columns(chunk, columns)
-    return columns, lines, error
+        if len(rows) == _CHUNK_ROWS:
+            yield lines, rows
+            lines, rows = [], []
+    yield lines, rows
+
+
+def _csv_chunks(fh, path: Path, header):
+    reader = csv.reader(fh)
+    try:
+        first = next(reader, None)
+        if first is None:
+            raise DataError(f"{path}:1: empty file, expected header")
+        if first != header:
+            raise DataError(f"{path}:1: bad header {first!r}, expected {header!r}")
+        start = 2  # line numbers count records, blank ones included
+        while rows := list(islice(reader, _CHUNK_ROWS)):
+            lines = range(start, start + len(rows))
+            start += len(rows)
+            if set(map(len, rows)) != {len(header)}:  # a blank or malformed line
+                lines = [ln for ln, row in zip(lines, rows) if row]
+                rows = [row for row in rows if row]
+                bad = next((i for i, row in enumerate(rows)
+                            if len(row) != len(header)), None)
+                if bad is not None:
+                    yield lines[:bad], rows[:bad]
+                    raise DataError(f"{path}:{lines[bad]}: expected "
+                                    f"{len(header)} fields, got {len(rows[bad])}")
+            yield lines, rows
+    except csv.Error as exc:  # a field over csv.field_size_limit()
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def _chunks(path: Path, header):
+    """Yield (line numbers, rows) of a CSV or JSON-Lines file, at most
+    _CHUNK_ROWS rows at a time (a chunk may be empty), skipping blank
+    lines. A row is its fields in header order: CSV text, or JSON values as
+    text and None where missing.
+
+    The first malformed line raises DataError once the rows before it are
+    yielded. So does a line with a byte that is not UTF-8 or a CSV field
+    over csv.field_size_limit(), but rows read in its chunk, or decoded in
+    its buffer, may not be yielded first.
+    """
+    chunks = _json_chunks if path.suffix == ".jsonl" else _csv_chunks
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield from chunks(fh, path, header)
+    except UnicodeDecodeError:
+        raise _undecodable(path) from None
 
 
 def _parse_student(row) -> StudentRecord:
@@ -113,24 +140,32 @@ def ingest(events_path, students_path) -> Dataset:
     """
     events_path, students_path = Path(events_path), Path(students_path)
     students: dict[str, StudentRecord] = {}
-    columns, lines, malformed = _read_columns(students_path, STUDENTS_HEADER)
-    for ln, row in zip(lines, zip(*columns)):
-        try:
-            rec = _parse_student(row)
-        except ValueError as exc:
-            raise DataError(f"{students_path}:{ln}: {exc}") from None
-        if rec.student_id in students:
-            raise DataError(f"{students_path}:{ln}: duplicate student id "
-                            f"{rec.student_id!r}")
-        students[rec.student_id] = rec
-    if malformed is not None:
-        raise malformed
+    for lines, rows in _chunks(students_path, STUDENTS_HEADER):
+        for ln, row in zip(lines, rows):
+            try:
+                rec = _parse_student(row)
+            except ValueError as exc:
+                raise DataError(f"{students_path}:{ln}: {exc}") from None
+            if rec.student_id in students:
+                raise DataError(f"{students_path}:{ln}: duplicate student id "
+                                f"{rec.student_id!r}")
+            students[rec.student_id] = rec
 
-    columns, lines, malformed = _read_columns(events_path, EVENTS_HEADER)
+    # reading stops at the first malformed line, whose error is raised only
+    # after the rows before it are checked, so an invalid event before it is
+    # reported first
+    coder, lines, malformed = EventCoder(), [], None
     try:
-        dataset = Dataset(students, columns)
+        for chunk_lines, rows in _chunks(events_path, EVENTS_HEADER):
+            coder.add(rows)
+            lines.append(chunk_lines)
+    except DataError as exc:
+        malformed = exc
+    try:
+        dataset = Dataset(students, coder)
     except EventError as exc:
-        raise DataError(f"{events_path}:{lines[exc.row]}: {exc}") from None
+        line = list(chain.from_iterable(lines))[exc.row]
+        raise DataError(f"{events_path}:{line}: {exc}") from None
     if malformed is not None:
         raise malformed
     return dataset

@@ -63,7 +63,7 @@ class StudentRecord:
 
 
 class EventError(ValueError):
-    """An invalid event; row is its index in the columns given to Dataset."""
+    """An invalid event; row is its index in the rows coded for Dataset."""
 
     def __init__(self, row: int, message: str):
         super().__init__(message)
@@ -95,22 +95,56 @@ class EventTable:
         return self.student.size
 
 
-def extend_columns(rows, columns=None) -> list:
-    """Append rows to columns, one list per field, and return the columns;
-    when columns is None, start the seven event columns (EVENTS_HEADER)."""
-    if columns is None:
-        columns = [[] for _ in EVENTS_HEADER]
-    for column, values in zip(columns, zip(*rows)):
-        column.extend(values)
-    return columns
+class _Codes(dict):
+    """Raw value -> code; a value not seen before takes the next code."""
+
+    def __missing__(self, raw):
+        self[raw] = code = len(self)
+        return code
 
 
-def _coded(column, code_of):
-    """int64 array of code_of(value) per row; runs once per distinct value."""
-    index = dict.fromkeys(column)
-    for raw in index:
-        index[raw] = code_of(raw)
-    return np.fromiter(map(index.__getitem__, column), np.int64, len(column))
+class EventCoder:
+    """Event rows coded field by field as they arrive, for Dataset.
+
+    Each field has one table from raw value (text, an integer or None) to
+    the code of its first appearance, so a row is stored as seven int64
+    codes and its raw text is read back through the tables.
+    """
+
+    def __init__(self):
+        self._tables = [_Codes() for _ in EVENTS_HEADER]
+        # per field, one int64 code array per add
+        self._codes = [[np.zeros(0, np.int64)] for _ in EVENTS_HEADER]
+
+    def add(self, rows):
+        """Code rows: sequences of raw values in EVENTS_HEADER order."""
+        if not rows:
+            return
+        columns = list(zip(*rows, strict=True))
+        if len(columns) != len(self._tables):
+            raise ValueError(f"expected {len(self._tables)} event fields, "
+                             f"got {len(columns)}")
+        for table, codes, column in zip(self._tables, self._codes, columns):
+            codes.append(np.fromiter(map(table.__getitem__, column), np.int64,
+                                     len(column)))
+
+    def fields(self) -> list:
+        """Per field, (the code of every row, its raw values in code order)."""
+        return [(np.concatenate(codes), list(table))
+                for table, codes in zip(self._tables, self._codes)]
+
+
+def _recoded(field, code_of):
+    """int64 array of code_of(raw value) per row of a coded field; code_of
+    runs once per distinct value."""
+    codes, values = field
+    return np.fromiter(map(code_of, values), np.int64, len(values))[codes]
+
+
+def _raw(field):
+    """row -> the raw value of a coded field."""
+    codes, values = field
+    return lambda row: values[codes[row]]
 
 
 def _text(value) -> str:
@@ -167,21 +201,20 @@ def _first_failure(n: int, checks):
 class Dataset:
     """One dataset: the student roster and its event table.
 
-    students maps id -> StudentRecord. columns holds the events as seven
-    equal-length sequences in EVENTS_HEADER order (extend_columns builds
-    them from event rows); values are strings, integers or None, text is
+    students maps id -> StudentRecord. events holds the coded event rows
+    (an EventCoder); raw values are strings, integers or None, text is
     stripped and an empty field is absent. Every event is checked against
     its kind and the roster, the first invalid row raising EventError;
     repeated quiz responses to one video keep the student's first (the
     count is logged).
     """
 
-    def __init__(self, students: dict, columns=()):
+    def __init__(self, students: dict, events: EventCoder | None = None):
         self.students = dict(students)
         self.student_ids = tuple(sorted(self.students))
         self.course_ids = tuple(sorted({s.course_id for s in self.students.values()}))
         self._student_index = {sid: i for i, sid in enumerate(self.student_ids)}
-        self.events = self._event_table(columns or extend_columns([]))
+        self.events = self._event_table((events or EventCoder()).fields())
 
     def students_by_course(self) -> dict:
         out = {c: [] for c in self.course_ids}
@@ -196,31 +229,26 @@ class Dataset:
         chosen[[index[sid] for sid in student_ids if sid in index]] = True
         return chosen[self.events.student]
 
-    def _event_table(self, columns) -> EventTable:
-        if len(columns) != len(EVENTS_HEADER):
-            raise ValueError(f"expected {len(EVENTS_HEADER)} event columns, "
-                             f"got {len(columns)}")
-        n = len(columns[0])
-        if any(len(col) != n for col in columns):
-            raise ValueError("event columns differ in length")
-        sid_col, course_col, kind_col, video_col, resp_col, action_col, ts_col = columns
-        video_ids = tuple(sorted({v for v in map(_opt, dict.fromkeys(video_col))
-                                  if v is not None}))
+    def _event_table(self, fields) -> EventTable:
+        """fields: EventCoder.fields(), in EVENTS_HEADER order."""
+        sid, course, kind, video, resp, action, ts = fields
+        n = sid[0].size
+        video_ids = tuple(sorted({v for v in map(_opt, video[1]) if v is not None}))
         video_index = {v: j for j, v in enumerate(video_ids)}
         course_index = {c: j for j, c in enumerate(self.course_ids)}
         # one array per column, -1 where the field is absent; other negative
         # codes (and response 2) mark values that fail a check
         t = {
-            "student": _coded(sid_col, lambda v: self._student_index.get(_text(v), -1)),
-            "course": _coded(course_col, lambda v: course_index.get(_text(v), -1)),
-            "kind": _coded(kind_col, lambda v: _index_or(EVENT_KINDS, _text(v), -1)),
-            "video": _coded(video_col, lambda v: video_index.get(_opt(v), -1)),
-            "response": _coded(resp_col, _response_code),
-            "action": _coded(action_col, lambda v: -1 if _opt(v) is None
-                             else _index_or(FORUM_ACTIONS, _opt(v), -2)),
-            "timestamp": _coded(ts_col, _timestamp_code),
+            "student": _recoded(sid, lambda v: self._student_index.get(_text(v), -1)),
+            "course": _recoded(course, lambda v: course_index.get(_text(v), -1)),
+            "kind": _recoded(kind, lambda v: _index_or(EVENT_KINDS, _text(v), -1)),
+            "video": _recoded(video, lambda v: video_index.get(_opt(v), -1)),
+            "response": _recoded(resp, _response_code),
+            "action": _recoded(action, lambda v: -1 if _opt(v) is None
+                               else _index_or(FORUM_ACTIONS, _opt(v), -2)),
+            "timestamp": _recoded(ts, _timestamp_code),
         }
-        failure = self._first_invalid(t, columns)
+        failure = self._first_invalid(t, fields)
         if failure is not None:
             raise EventError(*failure)
 
@@ -242,9 +270,9 @@ class Dataset:
         return EventTable(video_ids=video_ids,
                           offsets=np.concatenate(([0], np.cumsum(counts))), **t)
 
-    def _first_invalid(self, t: dict, columns):
+    def _first_invalid(self, t: dict, fields):
         """(row, message) of the first invalid event, or None."""
-        sid_col, course_col, kind_col, _, resp_col, _, ts_col = columns
+        sid_col, course_col, kind_col, _, resp_col, _, ts_col = map(_raw, fields)
         student, kind, video = t["student"], t["kind"], t["video"]
         response, action, ts = t["response"], t["action"], t["timestamp"]
         # an unknown student (-1) picks the trailing -1
@@ -257,18 +285,18 @@ class Dataset:
                      has_video & (response >= 0) & (response <= 1) & (action == -1),
                      ~has_video & (response == -1) & (action >= 0)))
         return _first_failure(student.size, [
-            (response == -2, lambda i: _parse_error(resp_col[i], "response")),
-            (ts == -2, lambda i: _parse_error(ts_col[i], "timestamp")),
+            (response == -2, lambda i: _parse_error(resp_col(i), "response")),
+            (ts == -2, lambda i: _parse_error(ts_col(i), "timestamp")),
             (ts == -3, lambda i: "timestamp is required"),
-            (kind == -1, lambda i: f"unknown event kind {_text(kind_col[i])!r}"),
+            (kind == -1, lambda i: f"unknown event kind {_text(kind_col(i))!r}"),
             (ts == -1, lambda i: "timestamp must be nonnegative"),
             (~consistent,
-             lambda i: f"fields inconsistent with kind {_text(kind_col[i])!r}"),
-            (student == -1, lambda i: f"unknown student {_text(sid_col[i])!r}"),
+             lambda i: f"fields inconsistent with kind {_text(kind_col(i))!r}"),
+            (student == -1, lambda i: f"unknown student {_text(sid_col(i))!r}"),
             (t["course"] != roster_course,
-             lambda i: (f"event course {_text(course_col[i])!r} does not match "
+             lambda i: (f"event course {_text(course_col(i))!r} does not match "
                         f"roster course "
-                        f"{self.students[_text(sid_col[i])].course_id!r}")),
-            (ts == -4, lambda i: f"timestamp {_opt_int(ts_col[i], 'timestamp')} "
+                        f"{self.students[_text(sid_col(i))].course_id!r}")),
+            (ts == -4, lambda i: f"timestamp {_opt_int(ts_col(i), 'timestamp')} "
                                  "is out of range"),
         ])

@@ -16,8 +16,8 @@ from ..data.records import (
     FORUM_ACTIONS,
     GENDERS,
     Dataset,
+    EventCoder,
     StudentRecord,
-    extend_columns,
 )
 from ..errors import ConfigError
 from ..seeding import substream
@@ -103,12 +103,13 @@ def generate(config: GenConfig, out_dir=None) -> Dataset:
     """
     archetypes = build_archetypes(config)
     students: dict[str, StudentRecord] = {}
-    columns = extend_columns([])
+    events = EventCoder()
 
     for course in config.courses:
         n = config.students_per_course
         counts = _share_counts(n, config.subgroup_shares)
         idx = 0
+        rows = []
         for label, count in zip(config.subgroup_labels, counts):
             spec = archetypes[(course, label)]
             start_cdf, step_cdf = _cumulative(spec.start), _cumulative(spec.transitions)
@@ -117,9 +118,9 @@ def generate(config: GenConfig, out_dir=None) -> Dataset:
                 idx += 1
                 rng = substream(config.seed, "student", sid)
                 ability = spec.ability_mean + spec.ability_std * rng.normal()
-                events, frac, n_forum = _walk_events(sid, spec, start_cdf,
-                                                     step_cdf, ability, rng)
-                extend_columns(events, columns)
+                walk, frac, n_forum = _walk_events(sid, spec, start_cdf,
+                                                   step_cdf, ability, rng)
+                rows += walk
                 bonus = 0.1 * min(1.0, n_forum / ENGAGEMENT_CAP)
                 outcome = int(frac + bonus > spec.pass_threshold)
                 if rng.random() < spec.label_noise:
@@ -131,8 +132,9 @@ def generate(config: GenConfig, out_dir=None) -> Dataset:
                         fields[key] = None
                 students[sid] = StudentRecord(sid, course, outcome=outcome,
                                               **fields)
+        events.add(rows)
 
-    dataset = Dataset(students, columns)
+    dataset = Dataset(students, events)
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

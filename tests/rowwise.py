@@ -4,17 +4,25 @@ It reads an events file one line at a time, checks each event with plain
 per-field tests in the documented order, and sorts and de-duplicates each
 student's list in Python, so the ingest tests can compare the program's
 event table against it event by event and error by error. events_of
-decodes a Dataset's table into the same per-student lists.
+decodes a Dataset's table into the same per-student lists, and coded
+codes event rows for a Dataset.
 """
 
 import csv
 import json
 from collections import namedtuple
 
-from hierfed.data.records import EVENT_KINDS, EVENTS_HEADER, FORUM_ACTIONS
+from hierfed.data.records import EVENT_KINDS, EVENTS_HEADER, FORUM_ACTIONS, EventCoder
 from hierfed.errors import DataError
 
 Event = namedtuple("Event", EVENTS_HEADER)
+
+
+def coded(rows) -> EventCoder:
+    """An EventCoder holding rows (sequences in EVENTS_HEADER order)."""
+    coder = EventCoder()
+    coder.add(rows)
+    return coder
 
 
 def events_of(dataset) -> dict:
@@ -64,6 +72,9 @@ def _lines(path):
         reader = csv.reader(fh)
         assert next(reader) == EVENTS_HEADER
         for ln, row in enumerate(reader, start=2):
+            if row and len(row) != len(EVENTS_HEADER):
+                raise DataError(f"{path}:{ln}: expected {len(EVENTS_HEADER)} "
+                                f"fields, got {len(row)}")
             if row:
                 yield ln, dict(zip(EVENTS_HEADER, row))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hierfed.data.grouping import group_by_demographic
-from hierfed.data.records import Dataset, StudentRecord, extend_columns
+from hierfed.data.records import Dataset, StudentRecord
 from hierfed.keys import GroupKey
 from hierfed.metrics import (
     ACTIVITY_TYPES,
@@ -13,7 +13,7 @@ from hierfed.metrics import (
     summarize,
 )
 from hierfed.synth.generate import generate, preset
-from rowwise import events_of
+from rowwise import coded, events_of
 
 
 def pair_count_auc(scores, labels):
@@ -157,7 +157,7 @@ def heatmap_dataset():
               + [_forum("s2", "forum_post", t) for t in range(4)]
               + [_video("s3", 0), _quiz("s3", 1),
                  _forum("s3", "forum_view", 2), _forum("s3", "forum_reply", 3)])
-    return Dataset(students, extend_columns(events))
+    return Dataset(students, coded(events))
 
 
 def test_heatmap_identical_groups_are_flat():

@@ -4,14 +4,16 @@ import csv
 import json
 import logging
 import random
+from itertools import zip_longest
 
 import numpy as np
 import pytest
 
+import hierfed.data.ingest as ingest_module
 from hierfed.data.grouping import age_bucket, group_by_demographic
 from hierfed.data.ingest import EVENTS_HEADER, export_dataset, ingest
 from hierfed.data.partition import make_folds
-from hierfed.data.records import Dataset, StudentRecord, extend_columns
+from hierfed.data.records import Dataset, EventCoder, StudentRecord
 from hierfed.data.sampling import stratified_batch
 from hierfed.data.sequences import build_sequences, build_vocab
 from hierfed.errors import ConfigError, DataError
@@ -19,7 +21,7 @@ from hierfed.keys import GroupKey
 from hierfed.models.task import KT, OP
 from hierfed.runner import dataset_hash
 from hierfed.synth.generate import generate, preset
-from rowwise import Event, events_of, reference_events
+from rowwise import Event, coded, events_of, reference_events
 
 STUDENTS_CSV = """\
 student_id,course_id,gender,continent,birth_year,outcome
@@ -84,7 +86,7 @@ def test_ingest_accepts_json_lines(tmp_path):
     assert [e.kind for e in events_of(ds)["s1"]] == ["video", "quiz_response"]
 
 
-@pytest.mark.parametrize("mutation, fragment", [
+INGEST_FAULTS = [
     (lambda e, s: (e.replace("timestamp", "ts"), s), "bad header"),
     (lambda e, s: (e + "s1,c0,video,v0\n", s), "expected 7 fields"),
     (lambda e, s: (e + "zz,c0,video,v0,,,9\n", s), "unknown student"),
@@ -116,18 +118,43 @@ def test_ingest_accepts_json_lines(tmp_path):
     # within one line, the checks run in a fixed order
     (lambda e, s: (e + "zz,c0,hover,v0,y,,\n", s),
      "response must be an integer, got 'y'"),
-])
+    # blank lines are skipped but counted
+    (lambda e, s: (e + "\n\ns9,c0,video,v0,,,9\n", s), "unknown student 's9'"),
+]
+
+
+@pytest.mark.parametrize("mutation, fragment", INGEST_FAULTS)
 def test_ingest_reports_file_and_line(tmp_path, mutation, fragment):
+    assert_reported(tmp_path, mutation, fragment)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3])
+def test_ingest_reports_file_and_line_across_chunk_edges(tmp_path, monkeypatch,
+                                                          chunk_rows):
+    monkeypatch.setattr(ingest_module, "_CHUNK_ROWS", chunk_rows)
+    for mutation, fragment in INGEST_FAULTS:
+        assert_reported(tmp_path, mutation, fragment)
+
+
+def assert_reported(tmp_path, mutation, fragment):
     ev, st = mutation(EVENTS_CSV, STUDENTS_CSV)
-    # the error names the first line the mutation touched
+    # the error names the first nonblank line the mutation touched
     name, before, after = (("events.csv", EVENTS_CSV, ev) if ev != EVENTS_CSV
                            else ("students.csv", STUDENTS_CSV, st))
     line = next(i for i, (old, new) in enumerate(
-        zip(before.splitlines() + [None], after.splitlines()), start=1)
-        if old != new)
+        zip_longest(before.splitlines(), after.splitlines()), start=1)
+        if old != new and new)
     with pytest.raises(DataError, match=fragment) as info:
         ingest(*write_inputs(tmp_path, events=ev, students=st))
     assert str(info.value).startswith(f"{tmp_path / name}:{line}: "), info.value
+
+
+def test_event_coder_refuses_rows_of_another_width():
+    row = ("s1", "c0", "video", "v0", None, None, 0)
+    with pytest.raises(ValueError):
+        EventCoder().add([row, row[:6]])
+    with pytest.raises(ValueError, match="expected 7 event fields, got 6"):
+        EventCoder().add([row[:6]])
 
 
 def test_ingest_requires_a_student_id_in_json_lines(tmp_path):
@@ -160,6 +187,12 @@ def test_ingest_rejects_malformed_json(tmp_path):
     ep.write_text('{"student_id": "s1", "surprise": 1}\n')
     with pytest.raises(DataError, match="unknown fields"):
         ingest(ep, sp)
+    # an invalid event on an earlier line is reported first
+    ep.write_text('{"student_id": "zz", "course_id": "c0", "kind": "video", '
+                  '"video_id": "v0", "timestamp": 1}\n{not json\n')
+    with pytest.raises(DataError) as info:
+        ingest(ep, sp)
+    assert str(info.value) == f"{ep}:1: unknown student 'zz'"
 
 
 def test_ingest_sorts_by_timestamp_keeping_input_order_on_ties(tmp_path):
@@ -221,16 +254,21 @@ MUTATIONS = [
     lambda row: row[:5] + [""] + row[6:],
     lambda row: ["zz"] + row[1:],
     lambda row: row[:1] + ["cX"] + row[2:],
+    lambda row: row[:2],  # in CSV a malformed line, in JSON Lines missing fields
 ]
 
 
 def write_log(path, rows, rng):
-    """CSV, or JSON Lines with integer fields where they parse as integers."""
+    """CSV, or JSON Lines with integer fields where they parse as integers;
+    now and then a blank line follows a row."""
     if path.suffix == ".csv":
         with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(EVENTS_HEADER)
-            w.writerows(rows)
+            for row in rows:
+                w.writerow(row)
+                if rng.random() < 0.1:
+                    fh.write("\r\n")
         return
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
@@ -241,10 +279,24 @@ def write_log(path, rows, rng):
                 elif value or rng.random() < 0.5:
                     doc[key] = value
             fh.write(json.dumps(doc) + "\n")
+            if rng.random() < 0.1:
+                fh.write(" \n")
 
 
 @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
 def test_event_table_matches_the_rowwise_reference(tmp_path, suffix, caplog):
+    assert_matches_the_rowwise_reference(tmp_path, suffix, caplog)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3])
+@pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+def test_event_table_matches_the_rowwise_reference_across_chunk_edges(
+        tmp_path, suffix, caplog, monkeypatch, chunk_rows):
+    monkeypatch.setattr(ingest_module, "_CHUNK_ROWS", chunk_rows)
+    assert_matches_the_rowwise_reference(tmp_path, suffix, caplog)
+
+
+def assert_matches_the_rowwise_reference(tmp_path, suffix, caplog):
     for trial in range(40):
         rng = random.Random(trial)
         courses = [f"c{i}" for i in range(rng.randint(1, 3))]
@@ -436,7 +488,7 @@ def sequence_dataset():
         Event("s1", "c0", "quiz_response", "v1", 0, None, 3),
         Event("s2", "c0", "forum", None, None, "forum_post", 0),
     ]
-    return Dataset(students, extend_columns(events))
+    return Dataset(students, coded(events))
 
 
 def test_vocab_comes_from_the_training_split_only():
@@ -473,7 +525,7 @@ def test_sequences_truncate_to_the_step_budget():
     students = {"s1": StudentRecord("s1", "c0")}
     events = [Event("s1", "c0", "quiz_response", f"v{t}", t % 2, None, t)
               for t in range(30)]
-    ds = Dataset(students, extend_columns(events))
+    ds = Dataset(students, coded(events))
     vocab = build_vocab(ds, ["s1"])
     seqs = build_sequences(ds, KT, vocab, max_len=8).students
     x, targets = seqs["s1"]

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from hierfed.data.partition import make_folds
-from hierfed.data.records import Dataset, StudentRecord, extend_columns
+from hierfed.data.records import Dataset, StudentRecord
 from hierfed.data.sequences import MAX_SEQ_LEN, build_sequences, build_vocab
 from hierfed.models.encoding import FORUM_ACTIONS, NULL, Vocab, pad_batch
 from hierfed.models.task import KT, OP
 from hierfed.runner import ExperimentConfig, _prepare
 from hierfed.synth.generate import generate, preset
-from rowwise import Event, events_of
+from rowwise import Event, coded, events_of
 from stepwise import (forum, item_row, kt_entry, kt_rows, op_entry, op_rows,
                       step_row, video)
 
@@ -45,7 +45,7 @@ def encode_one(task, events, vocab, outcome=0):
     Dataset."""
     sid, course = events[0].student_id, events[0].course_id
     ds = Dataset({sid: StudentRecord(sid, course, outcome=outcome)},
-                 extend_columns(events))
+                 coded(events))
     encoded = task.encode(ds, vocab, MAX_SEQ_LEN)
     x, target = encoded.students[sid]
     return rows_of(x, encoded.width), target
@@ -250,7 +250,7 @@ def edge_case_dataset():
               watch("c0", "u8", "s1"),
               quiz("c0", "v0", 1, "s2"), post("c0", "forum_view", "s2"),
               post("c0", "forum_post", "s3")] + long_run
-    return Dataset(students, extend_columns(events))
+    return Dataset(students, coded(events))
 
 
 @pytest.mark.parametrize("task", [KT, OP], ids=["KT", "OP"])

@@ -1329,6 +1329,52 @@ def test_cli_train_exits_two_naming_a_course_id_with_the_label_separator(
     assert not (tmp_path / "run").exists()
 
 
+def _train_exit(tmp_path, ds_dir):
+    """main's exit code training a small config on ds_dir."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_snapshot(small_config(ds_dir))))
+    return main(["train", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "run")])
+
+
+def test_cli_train_exits_two_naming_an_oversized_csv_field(tmp_path, data_dir,
+                                                          capsys):
+    # a field over csv.field_size_limit() raised _csv.Error: exit 1 with a
+    # traceback
+    ds_dir = _copy_dataset(data_dir, tmp_path / "ds")
+    path = ds_dir / "events.csv"
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[3][3] = "v" * 200_000
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert _train_exit(tmp_path, ds_dir) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:4: field larger than field limit"), err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("name", ["events.csv", "students.csv", "events.jsonl"])
+def test_cli_train_exits_two_naming_an_undecodable_line(tmp_path, data_dir,
+                                                       capsys, name):
+    # a 0xff byte raised UnicodeDecodeError: exit 1 with a traceback
+    ds_dir = _copy_dataset(data_dir, tmp_path / "ds")
+    if name == "events.jsonl":
+        with open(ds_dir / "events.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        (ds_dir / name).write_text("".join(json.dumps(dict(zip(header, row))) + "\n"
+                                           for row in rows))
+        (ds_dir / "events.csv").unlink()
+    path = ds_dir / name
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[3] = lines[3].replace(b"c0", b"c0\xff", 1)
+    path.write_bytes(b"".join(lines))
+    assert _train_exit(tmp_path, ds_dir) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:4: not UTF-8 text"), err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("make, message", [
     (lambda p: None, "config file not found: {p}"),
     (lambda p: p.mkdir(), "{p}: cannot read config file"),  # exit 1 before
