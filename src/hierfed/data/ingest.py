@@ -2,14 +2,16 @@
 
 The events file is read a chunk of rows at a time and each chunk is coded
 at once (records.EventCoder); Dataset checks and sorts the coded rows into
-one event table, and an invalid event is reported with its file and line.
+one event table, and an invalid event is reported with its file and line:
+the physical line its record starts on, as a quoted CSV field may hold
+line breaks.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from pathlib import Path
 
 from ..errors import DataError
@@ -52,7 +54,12 @@ def _json_row(raw: str, header) -> list:
     unknown = set(row) - set(header)
     if unknown:
         raise ValueError(f"unknown fields {sorted(unknown)}")
-    return [None if row.get(k) is None else str(row[k]) for k in header]
+    fields = [None if row.get(k) is None else str(row[k]) for k in header]
+    try:  # an escaped lone surrogate ("\ud800") decodes but is not text
+        "".join(f for f in fields if f is not None).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"not UTF-8 text ({exc.reason})") from None
+    return fields
 
 
 def _json_chunks(fh, path: Path, header):
@@ -72,18 +79,33 @@ def _json_chunks(fh, path: Path, header):
     yield lines, rows
 
 
+def _extra_lines(row) -> int:
+    """The line breaks inside a CSV record's quoted fields: the physical
+    lines it spans past its first (universal newlines, as the file is
+    read)."""
+    return sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row)
+
+
 def _csv_chunks(fh, path: Path, header):
     reader = csv.reader(fh)
+    start, rows = 1, []  # the physical line rows[0] starts on, and rows
     try:
         first = next(reader, None)
         if first is None:
             raise DataError(f"{path}:1: empty file, expected header")
         if first != header:
             raise DataError(f"{path}:1: bad header {first!r}, expected {header!r}")
-        start = 2  # line numbers count records, blank ones included
-        while rows := list(islice(reader, _CHUNK_ROWS)):
-            lines = range(start, start + len(rows))
-            start += len(rows)
+        start = 2
+        while True:
+            rows = []
+            rows.extend(islice(reader, _CHUNK_ROWS))  # kept up to a csv.Error
+            if not rows:
+                return
+            lines = range(start, reader.line_num + 1)
+            start = lines.stop
+            if len(lines) != len(rows):  # a quoted field holds a line break
+                lines = list(accumulate((1 + _extra_lines(row) for row in rows[:-1]),
+                                        initial=lines.start))
             if set(map(len, rows)) != {len(header)}:  # a blank or malformed line
                 lines = [ln for ln, row in zip(lines, rows) if row]
                 rows = [row for row in rows if row]
@@ -95,7 +117,8 @@ def _csv_chunks(fh, path: Path, header):
                                     f"{len(header)} fields, got {len(rows[bad])}")
             yield lines, rows
     except csv.Error as exc:  # a field over csv.field_size_limit()
-        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+        line = start + len(rows) + sum(map(_extra_lines, rows))
+        raise DataError(f"{path}:{line}: {exc}") from None
 
 
 def _chunks(path: Path, header):

@@ -45,8 +45,8 @@ class ClientData:
         return ",".join(self.ids)
 
     def batch(self, ids):
-        """Padded x, lengths and the concatenated targets of a list of
-        student ids."""
+        """The boolean padded one-hot x (B, T, width) of pad_batch, the
+        lengths and the concatenated targets of a list of student ids."""
         entries = [self.encoding.students[sid] for sid in ids]
         x, lengths = pad_batch([e[0] for e in entries], self.encoding.width)
         return x, lengths, np.concatenate([e[1] for e in entries])

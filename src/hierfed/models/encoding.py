@@ -11,7 +11,7 @@ A step is stored as the columns of its ones: (course, video) for KT, and
 the step has none. Each encoder maps a dataset's event table to these
 columns and gives each student a row slice of one fold-wide integer array,
 so an encoding grows with the events, not with the vocabulary; pad_batch
-expands a batch into the padded float64 one-hot rows the models read.
+expands a batch into the padded boolean one-hot rows the models read.
 """
 
 from __future__ import annotations
@@ -157,21 +157,22 @@ def encode_op(dataset, vocab: Vocab, max_len: int) -> Encoding:
 
 def pad_batch(arrays, width: int):
     """The padded one-hot rows of variable-length (L_i, k) arrays of
-    column indices in [0, width) or NULL: (B, T_max, width) float64, one at
-    each step's indices and zero past each length, plus the lengths."""
+    column indices in [0, width) or NULL: (B, T_max, width) bool, True at
+    each step's indices and False past each length, plus the lengths. The
+    recurrent kernels convert the valid rows to float64 once."""
     if not arrays:
         raise ValueError("pad_batch: empty batch")
     ls = [len(a) for a in arrays]
     lengths = np.array(ls, dtype=np.int64)
     cols = np.concatenate(arrays)
-    out = np.zeros((len(ls), max(ls), width))
+    out = np.zeros((len(ls), max(ls), width), dtype=bool)
     # each step's row of out as (B * T_max, width): b * T_max + t
     rows = (np.arange(out.shape[1]) < lengths[:, None]).ravel().nonzero()[0]
     if cols.shape[1] > 2:  # only a third index, OP's response, can be NULL
         # a NULL sets no column: write the step's second column once more
         cols = np.where(cols == NULL, cols[:, 1:2], cols)
     try:
-        out.reshape(-1, width)[rows[:, None], cols] = 1.0
+        out.reshape(-1, width)[rows[:, None], cols] = True
     except IndexError:
         raise ValueError(f"pad_batch: a column outside width {width}") from None
     return out, lengths

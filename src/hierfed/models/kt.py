@@ -51,10 +51,7 @@ def kt_loss_grad(x, lengths, targets, params: dict):
     log_padded = np.zeros(valid.shape)
     log_padded[valid] = log_lik
     loss = float(-log_padded.sum())
-
-    dh_seq = np.zeros(valid.shape + h.shape[1:])
-    dh_seq[valid] = dh
-    return loss, {**lstm_backward(dh_seq, cache, params), **g_out}
+    return loss, {**lstm_backward(dh, cache, params), **g_out}
 
 
 def kt_predict(x, lengths, targets, params: dict):

@@ -46,8 +46,9 @@ def op_loss_grad(x, lengths, labels, params: dict):
     probs, h_tilde, cache_g, cache_a = _forward(x, lengths, params)
     log_lik, dh_tilde, g_out = head_backward(h_tilde, probs, labels,
                                              params["out.W"])
-    g_att, dh_seq = attention_pool_backward(dh_tilde, cache_a, params)
-    g_gru = gru_backward(dh_seq, cache_g, params)
+    g_att, dh = attention_pool_backward(dh_tilde, cache_a, params)
+    del cache_a   # nothing reads its (B, T, k) u again: freed before BPTT
+    g_gru = gru_backward(dh, cache_g, params)
     return float(-log_lik.sum()), {**g_gru, **g_att, **g_out}
 
 

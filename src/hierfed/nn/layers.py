@@ -4,17 +4,22 @@ Everything here is hand-written numpy: LSTM and GRU recurrences, a
 tanh-score attention pooler, and a 2-way softmax head with its
 cross-entropy backward, shared by both models.
 
-The recurrences take padded (B, T, D) inputs with per-sequence lengths but
-compute only valid steps, packed as in cuDNN and PyTorch's packed
-sequences: the batch is ordered by length (descending, stable), and step t
-runs on the leading rows whose sequences are still running. Valid (step,
-row) pairs are stored time-major as rows of one packed matrix, so the input
+The recurrences take padded (B, T, D) inputs, float64 or pad_batch's
+boolean one-hots, with per-sequence lengths but compute only valid steps,
+packed as in cuDNN and PyTorch's packed sequences: the batch is ordered by
+length (descending, stable), and step t runs on the leading rows whose
+sequences are still running. Valid (step, row) pairs are stored time-major
+as rows of one packed matrix, converted to float64 once, so the input
 projection of every step is one GEMM before the time loop and the weight
 gradients are GEMMs after backprop through time (Appleyard, Kocisky &
-Blunsom 2016, arXiv:1604.01946). The returned h_seq is in the caller's row
-order and zero past each sequence's length; adjoints at those positions are
-ignored. The attention pooler likewise scores valid steps only. Backward
-passes return parameter gradients accumulated over the whole batch.
+Blunsom 2016, arXiv:1604.01946). The returned h_seq is (B, T, k) in the
+caller's row order and zero past each sequence's length. Only valid steps
+pass back: the recurrent backwards take the (n, k) adjoints of the n valid
+states, batch-major and step-minor (h_seq[valid]'s order), which is what
+the KT head and attention_pool_backward compute. The attention pooler
+likewise scores valid steps only, and its cache keeps h_seq's valid rows.
+Backward passes return parameter gradients accumulated over the whole
+batch.
 
 Kernels read their dimensions from their inputs and parameters without
 checking them: a run's parameters all derive from one Task.init or from a
@@ -74,6 +79,8 @@ class _Packing:
         self.B, self.T, self.n = B, T, int(offsets[-1])
         self.rows = order[rank]          # batch row of each packed row
         self.cols = step_of              # time step of each packed row
+        # batch-major, step-minor position of each packed row
+        self.valid_pos = (np.cumsum(lengths) - lengths)[self.rows] + self.cols
         bounds = offsets.tolist()
         self.spans = [(bounds[t], bounds[t + 1], bounds[t - 1] if t else -1)
                       for t in range(steps)]
@@ -117,7 +124,7 @@ def lstm_forward(x, lengths, params: dict):
     B, T, d = x.shape
     k = b.size // 4
     pk = _Packing(lengths, B, T)
-    xs = pk.gather(x)
+    xs = pk.gather(x).astype(np.float64, copy=False)
     # gates i, f, g, o; the sigmoid gates' columns are halved
     scale = np.full(4 * k, 0.5)
     scale[2 * k:3 * k] = 1.0
@@ -157,11 +164,12 @@ def lstm_forward(x, lengths, params: dict):
     return pk.scatter(hs), cache
 
 
-def lstm_backward(dh_seq, cache, params: dict):
+def lstm_backward(dh, cache, params: dict):
     """Backprop through time for lstm_forward.
 
-    dh_seq: (B, T, k) adjoints of each hidden state from the loss heads;
-    entries past a sequence's length are ignored. Returns the gradients.
+    dh: (n, k) adjoints of the n valid hidden states from the loss heads,
+    batch-major and step-minor (h_seq[valid]'s order). Returns the
+    gradients.
     """
     d, k, B = (cache[n] for n in ("d", "k", "B"))
     pk = cache["packing"]
@@ -175,7 +183,7 @@ def lstm_backward(dh_seq, cache, params: dict):
     coef = np.stack([g, pk.previous(cache["c"]), i], axis=1)
     dc_dh = o * (1.0 - tc * tc)
     f = np.ascontiguousarray(f)
-    dhs = pk.gather(np.asarray(dh_seq, dtype=np.float64))
+    dhs = dh[pk.valid_pos]
     da = np.empty((pk.n, 4 * k))
     da4 = da.reshape(pk.n, 4, k)
     views = pk.prefixes(np.zeros((B, k)), np.zeros((B, k)), np.empty((B, k)))
@@ -210,7 +218,7 @@ def gru_forward(x, lengths, params: dict):
     B, T, d = x.shape
     k = bn.size
     pk = _Packing(lengths, B, T)
-    xs = pk.gather(x)
+    xs = pk.gather(x).astype(np.float64, copy=False)
     Uzr, Un = 0.5 * Wzr[d:], Wn[d:]   # z and r are sigmoids: halved
 
     # input projections of every step, hoisted
@@ -247,8 +255,12 @@ def gru_forward(x, lengths, params: dict):
     return pk.scatter(hs), cache
 
 
-def gru_backward(dh_seq, cache, params: dict):
-    """Backprop through time for gru_forward. Returns the gradients."""
+def gru_backward(dh, cache, params: dict):
+    """Backprop through time for gru_forward.
+
+    dh: (n, k) adjoints of the n valid hidden states, batch-major and
+    step-minor, as lstm_backward takes them. Returns the gradients.
+    """
     d, k, B = (cache[n] for n in ("d", "k", "B"))
     pk = cache["packing"]
     zr, n = cache["zr"], cache["n"]
@@ -256,11 +268,13 @@ def gru_backward(dh_seq, cache, params: dict):
     Un_T = params["gru.Wn"][d:].T
     hp = pk.previous(cache["h"])
     z, r = zr[:, :k], zr[:, k:]
-    dzr = zr * (1.0 - zr)
-    dtanh = 1.0 - n * n
+    dzr = 1.0 - zr
+    dzr *= zr
+    dtanh = n * n
+    np.subtract(1.0, dtanh, out=dtanh)
     n_hp = n - hp
     one_z = 1.0 - z
-    dhs = pk.gather(np.asarray(dh_seq, dtype=np.float64))
+    dhs = dh[pk.valid_pos]
     da_zr = np.empty((pk.n, 2 * k))
     da_n = np.empty((pk.n, k))
     views = pk.prefixes(np.zeros((B, k)), np.empty((B, k)), np.empty((B, k)))
@@ -301,14 +315,16 @@ def attention_pool(h_seq, lengths, params: dict):
     Scores e_t = p . tanh(W h_t); weights are a softmax over each sequence's
     valid steps; output is the weighted sum of hidden states. Scores are
     computed at valid steps only. Returns (h_tilde (B, k), alphas (B, T),
-    cache). Alphas, and the cache's u (B, T, k), are zero at padded steps.
+    cache). Alphas, and the cache's u (B, T, k), are zero at padded steps;
+    the cache holds h_seq's (n, k) valid rows, batch-major, not h_seq.
     """
     B, T, k = h_seq.shape
     W, p = params["att.W"], params["att.p"]
     lengths = np.asarray(lengths, dtype=np.int64)
 
     valid = np.arange(T)[None, :] < lengths[:, None]
-    u_valid = np.tanh(h_seq[valid] @ W)  # (n, k), batch-major
+    h = h_seq[valid]
+    u_valid = np.tanh(h @ W)             # (n, k), batch-major
     e = np.full((B, T), -np.inf)
     e[valid] = u_valid @ p
     e -= e.max(axis=1, keepdims=True)
@@ -317,17 +333,18 @@ def attention_pool(h_seq, lengths, params: dict):
     h_tilde = np.einsum("bt,btk->bk", alphas, h_seq)
     u = np.zeros((B, T, k))
     u[valid] = u_valid
-    cache = {"u": u, "alphas": alphas, "h_seq": h_seq, "valid": valid}
+    cache = {"u": u, "alphas": alphas, "h": h, "valid": valid}
     return h_tilde, alphas, cache
 
 
 def attention_pool_backward(dh_tilde, cache, params: dict):
     """Backward for attention_pool, at valid steps only. Returns (grads,
-    dh_seq), with dh_seq (B, T, k) zero at padded steps."""
+    dh), with dh (n, k) the adjoints of the valid hidden states,
+    batch-major and step-minor, as the recurrent backwards take them."""
     W, p = params["att.W"], params["att.p"]
-    u, alphas, h_seq, valid = (cache[n] for n in ("u", "alphas", "h_seq", "valid"))
+    h, u, alphas, valid = (cache[n] for n in ("h", "u", "alphas", "valid"))
     row = np.nonzero(valid)[0]           # batch row of each valid step
-    h, u, a = h_seq[valid], u[valid], alphas[valid]
+    u, a = u[valid], alphas[valid]
     g = dh_tilde[row]                    # adjoint of h_tilde, per valid step
     dalpha = np.einsum("nk,nk->n", h, g)
     # softmax jacobian, rowwise: de_t = a_t (dalpha_t - sum_s a_s dalpha_s)
@@ -335,12 +352,11 @@ def attention_pool_backward(dh_tilde, cache, params: dict):
     inner[valid] = a * dalpha
     de = a * (dalpha - inner.sum(axis=1)[row])
     dpre = np.outer(de, p)
-    dpre *= 1.0 - u * u
+    dtanh = u * u
+    dpre *= np.subtract(1.0, dtanh, out=dtanh)
     dh = dpre @ W.T
     dh += a[:, None] * g
-    dh_seq = np.zeros(h_seq.shape)
-    dh_seq[valid] = dh
-    return {"att.W": h.T @ dpre, "att.p": u.T @ de}, dh_seq
+    return {"att.W": h.T @ dpre, "att.p": u.T @ de}, dh
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,10 @@ each scratch buffer per step, and a helper for the sigmoid-from-tanh step.
 The program's loops apply the same operations to the same operands in the
 same order, so the tests compare the two bit for bit. The LSTM reference
 above already calls np.matmul.
+
+Both recurrent references share the program's interface: they convert the
+gathered valid steps of x to float64 once, and their backward passes take
+the (n, k) adjoints of the valid states, batch-major and step-minor.
 """
 
 import numpy as np
@@ -35,7 +39,7 @@ def lstm_forward(x, lengths, params: dict):
     B, T, d = x.shape
     k = b.size // 4
     pk = _Packing(lengths, B, T)
-    xs = pk.gather(x)
+    xs = pk.gather(x).astype(np.float64, copy=False)
     # gates i, f, g, o; the sigmoid gates' columns are halved
     scale = np.full(4 * k, 0.5)
     scale[2 * k:3 * k] = 1.0
@@ -72,7 +76,7 @@ def lstm_forward(x, lengths, params: dict):
     return pk.scatter(hs), cache
 
 
-def lstm_backward(dh_seq, cache, params: dict):
+def lstm_backward(dh_valid, cache, params: dict):
     """Gradients of lstm_forward above, tanh(c) read from a fourth coef slot."""
     d, k, B = (cache[n] for n in ("d", "k", "B"))
     pk = cache["packing"]
@@ -85,7 +89,7 @@ def lstm_backward(dh_seq, cache, params: dict):
     # the adjoints of i, f, g are dc times these; that of o is dh times tanh(c)
     coef = np.stack([g, pk.previous(cache["c"]), i, tc], axis=1)
     dc_dh = o * (1.0 - tc * tc)
-    dhs = pk.gather(np.asarray(dh_seq, dtype=np.float64))
+    dhs = dh_valid[pk.valid_pos]
     da = np.empty((pk.n, 4 * k))
     da4 = da.reshape(pk.n, 4, k)
     dh = np.zeros((B, k))
@@ -114,7 +118,7 @@ def gru_forward(x, lengths, params: dict):
     B, T, d = x.shape
     k = bn.size
     pk = _Packing(lengths, B, T)
-    xs = pk.gather(x)
+    xs = pk.gather(x).astype(np.float64, copy=False)
     Uzr, Un = 0.5 * Wzr[d:], Wn[d:]   # z and r are sigmoids: halved
 
     # input projections of every step, hoisted
@@ -148,7 +152,7 @@ def gru_forward(x, lengths, params: dict):
     return pk.scatter(hs), cache
 
 
-def gru_backward(dh_seq, cache, params: dict):
+def gru_backward(dh_valid, cache, params: dict):
     """Gradients of gru_forward above, np.matmul per step."""
     d, k, B = (cache[n] for n in ("d", "k", "B"))
     pk = cache["packing"]
@@ -161,7 +165,7 @@ def gru_backward(dh_seq, cache, params: dict):
     dtanh = 1.0 - n * n
     n_hp = n - hp
     one_z = 1.0 - z
-    dhs = pk.gather(np.asarray(dh_seq, dtype=np.float64))
+    dhs = dh_valid[pk.valid_pos]
     da_zr = np.empty((pk.n, 2 * k))
     da_n = np.empty((pk.n, k))
     dh = np.zeros((B, k))
@@ -212,7 +216,7 @@ def kt_loss_grad(x, lengths, targets, params: dict):
     dlogits = (probs - onehot) * valid[:, :, None]
     dW = np.einsum("btk,btj->kj", h_seq, dlogits)
     db = dlogits.sum(axis=(0, 1))
-    g_lstm = lstm_backward(dlogits @ W.T, cache, params)
+    g_lstm = lstm_backward((dlogits @ W.T)[valid], cache, params)
     return loss, {**g_lstm, "out.W": dW, "out.b": db}, probs
 
 

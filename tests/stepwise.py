@@ -1,6 +1,7 @@
 """A per-step encoder: the reference for the program's encoding.
 
-It writes one dense one-hot row per step with plain element assignments,
+It writes one dense boolean one-hot row per step, as pad_batch lays its
+rows out, with plain element assignments,
 and lists each step's one-hot columns one step at a time, so the encoding
 tests can compare build_sequences against it student by student, and
 other tests can hand-build clients from index-level steps. A KT step is a
@@ -30,9 +31,9 @@ def item_row(course, vid, vocab):
     """KT item one-hot: course block then video block; exactly two ones."""
     _check_range(course, vocab.n_courses, "course")
     _check_range(vid, vocab.n_video_slots, "video")
-    out = np.zeros(vocab.kt_input_dim)
-    out[course] = 1.0
-    out[vocab.n_courses + vid] = 1.0
+    out = np.zeros(vocab.kt_input_dim, dtype=bool)
+    out[course] = True
+    out[vocab.n_courses + vid] = True
     return out
 
 
@@ -40,19 +41,19 @@ def step_row(step, vocab):
     """OP step one-hot: course + video + response + forum-action blocks."""
     kind, course = step[0], step[1]
     _check_range(course, vocab.n_courses, "course")
-    out = np.zeros(vocab.op_input_dim)
-    out[course] = 1.0
+    out = np.zeros(vocab.op_input_dim, dtype=bool)
+    out[course] = True
     base = vocab.n_courses
     if kind == "video":
         _, _, vid, response = step
         _check_range(vid, vocab.n_video_slots, "video")
-        out[base + vid] = 1.0
+        out[base + vid] = True
         if response is not None:
             _check_range(response, N_RESPONSE_SLOTS, "response")
-            out[base + vocab.n_video_slots + response] = 1.0
+            out[base + vocab.n_video_slots + response] = True
     else:
         _check_range(step[2], N_FORUM_SLOTS, "forum action")
-        out[base + vocab.n_video_slots + N_RESPONSE_SLOTS + step[2]] = 1.0
+        out[base + vocab.n_video_slots + N_RESPONSE_SLOTS + step[2]] = True
     return out
 
 
@@ -83,7 +84,7 @@ def kt_rows(items, responses, vocab):
     """(x, targets): items 1..L-1 as one-hot rows, responses 2..L as targets."""
     assert len(items) == len(responses) >= 1
     L = len(items)
-    x = np.zeros((L - 1, vocab.kt_input_dim))
+    x = np.zeros((L - 1, vocab.kt_input_dim), dtype=bool)
     targets = np.zeros(L - 1, dtype=np.int64)
     for t in range(L - 1):
         x[t] = item_row(*items[t], vocab)
@@ -94,7 +95,7 @@ def kt_rows(items, responses, vocab):
 def op_rows(steps, outcome, vocab):
     """((T, D) x, (1,) label), one one-hot row per step."""
     assert len(steps) >= 1 and outcome in (0, 1)
-    x = np.zeros((len(steps), vocab.op_input_dim))
+    x = np.zeros((len(steps), vocab.op_input_dim), dtype=bool)
     for t, step in enumerate(steps):
         x[t] = step_row(step, vocab)
     return x, np.array([outcome], dtype=np.int64)

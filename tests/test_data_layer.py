@@ -86,6 +86,9 @@ def test_ingest_accepts_json_lines(tmp_path):
     assert [e.kind for e in events_of(ds)["s1"]] == ["video", "quiz_response"]
 
 
+# a valid event whose quoted video id holds a line break: two physical lines
+SPLIT_ROW = 's1,c0,video,"v\n0",,,9\n'
+
 INGEST_FAULTS = [
     (lambda e, s: (e.replace("timestamp", "ts"), s), "bad header"),
     (lambda e, s: (e + "s1,c0,video,v0\n", s), "expected 7 fields"),
@@ -120,6 +123,13 @@ INGEST_FAULTS = [
      "response must be an integer, got 'y'"),
     # blank lines are skipped but counted
     (lambda e, s: (e + "\n\ns9,c0,video,v0,,,9\n", s), "unknown student 's9'"),
+    # so is each line of a quoted field: lines are physical, not records
+    (lambda e, s: (e + SPLIT_ROW + "s1,c0,click,v0,,,9\n", s),
+     "unknown event kind 'click'"),
+    (lambda e, s: (e + SPLIT_ROW + "s1,c0,video\n", s), "expected 7 fields, got 3"),
+    # an oversized field is reported at its record's first line
+    (lambda e, s: (e + SPLIT_ROW + 's1,c0,video,"v\n' + "v" * 200_000 + '",,,9\n', s),
+     "field larger than field limit"),
 ]
 
 
@@ -138,9 +148,11 @@ def test_ingest_reports_file_and_line_across_chunk_edges(tmp_path, monkeypatch,
 
 def assert_reported(tmp_path, mutation, fragment):
     ev, st = mutation(EVENTS_CSV, STUDENTS_CSV)
-    # the error names the first nonblank line the mutation touched
+    # the error names the first nonblank line the mutation touched, a
+    # SPLIT_ROW counting as blank lines, since it is valid
     name, before, after = (("events.csv", EVENTS_CSV, ev) if ev != EVENTS_CSV
                            else ("students.csv", STUDENTS_CSV, st))
+    after = after.replace(SPLIT_ROW, "\n" * SPLIT_ROW.count("\n"))
     line = next(i for i, (old, new) in enumerate(
         zip_longest(before.splitlines(), after.splitlines()), start=1)
         if old != new and new)

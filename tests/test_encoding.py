@@ -321,7 +321,7 @@ def test_pad_batch_shapes_and_lengths():
     assert [(a[:, 2] == NULL).sum() for a in arrays] == [1, 1, 2]
     copies = [a.copy() for a in arrays]
     x, lengths = pad_batch(arrays, vocab.op_input_dim)
-    assert x.shape == (3, 3, vocab.op_input_dim) and x.dtype == np.float64
+    assert x.shape == (3, 3, vocab.op_input_dim) and x.dtype == bool
     assert x.flags.c_contiguous
     assert np.array_equal(lengths, np.array([2, 1, 3]))
     for b, steps in enumerate(students):

@@ -6,12 +6,21 @@ counts attention_pool's work from its first argument's (B, T, k) shape and
 attention_pool_backward's from its cache's u, also (B, T, k). A kernel
 refactor that drops or renames those keys, or changes those shapes, breaks
 the benchmark, so they are pinned here.
+
+The backward kernels take the valid steps' (n, k) adjoints, not a padded
+(B, T, k) array, and the OP step drops the attention cache before the GRU
+backward; the last test pins both, so no padded array outlives its last
+reader.
 """
+
+import weakref
 
 import numpy as np
 import pytest
 
+import hierfed.models.kt
 import hierfed.models.op
+from hierfed.models.kt import kt_loss_grad
 from hierfed.models.op import op_loss_grad
 from hierfed.nn.layers import gru_forward, lstm_forward
 
@@ -66,3 +75,39 @@ def test_attention_kernels_see_batch_step_hidden_shapes(monkeypatch):
     op_loss_grad(x, np.array([5, 2, 4]), np.array([0, 1, 1]), params)
     assert seen["attention_pool"][0].shape == (B, T, K)
     assert seen["attention_pool_backward"][1]["u"].shape == (B, T, K)
+
+
+def test_backwards_take_valid_step_adjoints_once_attention_is_freed(monkeypatch):
+    # the recurrent backwards get the (n, k) adjoints of the n valid steps,
+    # and op_loss_grad drops the attention cache, with its (B, T, k) u,
+    # before the GRU backward runs
+    seen = {}
+    pool = hierfed.models.op.attention_pool
+
+    def attention_spy(*args):
+        result = pool(*args)
+        seen["u"] = weakref.ref(result[2]["u"])
+        return result
+
+    def spy(module, name):
+        kernel = getattr(module, name)
+
+        def wrapper(dh, cache, params):
+            seen[name] = dh.shape, seen["u"]() is not None
+            return kernel(dh, cache, params)
+        monkeypatch.setattr(module, name, wrapper)
+
+    monkeypatch.setattr(hierfed.models.op, "attention_pool", attention_spy)
+    spy(hierfed.models.op, "gru_backward")
+    spy(hierfed.models.kt, "lstm_backward")
+    rng = np.random.default_rng(2)
+    lengths = np.array([5, 2, 4])
+    out = {"out.W": rng.normal(size=(K, 2)), "out.b": rng.normal(size=2)}
+    params = {**gru_params(rng), **out,
+              "att.W": rng.normal(size=(K, K)), "att.p": rng.normal(size=K)}
+    op_loss_grad(rng.normal(size=(B, T, D)), lengths, np.array([0, 1, 1]), params)
+    kt_loss_grad(rng.normal(size=(B, T, D)), lengths,
+                 rng.integers(0, 2, size=lengths.sum()), {**lstm_params(rng), **out})
+    n = int(lengths.sum())
+    assert seen["gru_backward"] == ((n, K), False)   # u is already freed
+    assert seen["lstm_backward"][0] == (n, K)

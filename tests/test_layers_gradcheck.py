@@ -51,6 +51,10 @@ def batch_inputs(rng, B, T, D):
     return x, lengths
 
 
+def valid_mask(lengths, T):
+    return np.arange(T)[None, :] < np.asarray(lengths)[:, None]
+
+
 def masked_weight_loss(h_seq, lengths, weight):
     """Scalar readout sum_t w . h_t over valid steps only."""
     total = 0.0
@@ -71,7 +75,7 @@ def test_lstm_gradients_match_finite_differences():
         dh_seq = np.zeros_like(h_seq)
         for b, L in enumerate(lengths):
             dh_seq[b, :L, :] = weight
-        grads = lstm_backward(dh_seq, cache, params)
+        grads = lstm_backward(dh_seq[valid_mask(lengths, T)], cache, params)
 
         def loss(p):
             h, _ = lstm_forward(x, lengths, p)
@@ -93,7 +97,7 @@ def test_gru_gradients_match_finite_differences():
         dh_seq = np.zeros_like(h_seq)
         for b, L in enumerate(lengths):
             dh_seq[b, :L, :] = weight
-        grads = gru_backward(dh_seq, cache, params)
+        grads = gru_backward(dh_seq[valid_mask(lengths, T)], cache, params)
 
         def loss(p):
             h, _ = gru_forward(x, lengths, p)
@@ -195,13 +199,14 @@ def run_kernel(kind, x, lengths, params, weight):
         h_tilde, alphas, cache = attention_pool(x, lengths, params)
         grads, dx = attention_pool_backward(np.tile(weight, (B, 1)), cache,
                                             params)
-        rows = [np.concatenate([h_tilde[b], alphas[b, :L], dx[b, :L].ravel()])
+        dx = np.split(dx, np.cumsum(lengths)[:-1])   # each row's valid steps
+        rows = [np.concatenate([h_tilde[b], alphas[b, :L], dx[b].ravel()])
                 for b, L in enumerate(lengths)]
         return rows, grads
     forward, backward = ((lstm_forward, lstm_backward) if kind == "lstm"
                          else (gru_forward, gru_backward))
     h_seq, cache = forward(x, lengths, params)
-    grads = backward(valid[:, :, None] * weight, cache, params)
+    grads = backward((valid[:, :, None] * weight)[valid], cache, params)
     assert np.all(h_seq[~valid] == 0.0)
     return [h_seq[b, :L] for b, L in enumerate(lengths)], grads
 
@@ -245,7 +250,8 @@ def test_permuting_batch_rows_permutes_outputs_and_keeps_gradients(kind):
 
 
 def test_attention_backward_input_adjoint():
-    # check dh_seq by differencing the inputs instead of the parameters
+    # check the adjoint of h_seq by differencing the inputs instead of the
+    # parameters
     rng = np.random.default_rng(77)
     k, B, T = 3, 2, 4
     params = make_params(rng, attention_shapes(k))
@@ -254,7 +260,8 @@ def test_attention_backward_input_adjoint():
     weight = rng.normal(size=k)
 
     _, _, cache = attention_pool(h_seq, lengths, params)
-    _, dh_seq = attention_pool_backward(np.tile(weight, (B, 1)), cache, params)
+    _, dh = attention_pool_backward(np.tile(weight, (B, 1)), cache, params)
+    start = np.cumsum(lengths) - lengths   # row b's first valid step in dh
 
     step = 1e-6
     for b in range(B):
@@ -267,7 +274,7 @@ def test_attention_backward_input_adjoint():
                 lp, _, _ = attention_pool(hp, lengths, params)
                 lm, _, _ = attention_pool(hm, lengths, params)
                 fd = (np.sum(lp * weight) - np.sum(lm * weight)) / (2 * step)
-                assert dh_seq[b, t, j] == pytest.approx(fd, abs=1e-5)
+                assert dh[start[b] + t, j] == pytest.approx(fd, abs=1e-5)
 
 
 def test_attention_weights_sum_to_one_and_ignore_padding():

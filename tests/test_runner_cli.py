@@ -1375,6 +1375,35 @@ def test_cli_train_exits_two_naming_an_undecodable_line(tmp_path, data_dir,
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("field", ["student_id", "video_id"])
+def test_cli_train_exits_two_naming_a_lone_surrogate(tmp_path, data_dir, capsys,
+                                                    field):
+    # JSON's "\ud800" decodes to a string that is not text: train hashed it
+    # and raised UnicodeEncodeError, exit 1 with a traceback
+    ds_dir = tmp_path / "ds"
+    ds_dir.mkdir()
+    docs = {}
+    for stem in ("students", "events"):
+        with open(data_dir / f"{stem}.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        docs[stem] = [dict(zip(header, row)) for row in rows]
+    # the fourth line's value, in every line that holds it
+    name = "students" if field == "student_id" else "events"
+    value = [d[field] for d in docs[name] if d[field]][3]
+    line = [d[field] for d in docs[name]].index(value) + 1
+    for stem, rows in docs.items():
+        for d in rows:
+            if d.get(field) == value:
+                d[field] = value + "\ud800"
+        (ds_dir / f"{stem}.jsonl").write_text(
+            "".join(json.dumps(d) + "\n" for d in rows))
+    assert _train_exit(tmp_path, ds_dir) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ds_dir / name}.jsonl:{line}: not UTF-8 text "
+                          "(surrogates not allowed)"), err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("make, message", [
     (lambda p: None, "config file not found: {p}"),
     (lambda p: p.mkdir(), "{p}: cannot read config file"),  # exit 1 before
