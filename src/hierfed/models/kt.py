@@ -28,12 +28,11 @@ def kt_init(vocab, hidden_dim: int, rng: np.random.Generator) -> dict:
 
 def _forward(x, lengths, params: dict):
     """The valid-step mask (B, T) of an encoded padded batch, the hidden
-    states (n, k) and class probabilities (n, 2) of its n valid steps in
-    batch-major, step-minor order, and the LSTM cache."""
+    states (n, k) of its n valid steps in batch-major, step-minor order, and
+    the LSTM cache."""
     h_seq, cache = lstm_forward(x, lengths, params)
     valid = np.arange(h_seq.shape[1])[None, :] < np.asarray(lengths)[:, None]
-    h = h_seq[valid]
-    return valid, h, head_probs(h, params["out.W"], params["out.b"]), cache
+    return valid, h_seq[valid], cache
 
 
 def kt_loss_grad(x, lengths, targets, params: dict):
@@ -43,7 +42,8 @@ def kt_loss_grad(x, lengths, targets, params: dict):
     responses of the n valid steps, in batch-major, step-minor order. The
     head and the loss are computed at valid steps only.
     """
-    valid, h, probs, cache = _forward(x, lengths, params)
+    valid, h, cache = _forward(x, lengths, params)
+    probs = head_probs(h, params["out.W"], params["out.b"])
     log_lik, dh, g_out = head_backward(h, probs, targets, params["out.W"])
     # summed in the padded (B, T) layout: numpy's pairwise sum groups the
     # terms by position there, so a batch's loss keeps the bits it has when
@@ -58,7 +58,9 @@ def kt_predict(x, lengths, targets, params: dict):
     """Scores and labels for AUC: P(correct) per valid step, and targets,
     the (n,) responses of the n valid steps, as labels.
 
-    Returns (scores, labels) in batch-major, step-minor order.
+    Returns (scores, labels) in batch-major, step-minor order. The LSTM
+    cache is freed before the head runs.
     """
-    _, _, probs, _ = _forward(x, lengths, params)
+    h = _forward(x, lengths, params)[1]
+    probs = head_probs(h, params["out.W"], params["out.b"])
     return probs[:, 1], np.asarray(targets, dtype=np.int64)

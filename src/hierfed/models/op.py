@@ -32,18 +32,12 @@ def op_init(vocab, hidden_dim: int, rng: np.random.Generator) -> dict:
     }
 
 
-def _forward(x, lengths, params: dict):
-    """Class probabilities (B, 2), pooled states h_tilde (B, k) and the GRU
-    and attention caches of an encoded padded batch."""
-    h_seq, cache_g = gru_forward(x, lengths, params)
-    h_tilde, _, cache_a = attention_pool(h_seq, lengths, params)
-    probs = head_probs(h_tilde, params["out.W"], params["out.b"])
-    return probs, h_tilde, cache_g, cache_a
-
-
 def op_loss_grad(x, lengths, labels, params: dict):
     """Loss and gradient on an encoded padded batch; labels: (B,) int."""
-    probs, h_tilde, cache_g, cache_a = _forward(x, lengths, params)
+    h_seq, cache_g = gru_forward(x, lengths, params)
+    h_tilde, alphas, cache_a = attention_pool(h_seq, lengths, params)
+    del h_seq, alphas   # the alphas go with the attention cache
+    probs = head_probs(h_tilde, params["out.W"], params["out.b"])
     log_lik, dh_tilde, g_out = head_backward(h_tilde, probs, labels,
                                              params["out.W"])
     g_att, dh = attention_pool_backward(dh_tilde, cache_a, params)
@@ -53,11 +47,18 @@ def op_loss_grad(x, lengths, labels, params: dict):
 
 
 def op_predict(x, lengths, labels, params: dict):
-    """Scores and labels for AUC: P(pass) per student."""
-    probs = _forward(x, lengths, params)[0]
+    """Scores and labels for AUC: P(pass) per student. Like op_embed, it
+    holds no kernel's cache."""
+    probs = head_probs(op_embed(x, lengths, params), params["out.W"],
+                       params["out.b"])
     return probs[:, 1], np.asarray(labels, dtype=np.int64)
 
 
 def op_embed(x, lengths, params: dict) -> np.ndarray:
-    """Each student's pooled hidden state h_tilde: (B, k)."""
-    return _forward(x, lengths, params)[1]
+    """Each student's pooled hidden state h_tilde: (B, k).
+
+    Only each kernel's output is kept: the GRU cache is freed before
+    attention pooling runs, and the attention cache when it returns.
+    """
+    h_seq = gru_forward(x, lengths, params)[0]
+    return attention_pool(h_seq, lengths, params)[0]

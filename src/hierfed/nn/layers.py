@@ -21,6 +21,14 @@ likewise scores valid steps only, and its cache keeps h_seq's valid rows.
 Backward passes return parameter gradients accumulated over the whole
 batch.
 
+A recurrent backward consumes its cache: it pops the arrays it is the last
+to read and builds its own tables in place over them, with the same
+operands in the same order, so a second call on one cache raises KeyError
+rather than read overwritten values. The caches' B, T, d and k, and the
+attention cache's (B, T, k) u, stay for bench/tracing.py, which reads them
+after the call. A caller that only scores keeps each kernel's output and
+drops its cache.
+
 Kernels read their dimensions from their inputs and parameters without
 checking them: a run's parameters all derive from one Task.init or from a
 checkpoint checked against it when it loads.
@@ -169,20 +177,23 @@ def lstm_backward(dh, cache, params: dict):
 
     dh: (n, k) adjoints of the n valid hidden states from the loss heads,
     batch-major and step-minor (h_seq[valid]'s order). Returns the
-    gradients.
+    gradients. Consumes the cache: it pops acts and c, and once coef, f and
+    dc_dh are taken it builds the gate derivatives dact in place over acts.
     """
     d, k, B = (cache[n] for n in ("d", "k", "B"))
     pk = cache["packing"]
-    acts, tc = cache["acts"], cache["tanh_c"]
+    acts, tc = cache.pop("acts"), cache["tanh_c"]
     U_T = params["lstm.W"][d:].T
     i, f, g, o = (acts[:, j * k:(j + 1) * k] for j in range(4))
-    # d gate / d pre-activation: s(1 - s) for the sigmoids, 1 - g^2 for g
-    dact = acts * (1.0 - acts)
-    np.subtract(1.0, g * g, out=dact[:, 2 * k:3 * k])
     # the adjoints of i, f, g are dc times these; that of o is dh times tanh(c)
-    coef = np.stack([g, pk.previous(cache["c"]), i], axis=1)
+    coef = np.stack([g, pk.previous(cache.pop("c")), i], axis=1)
     dc_dh = o * (1.0 - tc * tc)
-    f = np.ascontiguousarray(f)
+    f = f.copy()   # never a view: acts is overwritten next
+    # d gate / d pre-activation, over acts: s(1 - s) for the sigmoids,
+    # 1 - g^2 for g, whose values coef keeps
+    dact = np.multiply(acts, 1.0 - acts, out=acts)
+    g = coef[:, 0]
+    np.subtract(1.0, g * g, out=dact[:, 2 * k:3 * k])
     dhs = dh[pk.valid_pos]
     da = np.empty((pk.n, 4 * k))
     da4 = da.reshape(pk.n, 4, k)
@@ -260,19 +271,21 @@ def gru_backward(dh, cache, params: dict):
 
     dh: (n, k) adjoints of the n valid hidden states, batch-major and
     step-minor, as lstm_backward takes them. Returns the gradients.
+    Consumes the cache: it pops n and h, gathers hp from h, takes n - hp and
+    then builds 1 - n^2 in place over n.
     """
     d, k, B = (cache[n] for n in ("d", "k", "B"))
     pk = cache["packing"]
-    zr, n = cache["zr"], cache["n"]
+    zr, n = cache["zr"], cache.pop("n")
     Uzr_T = params["gru.Wzr"][d:].T
     Un_T = params["gru.Wn"][d:].T
-    hp = pk.previous(cache["h"])
+    hp = pk.previous(cache.pop("h"))
     z, r = zr[:, :k], zr[:, k:]
     dzr = 1.0 - zr
     dzr *= zr
-    dtanh = n * n
-    np.subtract(1.0, dtanh, out=dtanh)
     n_hp = n - hp
+    dtanh = np.multiply(n, n, out=n)   # n's last reader was n - hp
+    np.subtract(1.0, dtanh, out=dtanh)
     one_z = 1.0 - z
     dhs = dh[pk.valid_pos]
     da_zr = np.empty((pk.n, 2 * k))
@@ -340,7 +353,12 @@ def attention_pool(h_seq, lengths, params: dict):
 def attention_pool_backward(dh_tilde, cache, params: dict):
     """Backward for attention_pool, at valid steps only. Returns (grads,
     dh), with dh (n, k) the adjoints of the valid hidden states,
-    batch-major and step-minor, as the recurrent backwards take them."""
+    batch-major and step-minor, as the recurrent backwards take them.
+
+    The cache is left whole, (B, T, k) u included; the kernel's temporaries
+    are reused in place: once att.p's gradient is taken, 1 - u^2 overwrites
+    its copy of u's valid rows, and a * g overwrites g.
+    """
     W, p = params["att.W"], params["att.p"]
     h, u, alphas, valid = (cache[n] for n in ("h", "u", "alphas", "valid"))
     row = np.nonzero(valid)[0]           # batch row of each valid step
@@ -351,12 +369,13 @@ def attention_pool_backward(dh_tilde, cache, params: dict):
     inner = np.zeros(valid.shape)
     inner[valid] = a * dalpha
     de = a * (dalpha - inner.sum(axis=1)[row])
+    dp = u.T @ de
     dpre = np.outer(de, p)
-    dtanh = u * u
+    dtanh = np.multiply(u, u, out=u)     # over u's valid-row copy
     dpre *= np.subtract(1.0, dtanh, out=dtanh)
     dh = dpre @ W.T
-    dh += a[:, None] * g
-    return {"att.W": h.T @ dpre, "att.p": u.T @ de}, dh
+    dh += np.multiply(a[:, None], g, out=g)
+    return {"att.W": h.T @ dpre, "att.p": dp}, dh
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ compared bitwise. All artifacts embed the config hash and the master seed.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import dataclasses
 import hashlib
@@ -52,6 +53,7 @@ logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 HEATMAP_BINS = 50
+_HASH_ROWS = 4096   # event rows dataset_hash formats at once
 
 # hyperparameters forwarded from the config onto the parsed strategy
 _STRATEGY_FIELDS = ("eta", "beta", "eps", "rounds", "local_iters", "epochs",
@@ -254,26 +256,38 @@ def dataset_hash(ds) -> str:
     Each distinct kind, video id and action is JSON-encoded once and every
     event row is formatted from those pieces; the digest equals hashing
     json.dumps([kind, video_id, response, forum_action, timestamp]) event
-    by event.
+    by event. The text is streamed into the hash one run of students at a
+    time, the students whose events fit in _HASH_ROWS rows (at least one),
+    so only that run's rows are formatted at once.
     """
     table = ds.events
     kinds = [json.dumps(k) for k in EVENT_KINDS]
     videos = [json.dumps(v) for v in table.video_ids] + ["null"]  # -1: none
     responses = ["0", "1", "null"]
     actions = [json.dumps(a) for a in FORUM_ACTIONS] + ["null"]
-    rows = [f"[{kinds[k]}, {videos[v]}, {responses[r]}, {actions[a]}, {t}]"
-            for k, v, r, a, t in zip(table.kind.tolist(), table.video.tolist(),
-                                     table.response.tolist(),
-                                     table.action.tolist(),
-                                     table.timestamp.tolist())]
     offsets = table.offsets.tolist()
-    parts = []
-    for i, sid in enumerate(ds.student_ids):
-        s = ds.students[sid]
-        parts.append(json.dumps([s.student_id, s.course_id, s.gender, s.continent,
-                                 s.birth_year, s.outcome]))
-        parts.extend(rows[offsets[i]:offsets[i + 1]])
-    return hashlib.sha256("".join(parts).encode()).hexdigest()
+    ids = ds.student_ids
+    digest = hashlib.sha256()
+    start = 0
+    while start < len(ids):
+        end = max(start + 1,
+                  bisect.bisect_right(offsets, offsets[start] + _HASH_ROWS) - 1)
+        rows = slice(offsets[start], offsets[end])
+        lines = [f"[{kinds[k]}, {videos[v]}, {responses[r]}, {actions[a]}, {t}]"
+                 for k, v, r, a, t in zip(table.kind[rows].tolist(),
+                                          table.video[rows].tolist(),
+                                          table.response[rows].tolist(),
+                                          table.action[rows].tolist(),
+                                          table.timestamp[rows].tolist())]
+        parts = []
+        for i in range(start, end):
+            s = ds.students[ids[i]]
+            parts.append(json.dumps([s.student_id, s.course_id, s.gender,
+                                     s.continent, s.birth_year, s.outcome]))
+            parts.extend(lines[offsets[i] - rows.start:offsets[i + 1] - rows.start])
+        digest.update("".join(parts).encode())
+        start = end
+    return digest.hexdigest()
 
 
 def _dataset(config: ExperimentConfig):

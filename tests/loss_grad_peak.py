@@ -1,4 +1,4 @@
-"""The memory of one training step, per task.
+"""The memory of one training step per task, and of one OP scoring pass.
 
 For each task the script trains fold 0 of the heterogeneous-3course preset
 at seed 1 with the strategy of the benchmark workload that trains it (OP
@@ -10,6 +10,17 @@ loss_grad again under tracemalloc and prints one JSON line per task: the
 batch's students and padded steps, the transient peak of the bytes the call
 allocates, and the bytes it still holds when it returns (its gradients).
 
+The scoring line is ClientData.predict over the largest test group of fold
+0 under the re-scoring workload's strategy (OP sc2-G-AT-T by age: 31
+students at seed 1), with the model's initial parameters, whose values do
+not change what a pass allocates.
+
+Each measured call then runs once more with its kernels marked, and one
+JSON line per kernel call, in call order, gives the traced bytes at the
+kernel's entry, its peak and at its exit (with its outputs still held), so
+the kernel that sets a call's peak can be read off. The marks hold a few
+hundred bytes of their own, so the first run alone gives the call's totals.
+
     PYTHONPATH=src python tests/loss_grad_peak.py
 
 The benchmark records no memory of a single layer, so this is where the
@@ -18,6 +29,7 @@ working set of a training step is measured. The file is not a pytest module.
 
 from __future__ import annotations
 
+import importlib
 import json
 import sys
 import tracemalloc
@@ -32,6 +44,16 @@ from hierfed.synth.generate import generate, preset
 SEED = 1
 CONFIGS = (dict(task="OP", strategy="sc2-P-AT-B", demographic="age", rounds=2),
            dict(task="KT", strategy="sc1-G"))
+SCORING = dict(task="OP", strategy="sc2-G-AT-T", demographic="age")
+# the functions each measured call reaches by these modules' names
+KERNELS = {
+    "hierfed.fed.clients": ("pad_batch",),
+    "hierfed.models.op": ("gru_forward", "attention_pool", "head_probs",
+                          "head_backward", "attention_pool_backward",
+                          "gru_backward"),
+    "hierfed.models.kt": ("lstm_forward", "head_probs", "head_backward",
+                          "lstm_backward"),
+}
 
 
 def largest_step(config: ExperimentConfig, ds, parts):
@@ -54,15 +76,55 @@ def largest_step(config: ExperimentConfig, ds, parts):
     return best[1]
 
 
-def measure(data: ClientData, ids, params) -> dict:
-    """One loss_grad's transient peak and retained bytes under tracemalloc."""
+def measure(call) -> dict:
+    """call()'s transient peak and retained bytes under tracemalloc."""
     tracemalloc.start()
     try:
-        grads = data.loss_grad(ids, params)  # noqa: F841 (held while measured)
+        result = call()  # noqa: F841 (held while measured)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return {"peak_bytes": peak, "retained_bytes": retained}
+    return {"peak_bytes": peak, "retained_bytes": retained,
+            "peak_mb": round(peak / 2**20, 2)}
+
+
+def kernel_marks(call) -> list:
+    """Each marked kernel call's traced bytes at entry, its peak and at
+    exit, in call order, over one call() under tracemalloc."""
+    marks, undo = [], []
+
+    def mark(name, kernel):
+        def wrapper(*args):
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = kernel(*args)
+            exit_bytes, peak = tracemalloc.get_traced_memory()
+            marks.append({"kernel": name, "entry_bytes": entry,
+                          "peak_bytes": peak, "exit_bytes": exit_bytes})
+            return result
+        return wrapper
+
+    for module_name, names in KERNELS.items():
+        module = importlib.import_module(module_name)
+        for name in names:
+            undo.append((module, name, getattr(module, name)))
+            setattr(module, name, mark(name, getattr(module, name)))
+    tracemalloc.start()
+    try:
+        call()
+    finally:
+        tracemalloc.stop()
+        for module, name, kernel in undo:
+            setattr(module, name, kernel)
+    return marks
+
+
+def report(line: dict, call):
+    """Print line with call's totals, then one line per kernel call."""
+    line.update(measure(call))
+    print(json.dumps(line), flush=True)
+    for marks in kernel_marks(call):
+        print(json.dumps({"task": line["task"], **marks}), flush=True)
 
 
 def main() -> int:
@@ -77,9 +139,18 @@ def main() -> int:
                 "students": len(ids), "steps": int(x.shape[1]),
                 "valid_steps": int(lengths.sum())}
         del x
-        line.update(measure(data, ids, params))
-        line["peak_mb"] = round(line["peak_bytes"] / 2**20, 2)
-        print(json.dumps(line), flush=True)
+        report(line, lambda: data.loss_grad(ids, params))
+
+    config = ExperimentConfig(dataset="heterogeneous-3course", folds=(0,),
+                              repetitions=1, seed=SEED, **SCORING)
+    _, _, test = _prepare(config, ds, parts, 0, 0)
+    data = max(test.scored.values(), key=lambda c: c.size)
+    x, lengths, _ = data.batch(data.ids)
+    line = {"task": config.task, "strategy": config.strategy,
+            "call": "predict", "students": data.size,
+            "steps": int(x.shape[1]), "valid_steps": int(lengths.sum())}
+    del x
+    report(line, lambda: data.predict(test.init_params))
     return 0
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import hierfed.data.ingest as ingest_module
+import hierfed.runner as runner_module
 from hierfed.data.grouping import age_bucket, group_by_demographic
 from hierfed.data.ingest import EVENTS_HEADER, export_dataset, ingest
 from hierfed.data.partition import make_folds
@@ -384,6 +385,15 @@ def test_dataset_hash_keeps_its_digests(tmp_path):
         (tmp_path / name).write_text(text, encoding="utf-8")
         assert dataset_hash(ingest(tmp_path / name, sp)) == (
             "e02cf59cd2138af18df8fce27197ae5c25caa90c968416bf2276373e85965604")
+    assert dataset_hash(generate(preset("heterogeneous-3course"))) == (
+        "a720131018d248cf8e0c4466892fc6154a6c6000324e2c0c0cffd2f72fbc1ae8")
+
+
+@pytest.mark.parametrize("rows", [1, 7, 4096])
+def test_dataset_hash_streams_to_the_same_digest(monkeypatch, rows):
+    # runs of students cut anywhere, and a student with more events than a
+    # run holds, hash to the digest of the whole text at once
+    monkeypatch.setattr(runner_module, "_HASH_ROWS", rows)
     assert dataset_hash(generate(preset("heterogeneous-3course"))) == (
         "a720131018d248cf8e0c4466892fc6154a6c6000324e2c0c0cffd2f72fbc1ae8")
 

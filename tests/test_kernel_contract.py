@@ -9,8 +9,10 @@ the benchmark, so they are pinned here.
 
 The backward kernels take the valid steps' (n, k) adjoints, not a padded
 (B, T, k) array, and the OP step drops the attention cache before the GRU
-backward; the last test pins both, so no padded array outlives its last
-reader.
+backward; the third test pins both, so no padded array outlives its last
+reader. Scoring keeps only each kernel's output, so no cache outlives its
+kernel, and a recurrent backward consumes its cache: the tests after it pin
+both.
 """
 
 import weakref
@@ -20,9 +22,9 @@ import pytest
 
 import hierfed.models.kt
 import hierfed.models.op
-from hierfed.models.kt import kt_loss_grad
-from hierfed.models.op import op_loss_grad
-from hierfed.nn.layers import gru_forward, lstm_forward
+from hierfed.models.kt import kt_loss_grad, kt_predict
+from hierfed.models.op import op_loss_grad, op_predict
+from hierfed.nn.layers import gru_backward, gru_forward, lstm_backward, lstm_forward
 
 B, T, D, K = 3, 5, 4, 7
 
@@ -111,3 +113,59 @@ def test_backwards_take_valid_step_adjoints_once_attention_is_freed(monkeypatch)
     n = int(lengths.sum())
     assert seen["gru_backward"] == ((n, K), False)   # u is already freed
     assert seen["lstm_backward"][0] == (n, K)
+
+
+def test_scoring_frees_each_cache_before_the_next_kernel(monkeypatch):
+    # op_predict drops the GRU cache before attention pooling starts, and
+    # kt_predict drops the LSTM cache before its head runs
+    seen = {}
+
+    def forward_spy(module, name, key):
+        kernel = getattr(module, name)
+
+        def wrapper(*args):
+            result = kernel(*args)
+            seen[name] = weakref.ref(result[1][key])
+            return result
+        monkeypatch.setattr(module, name, wrapper)
+
+    def next_spy(module, name, forward):
+        kernel = getattr(module, name)
+
+        def wrapper(*args):
+            seen[name] = seen[forward]() is None
+            return kernel(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    forward_spy(hierfed.models.op, "gru_forward", "zr")
+    next_spy(hierfed.models.op, "attention_pool", "gru_forward")
+    forward_spy(hierfed.models.kt, "lstm_forward", "acts")
+    next_spy(hierfed.models.kt, "head_probs", "lstm_forward")
+    rng = np.random.default_rng(3)
+    lengths = np.array([5, 2, 4])
+    out = {"out.W": rng.normal(size=(K, 2)), "out.b": rng.normal(size=2)}
+    params = {**gru_params(rng), **out,
+              "att.W": rng.normal(size=(K, K)), "att.p": rng.normal(size=K)}
+    op_predict(rng.normal(size=(B, T, D)), lengths, np.array([0, 1, 1]), params)
+    kt_predict(rng.normal(size=(B, T, D)), lengths,
+               rng.integers(0, 2, size=lengths.sum()), {**lstm_params(rng), **out})
+    # the GRU cache is freed at attention pooling, the LSTM cache at the head
+    assert (seen["attention_pool"], seen["head_probs"]) == (True, True)
+
+
+@pytest.mark.parametrize("forward, backward, make_params",
+                         [(lstm_forward, lstm_backward, lstm_params),
+                          (gru_forward, gru_backward, gru_params)],
+                         ids=["lstm", "gru"])
+def test_a_backward_consumes_its_cache(forward, backward, make_params):
+    # the backward overwrites and drops cache arrays it is the last to read,
+    # so a second call on the same cache raises rather than reading them
+    rng = np.random.default_rng(4)
+    lengths = np.array([5, 2, 4])
+    params = make_params(rng)
+    cache = forward(rng.normal(size=(B, T, D)), lengths, params)[1]
+    dh = rng.normal(size=(int(lengths.sum()), K))
+    backward(dh, cache, params)
+    assert {n: cache[n] for n in ("B", "T", "d", "k")} == {"B": B, "T": T, "d": D, "k": K}
+    with pytest.raises(KeyError):
+        backward(dh, cache, params)
