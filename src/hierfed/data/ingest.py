@@ -10,6 +10,7 @@ line breaks.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from itertools import accumulate, chain, islice
 from pathlib import Path
@@ -194,8 +195,27 @@ def ingest(events_path, students_path) -> Dataset:
     return dataset
 
 
+def _csv_texts(values) -> list:
+    """Each value as csv.writer writes it as a field, so quoting stays the
+    csv module's rule, then "" for code -1 (absent)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    texts = []
+    for value in values:
+        writer.writerow([value, ""])  # alone, an empty value would be quoted
+        texts.append(buf.getvalue().removesuffix(",\r\n"))
+        buf.seek(0)
+        buf.truncate()
+    return texts + [""]
+
+
 def export_dataset(dataset: Dataset, events_path, students_path):
-    """Write a Dataset back out in the canonical CSV formats."""
+    """Write a Dataset back out in the canonical CSV formats.
+
+    The events file holds the bytes csv.writer would write, but each
+    distinct value of an event field is made CSV text once and each row is
+    the comma join of those texts, written a chunk of rows at a time.
+    """
     students_path = Path(students_path)
     events_path = Path(events_path)
     with open(students_path, "w", newline="", encoding="utf-8") as fh:
@@ -211,12 +231,12 @@ def export_dataset(dataset: Dataset, events_path, students_path):
     fields = [(dataset.student_ids, table.student), (dataset.course_ids, table.course),
               (EVENT_KINDS, table.kind), (table.video_ids, table.video),
               ((0, 1), table.response), (FORUM_ACTIONS, table.action)]
-    lookups = [list(values) + [""] for values, _ in fields]  # code -1: absent
+    texts = [_csv_texts(values) for values, _ in fields]
     with open(events_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(EVENTS_HEADER)
+        csv.writer(fh).writerow(EVENTS_HEADER)
         for start in range(0, len(table), _CHUNK_ROWS):
             rows = slice(start, start + _CHUNK_ROWS)
-            w.writerows(zip(*[map(lookup.__getitem__, codes[rows].tolist())
-                              for lookup, (_, codes) in zip(lookups, fields)],
-                            table.timestamp[rows].tolist()))
+            fh.writelines(",".join(row) + "\r\n" for row in zip(
+                *[map(text.__getitem__, codes[rows].tolist())
+                  for text, (_, codes) in zip(texts, fields)],
+                map(str, table.timestamp[rows].tolist())))

@@ -361,7 +361,7 @@ def evaluate_adapted(bundle: TrainedBundle, ctx: RunContext,
         if params is None:
             logger.warning("no trained model for %s; skipped", key)
         elif data.size == 0:
-            logger.warning("no test students for %s; skipped", key)
+            logger.warning("no %s students for %s; skipped", tag[0], key)
         else:
             out[key] = auc(*data.predict(params))
     return out

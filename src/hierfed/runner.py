@@ -14,10 +14,8 @@ import hashlib
 import itertools
 import json
 import logging
-import multiprocessing as mp
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -538,8 +536,14 @@ def _pairs(config: ExperimentConfig) -> list:
 
 
 def _run_all(config: ExperimentConfig, ds, parts, workers: int):
+    """run_one over every (fold, rep), in order. With workers > 1 and more
+    than one run, a process pool runs them; the pool's modules are imported
+    only then, so a one-worker process never loads them."""
     pairs = _pairs(config)
     if workers > 1 and len(pairs) > 1:
+        import multiprocessing as mp
+        from concurrent.futures import ProcessPoolExecutor
+
         methods = mp.get_all_start_methods()
         ctx = mp.get_context("fork" if "fork" in methods else None)
         with ProcessPoolExecutor(max_workers=min(workers, len(pairs)),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -51,46 +52,54 @@ def _fill_other_fields(fields: dict, rng):
 
 def _cumulative(p: np.ndarray) -> np.ndarray:
     """The rows of p as the normalised cumulative sums Generator.choice
-    builds for one draw; searching one with side="right" for rng.random()
+    builds for one draw; bisect_right on one, as a list, for rng.random()
     picks the state choice(n, p=row) would, from the same single double."""
     c = np.cumsum(p, axis=-1)
     c /= c[..., -1:]
     return c
 
 
-def _walk_events(sid: str, spec: ArchetypeSpec, start_cdf: np.ndarray,
-                 step_cdf: np.ndarray, ability: float, rng):
+def _walk_events(sid: str, spec: ArchetypeSpec, start_cdf: list,
+                 step_cdf: list, difficulty: list, ability: float, rng):
     """One student's chronological event rows (EVENTS_HEADER order) plus
-    their quiz-correct fraction and forum count. start_cdf and step_cdf are
-    spec's start row and transition rows made cumulative."""
+    their quiz-correct fraction and forum count.
+
+    start_cdf and step_cdf are spec's start row and transition rows made
+    cumulative, and difficulty is spec.difficulty, all as Python lists:
+    bisect_right on a non-decreasing row is the index searchsorted(u,
+    side="right") gives, without a numpy call per draw.
+    """
     V = spec.n_videos
     stop = V + N_FORUM
+    course, video_ids = spec.course, spec.video_ids
+    draw = rng.random
     events = []
+    append = events.append
     answered = set()
     n_correct = 0
     n_forum = 0
     t = 0
-    state = int(start_cdf.searchsorted(rng.random(), side="right"))
+    state = bisect_right(start_cdf, draw())
     for _ in range(MAX_WALK):
         if state == stop:
             break
         if state < V:
-            vid = spec.video_ids[state]
-            events.append((sid, spec.course, "video", vid, None, None, t))
+            vid = video_ids[state]
+            append((sid, course, "video", vid, None, None, t))
             t += 1
             if state not in answered:
                 answered.add(state)
-                p = _sigmoid(ability - spec.difficulty[state])
-                r = int(rng.random() < p)
+                p = _sigmoid(ability - difficulty[state])
+                r = int(draw() < p)
                 n_correct += r
-                events.append((sid, spec.course, "quiz_response", vid, r, None, t))
+                append((sid, course, "quiz_response", vid, r, None, t))
                 t += 1
         else:
             action = FORUM_ACTIONS[state - V]
-            events.append((sid, spec.course, "forum", None, None, action, t))
+            append((sid, course, "forum", None, None, action, t))
             t += 1
             n_forum += 1
-        state = int(step_cdf[state].searchsorted(rng.random(), side="right"))
+        state = bisect_right(step_cdf[state], draw())
     frac_correct = n_correct / len(answered) if answered else 0.0
     return events, frac_correct, n_forum
 
@@ -112,14 +121,16 @@ def generate(config: GenConfig, out_dir=None) -> Dataset:
         rows = []
         for label, count in zip(config.subgroup_labels, counts):
             spec = archetypes[(course, label)]
-            start_cdf, step_cdf = _cumulative(spec.start), _cumulative(spec.transitions)
+            start_cdf = _cumulative(spec.start).tolist()
+            step_cdf = _cumulative(spec.transitions).tolist()
+            difficulty = spec.difficulty.tolist()
             for _ in range(count):
                 sid = f"{course}_s{idx:04d}"
                 idx += 1
                 rng = substream(config.seed, "student", sid)
                 ability = spec.ability_mean + spec.ability_std * rng.normal()
-                walk, frac, n_forum = _walk_events(sid, spec, start_cdf,
-                                                   step_cdf, ability, rng)
+                walk, frac, n_forum = _walk_events(sid, spec, start_cdf, step_cdf,
+                                                   difficulty, ability, rng)
                 rows += walk
                 bonus = 0.1 * min(1.0, n_forum / ENGAGEMENT_CAP)
                 outcome = int(frac + bonus > spec.pass_threshold)

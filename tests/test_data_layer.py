@@ -1,6 +1,7 @@
 """Ingestion, cross-validation folds, demographic grouping, and sampling."""
 
 import csv
+import io
 import json
 import logging
 import random
@@ -44,8 +45,8 @@ s3,c1,video,v9,,,3
 def write_inputs(tmp_path, events=EVENTS_CSV, students=STUDENTS_CSV):
     ep = tmp_path / "events.csv"
     sp = tmp_path / "students.csv"
-    ep.write_text(events)
-    sp.write_text(students)
+    ep.write_text(events, encoding="utf-8", newline="")
+    sp.write_text(students, encoding="utf-8", newline="")
     return ep, sp
 
 
@@ -62,14 +63,51 @@ def test_ingest_parses_both_files(tmp_path):
     assert ds.events.video_ids == ("v0", "v1", "v9")
 
 
-def test_ingest_round_trips_through_export(tmp_path):
-    ds = ingest(*write_inputs(tmp_path))
+def csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+# ids and video ids holding a comma, a double quote, a line break and
+# non-ASCII text, with empty optional fields
+AWKWARD_STUDENTS_CSV = csv_text([
+    ["student_id", "course_id", "gender", "continent", "birth_year", "outcome"],
+    ["s,1", "c,0", "M", "", "1985", "1"],
+    ['s"2', "c,0", "", "", "", "0"],
+    ["s\n3", 'cé"1', "", "EU", "", "1"],
+    ["sø4", 'cé"1', "F", "", "1990", "0"],
+])
+AWKWARD_EVENTS_CSV = csv_text([
+    EVENTS_HEADER,
+    ["s,1", "c,0", "video", "v,0", "", "", "0"],
+    ["s,1", "c,0", "quiz_response", "v,0", "1", "", "1"],
+    ["s,1", "c,0", "forum", "", "", "forum_post", "2"],
+    ['s"2', "c,0", "quiz_response", 'v"1', "0", "", "5"],
+    ["s\n3", 'cé"1', "video", "v\n2", "", "", "3"],
+    ["s\n3", 'cé"1', "quiz_response", "v\n2", "0", "", "4"],
+    ["sø4", 'cé"1', "video", "vü3", "", "", "7"],
+    ["sø4", 'cé"1', "video", 'v"1', "", "", "8"],
+])
+
+
+@pytest.mark.parametrize("events, students", [
+    (EVENTS_CSV, STUDENTS_CSV), (AWKWARD_EVENTS_CSV, AWKWARD_STUDENTS_CSV)])
+def test_ingest_round_trips_through_export(tmp_path, events, students):
+    ds = ingest(*write_inputs(tmp_path, events, students))
     ep2 = tmp_path / "events2.csv"
     sp2 = tmp_path / "students2.csv"
     export_dataset(ds, ep2, sp2)
+    # the bytes csv.writer writes for the same rows, in table order
+    rows = [[e.student_id, e.course_id, e.kind, e.video_id or "",
+             "" if e.response is None else e.response, e.forum_action or "",
+             e.timestamp]
+            for evs in events_of(ds).values() for e in evs]
+    assert ep2.read_bytes() == csv_text([EVENTS_HEADER] + rows).encode("utf-8")
     again = ingest(ep2, sp2)
     assert again.students == ds.students
     assert events_of(again) == events_of(ds)
+    assert dataset_hash(again) == dataset_hash(ds)
 
 
 def test_ingest_accepts_json_lines(tmp_path):

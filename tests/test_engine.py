@@ -682,6 +682,12 @@ def test_evaluation_skips_groups_without_usable_auc(caplog):
     assert scores[k_flat] is None       # one-class labels have no AUC
     assert scores[k_empty] is None      # no test students at all
     assert any("no test students" in r.message for r in caplog.records)
+    caplog.clear()  # scoring the validation split names that split
+    with caplog.at_level(logging.WARNING, logger="hierfed.fed.engine"):
+        assert evaluate_adapted(bundle, ctx, ("val", 0))[k_empty] is None
+    messages = [r.message for r in caplog.records]
+    assert any("no val students" in m for m in messages)
+    assert not any("no test students" in m for m in messages)
 
 
 def test_a_group_with_no_scored_steps_has_no_auc():

@@ -6,9 +6,13 @@ import dataclasses
 import gc
 import hashlib
 import json
+import os
 import resource
 import shutil
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,6 +260,18 @@ def test_worker_count_does_not_change_results(data_dir):
     serial = cmd_train(cfg, workers=1)
     parallel = cmd_train(cfg, workers=2)
     assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only a run with workers > 1 starts a pool, and it imports the pool's
+    # modules itself; a fresh interpreter shows the import chain loads none
+    src = Path(runner.__file__).resolve().parents[1]
+    code = ("import sys, hierfed.cli; print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] in ('multiprocessing', 'concurrent')))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout == "[]\n"
 
 
 def test_training_computes_on_one_blas_thread(data_dir, monkeypatch):

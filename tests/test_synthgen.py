@@ -3,6 +3,7 @@
 import hashlib
 import json
 import logging
+from bisect import bisect_right
 from dataclasses import replace
 
 import numpy as np
@@ -191,9 +192,10 @@ def test_archetype_validation_rejects_broken_chains():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_cumulative_row_draws_match_generator_choice(seed):
-    # the walk draws with cdf.searchsorted(rng.random(), side="right"); this
-    # pins it to Generator.choice(n, p=row): the same index from the same
-    # one double, row after row, under whatever numpy is installed
+    # the walk draws with bisect_right(cdf, rng.random()) over a cumulative
+    # row as a Python list; this pins it to Generator.choice(n, p=row): the
+    # same index from the same one double, row after row, under whatever
+    # numpy is installed
     maker = np.random.default_rng(seed)
     n = 9
     rows = maker.random((30, n))
@@ -201,13 +203,13 @@ def test_cumulative_row_draws_match_generator_choice(seed):
     rows[::2, -1] = 0.0                         # a zero last entry
     rows[:, 0] += 1e-3                          # no all-zero row
     rows /= rows.sum(axis=1, keepdims=True)
-    cdf = _cumulative(rows)
+    cdf = _cumulative(rows).tolist()
     for i in range(len(rows)):  # a single row, as the start row is built
-        assert np.array_equal(_cumulative(rows[i]), cdf[i])
+        assert _cumulative(rows[i]).tolist() == cdf[i]
     rng_a = np.random.default_rng(1000 + seed)
     rng_b = np.random.default_rng(1000 + seed)
     for i in maker.integers(0, len(rows), size=2000):
-        got = int(cdf[i].searchsorted(rng_a.random(), side="right"))
+        got = bisect_right(cdf[i], rng_a.random())
         assert got == int(rng_b.choice(n, p=rows[i])), i
         assert rows[i, got] > 0.0
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
