@@ -25,14 +25,16 @@ def build_vocab(dataset: Dataset, train_ids) -> Vocab:
 
 def build_sequences(dataset: Dataset, task: Task, vocab: Vocab,
                     max_len: int = MAX_SEQ_LEN) -> Encoding:
-    """Encode every student once for one task.
+    """Encode every student once for one task under one vocabulary.
 
-    Each student's x is a row slice of the fold's one column-index array,
-    which the task's encode rule writes; students with no usable steps for
-    the task are skipped (count logged). Sequences longer than max_len
-    keep their first max_len steps. Every client of a fold selects its
-    students from this one encoding, so a student's arrays are shared, not
-    copied, across clients.
+    Each student's x is a row slice of the encoding's one column-index
+    array, which the task's encode rule writes; students with no usable
+    steps for the task are skipped (count logged). Sequences longer than
+    max_len keep their first max_len steps. The result depends only on
+    (dataset, task, vocab, max_len), so a command builds it once per
+    distinct vocabulary and keeps one resident at a time; every client of
+    the folds with that vocabulary selects its students from it, so a
+    student's arrays are shared, not copied, across clients and folds.
     """
     out = task.encode(dataset, vocab, max_len)
     skipped = len(dataset.students) - len(out.students)

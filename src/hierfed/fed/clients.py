@@ -24,12 +24,13 @@ from ..nn.params import axpy_params, clip_grad_norm
 class ClientData:
     """One group's students under one task.
 
-    Students are encoded once per fold, by build_sequences; a client holds
-    that Encoding and the sorted ids of its students in it, so clients of
-    one fold share every student's arrays. A student's x holds the one-hot
-    column indices of its steps; batch expands them into one-hot rows of
-    the encoding's width and concatenates the students' targets, and the
-    task's model scores the batch.
+    Students are encoded once per distinct vocabulary, by build_sequences,
+    with one encoding resident at a time; a client holds that Encoding and
+    the sorted ids of its students in it, so the clients of one fold, and
+    of every fold with the same vocabulary, share every student's arrays.
+    A student's x holds the one-hot column indices of its steps; batch
+    expands them into one-hot rows of the encoding's width and concatenates
+    the students' targets, and the task's model scores the batch.
     """
     task: Task
     encoding: Encoding
@@ -66,7 +67,7 @@ class ClientData:
 
 def build_client_data(task: Task, encoded: Encoding, ids) -> ClientData:
     """The students of ids that have an encoding for this task, over
-    encoded, a fold's build_sequences encoding."""
+    encoded, the build_sequences encoding of the fold's vocabulary."""
     return ClientData(task, encoded,
                       [sid for sid in sorted(ids) if sid in encoded.students])
 

@@ -9,9 +9,10 @@ response blocks zero).
 A step is stored as the columns of its ones: (course, video) for KT, and
 (course, video or forum action, response) for OP, the response NULL where
 the step has none. Each encoder maps a dataset's event table to these
-columns and gives each student a row slice of one fold-wide integer array,
-so an encoding grows with the events, not with the vocabulary; pad_batch
-expands a batch into the padded boolean one-hot rows the models read.
+columns and gives each student a row slice of one integer array per
+encoding, so an encoding grows with the events, not with the vocabulary;
+pad_batch expands a batch into the padded boolean one-hot rows the models
+read.
 """
 
 from __future__ import annotations
@@ -69,6 +70,15 @@ class Vocab:
     def video_index(self, video_id: str) -> int:
         return self._video_index.get(video_id, self.unknown_video)
 
+    def __eq__(self, other) -> bool:
+        """Equal vocabularies index every course and video alike, so they
+        encode a dataset to the same arrays."""
+        return (isinstance(other, Vocab) and self.course_ids == other.course_ids
+                and self.video_ids == other.video_ids)
+
+    def __hash__(self) -> int:
+        return hash((self.course_ids, self.video_ids))
+
     def __repr__(self) -> str:
         return f"Vocab({self.n_courses} courses, {len(self.video_ids)} videos)"
 
@@ -96,7 +106,8 @@ def _first_steps(dataset, rows, max_len: int):
 
 @dataclass(frozen=True)
 class Encoding:
-    """One task's encoding of a fold: students maps each student id to
+    """One task's encoding of a dataset under one vocabulary, which every
+    fold with that vocabulary shares: students maps each student id to
     (x, target), x its steps' (L, k) one-hot column indices, and width is
     the one-hot rows' width, the task's input width under the vocabulary."""
     width: int

@@ -42,6 +42,7 @@ from .fed.strategy import StrategyConfig, parse_strategy
 from .heap import keep_temporaries_on_heap
 from .keys import DEMOGRAPHIC_VARIABLES, GroupKey
 from .metrics import ACTIVITY_TYPES, activity_heatmap, summarize
+from .models.encoding import Encoding
 from .models.task import TASKS
 from .seeding import substream
 from .synth.archetypes import GenConfig
@@ -251,18 +252,20 @@ def resolve_dataset(name: str):
 def dataset_hash(ds) -> str:
     """sha256 over each student's roster fields, then its events, as JSON.
 
-    Each distinct kind, video id and action is JSON-encoded once and every
-    event row is formatted from those pieces; the digest equals hashing
-    json.dumps([kind, video_id, response, forum_action, timestamp]) event
-    by event. The text is streamed into the hash one run of students at a
-    time, the students whose events fit in _HASH_ROWS rows (at least one),
-    so only that run's rows are formatted at once.
+    The digest equals hashing json.dumps([kind, video_id, response,
+    forum_action, timestamp]) event by event. The text is streamed into the
+    hash one run of students at a time, the students whose events fit in
+    _HASH_ROWS rows (at least one), so only that run's rows are formatted at
+    once. A run formats each of its distinct (kind, video, response, action)
+    patterns once, as the text before the timestamp, and each event row as
+    its pattern's text plus its timestamp.
     """
     table = ds.events
     kinds = [json.dumps(k) for k in EVENT_KINDS]
     videos = [json.dumps(v) for v in table.video_ids] + ["null"]  # -1: none
     responses = ["0", "1", "null"]
     actions = [json.dumps(a) for a in FORUM_ACTIONS] + ["null"]
+    nv, na = len(videos), len(actions)
     offsets = table.offsets.tolist()
     ids = ds.student_ids
     digest = hashlib.sha256()
@@ -271,12 +274,17 @@ def dataset_hash(ds) -> str:
         end = max(start + 1,
                   bisect.bisect_right(offsets, offsets[start] + _HASH_ROWS) - 1)
         rows = slice(offsets[start], offsets[end])
-        lines = [f"[{kinds[k]}, {videos[v]}, {responses[r]}, {actions[a]}, {t}]"
-                 for k, v, r, a, t in zip(table.kind[rows].tolist(),
-                                          table.video[rows].tolist(),
-                                          table.response[rows].tolist(),
-                                          table.action[rows].tolist(),
-                                          table.timestamp[rows].tolist())]
+        fields = kind, video, response, action = (
+            table.kind[rows], table.video[rows], table.response[rows],
+            table.action[rows])
+        # one code per pattern, each field shifted so that -1 (none) is 0
+        _, first, pattern = np.unique(
+            ((kind * nv + video + 1) * 3 + response + 1) * na + action + 1,
+            return_index=True, return_inverse=True)
+        texts = [f"[{kinds[k]}, {videos[v]}, {responses[r]}, {actions[a]}, "
+                 for k, v, r, a in zip(*(f[first].tolist() for f in fields))]
+        lines = [f"{texts[p]}{t}]"
+                 for p, t in zip(pattern.tolist(), table.timestamp[rows].tolist())]
         parts = []
         for i in range(start, end):
             s = ds.students[ids[i]]
@@ -288,11 +296,33 @@ def dataset_hash(ds) -> str:
     return digest.hexdigest()
 
 
-def _dataset(config: ExperimentConfig):
-    """(dataset, folds, dataset hash) of config: a command resolves, splits
-    and hashes its dataset once, and trains and scores every run on them."""
+class _Data:
+    """A command's dataset, resolved, split into folds and hashed once, and
+    the last encoding built on it; every run of the command reads these."""
+
+    def __init__(self, ds, parts, dhash: str):
+        self.ds, self.parts, self.hash = ds, parts, dhash
+        self._key = self._encoding = None   # (task name, Vocab), Encoding
+
+    def encoding(self, task, vocab) -> Encoding:
+        """build_sequences(ds, task, vocab), built again only when (task,
+        vocab) differs from the last call's: folds, repetitions and grid
+        cells whose training splits give equal vocabularies share one
+        encoding. A new key drops the last encoding before it builds, so at
+        most one is resident."""
+        key = (task.name, vocab)
+        if key != self._key:
+            self._key = self._encoding = None
+            self._encoding = build_sequences(self.ds, task, vocab)
+            self._key = key
+        return self._encoding
+
+
+def _dataset(config: ExperimentConfig) -> _Data:
+    """The _Data of config: a command resolves, splits and hashes its
+    dataset once, and trains and scores every run on it."""
     ds = resolve_dataset(config.dataset)
-    return ds, make_folds(ds, config.seed), dataset_hash(ds)
+    return _Data(ds, make_folds(ds, config.seed), dataset_hash(ds))
 
 
 def load_gen_config(doc: dict) -> GenConfig:
@@ -345,17 +375,18 @@ def _quiz_triplets(ds, ids) -> list:
                     table.response[quiz].tolist()))
 
 
-def _prepare(config: ExperimentConfig, ds, parts, fold: int, rep: int):
+def _prepare(config: ExperimentConfig, data: _Data, fold: int, rep: int):
     """The (training, validation, test) contexts of one (fold, repetition).
 
-    The three share one tree of clients; the validation and test contexts
-    add the split they score.
+    The three share one tree of clients over data's encoding for the fold's
+    vocabulary, which every fold with an equal vocabulary shares; the
+    validation and test contexts add the split they score.
     """
     strategy = build_strategy(config)
-    part = parts[fold]
+    ds, part = data.ds, data.parts[fold]
     vocab = build_vocab(ds, part.train_ids())
     task = TASKS[config.task]
-    encoded = build_sequences(ds, task, vocab)
+    encoded = data.encoding(task, vocab)
     init = task.init(vocab, config.hidden_dim,
                      substream(config.seed, "init", task.name.lower(),
                                str(rep), str(fold)))
@@ -435,10 +466,12 @@ class _Selection:
         return bundle, selected, val
 
 
-def run_one(config: ExperimentConfig, ds, parts, fold: int, rep: int):
-    """Train one (fold, repetition); returns (result row, checkpoint models):
-    the models of the selected bundle that evaluation reads."""
-    ctx, val, test_ctx = _prepare(config, ds, parts, fold, rep)
+def run_one(config: ExperimentConfig, data: _Data, fold: int, rep: int):
+    """Train one (fold, repetition) on data, which _dataset gave, over the
+    encoding it shares with every run of an equal vocabulary; returns
+    (result row, checkpoint models): the models of the selected bundle that
+    evaluation reads."""
+    ctx, val, test_ctx = _prepare(config, data, fold, rep)
     tracker = _Selection(val)
     _, train_loss = train_strategy(ctx, callback=tracker.observe)
     best, selected, val_auc = tracker.result()
@@ -518,15 +551,14 @@ def _load_bundle(path, chash: str, init: dict,
 _POOL: dict = {}
 
 
-def _pool_init(config, ds, parts):
+def _pool_init(config, data):
     _POOL["config"] = config
-    _POOL["ds"] = ds
-    _POOL["parts"] = parts
+    _POOL["data"] = data
 
 
 def _pool_run(pair):
     fold, rep = pair
-    return run_one(_POOL["config"], _POOL["ds"], _POOL["parts"], fold, rep)
+    return run_one(_POOL["config"], _POOL["data"], fold, rep)
 
 
 def _pairs(config: ExperimentConfig) -> list:
@@ -535,10 +567,11 @@ def _pairs(config: ExperimentConfig) -> list:
             for rep in range(config.repetitions)]
 
 
-def _run_all(config: ExperimentConfig, ds, parts, workers: int):
+def _run_all(config: ExperimentConfig, data: _Data, workers: int):
     """run_one over every (fold, rep), in order. With workers > 1 and more
-    than one run, a process pool runs them; the pool's modules are imported
-    only then, so a one-worker process never loads them."""
+    than one run, a process pool runs them, each worker on its own copy of
+    data and so of its encoding; the pool's modules are imported only then,
+    so a one-worker process never loads them."""
     pairs = _pairs(config)
     if workers > 1 and len(pairs) > 1:
         import multiprocessing as mp
@@ -549,9 +582,9 @@ def _run_all(config: ExperimentConfig, ds, parts, workers: int):
         with ProcessPoolExecutor(max_workers=min(workers, len(pairs)),
                                  mp_context=ctx,
                                  initializer=_pool_init,
-                                 initargs=(config, ds, parts)) as ex:
+                                 initargs=(config, data)) as ex:
             return list(ex.map(_pool_run, pairs))
-    return [run_one(config, ds, parts, fold, rep) for fold, rep in pairs]
+    return [run_one(config, data, fold, rep) for fold, rep in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +644,7 @@ def _trained_dataset(config: ExperimentConfig, report: dict):
     """What _dataset gives a train report's config, resolved again; a
     dataset whose contents changed since training raises ConfigError."""
     data = _dataset(config)
-    if data[2] != report["dataset_hash"]:
+    if data.hash != report["dataset_hash"]:
         raise ConfigError(f"dataset {config.dataset}: contents "
                           f"changed since training; refusing")
     return data
@@ -622,13 +655,14 @@ def _trained_runs(config: ExperimentConfig, report: dict, out_dir: Path,
     """score(test context, bundle) of each (fold, rep) in pairs of the
     trained run of config and report, its checkpoints in out_dir. Nothing
     holds one pair's context or bundle once its score returns, so one
-    fold's data is resident at a time. data is what _dataset gave the run's
-    training when the caller has just trained it; without it the report's
-    dataset is resolved again."""
-    ds, parts, _ = data or _trained_dataset(config, report)
+    fold's clients and bundle are resident at a time, over the one encoding
+    of data that folds with equal vocabularies share. data is what _dataset
+    gave the run's training when the caller has just trained it; without it
+    the report's dataset is resolved again."""
+    data = data or _trained_dataset(config, report)
 
     def trained(fold, rep):
-        _, _, test = _prepare(config, ds, parts, fold, rep)
+        _, _, test = _prepare(config, data, fold, rep)
         return test, _load_bundle(_checkpoint_path(out_dir, fold, rep),
                                   report["config_hash"], test.init_params,
                                   test.strategy)
@@ -680,12 +714,12 @@ def cmd_train(config: ExperimentConfig, out=None, workers: int = 1) -> dict:
     return _train(config, data, None if out is None else _out_dir(out), workers)
 
 
-def _train(config: ExperimentConfig, data, out_dir: Path | None, workers: int) -> dict:
+def _train(config: ExperimentConfig, data: _Data, out_dir: Path | None,
+           workers: int) -> dict:
     """Train every (fold, rep) of config on data, which _dataset gave; the
     report, and under out_dir (unless None) the artifacts."""
-    ds, parts, dhash = data
     started = time.monotonic()
-    outputs = _run_all(config, ds, parts, workers)
+    outputs = _run_all(config, data, workers)
     elapsed = time.monotonic() - started
 
     runs = [result for result, _ in outputs]
@@ -695,7 +729,7 @@ def _train(config: ExperimentConfig, data, out_dir: Path | None, workers: int) -
         "kind": "train-report",
         "config": config_snapshot(config),
         "config_hash": chash,
-        "dataset_hash": dhash,
+        "dataset_hash": data.hash,
         "master_seed": config.seed,
         "groups": sorted({label for run in runs for label in run["test_auc"]}),
         "runs": runs,
@@ -776,7 +810,7 @@ def cmd_grid(config: ExperimentConfig, out=None, workers: int = 1) -> dict:
     _check_workers(workers)
     keep_temporaries_on_heap()
     # the grid ranges over strategy fields and hidden_dim only, so every
-    # cell shares the dataset and the seed that splits it
+    # cell shares the dataset, the seed that splits it and the encodings
     data = _dataset(config)
     out_dir = None if out is None else _out_dir(out)
 
@@ -917,7 +951,7 @@ def cmd_report(run_dirs, out) -> dict:
                 cells.append(f"{stat['mean']:.4f} ({stat['std']:.4f})")
         lines.append("| " + label + " | " + " | ".join(cells) + " |")
 
-    ds, _, _ = _trained_dataset(configs[0], reports[0])
+    ds = _trained_dataset(configs[0], reports[0]).ds
     variables = sorted({c.demographic for c in configs if c.demographic})
     include = {v: any(c.include_unspecified for c in configs
                       if c.demographic == v) for v in variables}

@@ -38,7 +38,7 @@ from dataclasses import replace
 from hierfed.data.partition import make_folds
 from hierfed.fed.clients import ClientData
 from hierfed.fed.engine import train_strategy
-from hierfed.runner import ExperimentConfig, _prepare
+from hierfed.runner import ExperimentConfig, _Data, _prepare, dataset_hash
 from hierfed.synth.generate import generate, preset
 
 SEED = 1
@@ -56,10 +56,10 @@ KERNELS = {
 }
 
 
-def largest_step(config: ExperimentConfig, ds, parts):
+def largest_step(config: ExperimentConfig, resolved: _Data):
     """(client, ids, params) of the training step with the most padded
     steps, the first of any tie."""
-    ctx = _prepare(config, ds, parts, 0, 0)[0]
+    ctx = _prepare(config, resolved, 0, 0)[0]
     loss_grad, best = ClientData.loss_grad, [-1, None]
 
     def spy(data, ids, params):
@@ -129,11 +129,11 @@ def report(line: dict, call):
 
 def main() -> int:
     ds = generate(replace(preset("heterogeneous-3course"), seed=SEED))
-    parts = make_folds(ds, SEED)
+    resolved = _Data(ds, make_folds(ds, SEED), dataset_hash(ds))
     for fields in CONFIGS:
         config = ExperimentConfig(dataset="heterogeneous-3course", folds=(0,),
                                   repetitions=1, seed=SEED, **fields)
-        data, ids, params = largest_step(config, ds, parts)
+        data, ids, params = largest_step(config, resolved)
         x, lengths, _ = data.batch(ids)
         line = {"task": config.task, "strategy": config.strategy,
                 "students": len(ids), "steps": int(x.shape[1]),
@@ -143,7 +143,7 @@ def main() -> int:
 
     config = ExperimentConfig(dataset="heterogeneous-3course", folds=(0,),
                               repetitions=1, seed=SEED, **SCORING)
-    _, _, test = _prepare(config, ds, parts, 0, 0)
+    _, _, test = _prepare(config, resolved, 0, 0)
     data = max(test.scored.values(), key=lambda c: c.size)
     x, lengths, _ = data.batch(data.ids)
     line = {"task": config.task, "strategy": config.strategy,

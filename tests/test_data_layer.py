@@ -1,6 +1,7 @@
 """Ingestion, cross-validation folds, demographic grouping, and sampling."""
 
 import csv
+import hashlib
 import io
 import json
 import logging
@@ -444,6 +445,48 @@ def random_dataset(rng):
             sid = f"{cid}-s{i:03d}"
             students[sid] = StudentRecord(sid, cid)
     return Dataset(students)
+
+
+def json_hash(ds) -> str:
+    """dataset_hash as its docstring defines it: each student's roster
+    fields, then each of its events, through json.dumps one at a time."""
+    digest = hashlib.sha256()
+    events = events_of(ds)
+    for sid in ds.student_ids:
+        s = ds.students[sid]
+        digest.update(json.dumps([s.student_id, s.course_id, s.gender,
+                                  s.continent, s.birth_year,
+                                  s.outcome]).encode())
+        for e in events[sid]:
+            digest.update(json.dumps([e.kind, e.video_id, e.response,
+                                      e.forum_action, e.timestamp]).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("trial", range(8))
+def test_dataset_hash_matches_its_json_definition(trial):
+    # ids with quotes and non-ASCII text, absent roster fields, and every
+    # event kind with its absent fields
+    rng, pick = np.random.default_rng(trial), random.Random(trial)
+    students = {}
+    for sid, s in random_dataset(rng).students.items():
+        sid = pick.choice([sid, f'{sid} "q"', f"{sid}-é"])
+        students[sid] = StudentRecord(
+            sid, s.course_id, gender=pick.choice([None, "M", "F"]),
+            continent=pick.choice([None, "EU", "AS"]),
+            birth_year=pick.choice([None, 1979, 1995]),
+            outcome=pick.randint(0, 1))
+    log = random_log(pick, {sid: s.course_id for sid, s in students.items()})
+    ds = Dataset(students, coded(log))
+    assert len(ds.events)
+    assert dataset_hash(ds) == json_hash(ds)
+
+
+@pytest.mark.parametrize("name", ["balanced-small", "heterogeneous-3course",
+                                  "imbalanced-minority"])
+def test_dataset_hash_of_each_preset_matches_its_json_definition(name):
+    ds = generate(preset(name))
+    assert dataset_hash(ds) == json_hash(ds)
 
 
 def test_fold_invariants_hold_on_random_datasets():

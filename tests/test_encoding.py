@@ -16,7 +16,7 @@ from hierfed.data.records import Dataset, StudentRecord
 from hierfed.data.sequences import MAX_SEQ_LEN, build_sequences, build_vocab
 from hierfed.models.encoding import FORUM_ACTIONS, NULL, Vocab, pad_batch
 from hierfed.models.task import KT, OP
-from hierfed.runner import ExperimentConfig, _prepare
+from hierfed.runner import ExperimentConfig, _Data, _prepare, dataset_hash
 from hierfed.synth.generate import generate, preset
 from rowwise import Event, coded, events_of
 from stepwise import (forum, item_row, kt_entry, kt_rows, op_entry, op_rows,
@@ -111,6 +111,21 @@ def test_vocab_sorts_and_dedupes():
     assert vocab.unknown_video == 3
     assert vocab.course_index("b") == 1
     assert vocab.video_index("v1") == 1
+
+
+def test_vocabs_of_the_same_ids_are_equal():
+    # equal vocabularies share one encoding, so equality is over the id
+    # sets: order and repeats do not count, one more video does
+    vocab = Vocab(["b", "a"], ["v2", "v0", "v1"])
+    same = Vocab(["a", "b", "a"], ["v1", "v2", "v0", "v1"])
+    assert vocab == same and not vocab != same
+    assert hash(vocab) == hash(same)
+    assert len({vocab, same}) == 1
+    wider = Vocab(["a", "b"], ["v0", "v1", "v2", "v3"])
+    assert vocab != wider and not vocab == wider
+    assert Vocab(["a"], ["v0"]) != Vocab(["b"], ["v0"])
+    assert vocab != ("a", "b")
+    assert repr(vocab) == "Vocab(2 courses, 3 videos)"
 
 
 def test_vocab_unknown_video_maps_to_reserved_slot():
@@ -299,7 +314,8 @@ def test_clients_of_a_fold_share_each_students_arrays(heterogeneous):
     config = ExperimentConfig(dataset="heterogeneous-3course", task="OP",
                               strategy="sc2-P-AT-B", demographic="age",
                               folds=(0,), seed=101)
-    ctx, val, test = _prepare(config, ds, parts, 0, 0)
+    ctx, val, test = _prepare(config, _Data(ds, parts, dataset_hash(ds)),
+                              0, 0)
     assert len(ctx.clients) > 1
     for key, data in ctx.clients.items():
         pool = ctx.course_pools[key.course]

@@ -27,6 +27,7 @@ from hierfed.fed.engine import adapted_params, evaluated_models, train_strategy
 from hierfed.fed.strategy import FORMS
 from hierfed.heap import keep_temporaries_on_heap
 from hierfed.data.partition import make_folds
+from hierfed.data.sequences import build_vocab
 from hierfed.metrics import ACTIVITY_TYPES
 from hierfed.runner import (
     ExperimentConfig,
@@ -453,8 +454,7 @@ def test_adapted_params_are_the_same_from_what_a_checkpoint_keeps(
         tmp_path, two_course_dir, monkeypatch, name):
     cfg = small_config(two_course_dir, strategy=name, demographic="gender",
                        hidden_dim=4, rounds=1, epochs=1, local_iters=1)
-    ds, parts, _ = runner._dataset(cfg)
-    ctx, _, test = runner._prepare(cfg, ds, parts, 0, 0)
+    ctx, _, test = runner._prepare(cfg, runner._dataset(cfg), 0, 0)
     full, _ = train_strategy(ctx)
     path = tmp_path / "ck.json"
     save_checkpoint(path, runner._models_payload(
@@ -596,6 +596,76 @@ def test_export_embeddings_scores_the_dataset_it_just_trained_on(
     cmd_export_embeddings(cfg, tmp_path / "emb")
     assert calls == {"resolve_dataset": 1, "make_folds": 1, "dataset_hash": 1}
     assert (tmp_path / "emb" / "embeddings.csv").read_bytes() == first
+
+
+@pytest.fixture
+def encodings(monkeypatch):
+    """The runner's build_sequences calls, recorded as (task name, vocab,
+    how many encodings built before are alive). The collector is off, so
+    only a reference can keep an encoding alive."""
+    calls, built = [], []
+    real = runner.build_sequences
+
+    def spied(ds, task, vocab, *args):
+        calls.append((task.name, vocab,
+                       sum(ref() is not None for ref in built)))
+        out = real(ds, task, vocab, *args)
+        built.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(runner, "build_sequences", spied)
+    enabled = gc.isenabled()
+    gc.disable()
+    yield calls
+    if enabled:
+        gc.enable()
+
+
+def _fold_vocabs(config) -> list:
+    ds = resolve_dataset(config.dataset)
+    return [build_vocab(ds, part.train_ids())
+            for part in make_folds(ds, config.seed)]
+
+
+@pytest.mark.parametrize("task", ["KT", "OP"])
+def test_folds_with_one_vocabulary_are_encoded_once(tmp_path, data_dir,
+                                                    encodings, task):
+    cfg = small_config(data_dir, task=task, folds=(0, 1, 2, 3, 4))
+    vocab, *others = _fold_vocabs(cfg)
+    assert all(other == vocab for other in others)
+    cmd_train(cfg, out=tmp_path)
+    assert encodings == [(task, vocab, 0)]
+    encodings.clear()
+    assert cmd_evaluate(tmp_path)["all_match"] is True
+    assert encodings == [(task, vocab, 0)]
+
+
+def test_grid_cells_share_one_encoding(data_dir, encodings):
+    cfg = small_config(data_dir, grid={"eta": [0.05, 0.3]})
+    cmd_grid(cfg)
+    assert encodings == [("KT", _fold_vocabs(cfg)[0], 0)]
+
+
+def test_a_fold_with_another_vocabulary_is_encoded_again(tmp_path, data_dir,
+                                                         encodings):
+    cfg = small_config(data_dir, task="OP", folds=(0, 1, 2, 3, 4))
+    parts = make_folds(resolve_dataset(cfg.dataset), cfg.seed)
+    # a video only one student watched, who is tested in fold 0 and
+    # trained on in every other fold
+    sid = min(set.union(*parts[0].test.values()).intersection(
+        *(part.train_ids() for part in parts[1:])))
+    ds_dir = _copy_dataset(data_dir, tmp_path / "ds")
+    with open(ds_dir / "events.csv", "a", newline="") as fh:
+        csv.writer(fh).writerow([sid, "c0", "video", "rare", "", "", 0])
+    cfg = dataclasses.replace(cfg, dataset=str(ds_dir))
+    vocabs = _fold_vocabs(cfg)
+    assert "rare" not in vocabs[0].video_ids
+    assert all(vocab == vocabs[1] for vocab in vocabs[1:])
+    cmd_train(cfg, out=tmp_path / "run")
+    assert encodings == [("OP", vocabs[0], 0), ("OP", vocabs[1], 0)]
+    encodings.clear()
+    assert cmd_evaluate(tmp_path / "run")["all_match"] is True
+    assert encodings == [("OP", vocabs[0], 0), ("OP", vocabs[1], 0)]
 
 
 @pytest.mark.parametrize("grid,msg", [
