@@ -22,6 +22,10 @@ E `meta_batches` pairs at `inner_step` (P), or E or one epoch of
 at 0; at evaluation a P course model is one pair of stratified batches at
 `inner_step`, and a P subgroup one epoch of pairs at 0.
 
+A run's models take one form from training on: the model map, which names
+the global model GLOBAL_MODEL and each client's model GroupKey.model_name()
+("course:<label>" or "subgroup:<label>"), the names a checkpoint keeps.
+
 The engine is a pure function of (context, master seed): every random draw
 comes from a named substream keyed by repetition, fold, the client's data
 fingerprint, and the round index. Keying client streams by data fingerprint
@@ -38,7 +42,7 @@ import numpy as np
 
 from ..data.sampling import stratified_batch
 from ..errors import NumericsError
-from ..keys import GroupKey
+from ..keys import GLOBAL_MODEL, GroupKey
 from ..metrics import auc
 from ..seeding import substream
 from .aggregate import aggregate_attention, aggregate_average
@@ -47,18 +51,6 @@ from .irt import irt_confidence, irt_interpolate
 from .strategy import StrategyConfig
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass
-class TrainedBundle:
-    """Models produced by one training run.
-
-    models maps each trained client and each course aggregate to its
-    parameters; key.is_course_level tells the two levels apart. The global
-    model, for strategies that have one, is kept apart.
-    """
-    global_params: dict | None = None
-    models: dict = field(default_factory=dict)   # GroupKey -> params
 
 
 @dataclass
@@ -173,14 +165,23 @@ def _course_adapt(ctx: RunContext, course: str, strata: dict, theta_g: dict,
 
 
 def train_strategy(ctx: RunContext, callback=None):
-    """Train the context's strategy, calling callback(round, bundle) after
-    every round (epoch, for non-federated strategies). Returns the last
-    bundle and each round's training loss: the sum of every leaf update's
-    loss, in leaf order, then every course restart's, in course order.
+    """Train the context's strategy, calling callback(round, models) after
+    every round (epoch, for non-federated strategies) with the round's model
+    map. Returns the last round's map and each round's training loss: the
+    sum of every leaf update's loss, in leaf order, then every course
+    restart's, in course order.
+
+    The map holds each leaf's model, each course aggregate and, for
+    federated runs, the global; a centralized run's map holds only its
+    pooled model, as the global.
 
     A round runs in three phases: every leaf's start model; every leaf's
     update, in leaf order; then (federated runs) the course aggregates, the
-    global, and each course's next start.
+    global, and each course's next start. While a round's leaves update, no
+    earlier round's models are held beyond the start models: local and
+    centralized runs start from their own previous model, FedIRT runs from
+    its blend with the course start, and every other run from the course
+    start alone.
 
     Hierarchy rules: a course aggregates its subgroup clients even when it
     has only one, while scenario I clients are the courses themselves and
@@ -218,6 +219,7 @@ def train_strategy(ctx: RunContext, callback=None):
                      for key in leaves}
         else:
             begin = {key: start[key.course] for key in leaves}
+        models = updated = trained = None   # hold no earlier round's models
         updated = {key: _update_client(ctx, key, begin[key], k) for key in leaves}
         models = {key: params for key, (params, _) in updated.items()}
         losses = [loss for _, leaf in updated.values() for loss in leaf]
@@ -254,13 +256,14 @@ def train_strategy(ctx: RunContext, callback=None):
             total += loss
         round_losses.append(total)
         if s.is_centralized:
-            bundle = TrainedBundle(global_params=models[leaves[0]])
+            trained = {GLOBAL_MODEL: models[leaves[0]]}
         else:
-            bundle = TrainedBundle(
-                models=models, global_params=theta_g if s.is_federated else None)
+            trained = {key.model_name(): params for key, params in models.items()}
+            if s.is_federated:
+                trained[GLOBAL_MODEL] = theta_g
         if callback is not None:
-            callback(k, bundle)
-    return bundle, round_losses
+            callback(k, trained)
+    return trained, round_losses
 
 
 # ---------------------------------------------------------------------------
@@ -276,33 +279,36 @@ def _eval_where(ctx: RunContext, tag, what: str) -> str:
     return _where(ctx, f"{' '.join(tag)} {what}")
 
 
-def evaluated_models(bundle: TrainedBundle, s: StrategyConfig) -> TrainedBundle:
-    """The part of bundle that adapted_params reads under s, which is all a
-    checkpoint keeps:
+def evaluated_models(models: dict, s: StrategyConfig) -> dict:
+    """The part of a model map that adapted_params reads under s, which is
+    all a checkpoint keeps:
 
-    - local and FedIRT runs: each scored group's own model, keyed at the
+    - local and FedIRT runs: each scored group's own model, at the
       scenario's granularity (scenario II course aggregates are not read);
     - G and P runs: the global, plus the course models under G-M.
 
-    A G or P bundle without a global raises ValueError naming it.
+    A G or P map without a global raises ValueError naming it.
     """
+    def is_course(name):    # a name GroupKey.model_name gave a course
+        return name.startswith("course:")
+
     if s.architecture == "L" or s.aggregation == "IRT":
-        return TrainedBundle(models={
-            key: ps for key, ps in bundle.models.items()
-            if key.is_course_level == (s.scenario == "sc1")})
-    if bundle.global_params is None:
-        raise ValueError(f"no 'global' model, which {s.name} runs are "
+        return {name: params for name, params in models.items()
+                if name != GLOBAL_MODEL
+                and is_course(name) == (s.scenario == "sc1")}
+    if GLOBAL_MODEL not in models:
+        raise ValueError(f"no {GLOBAL_MODEL!r} model, which {s.name} runs are "
                          "scored with")
     under_m = s.architecture == "G" and s.hierarchy == "M"
-    return TrainedBundle(global_params=bundle.global_params, models={
-        key: ps for key, ps in bundle.models.items()
-        if under_m and key.is_course_level})
+    return {name: params for name, params in models.items()
+            if name == GLOBAL_MODEL or under_m and is_course(name)}
 
 
-def adapted_params(bundle: TrainedBundle, ctx: RunContext,
-                   tag=("test",)) -> dict:
-    """The parameters each scored group would be scored with, formed from
-    evaluated_models(bundle) alone.
+def adapted_params(models: dict, ctx: RunContext, tag) -> dict:
+    """The parameters each scored group (GroupKey) would be scored with,
+    formed from evaluated_models(models) alone; tag names the scored split
+    ("test", "val" and the round, or "embed") and keys the adaptation's
+    random streams.
 
     Local and FedIRT runs score each group with its own stored model; G
     runs with the global, or under M with the group's course model. P runs
@@ -312,15 +318,16 @@ def adapted_params(bundle: TrainedBundle, ctx: RunContext,
     training client. Groups with no usable model map to None.
     """
     s = ctx.strategy
-    bundle = evaluated_models(bundle, s)
+    models = evaluated_models(models, s)
     groups = sorted(ctx.scored, key=GroupKey.sort_key)
     if s.architecture == "L" or s.aggregation == "IRT":
-        return {key: bundle.models.get(key) for key in groups}
+        return {key: models.get(key.model_name()) for key in groups}
+    theta_g = models[GLOBAL_MODEL]
     if s.architecture == "G":
         if s.hierarchy == "M":
-            return {key: bundle.models.get(key.course_key(), bundle.global_params)
+            return {key: models.get(key.course_key().model_name(), theta_g)
                     for key in groups}
-        return {key: bundle.global_params for key in groups}
+        return dict.fromkeys(groups, theta_g)
 
     tag = tuple(str(t) for t in tag)
     course_models = {}
@@ -331,10 +338,8 @@ def adapted_params(bundle: TrainedBundle, ctx: RunContext,
                     stratified_batch(strata, s.per_group, rng))
             course_models[c], _ = _located(
                 _eval_where(ctx, tag, f"course adaptation, client {GroupKey(c)}"),
-                s, ctx.course_pools[c], bundle.global_params, [pair],
-                s.inner_step)
-    out = {key: course_models.get(key.course, bundle.global_params)
-           for key in groups}
+                s, ctx.course_pools[c], theta_g, [pair], s.inner_step)
+    out = {key: course_models.get(key.course, theta_g) for key in groups}
     for key in groups:
         data = ctx.clients.get(key)
         if s.hierarchy != "M" and data is not None:
@@ -346,22 +351,22 @@ def adapted_params(bundle: TrainedBundle, ctx: RunContext,
     return out
 
 
-def evaluate_adapted(bundle: TrainedBundle, ctx: RunContext,
-                     tag=("test",)) -> dict:
+def evaluate_adapted(models: dict, ctx: RunContext, tag) -> dict:
     """Per-group AUC on the scored split after the strategy's
-    evaluation-time adaptation.
+    evaluation-time adaptation (adapted_params under tag), keyed by
+    GroupKey.label(), the form report.json keeps.
 
     Undefined AUCs (single-class or empty scored sets, or a group with no
     trained model) surface as None rather than a placeholder number.
     """
-    out: dict[GroupKey, float | None] = {}
-    for key, params in adapted_params(bundle, ctx, tag).items():
+    out: dict[str, float | None] = {}
+    for key, params in adapted_params(models, ctx, tag).items():
         data = ctx.scored[key]
-        out[key] = None
+        out[key.label()] = None
         if params is None:
             logger.warning("no trained model for %s; skipped", key)
         elif data.size == 0:
             logger.warning("no %s students for %s; skipped", tag[0], key)
         else:
-            out[key] = auc(*data.predict(params))
+            out[key.label()] = auc(*data.predict(params))
     return out

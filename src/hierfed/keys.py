@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 DEMOGRAPHIC_VARIABLES = ("gender", "continent", "age")
 UNSPECIFIED = "unspecified"
+# the name of the global model in a run's model map and its checkpoint
+GLOBAL_MODEL = "global"
 
 
 @dataclass(frozen=True)
@@ -38,6 +40,11 @@ class GroupKey:
 
     def label(self) -> str:
         return f"{self.course}|{self.variable or 'none'}|{self.subgroup or 'all'}"
+
+    def model_name(self) -> str:
+        """The name of this client's model in a run's model map and its
+        checkpoint: "course:<label>" or "subgroup:<label>"."""
+        return f"{'course' if self.is_course_level else 'subgroup'}:{self.label()}"
 
     @staticmethod
     def from_label(text: str) -> "GroupKey":

@@ -32,7 +32,6 @@ from .fed.checkpoint import load_checkpoint, save_checkpoint
 from .fed.clients import build_client_data
 from .fed.engine import (
     RunContext,
-    TrainedBundle,
     adapted_params,
     evaluate_adapted,
     evaluated_models,
@@ -40,7 +39,7 @@ from .fed.engine import (
 )
 from .fed.strategy import StrategyConfig, parse_strategy
 from .heap import keep_temporaries_on_heap
-from .keys import DEMOGRAPHIC_VARIABLES, GroupKey
+from .keys import DEMOGRAPHIC_VARIABLES, GLOBAL_MODEL, GroupKey
 from .metrics import ACTIVITY_TYPES, activity_heatmap, summarize
 from .models.encoding import Encoding
 from .models.task import TASKS
@@ -431,74 +430,63 @@ def _mean_defined(values) -> float | None:
 
 
 class _Selection:
-    """Tracks each unit's best validation snapshot across rounds/epochs: a
-    unit is one model under local-only strategies, the whole bundle ("*")
-    otherwise. A unit scores the mean of its groups' defined validation
-    AUCs, or -1 with none. Ties between defined scores keep the earliest
-    round; a unit undefined in every round keeps its latest snapshot."""
+    """Tracks each unit's best validation snapshot across rounds/epochs,
+    keeping only the models evaluation reads: a unit is one leaf's model
+    under local-only strategies, the whole model map ("*") otherwise. A
+    unit scores the mean of its groups' defined validation AUCs, or -1 with
+    none. Ties between defined scores keep the earliest round; a unit
+    undefined in every round keeps its latest snapshot."""
 
     def __init__(self, val: RunContext):
         self.val = val
-        self.per_model = val.strategy.architecture == "L"
-        self.best: dict = {}    # unit -> (score, round, bundle)
+        self.leaves = (sorted(val.clients, key=GroupKey.sort_key)
+                       if val.strategy.architecture == "L" else None)
+        self.best: dict = {}    # unit -> (score, round, models)
 
-    def observe(self, round_idx: int, bundle: TrainedBundle):
-        res = evaluate_adapted(bundle, self.val, ("val", round_idx))
-        units = ({key: [res.get(key)] for key in bundle.models} if self.per_model
-                 else {"*": list(res.values())})
-        for unit, values in units.items():
+    def observe(self, round_idx: int, models: dict):
+        kept = evaluated_models(models, self.val.strategy)
+        res = evaluate_adapted(kept, self.val, ("val", round_idx))
+        if self.leaves is None:
+            units = {"*": (list(res.values()), kept)}
+        else:
+            units = {key.label(): ([res.get(key.label())],
+                                   {key.model_name(): kept[key.model_name()]})
+                     for key in self.leaves}
+        for unit, (values, unit_models) in units.items():
             mean = _mean_defined(values)
             score = -1.0 if mean is None else mean
             best = self.best.get(unit)
             if best is None or score > best[0] or score == best[0] == -1.0:
-                self.best[unit] = (score, round_idx, bundle)
+                self.best[unit] = (score, round_idx, unit_models)
 
     def result(self):
-        """(best bundle, selected round per unit label, mean validation AUC)."""
-        entries = self.best.items()
-        if self.per_model:
-            bundle = TrainedBundle(models={k: b.models[k] for k, (_, _, b) in entries})
-            selected = {k.label(): r for k, (_, r, _) in entries}
-        else:
-            (_, r, bundle), = self.best.values()
-            selected = {"*": r}
+        """(the selected models, selected round per unit, mean validation
+        AUC)."""
+        models = {name: params for _, _, unit_models in self.best.values()
+                  for name, params in unit_models.items()}
+        selected = {unit: r for unit, (_, r, _) in self.best.items()}
         val = _mean_defined([s for s, _, _ in self.best.values() if s >= 0.0])
-        return bundle, selected, val
+        return models, selected, val
 
 
 def run_one(config: ExperimentConfig, data: _Data, fold: int, rep: int):
     """Train one (fold, repetition) on data, which _dataset gave, over the
     encoding it shares with every run of an equal vocabulary; returns
-    (result row, checkpoint models): the models of the selected bundle that
-    evaluation reads."""
+    (result row, checkpoint models): the selected models that evaluation
+    reads, as the model map."""
     ctx, val, test_ctx = _prepare(config, data, fold, rep)
     tracker = _Selection(val)
     _, train_loss = train_strategy(ctx, callback=tracker.observe)
-    best, selected, val_auc = tracker.result()
-    test = evaluate_adapted(best, test_ctx, ("test",))
+    models, selected, val_auc = tracker.result()
     result = {
         "fold": fold,
         "rep": rep,
         "selected": selected,
         "val_auc": val_auc,
-        "test_auc": {key.label(): value for key, value in test.items()},
+        "test_auc": evaluate_adapted(models, test_ctx, ("test",)),
         "train_loss": train_loss,
     }
-    return result, _models_payload(evaluated_models(best, ctx.strategy))
-
-
-def _model_name(key: GroupKey) -> str:
-    """The checkpoint entry name of key's model."""
-    return f"{'course' if key.is_course_level else 'subgroup'}:{key.label()}"
-
-
-def _models_payload(bundle: TrainedBundle) -> dict:
-    out = {}
-    if bundle.global_params is not None:
-        out["global"] = bundle.global_params
-    for key, ps in bundle.models.items():
-        out[_model_name(key)] = ps
-    return out
+    return result, models
 
 
 def _check_layers(path, name: str, params: dict, init: dict):
@@ -512,34 +500,31 @@ def _check_layers(path, name: str, params: dict, init: dict):
                               f"layer {i} is {g}, expected {w}")
 
 
-def _load_bundle(path, chash: str, init: dict,
-                 strategy: StrategyConfig) -> TrainedBundle:
-    """The models of a checkpoint file that evaluation reads under strategy.
-    A checkpoint missing, saved under another config hash than chash,
-    holding a model whose layers differ from init's or a malformed entry,
-    or lacking a model the strategy reads raises ConfigError. Every entry
-    is checked, also one that evaluation does not read."""
+def _load_bundle(path, chash: str, init: dict, strategy: StrategyConfig) -> dict:
+    """The models of a checkpoint file that evaluation reads under
+    strategy, as the model map. A checkpoint missing, saved under another
+    config hash than chash, holding a model whose layers differ from
+    init's or a malformed entry, or lacking a model the strategy reads
+    raises ConfigError. Every entry is checked, also one that evaluation
+    does not read."""
     if not Path(path).is_file():
         raise ConfigError(f"missing checkpoint {path}")
     models, saved_hash, _ = load_checkpoint(path)
     if saved_hash != chash:
         raise ConfigError(f"{path} belongs to a different config")
-    bundle = TrainedBundle()
-    for name, ps in models.items():
-        _check_layers(path, name, ps, init)
-        if name == "global":
-            bundle.global_params = ps
+    for name, params in models.items():
+        _check_layers(path, name, params, init)
+        if name == GLOBAL_MODEL:
             continue
         try:
             key = GroupKey.from_label(name.partition(":")[2])
-            if _model_name(key) != name:
-                raise ValueError(f"expected {_model_name(key)!r}")
-            bundle.models[key] = ps
+            if key.model_name() != name:
+                raise ValueError(f"expected {key.model_name()!r}")
         except ValueError as exc:
             raise ConfigError(f"{path}: malformed checkpoint (model entry "
                               f"{name!r}: {exc})") from None
     try:
-        return evaluated_models(bundle, strategy)
+        return evaluated_models(models, strategy)
     except ValueError as exc:
         raise ConfigError(f"{path}: malformed checkpoint ({exc})") from None
 
@@ -652,10 +637,10 @@ def _trained_dataset(config: ExperimentConfig, report: dict):
 
 def _trained_runs(config: ExperimentConfig, report: dict, out_dir: Path,
                   pairs, score, data=None) -> list:
-    """score(test context, bundle) of each (fold, rep) in pairs of the
+    """score(test context, models) of each (fold, rep) in pairs of the
     trained run of config and report, its checkpoints in out_dir. Nothing
-    holds one pair's context or bundle once its score returns, so one
-    fold's clients and bundle are resident at a time, over the one encoding
+    holds one pair's context or models once its score returns, so one
+    fold's clients and models are resident at a time, over the one encoding
     of data that folds with equal vocabularies share. data is what _dataset
     gave the run's training when the caller has just trained it; without it
     the report's dataset is resolved again."""
@@ -769,13 +754,11 @@ def cmd_evaluate(out, config: ExperimentConfig | None = None,
                           f"seed {stored.seed}")
     if config is not None and config_hash(config) != report["config_hash"]:
         raise ConfigError("given config does not match the trained report")
-    def rescore(test_ctx, bundle) -> dict:
-        test = evaluate_adapted(bundle, test_ctx, ("test",))
-        return {key.label(): value for key, value in test.items()}
-
     runs = report["runs"]
     aucs = _trained_runs(stored, report, out_dir,
-                         [(r["fold"], r["rep"]) for r in runs], rescore)
+                         [(r["fold"], r["rep"]) for r in runs],
+                         lambda test, models: evaluate_adapted(
+                             models, test, ("test",)))
     rows = [{"fold": run["fold"], "rep": run["rep"], "test_auc": test_auc,
              "matches_report": test_auc == run["test_auc"]}
             for run, test_auc in zip(runs, aucs)]
@@ -873,9 +856,9 @@ def cmd_export_embeddings(config: ExperimentConfig, out, workers: int = 1) -> di
         data = _dataset(config)
         report = _train(config, data, _out_dir(out_dir), workers)
 
-    def embed(test, bundle) -> list:
+    def embed(test, models) -> list:
         out = []
-        for key, params in adapted_params(bundle, test, ("embed",)).items():
+        for key, params in adapted_params(models, test, ("embed",)).items():
             if params is None:
                 logger.warning("no model for %s; embeddings skipped", key)
                 continue

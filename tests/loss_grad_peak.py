@@ -21,6 +21,13 @@ kernel's entry, its peak and at its exit (with its outputs still held), so
 the kernel that sets a call's peak can be read off. The marks hold a few
 hundred bytes of their own, so the first run alone gives the call's totals.
 
+A last line gives the run-level view: the bytes tracemalloc holds at the
+heaviest ClientData.loss_grad entry of a whole `cmd_train` shaped like the
+OP training workload (the preset written to a temporary directory and read
+back, as the benchmark does), with the hierfed frames of the call stack
+there, outermost first. That is the run's resident working set where a
+training step starts, beside the per-kernel marks of the step itself.
+
     PYTHONPATH=src python tests/loss_grad_peak.py
 
 The benchmark records no memory of a single layer, so this is where the
@@ -32,13 +39,17 @@ from __future__ import annotations
 import importlib
 import json
 import sys
+import tempfile
+import traceback
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 from hierfed.data.partition import make_folds
 from hierfed.fed.clients import ClientData
 from hierfed.fed.engine import train_strategy
-from hierfed.runner import ExperimentConfig, _Data, _prepare, dataset_hash
+from hierfed.runner import (ExperimentConfig, _Data, _prepare, cmd_train,
+                            dataset_hash)
 from hierfed.synth.generate import generate, preset
 
 SEED = 1
@@ -127,6 +138,37 @@ def report(line: dict, call):
         print(json.dumps({"task": line["task"], **marks}), flush=True)
 
 
+def run_level(fields: dict) -> dict:
+    """The traced bytes at the heaviest ClientData.loss_grad entry of
+    cmd_train on the preset at SEED, written out and read back, and the
+    hierfed frames of the call stack there."""
+    loss_grad, best = ClientData.loss_grad, [-1, []]
+
+    def spy(data, ids, params):
+        resident = tracemalloc.get_traced_memory()[0]
+        if resident > best[0]:
+            best[:] = resident, [f"{Path(f.filename).name}:{f.lineno} {f.name}"
+                                 for f in traceback.extract_stack()[:-1]
+                                 if "hierfed" in Path(f.filename).parts]
+        return loss_grad(data, ids, params)
+
+    with tempfile.TemporaryDirectory() as out:
+        generate(replace(preset("heterogeneous-3course"), seed=SEED),
+                 out_dir=out)
+        config = ExperimentConfig(dataset=out, folds=(0,), repetitions=1,
+                                  seed=SEED, **fields)
+        ClientData.loss_grad = spy
+        tracemalloc.start()
+        try:
+            cmd_train(config)
+        finally:
+            tracemalloc.stop()
+            ClientData.loss_grad = loss_grad
+    return {"task": config.task, "strategy": config.strategy,
+            "call": "cmd_train", "resident_bytes": best[0],
+            "resident_mb": round(best[0] / 2**20, 2), "stack": best[1]}
+
+
 def main() -> int:
     ds = generate(replace(preset("heterogeneous-3course"), seed=SEED))
     resolved = _Data(ds, make_folds(ds, SEED), dataset_hash(ds))
@@ -151,6 +193,8 @@ def main() -> int:
             "steps": int(x.shape[1]), "valid_steps": int(lengths.sum())}
     del x
     report(line, lambda: data.predict(test.init_params))
+    del data, test
+    print(json.dumps(run_level(CONFIGS[0])), flush=True)
     return 0
 
 

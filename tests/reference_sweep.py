@@ -29,8 +29,19 @@ differ, and it prints nothing, exiting 0, when the two files agree:
 
     PYTHONPATH=src python tests/reference_sweep.py --compare ../a.jsonl ../b.jsonl
 
-The file is not a pytest module; tests/test_runner_cli.py checks its
-config list and `--compare`, without training anything.
+`--record FILE` also writes the sweep's lines to FILE, after a first line
+that names the numpy version and the BLAS build they were produced with,
+since every digest depends on both. `tests/pinned/reference_sweep.jsonl`
+is such a recording; a tree behaves as recorded when its output equals the
+recording's lines after the first. Record it the way the sweep is run
+above, on a clean copy with no bytecode written:
+
+    PYTHONDONTWRITEBYTECODE=1 PYTHONPATH=src python tests/reference_sweep.py \
+        --out ../sweep --record tests/pinned/reference_sweep.jsonl
+
+The file is not a pytest module. tests/test_runner_cli.py checks its
+config list and `--compare` without training anything, and replays the
+recorded `balanced-small` lines.
 """
 
 from __future__ import annotations
@@ -70,6 +81,32 @@ def configs():
     return out
 
 
+def build() -> dict:
+    """The numpy version and the BLAS numpy links, with OpenBLAS's own
+    account of the kernels it runs: a recording's first line. That account
+    comes from the library at run time, since a DYNAMIC_ARCH build picks
+    its kernels for the CPU it runs on (numpy's build record names the
+    build host's)."""
+    import ctypes
+
+    import numpy as np
+    from numpy._core import _multiarray_umath
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    lib = ctypes.CDLL(_multiarray_umath.__file__)
+    config = "unknown"
+    for name in ("scipy_openblas_get_config64_", "scipy_openblas_get_config",
+                 "openblas_get_config64_", "openblas_get_config"):
+        get = getattr(lib, name, None)
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_char_p
+            config = get().decode()
+            break
+    return {"numpy": np.__version__,
+            "blas": f"{blas['name']} {blas['version']}",
+            "blas_config": config}
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -99,12 +136,24 @@ def run(name: str, fields: dict, out_dir: Path) -> dict:
     return line
 
 
+def sweep(root: Path, datasets=tuple(d for d, _ in PRESETS)):
+    """Each line of the sweep over the presets named in datasets, in the
+    sweep's order, with its outputs under root."""
+    for dataset, _ in PRESETS:
+        if dataset in datasets:
+            yield generate(dataset, root / "generated" / dataset)
+    for i, (name, fields) in enumerate(configs()):
+        if fields["dataset"] in datasets:
+            yield run(name, fields, root / f"{i:03d}")
+
+
 def _lines(path) -> dict:
-    """The sweep's output at path: each line by its preset or config name."""
+    """The sweep's output at path: each line by its preset or config name,
+    and a recording's first line as "build"."""
     out = {}
     for text in Path(path).read_text().splitlines():
         line = json.loads(text)
-        out[line.get("config", line.get("generate"))] = line
+        out[line.get("config", line.get("generate", "build"))] = line
     return out
 
 
@@ -132,21 +181,26 @@ def main(argv=None) -> int:
     mode.add_argument("--compare", nargs=2, metavar=("A", "B"),
                       help="print the fields that differ between two sweep "
                            "outputs, per preset and config")
+    parser.add_argument("--record", metavar="FILE",
+                        help="with --out, also write the lines to FILE after "
+                             "a line naming the numpy and BLAS build")
     args = parser.parse_args(argv)
+    if args.record and not args.out:
+        parser.error("--record needs --out")
     if args.compare:
         differences = compare(*args.compare)
         for line in differences:
             print(line)
         return 1 if differences else 0
-    root = Path(args.out)
-    for dataset, _ in PRESETS:
-        line = generate(dataset, root / "generated" / dataset)
-        print(json.dumps(line, sort_keys=True), flush=True)
+    texts = [json.dumps(build(), sort_keys=True)]
     all_match = True
-    for i, (name, fields) in enumerate(configs()):
-        line = run(name, fields, root / f"{i:03d}")
-        all_match = all_match and line["all_match"]
-        print(json.dumps(line, sort_keys=True), flush=True)
+    for line in sweep(Path(args.out)):
+        all_match = all_match and line.get("all_match", True)
+        texts.append(json.dumps(line, sort_keys=True))
+        print(texts[-1], flush=True)
+    if args.record:
+        Path(args.record).parent.mkdir(parents=True, exist_ok=True)
+        Path(args.record).write_text("".join(t + "\n" for t in texts))
     return 0 if all_match else 1
 
 

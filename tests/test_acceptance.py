@@ -29,7 +29,7 @@ from hierfed.fed.clients import build_client_data, meta_update
 from hierfed.fed.engine import RunContext, train_strategy
 from hierfed.fed.irt import irt_confidence, irt_interpolate
 from hierfed.fed.strategy import parse_strategy
-from hierfed.keys import GroupKey
+from hierfed.keys import GLOBAL_MODEL, GroupKey
 from hierfed.metrics import activity_heatmap, auc
 from hierfed.models.encoding import Encoding, Vocab
 from hierfed.models.task import KT, OP
@@ -208,8 +208,8 @@ def test_degenerate_hierarchy_collapses_to_one_level():
     init = KT.init(VOCAB, 8, rng)
     rounds = []
 
-    def keep(k, bundle):
-        rounds.append(bundle.global_params)
+    def keep(k, models):
+        rounds.append(models[GLOBAL_MODEL])
 
     one = parse_strategy("sc1-P-AT").with_overrides(rounds=10, batch_size=4)
     train_strategy(RunContext(strategy=one, master_seed=7, rep=0, fold=0,

@@ -4,7 +4,9 @@ Runs use tiny hand-built clients (a dozen short sequences, hidden width 4)
 so every engine finishes in well under a second.
 """
 
+import gc
 import logging
+import weakref
 
 import numpy as np
 import pytest
@@ -19,13 +21,12 @@ from hierfed.fed.clients import (
 )
 from hierfed.fed.engine import (
     RunContext,
-    TrainedBundle,
     adapted_params,
     evaluate_adapted,
     train_strategy,
 )
 from hierfed.fed.strategy import parse_strategy
-from hierfed.keys import GroupKey
+from hierfed.keys import GLOBAL_MODEL, GroupKey
 from hierfed.models.encoding import Encoding, Vocab
 from hierfed.models.task import KT
 from hierfed.nn.params import axpy_params
@@ -84,8 +85,20 @@ def max_param_diff(a, b):
     return max(np.abs(arr - b[name]).max() for name, arr in a.items())
 
 
-def capture_bundles(store):
-    return lambda k, bundle: store.append(bundle)
+def capture_models(store):
+    return lambda k, models: store.append(models)
+
+
+def model_map(theta_g=None, models=()):
+    """The model map of a global (unless None) and GroupKey-keyed models."""
+    out = {key.model_name(): params for key, params in dict(models).items()}
+    if theta_g is not None:
+        out[GLOBAL_MODEL] = theta_g
+    return out
+
+
+def names(*keys):
+    return {key.model_name() for key in keys}
 
 
 # ---------------------------------------------------------------------------
@@ -111,17 +124,17 @@ def test_single_cell_hierarchy_collapses_to_one_level(one_level, two_level):
     seen1, seen2 = [], []
     ctx1 = RunContext(strategy=s1, master_seed=7, rep=0, fold=0,
                       init_params=init, clients={GroupKey("c0"): data})
-    _, losses1 = train_strategy(ctx1, callback=capture_bundles(seen1))
+    _, losses1 = train_strategy(ctx1, callback=capture_models(seen1))
 
     key = GroupKey("c0", "gender", "F")
     ctx2 = RunContext(strategy=s2, master_seed=7, rep=0, fold=0,
                       init_params=init, clients={key: data},
                       course_pools={"c0": data})
-    _, losses2 = train_strategy(ctx2, callback=capture_bundles(seen2))
+    _, losses2 = train_strategy(ctx2, callback=capture_models(seen2))
 
     assert len(seen1) == len(seen2) == K
     for r1, r2 in zip(seen1, seen2):
-        assert max_param_diff(r1.global_params, r2.global_params) <= 1e-10
+        assert max_param_diff(r1[GLOBAL_MODEL], r2[GLOBAL_MODEL]) <= 1e-10
     assert losses1 == losses2
 
 
@@ -138,9 +151,9 @@ def test_one_level_engine_populates_course_models(name):
     ctx = RunContext(strategy=s, master_seed=11, rep=0, fold=0,
                      init_params=init_params(rng), clients=clients)
     seen = []
-    bundle, losses = train_strategy(ctx, callback=capture_bundles(seen))
-    assert set(bundle.models) == set(clients)
-    assert all(np.isfinite(a).all() for a in bundle.global_params.values())
+    models, losses = train_strategy(ctx, callback=capture_models(seen))
+    assert set(models) == {GLOBAL_MODEL} | names(*clients)
+    assert all(np.isfinite(a).all() for a in models[GLOBAL_MODEL].values())
     assert len(losses) == 2
     assert all(loss > 0.0 for loss in losses)
     assert len(seen) == 2
@@ -154,9 +167,10 @@ def test_two_level_engine_populates_every_level():
     ctx = RunContext(strategy=s, master_seed=5, rep=0, fold=0,
                      init_params=init_params(rng), clients=clients,
                      course_pools=pools)
-    bundle, losses = train_strategy(ctx)
-    assert set(bundle.models) == set(clients) | {GroupKey("c0"), GroupKey("c1")}
-    assert all(np.isfinite(a).all() for a in bundle.global_params.values())
+    models, losses = train_strategy(ctx)
+    assert set(models) == ({GLOBAL_MODEL} | names(*clients)
+                           | names(GroupKey("c0"), GroupKey("c1")))
+    assert all(np.isfinite(a).all() for a in models[GLOBAL_MODEL].values())
     assert len(losses) == 2
 
 
@@ -186,7 +200,7 @@ def test_every_leaf_updates_before_the_rounds_first_aggregation(monkeypatch):
     ctx = RunContext(strategy=s, master_seed=5, rep=0, fold=0,
                      init_params=init_params(rng), clients=clients,
                      course_pools=pools)
-    train_strategy(ctx, callback=lambda k, bundle: events.append(("end", k)))
+    train_strategy(ctx, callback=lambda k, models: events.append(("end", k)))
 
     ends = [i for i, (kind, _) in enumerate(events) if kind == "end"]
     assert len(ends) == 2
@@ -197,6 +211,42 @@ def test_every_leaf_updates_before_the_rounds_first_aggregation(monkeypatch):
                    if kind == "leaf"}
         assert updated == set(clients)
         assert "leaf" not in kinds[first_aggregate:]
+
+
+@pytest.mark.parametrize("name", ["sc2-P-AT-B", "sc2-G-AT-T"])
+def test_no_earlier_rounds_leaf_model_is_held_while_the_leaves_update(
+        monkeypatch, name):
+    # these strategies start a round's leaves from their course's start
+    # model alone, so round 0's leaf models are gone before round 1 updates
+    rng = np.random.default_rng(4)
+    clients, pools = two_level_world(rng)
+    leaf = min(clients, key=GroupKey.sort_key).model_name()
+    held, alive = [], []
+    loss_grad = ClientData.loss_grad
+
+    def recorded_loss_grad(self, ids, params):
+        if held and not alive:  # the first loss_grad after round 0 ends
+            alive.append(held[0]() is not None)
+        return loss_grad(self, ids, params)
+
+    def keep(k, models):
+        if k == 0:
+            held.append(weakref.ref(next(iter(models[leaf].values()))))
+
+    monkeypatch.setattr(ClientData, "loss_grad", recorded_loss_grad)
+    s = parse_strategy(name).with_overrides(
+        rounds=2, batch_size=4, local_iters=1, per_group=2)
+    ctx = RunContext(strategy=s, master_seed=5, rep=0, fold=0,
+                     init_params=init_params(rng), clients=clients,
+                     course_pools=pools)
+    enabled = gc.isenabled()
+    gc.disable()    # with the collector off, only a reference keeps one alive
+    try:
+        train_strategy(ctx, callback=keep)
+    finally:
+        if enabled:
+            gc.enable()
+    assert alive == [False]
 
 
 def test_rerunning_an_engine_is_bitwise_identical():
@@ -211,11 +261,11 @@ def test_rerunning_an_engine_is_bitwise_identical():
                           fold=2, init_params=init_params(rng),
                           clients=clients, course_pools=pools)
 
-    b1, losses1 = train_strategy(build(rng_a))
-    b2, losses2 = train_strategy(build(rng_b))
-    assert params_equal(b1.global_params, b2.global_params)
-    for key in b1.models:
-        assert params_equal(b1.models[key], b2.models[key])
+    m1, losses1 = train_strategy(build(rng_a))
+    m2, losses2 = train_strategy(build(rng_b))
+    assert set(m1) == set(m2) and GLOBAL_MODEL in m1
+    for name in m1:
+        assert params_equal(m1[name], m2[name])
     assert losses1 == losses2
 
 
@@ -226,9 +276,9 @@ def test_centralized_training_uses_one_pooled_client():
     ctx = RunContext(strategy=s, master_seed=2, rep=0, fold=0,
                      init_params=init_params(rng),
                      clients={GroupKey("c0"): data})
-    bundle, losses = train_strategy(ctx)
-    assert all(np.isfinite(a).all() for a in bundle.global_params.values())
-    assert bundle.models == {}
+    models, losses = train_strategy(ctx)
+    assert all(np.isfinite(a).all() for a in models[GLOBAL_MODEL].values())
+    assert list(models) == [GLOBAL_MODEL]
     assert len(losses) == 3
 
 
@@ -239,10 +289,10 @@ def test_local_training_keeps_models_separate():
     s = parse_strategy("sc1-L").with_overrides(epochs=2, batch_size=4)
     ctx = RunContext(strategy=s, master_seed=2, rep=0, fold=0,
                      init_params=init_params(rng), clients=clients)
-    bundle, _ = train_strategy(ctx)
-    assert bundle.global_params is None
-    assert set(bundle.models) == set(clients)
-    a, b = (bundle.models[k] for k in sorted(clients, key=GroupKey.sort_key))
+    models, _ = train_strategy(ctx)
+    assert GLOBAL_MODEL not in models
+    assert set(models) == names(*clients)
+    a, b = (models[k.model_name()] for k in sorted(clients, key=GroupKey.sort_key))
     assert not params_equal(a, b)
 
 
@@ -252,9 +302,9 @@ def test_local_training_stores_subgroup_models_in_scenario_two():
     s = parse_strategy("sc2-L").with_overrides(epochs=2, batch_size=4)
     ctx = RunContext(strategy=s, master_seed=2, rep=0, fold=0,
                      init_params=init_params(rng), clients=clients)
-    bundle, _ = train_strategy(ctx)
-    assert bundle.global_params is None
-    assert set(bundle.models) == set(clients)
+    models, _ = train_strategy(ctx)
+    assert GLOBAL_MODEL not in models
+    assert set(models) == names(*clients)
 
 
 def test_small_meta_client_falls_back_and_warns_once_per_call(caplog):
@@ -312,8 +362,9 @@ def test_fedirt_reports_confidences_that_sum_to_one(monkeypatch):
     ctx = RunContext(strategy=s, master_seed=13, rep=0, fold=0,
                      init_params=init_params(rng), clients=clients,
                      course_pools=pools, irt_responses=responses)
-    bundle, _ = train_strategy(ctx)
-    assert set(bundle.models) == set(clients) | {GroupKey("c0"), GroupKey("c1")}
+    models, _ = train_strategy(ctx)
+    assert set(models) == ({GLOBAL_MODEL} | names(*clients)
+                           | names(GroupKey("c0"), GroupKey("c1")))
     course_weights = [w for w in seen if not next(iter(w)).is_course_level]
     assert len(course_weights) == 4     # two courses, two rounds
     for conf in course_weights:
@@ -390,7 +441,7 @@ def test_every_adaptation_is_one_update_loop_call(monkeypatch):
     ctx = loss_context("sc2-P-AT-B", rounds=1)
     s = ctx.strategy
     leaves = [str(k) for k in sorted(ctx.clients, key=GroupKey.sort_key)]
-    bundle, _ = train_strategy(ctx)
+    models, _ = train_strategy(ctx)
     assert update_table(calls, ctx) == (
         [(leaf, s.local_iters, s.inner_step) for leaf in leaves]
         + [("pool c0", 1, 0.0), ("pool c1", 1, 0.0)])
@@ -399,7 +450,7 @@ def test_every_adaptation_is_one_update_loop_call(monkeypatch):
         assert d == d_prime and len(d) == 2 * s.per_group
 
     calls.clear()
-    adapted_params(bundle, ctx)
+    adapted_params(models, ctx, ("test",))
     epoch = -(-5 // s.batch_size)
     assert update_table(calls, ctx) == (
         [("pool c0", 1, s.inner_step), ("pool c1", 1, s.inner_step)]
@@ -549,18 +600,18 @@ def test_global_strategies_reuse_the_stored_models_verbatim():
     rng = np.random.default_rng(20)
     clients, pools, gp, course_models, _ = eval_world(rng)
     keys = sorted(clients, key=GroupKey.sort_key)
-    bundle = TrainedBundle(global_params=gp, models=course_models)
+    models = model_map(gp, course_models)
 
     top = parse_strategy("sc2-G-AT-T")
     ctx = RunContext(strategy=top, master_seed=1, rep=0, fold=0,
                      clients=clients, course_pools=pools, scored=clients)
-    out = adapted_params(bundle, ctx)
+    out = adapted_params(models, ctx, ("test",))
     assert all(out[key] is gp for key in keys)
 
     mid = parse_strategy("sc2-G-AT-M")
     ctx = RunContext(strategy=mid, master_seed=1, rep=0, fold=0,
                      clients=clients, course_pools=pools, scored=clients)
-    out = adapted_params(bundle, ctx)
+    out = adapted_params(models, ctx, ("test",))
     assert all(out[key] is course_models[key.course_key()] for key in keys)
 
 
@@ -570,36 +621,37 @@ def test_local_strategies_look_up_stored_models_or_none(caplog):
     keys = sorted(clients, key=GroupKey.sort_key)
     missing = keys[-1]
     stored = {k: v for k, v in sub_models.items() if k != missing}
-    bundle = TrainedBundle(models=stored)
+    models = model_map(models=stored)
     s = parse_strategy("sc2-L")
     ctx = RunContext(strategy=s, master_seed=1, rep=0, fold=0,
                      clients=clients, scored=clients)
-    out = adapted_params(bundle, ctx)
+    out = adapted_params(models, ctx, ("test",))
     assert all(out[key] is stored[key] for key in keys[:-1])
     assert out[missing] is None
 
     with caplog.at_level(logging.WARNING, logger="hierfed.fed.engine"):
-        scores = evaluate_adapted(bundle, ctx)
-    assert scores[missing] is None
+        scores = evaluate_adapted(models, ctx, ("test",))
+    assert list(scores) == [key.label() for key in keys]
+    assert scores[missing.label()] is None
     assert any("no trained model" in r.message for r in caplog.records)
-    assert all(0.0 <= scores[key] <= 1.0 for key in keys[:-1])
+    assert all(0.0 <= scores[key.label()] <= 1.0 for key in keys[:-1])
 
 
 def test_course_personalization_adapts_only_where_data_exists():
     rng = np.random.default_rng(22)
     gp = init_params(rng)
     data = make_client(rng, n=6)
-    bundle = TrainedBundle(global_params=gp)
+    models = model_map(gp)
     s = parse_strategy("sc1-P-AT").with_overrides(batch_size=4)
     ctx = RunContext(strategy=s, master_seed=3, rep=0, fold=0,
                      clients={GroupKey("c0"): data},
                      scored={GroupKey("c0"): empty_client(),
                              GroupKey("c1"): empty_client()})
-    out = adapted_params(bundle, ctx)
+    out = adapted_params(models, ctx, ("test",))
     assert out[GroupKey("c1")] is gp
     assert max_param_diff(out[GroupKey("c0")], gp) > 0.0
 
-    again = adapted_params(bundle, ctx)
+    again = adapted_params(models, ctx, ("test",))
     assert params_equal(out[GroupKey("c0")], again[GroupKey("c0")])
 
 
@@ -607,33 +659,33 @@ def test_two_level_personalization_shares_course_models_and_b_refines():
     rng = np.random.default_rng(23)
     clients, pools, gp, _, _ = eval_world(rng)
     keys = sorted(clients, key=GroupKey.sort_key)
-    bundle = TrainedBundle(global_params=gp)
+    models = model_map(gp)
 
     def eval_ctx(name):
         s = parse_strategy(name).with_overrides(batch_size=4, per_group=2)
         return RunContext(strategy=s, master_seed=3, rep=0, fold=0,
                           clients=clients, course_pools=pools, scored=clients)
 
-    mid = adapted_params(bundle, eval_ctx("sc2-P-AT-M"))
+    mid = adapted_params(models, eval_ctx("sc2-P-AT-M"), ("test",))
     c0_keys = [k for k in keys if k.course == "c0"]
     assert mid[c0_keys[0]] is mid[c0_keys[1]]       # M stops at the course model
     assert max_param_diff(mid[c0_keys[0]], gp) > 0.0
 
-    bottom = adapted_params(bundle, eval_ctx("sc2-P-AT-B"))
+    bottom = adapted_params(models, eval_ctx("sc2-P-AT-B"), ("test",))
     for key in keys:
         assert max_param_diff(bottom[key], mid[key]) > 0.0
 
 
 def nan_params(rng):
     params = init_params(rng)
-    params["lstm.W"][0, 0] = np.nan  # a diverged P bundle
+    params["lstm.W"][0, 0] = np.nan  # a diverged P global
     return params
 
 
 def test_course_adaptation_divergence_names_fold_rep_tag_and_client():
     rng = np.random.default_rng(26)
     clients, pools, _, _, _ = eval_world(rng)
-    bundle = TrainedBundle(global_params=nan_params(rng))
+    models = model_map(nan_params(rng))
     s = parse_strategy("sc2-P-AT-B").with_overrides(batch_size=4, per_group=2)
     ctx = RunContext(strategy=s, master_seed=3, rep=2, fold=1,
                      clients=clients, course_pools=pools, scored=clients)
@@ -641,13 +693,13 @@ def test_course_adaptation_divergence_names_fold_rep_tag_and_client():
         with pytest.raises(NumericsError,
                            match=r"^fold 1, rep 2, val 4 course adaptation, "
                                  r"client .*c0.*: non-finite loss"):
-            adapted_params(bundle, ctx, tag=("val", 4))
+            adapted_params(models, ctx, ("val", 4))
 
 
 def test_evaluation_epoch_divergence_names_fold_rep_tag_and_client():
     rng = np.random.default_rng(27)
     data = make_client(rng, n=6)
-    bundle = TrainedBundle(global_params=nan_params(rng))
+    models = model_map(nan_params(rng))
     s = parse_strategy("sc1-P-AT").with_overrides(batch_size=4)
     key = GroupKey("c1")
     ctx = RunContext(strategy=s, master_seed=3, rep=0, fold=3,
@@ -657,7 +709,7 @@ def test_evaluation_epoch_divergence_names_fold_rep_tag_and_client():
         with pytest.raises(NumericsError,
                            match=r"^fold 3, rep 0, test adaptation, "
                                  r"client .*c1.*: non-finite loss"):
-            adapted_params(bundle, ctx)
+            adapted_params(models, ctx, ("test",))
 
 
 def test_evaluation_skips_groups_without_usable_auc(caplog):
@@ -671,20 +723,20 @@ def test_evaluation_skips_groups_without_usable_auc(caplog):
         KT, Encoding(VOCAB.kt_input_dim, all_correct), sids)
     k_good, k_flat, k_empty = (GroupKey("c0"), GroupKey("c1"),
                                GroupKey("c1", "gender", "F"))
-    bundle = TrainedBundle(global_params=gp)
+    models = model_map(gp)
     s = parse_strategy("sc2-G-AT-T")
     ctx = RunContext(strategy=s, master_seed=1, rep=0, fold=0,
                      scored={k_good: good, k_flat: single_class,
                              k_empty: empty_client()})
     with caplog.at_level(logging.WARNING, logger="hierfed.fed.engine"):
-        scores = evaluate_adapted(bundle, ctx)
-    assert 0.0 <= scores[k_good] <= 1.0
-    assert scores[k_flat] is None       # one-class labels have no AUC
-    assert scores[k_empty] is None      # no test students at all
+        scores = evaluate_adapted(models, ctx, ("test",))
+    assert 0.0 <= scores[k_good.label()] <= 1.0
+    assert scores[k_flat.label()] is None       # one-class labels have no AUC
+    assert scores[k_empty.label()] is None      # no test students at all
     assert any("no test students" in r.message for r in caplog.records)
     caplog.clear()  # scoring the validation split names that split
     with caplog.at_level(logging.WARNING, logger="hierfed.fed.engine"):
-        assert evaluate_adapted(bundle, ctx, ("val", 0))[k_empty] is None
+        assert evaluate_adapted(models, ctx, ("val", 0))[k_empty.label()] is None
     messages = [r.message for r in caplog.records]
     assert any("no val students" in m for m in messages)
     assert not any("no test students" in m for m in messages)
@@ -701,18 +753,18 @@ def test_a_group_with_no_scored_steps_has_no_auc():
                      fold=0,
                      scored={key: build_client_data(
                          KT, Encoding(VOCAB.kt_input_dim, one_response), sids)})
-    bundle = TrainedBundle(global_params=init_params(rng))
+    models = model_map(init_params(rng))
     assert ctx.scored[key].size == 2
-    assert evaluate_adapted(bundle, ctx) == {key: None}
+    assert evaluate_adapted(models, ctx, ("test",)) == {key.label(): None}
 
 
 def test_fedirt_evaluation_uses_the_local_models():
     rng = np.random.default_rng(25)
     clients, _, gp, _, sub_models = eval_world(rng)
     keys = sorted(clients, key=GroupKey.sort_key)
-    bundle = TrainedBundle(global_params=gp, models=sub_models)
+    models = model_map(gp, sub_models)
     s = parse_strategy("sc2-FedIRT")
     ctx = RunContext(strategy=s, master_seed=1, rep=0, fold=0,
                      clients=clients, scored=clients)
-    out = adapted_params(bundle, ctx)
+    out = adapted_params(models, ctx, ("test",))
     assert all(out[key] is sub_models[key] for key in keys)

@@ -354,9 +354,9 @@ def test_a_folds_data_is_released_before_the_next_fold_is_prepared(
         return out
 
     def recording_load(*args):
-        bundle = load(*args)
-        held.append(weakref.ref(bundle))
-        return bundle
+        models = load(*args)    # a dict takes no weakref; one of its arrays
+        held.append(weakref.ref(next(iter(next(iter(models.values())).values()))))
+        return models
 
     monkeypatch.setattr(runner, "_prepare", recording_prepare)
     monkeypatch.setattr(runner, "_load_bundle", recording_load)
@@ -370,7 +370,7 @@ def test_a_folds_data_is_released_before_the_next_fold_is_prepared(
     finally:
         if enabled:
             gc.enable()
-    # fold f's test context and bundle are gone when fold f + 1 is prepared
+    # fold f's test context and models are gone when fold f + 1 is prepared
     assert alive == [[], [False, False], [False] * 4]
 
 
@@ -420,7 +420,7 @@ def test_every_strategy_trains_and_rescores(tmp_path, two_course_dir, name):
 
 def _every_entry_kind(name: str) -> set:
     """The entries of a checkpoint that keeps every model of the selected
-    bundle, as checkpoints written before _entry_kinds did."""
+    round, as checkpoints written before _entry_kinds did."""
     scenario, form = name.split("-", 1)
     if form == "L":
         return {"course"} if scenario == "sc1" else {"subgroup"}
@@ -434,7 +434,7 @@ def _every_entry_kind(name: str) -> set:
 def _train_keeping_every_model(cfg, out, monkeypatch):
     """Train cfg into out with checkpoints that keep every model."""
     with monkeypatch.context() as m:
-        m.setattr(runner, "evaluated_models", lambda bundle, s: bundle)
+        m.setattr(runner, "evaluated_models", lambda models, s: models)
         cmd_train(cfg, out=out)
 
 
@@ -457,13 +457,12 @@ def test_adapted_params_are_the_same_from_what_a_checkpoint_keeps(
     ctx, _, test = runner._prepare(cfg, runner._dataset(cfg), 0, 0)
     full, _ = train_strategy(ctx)
     path = tmp_path / "ck.json"
-    save_checkpoint(path, runner._models_payload(
-        evaluated_models(full, ctx.strategy)), "h")
+    save_checkpoint(path, evaluated_models(full, ctx.strategy), "h")
     kept = runner._load_bundle(path, "h", test.init_params, test.strategy)
-    got = adapted_params(kept, test)
+    got = adapted_params(kept, test, ("test",))
     with monkeypatch.context() as m:    # adapted_params reading all of full
-        m.setattr(engine, "evaluated_models", lambda bundle, s: bundle)
-        want = adapted_params(full, test)
+        m.setattr(engine, "evaluated_models", lambda models, s: models)
+        want = adapted_params(full, test, ("test",))
     assert list(got) == list(want)
     assert any(params is not None for params in want.values())
     for key, params in want.items():
@@ -543,6 +542,25 @@ def test_reference_sweep_compare_names_the_fields_that_moved(tmp_path, capsys):
     assert capsys.readouterr().out == (
         "a/KT/sc1-L: all_match checkpoint\n"
         "a/KT/sc1-G: all_match checkpoint config report\n")
+
+
+def test_balanced_small_replays_the_recorded_reference_sweep(tmp_path):
+    # the digests hold for the numpy and BLAS the recording names first
+    build, *recorded = (Path(__file__).parent / "pinned"
+                        / "reference_sweep.jsonl").read_text().splitlines()
+    here = json.dumps(reference_sweep.build(), sort_keys=True)
+
+    def preset_of(text):
+        line = json.loads(text)
+        return line.get("generate") or line["config"].split("/")[0]
+
+    want = [text for text in recorded if preset_of(text) == "balanced-small"]
+    got = [json.dumps(line, sort_keys=True)
+           for line in reference_sweep.sweep(tmp_path, ("balanced-small",))]
+    assert len(got) == len(want) == 35     # the preset and its 34 configs
+    for line, text in zip(got, want):
+        assert json.loads(line) == json.loads(text), (
+            f"recorded with {build}, replayed with {here}")
 
 
 def test_grid_search_ranks_cells_by_validation_auc(tmp_path, data_dir):
